@@ -38,9 +38,6 @@ WALL_CLOCK_ALLOW = (
     "repro/experiments/__main__.py",
     "repro/obs/trace.py",
     "repro/sim/watchdog.py",
-    # Heartbeat deadlines: worker-lost detection is inherently about
-    # real time; nothing it measures reaches a SimulationResult.
-    "repro/sim/dist/coordinator.py",
 )
 
 #: Library files under ``repro/`` that are CLI front-ends in disguise

@@ -147,18 +147,6 @@ KNOBS: Tuple[EnvKnob, ...] = (
         "vector engine: max accesses per epoch coverage scan",
     ),
     EnvKnob(
-        "COLT_WORKERS", "(unset)", "repro/sim/dist/__init__.py",
-        "--workers",
-        "shard scenario groups across N worker subprocesses, each "
-        "with its own store shard and write-ahead shard journal",
-    ),
-    EnvKnob(
-        "COLT_HEARTBEAT_TIMEOUT", "30", "repro/sim/dist/__init__.py",
-        None,
-        "seconds of worker silence before the distributed "
-        "coordinator declares it lost and reassigns its shard",
-    ),
-    EnvKnob(
         "COLT_TELEMETRY_PORT", "(unset)", "repro/obs/serve.py",
         "--telemetry-port",
         "serve /metrics, /progress and /healthz over HTTP on this "
@@ -212,12 +200,6 @@ METRICS: Tuple[MetricDecl, ...] = (
         "in-flight experiments demoted to pending on resume; also in "
         "the colt_campaign counterset, standalone counter ships in "
         "metrics.json only",
-    ),
-    MetricDecl(
-        "colt_dist", "counterset-prefix",
-        "repro/sim/dist/coordinator.py", False,
-        "distributed coordinator tallies (workers/merged/lost/"
-        "desyncs/reassigned/inline/synced); metrics.json only",
     ),
     MetricDecl(
         "colt_watchdog", "counterset-prefix", "repro/sim/watchdog.py", True,
@@ -289,8 +271,6 @@ SPANS: Tuple[SpanDecl, ...] = (
              "repro/sim/resilience.py", "pool abandoned, serial fallback"),
     SpanDecl("resilience.retry", "span", "repro/sim/resilience.py",
              "one task resubmission"),
-    SpanDecl("dist.run", "span", "repro/sim/dist/coordinator.py",
-             "one distributed batch: shard, dispatch, merge"),
     SpanDecl("campaign.experiment", "span", "repro/sim/campaign.py",
              "one experiment within a campaign"),
     SpanDecl("campaign.shutdown", "span", "repro/sim/campaign.py",
@@ -323,9 +303,4 @@ FAULT_SITES: Tuple[FaultSiteDecl, ...] = (
                   "between experiments of a campaign"),
     FaultSiteDecl("store.write", "repro/sim/faults.py",
                   "result-store serialization (torn/corrupt writes)"),
-    FaultSiteDecl("dist", "repro/sim/dist/worker.py",
-                  "distributed worker lifecycle, indexed by worker id "
-                  "(worker-lost / shard-desync)"),
-    FaultSiteDecl("dist.journal", "repro/sim/dist/shard.py",
-                  "shard write-ahead journal writes (torn/corrupt)"),
 )

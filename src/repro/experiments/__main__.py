@@ -79,8 +79,6 @@ from repro.sim.campaign import (
     ShutdownCoordinator,
     campaign_fingerprint,
 )
-from repro.sim.dist import workers_from_env
-from repro.sim.dist.coordinator import DistributedRunner
 from repro.sim.engine import ENGINE_ENV, ENGINES, resolve_engine
 from repro.sim.faults import FaultPlan
 from repro.sim.resilience import RetryPolicy
@@ -105,13 +103,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=None, metavar="N",
         help="worker processes for capture/replay fan-out "
              "(default: os.cpu_count())",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="shard scenario groups across N worker subprocesses "
-             "(the distributed coordinator/worker layer; each worker "
-             "gets its own store shard and write-ahead journal; "
-             "default: $COLT_WORKERS or off)",
     )
     parser.add_argument(
         "--engine", choices=list(ENGINES), default=None,
@@ -481,18 +472,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     if watchdog is not None:
         watchdog.start()
-    workers = args.workers if args.workers is not None else workers_from_env()
-    if workers is not None and workers > 1:
-        runner = DistributedRunner(
-            workers=workers, jobs=jobs, store=store, policy=policy,
-            faults=faults, shutdown=shutdown, watchdog=watchdog,
-            engine=engine,
-        )
-    else:
-        runner = ExperimentRunner(
-            jobs=jobs, store=store, policy=policy, faults=faults,
-            shutdown=shutdown, watchdog=watchdog, engine=engine,
-        )
+    runner = ExperimentRunner(
+        jobs=jobs, store=store, policy=policy, faults=faults,
+        shutdown=shutdown, watchdog=watchdog, engine=engine,
+    )
 
     get_progress().update(
         phase="starting",
@@ -543,8 +526,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"memory budget exhausted: {exc}")
             code = 1
         finally:
-            if isinstance(runner, DistributedRunner):
-                runner.close()
             if watchdog is not None:
                 watchdog.stop()
             shutdown.restore()

@@ -22,7 +22,8 @@ Three pieces:
 * :class:`CampaignRunner` -- drives
   :class:`~repro.sim.runner.ExperimentRunner` experiment by
   experiment, skipping journaled ``done`` entries on ``--resume``
-  (their tables reload from the atomic per-experiment dumps), writing
+  (their tables reload from the atomic per-experiment dumps; a
+  ``done`` entry whose dump is missing reruns), writing
   each completed experiment's table to disk, and honouring the
   shutdown coordinator and watchdog between batches.
 * :class:`ShutdownCoordinator` -- signal-safe graceful shutdown. The
@@ -294,7 +295,8 @@ class CampaignManifest:
 
         ``failed`` entries are retried on resume -- exhaustion is often
         environmental (OOM, disk) and the point of resuming is a second
-        chance; ``done`` entries are never recomputed.
+        chance; ``done`` entries are recomputed only when their table
+        dump is missing (see :meth:`CampaignRunner.run`).
         """
         return [
             exp_id for exp_id in self.experiment_ids
@@ -453,14 +455,21 @@ class CampaignRunner:
                 status.interrupted = self.shutdown.signal_name
                 break
             if self.manifest.status(exp_id) == STATUS_DONE:
-                self.counters.increment("skipped")
-                status.skipped.append(exp_id)
                 table_path = self._table_path(exp_id)
                 if table_path.exists():
+                    self.counters.increment("skipped")
+                    status.skipped.append(exp_id)
                     status.tables[exp_id] = table_path.read_text(
                         encoding="utf-8"
                     )
-                continue
+                    continue
+                # The table is the experiment's only artifact, so a
+                # done entry without its dump is not done. Rerunning
+                # is cheap: its simulations come back from the store.
+                _LOG.warning(
+                    "experiment %s is journaled done but its table dump "
+                    "%s is missing; rerunning it", exp_id, table_path,
+                )
             self.counters.increment("experiments")
             self.manifest.mark_running(exp_id)
             self.counters.increment("journal_writes")

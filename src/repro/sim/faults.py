@@ -30,18 +30,7 @@ Fault kinds:
     Mutate a result-store write (truncate the framed payload / flip a
     payload byte) so the checksum-verified load path must quarantine
     the entry. Applied by :meth:`repro.sim.store.ResultStore._save`
-    via :meth:`FaultPlan.corruption`. ``torn`` additionally targets
-    the per-shard write-ahead journal of a distributed worker
-    (``dist.journal``), indexed by that worker's journal write count.
-``worker-lost`` / ``shard-desync``
-    Distributed-layer faults, fired at the ``dist`` site and indexed
-    by *worker id*. ``worker-lost`` hard-kills the targeted worker
-    subprocess when its first assignment arrives (the coordinator must
-    detect the loss and reassign the shard); ``shard-desync`` makes
-    the worker report a perturbed constants fingerprint, so the
-    coordinator must quarantine the shard instead of merging it.
-    Queried by :meth:`FaultPlan.dist_fault` in
-    ``repro.sim.dist.worker``.
+    via :meth:`FaultPlan.corruption`.
 
 Grammar (``COLT_FAULTS`` environment variable, ``;``-separated)::
 
@@ -49,7 +38,6 @@ Grammar (``COLT_FAULTS`` environment variable, ``;``-separated)::
 
     COLT_FAULTS="crash@capture:0;raise@replay:1x2;delay@replay:0/0.5"
     COLT_FAULTS="torn@store.write:0;corrupt@store.write:2,3"
-    COLT_FAULTS="worker-lost@dist:1;torn@dist.journal:0"
 
 ``xTIMES`` fires the fault on attempts ``0..TIMES-1`` of the task
 (default 1: only the first attempt faults, so a single retry
@@ -84,12 +72,8 @@ CRASH_EXIT_CODE = 86
 #: Fault kinds executed inside a task.
 EXECUTION_KINDS = ("crash", "raise", "delay")
 
-#: Fault kinds applied to result-store (and shard-journal) writes.
+#: Fault kinds applied to result-store writes.
 STORE_KINDS = ("torn", "corrupt")
-
-#: Fault kinds for the distributed coordinator/worker layer
-#: (``repro.sim.dist``), indexed by worker id.
-DIST_KINDS = ("worker-lost", "shard-desync")
 
 #: Sites execution faults may target. ``campaign`` fires in the parent
 #: at the top of a campaign experiment (indexed by its position in the
@@ -102,15 +86,8 @@ TASK_SITES = ("capture", "replay", "campaign")
 #: The store-write site.
 STORE_SITE = "store.write"
 
-#: The distributed-worker site (``worker-lost``/``shard-desync``,
-#: indexed by worker id) and the per-shard journal write site
-#: (``torn``/``corrupt``, indexed by that worker's journal writes).
-DIST_SITE = "dist"
-DIST_JOURNAL_SITE = "dist.journal"
-
 _SPEC_RE = re.compile(
-    r"^(?P<kind>[a-z]+(?:-[a-z]+)*)@(?P<site>[a-z.]+)"
-    r":(?P<indices>\d+(?:,\d+)*)"
+    r"^(?P<kind>[a-z]+)@(?P<site>[a-z.]+):(?P<indices>\d+(?:,\d+)*)"
     r"(?:x(?P<times>\d+))?(?:/(?P<seconds>\d+(?:\.\d+)?))?$"
 )
 
@@ -120,10 +97,8 @@ class FaultSpec:
     """One trigger: fire ``kind`` at ``site`` for the given task indices.
 
     Attributes:
-        kind: one of ``crash``/``raise``/``delay``/``torn``/``corrupt``
-            /``worker-lost``/``shard-desync``.
-        site: ``capture``, ``replay``, ``campaign``, ``store.write``,
-            ``dist`` or ``dist.journal``.
+        kind: one of ``crash``/``raise``/``delay``/``torn``/``corrupt``.
+        site: ``capture``, ``replay``, ``campaign`` or ``store.write``.
         indices: deterministic per-site task (or write) indices to hit.
         times: fault fires while ``attempt < times`` (default 1).
         seconds: sleep duration for ``delay`` faults.
@@ -143,21 +118,15 @@ class FaultSpec:
                     f"{TASK_SITES}, not {self.site!r}"
                 )
         elif self.kind in STORE_KINDS:
-            if self.site not in (STORE_SITE, DIST_JOURNAL_SITE):
+            if self.site != STORE_SITE:
                 raise ConfigurationError(
-                    f"fault kind {self.kind!r} targets {STORE_SITE!r} "
-                    f"or {DIST_JOURNAL_SITE!r}, not {self.site!r}"
-                )
-        elif self.kind in DIST_KINDS:
-            if self.site != DIST_SITE:
-                raise ConfigurationError(
-                    f"fault kind {self.kind!r} targets {DIST_SITE!r} "
-                    f"(indexed by worker id), not {self.site!r}"
+                    f"fault kind {self.kind!r} targets {STORE_SITE!r}, "
+                    f"not {self.site!r}"
                 )
         else:
             raise ConfigurationError(
                 f"unknown fault kind {self.kind!r}; expected one of "
-                f"{EXECUTION_KINDS + STORE_KINDS + DIST_KINDS}"
+                f"{EXECUTION_KINDS + STORE_KINDS}"
             )
         if self.times < 1:
             raise ConfigurationError(
@@ -197,9 +166,7 @@ class FaultPlan:
 
     def __init__(self, specs: Sequence[FaultSpec]) -> None:
         self.specs = tuple(specs)
-        self.counters = CounterSet(
-            EXECUTION_KINDS + STORE_KINDS + DIST_KINDS
-        )
+        self.counters = CounterSet(EXECUTION_KINDS + STORE_KINDS)
         self._parent_pid = os.getpid()
 
     def __bool__(self) -> bool:
@@ -288,35 +255,11 @@ class FaultPlan:
 
     def corruption(self, index: int) -> Optional[str]:
         """The store-write fault kind scheduled for write ``index``."""
-        return self.corruption_at(STORE_SITE, index)
-
-    def corruption_at(self, site: str, index: int) -> Optional[str]:
-        """The write-corruption kind scheduled for ``site`` write
-        ``index`` (``store.write`` entries or ``dist.journal`` shard
-        journal rewrites), or None."""
         for spec in self.specs:
-            if spec.kind in STORE_KINDS and spec.matches(site, index, 0):
-                self._record(spec.kind, site)
-                return spec.kind
-        return None
-
-    def dist_fault(
-        self, site: str, index: int, attempt: int = 0
-    ) -> Optional[str]:
-        """The distributed fault kind scheduled for worker ``index``.
-
-        Queried by a worker subprocess once at startup (``attempt`` 0);
-        ``worker-lost`` arms a hard ``os._exit`` on the worker's first
-        assignment, ``shard-desync`` perturbs the constants fingerprint
-        it reports. Recording happens in the worker process, so the
-        coordinator counts detections (lost/desynced shards), not
-        firings.
-        """
-        for spec in self.specs:
-            if spec.kind in DIST_KINDS and spec.matches(
-                site, index, attempt
+            if spec.kind in STORE_KINDS and spec.matches(
+                STORE_SITE, index, 0
             ):
-                self._record(spec.kind, site)
+                self._record(spec.kind, STORE_SITE)
                 return spec.kind
         return None
 

@@ -28,10 +28,6 @@ Results are memoised in-process per config (so e.g. Figure 21 reuses
 the runs Figure 18 already performed) and, when a
 :class:`repro.sim.store.ResultStore` is attached, on disk across
 invocations.
-
-``monolithic=True`` restores the legacy single-phase path (every config
-re-runs the full OS) -- used by ``tools/bench_runner.py`` as the
-baseline of the speedup smoke test, and available for A/B debugging.
 """
 
 from __future__ import annotations
@@ -66,7 +62,7 @@ from repro.sim.metrics import (
 from repro.sim.engine import replay_with_engine, resolve_engine
 from repro.sim.scenario import CapturedScenario, capture_scenario, scenario_config
 from repro.sim.store import ResultStore
-from repro.sim.system import SimulationConfig, SimulationResult, simulate
+from repro.sim.system import SimulationConfig, SimulationResult
 from repro.sim.watchdog import (
     DEGRADE_NO_PREFETCH,
     DEGRADE_SHRINK_POOL,
@@ -175,8 +171,6 @@ class ExperimentRunner:
             ``None`` or 1 runs inline (no pool).
         store: optional on-disk result store consulted before, and
             updated after, every simulation.
-        monolithic: bypass capture/replay and run every config through
-            the legacy single-phase :func:`simulate`.
         policy: retry/backoff/deadline policy for the resilient
             executor; defaults to :meth:`RetryPolicy.from_env`
             (``COLT_RETRIES`` / ``COLT_TASK_TIMEOUT`` / ``COLT_BACKOFF``).
@@ -205,7 +199,6 @@ class ExperimentRunner:
         self,
         jobs: Optional[int] = None,
         store: Optional[ResultStore] = None,
-        monolithic: bool = False,
         policy: Optional[RetryPolicy] = None,
         faults: Optional[FaultPlan] = None,
         shutdown=None,
@@ -215,7 +208,6 @@ class ExperimentRunner:
         self._jobs = max(1, int(jobs)) if jobs else 1
         self._engine = resolve_engine(engine)
         self._store = store
-        self._monolithic = monolithic
         self._policy = policy if policy is not None else RetryPolicy.from_env()
         self._faults = faults if faults is not None else FaultPlan.from_env()
         self._shutdown = shutdown
@@ -335,13 +327,8 @@ class ExperimentRunner:
                 configs=len(configs),
                 pending=len(pending),
                 jobs=self._jobs,
-                monolithic=self._monolithic,
             ):
-                if self._monolithic:
-                    for config in pending:
-                        self._finish(config, simulate(config))
-                else:
-                    self._run_captured(pending)
+                self._run_captured(pending)
             get_progress().update_section("runner", stage="idle", pending=0)
         return {config: self._cache[config] for config in configs}
 

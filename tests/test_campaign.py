@@ -441,6 +441,30 @@ class TestCampaignRunner:
         assert stub_registry["a"].runs == 1
         assert status.tables["a"] == "table of a\n"
 
+    def test_resume_reruns_done_entry_missing_its_table(self, tmp_path,
+                                                        obs_off,
+                                                        stub_registry):
+        stub_registry["a"] = _StubExperiment("a")
+        stub_registry["b"] = _StubExperiment("b")
+        self._campaign(tmp_path, ["a", "b"]).run()
+        table_a = tmp_path / "tables" / "a.txt"
+        table_a.unlink()
+        # Journaled done, but the dump is gone: a is not done.
+        resumed = CampaignManifest.load(tmp_path / "manifest.json")
+        campaign = CampaignRunner(
+            resumed, runner=None, scale=None,
+            tables_dir=tmp_path / "tables",
+        )
+        status = campaign.run()
+        assert status.ok
+        assert status.completed == ["a"]
+        assert status.skipped == ["b"]
+        assert stub_registry["a"].runs == 2
+        assert stub_registry["b"].runs == 1
+        assert status.tables["a"] == "table of a"
+        assert table_a.read_text() == "table of a\n"
+        assert resumed.is_complete()
+
     def test_shutdown_mid_campaign_requeues_in_flight(self, tmp_path,
                                                       obs_off,
                                                       stub_registry):

@@ -139,8 +139,7 @@ class TestCaptureOnce:
     def test_runner_monolithic_mode_matches(self):
         config = small_config(accesses=1500, scale=0.1)
         split = ExperimentRunner().run(config)
-        monolithic = ExperimentRunner(monolithic=True).run(config)
-        assert _results_identical(split, monolithic)
+        assert _results_identical(split, simulate(config))
 
 
 def _store_worker(store_dir: str, config: SimulationConfig):

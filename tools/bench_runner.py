@@ -1,23 +1,15 @@
-"""Runner-speedup smoke benchmark: monolithic vs capture+replay.
+"""Runner smoke benchmark: the parallel capture+replay pipeline.
 
-Times the fig18 + fig21 pipeline at QUICK scale twice:
+Times the fig18 + fig21 pipeline at QUICK scale under
+``ExperimentRunner(jobs=N)`` -- one OS capture per benchmark, one TLB
+replay per design, fanned across a process pool -- and writes a
+``BENCH_runner.json`` artifact with wall-clock per figure and the
+aggregate simulated accesses/second. That plain parallel run is the
+reference the overhead gates below divide by.
 
-1. **serial monolithic** -- ``ExperimentRunner(monolithic=True)``, the
-   legacy path: every (benchmark, design) pair re-runs the full
-   OS+workload interleaving inline.
-2. **parallel capture+replay** -- ``ExperimentRunner(jobs=N)``: one OS
-   capture per benchmark, one TLB replay per design, fanned across a
-   process pool.
-
-Writes a ``BENCH_runner.json`` artifact with wall-clock per figure,
-aggregate simulated accesses/second for both modes, and the speedup;
-exits non-zero if the speedup falls below ``--min-speedup`` (CI runs
-with ``--min-speedup 2.0 --jobs 4``; on a single-core box pass
-``--min-speedup 0`` to just record numbers).
-
-A third, untimed-against-the-threshold phase exercises the on-disk
-result store in a temporary directory -- one cold pipeline populating
-it, one warm pipeline replaying from it -- and records the store's
+A second, ungated phase exercises the on-disk result store in a
+temporary directory -- one cold pipeline populating it, one warm
+pipeline replaying from it -- and records the store's
 hit/miss/eviction/save counters plus the warm-over-cold speedup in the
 artifact's ``store`` section (``--skip-store`` omits it).
 ``--max-trace-overhead X`` adds a ``COLT_TRACE=1`` run of the parallel
@@ -27,13 +19,6 @@ for the resilience layer: it re-times the parallel pipeline with a
 retry policy, per-task deadline and a never-matching fault plan
 attached, and fails if the fault-free machinery costs more than ``X``
 times the plain parallel run.
-
-``--max-dist-overhead X`` times the same pipeline under the
-distributed coordinator (``DistributedRunner`` with ``--dist-workers``
-worker subprocesses, aggregate parallelism matched to ``--jobs``),
-writes the timings and ``colt_dist`` counters to ``BENCH_dist.json``
-(``--dist-output``), and fails if coordinating costs more than ``X``
-times the plain parallel run (CI pins 1.3x at QUICK scale).
 
 ``--min-vector-speedup X`` arms a separate replay-engine phase: every
 QUICK benchmark is captured once, then replayed under all five designs
@@ -65,7 +50,6 @@ sys.path.insert(
 
 from repro.core.mmu import CoLTDesign  # noqa: E402
 from repro.obs.trace import TRACE_ENV, reset_tracing  # noqa: E402
-from repro.sim.dist.coordinator import DistributedRunner  # noqa: E402
 from repro.sim.engine.vector import vector_replay_scenario  # noqa: E402
 from repro.sim.faults import FaultPlan  # noqa: E402
 from repro.sim.replay import replay_scenario  # noqa: E402
@@ -157,33 +141,6 @@ def _resilience_phase(jobs: int) -> dict:
     return {"total_s": round(total, 3), "tasks": counts["tasks"]}
 
 
-def _dist_phase(jobs: int, workers: int) -> dict:
-    """Time the pipeline under the distributed coordinator.
-
-    Storeless (no shard sync, no journal I/O in the way): this
-    measures the pure cost of sharding, the wire protocol, and the
-    merge loop, with aggregate parallelism matched to ``jobs``.
-    """
-    runner = DistributedRunner(workers=workers, jobs=jobs)
-    started = time.perf_counter()
-    try:
-        timings = _time_pipeline(runner)
-    finally:
-        runner.close()
-    total = time.perf_counter() - started
-    counts = {
-        k: v for k, v in runner.dist_counters.as_dict().items() if v
-    }
-    return {
-        "scale": "quick",
-        "workers": workers,
-        "jobs": jobs,
-        "wall_clock_s": {k: round(v, 3) for k, v in timings.items()},
-        "total_s": round(total, 3),
-        "counters": counts,
-    }
-
-
 def _results_identical(scalar, vector) -> bool:
     return (
         scalar.l1_misses == vector.l1_misses
@@ -252,18 +209,13 @@ def _vector_phase() -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Time serial-monolithic vs parallel capture+replay "
-                    "on the fig18+fig21 QUICK pipeline."
+        description="Time parallel capture+replay on the fig18+fig21 "
+                    "QUICK pipeline, and gate its overheads."
     )
     parser.add_argument(
         "--jobs", type=int, default=os.cpu_count() or 1, metavar="N",
-        help="worker processes for the capture/replay mode "
+        help="worker processes for the capture/replay pool "
              "(default: os.cpu_count())",
-    )
-    parser.add_argument(
-        "--min-speedup", type=float, default=0.0, metavar="X",
-        help="fail (exit 1) if parallel speedup is below X "
-             "(default: 0, record-only)",
     )
     parser.add_argument(
         "--output", default="BENCH_runner.json", metavar="FILE",
@@ -286,21 +238,6 @@ def main(argv=None) -> int:
              "plain parallel time",
     )
     parser.add_argument(
-        "--max-dist-overhead", type=float, default=None, metavar="X",
-        help="also run the pipeline under the distributed coordinator "
-             "(--dist-workers subprocesses) and fail if it exceeds X "
-             "times the plain parallel time",
-    )
-    parser.add_argument(
-        "--dist-workers", type=int, default=3, metavar="N",
-        help="worker subprocesses for the distributed phase "
-             "(default: 3)",
-    )
-    parser.add_argument(
-        "--dist-output", default="BENCH_dist.json", metavar="FILE",
-        help="where to write the distributed-phase JSON artifact",
-    )
-    parser.add_argument(
         "--min-vector-speedup", type=float, default=None, metavar="X",
         help="also time scalar-vs-vector replay over every QUICK "
              "benchmark and design, verify bit-identity, and fail if "
@@ -314,40 +251,27 @@ def main(argv=None) -> int:
 
     print(f"benchmarking fig18+fig21 at QUICK scale (jobs={args.jobs})")
 
-    monolithic_runner = ExperimentRunner(monolithic=True)
-    mono_started = time.perf_counter()
-    mono_timings = _time_pipeline(monolithic_runner)
-    mono_total = time.perf_counter() - mono_started
-    accesses = _simulated_accesses(monolithic_runner)
-
     parallel_runner = ExperimentRunner(jobs=args.jobs)
     par_started = time.perf_counter()
     par_timings = _time_pipeline(parallel_runner)
     par_total = time.perf_counter() - par_started
+    accesses = _simulated_accesses(parallel_runner)
 
     scenarios = len(
         {scenario_config(config) for config in parallel_runner._cache}
     )
-    speedup = mono_total / par_total if par_total > 0 else float("inf")
     report = {
         "scale": "quick",
         "jobs": args.jobs,
         "figures": list(FIGURES),
-        "simulation_runs": len(monolithic_runner._cache),
+        "simulation_runs": len(parallel_runner._cache),
         "scenarios_captured": scenarios,
         "simulated_accesses": accesses,
-        "serial_monolithic": {
-            "wall_clock_s": {k: round(v, 3) for k, v in mono_timings.items()},
-            "total_s": round(mono_total, 3),
-            "accesses_per_sec": round(accesses / mono_total, 1),
-        },
         "parallel_replay": {
             "wall_clock_s": {k: round(v, 3) for k, v in par_timings.items()},
             "total_s": round(par_total, 3),
             "accesses_per_sec": round(accesses / par_total, 1),
         },
-        "speedup": round(speedup, 3),
-        "min_speedup": args.min_speedup,
     }
 
     if not args.skip_store:
@@ -376,20 +300,6 @@ def main(argv=None) -> int:
             args.max_resilience_overhead
         )
 
-    dist_report = None
-    dist_overhead = None
-    if args.max_dist_overhead is not None:
-        dist_report = _dist_phase(args.jobs, args.dist_workers)
-        dist_overhead = (
-            dist_report["total_s"] / par_total if par_total > 0 else 0.0
-        )
-        dist_report["overhead_ratio"] = round(dist_overhead, 3)
-        dist_report["max_overhead_ratio"] = args.max_dist_overhead
-        dist_report["parallel_total_s"] = round(par_total, 3)
-        with open(args.dist_output, "w") as handle:
-            json.dump(dist_report, handle, indent=2)
-            handle.write("\n")
-
     vector_report = None
     if args.min_vector_speedup is not None:
         vector_report = _vector_phase()
@@ -402,12 +312,8 @@ def main(argv=None) -> int:
         json.dump(report, handle, indent=2)
         handle.write("\n")
 
-    print(f"serial monolithic : {mono_total:8.2f}s "
-          f"({report['serial_monolithic']['accesses_per_sec']:.0f} acc/s)")
     print(f"parallel replay   : {par_total:8.2f}s "
           f"({report['parallel_replay']['accesses_per_sec']:.0f} acc/s)")
-    print(f"speedup           : {speedup:8.2f}x  (threshold "
-          f"{args.min_speedup}x)")
     if "store" in report:
         store = report["store"]
         print(f"store cold/warm   : {store['cold_s']:8.2f}s / "
@@ -423,11 +329,6 @@ def main(argv=None) -> int:
         print(f"resilience ovrhd  : {resilience_overhead:8.2f}x "
               f"({report['resilience']['tasks']} tasks, threshold "
               f"{args.max_resilience_overhead}x)")
-    if dist_overhead is not None:
-        print(f"distributed ovrhd : {dist_overhead:8.2f}x "
-              f"({dist_report['counters'].get('merged', 0)} groups "
-              f"merged over {args.dist_workers} workers, threshold "
-              f"{args.max_dist_overhead}x); wrote {args.dist_output}")
     if vector_report is not None:
         print(f"vector replay     : {vector_report['scalar_total_s']:8.2f}s "
               f"scalar / {vector_report['vector_total_s']:.2f}s vector = "
@@ -436,10 +337,6 @@ def main(argv=None) -> int:
     print(f"wrote {args.output}")
 
     failed = False
-    if speedup < args.min_speedup:
-        print(f"FAIL: speedup {speedup:.2f}x < required "
-              f"{args.min_speedup}x", file=sys.stderr)
-        failed = True
     if (
         trace_overhead is not None
         and trace_overhead > args.max_trace_overhead
@@ -453,13 +350,6 @@ def main(argv=None) -> int:
     ):
         print(f"FAIL: resilience overhead {resilience_overhead:.2f}x > "
               f"allowed {args.max_resilience_overhead}x", file=sys.stderr)
-        failed = True
-    if (
-        dist_overhead is not None
-        and dist_overhead > args.max_dist_overhead
-    ):
-        print(f"FAIL: distributed overhead {dist_overhead:.2f}x > "
-              f"allowed {args.max_dist_overhead}x", file=sys.stderr)
         failed = True
     if vector_report is not None:
         if not vector_report["identical"]:

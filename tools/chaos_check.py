@@ -24,15 +24,6 @@ results. ``--list-modes`` enumerates them:
     (exit 75, port released), and ``colt-history-v1`` records for both
     the killed and the resumed run.
 
-``distributed`` (``--distributed``)
-    The coordinator/worker layer (``--workers 3``): a clean distributed
-    campaign, a run where every worker is hard-killed on its first
-    assignment (``worker-lost@dist``), a run with a fingerprint-skewed
-    worker whose shard must be quarantined (``shard-desync@dist``, plus
-    torn shard-journal writes), and a SIGTERM kill + ``--resume``
-    cycle -- all required to produce tables byte-identical to the clean
-    single-host baseline.
-
 Exit status is non-zero on any divergence. Because injected faults only
 kill/delay/corrupt -- they never feed a number into a simulation -- any
 mismatch here is a real determinism or recovery bug.
@@ -59,7 +50,6 @@ sys.path.insert(
 )
 
 from repro.sim.campaign import SHUTDOWN_EXIT_CODE  # noqa: E402
-from repro.sim.dist.coordinator import DIST_QUARANTINE_DIR  # noqa: E402
 from repro.sim.faults import FaultPlan  # noqa: E402
 from repro.sim.resilience import RetryPolicy  # noqa: E402
 from repro.sim.runner import ExperimentRunner  # noqa: E402
@@ -95,19 +85,6 @@ HOLD_SECONDS = 10.0
 #: requeues it; the retried attempt escapes the x1 fault.
 STALL_DELAY_SECONDS = 12.0
 STALL_TIMEOUT_SECONDS = 4.0
-
-#: Worker count for the distributed mode.
-DIST_WORKERS = 3
-
-#: Every worker dies on its first assignment: whatever the (content-
-#: hash-deterministic, but constants-dependent) group distribution is,
-#: at least one worker has work, so a loss always fires and the
-#: reassignment ladder is driven all the way to the inline fallback.
-DIST_LOST_PLAN = "worker-lost@dist:0,1,2"
-
-#: One fingerprint-skewed worker (desync fires at hello, so any index
-#: works), plus torn first journal writes on the healthy shards.
-DIST_DESYNC_PLAN = "shard-desync@dist:2;torn@dist.journal:0"
 
 
 def _run_pipeline(runner: ExperimentRunner) -> str:
@@ -157,11 +134,10 @@ def _campaign_env(faults: str = "") -> dict:
         env["COLT_FAULTS"] = faults
     else:
         env.pop("COLT_FAULTS", None)
-    # The phases below pass watchdog/telemetry/distribution knobs
-    # explicitly; ambient settings must not leak in.
+    # The phases below pass watchdog/telemetry knobs explicitly;
+    # ambient settings must not leak in.
     for var in ("COLT_STALL_TIMEOUT", "COLT_MEM_BUDGET", "COLT_DUMP_DIR",
-                "COLT_TELEMETRY_PORT", "COLT_HISTORY", "COLT_WORKERS",
-                "COLT_HEARTBEAT_TIMEOUT"):
+                "COLT_TELEMETRY_PORT", "COLT_HISTORY"):
         env.pop(var, None)
     return env
 
@@ -226,7 +202,7 @@ def _compare_tables(label: str, cache_dir: str, clean_tables: dict) -> int:
 
 
 def _kill_after_first_table(label: str, cache_dir: str, jobs: int,
-                            faults: str, extra=()):
+                            faults: str):
     """Start a campaign and SIGTERM it once entry 0's table lands.
 
     ``faults`` should hold entry 1 open (``delay@campaign:1/...``) so
@@ -235,7 +211,7 @@ def _kill_after_first_table(label: str, cache_dir: str, jobs: int,
     line) when the campaign ended before the window opened.
     """
     proc = subprocess.Popen(
-        _campaign_cmd(cache_dir, jobs, extra=extra),
+        _campaign_cmd(cache_dir, jobs),
         env=_campaign_env(faults),
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
     )
@@ -461,107 +437,6 @@ def _campaign_check(args) -> int:
     return 0
 
 
-def _distributed_check(args) -> int:
-    failures = 0
-    workers_extra = ("--workers", str(DIST_WORKERS))
-    with tempfile.TemporaryDirectory(prefix="colt-dist-") as tmp:
-        clean_dir = os.path.join(tmp, "clean")
-        dist_dir = os.path.join(tmp, "dist-clean")
-        lost_dir = os.path.join(tmp, "lost")
-        desync_dir = os.path.join(tmp, "desync")
-        kill_dir = os.path.join(tmp, "killed")
-
-        print(f"clean single-host campaign {' '.join(CAMPAIGN_IDS)} "
-              f"(jobs={args.jobs})")
-        if _checked_run("clean campaign", clean_dir, args.jobs) is None:
-            return 1
-        clean_tables = _tables(clean_dir)
-        print(f"  {len(clean_tables)} baseline table dumps")
-
-        print(f"distributed campaign (--workers {DIST_WORKERS})")
-        if _checked_run(
-            "distributed campaign", dist_dir, args.jobs,
-            extra=workers_extra,
-        ) is None:
-            failures += 1
-        else:
-            failures += _compare_tables(
-                "distributed", dist_dir, clean_tables
-            )
-
-        print(f"worker-lost campaign (faults: {DIST_LOST_PLAN})")
-        lost = _checked_run(
-            "worker-lost campaign", lost_dir, args.jobs,
-            faults=DIST_LOST_PLAN, extra=workers_extra,
-        )
-        if lost is None:
-            failures += 1
-        else:
-            failures += _compare_tables(
-                "worker-lost", lost_dir, clean_tables
-            )
-            if "lost" not in lost.stderr:
-                print("FAIL: worker-lost run never reported a lost "
-                      "worker", file=sys.stderr)
-                failures += 1
-
-        print(f"shard-desync campaign (faults: {DIST_DESYNC_PLAN})")
-        desynced = _checked_run(
-            "shard-desync campaign", desync_dir, args.jobs,
-            faults=DIST_DESYNC_PLAN, extra=workers_extra,
-        )
-        if desynced is None:
-            failures += 1
-        else:
-            failures += _compare_tables(
-                "shard-desync", desync_dir, clean_tables
-            )
-            quarantine = Path(desync_dir) / "dist" / DIST_QUARANTINE_DIR
-            quarantined = (
-                sorted(p.name for p in quarantine.iterdir())
-                if quarantine.is_dir() else []
-            )
-            if not quarantined:
-                print("FAIL: desynced shard was not quarantined under "
-                      f"{quarantine}", file=sys.stderr)
-                failures += 1
-            else:
-                print(f"  quarantined desynced shard(s): {quarantined}")
-
-        print(f"killed distributed campaign (SIGTERM while entry 1 "
-              f"is running, --workers {DIST_WORKERS})")
-        killed = _kill_after_first_table(
-            "killed distributed campaign", kill_dir, args.jobs,
-            f"delay@campaign:1/{HOLD_SECONDS:g}", extra=workers_extra,
-        )
-        if killed is None:
-            return 1
-        failures += _check_killed(
-            "killed distributed campaign", *killed, kill_dir
-        )
-
-        print("resumed distributed campaign (--resume --workers "
-              f"{DIST_WORKERS})")
-        resumed = _checked_run(
-            "distributed resume", kill_dir, args.jobs,
-            extra=workers_extra + ("--resume",),
-        )
-        if resumed is None:
-            failures += 1
-        failures += _check_resumed("distributed resume", kill_dir)
-        failures += _compare_tables(
-            "distributed resume", kill_dir, clean_tables
-        )
-
-    if failures:
-        print(f"distributed check FAILED ({failures} divergence(s))",
-              file=sys.stderr)
-        return 1
-    print("distributed check passed: clean/lost/desync/kill+resume all "
-          "byte-identical to the single-host campaign")
-    return 0
-
-
 #: The always-printed line that announces the bound telemetry port
 #: (the only way to learn it when ``--telemetry-port 0`` is used).
 TELEMETRY_LINE = re.compile(r"telemetry: http://127\.0\.0\.1:(\d+)/")
@@ -752,11 +627,6 @@ MODES = {
         _telemetry_check,
         "telemetry plane: live probes, clean SIGTERM shutdown, "
         "history records",
-    ),
-    "distributed": (
-        _distributed_check,
-        f"coordinator/worker layer (--workers {DIST_WORKERS}): clean, "
-        "worker-lost, shard-desync quarantine, kill + --resume",
     ),
 }
 
