@@ -221,6 +221,11 @@ METRICS: Tuple[MetricDecl, ...] = (
         "kernel allocation/THP counters; metrics.json only",
     ),
     MetricDecl(
+        "colt_capture", "counterset-prefix", "repro/sim/scenario.py", False,
+        "capture accesses and walk records computed (memo misses); "
+        "pinned by the history gate, metrics.json only",
+    ),
+    MetricDecl(
         "colt_compaction", "counterset-prefix", "repro/osmem/compaction.py",
         False, "compaction migrations/runs; metrics.json only",
     ),
@@ -251,8 +256,6 @@ SPANS: Tuple[SpanDecl, ...] = (
              "access-trace generation"),
     SpanDecl("capture", "span", "repro/sim/scenario.py",
              "scenario capture (walk log recording)"),
-    SpanDecl("capture.dedup", "span", "repro/sim/scenario.py",
-             "walk-record deduplication"),
     SpanDecl("replay", "span", "repro/sim/replay.py",
              "captured-scenario replay under one design"),
     SpanDecl("simulate", "span", "repro/sim/system.py",

@@ -11,6 +11,10 @@ fetches PTEs by *physical address* in 64-byte cache lines: the eight PTEs
 sharing a line are the only translations CoLT may coalesce without extra
 memory references (paper Section 4.1.4), and which PTEs share a line is
 determined by their placement inside the table node.
+
+Every leaf write goes through the mutators of :class:`PageTable`, which
+report it to write listeners (:meth:`PageTable.add_write_listener`). The
+capture recorder uses that to memoize walk outcomes per VPN.
 """
 
 from __future__ import annotations
@@ -117,6 +121,24 @@ class PageTable:
         self._root = _Node(self._allocate_frame())
         self._mapped_pages = 0
         self._mapped_superpages = 0
+        self._write_listeners: List[Callable[[int, int], None]] = []
+
+    def add_write_listener(self, listener: Callable[[int, int], None]) -> None:
+        """Subscribe to leaf writes.
+
+        ``listener(start_vpn, count)`` fires after every mutator that
+        writes a leaf: ``(vpn, 1)`` for a 4KB PTE, ``(base, 512)`` for a
+        2MB PDE. ``split_superpage`` fires through the unmap and maps it
+        is made of. Table nodes are only freed once empty, i.e. after an
+        unmap that already fired, so a listener sees every change to
+        what :meth:`lookup`, :meth:`walk_path_addresses` and
+        :meth:`pte_cache_line` return.
+        """
+        self._write_listeners.append(listener)
+
+    def _notify_write(self, start_vpn: int, count: int) -> None:
+        for listener in self._write_listeners:
+            listener(start_vpn, count)
 
     # ------------------------------------------------------------------
     # Mapping installation / removal.
@@ -145,6 +167,8 @@ class PageTable:
             raise TranslationError(f"vpn {vpn} already mapped")
         node.leaves[index] = _LeafEntry(pfn, attributes, is_superpage=False)
         self._mapped_pages += 1
+        if self._write_listeners:
+            self._notify_write(vpn, 1)
 
     def map_superpage(
         self,
@@ -170,6 +194,8 @@ class PageTable:
             )
         node.leaves[index] = _LeafEntry(pfn, attributes, is_superpage=True)
         self._mapped_superpages += 1
+        if self._write_listeners:
+            self._notify_write(vpn, SUPERPAGE_PAGES)
 
     def unmap_page(self, vpn: int) -> Translation:
         """Remove a 4KB mapping; returns the removed translation."""
@@ -184,6 +210,8 @@ class PageTable:
             raise TranslationError(f"vpn {vpn} has no 4KB mapping")
         self._mapped_pages -= 1
         self._prune(vpn, path)
+        if self._write_listeners:
+            self._notify_write(vpn, 1)
         return Translation(vpn, leaf.pfn, leaf.attributes, is_superpage=False)
 
     def unmap_superpage(self, vpn: int) -> Translation:
@@ -199,6 +227,8 @@ class PageTable:
             raise TranslationError(f"vpn {vpn} has no superpage mapping")
         self._mapped_superpages -= 1
         self._prune(vpn, path)
+        if self._write_listeners:
+            self._notify_write(vpn, SUPERPAGE_PAGES)
         return Translation(vpn, leaf.pfn, leaf.attributes, is_superpage=True)
 
     def split_superpage(self, vpn: int) -> None:
@@ -267,11 +297,14 @@ class PageTable:
         if leaf is None:
             raise TranslationError(f"vpn {vpn} not mapped")
         leaf.attributes = attributes
+        if self._write_listeners:
+            self._notify_write(vpn, 1)
 
     def mark_accessed(self, vpn: int, dirty: bool = False) -> None:
         """Set the ACCESSED (and optionally DIRTY) bit, as a walk would."""
         node = self._descend_to_pt(vpn, create=False)
         leaf = node.leaves.get(level_index(vpn, LEAF_LEVEL)) if node else None
+        start_vpn, count = vpn, 1
         if leaf is None:
             base = self.superpage_base(vpn)
             if base is None:
@@ -279,9 +312,12 @@ class PageTable:
             # Superpages keep a single A/D pair on the PDE.
             pd = self._path_nodes(base.vpn, SUPERPAGE_LEVEL)[-1]
             leaf = pd.leaves[level_index(base.vpn, SUPERPAGE_LEVEL)]
+            start_vpn, count = base.vpn, SUPERPAGE_PAGES
         leaf.attributes |= PageAttributes.ACCESSED
         if dirty:
             leaf.attributes |= PageAttributes.DIRTY
+        if self._write_listeners:
+            self._notify_write(start_vpn, count)
 
     # ------------------------------------------------------------------
     # Walker support.

@@ -21,25 +21,33 @@ is in the log; nothing TLB-design-dependent is. Replaying it through
 ``repro.sim.replay`` is bit-identical to the monolithic run -- enforced
 by ``repro.analysis.determinism --replay`` and the tier-1 tests.
 
-Per-access records are deduplicated (``np.unique`` over rows): a VPN's
-walk outcome only changes across shootdown events, so the unique-row
-table stays small and a captured QUICK-scale scenario is a few MB,
-cheap enough to ship to ``ProcessPoolExecutor`` workers.
+Each unique walk outcome is computed once. A record reads only the
+VPN's own leaf, the eight leaves of its PTE cache line and the frames of
+the table nodes on its walk path, and every one of those changes goes
+through a page-table leaf write -- including a demand fault that maps a
+*neighbour*, which rewrites the line window without any shootdown. So
+the recorder memoizes each VPN's row and, through the benchmark page
+table's write listener, drops the memo of every VPN in a written 8-PTE
+line. Rows are keyed by content, so the unique-row table is built as
+the loop runs and a captured QUICK-scale scenario is a few MB, cheap
+enough to ship to ``ProcessPoolExecutor`` workers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.common.constants import PTES_PER_CACHE_LINE
 from repro.common.errors import OutOfMemoryError, TranslationError
 from repro.common.rng import SeedSequencer
-from repro.common.statistics import CounterSnapshot
+from repro.common.statistics import CounterSet, CounterSnapshot
 from repro.contiguity.scanner import ContiguityReport
 from repro.core.mmu import CoLTDesign
-from repro.obs.trace import span
+from repro.obs.registry import bind_counterset, get_registry
+from repro.obs.trace import obs_active, span
 from repro.osmem.kernel import Kernel
 from repro.osmem.memhog import Memhog, age_system
 from repro.osmem.process import Process
@@ -247,7 +255,7 @@ class CapturedScenario:
             :func:`scenario_config`).
         profile: the benchmark profile the trace was generated from.
         vpns: per-access virtual page numbers, shape ``(accesses,)``.
-        records: deduplicated walk-outcome rows, shape
+        records: the distinct walk-outcome rows in sorted order, shape
             ``(unique, RECORD_COLUMNS)`` -- see the column map at the
             top of this module.
         record_index: per-access row index into ``records``.
@@ -291,47 +299,96 @@ class CapturedScenario:
 
 
 class _CaptureRecorder:
-    """Records per-access walk outcomes and shootdown events."""
+    """Records per-access walk outcomes and shootdown events.
+
+    A VPN's row is computed on its first access and memoized until a
+    leaf write to the benchmark page table touches its 8-PTE line.
+    ``_rows`` maps each distinct row to its id in first-seen order, so
+    a row that recurs after an invalidation maps back to its old id.
+    """
 
     def __init__(self, engine: ScenarioEngine, accesses: int) -> None:
         self._page_table = engine.process.page_table
         self._bench_pid = engine.process.pid
-        self.records = np.zeros((accesses, RECORD_COLUMNS), dtype=np.int64)
+        self._rows: Dict[tuple, int] = {}
+        #: Per-access row id into ``_rows``.
+        self._ids: List[int] = [0] * accesses
+        #: vpn -> row id; :meth:`_on_write` drops whole 8-PTE lines.
+        self._memo: Dict[int, int] = {}
         self.events: List = []
         #: Number of accesses recorded so far == the index the next
         #: shootdown precedes: events during access i's demand fault
         #: arrive before ``on_access(i)`` and tag i; churn/tick events
         #: after it tag i+1, matching where a replayed MMU sees them.
         self.position = 0
+        self.counters = CounterSet(["accesses", "records_computed"])
+        if obs_active():
+            bind_counterset(get_registry(), "colt_capture", self.counters)
         engine.kernel.add_invalidation_listener(self._on_invalidation)
+        self._page_table.add_write_listener(self._on_write)
 
     def _on_invalidation(self, pid: int, start_vpn: int, count: int) -> None:
         if pid == self._bench_pid:
             self.events.append((self.position, start_vpn, count))
 
+    def _on_write(self, start_vpn: int, count: int) -> None:
+        """Forget every VPN in the PTE lines ``[start_vpn, +count)`` hits."""
+        memo = self._memo
+        if memo:
+            line = PTES_PER_CACHE_LINE
+            first = start_vpn - start_vpn % line
+            end = start_vpn + count
+            for vpn in range(first, end + (-end) % line):
+                memo.pop(vpn, None)
+
     def on_access(self, index: int, vpn: int) -> None:
-        translation = self._page_table.lookup(vpn)
+        row_id = self._memo.get(vpn)
+        if row_id is None:
+            row_id = self._memo[vpn] = self._row_id(vpn)
+        self._ids[index] = row_id
+        self.position = index + 1
+
+    def _row_id(self, vpn: int) -> int:
+        """Compute ``vpn``'s record; return the id of its row."""
+        self.counters.increment("records_computed")
+        page_table = self._page_table
+        translation = page_table.lookup(vpn)
         if translation is None:  # pragma: no cover - faulted in by engine
             raise TranslationError(f"capture of unmapped vpn {vpn}")
-        row = self.records[index]
-        row[0] = translation.pfn
-        row[1] = int(translation.attributes)
-        row[2] = 1 if translation.is_superpage else 0
-        path = self._page_table.walk_path_addresses(vpn)
-        row[3] = len(path)
-        row[_PATH_BASE:_PATH_BASE + len(path)] = path
-        row[_PATH_BASE + len(path):_MASK_COLUMN] = -1
-        if not translation.is_superpage:
+        path = page_table.walk_path_addresses(vpn)
+        row = [
+            translation.pfn,
+            int(translation.attributes),
+            1 if translation.is_superpage else 0,
+            len(path),
+            *path,
+        ]
+        row += [-1] * (_MASK_COLUMN - len(row))
+        if translation.is_superpage:
+            row += [0] * (RECORD_COLUMNS - _MASK_COLUMN)
+        else:
             mask = 0
-            for offset, neighbour in enumerate(
-                self._page_table.pte_cache_line(vpn)
-            ):
+            pfns = [0] * PTES_PER_CACHE_LINE
+            attributes = [0] * PTES_PER_CACHE_LINE
+            for offset, neighbour in enumerate(page_table.pte_cache_line(vpn)):
                 if neighbour is not None:
                     mask |= 1 << offset
-                    row[_LINE_PFN_BASE + offset] = neighbour.pfn
-                    row[_LINE_ATTR_BASE + offset] = int(neighbour.attributes)
-            row[_MASK_COLUMN] = mask
-        self.position = index + 1
+                    pfns[offset] = neighbour.pfn
+                    attributes[offset] = int(neighbour.attributes)
+            row += [mask, *pfns, *attributes]
+        rows = self._rows
+        return rows.setdefault(tuple(row), len(rows))
+
+    def finish(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The sorted unique-row table and the per-access index into it."""
+        self.counters.increment("accesses", len(self._ids))
+        records, inverse = np.unique(
+            np.array(list(self._rows), dtype=np.int64),
+            axis=0,
+            return_inverse=True,
+        )
+        ids = np.asarray(self._ids, dtype=np.int64)
+        return records, np.asarray(inverse, dtype=np.int64).ravel()[ids]
 
 
 def capture_scenario(config: "SimulationConfig") -> CapturedScenario:
@@ -353,10 +410,7 @@ def capture_scenario(config: "SimulationConfig") -> CapturedScenario:
         engine.run_loop(recorder.on_access)
         engine.sanity_check()
 
-    with span("capture.dedup", rows=len(recorder.records)):
-        records, record_index = np.unique(
-            recorder.records, axis=0, return_inverse=True
-        )
+    records, record_index = recorder.finish()
     if recorder.events:
         event_array = np.asarray(recorder.events, dtype=np.int64)
     else:
@@ -366,7 +420,7 @@ def capture_scenario(config: "SimulationConfig") -> CapturedScenario:
         profile=engine.profile,
         vpns=np.asarray(engine.trace.vpns, dtype=np.int64).copy(),
         records=records,
-        record_index=np.asarray(record_index, dtype=np.int64).ravel(),
+        record_index=record_index,
         inval_before=event_array[:, 0].copy(),
         inval_start=event_array[:, 1].copy(),
         inval_count=event_array[:, 2].copy(),

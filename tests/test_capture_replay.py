@@ -10,6 +10,7 @@ processes. These tests pin each of those properties.
 
 from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
 import pytest
 
 from repro.analysis.determinism import check_replay_equivalence
@@ -17,9 +18,11 @@ from repro.common.errors import SimulationError
 from repro.core.mmu import CoLTDesign
 from repro.osmem.kernel import Kernel, KernelConfig
 from repro.osmem.memhog import SIMULATION_AGING
+from repro.sim import scenario as scenario_module
 from repro.sim.replay import replay_scenario
 from repro.sim.runner import ExperimentRunner
 from repro.sim.scenario import (
+    RECORD_COLUMNS,
     LLCPollution,
     ScenarioEngine,
     capture_scenario,
@@ -27,8 +30,13 @@ from repro.sim.scenario import (
 )
 from repro.sim.store import ResultStore, config_key
 from repro.sim.system import SimulationConfig, simulate
-from repro.experiments.environments import simulation_config
+from repro.experiments.environments import (
+    characterization_config,
+    simulation_config,
+)
 from repro.experiments.scale import QUICK
+from repro.workloads.benchmarks import BENCHMARKS, BenchmarkProfile, RegionSpec
+from repro.workloads.patterns import PhaseSpec
 
 ALL_DESIGNS = (
     CoLTDesign.BASELINE,
@@ -140,6 +148,125 @@ class TestCaptureOnce:
         config = small_config(accesses=1500, scale=0.1)
         split = ExperimentRunner().run(config)
         assert _results_identical(split, simulate(config))
+
+
+#: Two demand-faulted regions. The random phase over 4-page fault
+#: batches keeps mapping pages into PTE lines whose other slots were
+#: already captured, which changes their line window without any
+#: shootdown; the 16-page sequential phase faults whole lines.
+DEMAND_PROFILE = BenchmarkProfile(
+    name="demand_fault",
+    suite="spec",
+    regions=(
+        RegionSpec("heap", 12000, populate=False, fault_batch=4),
+        RegionSpec("stream", 12000, populate=False, fault_batch=16),
+    ),
+    phases=(
+        PhaseSpec("random", "heap", weight=0.5, accesses_per_page=2),
+        PhaseSpec("sequential", "stream", weight=0.5, accesses_per_page=2),
+    ),
+)
+
+
+class _RecomputingRecorder:
+    """Oracle for the capture memo: recomputes every access's record."""
+
+    def __init__(self, engine: ScenarioEngine) -> None:
+        self._page_table = engine.process.page_table
+        self.records = np.zeros(
+            (len(engine.trace.vpns), RECORD_COLUMNS), dtype=np.int64
+        )
+
+    def on_access(self, index: int, vpn: int) -> None:
+        page_table = self._page_table
+        translation = page_table.lookup(vpn)
+        row = self.records[index]
+        row[0] = translation.pfn
+        row[1] = int(translation.attributes)
+        row[2] = 1 if translation.is_superpage else 0
+        path = page_table.walk_path_addresses(vpn)
+        row[3] = len(path)
+        row[4:4 + len(path)] = path
+        row[4 + len(path):8] = -1
+        if not translation.is_superpage:
+            mask = 0
+            for offset, neighbour in enumerate(
+                page_table.pte_cache_line(vpn)
+            ):
+                if neighbour is not None:
+                    mask |= 1 << offset
+                    row[9 + offset] = neighbour.pfn
+                    row[17 + offset] = int(neighbour.attributes)
+            row[8] = mask
+
+
+@pytest.fixture
+def demand_profile(monkeypatch):
+    monkeypatch.setitem(BENCHMARKS, DEMAND_PROFILE.name, DEMAND_PROFILE)
+
+
+@pytest.fixture
+def recorders(monkeypatch):
+    """Capture recorders built during the test, each with an oracle.
+
+    The oracle is stepped by the same ``run_loop`` call just before the
+    memoized recorder, so both read the same page-table state.
+    """
+    built = []
+
+    class WithOracle(scenario_module._CaptureRecorder):
+        def __init__(self, engine, accesses) -> None:
+            super().__init__(engine, accesses)
+            self.oracle = _RecomputingRecorder(engine)
+            built.append(self)
+
+        def on_access(self, index: int, vpn: int) -> None:
+            self.oracle.on_access(index, vpn)
+            super().on_access(index, vpn)
+
+    monkeypatch.setattr(scenario_module, "_CaptureRecorder", WithOracle)
+    return built
+
+
+class TestCaptureMemo:
+    """The memoized recorder must equal recomputing on every access."""
+
+    @pytest.mark.parametrize(
+        "make_config",
+        [
+            lambda: simulation_config("demand_fault", QUICK),
+            lambda: characterization_config(
+                "demand_fault",
+                QUICK.with_updates(accesses=10_000),
+                memhog_fraction=0.5,
+            ),
+            lambda: simulation_config("cactusadm", QUICK),
+        ],
+        ids=["demand_faults", "memhog_reclaim", "cactusadm_shootdowns"],
+    )
+    def test_memo_matches_per_access_recompute(
+        self, demand_profile, recorders, make_config
+    ):
+        captured = capture_scenario(make_config())
+        (recorder,) = recorders
+        records, record_index = np.unique(
+            recorder.oracle.records, axis=0, return_inverse=True
+        )
+        record_index = np.asarray(record_index, dtype=np.int64).ravel()
+        assert captured.records.dtype == records.dtype
+        assert captured.records.shape == records.shape
+        assert captured.records.tobytes() == records.tobytes()
+        assert captured.record_index.dtype == record_index.dtype
+        assert captured.record_index.tobytes() == record_index.tobytes()
+
+    def test_memo_computes_a_row_for_few_accesses(self, recorders):
+        scenario = capture_scenario(simulation_config("mcf", QUICK))
+        (recorder,) = recorders
+        assert recorder.counters["accesses"] == scenario.accesses
+        computed = recorder.counters["records_computed"]
+        assert scenario.records.shape[0] <= computed
+        # One row per distinct page: 3,643 of 30,000 accesses.
+        assert computed < 0.15 * scenario.accesses
 
 
 def _store_worker(store_dir: str, config: SimulationConfig):

@@ -364,6 +364,9 @@ class TestTracedDeterminism:
         assert "colt_coalesce_run_length" in snapshot
         assert snapshot.counter_total("colt_mmu_l1_misses") > 0
         assert snapshot.counter_total("colt_kernel_faults") > 0
+        # Both configs share one capture of 2000 accesses.
+        assert snapshot.counter_total("colt_capture_accesses") == 2000
+        assert 0 < snapshot.counter_total("colt_capture_records_computed") < 2000
 
 
 # ---------------------------------------------------------------------------

@@ -229,3 +229,113 @@ class TestIterationAndPruning:
         table.map_page(101, 2)
         table.unmap_page(100)
         assert table.lookup(101).pfn == 2
+
+
+def _listen(table):
+    writes = []
+    table.add_write_listener(lambda *write: writes.append(write))
+    return writes
+
+
+def _mutate(table):
+    """Drive every mutator once (plus a split) on ``table``."""
+    table.map_page(3, 30)
+    table.map_page(4, 31)
+    table.set_attributes(3, PageAttributes.PRESENT)
+    table.mark_accessed(3, dirty=True)
+    table.unmap_page(4)
+    table.map_superpage(512, 1024)
+    table.mark_accessed(512 + 44)
+    table.split_superpage(512)
+    table.map_superpage(2048, 4096)
+    table.unmap_superpage(2048)
+
+
+class TestWriteListener:
+    @pytest.mark.parametrize(
+        "setup, operation, expected",
+        [
+            (lambda t: None, lambda t: t.map_page(3, 30), [(3, 1)]),
+            (lambda t: t.map_page(3, 30), lambda t: t.unmap_page(3), [(3, 1)]),
+            (
+                lambda t: t.map_page(3, 30),
+                lambda t: t.set_attributes(3, PageAttributes.PRESENT),
+                [(3, 1)],
+            ),
+            (
+                lambda t: t.map_page(3, 30),
+                lambda t: t.mark_accessed(3),
+                [(3, 1)],
+            ),
+            (
+                lambda t: None,
+                lambda t: t.map_superpage(512, 1024),
+                [(512, SUPERPAGE_PAGES)],
+            ),
+            (
+                lambda t: t.map_superpage(512, 1024),
+                lambda t: t.unmap_superpage(512),
+                [(512, SUPERPAGE_PAGES)],
+            ),
+        ],
+        ids=[
+            "map_page", "unmap_page", "set_attributes", "mark_accessed",
+            "map_superpage", "unmap_superpage",
+        ],
+    )
+    def test_each_mutator_fires_once(self, setup, operation, expected):
+        table = PageTable()
+        setup(table)
+        writes = _listen(table)
+        operation(table)
+        assert writes == expected
+
+    def test_mark_accessed_inside_superpage_reports_whole_pde(self):
+        table = PageTable()
+        table.map_superpage(512, 1024)
+        writes = _listen(table)
+        table.mark_accessed(512 + 44, dirty=True)
+        assert writes == [(512, SUPERPAGE_PAGES)]
+
+    def test_split_superpage_covers_all_pages(self):
+        table = PageTable()
+        table.map_superpage(512, 1024)
+        writes = _listen(table)
+        table.split_superpage(512)
+        covered = set()
+        for start, count in writes:
+            covered.update(range(start, start + count))
+        assert covered == set(range(512, 512 + SUPERPAGE_PAGES))
+        assert writes[0] == (512, SUPERPAGE_PAGES)  # the PDE goes first
+
+    def test_rejected_write_fires_nothing(self):
+        table = PageTable()
+        table.map_page(3, 30)
+        writes = _listen(table)
+        with pytest.raises(TranslationError):
+            table.map_page(3, 31)
+        with pytest.raises(TranslationError):
+            table.unmap_page(9)
+        assert writes == []
+
+    def test_every_listener_sees_every_write(self):
+        table = PageTable()
+        first, second = _listen(table), _listen(table)
+        _mutate(table)
+        assert first == second
+        # Seven writes, the split's PDE plus its 512 PTEs, then two more.
+        assert len(first) == 7 + (1 + SUPERPAGE_PAGES) + 2
+
+    def test_table_without_listener_behaves_as_before(self):
+        plain, observed = PageTable(), PageTable()
+        writes = _listen(observed)
+        _mutate(plain)
+        _mutate(observed)
+        assert writes
+        assert list(plain.iter_mappings()) == list(observed.iter_mappings())
+        assert plain.mapped_pages == observed.mapped_pages
+        for vpn in (3, 512, 512 + 44, 1023):
+            assert plain.walk_path_addresses(vpn) == (
+                observed.walk_path_addresses(vpn)
+            )
+            assert plain.pte_cache_line(vpn) == observed.pte_cache_line(vpn)
