@@ -4,7 +4,7 @@ The repo's apples-to-apples methodology (Section 5.2 of the paper: one
 replayed system state evaluated under every TLB design) only works if a
 ``SimulationConfig`` plus its seeds fully determines the simulated
 machine. This module makes that property testable: run the same
-configuration twice, hash *everything observable* -- MMU/TLB/kernel
+configuration twice, hash *everything observable* -- MMU and kernel
 counters, final TLB contents, the buddy allocator's free lists, and the
 complete page tables of every process -- and demand bit-identical
 digests. Any hidden nondeterminism (iteration over an unordered set,
@@ -68,24 +68,15 @@ def _tlb_lines(simulator: SystemSimulator) -> List[str]:
     lines: List[str] = []
     for label, tlb in (("l1", mmu.l1), ("l2", mmu.l2)):
         for set_index, entries in tlb.iter_sets():
-            for entry in sorted(
-                entries,
-                key=lambda e: (e.group_base_vpn, tuple(e.valid), e.base_ppn),
-            ):
-                valid = "".join("1" if v else "0" for v in entry.valid)
+            for start, end, ppn, _attr in sorted(entries):
                 lines.append(
-                    f"{label}[{set_index}] base={entry.group_base_vpn} "
-                    f"valid={valid} ppn={entry.base_ppn}"
+                    f"{label}[{set_index}] start={start} end={end} ppn={ppn}"
                 )
-    for entry in sorted(
-        mmu.superpage_tlb.entries(),
-        key=lambda e: (e.base_vpn, e.span, e.base_ppn),
+    for base, end, ppn, _attr, is_superpage in sorted(
+        mmu.superpage_tlb.entries()
     ):
-        kind = "sp" if entry.is_superpage else "range"
-        lines.append(
-            f"fa {kind} base={entry.base_vpn} span={entry.span} "
-            f"ppn={entry.base_ppn}"
-        )
+        kind = "sp" if is_superpage else "range"
+        lines.append(f"fa {kind} base={base} end={end} ppn={ppn}")
     return lines
 
 
@@ -116,11 +107,6 @@ def os_state_digest(simulator: SystemSimulator) -> str:
 def state_digest(simulator: SystemSimulator) -> str:
     """Digest of everything observable about a finished run."""
     lines = _counter_lines("mmu", simulator.mmu.counters.snapshot())
-    lines += _counter_lines("l1", simulator.mmu.l1.counters.snapshot())
-    lines += _counter_lines("l2", simulator.mmu.l2.counters.snapshot())
-    lines += _counter_lines(
-        "fa", simulator.mmu.superpage_tlb.counters.snapshot()
-    )
     lines += _tlb_lines(simulator)
     lines += _os_lines(simulator)
     return _hash_lines(lines)

@@ -32,6 +32,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.common.constants import SUPERPAGE_PAGES
 from repro.common.errors import SanitizerError
 from repro.common.statistics import CounterSet
+from repro.tlb.entries import ppn_for
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.core.mmu import MMU
@@ -115,10 +116,10 @@ class TLBSanitizer(Sanitizer):
       disagree on a translation;
     * per-set occupancy never exceeds the associativity, and FA
       occupancy never exceeds the entry count;
-    * every set-associative entry sits in the set selected by the
-      CoLT-SA shifted index of its group base, with the TLB's group
-      size (Section 4.1.2's placement rule);
-    * resident translations agree with the architectural page table.
+    * every set-associative entry is one run inside an aligned group of
+      the TLB's group size and sits in the set the CoLT-SA shifted index
+      selects for that group (Section 4.1.2's placement rule);
+    * a filled translation agrees with the walk that resolved it.
     """
 
     name = "tlb-sanitizer"
@@ -144,20 +145,17 @@ class TLBSanitizer(Sanitizer):
         are legal here. :meth:`after_fill` runs at the consistent point.
         """
         self.counters.increment("incremental_checks")
-        if hasattr(entry, "group_base_vpn"):
-            self._check_set_disjoint(tlb, entry)
-        else:
+        if tlb is self.mmu.superpage_tlb:
             self._check_fa_overlap(tlb, entry)
+        else:
+            self._check_set_disjoint(tlb, entry)
 
     def _check_set_disjoint(self, tlb, entry) -> None:
         """No two entries of the touched set may cover the same VPN."""
-        set_index = tlb.set_index_for(entry.group_base_vpn)
+        set_index = tlb.set_index_for(entry[0])
         covered = set()
-        for resident in tlb.set_entries(set_index):
-            for slot, valid in enumerate(resident.valid):
-                if not valid:
-                    continue
-                vpn = resident.group_base_vpn + slot
+        for start, end, _ppn, _attr in tlb.set_entries(set_index):
+            for vpn in range(start, end + 1):
                 if vpn in covered:
                     self.fail(
                         f"set {set_index} of the {tlb.config.name}: vpn "
@@ -168,35 +166,31 @@ class TLBSanitizer(Sanitizer):
 
     def _check_fa_overlap(self, fa, entry) -> None:
         """Overlapping FA residents must agree with the inserted entry."""
+        base, end, ppn, _attr, is_superpage = entry
         for resident in fa.entries():
             if resident is entry:
                 continue
-            if (
-                resident.end_vpn <= entry.base_vpn
-                or entry.end_vpn <= resident.base_vpn
-            ):
+            if resident[1] <= base or end <= resident[0]:
                 continue
-            if resident.is_superpage and entry.is_superpage:
+            if resident[4] and is_superpage:
                 self.fail(
-                    f"overlapping superpage entries at {entry.base_vpn} "
-                    f"and {resident.base_vpn} after insert"
+                    f"overlapping superpage entries at {base} "
+                    f"and {resident[0]} after insert"
                 )
-            if (resident.base_ppn - resident.base_vpn) != (
-                entry.base_ppn - entry.base_vpn
-            ):
+            if resident[2] - resident[0] != ppn - base:
                 self.fail(
-                    f"inserted fa range [{entry.base_vpn},{entry.end_vpn})"
-                    f" -> {entry.base_ppn} contradicts resident "
-                    f"[{resident.base_vpn},{resident.end_vpn}) -> "
-                    f"{resident.base_ppn}"
+                    f"inserted fa range [{base},{end}) -> {ppn} "
+                    f"contradicts resident [{resident[0]},{resident[1]}) "
+                    f"-> {resident[2]}"
                 )
 
-    def after_fill(self, vpn: int) -> None:
-        """Validate the structures the fill of ``vpn`` just touched."""
+    def after_fill(self, vpn: int, pfn: int) -> None:
+        """Validate the structures the fill of ``vpn`` just touched.
+
+        ``pfn`` is the frame the walk resolved -- the architectural page
+        table's answer at the time of the walk, live or captured.
+        """
         mmu = self.mmu
-        expected = mmu.walker.page_table.lookup(vpn)
-        if expected is None:
-            self.fail(f"fill of vpn {vpn} but the page table has no mapping")
         covered = False
         for tlb_name, entry in (
             ("l1", mmu.l1.entry_for(vpn)),
@@ -206,11 +200,11 @@ class TLBSanitizer(Sanitizer):
             if entry is None:
                 continue
             covered = True
-            got = entry.ppn_for(vpn)
-            if got != expected.pfn:
+            got = ppn_for(entry, vpn)
+            if got != pfn:
                 self.fail(
                     f"{tlb_name} entry maps vpn {vpn} to ppn {got}, page "
-                    f"table says {expected.pfn}"
+                    f"table says {pfn}"
                 )
         if not covered:
             self.fail(f"fill of vpn {vpn} left it resident in no TLB")
@@ -239,10 +233,10 @@ class TLBSanitizer(Sanitizer):
         l2_entry = self.mmu.l2.entry_for(vpn)
         if l2_entry is None:
             self.fail(f"L1 covers vpn {vpn} but L2 does not (inclusivity)")
-        if l2_entry.ppn_for(vpn) != l1_entry.ppn_for(vpn):
+        if ppn_for(l2_entry, vpn) != ppn_for(l1_entry, vpn):
             self.fail(
-                f"L1/L2 disagree on vpn {vpn}: {l1_entry.ppn_for(vpn)} vs "
-                f"{l2_entry.ppn_for(vpn)}"
+                f"L1/L2 disagree on vpn {vpn}: {ppn_for(l1_entry, vpn)} vs "
+                f"{ppn_for(l2_entry, vpn)}"
             )
 
     def _check_occupancy(self) -> None:
@@ -272,94 +266,87 @@ class TLBSanitizer(Sanitizer):
 
     def _scan_set_associative(self, label: str, tlb) -> None:
         config = tlb.config
+        group = config.group_size
         for set_index, entries in tlb.iter_sets():
             if len(entries) > config.ways:
                 self.fail(
                     f"{label} set {set_index} holds {len(entries)} entries "
                     f"but has {config.ways} ways"
                 )
-            covered = {}
-            for entry in entries:
-                if entry.group_size != config.group_size:
+            covered = set()
+            for start, end, _ppn, _attr in entries:
+                if start > end or start // group != end // group:
                     self.fail(
-                        f"{label} entry group size {entry.group_size} != "
-                        f"TLB group size {config.group_size}"
+                        f"{label} entry [{start}, {end}] is not a run "
+                        f"inside one aligned group of {group} VPNs"
                     )
-                home = tlb.set_index_for(entry.group_base_vpn)
+                home = tlb.set_index_for(start)
                 if home != set_index:
                     self.fail(
-                        f"{label} entry for group {entry.group_base_vpn} "
+                        f"{label} entry for group {start - start % group} "
                         f"found in set {set_index}, shifted index says "
                         f"{home}"
                     )
-                for slot, valid in enumerate(entry.valid):
-                    if not valid:
-                        continue
-                    vpn = entry.group_base_vpn + slot
+                for vpn in range(start, end + 1):
                     if vpn in covered:
                         self.fail(
                             f"{label} set {set_index}: vpn {vpn} covered by "
                             f"two entries (overlapping coalesced ranges)"
                         )
-                    covered[vpn] = entry
+                    covered.add(vpn)
 
     def _scan_fully_associative(self, fa) -> None:
         entries = fa.entries()
-        for entry in entries:
-            if entry.is_superpage:
-                if entry.span != SUPERPAGE_PAGES:
+        for base, end, _ppn, _attr, is_superpage in entries:
+            span = end - base
+            if is_superpage:
+                if span != SUPERPAGE_PAGES:
+                    self.fail(f"fa superpage entry spans {span} pages")
+                if base % SUPERPAGE_PAGES:
                     self.fail(
-                        f"fa superpage entry spans {entry.span} pages"
-                    )
-                if entry.base_vpn % SUPERPAGE_PAGES:
-                    self.fail(
-                        f"fa superpage entry base vpn {entry.base_vpn} is "
-                        f"not 512-page aligned"
+                        f"fa superpage entry base vpn {base} is not "
+                        f"512-page aligned"
                     )
             else:
-                if entry.span > fa.config.max_span:
+                if span > fa.config.max_span:
                     self.fail(
-                        f"fa range entry span {entry.span} exceeds max "
+                        f"fa range entry span {span} exceeds max "
                         f"span {fa.config.max_span}"
                     )
-                if entry.span > 1 and not fa.config.allow_coalesced:
+                if span > 1 and not fa.config.allow_coalesced:
                     self.fail(
                         "fa TLB holds a coalesced range entry but "
                         "allow_coalesced is off"
                     )
         for i, a in enumerate(entries):
             for b in entries[i + 1 :]:
-                if a.end_vpn <= b.base_vpn or b.end_vpn <= a.base_vpn:
+                if a[1] <= b[0] or b[1] <= a[0]:
                     continue
-                if a.is_superpage and b.is_superpage:
+                if a[4] and b[4]:
                     self.fail(
                         f"fa TLB holds overlapping superpage entries at "
-                        f"{a.base_vpn} and {b.base_vpn}"
+                        f"{a[0]} and {b[0]}"
                     )
-                if (a.base_ppn - a.base_vpn) != (b.base_ppn - b.base_vpn):
+                if a[2] - a[0] != b[2] - b[0]:
                     self.fail(
                         f"fa TLB holds overlapping range entries that "
-                        f"disagree: [{a.base_vpn},{a.end_vpn}) -> "
-                        f"{a.base_ppn} vs [{b.base_vpn},{b.end_vpn}) -> "
-                        f"{b.base_ppn}"
+                        f"disagree: [{a[0]},{a[1]}) -> {a[2]} vs "
+                        f"[{b[0]},{b[1]}) -> {b[2]}"
                     )
 
     def _scan_inclusivity(self) -> None:
         mmu = self.mmu
         for entry in mmu.l1.entries():
-            for slot, valid in enumerate(entry.valid):
-                if not valid:
-                    continue
-                vpn = entry.group_base_vpn + slot
+            for vpn in range(entry[0], entry[1] + 1):
                 l2_entry = mmu.l2.entry_for(vpn)
                 if l2_entry is None:
                     self.fail(
                         f"L1 covers vpn {vpn} but L2 does not (inclusivity)"
                     )
-                if l2_entry.ppn_for(vpn) != entry.ppn_for(vpn):
+                if ppn_for(l2_entry, vpn) != ppn_for(entry, vpn):
                     self.fail(
                         f"L1/L2 disagree on vpn {vpn}: "
-                        f"{entry.ppn_for(vpn)} vs {l2_entry.ppn_for(vpn)}"
+                        f"{ppn_for(entry, vpn)} vs {ppn_for(l2_entry, vpn)}"
                     )
 
 

@@ -3,8 +3,7 @@
 Runs the lint, concurrency, registry-coherence, and exception-hygiene
 passes over a shared :class:`ProjectModel`, diffs the findings against
 the checked-in baseline, and reports in text, JSON, or SARIF. Doc
-freshness (``--check-docs`` / ``--write-docs``) and the vectorization
-report (``--vectorization-report``) ride on the same parsed model.
+freshness (``--check-docs`` / ``--write-docs``) rides on the same run.
 
 Exit codes mirror ``colt-lint``: 0 clean, 1 new findings (or stale
 docs), 2 usage errors. ``colt-lint`` itself is an alias for
@@ -32,7 +31,6 @@ from repro.analysis.static.passes import (
     run_passes,
 )
 from repro.analysis.static.sarif import to_json, to_sarif
-from repro.analysis.static.vectorization import analyze_project, render_report
 
 #: Pass name -> factory, in the default execution order.
 PASS_FACTORIES = {
@@ -127,18 +125,12 @@ def _parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--check-docs", action="store_true",
-        help="fail when generated doc sections (knob table, "
-             "vectorization report) are stale",
+        help="fail when generated doc sections (the knob table) are "
+             "stale",
     )
     parser.add_argument(
         "--write-docs", action="store_true",
         help="regenerate the generated doc sections in place",
-    )
-    parser.add_argument(
-        "--vectorization-report", nargs="?", const="-", default=None,
-        metavar="PATH",
-        help="emit the vectorization-readiness report to PATH ('-' for "
-             "stdout)",
     )
     parser.add_argument(
         "--quiet", action="store_true",
@@ -167,7 +159,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     paths = list(args.paths)
     repo_root = find_repo_root(paths[0] if paths else Path.cwd())
     if not paths:
-        if not (docs_mode or args.vectorization_report):
+        if not docs_mode:
             print("colt-analyze: no paths given", file=sys.stderr)
             return 2
         if repo_root is None:
@@ -266,17 +258,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 "".join(line + "\n" for line in lines), encoding="utf-8"
             )
 
-    if args.vectorization_report is not None:
-        report = render_report(analyze_project(project))
-        if args.vectorization_report == "-":
-            sys.stdout.write(report)
-        else:
-            target = Path(args.vectorization_report)
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_text(report, encoding="utf-8")
-            if not args.quiet:
-                print(f"colt-analyze: vectorization report -> {target}")
-
     if docs_mode:
         if repo_root is None:
             print(
@@ -285,12 +266,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             )
             return 2
         if args.write_docs:
-            written = write_docs(repo_root, project)
+            written = write_docs(repo_root)
             if not args.quiet:
                 for name in written:
                     print(f"colt-analyze: wrote {name}")
         if args.check_docs:
-            problems = check_docs(repo_root, project)
+            problems = check_docs(repo_root)
             for problem in problems:
                 print(f"colt-analyze: {problem}", file=sys.stderr)
             if problems:

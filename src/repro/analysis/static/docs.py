@@ -1,14 +1,8 @@
 """Generated documentation sections, kept fresh by ``--check-docs``.
 
-Two artifacts are generated from the registry / the vectorization pass
-and committed:
-
-* the ``COLT_*`` knob table, injected between
-  ``<!-- colt-analyze:knobs -->`` markers in DESIGN.md and README.md;
-* ``results/analysis/vectorization_replay.md``, the statement-level
-  vectorization worklist for ROADMAP item 1.
-
-``colt-analyze --write-docs`` regenerates both in place;
+The ``COLT_*`` knob table is generated from the registry and injected
+between ``<!-- colt-analyze:knobs -->`` markers in DESIGN.md and
+README.md. ``colt-analyze --write-docs`` regenerates it in place;
 ``--check-docs`` regenerates in memory and fails when the committed
 copies are stale, so the docs cannot drift from the code they claim to
 describe.
@@ -20,17 +14,12 @@ from pathlib import Path
 from typing import Dict, List, Sequence
 
 from repro.analysis.static import registries
-from repro.analysis.static.model import ProjectModel
-from repro.analysis.static.vectorization import analyze_project, render_report
 
 KNOB_BEGIN = "<!-- colt-analyze:knobs -->"
 KNOB_END = "<!-- /colt-analyze:knobs -->"
 
 #: Files carrying the generated knob table, relative to the repo root.
 KNOB_DOCS = ("DESIGN.md", "README.md")
-
-#: The committed vectorization report, relative to the repo root.
-VECTOR_REPORT = Path("results") / "analysis" / "vectorization_replay.md"
 
 
 def knob_table(knobs: Sequence[registries.EnvKnob] = registries.KNOBS) -> str:
@@ -66,7 +55,7 @@ def inject_block(text: str, content: str) -> str:
     return f"{head}\n{content}\n{tail}"
 
 
-def render_docs(repo_root: Path, project: ProjectModel) -> Dict[Path, str]:
+def render_docs(repo_root: Path) -> Dict[Path, str]:
     """Expected content of every generated doc, keyed by absolute path."""
     expected: Dict[Path, str] = {}
     table = knob_table()
@@ -77,17 +66,14 @@ def render_docs(repo_root: Path, project: ProjectModel) -> Dict[Path, str]:
         expected[doc_path] = inject_block(
             doc_path.read_text(encoding="utf-8"), table
         )
-    expected[repo_root / VECTOR_REPORT] = render_report(
-        analyze_project(project)
-    )
     return expected
 
 
-def check_docs(repo_root: Path, project: ProjectModel) -> List[str]:
+def check_docs(repo_root: Path) -> List[str]:
     """Problems with the committed generated docs (empty = fresh)."""
     problems: List[str] = []
     try:
-        expected = render_docs(repo_root, project)
+        expected = render_docs(repo_root)
     except ValueError as exc:
         return [str(exc)]
     for path, content in expected.items():
@@ -104,10 +90,10 @@ def check_docs(repo_root: Path, project: ProjectModel) -> List[str]:
     return problems
 
 
-def write_docs(repo_root: Path, project: ProjectModel) -> List[str]:
+def write_docs(repo_root: Path) -> List[str]:
     """Regenerate every generated doc in place; returns written paths."""
     written: List[str] = []
-    for path, content in render_docs(repo_root, project).items():
+    for path, content in render_docs(repo_root).items():
         path.parent.mkdir(parents=True, exist_ok=True)
         if not path.exists() or path.read_text(encoding="utf-8") != content:
             path.write_text(content, encoding="utf-8")

@@ -137,16 +137,6 @@ KNOBS: Tuple[EnvKnob, ...] = (
         "directory for watchdog stall / task-deadline stack dumps",
     ),
     EnvKnob(
-        "COLT_ENGINE", "scalar", "repro/sim/engine/__init__.py",
-        "--engine",
-        "replay engine: 'scalar' oracle or epoch-batched 'vector' "
-        "(bit-identical results)",
-    ),
-    EnvKnob(
-        "COLT_EPOCH_MAX", "4096", "repro/sim/engine/__init__.py", None,
-        "vector engine: max accesses per epoch coverage scan",
-    ),
-    EnvKnob(
         "COLT_TELEMETRY_PORT", "(unset)", "repro/obs/serve.py",
         "--telemetry-port",
         "serve /metrics, /progress and /healthz over HTTP on this "

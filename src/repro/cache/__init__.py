@@ -1,7 +1,11 @@
 """Cache models: set-associative caches, the i7-like hierarchy, MMU caches."""
 
 from repro.cache.cache import Cache, CacheConfig
-from repro.cache.hierarchy import CacheHierarchy, HierarchyConfig
+from repro.cache.hierarchy import (
+    CacheHierarchy,
+    HierarchyConfig,
+    pollution_schedule,
+)
 from repro.cache.mmu_cache import CACHEABLE_LEVELS, MMUCache, MMUCacheConfig
 
 __all__ = [
@@ -12,4 +16,5 @@ __all__ = [
     "HierarchyConfig",
     "MMUCache",
     "MMUCacheConfig",
+    "pollution_schedule",
 ]

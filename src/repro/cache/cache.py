@@ -4,18 +4,17 @@ A deliberately simple hit/miss + latency model: the TLB study needs the
 *latency* of page-table-entry fetches (which determines the TLB miss
 penalty and hence the performance interpolation of Section 5.2.1), not a
 full coherence or bandwidth model. Caches are physically indexed and
-tagged, with true LRU per set.
+tagged, with true LRU per set: each set is a dict of resident line
+addresses in recency order (first key least recently used).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.common.constants import CACHE_LINE_SHIFT, CACHE_LINE_SIZE
 from repro.common.errors import ConfigurationError
-from repro.common.lru import LRUTracker
-from repro.common.statistics import CounterSet
 
 
 @dataclass(frozen=True)
@@ -48,21 +47,18 @@ class Cache:
     def __init__(self, config: CacheConfig) -> None:
         self.config = config
         self._num_sets = config.num_sets
-        self._sets: List[LRUTracker[int]] = [
-            LRUTracker(config.ways) for _ in range(self._num_sets)
+        self._ways = config.ways
+        self._sets: List[Dict[int, None]] = [
+            {} for _ in range(self._num_sets)
         ]
-        self.counters = CounterSet(["accesses", "hits", "misses", "evictions"])
 
-    def _line_address(self, paddr: int) -> int:
-        return paddr >> CACHE_LINE_SHIFT
-
-    def _set_index(self, line: int) -> int:
-        return line % self._num_sets
+    def _set_of(self, line: int) -> Dict[int, None]:
+        return self._sets[line % self._num_sets]
 
     def lookup(self, paddr: int) -> bool:
         """Probe without updating recency or filling. For diagnostics."""
-        line = self._line_address(paddr)
-        return line in self._sets[self._set_index(line)]
+        line = paddr >> CACHE_LINE_SHIFT
+        return line in self._set_of(line)
 
     def access(self, paddr: int) -> bool:
         """Access a byte address; returns True on hit.
@@ -70,46 +66,44 @@ class Cache:
         A miss does *not* fill -- callers decide fill policy (the
         hierarchy fills all levels on its way back down).
         """
-        self.counters.increment("accesses")
-        line = self._line_address(paddr)
-        tracker = self._sets[self._set_index(line)]
-        if line in tracker:
-            tracker.touch(line)
-            self.counters.increment("hits")
+        line = paddr >> CACHE_LINE_SHIFT
+        lines = self._sets[line % self._num_sets]
+        if line in lines:
+            del lines[line]
+            lines[line] = None
             return True
-        self.counters.increment("misses")
         return False
 
     def fill(self, paddr: int) -> Optional[int]:
         """Install the line for ``paddr``; returns the evicted line or None."""
-        line = self._line_address(paddr)
-        tracker = self._sets[self._set_index(line)]
-        if line in tracker:
-            tracker.touch(line)
-            return None
+        line = paddr >> CACHE_LINE_SHIFT
+        lines = self._sets[line % self._num_sets]
         victim = None
-        if tracker.is_full:
-            victim = tracker.evict()
-            self.counters.increment("evictions")
-        tracker.touch(line)
+        if line in lines:
+            del lines[line]
+        elif len(lines) >= self._ways:
+            victim = next(iter(lines))
+            del lines[victim]
+        lines[line] = None
         return victim
 
     def invalidate(self, paddr: int) -> bool:
         """Drop the line containing ``paddr`` if present."""
-        line = self._line_address(paddr)
-        tracker = self._sets[self._set_index(line)]
-        if line in tracker:
-            tracker.remove(line)
+        line = paddr >> CACHE_LINE_SHIFT
+        lines = self._set_of(line)
+        if line in lines:
+            del lines[line]
             return True
         return False
 
     def evict_lru_of_set(self, set_index: int) -> Optional[int]:
         """Evict the LRU line of one set (cache-pollution modelling)."""
-        tracker = self._sets[set_index % self._num_sets]
-        if len(tracker) == 0:
+        lines = self._sets[set_index % self._num_sets]
+        if not lines:
             return None
-        self.counters.increment("evictions")
-        return tracker.evict()
+        victim = next(iter(lines))
+        del lines[victim]
+        return victim
 
     @property
     def num_sets(self) -> int:
@@ -117,4 +111,4 @@ class Cache:
 
     def occupancy(self) -> int:
         """Number of resident lines."""
-        return sum(len(t) for t in self._sets)
+        return sum(len(lines) for lines in self._sets)

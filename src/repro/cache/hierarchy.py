@@ -6,14 +6,16 @@ The hierarchy serves two access streams:
   al.), "the LLC is the highest cache level for page table entries" --
   PTE fetches probe the LLC directly and fall through to DRAM;
 * ordinary data: probes L1 -> L2 -> LLC -> DRAM. The TLB study does not
-  need per-datum results, but routing the workload's data stream through
-  the hierarchy keeps LLC contents (and therefore PTE-fetch latency)
-  realistic, since data lines compete with PTE lines for LLC capacity.
+  need per-datum results, so the simulators model the data stream's
+  pressure on the LLC with :func:`pollution_schedule` instead: data
+  lines compete with PTE lines for LLC capacity, which keeps PTE-fetch
+  latency realistic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 from repro.common.constants import (
     DEFAULT_DRAM_LATENCY,
@@ -27,7 +29,6 @@ from repro.common.constants import (
     DEFAULT_LLC_LATENCY,
     DEFAULT_LLC_WAYS,
 )
-from repro.common.statistics import CounterSet
 from repro.cache.cache import Cache, CacheConfig
 
 
@@ -55,9 +56,6 @@ class CacheHierarchy:
         self.l1 = Cache(config.l1)
         self.l2 = Cache(config.l2)
         self.llc = Cache(config.llc)
-        self.counters = CounterSet(
-            ["data_accesses", "pte_accesses", "dram_accesses"]
-        )
 
     # ------------------------------------------------------------------
     # Page-table entry stream (LLC-only, per the paper).
@@ -65,13 +63,10 @@ class CacheHierarchy:
 
     def access_pte(self, paddr: int) -> int:
         """Fetch a PTE line; returns the access latency in cycles."""
-        self.counters.increment("pte_accesses")
-        latency = self.config.llc.latency
-        if not self.llc.access(paddr):
-            latency += self.config.dram_latency
-            self.counters.increment("dram_accesses")
-            self.llc.fill(paddr)
-        return latency
+        if self.llc.access(paddr):
+            return self.config.llc.latency
+        self.llc.fill(paddr)
+        return self.config.llc.latency + self.config.dram_latency
 
     # ------------------------------------------------------------------
     # Data stream.
@@ -79,7 +74,6 @@ class CacheHierarchy:
 
     def access_data(self, paddr: int) -> int:
         """Load/store a data address; returns the access latency."""
-        self.counters.increment("data_accesses")
         latency = self.config.l1.latency
         if self.l1.access(paddr):
             return latency
@@ -93,7 +87,6 @@ class CacheHierarchy:
             self.l1.fill(paddr)
             return latency
         latency += self.config.dram_latency
-        self.counters.increment("dram_accesses")
         self.llc.fill(paddr)
         self.l2.fill(paddr)
         self.l1.fill(paddr)
@@ -102,3 +95,41 @@ class CacheHierarchy:
     def flush(self) -> None:
         """Reset to cold caches (used between experiment phases)."""
         self.__init__(self.config)
+
+
+#: Memoised schedules, keyed by :func:`pollution_schedule`'s arguments.
+_POLLUTION_MEMO: Dict[Tuple[int, float, int], List[Tuple[int, int]]] = {}
+
+
+def pollution_schedule(
+    accesses: int, per_access: float, num_sets: int
+) -> List[Tuple[int, int]]:
+    """The data stream's LLC evictions as ``(access_index, set_index)``.
+
+    A deterministic model of the benchmark's data traffic: each access
+    accrues ``per_access`` expected evictions, and whole lines are
+    evicted from sets visited on a fixed stride, starting from set 0 at
+    every run. The eviction for access ``i`` happens *after* access
+    ``i``; page walks, the only reader of LLC state, apply the
+    evictions of every earlier access just before they fetch. The
+    schedule is a pure function of its inputs, so it is memoised.
+    """
+    if per_access <= 0.0:
+        return []
+    key = (accesses, per_access, num_sets)
+    cached = _POLLUTION_MEMO.get(key)
+    if cached is not None:
+        return cached
+    events: List[Tuple[int, int]] = []
+    budget = 0.0
+    cursor = 0
+    for index in range(accesses):
+        budget += per_access
+        if budget >= 1.0:
+            lines = int(budget)
+            budget -= lines
+            for _ in range(lines):
+                cursor = (cursor + 101) % num_sets
+                events.append((index, cursor))
+    _POLLUTION_MEMO[key] = events
+    return events

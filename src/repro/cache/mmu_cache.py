@@ -4,7 +4,8 @@ The paper models "a more realistic TLB hierarchy with 22-entry MMU
 caches, accessed on TLB misses to accelerate page table walks" (following
 Barr, Cox and Rixner's translation-caching work). We implement a unified
 page-walk cache: one fully-associative structure holding upper-level
-page-table entries (PML4E, PDPTE, PDE), tagged by (level, VPN prefix).
+page-table entries (PML4E, PDPTE, PDE), tagged by (level, VPN prefix),
+kept in one dict in recency order (first key least recently used).
 
 On a walk, the deepest cached level wins: a PDE hit means only the final
 PTE fetch touches the memory hierarchy; a complete miss costs all four
@@ -14,7 +15,7 @@ levels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.common.constants import (
     BITS_PER_LEVEL,
@@ -22,8 +23,6 @@ from repro.common.constants import (
     DEFAULT_MMU_CACHE_LATENCY,
 )
 from repro.common.errors import ConfigurationError
-from repro.common.lru import LRUTracker
-from repro.common.statistics import CounterSet
 
 #: Upper levels a unified MMU cache may hold, as (level index, VPN right
 #: shift): level 0 = PML4E (prefix vpn >> 27), 1 = PDPTE (vpn >> 18),
@@ -33,6 +32,8 @@ CACHEABLE_LEVELS: Tuple[Tuple[int, int], ...] = (
     (1, 2 * BITS_PER_LEVEL),
     (2, 1 * BITS_PER_LEVEL),
 )
+
+_LEVEL_SHIFT = dict(CACHEABLE_LEVELS)
 
 
 @dataclass(frozen=True)
@@ -50,45 +51,41 @@ class MMUCache:
 
     def __init__(self, config: MMUCacheConfig = MMUCacheConfig()) -> None:
         self.config = config
-        self._lru: LRUTracker[Tuple[int, int]] = LRUTracker(config.entries)
-        self.counters = CounterSet(["lookups", "hits", "misses", "fills"])
-
-    @staticmethod
-    def _key(level: int, vpn: int) -> Tuple[int, int]:
-        for lvl, shift in CACHEABLE_LEVELS:
-            if lvl == level:
-                return (level, vpn >> shift)
-        raise ConfigurationError(f"level {level} is not MMU-cacheable")
+        self._lines: Dict[Tuple[int, int], None] = {}
 
     def deepest_cached_level(self, vpn: int) -> Optional[int]:
         """Deepest upper level cached for ``vpn`` (2 is best), or None.
 
         Deeper hits skip more of the walk: a level-2 (PDE) hit leaves only
-        the PTE fetch; a level-0 (PML4E) hit leaves three fetches.
+        the PTE fetch; a level-0 (PML4E) hit leaves three fetches. The
+        hitting entry becomes most recently used.
         """
-        self.counters.increment("lookups")
-        best: Optional[int] = None
+        lines = self._lines
+        best = None
         for level, shift in CACHEABLE_LEVELS:
             key = (level, vpn >> shift)
-            if key in self._lru:
-                best = level
+            if key in lines:
+                best = key
         if best is None:
-            self.counters.increment("misses")
-        else:
-            self.counters.increment("hits")
-            self._lru.touch((best, vpn >> dict(CACHEABLE_LEVELS)[best]))
-        return best
+            return None
+        del lines[best]
+        lines[best] = None
+        return best[0]
 
     def fill(self, level: int, vpn: int) -> None:
         """Cache the upper-level entry covering ``vpn`` at ``level``."""
-        key = self._key(level, vpn)
-        if key in self._lru:
-            self._lru.touch(key)
-            return
-        if self._lru.is_full:
-            self._lru.evict()
-        self._lru.touch(key)
-        self.counters.increment("fills")
+        shift = _LEVEL_SHIFT.get(level)
+        if shift is None:
+            raise ConfigurationError(f"level {level} is not MMU-cacheable")
+        self._install((level, vpn >> shift))
+
+    def _install(self, key: Tuple[int, int]) -> None:
+        lines = self._lines
+        if key in lines:
+            del lines[key]
+        elif len(lines) >= self.config.entries:
+            del lines[next(iter(lines))]
+        lines[key] = None
 
     def fill_walk(self, vpn: int, levels_visited: int) -> None:
         """Cache every upper-level entry a walk of ``vpn`` read.
@@ -99,9 +96,9 @@ class MMUCache:
                 The leaf entry itself belongs in the TLBs, so only the
                 ``levels_visited - 1`` non-leaf entries are cached here.
         """
-        for level, _shift in CACHEABLE_LEVELS:
+        for level, shift in CACHEABLE_LEVELS:
             if level < levels_visited - 1:
-                self.fill(level, vpn)
+                self._install((level, vpn >> shift))
 
     def invalidate_vpn(self, vpn: int) -> None:
         """Drop the paging-structure entries covering one virtual page.
@@ -109,12 +106,13 @@ class MMUCache:
         Mirrors INVLPG semantics: a single-page shootdown invalidates the
         walk-cache entries for that address, not the whole structure.
         """
+        lines = self._lines
         for level, shift in CACHEABLE_LEVELS:
-            self._lru.discard((level, vpn >> shift))
+            lines.pop((level, vpn >> shift), None)
 
     def invalidate_all(self) -> None:
         """Full flush (context switch / CR3 write)."""
-        self._lru.clear()
+        self._lines.clear()
 
     def __len__(self) -> int:
-        return len(self._lru)
+        return len(self._lines)

@@ -4,14 +4,16 @@ On a TLB miss the page walk fetches a 64-byte cache line holding eight
 PTEs; "these translations are brought without additional memory
 references; thus we check just them for contiguity" (Section 4.1.4).
 This module is that Coalescing Logic block (Figures 4-6): it finds the
-maximal contiguous run of translations around the demanded one, subject
-to attribute equality, and clips it to whatever the destination TLB's
-indexing scheme can hold.
+maximal contiguous run of translations around the demanded one in a live
+line, subject to attribute equality, and clips a run -- as an inclusive
+``lo..hi`` interval of positions -- to whatever the destination TLB's
+indexing scheme can hold. (``repro.sim.replay`` finds the runs of a
+captured log with the same rule, as array operations.)
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from repro.common.types import Translation
 
@@ -48,42 +50,41 @@ def contiguous_run_around(
     return run
 
 
-def clip_to_group(
-    run: Sequence[Translation], vpn: int, group_size: int
-) -> List[Translation]:
-    """Restrict a run to ``vpn``'s naturally-aligned group.
+def clip_to_group(lo: int, hi: int, demand: int, group_size: int) -> Tuple[int, int]:
+    """Restrict the run ``lo..hi`` to ``demand``'s naturally-aligned group.
 
     CoLT-SA may only coalesce translations that "map to the same set"
     (Section 4.1.1): the aligned ``group_size``-VPN window selected by the
-    shifted index bits. The demanded translation always survives the clip.
+    shifted index bits. Positions are VPNs, or slots of an 8-PTE line
+    (the line is 8-aligned, so slot groups align like VPN groups); the
+    demanded position always survives the clip.
+
+    Raises:
+        ValueError: ``demand`` lies outside the run.
     """
-    group_base = vpn - (vpn % group_size)
-    clipped = [
-        t for t in run if group_base <= t.vpn < group_base + group_size
-    ]
-    if not any(t.vpn == vpn for t in clipped):
-        raise ValueError(f"demanded vpn {vpn} lost in clipping")
-    return clipped
+    if not lo <= demand <= hi:
+        raise ValueError(f"demanded position {demand} outside run {lo}..{hi}")
+    first = demand - demand % group_size
+    last = first + group_size - 1
+    return (lo if lo > first else first), (hi if hi < last else last)
 
 
-def clip_to_window(
-    run: Sequence[Translation], vpn: int, window: int
-) -> List[Translation]:
-    """Limit a run to ``window`` translations containing ``vpn``.
+def clip_to_window(lo: int, hi: int, demand: int, window: int) -> Tuple[int, int]:
+    """Limit the run ``lo..hi`` to ``window`` positions containing ``demand``.
 
     Models a hypothetical coalescing window other than the 8-PTE cache
     line (the Section 4.1.4 ablation): a narrower window behaves like a
     32-byte fetch, a wider one like fetching two adjacent lines. The
-    demanded translation stays inside the clipped run, centred when
+    demanded position stays inside the clipped run, centred when
     possible.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    if len(run) <= window:
-        return list(run)
-    index = next(i for i, t in enumerate(run) if t.vpn == vpn)
-    start = min(max(0, index - window // 2), len(run) - window)
-    return list(run[start : start + window])
+    length = hi - lo + 1
+    if length <= window:
+        return lo, hi
+    shift = min(max(0, demand - lo - window // 2), length - window)
+    return lo + shift, lo + shift + window - 1
 
 
 def run_length_around(

@@ -20,13 +20,20 @@
 
 Coalescing happens only on the fill path, never on hits (design
 principle 2, Section 4).
+
+TLB entries are interval tuples (``repro.tlb.entries``) and a walk's
+outcome is one :class:`repro.walker.page_walker.WalkRecord`, whether
+the walker read a live page table or a captured log, so this module is
+the one access-and-fill implementation every simulator runs. The event
+counters add up in plain ints and fold into :attr:`MMU.counters` at
+each shootdown and whenever the counters are read.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.analysis.sanitizers import TLBSanitizer, resolve_sanitize
 from repro.common.constants import (
@@ -36,24 +43,22 @@ from repro.common.constants import (
 )
 from repro.common.errors import ConfigurationError
 from repro.common.statistics import CounterSet
-from repro.common.types import LookupResult, Translation
+from repro.common.types import LookupResult
 from repro.obs.hooks import MMUObserver
 from repro.obs.registry import bind_counterset, get_registry
-from repro.core.coalescing import (
-    clip_to_group,
-    clip_to_window,
-    contiguous_run_around,
-)
+from repro.core.coalescing import clip_to_group, clip_to_window
 from repro.tlb.config import (
     FullyAssociativeTLBConfig,
     SetAssociativeTLBConfig,
     default_l1_config,
     default_l2_config,
 )
-from repro.tlb.entries import CoalescedEntry, RangeEntry
+from repro.tlb.entries import slice_to_group
 from repro.tlb.fully_associative import FullyAssociativeTLB
 from repro.tlb.set_associative import SetAssociativeTLB
-from repro.walker.page_walker import PageWalker
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
+    from repro.walker.page_walker import PageWalker, WalkRecord
 
 
 class CoLTDesign(enum.Enum):
@@ -191,43 +196,58 @@ def make_mmu_config(
     )
 
 
+#: The MMU's event counters, in reporting order.
+MMU_COUNTERS = (
+    "accesses",
+    "l1_sa_hits",
+    "l1_fa_hits",
+    "l1_misses",
+    "l2_hits",
+    "l2_misses",
+    "walks",
+    "walk_latency",
+    "coalesced_fills",
+    "uncoalesced_fills",
+    "fa_routed_fills",
+    "sa_routed_fills",
+    "invalidations",
+)
+
+#: Outcomes of :meth:`MMU.step`. After ``SA_HIT``, ``L2_HIT`` or
+#: ``WALK`` the VPN's unique L1 SA coverer is most recently used, and
+#: after ``FA_HIT`` its FA coverer is, so an immediate repeat of the VPN
+#: is the same hit and changes no state. ``WALK_FA`` (an FA-routed or
+#: superpage fill) leaves possibly overlapping FA entries, so which one
+#: a repeat would hit -- and make MRU -- takes a probe.
+SA_HIT, FA_HIT, L2_HIT, WALK, WALK_FA = range(5)
+
+
 class MMU:
     """Per-access translation engine with pluggable CoLT design."""
 
     def __init__(
         self,
         config: MMUConfig,
-        walker: PageWalker,
+        walker: "PageWalker",
         sanitize: Optional[bool] = None,
     ) -> None:
         self.config = config
+        self.design = config.design
         self.walker = walker
         self.l1 = SetAssociativeTLB(config.l1)
         self.l2 = SetAssociativeTLB(config.l2)
         self.superpage_tlb = FullyAssociativeTLB(config.superpage)
+        self._l1_group = config.l1.group_size
+        self._l2_group = config.l2.group_size
+        self._counters = CounterSet(list(MMU_COUNTERS))
+        for name in MMU_COUNTERS:
+            setattr(self, "_c_" + name, 0)
         #: Optional :class:`TLBSanitizer`; ``sanitize=None`` defers to
         #: the ``COLT_SANITIZE`` environment variable.
         self.sanitizer: Optional[TLBSanitizer] = None
         if resolve_sanitize(sanitize):
             self.sanitizer = TLBSanitizer(self)
             self.sanitizer.attach()
-        self.counters = CounterSet(
-            [
-                "accesses",
-                "l1_sa_hits",
-                "l1_fa_hits",
-                "l1_misses",
-                "l2_hits",
-                "l2_misses",
-                "walks",
-                "walk_latency",
-                "coalesced_fills",
-                "uncoalesced_fills",
-                "fa_routed_fills",
-                "sa_routed_fills",
-                "invalidations",
-            ]
-        )
         #: Optional :class:`repro.obs.hooks.MMUObserver`; ``None`` unless
         #: observability is active (``COLT_TRACE`` / ``COLT_PROFILE``),
         #: so the disabled-mode cost is one ``is not None`` per
@@ -237,7 +257,7 @@ class MMU:
         )
         if self._obs is not None:
             bind_counterset(
-                get_registry(), "colt_mmu", self.counters,
+                get_registry(), "colt_mmu", self._counters,
                 design=config.design.value,
             )
 
@@ -246,104 +266,174 @@ class MMU:
     # ------------------------------------------------------------------
 
     def access(self, vpn: int) -> Tuple[str, int]:
-        """Translate one access; returns ``(hit_level, latency)``.
+        """Translate one access; returns ``(hit_level, latency)``."""
+        self._c_accesses += 1
+        config = self.config
+        if self.design is CoLTDesign.PERFECT:
+            return "l1", config.l1_latency
+        walk_cycles = self._c_walk_latency
+        outcome = self.step(vpn)
+        if outcome == SA_HIT:
+            return "l1", config.l1_latency
+        if outcome == FA_HIT:
+            return "superpage", config.l1_latency
+        if outcome == L2_HIT:
+            return "l2", config.l2_latency
+        return "walk", config.l2_latency + self._c_walk_latency - walk_cycles
 
-        The fast path used by the simulators: full TLB/walker bookkeeping
-        without materialising translation objects on hits.
+    def step(self, vpn: int) -> int:
+        """One access through the hierarchy (uncounted); its outcome.
+
+        Step 1 probes the L1 SA TLB and the superpage/FA TLB (in
+        parallel in hardware), step 2 the L2 (inclusive of the SA L1
+        only), step 3 walks and runs the design's fill policy.
         """
-        self.counters.increment("accesses")
-        if self.config.design is CoLTDesign.PERFECT:
-            return "l1", self.config.l1_latency
-
-        # Step 1: L1 SA and superpage/FA TLB probed in parallel.
         if self.l1.probe(vpn) is not None:
-            self.counters.increment("l1_sa_hits")
-            # Keep the parallel FA structure's recency honest.
-            self.superpage_tlb.probe(vpn, update_lru=False)
-            return "l1", self.config.l1_latency
+            self._c_l1_sa_hits += 1
+            return SA_HIT
         if self.superpage_tlb.probe(vpn) is not None:
-            self.counters.increment("l1_fa_hits")
-            return "superpage", self.config.l1_latency
-        self.counters.increment("l1_misses")
+            self._c_l1_fa_hits += 1
+            return FA_HIT
+        self._c_l1_misses += 1
         if self._obs is not None:
             self._obs.on_l1_miss(vpn)
-
-        # Step 2: L2 (inclusive of the SA L1 only).
-        latency = self.config.l2_latency
-        if self.l2.probe(vpn) is not None:
-            self.counters.increment("l2_hits")
-            self._refill_l1_from_l2(vpn)
-            return "l2", latency
-        self.counters.increment("l2_misses")
-
-        # Step 3: page walk + coalescing fill.
-        walk = self.walker.walk(vpn)
-        self.counters.increment("walks")
-        self.counters.increment("walk_latency", walk.latency)
-        latency += walk.latency
-        self._fill(vpn, walk)
+        hit = self.l2.probe(vpn)
+        if hit is not None:
+            self._c_l2_hits += 1
+            # Copy the hitting entry down, sliced to the L1's group.
+            self.l1.insert(slice_to_group(hit, vpn, self._l1_group))
+            return L2_HIT
+        self._c_l2_misses += 1
+        record, latency, _ = self.walker.resolve(vpn)
+        self._c_walks += 1
+        self._c_walk_latency += latency
+        outcome = self._fill(vpn, record)
         if self.sanitizer is not None:
-            self.sanitizer.after_fill(vpn)
-        return "walk", latency
+            self.sanitizer.after_fill(vpn, record.pfn)
+        return outcome
+
+    def tally(self, accesses: int, sa_hits: int = 0, fa_hits: int = 0) -> None:
+        """Count accesses a driver served without a step (repeat hits)."""
+        self._c_accesses += accesses
+        self._c_l1_sa_hits += sa_hits
+        self._c_l1_fa_hits += fa_hits
 
     def translate(self, vpn: int) -> LookupResult:
         """Translate one access, returning the full translation.
 
         Equivalent to :meth:`access` plus an architectural page-table
-        read for the translation (tests and examples use this; the
-        simulators use :meth:`access`).
+        read for the translation (tests and examples use this on a live
+        page table; the simulators use :meth:`access` / :meth:`step`).
         """
         hit_level, latency = self.access(vpn)
         translation = self.walker.page_table.lookup(vpn)
         return LookupResult(translation, hit_level, latency)
 
-    def _refill_l1_from_l2(self, vpn: int) -> None:
-        """Copy the hitting L2 entry down into L1 (sliced to L1's group)."""
-        entry = self.l2.entry_for(vpn)
-        if entry is None:  # pragma: no cover - entry just hit
-            return
-        sliced = entry.slice_for_group(vpn, self.config.l1.group_size)
-        if sliced is not None:
-            self.l1.insert(sliced)
-
     # ------------------------------------------------------------------
     # Fill policies (the design-specific part).
     # ------------------------------------------------------------------
 
-    def _fill(self, vpn: int, walk) -> None:
-        translation = walk.translation
-        if translation.is_superpage:
+    def _fill(self, vpn: int, record: "WalkRecord") -> int:
+        if record.is_superpage:
             # Superpages always live in the FA TLB, in every design.
-            base = Translation(
-                translation.vpn - translation.vpn % 512,
-                translation.pfn - translation.vpn % 512,
-                translation.attributes,
-                is_superpage=True,
+            offset = vpn % 512
+            base = vpn - offset
+            self.superpage_tlb.insert(
+                (base, base + 512, record.pfn - offset, record.attr, True)
             )
-            self.superpage_tlb.insert_superpage(base)
             if self._obs is not None:
                 self._obs.on_superpage_fill(vpn)
-            return
-
-        design = self.config.design
+            return WALK_FA
+        design = self.design
         if design is CoLTDesign.BASELINE:
-            self._fill_baseline(translation)
-        elif design is CoLTDesign.COLT_SA:
-            self._fill_colt_sa(vpn, walk)
-        elif design is CoLTDesign.COLT_FA:
-            self._fill_colt_fa(vpn, walk)
-        elif design is CoLTDesign.COLT_ALL:
-            self._fill_colt_all(vpn, walk)
-        else:  # pragma: no cover
-            raise ConfigurationError(f"unexpected design {design}")
-
-    def _coalescible_run(self, vpn: int, walk) -> list:
-        run = contiguous_run_around(walk.cache_line_translations, vpn)
+            return self._fill_baseline(vpn, record)
+        slot = vpn & 7
+        lo, hi = record.run_lo, record.run_hi
         if self.config.coalescing_window is not None:
-            run = clip_to_window(run, vpn, self.config.coalescing_window)
-        return run
+            lo, hi = clip_to_window(
+                lo, hi, slot, self.config.coalescing_window
+            )
+        if design is CoLTDesign.COLT_SA:
+            return self._fill_colt_sa(vpn, record, slot, lo, hi)
+        if design is CoLTDesign.COLT_FA:
+            return self._fill_colt_fa(vpn, record, slot, lo, hi)
+        return self._fill_colt_all(vpn, record, slot, lo, hi)
 
-    def _insert_l2(self, entry: CoalescedEntry) -> None:
+    def _fill_baseline(self, vpn: int, record: "WalkRecord") -> int:
+        entry = (vpn, vpn, record.pfn, record.attr)
+        self._insert_l2(entry)
+        self.l1.insert(entry)
+        self._count_fill(1)
+        return WALK
+
+    def _sa_entry(
+        self, vpn: int, record: "WalkRecord", slot: int, lo: int, hi: int,
+        group: int,
+    ) -> Tuple[tuple, int]:
+        """The run's slice in ``vpn``'s aligned group, and its length."""
+        first, last = clip_to_group(lo, hi, slot, group)
+        line_base = vpn - slot
+        entry = (
+            line_base + first, line_base + last,
+            record.line_pfn[first], record.line_attr[first],
+        )
+        return entry, last - first + 1
+
+    def _fill_colt_sa(
+        self, vpn: int, record: "WalkRecord", slot: int, lo: int, hi: int
+    ) -> int:
+        """Coalesce within the cache line, clipped per TLB's index scheme."""
+        entry, length = self._sa_entry(
+            vpn, record, slot, lo, hi, self._l2_group
+        )
+        self._insert_l2(entry)
+        self.l1.insert(
+            self._sa_entry(vpn, record, slot, lo, hi, self._l1_group)[0]
+        )
+        self._count_fill(length)
+        return WALK
+
+    def _insert_fa_run(
+        self, vpn: int, record: "WalkRecord", slot: int, lo: int, hi: int
+    ) -> None:
+        line_base = vpn - slot
+        self.superpage_tlb.insert((
+            line_base + lo, line_base + hi + 1,
+            record.line_pfn[lo], record.line_attr[lo], False,
+        ))
+        self._c_fa_routed_fills += 1
+        self._count_fill(hi - lo + 1)
+
+    def _fill_colt_fa(
+        self, vpn: int, record: "WalkRecord", slot: int, lo: int, hi: int
+    ) -> int:
+        """Unrestricted line coalescing into the FA TLB (Section 4.2.1)."""
+        if hi == lo:
+            return self._fill_baseline(vpn, record)
+        self._insert_fa_run(vpn, record, slot, lo, hi)
+        if self.config.fa_fill_l2:
+            # Echo only the demanded translation into L2; the L1 is
+            # left untouched (Section 4.2.1).
+            self._insert_l2((vpn, vpn, record.pfn, record.attr))
+        return WALK_FA
+
+    def _fill_colt_all(
+        self, vpn: int, record: "WalkRecord", slot: int, lo: int, hi: int
+    ) -> int:
+        """Threshold routing (Figure 6): small runs to SA, large to FA."""
+        if hi - lo + 1 <= self.config.effective_all_threshold:
+            self._c_sa_routed_fills += 1
+            return self._fill_colt_sa(vpn, record, slot, lo, hi)
+        self._insert_fa_run(vpn, record, slot, lo, hi)
+        if self.config.fa_fill_l2:
+            # Unlike CoLT-FA, bring as much of the run as the L2's index
+            # scheme allows (Section 4.3.1).
+            self._insert_l2(
+                self._sa_entry(vpn, record, slot, lo, hi, self._l2_group)[0]
+            )
+        return WALK_FA
+
+    def _insert_l2(self, entry: tuple) -> None:
         """Install into L2, back-invalidating L1 copies L2 no longer holds.
 
         The L2 is inclusive of the SA L1: when an L2 insert displaces a
@@ -354,80 +444,19 @@ class MMU:
         unconditionally, sanitizers on or off.
         """
         for victim in self.l2.insert(entry):
-            for slot, valid in enumerate(victim.valid):
-                if not valid:
-                    continue
-                vpn = victim.group_base_vpn + slot
-                if self.l2.entry_for(vpn) is None:
-                    self.l1.invalidate(vpn)
+            self._back_invalidate(victim)
 
-    def _insert_l2_translation(self, translation: Translation) -> None:
-        """Single-translation L2 fill routed through back-invalidation."""
-        group = self.config.l2.group_size
-        base = translation.vpn - (translation.vpn % group)
-        valid = [False] * group
-        valid[translation.vpn - base] = True
-        self._insert_l2(
-            CoalescedEntry(
-                base, group, valid, translation.pfn, translation.attributes
-            )
-        )
-
-    def _fill_baseline(self, translation: Translation) -> None:
-        self._insert_l2_translation(translation)
-        self.l1.insert_translation(translation)
-        self._count_fill(1)
-
-    def _fill_colt_sa(self, vpn: int, walk) -> None:
-        """Coalesce within the cache line, clipped per TLB's index scheme."""
-        run = self._coalescible_run(vpn, walk)
-        l2_run = clip_to_group(run, vpn, self.config.l2.group_size)
-        l2_entry = CoalescedEntry.from_run(l2_run, self.config.l2.group_size)
-        self._insert_l2(l2_entry)
-        l1_run = clip_to_group(run, vpn, self.config.l1.group_size)
-        l1_entry = CoalescedEntry.from_run(l1_run, self.config.l1.group_size)
-        self.l1.insert(l1_entry)
-        self._count_fill(len(l2_run))
-
-    def _fill_colt_fa(self, vpn: int, walk) -> None:
-        """Unrestricted line coalescing into the FA TLB (Section 4.2.1)."""
-        run = self._coalescible_run(vpn, walk)
-        if len(run) >= 2:
-            self.superpage_tlb.insert(RangeEntry.from_run(run))
-            if self.config.fa_fill_l2:
-                # Echo only the demanded translation into L2; the L1 is
-                # left untouched (Section 4.2.1).
-                self._insert_l2_translation(walk.translation)
-            self.counters.increment("fa_routed_fills")
-        else:
-            self._fill_baseline(walk.translation)
-            return
-        self._count_fill(len(run))
-
-    def _fill_colt_all(self, vpn: int, walk) -> None:
-        """Threshold routing (Figure 6): small runs to SA, large to FA."""
-        run = self._coalescible_run(vpn, walk)
-        threshold = self.config.effective_all_threshold
-        if len(run) <= threshold:
-            self.counters.increment("sa_routed_fills")
-            self._fill_colt_sa(vpn, walk)
-            return
-        self.superpage_tlb.insert(RangeEntry.from_run(run))
-        self.counters.increment("fa_routed_fills")
-        if self.config.fa_fill_l2:
-            # Unlike CoLT-FA, bring as much of the run as the L2's index
-            # scheme allows (Section 4.3.1).
-            l2_run = clip_to_group(run, vpn, self.config.l2.group_size)
-            self._insert_l2(
-                CoalescedEntry.from_run(l2_run, self.config.l2.group_size)
-            )
-        self._count_fill(len(run))
+    def _back_invalidate(self, victim: tuple) -> None:
+        l2, l1 = self.l2, self.l1
+        for vpn in range(victim[0], victim[1] + 1):
+            if l2.entry_for(vpn) is None:
+                l1.invalidate(vpn)
 
     def _count_fill(self, run_length: int) -> None:
         if run_length >= 2:
-            self.counters.increment("coalesced_fills")
+            self._c_coalesced_fills += 1
         else:
-            self.counters.increment("uncoalesced_fills")
+            self._c_uncoalesced_fills += 1
         if self._obs is not None:
             self._obs.on_fill(run_length)
 
@@ -443,11 +472,14 @@ class MMU:
         address are dropped (INVLPG semantics) -- the page-table structure
         may have changed (e.g. a THP split replaces a PDE).
         """
-        self.counters.increment("invalidations")
+        self._c_invalidations += 1
         if self._obs is not None:
             self._obs.on_shootdown(vpn)
         self.l1.invalidate(vpn)
-        self.l2.invalidate(vpn)
+        # Graceful splits of a full L2 set evict residents: keep the L2
+        # inclusive of the L1 for those too.
+        for victim in self.l2.invalidate(vpn):
+            self._back_invalidate(victim)
         self.superpage_tlb.invalidate(vpn)
         if self.walker.mmu_cache is not None:
             self.walker.mmu_cache.invalidate_vpn(vpn)
@@ -455,6 +487,7 @@ class MMU:
             self.sanitizer.after_invalidate(vpn)
 
     def invalidate_range(self, start_vpn: int, count: int) -> None:
+        self._fold_counters()
         for vpn in range(start_vpn, start_vpn + count):
             self.invalidate(vpn)
 
@@ -464,8 +497,24 @@ class MMU:
         self.superpage_tlb.flush()
 
     # ------------------------------------------------------------------
-    # Derived statistics.
+    # Counters and derived statistics.
     # ------------------------------------------------------------------
+
+    def _fold_counters(self) -> None:
+        """Move the plain-int tallies into the counter set."""
+        increment = self._counters.increment
+        for name in MMU_COUNTERS:
+            attr = "_c_" + name
+            delta = getattr(self, attr)
+            if delta:
+                increment(name, delta)
+                setattr(self, attr, 0)
+
+    @property
+    def counters(self) -> CounterSet:
+        """The 13 event counters (``colt_mmu``), folded up to date."""
+        self._fold_counters()
+        return self._counters
 
     @property
     def l1_misses(self) -> int:

@@ -8,9 +8,6 @@ CPUs) -- one OS capture per scenario, one TLB replay per design -- and
 results persist in an on-disk store (``.colt-cache/`` or
 ``$COLT_RESULT_CACHE``; see ``repro.sim.store``) so repeated
 invocations only pay for configurations they have not seen.
-``--engine vector`` replays through the epoch-batched vectorized
-engine (``repro.sim.engine``); results are bit-identical to the
-default scalar oracle, just faster.
 
 Observability (``repro.obs``) is wired here:
 
@@ -79,7 +76,6 @@ from repro.sim.campaign import (
     ShutdownCoordinator,
     campaign_fingerprint,
 )
-from repro.sim.engine import ENGINE_ENV, ENGINES, resolve_engine
 from repro.sim.faults import FaultPlan
 from repro.sim.resilience import RetryPolicy
 from repro.sim.runner import ExperimentRunner
@@ -103,12 +99,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=None, metavar="N",
         help="worker processes for capture/replay fan-out "
              "(default: os.cpu_count())",
-    )
-    parser.add_argument(
-        "--engine", choices=list(ENGINES), default=None,
-        help="replay engine: the scalar oracle or the epoch-batched "
-             "vectorized engine (bit-identical results; default: "
-             f"${ENGINE_ENV} or scalar)",
     )
     parser.add_argument(
         "--no-cache", action="store_true",
@@ -371,8 +361,8 @@ def _run_campaign(
     return 0 if not status.failed else 1
 
 
-def _append_history(args, experiments, runner, store, scale, engine,
-                    jobs, code, phase_wall, total_wall) -> None:
+def _append_history(args, experiments, runner, store, scale, jobs,
+                    code, phase_wall, total_wall) -> None:
     """Append the run's ``colt-history-v1`` record (best-effort).
 
     Every store-backed run leaves one record -- including interrupted
@@ -400,7 +390,6 @@ def _append_history(args, experiments, runner, store, scale, engine,
         status=status,
         figure="+".join(ids),
         scale=os.environ.get("REPRO_SCALE", "").lower() or "default",
-        engine=engine,
         fingerprint=campaign_fingerprint(scale, ids),
         wall=wall,
         counters=counters,
@@ -429,11 +418,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args.telemetry_port = telemetry_port_from_env()
 
     configure_logging(-1 if args.quiet else args.verbose)
-    engine = resolve_engine(args.engine)
-    # Exported so any machinery that re-resolves from the environment
-    # (tools, nested runners) agrees with the flag; the runner itself
-    # threads the resolved name into its replay tasks explicitly.
-    os.environ[ENGINE_ENV] = engine
     obs_enabled = _enable_obs(args)
     if args.dump_dir is not None:
         # Exported so pool workers (deadline dumps) agree on the dir.
@@ -474,13 +458,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         watchdog.start()
     runner = ExperimentRunner(
         jobs=jobs, store=store, policy=policy, faults=faults,
-        shutdown=shutdown, watchdog=watchdog, engine=engine,
+        shutdown=shutdown, watchdog=watchdog,
     )
 
     get_progress().update(
         phase="starting",
         ids=[experiment.id for experiment in experiments],
-        engine=engine,
         scale=os.environ.get("REPRO_SCALE", "").lower() or "default",
         jobs=jobs,
         campaign=bool(args.campaign),
@@ -535,8 +518,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if obs_enabled:
             _emit_obs(args, runner)
         _append_history(
-            args, experiments, runner, store, scale, engine, jobs,
-            code, phase_wall, time.perf_counter() - run_started,
+            args, experiments, runner, store, scale, jobs, code,
+            phase_wall, time.perf_counter() - run_started,
         )
     finally:
         if telemetry is not None:

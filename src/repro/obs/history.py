@@ -1,8 +1,8 @@
 """Persistent run-history time-series (``colt-history-v1``).
 
 Every runner/campaign invocation appends one compact JSON record --
-constants fingerprint, engine, scale, per-phase wall times, store hit
-ratio, all counter totals, vector speedup when benched -- to
+constants fingerprint, scale, per-phase wall times, store hit ratio,
+all counter totals -- to
 ``<cache>/history/history.jsonl``. Appends go through
 :mod:`repro.common.atomicio` (read-all, rewrite, ``os.replace``), so a
 kill mid-append leaves the previous history intact, never a torn line.
@@ -74,12 +74,10 @@ def build_record(
     status: str,
     figure: str,
     scale: str,
-    engine: str,
     fingerprint: str,
     wall: Mapping[str, float],
     counters: Mapping[str, float],
     store: Optional[Mapping[str, float]] = None,
-    vector_speedup: Optional[float] = None,
     campaign: bool = False,
     telemetry: bool = False,
     jobs: int = 1,
@@ -102,7 +100,6 @@ def build_record(
         "status": status,
         "figure": figure,
         "scale": scale,
-        "engine": engine,
         "fingerprint": fingerprint,
         "campaign": bool(campaign),
         "telemetry": bool(telemetry),
@@ -114,8 +111,6 @@ def build_record(
     }
     if store is not None:
         record["store"] = {str(k): float(v) for k, v in sorted(store.items())}
-    if vector_speedup is not None:
-        record["vector_speedup"] = float(vector_speedup)
     return record
 
 
@@ -175,7 +170,6 @@ def select_records(
     records: List[dict],
     figure: Optional[str] = None,
     scale: Optional[str] = None,
-    engine: Optional[str] = None,
     status: Optional[str] = None,
 ) -> List[dict]:
     """Filter records by run coordinates (``None`` matches anything)."""
@@ -184,8 +178,6 @@ def select_records(
         if figure is not None and record.get("figure") != figure:
             continue
         if scale is not None and record.get("scale") != scale:
-            continue
-        if engine is not None and record.get("engine") != engine:
             continue
         if status is not None and record.get("status") != status:
             continue
@@ -272,9 +264,9 @@ def gate_record(record: Mapping, baseline: Mapping) -> List[str]:
       match the baseline value *exactly*;
     * ``ceilings`` -- dotted-path metrics (wall times, overhead ratios)
       must be ``<=`` the bound;
-    * ``floors`` -- dotted-path metrics (vector speedup) must be ``>=``
-      the bound, checked only when the record carries the path (a run
-      without a bench attached simply has nothing to check);
+    * ``floors`` -- dotted-path metrics must be ``>=`` the bound,
+      checked only when the record carries the path (a run without,
+      say, a result store simply has nothing to check);
     * ``require_status`` (default ``ok``) -- the record's status.
     """
     problems: List[str] = []
@@ -320,7 +312,6 @@ def gate_history(
         records,
         figure=match.get("figure"),
         scale=match.get("scale"),
-        engine=match.get("engine"),
     )
     if not candidates:
         return None, [

@@ -69,47 +69,38 @@ class MMUObserver:
             return None
         return MMUObserver(design, current_tracer())
 
-    def _sampled(self, count: int = 1) -> bool:
-        """Advance the sampling ticker by ``count`` events.
-
-        For ``count == 1`` this is the classic 1-in-N decimator. Batched
-        callers (the vectorized replay engine) advance it by the whole
-        batch in one call: the ticker lands exactly where ``count``
-        single steps would leave it, so downstream sampling decisions
-        stay aligned with the scalar engine's, and at most one instant
-        is emitted per batch (the point of batching).
-        """
-        self._ticker += count
+    def _sampled(self) -> bool:
+        """The 1-in-N decimator for per-event trace instants."""
+        self._ticker += 1
         if self._ticker >= self._sample:
-            self._ticker %= self._sample
+            self._ticker = 0
             return True
         return False
 
-    def on_l1_miss(self, vpn: int, count: int = 1) -> None:
-        if self._tracer is not None and self._sampled(count):
+    def on_l1_miss(self, vpn: int) -> None:
+        if self._tracer is not None and self._sampled():
             self._tracer.instant(
                 "tlb.miss", cat="tlb", vpn=vpn, level="l1",
                 design=self._design,
             )
 
-    def on_fill(self, run_length: int, count: int = 1) -> None:
-        self._hist.observe(run_length, count, design=self._design)
-        if self._tracer is not None and self._sampled(count):
+    def on_fill(self, run_length: int) -> None:
+        self._hist.observe(run_length, design=self._design)
+        if self._tracer is not None and self._sampled():
             self._tracer.instant(
                 "tlb.fill", cat="tlb", run_length=run_length,
                 coalesced=run_length >= 2, design=self._design,
             )
 
-    def on_superpage_fill(self, vpn: int, count: int = 1) -> None:
-        if self._tracer is not None and self._sampled(count):
+    def on_superpage_fill(self, vpn: int) -> None:
+        if self._tracer is not None and self._sampled():
             self._tracer.instant(
                 "tlb.superpage_fill", cat="tlb", vpn=vpn,
                 design=self._design,
             )
 
-    def on_shootdown(self, vpn: int, count: int = 1) -> None:
-        """One shootdown, or a batched range of ``count`` of them."""
-        if self._tracer is not None and self._sampled(count):
+    def on_shootdown(self, vpn: int) -> None:
+        if self._tracer is not None and self._sampled():
             self._tracer.instant(
                 "tlb.shootdown", cat="tlb", vpn=vpn, design=self._design,
             )

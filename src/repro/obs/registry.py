@@ -128,16 +128,16 @@ class HistogramState:
         if not self.counts:
             self.counts = [0] * (len(self.buckets) + 1)
 
-    def observe(self, value: float, count: int = 1) -> None:
-        """Record ``count`` observations of ``value`` (batched events)."""
+    def observe(self, value: float) -> None:
+        """Record one observation of ``value``."""
         index = len(self.buckets)
         for i, bound in enumerate(self.buckets):
             if value <= bound:
                 index = i
                 break
-        self.counts[index] += count
-        self.count += count
-        self.sum += value * count
+        self.counts[index] += 1
+        self.count += 1
+        self.sum += value
 
     def merge(self, other: "HistogramState") -> None:
         if other.buckets != self.buckets:
@@ -167,18 +167,13 @@ class Histogram(Instrument):
         self.buckets = tuple(buckets) if buckets else DEFAULT_BUCKETS
         self._series: Dict[LabelKey, HistogramState] = {}
 
-    def observe(self, value: float, count: int = 1, **labels) -> None:
-        """Record ``count`` observations of ``value`` for one label set.
-
-        The ``count`` weight lets batching producers (the vectorized
-        replay engine) fold a run of identical events into one call;
-        the resulting state is identical to ``count`` unweighted calls.
-        """
+    def observe(self, value: float, **labels) -> None:
+        """Record one observation of ``value`` for one label set."""
         key = _label_key(labels)
         state = self._series.get(key)
         if state is None:
             state = self._series[key] = HistogramState(self.buckets)
-        state.observe(value, count)
+        state.observe(value)
 
     def state(self, **labels) -> Optional[HistogramState]:
         return self._series.get(_label_key(labels))

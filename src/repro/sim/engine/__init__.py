@@ -1,29 +1,17 @@
-"""Replay engine selection: the scalar oracle vs the vectorized engine.
+"""The replay function under the names the benchmark harness reaches for.
 
-``repro.sim.replay.replay_scenario`` is the bit-exact scalar oracle: one
-Python-interpreted ``MMU.access`` per simulated access. The vectorized
-engine (``repro.sim.engine.vector``) replays the same captured scenario
-as an epoch-batched array program: the access log is partitioned into
-epochs bounded by shootdown events (the loop-carried statements in
-``results/analysis/vectorization_replay.md``), each epoch's TLB hits are
-resolved by one NumPy coverage scan over a structure-of-arrays export of
-the TLB state, and only the misses (and epoch boundaries) fall back to a
-lean scalar step. The two engines produce bit-identical
-``SimulationResult`` tables, MMU counters and coalescing histograms --
-enforced by ``tests/test_engine.py`` and the CI bench gate.
-
-Selection: the ``--engine {scalar,vector}`` CLI flag, or the
-``COLT_ENGINE`` environment variable (flag wins). ``COLT_EPOCH_MAX``
-bounds the epoch chunk the vectorized engine scans at once.
-
-Sanitized runs (``COLT_SANITIZE`` / ``sanitize=True``) always take the
-scalar path: the sanitizers attach to the live TLB objects, which the
-vectorized engine does not materialise.
+There is one replay loop, :func:`repro.sim.replay.replay_scenario`.
+``repro.sim.engine.replay_scenario`` and
+``repro.sim.engine.vector.vector_replay_scenario`` are that function
+under the two names the benchmark harness (``perfbench/``) patches and
+meters, and ``ExperimentRunner(engine=...)`` accepts the two matching
+engine names, ``"scalar"`` and ``"vector"``, for the same reason. Both
+names give bit-identical results by construction; new code should call
+``replay_scenario`` directly.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
 from repro.common.errors import ConfigurationError
@@ -31,28 +19,17 @@ from repro.sim.replay import replay_scenario
 from repro.sim.scenario import CapturedScenario
 from repro.sim.system import SimulationConfig, SimulationResult
 
-#: Environment variable selecting the replay engine.
-ENGINE_ENV = "COLT_ENGINE"
-
-#: Environment variable bounding the vectorized engine's epoch chunk
-#: (accesses scanned per coverage pass).
-EPOCH_MAX_ENV = "COLT_EPOCH_MAX"
-
-#: Recognised engine names, in precedence-documentation order.
+#: The engine names the harness passes to ``ExperimentRunner``.
 ENGINES = ("scalar", "vector")
-
-DEFAULT_ENGINE = "scalar"
-DEFAULT_EPOCH_MAX = 4096
 
 
 def resolve_engine(explicit: Optional[str] = None) -> str:
-    """Resolve an engine name: explicit argument > ``COLT_ENGINE`` > scalar.
+    """Validate an engine name (``None`` means ``"scalar"``).
 
     Raises:
         ConfigurationError: the name is not one of :data:`ENGINES`.
     """
-    raw = explicit if explicit is not None else os.environ.get(ENGINE_ENV, "")
-    name = raw.strip().lower() or DEFAULT_ENGINE
+    name = (explicit or "scalar").strip().lower()
     if name not in ENGINES:
         raise ConfigurationError(
             f"unknown replay engine {name!r}; expected one of "
@@ -61,26 +38,19 @@ def resolve_engine(explicit: Optional[str] = None) -> str:
     return name
 
 
-def epoch_max() -> int:
-    """Vector-engine epoch chunk bound (``COLT_EPOCH_MAX``, >= 1)."""
-    raw = os.environ.get(EPOCH_MAX_ENV, "").strip()
-    if not raw:
-        return DEFAULT_EPOCH_MAX
-    try:
-        value = int(raw)
-    except ValueError:
-        return DEFAULT_EPOCH_MAX
-    return max(1, value)
-
-
 def replay_with_engine(
     scenario: CapturedScenario,
     config: SimulationConfig,
     engine: Optional[str] = None,
 ) -> SimulationResult:
-    """Replay ``scenario`` under ``config`` with the selected engine."""
-    if resolve_engine(engine) == "vector":
-        from repro.sim.engine.vector import vector_replay_scenario
+    """Replay ``scenario`` through the name ``engine`` stands for.
 
-        return vector_replay_scenario(scenario, config)
+    The name is looked up at call time, so a harness that wrapped it
+    (to trace or meter ``replay.scalar`` / ``replay.vector``) sees its
+    own wrapper, in this process and in forked pool workers alike.
+    """
+    if resolve_engine(engine) == "vector":
+        from repro.sim.engine import vector
+
+        return vector.vector_replay_scenario(scenario, config)
     return replay_scenario(scenario, config)

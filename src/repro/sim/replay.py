@@ -10,32 +10,37 @@ requested :class:`CoLTDesign` and replay the translation log through it
 every input the MMU observes is reproduced exactly:
 
 * the walk outcome of each access (translation, walk-path addresses,
-  8-PTE cache-line window) as the page table held it *at that access*;
+  8-PTE cache-line window) as the page table held it *at that access*,
+  decoded once per replay into the same :class:`WalkRecord` a live walk
+  builds;
 * TLB shootdowns, applied before the access index they preceded in the
   capture (trailing events still land before the counter snapshot);
-* the LLC pollution schedule, which shares :class:`LLCPollution` with
-  the monolithic path.
+* the LLC pollution schedule, which the monolithic path shares.
 
-``ReplayWalker`` mirrors ``repro.walker.page_walker.PageWalker``'s
-latency accounting (MMU-cache skip + per-level PTE fetches through the
-cache hierarchy) from the captured walk path. Its page table is a shim
-that answers ``lookup`` for the access being replayed, which is all the
-observe-only ``TLBSanitizer.after_fill`` cross-check needs -- replays
-run fine with ``COLT_SANITIZE=1``.
+:func:`replay_scenario` is the one replay loop every design, engine
+name and sanitizer setting runs. It is a plain per-access loop: on the
+QUICK design sweep a NumPy pre-scan of TLB hits bought nothing over it
+once the TLBs stored interval tuples. Its one shortcut is the repeat
+hit: an access to the VPN of the previous access, with no shootdown in
+between, after a step that left that VPN's coverer most recently used
+(see :data:`repro.core.mmu.SA_HIT`) is the same hit again and changes
+no state, so it is only counted.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.common.errors import SimulationError
-from repro.common.statistics import CounterSet
-from repro.common.types import PageAttributes, Translation, WalkResult
-from repro.cache.hierarchy import CacheHierarchy, HierarchyConfig
+from repro.cache.hierarchy import (
+    CacheHierarchy,
+    HierarchyConfig,
+    pollution_schedule,
+)
 from repro.cache.mmu_cache import MMUCache
-from repro.core.mmu import MMU, make_mmu_config
+from repro.core.mmu import FA_HIT, MMU, WALK_FA, CoLTDesign, make_mmu_config
 from repro.core.performance import evaluate_performance, perfect_tlb_result
 from repro.obs.trace import span
 from repro.sim.scenario import (
@@ -44,43 +49,65 @@ from repro.sim.scenario import (
     _MASK_COLUMN,
     _PATH_BASE,
     CapturedScenario,
-    LLCPollution,
     scenario_config,
 )
 from repro.sim.system import SimulationConfig, SimulationResult
+from repro.tlb.entries import COALESCING_KEY_MASK
+from repro.walker.page_walker import PageWalker, WalkRecord
 
 
-class _ReplayPageTable:
-    """Answers ``lookup`` for the translation most recently replayed.
+def decode_records(records: np.ndarray, slots: np.ndarray) -> List[WalkRecord]:
+    """Decode captured record rows into :class:`WalkRecord`\\ s.
 
-    The real walker resolves translations from the live page table; in
-    a replay the log *is* the page table. The shim is refreshed by
-    :meth:`ReplayWalker.walk`, which covers the only architectural
-    reader on the replay path (the sanitizer's fill cross-check).
+    Row ``i`` is decoded for the demanded slot ``slots[i]``: its run
+    bounds are those of the maximal contiguous run of the row's line
+    window around that slot. Contiguity matches
+    ``Translation.is_contiguous_with``: adjacent slots chain when both
+    are mapped, their PFNs advance together, and their attribute bits
+    agree modulo ACCESSED/DIRTY. Pure array operations, no per-row
+    Python loop.
     """
+    is_sp = records[:, 2] != 0
+    mask = records[:, _MASK_COLUMN]
+    line_pfn = records[:, _LINE_PFN_BASE:_LINE_PFN_BASE + 8]
+    line_attr = records[:, _LINE_ATTR_BASE:_LINE_ATTR_BASE + 8]
+    valid = (mask[:, np.newaxis] >> np.arange(8)) & 1 != 0
+    key = line_attr & COALESCING_KEY_MASK
+    adj = valid[:, :-1] & valid[:, 1:]
+    adj &= line_pfn[:, 1:] == line_pfn[:, :-1] + 1
+    adj &= key[:, 1:] == key[:, :-1]
+    run_lo = np.zeros(valid.shape, dtype=np.int64)
+    run_hi = np.full(valid.shape, 7, dtype=np.int64)
+    for s in range(1, 8):
+        run_lo[:, s] = np.where(adj[:, s - 1], run_lo[:, s - 1], s)
+    for s in range(6, -1, -1):
+        run_hi[:, s] = np.where(adj[:, s], run_hi[:, s + 1], s)
+    rows = np.arange(records.shape[0])
+    if not (valid[rows, slots] | is_sp).all():
+        raise SimulationError("captured walk record lacks its own translation")
+    return list(map(WalkRecord._make, zip(
+        records[:, 0].tolist(),
+        records[:, 1].tolist(),
+        is_sp.tolist(),
+        records[:, 3].tolist(),
+        records[:, _PATH_BASE:_PATH_BASE + 4].tolist(),
+        run_lo[rows, slots].tolist(),
+        run_hi[rows, slots].tolist(),
+        mask.tolist(),
+        line_pfn.tolist(),
+        line_attr.tolist(),
+    )))
 
-    def __init__(self) -> None:
-        self._vpn: Optional[int] = None
-        self._translation: Optional[Translation] = None
 
-    def set(self, translation: Translation) -> None:
-        self._vpn = translation.vpn
-        self._translation = translation
-
-    def lookup(self, vpn: int) -> Optional[Translation]:
-        if vpn == self._vpn:
-            return self._translation
-        return None
-
-
-class ReplayWalker:
-    """Drop-in ``PageWalker`` fed from a captured translation log.
+class ReplayWalker(PageWalker):
+    """A :class:`PageWalker` whose page table is a captured log.
 
     The caller advances :attr:`cursor` to the access index being
-    replayed; a walk decodes that access's record and reproduces the
-    live walker's latency accounting against this replay's own cache
-    hierarchy and MMU cache (whose state evolves with this design's
-    miss pattern, exactly as in the monolithic run).
+    replayed; a walk returns that access's decoded record. The latency
+    accounting runs against this replay's own cache hierarchy and MMU
+    cache, whose state evolves with this design's miss pattern, exactly
+    as in the monolithic run. Records are decoded on the first walk, so
+    a design that never walks (PERFECT) never decodes.
     """
 
     def __init__(
@@ -88,83 +115,34 @@ class ReplayWalker:
         scenario: CapturedScenario,
         caches: CacheHierarchy,
         mmu_cache: Optional[MMUCache] = None,
+        pollution: Sequence[Tuple[int, int]] = (),
     ) -> None:
+        super().__init__(None, caches, mmu_cache, pollution)
         self._scenario = scenario
-        self._caches = caches
-        self._mmu_cache = mmu_cache
-        self._page_table = _ReplayPageTable()
-        self.cursor = 0
-        self.counters = CounterSet(
-            ["walks", "levels_fetched", "total_latency", "superpage_walks"]
-        )
+        self._records = None
+        self._record_of = None
 
-    @property
-    def page_table(self) -> _ReplayPageTable:
-        return self._page_table
-
-    @property
-    def mmu_cache(self) -> Optional[MMUCache]:
-        return self._mmu_cache
-
-    def walk(self, vpn: int) -> WalkResult:
+    def _decode(self) -> None:
         scenario = self._scenario
+        # One record per (row, demanded slot) pair the log uses.
+        keys = scenario.record_index * 8 + (scenario.vpns & 7)
+        unique, inverse = np.unique(keys, return_inverse=True)
+        self._records = decode_records(
+            scenario.records[unique >> 3], unique & 7
+        )
+        self._record_of = inverse.ravel()
+
+    def record(self, vpn: int) -> WalkRecord:
+        if self._records is None:
+            self._decode()
         index = self.cursor
-        expected = int(scenario.vpns[index])
+        expected = int(self._scenario.vpns[index])
         if vpn != expected:
             raise SimulationError(
                 f"replay desync at access {index}: walk of vpn {vpn}, "
                 f"captured vpn {expected}"
             )
-        row = scenario.records[int(scenario.record_index[index])]
-        translation = Translation(
-            vpn=vpn,
-            pfn=int(row[0]),
-            attributes=PageAttributes(int(row[1])),
-            is_superpage=bool(row[2]),
-        )
-        self._page_table.set(translation)
-        self.counters.increment("walks")
-
-        levels = int(row[3])
-        start_level = 0
-        latency = 0
-        if self._mmu_cache is not None:
-            latency += self._mmu_cache.config.latency
-            deepest = self._mmu_cache.deepest_cached_level(vpn)
-            if deepest is not None:
-                start_level = min(deepest + 1, levels - 1)
-        fetched = 0
-        for level in range(start_level, levels):
-            latency += self._caches.access_pte(int(row[_PATH_BASE + level]))
-            fetched += 1
-        if self._mmu_cache is not None:
-            self._mmu_cache.fill_walk(vpn, levels_visited=levels)
-
-        if translation.is_superpage:
-            self.counters.increment("superpage_walks")
-            line = ()
-        else:
-            mask = int(row[_MASK_COLUMN])
-            base = vpn & ~0x7
-            line = tuple(
-                Translation(
-                    vpn=base + offset,
-                    pfn=int(row[_LINE_PFN_BASE + offset]),
-                    attributes=PageAttributes(
-                        int(row[_LINE_ATTR_BASE + offset])
-                    ),
-                )
-                for offset in range(8)
-                if mask >> offset & 1
-            )
-        self.counters.increment("levels_fetched", fetched)
-        self.counters.increment("total_latency", latency)
-        return WalkResult(
-            translation=translation,
-            cache_line_translations=line,
-            latency=latency,
-            memory_accesses=fetched,
-        )
+        return self._records[self._record_of[index]]
 
 
 def replay_scenario(
@@ -182,61 +160,89 @@ def replay_scenario(
             f"{scenario.config}"
         )
     mmu_config = config.mmu or make_mmu_config(config.design)
+    accesses = scenario.accesses
     caches = CacheHierarchy(HierarchyConfig())
-    walker = ReplayWalker(scenario, caches, MMUCache())
+    walker = ReplayWalker(
+        scenario, caches, MMUCache(),
+        pollution_schedule(
+            accesses, config.llc_pollution_per_access, caches.llc.num_sets
+        ),
+    )
     mmu = MMU(mmu_config, walker, sanitize=config.sanitize)
-    pollution = LLCPollution(caches.llc, config.llc_pollution_per_access)
 
-    vpns = scenario.vpns
-    before = scenario.inval_before
-    starts = scenario.inval_start
-    counts = scenario.inval_count
-    pending = 0
-    total_events = int(before.size)
-    access = mmu.access
+    before = scenario.inval_before.tolist()
+    starts = scenario.inval_start.tolist()
+    counts = scenario.inval_count.tolist()
+    events = len(before)
     invalidate_range = mmu.invalidate_range
 
     with span(
         "replay",
         design=config.design.value,
         benchmark=config.benchmark,
-        accesses=int(vpns.size),
+        accesses=accesses,
     ):
-        for index in range(vpns.size):
-            while pending < total_events and int(before[pending]) <= index:
-                invalidate_range(int(starts[pending]), int(counts[pending]))
-                pending += 1
-            walker.cursor = index
-            access(int(vpns[index]))
-            pollution.after_access()
+        pending = 0
+        if mmu_config.design is not CoLTDesign.PERFECT:
+            # A perfect TLB never probes, walks or fills: only the
+            # access and shootdown counts below are live.
+            step = mmu.step
+            counted = 0
+            sa_repeats = fa_repeats = 0
+            prev_vpn = -1
+            outcome = WALK_FA
+            next_event = before[0] if events else accesses
+            for index, vpn in enumerate(scenario.vpns.tolist()):
+                if index == next_event:
+                    mmu.tally(index - counted, sa_repeats, fa_repeats)
+                    counted = index
+                    sa_repeats = fa_repeats = 0
+                    while pending < events and before[pending] <= index:
+                        invalidate_range(starts[pending], counts[pending])
+                        pending += 1
+                    next_event = before[pending] if pending < events else accesses
+                    prev_vpn = -1
+                if vpn == prev_vpn:
+                    if outcome == FA_HIT:
+                        fa_repeats += 1
+                        continue
+                    if outcome != WALK_FA:
+                        sa_repeats += 1
+                        continue
+                prev_vpn = vpn
+                walker.cursor = index
+                outcome = step(vpn)
+            mmu.tally(accesses - counted, sa_repeats, fa_repeats)
+        else:
+            mmu.tally(accesses)
         # Shootdowns that trailed the final access still reach the MMU
         # before its counters are snapshotted.
-        while pending < total_events:
-            invalidate_range(int(starts[pending]), int(counts[pending]))
+        while pending < events:
+            invalidate_range(starts[pending], counts[pending])
             pending += 1
 
         if mmu.sanitizer is not None:
             mmu.sanitizer.full_scan()
 
-    distinct_lines = int(np.unique(vpns >> 3).size)
+    distinct_lines = int(np.unique(scenario.vpns >> 3).size)
     discount = float(distinct_lines * caches.config.dram_latency)
     performance = evaluate_performance(
         mmu,
-        int(vpns.size),
+        accesses,
         scenario.profile.core,
         compulsory_discount_cycles=discount,
     )
     return SimulationResult(
         config=config,
         profile=scenario.profile,
-        accesses=int(vpns.size),
+        accesses=accesses,
         l1_misses=mmu.l1_misses,
         l2_misses=mmu.l2_misses,
         mmu_counters=mmu.counters.snapshot(),
         kernel_counters=scenario.kernel_counters,
         performance=performance,
         perfect_performance=perfect_tlb_result(
-            int(vpns.size), scenario.profile.core
+            accesses, scenario.profile.core
         ),
         contiguity=scenario.contiguity,
         trace_unique_pages=scenario.trace_unique_pages,

@@ -116,9 +116,8 @@ def _replay_task(
 ) -> Tuple[List[SimulationResult], Optional[ObsPayload]]:
     """Worker entry point: replay one scenario under several configs.
 
-    ``engine`` is threaded explicitly (rather than re-read from the
-    environment) so pool workers replay with the engine the parent
-    resolved, even when the parent was configured programmatically.
+    ``engine`` is threaded explicitly so pool workers call the replay
+    name the parent was configured with.
     """
     if faults is not None:
         faults.fire("replay", index, attempt)
@@ -180,12 +179,11 @@ class ExperimentRunner:
             polled between (and during) waves; a requested shutdown
             raises :class:`~repro.common.errors.ShutdownRequested` with
             every already-completed result checkpointed.
-        engine: replay engine name (``"scalar"`` or ``"vector"``);
-            ``None`` defers to ``COLT_ENGINE`` and then the scalar
-            default. The engine changes how replay outcomes are
-            computed, never what they are (the vector engine is
-            bit-identical to the scalar oracle), so it is deliberately
-            excluded from result cache and store keys.
+        engine: ``"scalar"`` (the default for ``None``) or
+            ``"vector"``: which of the replay loop's two harness names
+            (see :mod:`repro.sim.engine`) replays call, looked up at
+            call time. Both names run the same function, so the engine
+            is excluded from result cache and store keys.
         watchdog: optional :class:`repro.sim.watchdog.Watchdog`. The
             runner heartbeats it per completed task and honours its
             memory degradation ladder: rung 1 halves the worker pool,

@@ -6,7 +6,7 @@ through the functional TLB simulator under every design. This module is
 the capture half. ``ScenarioEngine`` owns the OS+workload interleaving
 -- kernel boot, aging, memhog, demand faulting, background churn,
 compaction ticks -- and drives it access by access. It is shared by the
-legacy monolithic :class:`repro.sim.system.SystemSimulator` (which
+monolithic :class:`repro.sim.system.SystemSimulator` (which
 attaches a live MMU) and by :func:`capture_scenario` (which attaches a
 recorder instead), so the OS evolution of both paths is identical *by
 construction*, not by convention.
@@ -71,32 +71,6 @@ _PATH_BASE = 4
 _MASK_COLUMN = 8
 _LINE_PFN_BASE = 9
 _LINE_ATTR_BASE = 17
-
-
-class LLCPollution:
-    """Deterministic model of the data stream's LLC pressure on PTE lines.
-
-    Each access accrues ``per_access`` expected evictions; whole lines
-    are evicted from sets visited on a fixed stride. The cursor is
-    explicit state initialised here (not lazily mid-run) so a fresh
-    instance always walks the same set sequence.
-    """
-
-    def __init__(self, llc, per_access: float) -> None:
-        self._llc = llc
-        self._per_access = per_access
-        self._budget = 0.0
-        self._cursor = 0
-
-    def after_access(self) -> None:
-        self._budget += self._per_access
-        if self._budget >= 1.0:
-            lines = int(self._budget)
-            self._budget -= lines
-            llc = self._llc
-            for _ in range(lines):
-                self._cursor = (self._cursor + 101) % llc.num_sets
-                llc.evict_lru_of_set(self._cursor)
 
 
 def scenario_config(config: "SimulationConfig") -> "SimulationConfig":

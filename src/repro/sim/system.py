@@ -39,7 +39,11 @@ import numpy as np
 from repro.common.errors import ConfigurationError, WorkloadError
 from repro.common.statistics import CounterSnapshot
 from repro.contiguity.scanner import ContiguityReport
-from repro.cache.hierarchy import CacheHierarchy, HierarchyConfig
+from repro.cache.hierarchy import (
+    CacheHierarchy,
+    HierarchyConfig,
+    pollution_schedule,
+)
 from repro.cache.mmu_cache import MMUCache
 from repro.core.mmu import MMU, CoLTDesign, MMUConfig, make_mmu_config
 from repro.core.performance import (
@@ -51,7 +55,7 @@ from repro.obs.trace import span
 from repro.osmem.kernel import Kernel, KernelConfig
 from repro.osmem.memhog import AgingProfile
 from repro.osmem.process import Process
-from repro.sim.scenario import LLCPollution, ScenarioEngine
+from repro.sim.scenario import ScenarioEngine
 from repro.walker.page_walker import PageWalker
 from repro.workloads.benchmarks import BenchmarkProfile, get_benchmark
 from repro.workloads.trace import Trace, scaled_region_pages
@@ -214,7 +218,8 @@ class SystemSimulator:
     """Boots, loads, and runs one configuration end to end (monolithic).
 
     The OS substrate is a :class:`ScenarioEngine`; this class adds the
-    live MMU and the LLC-pollution model to the engine's access stream.
+    live MMU, whose walker reads the live page table and applies the
+    LLC-pollution schedule, to the engine's access stream.
     ``kernel`` / ``process`` / ``trace`` are views onto the engine.
     """
 
@@ -246,7 +251,13 @@ class SystemSimulator:
         config = self.config
         mmu_config = config.mmu or make_mmu_config(config.design)
         caches = CacheHierarchy(HierarchyConfig())
-        walker = PageWalker(self.process.page_table, caches, MMUCache())
+        walker = PageWalker(
+            self.process.page_table, caches, MMUCache(),
+            pollution_schedule(
+                len(self.trace.vpns), config.llc_pollution_per_access,
+                caches.llc.num_sets,
+            ),
+        )
         mmu = MMU(mmu_config, walker, sanitize=config.sanitize)
 
         bench_pid = self.process.pid
@@ -265,14 +276,11 @@ class SystemSimulator:
             self.prepare()
         mmu = self.mmu
         access = mmu.access
-        pollution = LLCPollution(
-            self._caches.llc, self.config.llc_pollution_per_access
-        )
-        after_access = pollution.after_access
+        walker = mmu.walker
 
         def on_access(index: int, vpn: int) -> None:
+            walker.cursor = index
             access(vpn)
-            after_access()
 
         with span(
             "simulate",

@@ -1,241 +1,149 @@
-"""TLB entry formats, including CoLT's coalesced entries.
+"""TLB entry formats: plain interval tuples.
 
-Two entry shapes cover every TLB in the paper:
+Every TLB entry is a tuple the probe path indexes directly:
 
-* :class:`CoalescedEntry` -- the CoLT-SA format (Figure 4, top): a
-  naturally-aligned group of up to ``2**shift`` consecutive VPNs shares
-  one entry; per-slot valid bits record which translations are present;
-  the stored base PPN corresponds to the first set valid bit, and "PPN
-  generation logic" (here, integer addition) reconstructs the rest. A
-  baseline (non-coalescing) TLB is simply the ``shift = 0`` special case
-  with a single valid bit.
+* :class:`CoalescedEntry` -- the CoLT-SA format (Figure 4, top) as
+  ``(start, end, ppn, attr)``: the *inclusive* VPN run ``start..end``
+  of the entry's valid bits, which always lies inside one naturally
+  aligned group of ``2**shift`` VPNs (the valid bits of a coalesced
+  entry are one contiguous run, because only contiguous translations
+  coalesce); ``ppn`` is the frame of ``start`` (the first set valid
+  bit) and "PPN generation logic" adds the offset. A baseline TLB
+  entry is the one-VPN run ``start == end``.
 
-* :class:`RangeEntry` -- the CoLT-FA format (Figure 5, top): a base VPN,
-  a coalescing-length field, and a base PPN; range-check logic detects
-  hits anywhere in ``[base_vpn, base_vpn + span)``. Superpage entries use
-  the same shape with ``span = 512`` and the superpage flag set.
+* :class:`RangeEntry` -- the CoLT-FA format (Figure 5, top) as
+  ``(base, end, ppn, attr, is_superpage)`` with an *exclusive* ``end``:
+  range-check logic hits anywhere in ``[base, end)``. Superpage entries
+  use the same shape with ``end - base == 512`` and the flag set.
+
+``attr`` is the integer attribute bits of the run's first translation.
+Both named types are tuple subclasses, so the TLBs store them and the
+MMU's plain tuples alike.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence
 
 from repro.common.constants import SUPERPAGE_PAGES
 from repro.common.errors import ConfigurationError
 from repro.common.types import PageAttributes, Translation
 
+#: Attribute bits that must match for two translations to coalesce --
+#: the integer form of ``PageAttributes.coalescing_key``'s mask (the
+#: IntFlag inversion is bounded to the defined flag universe, so this is
+#: *not* ``~24``).
+COALESCING_KEY_MASK = int(~(PageAttributes.ACCESSED | PageAttributes.DIRTY))
 
-@dataclass
-class CoalescedEntry:
-    """A CoLT-SA set-associative TLB entry.
 
-    Attributes:
-        group_base_vpn: first VPN of the aligned group the entry covers
-            (``vpn & ~(group_size - 1)``); tag + index bits derive from it.
-        group_size: ``2**shift`` slots covered by the entry.
-        valid: per-slot valid bits; the set bits are always one contiguous
-            run, because only contiguous translations coalesce.
-        base_ppn: PPN of the slot at the *first set valid bit*.
-        attributes: single attribute set shared by all coalesced
-            translations (Section 4.1.5).
-    """
+def _check_run(translations: Sequence[Translation]) -> Translation:
+    """The run's first translation; raises unless VPN- and PFN-contiguous."""
+    if not translations:
+        raise ConfigurationError("empty translation run")
+    first = translations[0]
+    for offset, translation in enumerate(translations):
+        if translation.vpn != first.vpn + offset:
+            raise ConfigurationError("run is not VPN-contiguous")
+        if translation.pfn != first.pfn + offset:
+            raise ConfigurationError("run is not PFN-contiguous")
+    return first
 
-    group_base_vpn: int
-    group_size: int
-    valid: List[bool]
-    base_ppn: int
-    attributes: PageAttributes
 
-    def __post_init__(self) -> None:
-        if self.group_size < 1 or self.group_size & (self.group_size - 1):
-            raise ConfigurationError(
-                f"group_size must be a power of two, got {self.group_size}"
-            )
-        if self.group_base_vpn % self.group_size != 0:
-            raise ConfigurationError(
-                f"group base {self.group_base_vpn} misaligned for size "
-                f"{self.group_size}"
-            )
-        if len(self.valid) != self.group_size:
-            raise ConfigurationError("valid bit count != group size")
-        if not any(self.valid):
-            raise ConfigurationError("entry must have at least one valid bit")
-        run = self._valid_run()
-        if run is None:
-            raise ConfigurationError(
-                "valid bits must form one contiguous run (only contiguous "
-                "translations coalesce)"
-            )
+class CoalescedEntry(NamedTuple):
+    """A set-associative TLB entry: inclusive run ``start..end``."""
 
-    def _valid_run(self) -> Optional[Tuple[int, int]]:
-        """(first, last) set-bit indices, or None if non-contiguous."""
-        first = self.valid.index(True)
-        last = self.group_size - 1 - self.valid[::-1].index(True)
-        if all(self.valid[first : last + 1]):
-            return first, last
-        return None
+    start: int
+    end: int
+    ppn: int
+    attr: int
 
     @classmethod
     def from_run(
-        cls,
-        translations: Sequence[Translation],
-        group_size: int,
+        cls, translations: Sequence[Translation], group_size: int
     ) -> "CoalescedEntry":
         """Build an entry from a contiguous run inside one aligned group."""
-        if not translations:
-            raise ConfigurationError("empty translation run")
-        first = translations[0]
-        base = first.vpn - (first.vpn % group_size)
-        valid = [False] * group_size
-        for offset, translation in enumerate(translations):
-            expected_vpn = first.vpn + offset
-            if translation.vpn != expected_vpn:
-                raise ConfigurationError("run is not VPN-contiguous")
-            if translation.pfn != first.pfn + offset:
-                raise ConfigurationError("run is not PFN-contiguous")
-            slot = translation.vpn - base
-            if not 0 <= slot < group_size:
-                raise ConfigurationError("run crosses the aligned group")
-            valid[slot] = True
-        return cls(base, group_size, valid, first.pfn, first.attributes)
-
-    @property
-    def coalesced_count(self) -> int:
-        return sum(self.valid)
-
-    @property
-    def first_valid_slot(self) -> int:
-        return self.valid.index(True)
-
-    def covers(self, vpn: int) -> bool:
-        """Hit check: group match + valid bit set (Figure 4 steps a, b)."""
-        slot = vpn - self.group_base_vpn
-        return 0 <= slot < self.group_size and self.valid[slot]
-
-    def ppn_for(self, vpn: int) -> int:
-        """PPN generation logic: base PPN + distance from first valid slot."""
-        slot = vpn - self.group_base_vpn
-        if not (0 <= slot < self.group_size and self.valid[slot]):
-            raise ConfigurationError(f"vpn {vpn} not covered by entry")
-        return self.base_ppn + (slot - self.first_valid_slot)
-
-    def translation_for(self, vpn: int) -> Translation:
-        return Translation(vpn, self.ppn_for(vpn), self.attributes)
-
-    def slice_for_group(self, vpn: int, group_size: int) -> Optional["CoalescedEntry"]:
-        """Project this entry onto a smaller aligned group containing ``vpn``.
-
-        Used when copying an L2 entry into an L1 TLB whose index shift is
-        smaller: only the sub-group's translations survive. Returns None
-        when no valid slot falls inside the target group.
-        """
-        if group_size > self.group_size:
-            raise ConfigurationError("cannot widen an entry by slicing")
-        target_base = vpn - (vpn % group_size)
-        translations = [
-            self.translation_for(target_base + i)
-            for i in range(group_size)
-            if self.covers(target_base + i)
-        ]
-        if not translations:
-            return None
-        return CoalescedEntry.from_run(translations, group_size)
+        if group_size < 1 or group_size & (group_size - 1):
+            raise ConfigurationError(
+                f"group_size must be a power of two, got {group_size}"
+            )
+        first = _check_run(translations)
+        end = first.vpn + len(translations) - 1
+        if first.vpn // group_size != end // group_size:
+            raise ConfigurationError("run crosses the aligned group")
+        return cls(first.vpn, end, first.pfn, int(first.attributes))
 
 
-@dataclass
-class RangeEntry:
-    """A CoLT-FA fully-associative TLB entry (also superpage entries).
+class RangeEntry(NamedTuple):
+    """A fully-associative TLB entry: ``[base, end)`` (also superpages)."""
 
-    Attributes:
-        base_vpn: first virtual page covered.
-        span: number of consecutive translations coalesced (the paper's
-            coalescing-length field; 512 for a superpage entry).
-        base_ppn: physical frame of ``base_vpn``.
-        attributes: shared attribute bits.
-        is_superpage: a bona fide 2MB mapping rather than coalesced 4KB
-            pages (affects invalidation semantics, not lookup).
-    """
-
-    base_vpn: int
-    span: int
-    base_ppn: int
-    attributes: PageAttributes
+    base: int
+    end: int
+    ppn: int
+    attr: int
     is_superpage: bool = False
-
-    def __post_init__(self) -> None:
-        if self.span < 1:
-            raise ConfigurationError(f"span must be >= 1, got {self.span}")
-        if self.is_superpage and self.span != SUPERPAGE_PAGES:
-            raise ConfigurationError("superpage entries span exactly 512 pages")
 
     @classmethod
     def from_run(cls, translations: Sequence[Translation]) -> "RangeEntry":
         """Build a range entry from a contiguous run of translations."""
-        if not translations:
-            raise ConfigurationError("empty translation run")
-        first = translations[0]
-        for offset, translation in enumerate(translations):
-            if (
-                translation.vpn != first.vpn + offset
-                or translation.pfn != first.pfn + offset
-            ):
-                raise ConfigurationError("run is not contiguous")
-        return cls(first.vpn, len(translations), first.pfn, first.attributes)
+        first = _check_run(translations)
+        return cls(
+            first.vpn, first.vpn + len(translations), first.pfn,
+            int(first.attributes),
+        )
 
     @classmethod
     def from_superpage(cls, translation: Translation) -> "RangeEntry":
+        """The 512-page entry of the superpage containing ``translation``."""
         if not translation.is_superpage:
             raise ConfigurationError("translation is not a superpage")
+        offset = translation.vpn % SUPERPAGE_PAGES
+        base = translation.vpn - offset
         return cls(
-            translation.vpn,
-            SUPERPAGE_PAGES,
-            translation.pfn,
-            translation.attributes,
-            is_superpage=True,
+            base, base + SUPERPAGE_PAGES, translation.pfn - offset,
+            int(translation.attributes), True,
         )
 
-    @property
-    def end_vpn(self) -> int:
-        return self.base_vpn + self.span
 
-    def covers(self, vpn: int) -> bool:
-        """Range-check logic (Figure 5 step a)."""
-        return self.base_vpn <= vpn < self.end_vpn
+def ppn_for(entry: tuple, vpn: int) -> int:
+    """PPN generation logic: the entry's base PPN plus the VPN offset."""
+    return entry[2] + (vpn - entry[0])
 
-    def ppn_for(self, vpn: int) -> int:
-        """PPN generation logic (Figure 5 step b): offset addition."""
-        if not self.covers(vpn):
-            raise ConfigurationError(f"vpn {vpn} not covered by entry")
-        return self.base_ppn + (vpn - self.base_vpn)
 
-    def translation_for(self, vpn: int) -> Translation:
-        return Translation(
-            vpn, self.ppn_for(vpn), self.attributes, self.is_superpage
-        )
+def slice_to_group(entry: tuple, vpn: int, group_size: int) -> Optional[tuple]:
+    """Project an SA entry onto the aligned ``group_size`` group of ``vpn``.
 
-    def mergeable_with(self, other: "RangeEntry", max_span: int) -> bool:
-        """Can this entry and ``other`` fuse into one larger range?
+    Used when copying an L2 entry into an L1 TLB whose index shift is
+    smaller: only the sub-group's translations survive, so slicing never
+    widens an entry. Returns None when the entry covers nothing of the
+    target group.
+    """
+    start, end, ppn, attr = entry
+    base = vpn - vpn % group_size
+    lo = start if start > base else base
+    top = base + group_size - 1
+    hi = end if end < top else top
+    if lo > hi:
+        return None
+    return (lo, hi, ppn + (lo - start), attr)
 
-        Requires: both non-superpage, adjacency in both VPN and PPN
-        space, matching attributes, and a fused span within the length
-        field's capacity.
-        """
-        if self.is_superpage or other.is_superpage:
-            return False
-        if self.attributes.coalescing_key() != other.attributes.coalescing_key():
-            return False
-        lo, hi = (self, other) if self.base_vpn <= other.base_vpn else (other, self)
-        return (
-            lo.end_vpn == hi.base_vpn
-            and lo.base_ppn + lo.span == hi.base_ppn
-            and lo.span + hi.span <= max_span
-        )
 
-    def merged(self, other: "RangeEntry", max_span: int) -> "RangeEntry":
-        if not self.mergeable_with(other, max_span):
-            raise ConfigurationError("entries are not mergeable")
-        lo, hi = (self, other) if self.base_vpn <= other.base_vpn else (other, self)
-        return RangeEntry(
-            lo.base_vpn, lo.span + hi.span, lo.base_ppn, lo.attributes
-        )
+def merge_ranges(a: tuple, b: tuple, max_span: int) -> Optional[tuple]:
+    """Fuse two FA range entries into one, or None if they cannot fuse.
+
+    Requires (Section 4.2.1): neither is a superpage, the two are
+    adjacent in both VPN and PPN space, their attributes agree modulo
+    ACCESSED/DIRTY, and the fused span fits the length field
+    (``max_span``). The lower entry's PPN and attributes survive.
+    """
+    if a[4] or b[4]:
+        return None
+    if (a[3] & COALESCING_KEY_MASK) != (b[3] & COALESCING_KEY_MASK):
+        return None
+    lo, hi = (a, b) if a[0] <= b[0] else (b, a)
+    if (
+        lo[1] == hi[0]
+        and lo[2] + (lo[1] - lo[0]) == hi[2]
+        and hi[1] - lo[0] <= max_span
+    ):
+        return (lo[0], hi[1], lo[2], lo[3], False)
+    return None

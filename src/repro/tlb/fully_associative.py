@@ -7,6 +7,12 @@ a base VPN, a coalescing length, and a base PPN; lookups range-check the
 requested VPN against every entry (comparator + adder logic in hardware,
 Figure 5).
 
+Entries are ``(base, end, ppn, attr, is_superpage)`` tuples with an
+exclusive ``end`` (see :mod:`repro.tlb.entries`). They may overlap, so
+an insertion-ordered id -> entry dict decides attribution (the first
+covering entry wins) and a separate LRU list of ids (index 0 least
+recently used) decides capacity eviction.
+
 Insertion-time merging (Section 4.2.1): when a freshly-coalesced entry is
 adjacent -- in both VPN and PPN space -- to a resident entry, the two fuse
 into one longer range. This is how CoLT-FA spans multiple PTE cache
@@ -16,14 +22,12 @@ CoLT-All (Section 7.1.1).
 
 from __future__ import annotations
 
-import itertools
-from typing import List, Optional
+from typing import Dict, List, Optional
 
-from repro.common.lru import LRUTracker
-from repro.common.statistics import CounterSet
-from repro.common.types import Translation
+from repro.common.constants import SUPERPAGE_PAGES
+from repro.common.types import PageAttributes, Translation
 from repro.tlb.config import FullyAssociativeTLBConfig
-from repro.tlb.entries import RangeEntry
+from repro.tlb.entries import merge_ranges, ppn_for
 
 
 class FullyAssociativeTLB:
@@ -34,56 +38,46 @@ class FullyAssociativeTLB:
         #: Optional sanitizer hook (see ``repro.analysis.sanitizers``);
         #: when attached, every insert is incrementally validated.
         self.sanitizer = None
-        self._entries: dict = {}  # id -> RangeEntry
-        self._lru: LRUTracker[int] = LRUTracker(config.entries)
-        self._ids = itertools.count()
-        self.counters = CounterSet(
-            [
-                "lookups",
-                "hits",
-                "misses",
-                "fills",
-                "evictions",
-                "merges",
-                "invalidations",
-            ]
-        )
+        self._entries: Dict[int, tuple] = {}
+        self._order: List[int] = []
+        self._next_id = 0
 
     # ------------------------------------------------------------------
     # Lookup.
     # ------------------------------------------------------------------
 
-    def probe(self, vpn: int, update_lru: bool = True) -> Optional[int]:
-        """Range-check every entry; returns the PPN on hit, else None."""
-        self.counters.increment("lookups")
+    def probe(self, vpn: int) -> Optional[tuple]:
+        """Range-check every entry; the first coverer (made MRU) or None."""
         for entry_id, entry in self._entries.items():
-            if entry.covers(vpn):
-                if update_lru:
-                    self._lru.touch(entry_id)
-                self.counters.increment("hits")
-                return entry.base_ppn + (vpn - entry.base_vpn)
-        self.counters.increment("misses")
-        return None
-
-    def lookup(self, vpn: int, update_lru: bool = True) -> Optional[Translation]:
-        """Range-check every entry; returns the translation on hit."""
-        ppn = self.probe(vpn, update_lru)
-        if ppn is None:
-            return None
-        entry = self.covering_entry(vpn)
-        return entry.translation_for(vpn)
-
-    def covering_entry(self, vpn: int) -> Optional[RangeEntry]:
-        for entry in self._entries.values():
-            if entry.covers(vpn):
+            if entry[0] <= vpn < entry[1]:
+                order = self._order
+                if order[-1] != entry_id:
+                    order.remove(entry_id)
+                    order.append(entry_id)
                 return entry
         return None
+
+    def covering_entry(self, vpn: int) -> Optional[tuple]:
+        """The first entry covering ``vpn``, without touching recency."""
+        for entry in self._entries.values():
+            if entry[0] <= vpn < entry[1]:
+                return entry
+        return None
+
+    def lookup(self, vpn: int) -> Optional[Translation]:
+        """:meth:`probe`, returning the translation on a hit."""
+        entry = self.probe(vpn)
+        if entry is None:
+            return None
+        return Translation(
+            vpn, ppn_for(entry, vpn), PageAttributes(entry[3]), entry[4]
+        )
 
     # ------------------------------------------------------------------
     # Fill.
     # ------------------------------------------------------------------
 
-    def insert(self, entry: RangeEntry) -> Optional[RangeEntry]:
+    def insert(self, entry: tuple) -> Optional[tuple]:
         """Install an entry; returns the LRU victim if one was evicted.
 
         With ``merge_on_insert`` enabled, the incoming entry is first
@@ -93,104 +87,83 @@ class FullyAssociativeTLB:
         the initial lookup's resident-candidate matches (Section 4.2.4);
         the architectural outcome is the same.
         """
-        if entry.is_superpage and not self._superpage_valid(entry):
-            raise ValueError("overlapping superpage entry")
-        if self.config.merge_on_insert and not entry.is_superpage:
-            entry = self._merge_with_residents(entry)
-        victim = None
-        if self._lru.is_full:
-            victim_id = self._lru.evict()
-            victim = self._entries.pop(victim_id)
-            self.counters.increment("evictions")
-        entry_id = next(self._ids)
-        self._entries[entry_id] = entry
-        self._lru.touch(entry_id)
-        self.counters.increment("fills")
+        entries = self._entries
+        if entry[4]:
+            base, end = entry[0], entry[1]
+            if end - base != SUPERPAGE_PAGES:
+                raise ValueError("superpage entries span exactly 512 pages")
+            for resident in entries.values():
+                if resident[4] and resident[1] > base and end > resident[0]:
+                    raise ValueError("overlapping superpage entry")
+        elif self.config.merge_on_insert:
+            max_span = self.config.max_span
+            merged = True
+            while merged:
+                merged = False
+                for entry_id, resident in list(entries.items()):
+                    fused = merge_ranges(entry, resident, max_span)
+                    if fused is not None:
+                        entry = fused
+                        del entries[entry_id]
+                        self._order.remove(entry_id)
+                        merged = True
+                        break
+        victim = self._install(entry)
         if self.sanitizer is not None:
             self.sanitizer.after_insert(self, entry)
         return victim
 
-    def insert_superpage(self, translation: Translation) -> Optional[RangeEntry]:
-        return self.insert(RangeEntry.from_superpage(translation))
-
-    def _superpage_valid(self, entry: RangeEntry) -> bool:
-        return all(
-            existing.end_vpn <= entry.base_vpn
-            or entry.end_vpn <= existing.base_vpn
-            or not existing.is_superpage
-            for existing in self._entries.values()
-        )
-
-    def _merge_with_residents(self, entry: RangeEntry) -> RangeEntry:
-        """Fuse ``entry`` with adjacent residents until none remain."""
-        merged = True
-        while merged:
-            merged = False
-            for entry_id, resident in list(self._entries.items()):
-                if entry.mergeable_with(resident, self.config.max_span):
-                    entry = entry.merged(resident, self.config.max_span)
-                    del self._entries[entry_id]
-                    self._lru.remove(entry_id)
-                    self.counters.increment("merges")
-                    merged = True
-                    break
-        return entry
+    def _install(self, entry: tuple) -> Optional[tuple]:
+        """Add ``entry`` as MRU, evicting the LRU entry when full."""
+        victim = None
+        if len(self._order) >= self.config.entries:
+            victim = self._entries.pop(self._order.pop(0))
+        entry_id = self._next_id
+        self._next_id = entry_id + 1
+        self._entries[entry_id] = entry
+        self._order.append(entry_id)
+        return victim
 
     # ------------------------------------------------------------------
     # Invalidation.
     # ------------------------------------------------------------------
 
-    def invalidate(self, vpn: int) -> bool:
-        """Shootdown for one page.
+    def invalidate(self, vpn: int) -> List[tuple]:
+        """Shootdown for one page; returns the entries it evicted.
 
         Whole-entry invalidation by default (Section 4.2.3). With
         graceful invalidation, a coalesced range entry is split into the
-        (up to two) sub-ranges around the victim page; superpage entries
-        are always dropped whole -- the hardware mapping itself is gone.
+        (up to two) sub-ranges around the victim page, which re-enter
+        through the fill path's LRU victim choice (a full TLB evicts for
+        the second survivor); superpage entries are always dropped whole
+        -- the hardware mapping itself is gone.
         """
-        dropped = False
-        for entry_id, entry in list(self._entries.items()):
-            if not entry.covers(vpn):
+        entries = self._entries
+        evicted: List[tuple] = []
+        for entry_id in list(entries):
+            entry = entries.get(entry_id)
+            if entry is None or not entry[0] <= vpn < entry[1]:
                 continue
-            del self._entries[entry_id]
-            self._lru.remove(entry_id)
-            self.counters.increment("invalidations")
-            dropped = True
-            if self.config.graceful_invalidation and not entry.is_superpage:
-                for survivor in self._split_around(entry, vpn):
-                    new_id = next(self._ids)
-                    self._entries[new_id] = survivor
-                    self._lru.touch(new_id)
-                    self.counters.increment("graceful_splits")
-        return dropped
-
-    @staticmethod
-    def _split_around(entry: RangeEntry, vpn: int) -> List[RangeEntry]:
-        """Sub-ranges of ``entry`` surviving the removal of ``vpn``."""
-        survivors: List[RangeEntry] = []
-        left_span = vpn - entry.base_vpn
-        if left_span > 0:
-            survivors.append(
-                RangeEntry(
-                    entry.base_vpn, left_span, entry.base_ppn,
-                    entry.attributes,
-                )
-            )
-        right_span = entry.end_vpn - vpn - 1
-        if right_span > 0:
-            survivors.append(
-                RangeEntry(
-                    vpn + 1,
-                    right_span,
-                    entry.base_ppn + (vpn + 1 - entry.base_vpn),
-                    entry.attributes,
-                )
-            )
-        return survivors
+            del entries[entry_id]
+            self._order.remove(entry_id)
+            if self.config.graceful_invalidation and not entry[4]:
+                base, end, ppn, attr = entry[0], entry[1], entry[2], entry[3]
+                survivors = []
+                if vpn > base:
+                    survivors.append((base, vpn, ppn, attr, False))
+                if vpn + 1 < end:
+                    survivors.append(
+                        (vpn + 1, end, ppn + (vpn + 1 - base), attr, False)
+                    )
+                for survivor in survivors:
+                    victim = self._install(survivor)
+                    if victim is not None:
+                        evicted.append(victim)
+        return evicted
 
     def flush(self) -> None:
         self._entries.clear()
-        self._lru.clear()
+        self._order.clear()
 
     # ------------------------------------------------------------------
     # Introspection.
@@ -200,8 +173,8 @@ class FullyAssociativeTLB:
     def occupancy(self) -> int:
         return len(self._entries)
 
-    def entries(self) -> List[RangeEntry]:
+    def entries(self) -> List[tuple]:
         return list(self._entries.values())
 
     def resident_translations(self) -> int:
-        return sum(entry.span for entry in self._entries.values())
+        return sum(entry[1] - entry[0] for entry in self._entries.values())

@@ -7,25 +7,28 @@ bits -- ``VPN[k + log2(S) - 1 : k]`` -- so each aligned group of ``2**k``
 consecutive VPNs shares a set and may share one coalesced entry. The low
 ``k`` bits select among the entry's valid bits on lookup (Figure 4).
 
-Note that a group is *allowed* to occupy several ways at once: when the
-group's translations are not physically contiguous they cannot share one
-entry's base-PPN arithmetic, so they live in separate ways carrying the
-same tag with disjoint valid bits -- exactly what the hardware's
-tag-match + valid-bit-select lookup supports.
+Entries are ``(start, end, ppn, attr)`` interval tuples (see
+:mod:`repro.tlb.entries`): the inclusive run of an entry's valid bits.
+A group is *allowed* to occupy several ways at once: when the group's
+translations are not physically contiguous they cannot share one
+entry's base-PPN arithmetic, so they live in separate ways with
+disjoint runs -- exactly what the hardware's tag-match + valid-bit
+select lookup supports. Entries of one set never overlap (same group:
+disjoint runs; different groups: disjoint VPN windows), so the first
+covering entry is the only one.
 
-The same class implements the baseline TLB (``index_shift = 0``).
+Per set the TLB keeps an insertion-ordered id -> entry dict plus an LRU
+list of ids (index 0 least recently used). The same class implements
+the baseline TLB (``index_shift = 0``).
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.common.lru import LRUTracker
-from repro.common.statistics import CounterSet
-from repro.common.types import Translation
+from repro.common.types import PageAttributes, Translation
 from repro.tlb.config import SetAssociativeTLBConfig
-from repro.tlb.entries import CoalescedEntry
+from repro.tlb.entries import ppn_for
 
 
 class SetAssociativeTLB:
@@ -36,27 +39,14 @@ class SetAssociativeTLB:
         #: Optional sanitizer hook (see ``repro.analysis.sanitizers``);
         #: when attached, every insert is incrementally validated.
         self.sanitizer = None
-        # Per set: entry-id -> entry, plus an LRU tracker over entry ids.
-        # Ids (not group bases) key the ways, because one group may
-        # legitimately occupy several ways (see module docstring).
-        self._sets: List[Dict[int, CoalescedEntry]] = [
+        self._shift = config.index_shift
+        self._set_mask = config.num_sets - 1
+        self._ways = config.ways
+        self._sets: List[Dict[int, tuple]] = [
             {} for _ in range(config.num_sets)
         ]
-        self._lru: List[LRUTracker[int]] = [
-            LRUTracker(config.ways) for _ in range(config.num_sets)
-        ]
-        self._ids = itertools.count()
-        self.counters = CounterSet(
-            [
-                "lookups",
-                "hits",
-                "misses",
-                "fills",
-                "evictions",
-                "invalidations",
-                "coalesced_translations",
-            ]
-        )
+        self._orders: List[List[int]] = [[] for _ in range(config.num_sets)]
+        self._next_id = 0
 
     # ------------------------------------------------------------------
     # Indexing.
@@ -64,7 +54,7 @@ class SetAssociativeTLB:
 
     def set_index_for(self, vpn: int) -> int:
         """Set selection with the shifted index field."""
-        return (vpn >> self.config.index_shift) % self.config.num_sets
+        return (vpn >> self._shift) & self._set_mask
 
     def group_base_for(self, vpn: int) -> int:
         return vpn - (vpn % self.config.group_size)
@@ -73,82 +63,87 @@ class SetAssociativeTLB:
     # Lookup.
     # ------------------------------------------------------------------
 
-    def probe(self, vpn: int, update_lru: bool = True) -> Optional[int]:
-        """Probe the TLB; returns the PPN on hit, else None.
-
-        The fast path used by the simulators -- identical bookkeeping to
-        :meth:`lookup` without materialising a Translation object.
-        """
-        self.counters.increment("lookups")
-        set_index = self.set_index_for(vpn)
-        for entry_id, entry in self._sets[set_index].items():
-            if entry.covers(vpn):
-                if update_lru:
-                    self._lru[set_index].touch(entry_id)
-                self.counters.increment("hits")
-                return entry.ppn_for(vpn)
-        self.counters.increment("misses")
-        return None
-
-    def lookup(self, vpn: int, update_lru: bool = True) -> Optional[Translation]:
-        """Probe the TLB; returns the translation on hit, else None."""
-        ppn = self.probe(vpn, update_lru)
-        if ppn is None:
-            return None
-        entry = self.entry_for(vpn)
-        return Translation(vpn, ppn, entry.attributes)
-
-    def entry_for(self, vpn: int) -> Optional[CoalescedEntry]:
-        """The resident entry covering ``vpn`` (no stats side effects)."""
-        set_index = self.set_index_for(vpn)
-        for entry in self._sets[set_index].values():
-            if entry.covers(vpn):
+    def probe(self, vpn: int) -> Optional[tuple]:
+        """The entry covering ``vpn`` (made most recently used), or None."""
+        index = (vpn >> self._shift) & self._set_mask
+        for entry_id, entry in self._sets[index].items():
+            if entry[0] <= vpn <= entry[1]:
+                order = self._orders[index]
+                if order[-1] != entry_id:
+                    order.remove(entry_id)
+                    order.append(entry_id)
                 return entry
         return None
+
+    def entry_for(self, vpn: int) -> Optional[tuple]:
+        """The entry covering ``vpn``, without touching recency."""
+        for entry in self._sets[(vpn >> self._shift) & self._set_mask].values():
+            if entry[0] <= vpn <= entry[1]:
+                return entry
+        return None
+
+    def lookup(self, vpn: int) -> Optional[Translation]:
+        """:meth:`probe`, returning the translation on a hit."""
+        entry = self.probe(vpn)
+        if entry is None:
+            return None
+        return Translation(vpn, ppn_for(entry, vpn), PageAttributes(entry[3]))
 
     # ------------------------------------------------------------------
     # Fill.
     # ------------------------------------------------------------------
 
-    def insert(self, entry: CoalescedEntry) -> List[CoalescedEntry]:
-        """Install an entry; returns any entries displaced.
+    def insert(self, entry: tuple) -> List[tuple]:
+        """Install an entry; returns the entries it displaced.
 
-        Resident entries whose valid bits overlap the incoming entry are
-        replaced (the walk's data is fresher and includes the demanded
-        page); same-group entries with disjoint valid bits coexist in
-        other ways. The LRU way is evicted when the set is full.
+        Resident entries overlapping the incoming run are replaced (the
+        walk's data is fresher and includes the demanded page); disjoint
+        entries of the same group coexist in other ways. The victim
+        policy picks a way when the set is full.
         """
-        if entry.group_size != self.config.group_size:
+        start, end = entry[0], entry[1]
+        if start >> self._shift != end >> self._shift:
             raise ValueError(
-                f"entry group size {entry.group_size} != TLB group size "
-                f"{self.config.group_size}"
+                f"entry [{start}, {end}] crosses an aligned group of "
+                f"{self.config.group_size} VPNs"
             )
-        set_index = self.set_index_for(entry.group_base_vpn)
-        bucket = self._sets[set_index]
-        lru = self._lru[set_index]
-        displaced: List[CoalescedEntry] = []
-        # Drop overlapping residents (stale copies of the same pages).
-        for entry_id, resident in list(bucket.items()):
-            if resident.group_base_vpn == entry.group_base_vpn and any(
-                a and b for a, b in zip(resident.valid, entry.valid)
-            ):
+        index = (start >> self._shift) & self._set_mask
+        bucket = self._sets[index]
+        order = self._orders[index]
+        displaced: List[tuple] = []
+        for entry_id in list(bucket):
+            resident = bucket[entry_id]
+            if resident[1] >= start and resident[0] <= end:
                 displaced.append(bucket.pop(entry_id))
-                lru.remove(entry_id)
-        if lru.is_full:
-            victim_id = self._choose_victim(set_index)
-            lru.remove(victim_id)
-            displaced.append(bucket.pop(victim_id))
-            self.counters.increment("evictions")
-        entry_id = next(self._ids)
-        bucket[entry_id] = entry
-        lru.touch(entry_id)
-        self.counters.increment("fills")
-        self.counters.increment("coalesced_translations", entry.coalesced_count)
+                order.remove(entry_id)
+        displaced.extend(self._install(bucket, order, entry))
         if self.sanitizer is not None:
             self.sanitizer.after_insert(self, entry)
         return displaced
 
-    def _choose_victim(self, set_index: int) -> int:
+    def insert_translation(self, translation: Translation) -> List[tuple]:
+        """Install a single (uncoalesced) translation."""
+        vpn = translation.vpn
+        return self.insert(
+            (vpn, vpn, translation.pfn, int(translation.attributes))
+        )
+
+    def _install(
+        self, bucket: Dict[int, tuple], order: List[int], entry: tuple
+    ) -> List[tuple]:
+        """Add ``entry`` as MRU, evicting the victim of a full set."""
+        evicted: List[tuple] = []
+        if len(order) >= self._ways:
+            victim = self._choose_victim(bucket, order)
+            order.remove(victim)
+            evicted.append(bucket.pop(victim))
+        entry_id = self._next_id
+        self._next_id = entry_id + 1
+        bucket[entry_id] = entry
+        order.append(entry_id)
+        return evicted
+
+    def _choose_victim(self, bucket: Dict[int, tuple], order: List[int]) -> int:
         """Pick the entry id to evict from a full set.
 
         Standard LRU by default. With coalescing-aware replacement
@@ -157,107 +152,58 @@ class SetAssociativeTLB:
         representing four pages is worth more than a singleton of equal
         recency.
         """
-        lru = self._lru[set_index]
         if not self.config.coalescing_aware_replacement:
-            return lru.victim()
-        bucket = self._sets[set_index]
-        min_count = min(e.coalesced_count for e in bucket.values())
-        for entry_id in lru:  # LRU -> MRU order
-            if bucket[entry_id].coalesced_count == min_count:
+            return order[0]
+        fewest = min(entry[1] - entry[0] for entry in bucket.values())
+        for entry_id in order:  # LRU -> MRU
+            entry = bucket[entry_id]
+            if entry[1] - entry[0] == fewest:
                 return entry_id
-        return lru.victim()  # pragma: no cover - loop always returns
-
-    def insert_translation(self, translation: Translation) -> None:
-        """Install a single (uncoalesced) translation."""
-        group = self.config.group_size
-        base = translation.vpn - (translation.vpn % group)
-        valid = [False] * group
-        valid[translation.vpn - base] = True
-        self.insert(
-            CoalescedEntry(
-                base, group, valid, translation.pfn, translation.attributes
-            )
-        )
+        return order[0]  # pragma: no cover - loop always returns
 
     # ------------------------------------------------------------------
     # Invalidation.
     # ------------------------------------------------------------------
 
-    def invalidate(self, vpn: int) -> bool:
-        """Shootdown for one page.
+    def invalidate(self, vpn: int) -> List[tuple]:
+        """Shootdown for one page; returns the entries it evicted.
 
         Default behaviour per Section 4.1.5: CoLT "flush[es] out entire
         coalesced entries, losing information for pages that would be
         unaffected in standard TLBs". With graceful invalidation (the
-        section's future-work idea) the entry is instead shrunk around
-        the victim page, keeping the unaffected translations resident.
+        section's future-work idea) the entry is instead split around
+        the victim page, and the (up to two) survivors re-enter through
+        the fill path's victim choice -- in a full set the second
+        survivor evicts a resident, which is returned.
         """
-        set_index = self.set_index_for(vpn)
-        bucket = self._sets[set_index]
-        lru = self._lru[set_index]
-        dropped = False
-        for entry_id, entry in list(bucket.items()):
-            if not entry.covers(vpn):
+        index = (vpn >> self._shift) & self._set_mask
+        bucket = self._sets[index]
+        order = self._orders[index]
+        evicted: List[tuple] = []
+        for entry_id in list(bucket):
+            entry = bucket.get(entry_id)
+            if entry is None or not entry[0] <= vpn <= entry[1]:
                 continue
             del bucket[entry_id]
-            lru.remove(entry_id)
-            self.counters.increment("invalidations")
-            dropped = True
+            order.remove(entry_id)
             if self.config.graceful_invalidation:
-                for survivor in self._shrink_around(entry, vpn):
-                    new_id = next(self._ids)
-                    bucket[new_id] = survivor
-                    lru.touch(new_id)
-                    self.counters.increment("graceful_splits")
-        return dropped
-
-    @staticmethod
-    def _shrink_around(entry: CoalescedEntry, vpn: int) -> List[CoalescedEntry]:
-        """The surviving sub-entries after removing one page from ``entry``.
-
-        A coalesced entry's valid bits form one contiguous run; removing
-        an interior page yields at most two runs (left and right of it).
-        """
-        survivors: List[CoalescedEntry] = []
-        slot = vpn - entry.group_base_vpn
-        first = entry.first_valid_slot
-        last = first + entry.coalesced_count - 1
-        attrs = entry.attributes
-        if slot > first:
-            survivors.append(
-                CoalescedEntry.from_run(
-                    [
-                        Translation(
-                            entry.group_base_vpn + s,
-                            entry.base_ppn + (s - first),
-                            attrs,
-                        )
-                        for s in range(first, slot)
-                    ],
-                    entry.group_size,
-                )
-            )
-        if slot < last:
-            survivors.append(
-                CoalescedEntry.from_run(
-                    [
-                        Translation(
-                            entry.group_base_vpn + s,
-                            entry.base_ppn + (s - first),
-                            attrs,
-                        )
-                        for s in range(slot + 1, last + 1)
-                    ],
-                    entry.group_size,
-                )
-            )
-        return survivors
+                start, end, ppn, attr = entry
+                if vpn > start:
+                    evicted += self._install(
+                        bucket, order, (start, vpn - 1, ppn, attr)
+                    )
+                if vpn < end:
+                    evicted += self._install(
+                        bucket, order,
+                        (vpn + 1, end, ppn + (vpn + 1 - start), attr),
+                    )
+        return evicted
 
     def flush(self) -> None:
         for bucket in self._sets:
             bucket.clear()
-        for lru in self._lru:
-            lru.clear()
+        for order in self._orders:
+            order.clear()
 
     # ------------------------------------------------------------------
     # Introspection.
@@ -270,19 +216,19 @@ class SetAssociativeTLB:
     def resident_translations(self) -> int:
         """Total VPNs covered (> occupancy when entries are coalesced)."""
         return sum(
-            entry.coalesced_count
+            entry[1] - entry[0] + 1
             for bucket in self._sets
             for entry in bucket.values()
         )
 
-    def entries(self) -> List[CoalescedEntry]:
-        return [e for bucket in self._sets for e in bucket.values()]
+    def entries(self) -> List[tuple]:
+        return [entry for bucket in self._sets for entry in bucket.values()]
 
-    def iter_sets(self):
+    def iter_sets(self) -> Iterator[Tuple[int, List[tuple]]]:
         """Yield ``(set_index, entries)`` pairs; sanitizer introspection."""
-        for set_index, bucket in enumerate(self._sets):
-            yield set_index, list(bucket.values())
+        for index, bucket in enumerate(self._sets):
+            yield index, list(bucket.values())
 
-    def set_entries(self, set_index: int) -> List[CoalescedEntry]:
+    def set_entries(self, set_index: int) -> List[tuple]:
         """The entries resident in one set; sanitizer introspection."""
         return list(self._sets[set_index].values())

@@ -1,5 +1,5 @@
 """Page-table walker: TLB-miss resolution through the memory hierarchy."""
 
-from repro.walker.page_walker import PageWalker
+from repro.walker.page_walker import PageWalker, WalkRecord
 
-__all__ = ["PageWalker"]
+__all__ = ["PageWalker", "WalkRecord"]

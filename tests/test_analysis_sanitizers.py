@@ -23,7 +23,7 @@ from repro.core.mmu import MMU, CoLTDesign, make_mmu_config
 from repro.osmem.buddy import BuddyAllocator
 from repro.osmem.kernel import Kernel, KernelConfig
 from repro.osmem.page_table import PageTable
-from repro.tlb.entries import CoalescedEntry, RangeEntry
+from repro.tlb.entries import RangeEntry
 from repro.walker.page_walker import PageWalker
 
 
@@ -71,18 +71,11 @@ class TestTLBSanitizer:
     def test_overlapping_coalesced_ranges_in_set(self):
         mmu = build_mmu()
         mmu.access(1024)
-        entry = mmu.l1.entry_for(1024)
-        set_index = mmu.l1.set_index_for(entry.group_base_vpn)
+        start, end, ppn, attr = mmu.l1.entry_for(1024)
+        set_index = mmu.l1.set_index_for(start)
         # A second way covering the same VPN: illegal per Section 4.1.2
         # (tag match + valid-bit select would be ambiguous).
-        duplicate = CoalescedEntry(
-            entry.group_base_vpn,
-            entry.group_size,
-            list(entry.valid),
-            entry.base_ppn + 7,
-            entry.attributes,
-        )
-        mmu.l1._sets[set_index][999999] = duplicate
+        mmu.l1._sets[set_index][999999] = (start, end, ppn + 7, attr)
         with pytest.raises(SanitizerError, match="covered by two entries"):
             mmu.sanitizer.full_scan()
 
@@ -90,11 +83,21 @@ class TestTLBSanitizer:
         mmu = build_mmu()
         mmu.access(1024)
         entry = mmu.l1.entry_for(1024)
-        home = mmu.l1.set_index_for(entry.group_base_vpn)
+        home = mmu.l1.set_index_for(entry[0])
         wrong = (home + 1) % mmu.l1.config.num_sets
         del mmu.l1._sets[home][next(iter(mmu.l1._sets[home]))]
         mmu.l1._sets[wrong][999999] = entry
         with pytest.raises(SanitizerError, match="shifted index says"):
+            mmu.sanitizer.full_scan()
+
+    def test_entry_crossing_its_group_detected(self):
+        mmu = build_mmu()
+        mmu.access(1024)
+        start, _end, ppn, attr = mmu.l1.entry_for(1024)
+        set_index = mmu.l1.set_index_for(start)
+        bucket = mmu.l1._sets[set_index]
+        bucket[next(iter(bucket))] = (start, start + 5, ppn, attr)
+        with pytest.raises(SanitizerError, match="aligned group"):
             mmu.sanitizer.full_scan()
 
     def test_inclusivity_break_detected(self):
@@ -112,18 +115,14 @@ class TestTLBSanitizer:
         set_index, bucket = next(
             (i, b) for i, b in enumerate(mmu.l1._sets) if b
         )
-        template = next(iter(bucket.values()))
+        start, end, _ppn, attr = next(iter(bucket.values()))
         # Stuff more ways than the set has, with disjoint groups that
         # still home to this set (stride num_sets * group_size).
         stride = mmu.l1.config.num_sets * mmu.l1.config.group_size
         for extra in range(mmu.l1.config.ways + 1):
-            base = template.group_base_vpn + (extra + 1) * stride
-            bucket[1000000 + extra] = CoalescedEntry(
-                base,
-                template.group_size,
-                list(template.valid),
-                9000 + extra,
-                template.attributes,
+            offset = (extra + 1) * stride
+            bucket[1000000 + extra] = (
+                start + offset, end + offset, 9000 + extra, attr
             )
         with pytest.raises(SanitizerError, match="ways"):
             mmu.sanitizer.full_scan()
@@ -131,10 +130,10 @@ class TestTLBSanitizer:
     def test_fa_inconsistent_overlap_detected(self):
         mmu = build_mmu(CoLTDesign.COLT_FA)
         fa = mmu.superpage_tlb
-        attrs = PageAttributes.default_user()
-        fa._entries[1] = RangeEntry(1024, 4, 5000, attrs)
+        attrs = int(PageAttributes.default_user())
+        fa._entries[1] = RangeEntry(1024, 1028, 5000, attrs)
         # Overlaps [1024, 1028) but maps it somewhere else entirely.
-        fa._entries[2] = RangeEntry(1026, 4, 8000, attrs)
+        fa._entries[2] = RangeEntry(1026, 1030, 8000, attrs)
         with pytest.raises(SanitizerError, match="disagree"):
             mmu.sanitizer.full_scan()
 
@@ -143,9 +142,12 @@ class TestTLBSanitizer:
         translation = Translation(
             512, 1536, PageAttributes.default_user(), is_superpage=True
         )
-        mmu.superpage_tlb.insert_superpage(translation)
-        entry = next(iter(mmu.superpage_tlb._entries.values()))
-        object.__setattr__(entry, "base_vpn", entry.base_vpn + 3)
+        mmu.superpage_tlb.insert(RangeEntry.from_superpage(translation))
+        fa = mmu.superpage_tlb
+        entry_id, entry = next(iter(fa._entries.items()))
+        fa._entries[entry_id] = entry._replace(
+            base=entry.base + 3, end=entry.end + 3
+        )
         with pytest.raises(SanitizerError, match="aligned"):
             mmu.sanitizer.full_scan()
 
@@ -153,28 +155,20 @@ class TestTLBSanitizer:
         """The incremental hook fires at insert time, not just on scans."""
         mmu = build_mmu()
         mmu.access(1024)
-        entry = mmu.l1.entry_for(1024)
-        set_index = mmu.l1.set_index_for(entry.group_base_vpn)
-        stale = CoalescedEntry(
-            entry.group_base_vpn,
-            entry.group_size,
-            list(entry.valid),
-            entry.base_ppn + 3,
-            entry.attributes,
-        )
+        start, end, ppn, attr = mmu.l1.entry_for(1024)
+        set_index = mmu.l1.set_index_for(start)
         # Plant a conflicting way, then insert a disjoint-group entry to
         # trigger the per-insert set check.
-        mmu.l1._sets[set_index][999999] = stale
+        mmu.l1._sets[set_index][999999] = (start, end, ppn + 3, attr)
         stride = mmu.l1.config.num_sets * mmu.l1.config.group_size
-        fresh = CoalescedEntry(
-            entry.group_base_vpn + stride,
-            entry.group_size,
-            list(entry.valid),
-            7000,
-            entry.attributes,
-        )
         with pytest.raises(SanitizerError, match="covered by two entries"):
-            mmu.l1.insert(fresh)
+            mmu.l1.insert((start + stride, end + stride, 7000, attr))
+
+    def test_fill_disagreeing_with_the_walk_detected(self):
+        mmu = build_mmu()
+        mmu.access(1024)
+        with pytest.raises(SanitizerError, match="page table says"):
+            mmu.sanitizer.after_fill(1024, 5000 + 1)
 
 
 class TestBuddySanitizer:
@@ -289,8 +283,10 @@ class TestSanitizedRunsAreTransparent:
         plain = build_mmu_for_comparison(sanitize=False)
         checked = build_mmu_for_comparison(sanitize=True)
         assert plain.counters.as_dict() == checked.counters.as_dict()
-        assert plain.l1.counters.as_dict() == checked.l1.counters.as_dict()
-        assert plain.l2.counters.as_dict() == checked.l2.counters.as_dict()
+        for name in ("l1", "l2", "superpage_tlb"):
+            tlb_plain = getattr(plain, name)
+            tlb_checked = getattr(checked, name)
+            assert tlb_plain.entries() == tlb_checked.entries()
 
 
 def build_mmu_for_comparison(sanitize):

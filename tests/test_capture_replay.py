@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.determinism import check_replay_equivalence
+from repro.cache.hierarchy import pollution_schedule
 from repro.common.errors import SimulationError
 from repro.core.mmu import CoLTDesign
 from repro.osmem.kernel import Kernel, KernelConfig
@@ -23,7 +24,6 @@ from repro.sim.replay import replay_scenario
 from repro.sim.runner import ExperimentRunner
 from repro.sim.scenario import (
     RECORD_COLUMNS,
-    LLCPollution,
     ScenarioEngine,
     capture_scenario,
     scenario_config,
@@ -357,35 +357,12 @@ class TestSchedules:
         assert len(churns) == 100 // 48
 
     def test_pollution_cursor_initialised_in_init(self):
-        class FakeLLC:
-            num_sets = 1024
-
-            def __init__(self):
-                self.evicted = []
-
-            def evict_lru_of_set(self, set_index):
-                self.evicted.append(set_index)
-
-        llc = FakeLLC()
-        pollution = LLCPollution(llc, per_access=1.0)
-        # Explicit state from construction -- no lazy getattr mid-run.
-        assert pollution._cursor == 0
-        for _ in range(3):
-            pollution.after_access()
-        assert llc.evicted == [101, 202, 303]
+        # The set cursor starts at 0 on every run (explicit state, not
+        # carried over), so a fresh schedule walks the same sets.
+        assert pollution_schedule(3, 1.0, 1024) == [
+            (0, 101), (1, 202), (2, 303),
+        ]
 
     def test_fractional_pollution_budget_accumulates(self):
-        class FakeLLC:
-            num_sets = 64
-
-            def __init__(self):
-                self.evicted = []
-
-            def evict_lru_of_set(self, set_index):
-                self.evicted.append(set_index)
-
-        llc = FakeLLC()
-        pollution = LLCPollution(llc, per_access=0.5)
-        for _ in range(4):
-            pollution.after_access()
-        assert len(llc.evicted) == 2
+        assert pollution_schedule(4, 0.5, 64) == [(1, 37), (3, 10)]
+        assert pollution_schedule(4, 0.0, 64) == []

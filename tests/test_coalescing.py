@@ -59,24 +59,19 @@ class TestContiguousRunAround:
 
 class TestClipToGroup:
     def test_clip_keeps_demanded_group(self):
-        run = line(*[(6 + i, 50 + i) for i in range(6)])  # vpns 6..11
-        clipped = clip_to_group(run, 9, group_size=4)
-        assert [t.vpn for t in clipped] == [8, 9, 10, 11]
+        # Run 6..11 around 9, clipped to 9's aligned group of 4.
+        assert clip_to_group(6, 11, 9, group_size=4) == (8, 11)
 
     def test_clip_to_singleton_group(self):
-        run = line((6, 1), (7, 2))
-        clipped = clip_to_group(run, 6, group_size=1)
-        assert [t.vpn for t in clipped] == [6]
+        assert clip_to_group(6, 7, 6, group_size=1) == (6, 6)
 
     def test_demanded_vpn_always_survives(self):
-        run = line((4, 1), (5, 2), (6, 3), (7, 4))
-        clipped = clip_to_group(run, 7, group_size=2)
-        assert any(t.vpn == 7 for t in clipped)
+        lo, hi = clip_to_group(4, 7, 7, group_size=2)
+        assert lo <= 7 <= hi
 
     def test_clip_losing_demanded_vpn_rejected(self):
-        run = line((4, 1), (5, 2))
         with pytest.raises(ValueError):
-            clip_to_group(run, 9, group_size=4)
+            clip_to_group(4, 5, 9, group_size=4)
 
 
 class TestRunEndpoints:
@@ -102,43 +97,33 @@ class TestRunEndpoints:
 
 class TestClipToWindow:
     def test_short_run_unchanged(self):
-        run = line((8, 1), (9, 2))
-        assert len(clip_to_window(run, 8, 4)) == 2
+        assert clip_to_window(8, 9, 8, 4) == (8, 9)
 
     def test_window_centres_on_demand(self):
-        run = line(*[(i, 100 + i) for i in range(8)])
-        clipped = clip_to_window(run, 4, 4)
-        vpns = [t.vpn for t in clipped]
-        assert len(vpns) == 4
-        assert 4 in vpns
+        lo, hi = clip_to_window(0, 7, 4, 4)
+        assert hi - lo + 1 == 4
+        assert lo <= 4 <= hi
 
     def test_window_at_run_edge(self):
-        run = line(*[(i, 100 + i) for i in range(8)])
-        clipped = clip_to_window(run, 7, 2)
-        assert [t.vpn for t in clipped] == [6, 7]
+        assert clip_to_window(0, 7, 7, 2) == (6, 7)
 
     def test_invalid_window_rejected(self):
         with pytest.raises(ValueError):
-            clip_to_window(line((0, 0)), 0, 0)
+            clip_to_window(0, 0, 0, 0)
 
     def test_window_equal_to_line_is_identity(self):
         # The natural coalescing window IS the 8-PTE cache line: a
         # window of exactly 8 must return a full-line run untouched.
-        run = line(*[(8 + i, 100 + i) for i in range(8)])
-        clipped = clip_to_window(run, 11, 8)
-        assert [t.vpn for t in clipped] == [t.vpn for t in run]
+        assert clip_to_window(8, 15, 11, 8) == (8, 15)
 
     def test_window_one_keeps_only_demand(self):
-        run = line(*[(8 + i, 100 + i) for i in range(8)])
         for vpn in (8, 11, 15):
-            clipped = clip_to_window(run, vpn, 1)
-            assert [t.vpn for t in clipped] == [vpn]
+            assert clip_to_window(8, 15, vpn, 1) == (vpn, vpn)
 
     def test_window_wider_than_line_is_identity(self):
         # Wider-than-line windows model fetching two adjacent lines,
         # but the run itself still bounds the result.
-        run = line(*[(8 + i, 100 + i) for i in range(8)])
-        assert len(clip_to_window(run, 12, 16)) == 8
+        assert clip_to_window(8, 15, 12, 16) == (8, 15)
 
 
 class TestColtAllThresholdRouting:
@@ -178,4 +163,4 @@ class TestColtAllThresholdRouting:
         assert mmu.counters["fa_routed_fills"] == 1
         assert mmu.counters["sa_routed_fills"] == 0
         entry = mmu.superpage_tlb.covering_entry(1025)
-        assert entry is not None and entry.span == 5
+        assert entry is not None and entry[1] - entry[0] == 5

@@ -1,29 +1,31 @@
-"""Vectorized replay engine: bit-identity against the scalar oracle.
+"""The replay loop reproduces pinned reference outputs, under every name.
 
-The vector engine is only a valid optimisation if it is *invisible* in
-the results: every design, every MMU-override knob, every epoch
-boundary and every fault-recovery path must produce results
-bit-identical to ``repro.sim.replay.replay_scenario``. These tests pin
-that contract, plus the engine-selection plumbing (``--engine`` /
-``COLT_ENGINE`` / ``COLT_EPOCH_MAX``) around it.
+There is one replay loop (``repro.sim.replay.replay_scenario``); the
+benchmark harness also reaches it as
+``repro.sim.engine.vector.vector_replay_scenario`` and through
+``ExperimentRunner(engine="vector")``. These tests pin its results to
+``tests/fixtures/replay_reference.json``: miss counts, the 13 MMU
+counters, the performance model and the coalescing run-length
+histogram of QUICK mcf under the five designs, and of a churn-heavy
+small scenario under the five designs and seven MMU-override knobs.
+The fixture was written by the object-model TLB simulator this loop
+replaced; a deliberate behaviour change must regenerate it and say so.
 """
+
+import dataclasses
+import json
+from pathlib import Path
 
 import pytest
 
+from repro.analysis.sanitizers import TLBSanitizer
 from repro.common.errors import ConfigurationError
 from repro.core.mmu import CoLTDesign, make_mmu_config
 from repro.obs.registry import MetricsRegistry, get_registry, set_registry
 from repro.obs.trace import PROFILE_ENV, reset_tracing
 from repro.osmem.kernel import KernelConfig
 from repro.osmem.memhog import SIMULATION_AGING
-from repro.sim.engine import (
-    DEFAULT_EPOCH_MAX,
-    ENGINE_ENV,
-    EPOCH_MAX_ENV,
-    epoch_max,
-    replay_with_engine,
-    resolve_engine,
-)
+from repro.sim.engine import replay_with_engine, resolve_engine
 from repro.sim.engine.vector import vector_replay_scenario
 from repro.sim.faults import FaultPlan
 from repro.sim.replay import replay_scenario
@@ -34,6 +36,12 @@ from repro.sim.system import SimulationConfig
 from repro.experiments.environments import simulation_config
 from repro.experiments.scale import QUICK
 
+REFERENCE = json.loads(
+    (Path(__file__).parent / "fixtures" / "replay_reference.json").read_text(
+        encoding="utf-8"
+    )
+)
+
 ALL_DESIGNS = (
     CoLTDesign.BASELINE,
     CoLTDesign.COLT_SA,
@@ -41,6 +49,21 @@ ALL_DESIGNS = (
     CoLTDesign.COLT_ALL,
     CoLTDesign.PERFECT,
 )
+
+#: The MMU-override knobs of the reference, by fixture key.
+KNOBS = {
+    "graceful-invalidation": (
+        CoLTDesign.COLT_ALL, dict(graceful_invalidation=True)
+    ),
+    "coalescing-aware-replacement": (
+        CoLTDesign.COLT_ALL, dict(coalescing_aware_replacement=True)
+    ),
+    "coalescing-window": (CoLTDesign.COLT_SA, dict(coalescing_window=4)),
+    "no-l2-echo": (CoLTDesign.COLT_FA, dict(fa_fill_l2=False)),
+    "fa-span-16": (CoLTDesign.COLT_FA, dict(max_fa_span=16)),
+    "l2-8way": (CoLTDesign.COLT_ALL, dict(l2_ways=8)),
+    "sa-shift-3": (CoLTDesign.COLT_SA, dict(sa_shift=3)),
+}
 
 
 def small_config(**overrides):
@@ -58,30 +81,45 @@ def small_config(**overrides):
     return SimulationConfig(**defaults)
 
 
-def assert_identical(scalar, vector):
-    assert vector.accesses == scalar.accesses
-    assert vector.l1_misses == scalar.l1_misses
-    assert vector.l2_misses == scalar.l2_misses
-    assert vector.mmu_counters.values == scalar.mmu_counters.values
-    assert vector.performance == scalar.performance
-    assert vector.contiguity == scalar.contiguity
+def small_configs():
+    """Every small-scenario config of the reference, by fixture key."""
+    configs = {
+        f"small/{design.value}": small_config(design=design)
+        for design in ALL_DESIGNS
+    }
+    for name, (design, overrides) in KNOBS.items():
+        configs[f"small/{name}"] = small_config().with_updates(
+            design=design, mmu=make_mmu_config(design, **overrides)
+        )
+    return configs
 
 
-@pytest.fixture(autouse=True)
-def _engine_env_clean(monkeypatch):
-    monkeypatch.delenv(ENGINE_ENV, raising=False)
-    monkeypatch.delenv(EPOCH_MAX_ENV, raising=False)
+def assert_matches_reference(key, result):
+    reference = REFERENCE[key]
+    assert result.l1_misses == reference["l1_misses"]
+    assert result.l2_misses == reference["l2_misses"]
+    assert dict(result.mmu_counters.values) == reference["mmu_counters"]
+    assert dataclasses.asdict(result.performance) == reference["performance"]
+
+
+def assert_identical(a, b):
+    assert a.accesses == b.accesses
+    assert a.l1_misses == b.l1_misses
+    assert a.l2_misses == b.l2_misses
+    assert a.mmu_counters.values == b.mmu_counters.values
+    assert a.performance == b.performance
+    assert a.contiguity == b.contiguity
 
 
 @pytest.fixture(scope="module")
 def quick_scenario():
-    """One QUICK-scale capture, shared by every equivalence test."""
+    """One QUICK-scale capture, shared by every reference test."""
     return capture_scenario(simulation_config(QUICK.benchmarks[0], QUICK))
 
 
 @pytest.fixture(scope="module")
 def small_scenario():
-    """A churn-heavy small capture: shootdowns land mid-window."""
+    """A churn-heavy small capture: shootdowns land mid-log."""
     return capture_scenario(small_config())
 
 
@@ -91,44 +129,20 @@ class TestBitIdentity:
         config = simulation_config(
             QUICK.benchmarks[0], QUICK
         ).with_updates(design=design)
-        scalar = replay_scenario(quick_scenario, config)
-        vector = vector_replay_scenario(quick_scenario, config)
-        assert_identical(scalar, vector)
+        result = replay_scenario(quick_scenario, config)
+        assert_matches_reference(f"quick/{design.value}", result)
+        assert_identical(result, vector_replay_scenario(quick_scenario, config))
 
-    @pytest.mark.parametrize("design, overrides", [
-        pytest.param(
-            CoLTDesign.COLT_ALL, dict(graceful_invalidation=True),
-            id="graceful-invalidation",
-        ),
-        pytest.param(
-            CoLTDesign.COLT_ALL, dict(coalescing_aware_replacement=True),
-            id="coalescing-aware-replacement",
-        ),
-        pytest.param(
-            CoLTDesign.COLT_SA, dict(coalescing_window=4),
-            id="coalescing-window",
-        ),
-        pytest.param(
-            CoLTDesign.COLT_FA, dict(fa_fill_l2=False), id="no-l2-echo",
-        ),
-        pytest.param(
-            CoLTDesign.COLT_FA, dict(max_fa_span=16), id="fa-span-16",
-        ),
-        pytest.param(CoLTDesign.COLT_ALL, dict(l2_ways=8), id="l2-8way"),
-        pytest.param(CoLTDesign.COLT_SA, dict(sa_shift=3), id="sa-shift-3"),
-    ])
-    def test_mmu_override_knobs(self, small_scenario, design, overrides):
-        """Every fill-policy/TLB-shape knob replays identically."""
-        config = small_config().with_updates(
-            design=design, mmu=make_mmu_config(design, **overrides)
-        )
-        assert_identical(
-            replay_scenario(small_scenario, config),
-            vector_replay_scenario(small_scenario, config),
+    @pytest.mark.parametrize("name", list(KNOBS))
+    def test_mmu_override_knobs(self, small_scenario, name):
+        """Every fill-policy/TLB-shape knob reproduces the reference."""
+        config = small_configs()[f"small/{name}"]
+        assert_matches_reference(
+            f"small/{name}", replay_scenario(small_scenario, config)
         )
 
     def test_shootdowns_split_epochs(self, small_scenario):
-        """Invalidation events mid-log must become epoch boundaries."""
+        """Shootdowns mid-log end the repeat-hit shortcut's stretches."""
         before = small_scenario.inval_before.tolist()
         assert before, "scenario must carry shootdowns"
         n = small_scenario.accesses
@@ -137,52 +151,40 @@ class TestBitIdentity:
             "strictly inside the access log"
         )
         for design in ALL_DESIGNS:
-            config = small_config().with_updates(design=design)
-            assert_identical(
-                replay_scenario(small_scenario, config),
-                vector_replay_scenario(small_scenario, config),
+            result = replay_scenario(small_scenario, small_config(design=design))
+            assert_matches_reference(f"small/{design.value}", result)
+            assert result.mmu_counters["invalidations"] == sum(
+                small_scenario.inval_count.tolist()
             )
-
-    def test_tiny_epoch_chunks(self, small_scenario, monkeypatch):
-        """Chunking the log into 8-access epochs changes nothing."""
-        monkeypatch.setenv(EPOCH_MAX_ENV, "8")
-        config = small_config()
-        assert_identical(
-            replay_scenario(small_scenario, config),
-            vector_replay_scenario(small_scenario, config),
-        )
 
     def test_coalescing_histograms_identical(
         self, small_scenario, monkeypatch
     ):
-        """Batched observer callbacks aggregate to the scalar histogram."""
+        """The run-length histogram matches the reference, per design."""
         monkeypatch.setenv(PROFILE_ENV, "1")
         reset_tracing()
-        config = small_config()
-        series = []
         try:
-            for fn in (replay_scenario, vector_replay_scenario):
+            for key, config in small_configs().items():
                 set_registry(MetricsRegistry())
-                fn(small_scenario, config)
-                snapshot = get_registry().snapshot(reset=True)
-                entry = snapshot.get("colt_coalesce_run_length")
-                assert entry is not None
-                series.append(entry["series"])
+                replay_scenario(small_scenario, config)
+                entry = get_registry().snapshot(reset=True).get(
+                    "colt_coalesce_run_length"
+                )
+                series = [
+                    {name: s[name] for name in ("labels", "counts", "count", "sum")}
+                    for s in (entry["series"] if entry else [])
+                ]
+                assert series == REFERENCE[key]["histogram"], key
         finally:
             set_registry(None)
             monkeypatch.delenv(PROFILE_ENV)
             reset_tracing()
-        assert series[0] == series[1]
 
 
 class TestEngineSelection:
-    def test_resolve_engine_precedence(self, monkeypatch):
-        assert resolve_engine() == "scalar"
-        monkeypatch.setenv(ENGINE_ENV, "vector")
-        assert resolve_engine() == "vector"
-        assert resolve_engine("scalar") == "scalar"  # explicit wins
-
     def test_resolve_engine_rejects_unknown(self):
+        assert resolve_engine(None) == "scalar"
+        assert resolve_engine("vector") == "vector"
         with pytest.raises(ConfigurationError):
             resolve_engine("turbo")
 
@@ -190,37 +192,36 @@ class TestEngineSelection:
         with pytest.raises(ConfigurationError):
             ExperimentRunner(engine="turbo")
 
-    def test_epoch_max_parsing(self, monkeypatch):
-        assert epoch_max() == DEFAULT_EPOCH_MAX
-        monkeypatch.setenv(EPOCH_MAX_ENV, "512")
-        assert epoch_max() == 512
-        monkeypatch.setenv(EPOCH_MAX_ENV, "0")
-        assert epoch_max() == 1
-        monkeypatch.setenv(EPOCH_MAX_ENV, "not-a-number")
-        assert epoch_max() == DEFAULT_EPOCH_MAX
+    def test_sanitized_runs_take_the_scalar_path(self, monkeypatch):
+        """Sanitized replays run the one loop, full scan included."""
+        scans = []
+        full_scan = TLBSanitizer.full_scan
 
-    def test_sanitized_runs_take_the_scalar_path(self):
-        """Sanitizers attach to live TLB objects: vector must defer."""
-        config = small_config(accesses=1500, sanitize=True)
+        def counting_scan(self):
+            scans.append(self)
+            full_scan(self)
+
+        monkeypatch.setattr(TLBSanitizer, "full_scan", counting_scan)
+        config = small_config(sanitize=True)
         scenario = capture_scenario(config)
-        assert_identical(
-            replay_scenario(scenario, config),
-            replay_with_engine(scenario, config, engine="vector"),
-        )
+        for engine in ("scalar", "vector"):
+            scans.clear()
+            result = replay_with_engine(scenario, config, engine=engine)
+            assert_matches_reference("small/colt_all", result)
+            assert scans, f"{engine}: no TLBSanitizer.full_scan ran"
 
 
 class TestRunnerIntegration:
     def test_vector_runner_matches_scalar_baseline(self):
-        """The full fan-out path, vector engine end to end."""
+        """The full fan-out path, under both harness names."""
         base = small_config(accesses=1500, design=CoLTDesign.BASELINE)
         scalar = ExperimentRunner(jobs=1).run_designs(base)
         vector = ExperimentRunner(jobs=1, engine="vector").run_designs(base)
         assert scalar == vector
 
     def test_faulted_vector_run_matches_scalar_baseline(self):
-        """Chaos case: a faulted vector run recovers to the fault-free
-        scalar results -- retries re-enter the vector engine, and the
-        engines stay interchangeable under the resilience machinery."""
+        """Chaos case: a faulted run under the vector name recovers to
+        the fault-free results -- retries re-enter the replay loop."""
         base = small_config(accesses=1500, design=CoLTDesign.BASELINE)
         scalar = ExperimentRunner(
             jobs=1, policy=RetryPolicy(max_retries=0)

@@ -6,9 +6,7 @@ de-prioritises entries with little coalescing. Both are implemented
 behind configuration flags; these tests pin their semantics.
 """
 
-import pytest
-
-from repro.common.types import Translation
+from repro.common.types import PageAttributes, Translation
 from repro.core.mmu import CoLTDesign, make_mmu_config
 from repro.tlb.config import (
     FullyAssociativeTLBConfig,
@@ -18,11 +16,18 @@ from repro.tlb.entries import CoalescedEntry, RangeEntry
 from repro.tlb.fully_associative import FullyAssociativeTLB
 from repro.tlb.set_associative import SetAssociativeTLB
 
+ATTR = int(PageAttributes.default_user())
+
 
 def run_of(start_vpn, start_pfn, length):
     return [
         Translation(start_vpn + i, start_pfn + i) for i in range(length)
     ]
+
+
+def pfn_of(tlb, vpn):
+    hit = tlb.lookup(vpn)
+    return None if hit is None else hit.pfn
 
 
 class TestGracefulSAInvalidation:
@@ -35,20 +40,22 @@ class TestGracefulSAInvalidation:
         tlb = self.graceful_tlb()
         tlb.insert(CoalescedEntry.from_run(run_of(8, 100, 4), 4))
         tlb.invalidate(9)
-        assert tlb.probe(9, update_lru=False) is None
-        # Neighbours survive with correct PPNs.
-        assert tlb.probe(8) == 100
-        assert tlb.probe(10) == 102
-        assert tlb.probe(11) == 103
-        assert tlb.counters["graceful_splits"] == 2
+        assert tlb.entry_for(9) is None
+        # Neighbours survive with correct PPNs, as two entries.
+        assert pfn_of(tlb, 8) == 100
+        assert pfn_of(tlb, 10) == 102
+        assert pfn_of(tlb, 11) == 103
+        assert sorted(tlb.entries()) == [
+            (8, 8, 100, ATTR), (10, 11, 102, ATTR),
+        ]
 
     def test_edge_invalidation_shrinks_entry(self):
         tlb = self.graceful_tlb()
         tlb.insert(CoalescedEntry.from_run(run_of(8, 100, 4), 4))
         tlb.invalidate(8)
-        assert tlb.probe(8, update_lru=False) is None
+        assert tlb.entry_for(8) is None
         for vpn, ppn in ((9, 101), (10, 102), (11, 103)):
-            assert tlb.probe(vpn) == ppn
+            assert pfn_of(tlb, vpn) == ppn
 
     def test_singleton_invalidation_leaves_nothing(self):
         tlb = self.graceful_tlb()
@@ -60,14 +67,44 @@ class TestGracefulSAInvalidation:
         tlb = SetAssociativeTLB(SetAssociativeTLBConfig(32, 4, 2))
         tlb.insert(CoalescedEntry.from_run(run_of(8, 100, 4), 4))
         tlb.invalidate(9)
-        assert tlb.probe(8, update_lru=False) is None
+        assert tlb.entry_for(8) is None
+
+    def test_split_in_full_set_evicts_instead_of_raising(self):
+        # One 2-way set, group 4: two resident groups fill it, so the
+        # second survivor of a split must evict (the LRU group 4..7).
+        tlb = SetAssociativeTLB(
+            SetAssociativeTLBConfig(2, 2, 2, graceful_invalidation=True)
+        )
+        tlb.insert(CoalescedEntry.from_run(run_of(0, 100, 4), 4))
+        tlb.insert(CoalescedEntry.from_run(run_of(4, 200, 4), 4))
+        tlb.entry_for(0)  # no promotion: 0..3 stays LRU
+        evicted = tlb.invalidate(1)
+        assert evicted == [(4, 7, 200, ATTR)]
+        assert sorted(tlb.entries()) == [
+            (0, 0, 100, ATTR), (2, 3, 102, ATTR),
+        ]
+
+    def test_split_eviction_follows_coalescing_aware_victims(self):
+        # With coalescing-aware replacement the second survivor evicts
+        # the fewest-translation entry: the first survivor itself.
+        tlb = SetAssociativeTLB(SetAssociativeTLBConfig(
+            2, 2, 2, graceful_invalidation=True,
+            coalescing_aware_replacement=True,
+        ))
+        tlb.insert(CoalescedEntry.from_run(run_of(0, 100, 4), 4))
+        tlb.insert(CoalescedEntry.from_run(run_of(4, 200, 4), 4))
+        assert tlb.invalidate(1) == [(0, 0, 100, ATTR)]
+        assert sorted(tlb.entries()) == [
+            (2, 3, 102, ATTR), (4, 7, 200, ATTR),
+        ]
 
 
 class TestGracefulFAInvalidation:
-    def graceful_tlb(self):
+    def graceful_tlb(self, entries=8):
         return FullyAssociativeTLB(
             FullyAssociativeTLBConfig(
-                entries=8, allow_coalesced=True, graceful_invalidation=True
+                entries=entries, allow_coalesced=True,
+                graceful_invalidation=True,
             )
         )
 
@@ -75,18 +112,30 @@ class TestGracefulFAInvalidation:
         tlb = self.graceful_tlb()
         tlb.insert(RangeEntry.from_run(run_of(100, 700, 8)))
         tlb.invalidate(103)
-        assert tlb.probe(103, update_lru=False) is None
-        assert tlb.probe(100) == 700
-        assert tlb.probe(102) == 702
-        assert tlb.probe(104) == 704
-        assert tlb.probe(107) == 707
+        assert tlb.covering_entry(103) is None
+        assert pfn_of(tlb, 100) == 700
+        assert pfn_of(tlb, 102) == 702
+        assert pfn_of(tlb, 104) == 704
+        assert pfn_of(tlb, 107) == 707
         assert tlb.occupancy == 2
 
     def test_superpages_still_drop_whole(self):
         tlb = self.graceful_tlb()
-        tlb.insert_superpage(Translation(512, 1024, is_superpage=True))
+        tlb.insert(RangeEntry.from_superpage(
+            Translation(512, 1024, is_superpage=True)
+        ))
         tlb.invalidate(512 + 10)
         assert tlb.occupancy == 0
+
+    def test_split_in_full_tlb_evicts_instead_of_raising(self):
+        tlb = self.graceful_tlb(entries=2)
+        tlb.insert(RangeEntry.from_run(run_of(0, 0, 4)))
+        tlb.insert(RangeEntry.from_run(run_of(40, 40, 4)))
+        evicted = tlb.invalidate(1)
+        assert evicted == [(40, 44, 40, ATTR, False)]
+        assert sorted(tlb.entries()) == [
+            (0, 1, 0, ATTR, False), (2, 4, 2, ATTR, False),
+        ]
 
 
 class TestCoalescingAwareReplacement:
@@ -104,16 +153,16 @@ class TestCoalescingAwareReplacement:
             tlb.insert_translation(Translation(vpn, vpn))
         tlb.insert_translation(Translation(64, 64))
         # The coalesced entry survived despite being least recent.
-        assert tlb.probe(0, update_lru=False) == 100
+        assert tlb.entry_for(0) == (0, 3, 100, ATTR)
         # The oldest singleton (16) was evicted instead.
-        assert tlb.probe(16, update_lru=False) is None
+        assert tlb.entry_for(16) is None
 
     def test_plain_lru_evicts_oldest_regardless(self):
         tlb = SetAssociativeTLB(SetAssociativeTLBConfig(4, 4, 2))
         tlb.insert(CoalescedEntry.from_run(run_of(0, 100, 4), 4))
         for vpn in (16, 32, 48, 64):
             tlb.insert_translation(Translation(vpn, vpn))
-        assert tlb.probe(0, update_lru=False) is None
+        assert tlb.entry_for(0) is None
 
     def test_ties_broken_by_recency(self):
         tlb = SetAssociativeTLB(
@@ -125,8 +174,8 @@ class TestCoalescingAwareReplacement:
             tlb.insert_translation(Translation(vpn, vpn))
         tlb.probe(0)  # promote the oldest
         tlb.insert_translation(Translation(64, 64))
-        assert tlb.probe(16, update_lru=False) is None  # LRU singleton
-        assert tlb.probe(0, update_lru=False) == 0
+        assert tlb.entry_for(16) is None  # LRU singleton
+        assert tlb.entry_for(0) == (0, 0, 0, ATTR)
 
 
 class TestFactoryFlags:

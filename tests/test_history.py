@@ -34,7 +34,6 @@ def _record(**overrides):
         status="ok",
         figure="fig18",
         scale="quick",
-        engine="scalar",
         fingerprint="abc123",
         wall={"total": 12.5, "fig18": 11.0},
         counters={"colt_mmu_accesses": 600000.0, "colt_mmu_walks": 21919.0},
@@ -50,7 +49,7 @@ def _record(**overrides):
 def _baseline(**overrides):
     base = {
         "schema": BASELINE_SCHEMA,
-        "match": {"figure": "fig18", "scale": "quick", "engine": "scalar"},
+        "match": {"figure": "fig18", "scale": "quick"},
         "exact_counters": {"colt_mmu_accesses": 600000.0},
         "ceilings": {"wall.total": 100.0},
         "floors": {},
@@ -97,12 +96,13 @@ class TestRecords:
         records = [
             _record(),
             _record(figure="table1"),
-            _record(engine="vector"),
+            _record(scale="default"),
         ]
         assert len(select_records(records, figure="fig18")) == 2
         assert len(select_records(records, figure="fig18",
-                                  engine="scalar")) == 1
+                                  scale="quick")) == 1
         assert select_records(records, scale="full") == []
+        assert all("engine" not in record for record in records)
 
     def test_history_enabled_env(self, monkeypatch):
         monkeypatch.delenv("COLT_HISTORY", raising=False)
@@ -163,11 +163,11 @@ class TestGate:
         assert any("exceeds ceiling" in p for p in problems)
 
     def test_gate_floor_checked_only_when_present(self):
-        baseline = _baseline(floors={"vector_speedup": 5.0})
-        assert gate_record(_record(), baseline) == []  # no bench attached
-        slow = _record(vector_speedup=3.0)
+        baseline = _baseline(floors={"store.hit_ratio": 0.5})
+        assert gate_record(_record(store=None), baseline) == []  # no store
+        cold = _record(store={"hits": 0.0, "misses": 20.0, "hit_ratio": 0.0})
         assert any(
-            "below floor" in p for p in gate_record(slow, baseline)
+            "below floor" in p for p in gate_record(cold, baseline)
         )
 
     def test_gate_requires_ok_status(self):
@@ -177,7 +177,7 @@ class TestGate:
     def test_gate_history_picks_newest_matching(self):
         records = [
             _record(counters={"colt_mmu_accesses": 1.0}),  # old, drifted
-            _record(engine="vector"),                      # wrong engine
+            _record(scale="default"),                      # wrong scale
             _record(),                                     # newest match
         ]
         record, problems = gate_history(records, _baseline())
@@ -201,9 +201,7 @@ class TestGate:
 
     def test_committed_baseline_is_loadable(self):
         baseline = load_baseline(REPO_ROOT / "tools" / "history_baseline.json")
-        assert baseline["match"] == {
-            "figure": "fig18", "scale": "quick", "engine": "scalar",
-        }
+        assert baseline["match"] == {"figure": "fig18", "scale": "quick"}
         assert len(baseline["exact_counters"]) >= 30
         assert baseline["ceilings"]["wall.total"] > 0
 
@@ -246,7 +244,7 @@ class TestCli:
         assert "GATE FAIL" in bad.stdout
         assert "colt_mmu_accesses" in bad.stdout
 
-    def test_cli_diff_and_ingest_bench(self, tmp_path):
+    def test_cli_diff(self, tmp_path):
         history = tmp_path / "history.jsonl"
         append_record(history, _record())
         append_record(history, _record(wall={"total": 14.0}))
@@ -256,17 +254,6 @@ class TestCli:
         )
         assert diff.returncode == 0
         assert "wall.total" in diff.stdout
-
-        bench = tmp_path / "BENCH_test.json"
-        bench.write_text(
-            json.dumps({"aggregate_speedup": 6.6}), encoding="utf-8"
-        )
-        ingest = self._run(
-            tmp_path, "--history", str(history),
-            "--ingest-bench", str(bench),
-        )
-        assert ingest.returncode == 0, ingest.stdout + ingest.stderr
-        assert load_history(history)[-1]["vector_speedup"] == 6.6
 
     def test_cli_missing_history_exits_2(self, tmp_path):
         result = self._run(tmp_path, "--history", str(tmp_path / "no.jsonl"))

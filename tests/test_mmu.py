@@ -7,6 +7,7 @@ from repro.cache.mmu_cache import MMUCache
 from repro.common.errors import ConfigurationError
 from repro.core.mmu import MMU, CoLTDesign, MMUConfig, make_mmu_config
 from repro.osmem.page_table import PageTable
+from repro.tlb.config import SetAssociativeTLBConfig
 from repro.walker.page_walker import PageWalker
 
 
@@ -190,7 +191,7 @@ class TestColtFA:
         mmu.translate(1032)
         entry = mmu.superpage_tlb.covering_entry(1028)
         assert entry is not None
-        assert entry.span == 16
+        assert entry[1] - entry[0] == 16
 
     def test_fa_fill_l2_ablation_flag(self):
         mmu = build_mmu(CoLTDesign.COLT_FA, fa_fill_l2=False)
@@ -260,6 +261,29 @@ class TestInvalidation:
         mmu.translate(1024)
         mmu.flush()
         assert mmu.translate(1024).hit_level == "walk"
+
+    def test_graceful_l2_split_keeps_l2_inclusive(self):
+        # A one-set 2-way L2 holding groups 0..3 and 4..7: splitting
+        # 0..3 around vpn 1 evicts the LRU group 4..7, so its L1 copy
+        # must be back-invalidated like any other L2 eviction.
+        config = make_mmu_config(
+            CoLTDesign.COLT_SA, graceful_invalidation=True
+        )
+        tiny_l2 = SetAssociativeTLBConfig(
+            2, 2, 2, graceful_invalidation=True, name="l2_tlb"
+        )
+        config = MMUConfig(**{**config.__dict__, "l2": tiny_l2})
+        table = build_table(8, base_vpn=0, base_pfn=5000)
+        walker = PageWalker(table, CacheHierarchy(), MMUCache())
+        mmu = MMU(config, walker, sanitize=True)
+        mmu.access(0)  # L2 and L1 hold 0..3
+        mmu.access(4)  # L2 and L1 hold 4..7
+        mmu.access(0)  # L1 hit; the L2's LRU entry stays 0..3
+        mmu.invalidate(1)
+        assert mmu.l2.entry_for(4) is None  # evicted by the split
+        assert mmu.l1.entry_for(4) is None  # ... and back-invalidated
+        assert mmu.l1.entry_for(0) is not None
+        mmu.sanitizer.full_scan()
 
 
 class TestAccounting:

@@ -22,8 +22,9 @@ from repro.common.types import PageAttributes, Translation
 from repro.contiguity.scanner import scan_translations
 from repro.core.coalescing import contiguous_run_around
 from repro.osmem.buddy import BuddyAllocator
-from repro.tlb.config import SetAssociativeTLBConfig
-from repro.tlb.entries import CoalescedEntry, RangeEntry
+from repro.tlb.config import FullyAssociativeTLBConfig, SetAssociativeTLBConfig
+from repro.tlb.entries import CoalescedEntry, RangeEntry, ppn_for
+from repro.tlb.fully_associative import FullyAssociativeTLB
 from repro.tlb.set_associative import SetAssociativeTLB
 
 # ---------------------------------------------------------------------------
@@ -128,16 +129,20 @@ def contiguous_runs(draw, max_group=8):
 def test_coalesced_entry_reproduces_its_run(data):
     run, group_size = data
     entry = CoalescedEntry.from_run(run, group_size)
-    assert entry.coalesced_count == len(run)
+    assert entry.end - entry.start + 1 == len(run)
+    tlb = SetAssociativeTLB(
+        SetAssociativeTLBConfig(8, 1, group_size.bit_length() - 1)
+    )
+    tlb.insert(entry)
     for translation in run:
-        assert entry.covers(translation.vpn)
-        assert entry.ppn_for(translation.vpn) == translation.pfn
+        assert tlb.lookup(translation.vpn).pfn == translation.pfn
     # And covers nothing else in the group.
     covered = {t.vpn for t in run}
+    group_base = tlb.group_base_for(entry.start)
     for slot in range(group_size):
-        vpn = entry.group_base_vpn + slot
+        vpn = group_base + slot
         if vpn not in covered:
-            assert not entry.covers(vpn)
+            assert tlb.entry_for(vpn) is None
 
 
 @given(
@@ -148,16 +153,20 @@ def test_coalesced_entry_reproduces_its_run(data):
 )
 @settings(max_examples=200)
 def test_range_entry_covers_exactly_its_span(base_vpn, base_pfn, span, probe):
-    entry = RangeEntry(base_vpn, span, base_pfn,
-                       PageAttributes.default_user())
+    entry = RangeEntry(
+        base_vpn, base_vpn + span, base_pfn,
+        int(PageAttributes.default_user()),
+    )
+    tlb = FullyAssociativeTLB(FullyAssociativeTLBConfig(entries=1))
+    tlb.insert(entry)
     vpn = base_vpn + probe
     if vpn < 0:
         return
     if 0 <= probe < span:
-        assert entry.covers(vpn)
-        assert entry.ppn_for(vpn) == base_pfn + probe
+        assert tlb.covering_entry(vpn) == entry
+        assert ppn_for(entry, vpn) == base_pfn + probe
     else:
-        assert not entry.covers(vpn)
+        assert tlb.covering_entry(vpn) is None
 
 
 # ---------------------------------------------------------------------------
@@ -174,17 +183,15 @@ def test_sa_tlb_never_returns_wrong_ppn(vpns, shift):
     order with interleaved lookups; every hit must be correct."""
     tlb = SetAssociativeTLB(SetAssociativeTLBConfig(16, 4, shift))
     for vpn in vpns:
-        hit = tlb.probe(vpn)
+        hit = tlb.lookup(vpn)
         if hit is not None:
-            assert hit == vpn + 7777
+            assert hit.pfn == vpn + 7777
         else:
             tlb.insert_translation(Translation(vpn, vpn + 7777))
     # Every resident translation is also correct.
     for entry in tlb.entries():
-        for slot in range(entry.group_size):
-            vpn = entry.group_base_vpn + slot
-            if entry.covers(vpn):
-                assert entry.ppn_for(vpn) == vpn + 7777
+        for vpn in range(entry[0], entry[1] + 1):
+            assert ppn_for(entry, vpn) == vpn + 7777
 
 
 @given(
@@ -199,7 +206,7 @@ def test_sa_tlb_invalidation_removes_coverage(vpns, invalidate):
             tlb.insert_translation(Translation(vpn, vpn))
     for vpn in invalidate:
         tlb.invalidate(vpn)
-        assert tlb.probe(vpn, update_lru=False) is None
+        assert tlb.entry_for(vpn) is None
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ from repro.tlb.entries import CoalescedEntry, RangeEntry
 from repro.tlb.fully_associative import FullyAssociativeTLB
 from repro.tlb.set_associative import SetAssociativeTLB
 
+ATTR = int(PageAttributes.default_user())
+
 
 def run_of(start_vpn, start_pfn, length):
     return [
@@ -78,7 +80,8 @@ class TestSetAssociativeTLB:
     def test_overlapping_insert_replaces_stale_copy(self):
         tlb = self.colt()
         tlb.insert_translation(Translation(8, 100))
-        tlb.insert(CoalescedEntry.from_run(run_of(8, 200, 2), 4))
+        displaced = tlb.insert(CoalescedEntry.from_run(run_of(8, 200, 2), 4))
+        assert displaced == [(8, 8, 100, ATTR)]
         assert tlb.lookup(8).pfn == 200
         assert tlb.occupancy == 1
 
@@ -88,23 +91,28 @@ class TestSetAssociativeTLB:
         tlb.insert_translation(Translation(0, 1))
         tlb.insert_translation(Translation(2, 2))
         tlb.lookup(0)  # promote
-        tlb.insert_translation(Translation(4, 3))  # evicts vpn 2
+        evicted = tlb.insert_translation(Translation(4, 3))
+        assert evicted == [(2, 2, 2, ATTR)]
         assert tlb.lookup(0) is not None
         assert tlb.lookup(2) is None
 
     def test_wrong_group_size_rejected(self):
+        # An entry must fit the TLB's aligned group: [2, 5] straddles
+        # the group-4 boundary at 4.
         tlb = self.colt()
         with pytest.raises(ValueError):
-            tlb.insert(CoalescedEntry.from_run(run_of(0, 0, 2), 2))
+            tlb.insert((2, 5, 0, ATTR))
 
     def test_invalidation_drops_whole_coalesced_entry(self):
         tlb = self.colt()
         tlb.insert(CoalescedEntry.from_run(run_of(8, 100, 4), 4))
-        assert tlb.invalidate(9)
+        assert tlb.entry_for(9) is not None
+        assert tlb.invalidate(9) == []  # nothing evicted to make room
         # The entire entry is gone, including unaffected pages
         # (Section 4.1.5).
         for offset in range(4):
             assert tlb.lookup(8 + offset) is None
+        assert tlb.occupancy == 0
 
     def test_invalidate_miss_returns_false(self):
         assert not self.colt().invalidate(123)
@@ -118,16 +126,22 @@ class TestSetAssociativeTLB:
     def test_probe_matches_lookup(self):
         tlb = self.colt()
         tlb.insert(CoalescedEntry.from_run(run_of(8, 100, 3), 4))
-        assert tlb.probe(9) == tlb.lookup(9).pfn
+        entry = tlb.probe(9)
+        assert entry == (8, 10, 100, ATTR)
+        assert entry[2] + (9 - entry[0]) == tlb.lookup(9).pfn
 
     def test_counters(self):
-        tlb = self.conventional()
-        tlb.lookup(5)
-        tlb.insert_translation(Translation(5, 5))
-        tlb.lookup(5)
-        assert tlb.counters["misses"] == 1
-        assert tlb.counters["hits"] == 1
-        assert tlb.counters["fills"] == 1
+        # The TLB keeps no counters of its own: hits and misses are the
+        # MMU's colt_mmu counters. A probe reports the covering entry
+        # and makes it MRU; entry_for never touches recency.
+        tlb = SetAssociativeTLB(SetAssociativeTLBConfig(2, 2, 0))
+        tlb.insert_translation(Translation(0, 1))
+        tlb.insert_translation(Translation(2, 2))
+        assert tlb.entry_for(0) == (0, 0, 1, ATTR)  # no promotion
+        tlb.insert_translation(Translation(4, 3))
+        assert tlb.entry_for(0) is None
+        assert tlb.probe(2) == (2, 2, 2, ATTR)
+        assert tlb.probe(5) is None
 
 
 class TestFullyAssociativeTLB:
@@ -146,7 +160,9 @@ class TestFullyAssociativeTLB:
 
     def test_superpage_hit_anywhere_in_range(self):
         tlb = self.baseline()
-        tlb.insert_superpage(Translation(512, 1024, is_superpage=True))
+        tlb.insert(RangeEntry.from_superpage(
+            Translation(512, 1024, is_superpage=True)
+        ))
         hit = tlb.lookup(512 + 300)
         assert hit.pfn == 1024 + 300
         assert hit.is_superpage
@@ -160,7 +176,7 @@ class TestFullyAssociativeTLB:
         tlb.insert(RangeEntry.from_run(run_of(100, 100, 2)))
         tlb.lookup(0)  # promote the first
         victim = tlb.insert(RangeEntry.from_run(run_of(200, 200, 2)))
-        assert victim.base_vpn == 100
+        assert victim[0] == 100
         assert tlb.lookup(0) is not None
         assert tlb.lookup(100) is None
 
@@ -169,9 +185,7 @@ class TestFullyAssociativeTLB:
         tlb.insert(RangeEntry.from_run(run_of(10, 100, 4)))
         tlb.insert(RangeEntry.from_run(run_of(14, 104, 4)))
         assert tlb.occupancy == 1
-        entry = tlb.covering_entry(12)
-        assert entry.span == 8
-        assert tlb.counters["merges"] == 1
+        assert tlb.covering_entry(12) == (10, 18, 100, ATTR, False)
 
     def test_merging_can_bridge_two_residents(self):
         tlb = self.coalescing()
@@ -179,7 +193,8 @@ class TestFullyAssociativeTLB:
         tlb.insert(RangeEntry.from_run(run_of(8, 8, 4)))
         tlb.insert(RangeEntry.from_run(run_of(4, 4, 4)))  # bridges both
         assert tlb.occupancy == 1
-        assert tlb.covering_entry(6).span == 12
+        entry = tlb.covering_entry(6)
+        assert entry[1] - entry[0] == 12
 
     def test_merging_respects_max_span(self):
         tlb = self.coalescing(max_span=8)
@@ -196,19 +211,25 @@ class TestFullyAssociativeTLB:
     def test_invalidation_drops_covering_entries(self):
         tlb = self.coalescing()
         tlb.insert(RangeEntry.from_run(run_of(10, 100, 8)))
-        assert tlb.invalidate(13)
+        assert tlb.covering_entry(13) is not None
+        assert tlb.invalidate(13) == []
         assert tlb.lookup(10) is None
+        assert tlb.occupancy == 0
 
     def test_resident_translations_counts_spans(self):
         tlb = self.coalescing()
         tlb.insert(RangeEntry.from_run(run_of(0, 0, 5)))
-        tlb.insert_superpage(Translation(512, 1024, is_superpage=True))
+        tlb.insert(RangeEntry.from_superpage(
+            Translation(512, 1024, is_superpage=True)
+        ))
         assert tlb.resident_translations() == 5 + 512
 
     def test_probe_matches_lookup(self):
         tlb = self.baseline()
         tlb.insert(RangeEntry.from_run(run_of(40, 400, 4)))
-        assert tlb.probe(42) == tlb.lookup(42).pfn
+        entry = tlb.probe(42)
+        assert entry == (40, 44, 400, ATTR, False)
+        assert entry[2] + (42 - entry[0]) == tlb.lookup(42).pfn
 
     def test_flush(self):
         tlb = self.baseline()

@@ -42,7 +42,28 @@ class TestWalks:
     def test_superpage_walk_has_no_coalescing_window(self, walker):
         result = walker.walk(1024 + 7)
         assert result.translation.is_superpage
+        assert result.translation.pfn == 8192 + 7
         assert result.cache_line_translations == ()
+
+    def test_record_carries_the_run_around_the_demand(self, table):
+        # VPNs 64..71 map to 5064..5071: one run over the whole line.
+        walker = PageWalker(table, CacheHierarchy(), MMUCache())
+        record = walker.record(70)
+        assert (record.run_lo, record.run_hi) == (0, 7)
+        assert record.mask == 0xFF
+        assert record.line_pfn[6] == 5070
+
+    def test_pollution_lands_before_the_walk(self, table):
+        caches = CacheHierarchy()
+        path = table.walk_path_addresses(70)
+        sets = [(address >> 6) % caches.llc.num_sets for address in path]
+        assert len(set(sets)) == len(path)
+        # The data stream evicts the leaf PTE's LLC set after access 0.
+        walker = PageWalker(table, caches, pollution=[(0, sets[-1])])
+        llc, dram = caches.config.llc.latency, caches.config.dram_latency
+        assert walker.walk(70).latency == len(path) * (llc + dram)
+        walker.cursor = 1  # access 1 walks after the eviction landed
+        assert walker.walk(70).latency == len(path) * llc + dram
 
     def test_first_walk_fetches_all_levels(self, walker):
         result = walker.walk(70)
@@ -66,10 +87,11 @@ class TestWalks:
         assert warm < cold
 
     def test_counters_accumulate(self, walker):
-        walker.walk(64)
-        walker.walk(65)
-        assert walker.counters["walks"] == 2
-        assert walker.counters["levels_fetched"] >= 5
+        # Levels fetched add up per walk: a cold walk reads all four,
+        # a PDE-cached one just the PTE.
+        fetched = walker.walk(64).memory_accesses
+        fetched += walker.walk(65).memory_accesses
+        assert fetched == 5
 
     def test_retarget_flushes_mmu_cache(self, walker):
         walker.walk(70)

@@ -20,15 +20,6 @@ retry policy, per-task deadline and a never-matching fault plan
 attached, and fails if the fault-free machinery costs more than ``X``
 times the plain parallel run.
 
-``--min-vector-speedup X`` arms a separate replay-engine phase: every
-QUICK benchmark is captured once, then replayed under all five designs
-by both the scalar oracle and the vectorized engine
-(``repro.sim.engine``). The phase cross-checks bit-identity of every
-result pair, writes the per-benchmark timings and aggregate replay
-speedup to ``BENCH_vector.json`` (``--vector-output``), and fails if
-the aggregate speedup falls below ``X`` (CI runs with
-``--min-vector-speedup 5.0``; pass ``0`` to just record numbers).
-
 Benchmarking needs ``time.perf_counter``, so this file sits on the
 determinism lint's ``WALL_CLOCK_ALLOW`` list; the timings go to the
 artifact and the terminal only -- nothing here feeds back into
@@ -48,16 +39,12 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 )
 
-from repro.core.mmu import CoLTDesign  # noqa: E402
 from repro.obs.trace import TRACE_ENV, reset_tracing  # noqa: E402
-from repro.sim.engine.vector import vector_replay_scenario  # noqa: E402
 from repro.sim.faults import FaultPlan  # noqa: E402
-from repro.sim.replay import replay_scenario  # noqa: E402
 from repro.sim.resilience import RetryPolicy  # noqa: E402
 from repro.sim.runner import ExperimentRunner  # noqa: E402
-from repro.sim.scenario import capture_scenario, scenario_config  # noqa: E402
+from repro.sim.scenario import scenario_config  # noqa: E402
 from repro.sim.store import ResultStore  # noqa: E402
-from repro.experiments.environments import simulation_config  # noqa: E402
 from repro.experiments.registry import get_experiment  # noqa: E402
 from repro.experiments.scale import QUICK  # noqa: E402
 
@@ -141,72 +128,6 @@ def _resilience_phase(jobs: int) -> dict:
     return {"total_s": round(total, 3), "tasks": counts["tasks"]}
 
 
-def _results_identical(scalar, vector) -> bool:
-    return (
-        scalar.l1_misses == vector.l1_misses
-        and scalar.l2_misses == vector.l2_misses
-        and scalar.mmu_counters.values == vector.mmu_counters.values
-        and scalar.performance == vector.performance
-    )
-
-
-def _vector_phase() -> dict:
-    """Replay every QUICK benchmark with both engines; time and verify.
-
-    One capture per benchmark (untimed), then all five designs replayed
-    scalar and vector. The vector replay is timed best-of-two so the
-    first call's cache warmup does not punish the aggregate; every
-    scalar/vector result pair is cross-checked for bit-identity.
-    """
-    designs = tuple(CoLTDesign)
-    benchmarks = {}
-    scalar_total = vector_total = 0.0
-    replayed_accesses = 0
-    identical = True
-    for benchmark in QUICK.benchmarks:
-        base = simulation_config(benchmark, QUICK)
-        scenario = capture_scenario(base)
-        replayed_accesses += scenario.accesses * len(designs)
-        scalar_s = vector_s = 0.0
-        for design in designs:
-            config = base.with_updates(design=design)
-            started = time.perf_counter()
-            scalar = replay_scenario(scenario, config)
-            scalar_s += time.perf_counter() - started
-            best = None
-            for _ in range(2):
-                started = time.perf_counter()
-                vector = vector_replay_scenario(scenario, config)
-                elapsed = time.perf_counter() - started
-                best = elapsed if best is None else min(best, elapsed)
-            vector_s += best
-            if not _results_identical(scalar, vector):
-                identical = False
-                print(
-                    f"FAIL: vector result diverges from scalar for "
-                    f"{benchmark}/{design.value}", file=sys.stderr,
-                )
-        benchmarks[benchmark] = {
-            "scalar_s": round(scalar_s, 3),
-            "vector_s": round(vector_s, 3),
-            "speedup": round(scalar_s / vector_s, 3) if vector_s else None,
-        }
-        scalar_total += scalar_s
-        vector_total += vector_s
-    return {
-        "scale": "quick",
-        "designs": [design.value for design in designs],
-        "replayed_accesses": replayed_accesses,
-        "benchmarks": benchmarks,
-        "scalar_total_s": round(scalar_total, 3),
-        "vector_total_s": round(vector_total, 3),
-        "speedup": (
-            round(scalar_total / vector_total, 3) if vector_total else None
-        ),
-        "identical": identical,
-    }
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="Time parallel capture+replay on the fig18+fig21 "
@@ -236,16 +157,6 @@ def main(argv=None) -> int:
         help="also run the pipeline with retries/deadlines/a dormant "
              "fault plan armed and fail if it exceeds X times the "
              "plain parallel time",
-    )
-    parser.add_argument(
-        "--min-vector-speedup", type=float, default=None, metavar="X",
-        help="also time scalar-vs-vector replay over every QUICK "
-             "benchmark and design, verify bit-identity, and fail if "
-             "the aggregate replay speedup is below X (0: record-only)",
-    )
-    parser.add_argument(
-        "--vector-output", default="BENCH_vector.json", metavar="FILE",
-        help="where to write the vector-phase JSON artifact",
     )
     args = parser.parse_args(argv)
 
@@ -300,14 +211,6 @@ def main(argv=None) -> int:
             args.max_resilience_overhead
         )
 
-    vector_report = None
-    if args.min_vector_speedup is not None:
-        vector_report = _vector_phase()
-        vector_report["min_speedup"] = args.min_vector_speedup
-        with open(args.vector_output, "w") as handle:
-            json.dump(vector_report, handle, indent=2)
-            handle.write("\n")
-
     with open(args.output, "w") as handle:
         json.dump(report, handle, indent=2)
         handle.write("\n")
@@ -329,11 +232,6 @@ def main(argv=None) -> int:
         print(f"resilience ovrhd  : {resilience_overhead:8.2f}x "
               f"({report['resilience']['tasks']} tasks, threshold "
               f"{args.max_resilience_overhead}x)")
-    if vector_report is not None:
-        print(f"vector replay     : {vector_report['scalar_total_s']:8.2f}s "
-              f"scalar / {vector_report['vector_total_s']:.2f}s vector = "
-              f"{vector_report['speedup']}x (threshold "
-              f"{args.min_vector_speedup}x); wrote {args.vector_output}")
     print(f"wrote {args.output}")
 
     failed = False
@@ -351,16 +249,6 @@ def main(argv=None) -> int:
         print(f"FAIL: resilience overhead {resilience_overhead:.2f}x > "
               f"allowed {args.max_resilience_overhead}x", file=sys.stderr)
         failed = True
-    if vector_report is not None:
-        if not vector_report["identical"]:
-            print("FAIL: vector engine diverged from the scalar oracle",
-                  file=sys.stderr)
-            failed = True
-        elif vector_report["speedup"] < args.min_vector_speedup:
-            print(f"FAIL: vector replay speedup "
-                  f"{vector_report['speedup']:.2f}x < required "
-                  f"{args.min_vector_speedup}x", file=sys.stderr)
-            failed = True
     return 1 if failed else 0
 
 

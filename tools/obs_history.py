@@ -20,24 +20,18 @@ Regression gate -- what CI runs after the telemetry campaign::
         --baseline tools/history_baseline.json
 
 The gate takes the *newest* record matching the baseline's ``match``
-coordinates (figure/scale/engine) and fails (exit 1) when any
-bit-identity counter in ``exact_counters`` drifts from the committed
-value, when a ``ceilings`` metric (wall time) exceeds its bound, or
-when a ``floors`` metric (vector speedup) undercuts its bound.
-
-``--ingest-bench BENCH.json`` folds a ``bench_runner.py`` artifact's
-aggregate vector speedup into the newest history record, so perf
-trajectory accumulates in one inspectable file.
+coordinates (figure/scale) and fails (exit 1) when any bit-identity
+counter in ``exact_counters`` drifts from the committed value, when a
+``ceilings`` metric (wall time) exceeds its bound, or when a ``floors``
+metric undercuts its bound.
 """
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.common.atomicio import atomic_write_text  # noqa: E402
 from repro.common.errors import ConfigurationError  # noqa: E402
 from repro.obs.history import (  # noqa: E402
     diff_records,
@@ -79,11 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--baseline", type=Path, default=None, metavar="FILE",
         help="colt-history-baseline-v1 document (required with --gate)",
     )
-    parser.add_argument(
-        "--ingest-bench", type=Path, default=None, metavar="BENCH.json",
-        help="attach a bench_runner.py artifact's aggregate speedup to "
-             "the newest record as vector_speedup",
-    )
     return parser
 
 
@@ -105,8 +94,7 @@ def _trend(records, last: int) -> None:
     shown = records[-last:] if last > 0 else records
     header = (
         f"{'#':>3}  {'status':11s} {'figure':18s} {'scale':8s} "
-        f"{'engine':7s} {'wall_total':>10s} {'hit_ratio':>9s} "
-        f"{'accesses':>10s}"
+        f"{'wall_total':>10s} {'hit_ratio':>9s} {'accesses':>10s}"
     )
     print(header)
     print("-" * len(header))
@@ -120,7 +108,6 @@ def _trend(records, last: int) -> None:
             f"{record.get('status', '?'):11s} "
             f"{str(record.get('figure', '?'))[:18]:18s} "
             f"{str(record.get('scale', '?')):8s} "
-            f"{str(record.get('engine', '?')):7s} "
             f"{_fmt(round(wall, 2) if wall is not None else None):>10s} "
             f"{_fmt(store.get('hit_ratio')):>9s} "
             f"{_fmt(counters.get('colt_mmu_accesses')):>10s}"
@@ -172,33 +159,6 @@ def _gate(records, baseline_path: Path) -> int:
     return 0
 
 
-def _ingest_bench(history_file: Path, records, bench_path: Path) -> int:
-    """Set vector_speedup on the newest record from a bench artifact."""
-    if not records:
-        print("obs_history: no history records to annotate", file=sys.stderr)
-        return 2
-    try:
-        bench = json.loads(bench_path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"obs_history: unreadable bench file: {exc}", file=sys.stderr)
-        return 2
-    speedup = bench.get("aggregate_speedup") or bench.get("speedup")
-    if speedup is None:
-        print(
-            f"obs_history: {bench_path} has no aggregate_speedup/speedup "
-            "field", file=sys.stderr,
-        )
-        return 2
-    records[-1]["vector_speedup"] = float(speedup)
-    lines = [json.dumps(record, sort_keys=True) for record in records]
-    atomic_write_text(history_file, "\n".join(lines) + "\n")
-    print(
-        f"attached vector_speedup={float(speedup):.2f} to newest record "
-        f"in {history_file}"
-    )
-    return 0
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     history_file = _resolve_history(args)
@@ -214,8 +174,6 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
 
-    if args.ingest_bench is not None:
-        return _ingest_bench(history_file, records, args.ingest_bench)
     if args.gate:
         if args.baseline is None:
             print("obs_history: --gate needs --baseline FILE",
