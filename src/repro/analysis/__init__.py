@@ -29,7 +29,6 @@ directly where needed.
 
 from repro.analysis.lint import Diagnostic, lint_paths, lint_source
 from repro.analysis.sanitizers import (
-    SANITIZE_ENV,
     BuddySanitizer,
     PageTableSanitizer,
     TLBSanitizer,
@@ -42,7 +41,6 @@ __all__ = [
     "Diagnostic",
     "lint_paths",
     "lint_source",
-    "SANITIZE_ENV",
     "BuddySanitizer",
     "PageTableSanitizer",
     "TLBSanitizer",

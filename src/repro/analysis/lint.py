@@ -5,16 +5,17 @@ fully determines every number in every figure. That guarantee is easy to
 lose to one careless line -- a ``random.shuffle`` here, a
 ``time.time()`` mixed into a filename there -- and impossible to protect
 with generic linters. The rules (``rng-module-state``, ``wall-clock``,
-``mutable-default``, ``float-eq``, ``no-print``) live in
-:mod:`repro.analysis.static.lint_rules` with the why of each; this
-module is the stable ``colt-lint`` facade over them.
+``mutable-default``, ``float-eq``, ``no-print``, and ``raw-env-read``,
+which keeps environment reads behind :mod:`repro.common.knobs`) live in
+:mod:`repro.analysis.static.lint_rules`; this module is the stable
+``colt-lint`` facade over them.
 
 ``colt-lint`` is now an alias for ``colt-analyze --passes lint
 --no-baseline``: the visitor runs as one pass of the shared static
 analysis framework (:mod:`repro.analysis.static`), so the
 ``# colt-lint: disable=...`` pragma, file iteration, and reporting are
-implemented exactly once and shared with the concurrency / registry /
-hygiene analyzers.
+implemented exactly once and shared with the concurrency and hygiene
+analyzers.
 
 Run as ``python tools/lint.py <paths>`` or via the ``colt-lint``
 console script; exits nonzero when diagnostics were emitted.
@@ -28,6 +29,7 @@ from typing import Iterable, List, Optional, Sequence
 
 from repro.analysis.static.lint_rules import (  # noqa: F401  (public API)
     PRINT_ALLOW,
+    RAW_ENV_ALLOW,
     RNG_CONSTRUCTION_ALLOW,
     RULES,
     WALL_CLOCK_ALLOW,

@@ -17,7 +17,7 @@ path when disabled) and run two kinds of checks:
   :func:`full_scan_interval` events, plus on demand (the system
   simulator runs one at the end of every sanitized run).
 
-Enable with ``COLT_SANITIZE=1`` (any of ``1/true/yes/on``), or pass
+Enable with ``COLT_SANITIZE=1`` (any value but an off-word), or pass
 ``sanitize=True`` to the structures' constructors /
 ``SimulationConfig``. Violations raise
 :class:`repro.common.errors.SanitizerError`. Sanitizers only read
@@ -26,9 +26,9 @@ simulator state, so enabling them never changes simulation results.
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, Optional
 
+from repro.common import knobs
 from repro.common.constants import SUPERPAGE_PAGES
 from repro.common.errors import SanitizerError
 from repro.common.statistics import CounterSet
@@ -39,20 +39,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.osmem.buddy import BuddyAllocator
     from repro.osmem.kernel import Kernel
 
-#: Environment variable that switches every sanitizer on.
-SANITIZE_ENV = "COLT_SANITIZE"
-
-#: Environment variable overriding the full-scan interval (in events).
-SANITIZE_EVERY_ENV = "COLT_SANITIZE_EVERY"
-
-_DEFAULT_FULL_SCAN_INTERVAL = 4096
-
-_FALSEY = frozenset(("", "0", "false", "no", "off"))
-
 
 def sanitizers_enabled() -> bool:
     """True when ``COLT_SANITIZE`` requests sanitized execution."""
-    return os.environ.get(SANITIZE_ENV, "").strip().lower() not in _FALSEY
+    return knobs.SANITIZE.on()
 
 
 def resolve_sanitize(explicit: Optional[bool]) -> bool:
@@ -64,14 +54,7 @@ def resolve_sanitize(explicit: Optional[bool]) -> bool:
 
 def full_scan_interval() -> int:
     """Events between full-structure scans (``COLT_SANITIZE_EVERY``)."""
-    raw = os.environ.get(SANITIZE_EVERY_ENV, "").strip()
-    if not raw:
-        return _DEFAULT_FULL_SCAN_INTERVAL
-    try:
-        value = int(raw)
-    except ValueError:
-        return _DEFAULT_FULL_SCAN_INTERVAL
-    return max(1, value)
+    return knobs.SANITIZE_EVERY.integer(minimum=1)
 
 
 class Sanitizer:

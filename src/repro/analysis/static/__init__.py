@@ -1,7 +1,7 @@
 """Project-wide static analysis for the CoLT reproduction repo.
 
-``repro.analysis.lint`` enforces single-file determinism rules; this
-package adds the *cross-file* checks that PRs 2-5 made necessary:
+``repro.analysis.lint`` is the ``colt-lint`` facade over the single-file
+rules; this package hosts them and adds the *cross-file* checks:
 
 ``model``
     One shared :class:`~repro.analysis.static.model.ProjectModel` --
@@ -13,18 +13,19 @@ package adds the *cross-file* checks that PRs 2-5 made necessary:
     The pass framework (:class:`Finding`, pragma suppression,
     fingerprints) the lint rules are refactored onto.
 
-``registries``
-    The single declarative source of truth for every ``COLT_*`` env
-    knob, metric/counter name, fault site, and trace span.
+``lint_rules``
+    The single-file rules, ``raw-env-read`` among them: every
+    environment read goes through :mod:`repro.common.knobs`.
 
-``coherence`` / ``concurrency`` / ``hygiene``
-    The three cross-file analyzers (registry coherence, concurrency
-    safety, exception hygiene).
+``concurrency`` / ``hygiene``
+    The two cross-file analyzers (concurrency safety, exception
+    hygiene).
 
-``cli``
-    The ``colt-analyze`` entry point: text/JSON/SARIF output, a
+``docs`` / ``cli``
+    The knob table rendered from :data:`repro.common.knobs.ALL`, and
+    the ``colt-analyze`` entry point: text/JSON/SARIF output, a
     checked-in baseline so CI fails only on *new* findings, and
-    ``--check-docs`` to keep generated doc sections fresh.
+    ``--check-docs`` to keep the generated table fresh.
 """
 
 from repro.analysis.static.model import ProjectModel, iter_python_files

@@ -1,9 +1,9 @@
 """``colt-analyze``: the project-wide static analysis front end.
 
-Runs the lint, concurrency, registry-coherence, and exception-hygiene
-passes over a shared :class:`ProjectModel`, diffs the findings against
-the checked-in baseline, and reports in text, JSON, or SARIF. Doc
-freshness (``--check-docs`` / ``--write-docs``) rides on the same run.
+Runs the lint, concurrency, and exception-hygiene passes over a shared
+:class:`ProjectModel`, diffs the findings against the checked-in
+baseline, and reports in text, JSON, or SARIF. Doc freshness
+(``--check-docs`` / ``--write-docs``) rides on the same run.
 
 Exit codes mirror ``colt-lint``: 0 clean, 1 new findings (or stale
 docs), 2 usage errors. ``colt-lint`` itself is an alias for
@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.static.baseline import Baseline
-from repro.analysis.static.coherence import RegistryCoherencePass
 from repro.analysis.static.concurrency import ConcurrencyPass
 from repro.analysis.static.docs import check_docs, write_docs
 from repro.analysis.static.hygiene import ExceptionHygienePass
@@ -36,7 +35,6 @@ from repro.analysis.static.sarif import to_json, to_sarif
 PASS_FACTORIES = {
     "lint": LintPass,
     "concurrency": ConcurrencyPass,
-    "coherence": RegistryCoherencePass,
     "hygiene": ExceptionHygienePass,
 }
 
@@ -47,19 +45,11 @@ RULE_HELP: Dict[str, str] = {
     "mutable-default": "mutable default argument",
     "float-eq": "float equality comparison",
     "no-print": "print() in library code",
+    "raw-env-read": "environment read outside repro.common.knobs",
     "syntax-error": "file does not parse",
     "worker-global-mutation": "pool-worker-reachable code writes module state",
     "signal-handler-work": "non-trivial work in a signal handler",
     "unlocked-shared-state": "thread-shared attribute written without lock",
-    "undeclared-env-knob": "env knob read but not in the registry",
-    "dead-env-knob": "registry knob unused by its consumer",
-    "undeclared-metric": "metric emitted but not in the registry",
-    "unemitted-metric": "registry metric never emitted",
-    "unreported-metric": "reported=True metric the report never reads",
-    "undeclared-span": "trace event not in the registry",
-    "unemitted-span": "registry trace event never emitted",
-    "undeclared-fault-site": "fault site not in the registry",
-    "unemitted-fault-site": "registry fault site never fired",
     "overbroad-except": "broad except without mitigation",
     "silent-except": "handler silently swallows the exception",
 }

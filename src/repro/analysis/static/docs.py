@@ -1,7 +1,7 @@
 """Generated documentation sections, kept fresh by ``--check-docs``.
 
-The ``COLT_*`` knob table is generated from the registry and injected
-between ``<!-- colt-analyze:knobs -->`` markers in DESIGN.md and
+The knob table is generated from :data:`repro.common.knobs.ALL` and
+injected between ``<!-- colt-analyze:knobs -->`` markers in DESIGN.md and
 README.md. ``colt-analyze --write-docs`` regenerates it in place;
 ``--check-docs`` regenerates in memory and fails when the committed
 copies are stale, so the docs cannot drift from the code they claim to
@@ -11,9 +11,9 @@ describe.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
-from repro.analysis.static import registries
+from repro.common import knobs
 
 KNOB_BEGIN = "<!-- colt-analyze:knobs -->"
 KNOB_END = "<!-- /colt-analyze:knobs -->"
@@ -22,18 +22,34 @@ KNOB_END = "<!-- /colt-analyze:knobs -->"
 KNOB_DOCS = ("DESIGN.md", "README.md")
 
 
-def knob_table(knobs: Sequence[registries.EnvKnob] = registries.KNOBS) -> str:
-    """Markdown table of every environment knob, from the registry."""
+def _render_default(value: object) -> str:
+    if value is None:
+        return "unset"
+    if isinstance(value, bool):
+        return "on" if value else "off"
+    return str(value)
+
+
+def knob_table() -> str:
+    """Markdown table of every knob in ``knobs.ALL``, plus the off-words."""
     lines: List[str] = [
-        "| Knob | Default | Consumer | CLI flag | Purpose |",
-        "| --- | --- | --- | --- | --- |",
+        "| Knob | Default | CLI flag | Purpose |",
+        "| --- | --- | --- | --- |",
     ]
-    for knob in sorted(knobs, key=lambda k: k.name):
-        flag = f"`{knob.cli_flag}`" if knob.cli_flag else "--"
+    for knob in sorted(knobs.ALL, key=lambda k: k.name):
+        flag = f"`{knob.flag}`" if knob.flag else "--"
         lines.append(
-            f"| `{knob.name}` | `{knob.default}` | `{knob.consumer}` "
-            f"| {flag} | {knob.description} |"
+            f"| `{knob.name}` | `{_render_default(knob.default)}` "
+            f"| {flag} | {knob.doc} |"
         )
+    off_words = ", ".join(f"`{word}`" for word in sorted(knobs.OFF_WORDS))
+    lines += [
+        "",
+        f"Off-words (any case): {off_words}. An on/off knob is on for any "
+        "other value; unset or empty means the default. A number that "
+        "does not parse stops the run with a `ConfigurationError` naming "
+        "the knob and the value.",
+    ]
     return "\n".join(lines)
 
 

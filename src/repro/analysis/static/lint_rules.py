@@ -1,11 +1,12 @@
-"""The determinism lint rules, as a pass on the shared framework.
+"""The single-file lint rules, as a pass on the shared framework.
 
-The rule set, allow-lists, and messages are unchanged from the original
-single-file ``repro.analysis.lint`` (see its docstring for the why of
-each rule); only the plumbing moved: the AST visitor now emits
-:class:`~repro.analysis.static.passes.Finding` objects and is driven by
-:class:`LintPass` over a :class:`ProjectModel`, so the pragma and
-baseline machinery are shared with every other analyzer.
+The AST visitor emits :class:`~repro.analysis.static.passes.Finding`
+objects and is driven by :class:`LintPass` over a
+:class:`ProjectModel`, so the pragma and baseline machinery are shared
+with every other analyzer (see ``repro.analysis.lint`` for the why of
+each rule). ``raw-env-read`` keeps every environment read behind
+:mod:`repro.common.knobs`, so each knob is named, defaulted and
+documented in one place.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from repro.analysis.static.passes import AnalysisPass, Finding
 #: Rule identifiers, in reporting order.
 RULES = (
     "rng-module-state", "wall-clock", "mutable-default", "float-eq",
-    "no-print",
+    "no-print", "raw-env-read",
 )
 
 #: Files (matched by path suffix) where wall-clock reads are legal:
@@ -52,6 +53,9 @@ PRINT_ALLOW = (
 #: The one module allowed to construct numpy Generators directly.
 RNG_CONSTRUCTION_ALLOW = ("repro/common/rng.py",)
 
+#: The one module allowed to read ``os.environ`` / ``os.getenv``.
+RAW_ENV_ALLOW = ("repro/common/knobs.py",)
+
 #: ``numpy.random`` attributes that are types/constructors handed around
 #: as annotations or factories, not hidden module state.
 _NP_RANDOM_TYPES = frozenset(
@@ -81,6 +85,7 @@ class _Visitor(ast.NodeVisitor):
         self._allow_rng_construction = _path_matches(
             path, RNG_CONSTRUCTION_ALLOW
         )
+        self._allow_env_read = _path_matches(path, RAW_ENV_ALLOW)
         normalized = path.replace("\\", "/")
         self._check_print = (
             "repro/" in normalized
@@ -93,6 +98,9 @@ class _Visitor(ast.NodeVisitor):
         self._time_aliases: set = set()
         self._datetime_mod_aliases: set = set()
         self._datetime_cls_aliases: set = set()
+        self._os_aliases: set = set()
+        self._environ_aliases: set = set()
+        self._getenv_aliases: set = set()
 
     # -- helpers -------------------------------------------------------
 
@@ -120,6 +128,8 @@ class _Visitor(ast.NodeVisitor):
                 self._time_aliases.add(local)
             elif root == "datetime":
                 self._datetime_mod_aliases.add(local)
+            elif root == "os":
+                self._os_aliases.add(local)
         self.generic_visit(node)
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
@@ -153,6 +163,12 @@ class _Visitor(ast.NodeVisitor):
                     self._datetime_cls_aliases.add(alias.asname or alias.name)
                 if alias.name == "date":
                     self._datetime_cls_aliases.add(alias.asname or alias.name)
+        elif module == "os":
+            for alias in node.names:
+                if alias.name == "environ":
+                    self._environ_aliases.add(alias.asname or alias.name)
+                if alias.name == "getenv":
+                    self._getenv_aliases.add(alias.asname or alias.name)
         self.generic_visit(node)
 
     def _check_np_random_name(self, node: ast.AST, name: str) -> None:
@@ -166,6 +182,47 @@ class _Visitor(ast.NodeVisitor):
             f"'numpy.random.{name}' bypasses SeedSequencer; request a "
             f"named stream instead",
         )
+
+    # -- environment reads (raw-env-read) ------------------------------
+
+    def _is_environ(self, node: ast.AST) -> bool:
+        """``os.environ`` (any ``os`` alias) or a ``from os import environ``."""
+        if isinstance(node, ast.Name):
+            return node.id in self._environ_aliases
+        return (
+            isinstance(node, ast.Attribute)
+            and node.attr == "environ"
+            and isinstance(node.value, ast.Name)
+            and node.value.id in self._os_aliases
+        )
+
+    def _reads_env(self, func: ast.AST) -> bool:
+        """``environ.get(...)`` / ``os.getenv(...)`` call targets."""
+        if isinstance(func, ast.Name):
+            return func.id in self._getenv_aliases
+        if not isinstance(func, ast.Attribute):
+            return False
+        if func.attr == "get":
+            return self._is_environ(func.value)
+        return (
+            func.attr == "getenv"
+            and isinstance(func.value, ast.Name)
+            and func.value.id in self._os_aliases
+        )
+
+    def _report_env_read(self, node: ast.AST) -> None:
+        if not self._allow_env_read:
+            self._report(
+                node,
+                "raw-env-read",
+                "raw environment read; declare a Knob in "
+                "repro.common.knobs and read it through the Knob",
+            )
+
+    def visit_Subscript(self, node: ast.Subscript) -> None:
+        if isinstance(node.ctx, ast.Load) and self._is_environ(node.value):
+            self._report_env_read(node)
+        self.generic_visit(node)
 
     # -- attribute access (np.random.* / time.* / datetime.*) ----------
 
@@ -184,6 +241,8 @@ class _Visitor(ast.NodeVisitor):
 
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
+        if self._reads_env(func):
+            self._report_env_read(node)
         if (
             self._check_print
             and isinstance(func, ast.Name)
@@ -303,7 +362,7 @@ class _Visitor(ast.NodeVisitor):
 
 
 class LintPass(AnalysisPass):
-    """The five determinism rules plus syntax-error reporting."""
+    """The single-file rules plus syntax-error reporting."""
 
     name = "lint"
     rules = RULES + ("syntax-error",)

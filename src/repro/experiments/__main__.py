@@ -51,6 +51,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
+from repro.common import knobs
 from repro.common.errors import (
     CampaignError,
     MemoryBudgetError,
@@ -68,7 +69,7 @@ from repro.obs.logging import configure_logging
 from repro.obs.registry import get_registry
 from repro.obs.report import RunReport
 from repro.obs.serve import TelemetryServer, telemetry_port_from_env
-from repro.obs.trace import PROFILE_ENV, TRACE_ENV, reset_tracing
+from repro.obs.trace import reset_tracing
 from repro.sim.campaign import (
     SHUTDOWN_EXIT_CODE,
     CampaignManifest,
@@ -82,7 +83,13 @@ from repro.sim.runner import ExperimentRunner
 from repro.sim.store import ResultStore
 from repro.sim.watchdog import Watchdog
 from repro.experiments.registry import EXPERIMENTS, resolve_experiments
-from repro.experiments.scale import scale_from_env
+from repro.experiments.scale import preset_name, scale_from_env
+
+
+def _env_default(knob: knobs.Knob) -> str:
+    """``(default: $NAME or VALUE)`` for a flag that overrides ``knob``."""
+    value = "off" if knob.default is None else knob.default
+    return f"(default: ${knob.name} or {value})"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -106,8 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
-        help="result-store directory (default: $COLT_RESULT_CACHE "
-             "or .colt-cache)",
+        help=f"result-store directory {_env_default(knobs.RESULT_CACHE)}",
     )
     parser.add_argument(
         "--clear-cache", action="store_true",
@@ -116,12 +122,12 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--retries", type=int, default=None, metavar="N",
         help="max resubmissions per failed capture/replay task "
-             "(default: $COLT_RETRIES or 2)",
+             + _env_default(knobs.RETRIES),
     )
     parser.add_argument(
         "--task-timeout", type=float, default=None, metavar="SECONDS",
         help="per-task deadline for pooled execution; 0 disables "
-             "(default: $COLT_TASK_TIMEOUT or none)",
+             + _env_default(knobs.TASK_TIMEOUT),
     )
     parser.add_argument(
         "--campaign", action="store_true",
@@ -140,26 +146,25 @@ def _build_parser() -> argparse.ArgumentParser:
         "--stall-timeout", type=float, default=None, metavar="SECONDS",
         help="watchdog: seconds without any task completion before "
              "all-thread stacks are dumped and the stuck task is "
-             "requeued (default: $COLT_STALL_TIMEOUT or off)",
+             "requeued " + _env_default(knobs.STALL_TIMEOUT),
     )
     parser.add_argument(
         "--mem-budget", type=float, default=None, metavar="MIB",
         help="watchdog: RSS budget in MiB for this process tree; over "
              "budget the runner degrades (shrink pool -> no prefetch "
-             "-> clean abort) (default: $COLT_MEM_BUDGET or off)",
+             "-> clean abort) " + _env_default(knobs.MEM_BUDGET),
     )
     parser.add_argument(
         "--dump-dir", default=None, metavar="DIR",
         help="stack-dump directory for the watchdog and per-task "
-             "deadline dumps (default: $COLT_DUMP_DIR or "
-             ".colt-cache/dumps)",
+             "deadline dumps " + _env_default(knobs.DUMP_DIR),
     )
     parser.add_argument(
         "--telemetry-port", type=int, default=None, metavar="PORT",
         help="serve live telemetry over HTTP on 127.0.0.1:PORT while "
              "the run is in flight (/metrics Prometheus text, "
              "/progress JSON, /healthz); 0 picks an ephemeral port; "
-             "implies --profile (default: $COLT_TELEMETRY_PORT or off)",
+             "implies --profile " + _env_default(knobs.TELEMETRY_PORT),
     )
     parser.add_argument(
         "--trace", nargs="?", const="colt-trace.json", default=None,
@@ -204,14 +209,14 @@ def _enable_obs(args) -> bool:
     """
     active = False
     if args.trace is not None:
-        os.environ[TRACE_ENV] = "1"
+        os.environ[knobs.TRACE.name] = "1"
         active = True
     if args.profile or args.report is not None or \
             args.telemetry_port is not None:
         # Telemetry implies profiling: /metrics and the history record
         # need populated counters, and profiling is the CI-proven
         # bit-identity-safe mode.
-        os.environ[PROFILE_ENV] = "1"
+        os.environ[knobs.PROFILE.name] = "1"
         active = True
     if active:
         reset_tracing()
@@ -389,7 +394,7 @@ def _append_history(args, experiments, runner, store, scale, jobs,
         ts=time.time(),
         status=status,
         figure="+".join(ids),
-        scale=os.environ.get("REPRO_SCALE", "").lower() or "default",
+        scale=preset_name(scale),
         fingerprint=campaign_fingerprint(scale, ids),
         wall=wall,
         counters=counters,
@@ -421,7 +426,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     obs_enabled = _enable_obs(args)
     if args.dump_dir is not None:
         # Exported so pool workers (deadline dumps) agree on the dir.
-        os.environ["COLT_DUMP_DIR"] = args.dump_dir
+        os.environ[knobs.DUMP_DIR.name] = args.dump_dir
 
     experiments = resolve_experiments(args.ids)
     scale = scale_from_env()
@@ -464,7 +469,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     get_progress().update(
         phase="starting",
         ids=[experiment.id for experiment in experiments],
-        scale=os.environ.get("REPRO_SCALE", "").lower() or "default",
+        scale=preset_name(scale),
         jobs=jobs,
         campaign=bool(args.campaign),
     )

@@ -14,10 +14,10 @@ Select with the ``REPRO_SCALE`` environment variable (``quick`` /
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 from typing import Tuple
 
+from repro.common import knobs
 from repro.workloads.benchmarks import TABLE1_ORDER
 
 
@@ -59,11 +59,19 @@ _PRESETS = {"quick": QUICK, "default": DEFAULT, "full": FULL}
 
 def scale_from_env(default: ExperimentScale = DEFAULT) -> ExperimentScale:
     """Resolve the preset named by ``REPRO_SCALE`` (default otherwise)."""
-    name = os.environ.get("REPRO_SCALE", "").lower()
+    name = (knobs.SCALE.raw() or "").lower()
     if not name:
         return default
     if name not in _PRESETS:
         raise ValueError(
-            f"REPRO_SCALE={name!r}; expected one of {sorted(_PRESETS)}"
+            f"{knobs.SCALE.name}={name!r}; expected one of {sorted(_PRESETS)}"
         )
     return _PRESETS[name]
+
+
+def preset_name(scale: ExperimentScale) -> str:
+    """The name of the preset ``scale`` equals, else ``"custom"``."""
+    for name, preset in _PRESETS.items():
+        if preset == scale:
+            return name
+    return "custom"

@@ -37,7 +37,6 @@ from repro.obs.hooks import (
     reset_worker_obs,
 )
 from repro.obs.history import (
-    HISTORY_ENV,
     HISTORY_SCHEMA,
     append_record,
     build_record,
@@ -58,14 +57,11 @@ from repro.obs.registry import (
 )
 from repro.obs.report import RunReport
 from repro.obs.serve import (
-    TELEMETRY_PORT_ENV,
     TelemetryServer,
     prometheus_text,
     telemetry_port_from_env,
 )
 from repro.obs.trace import (
-    PROFILE_ENV,
-    TRACE_ENV,
     TraceEvent,
     Tracer,
     current_tracer,
@@ -80,7 +76,6 @@ from repro.obs.trace import (
 __all__ = [
     "Counter",
     "Gauge",
-    "HISTORY_ENV",
     "HISTORY_SCHEMA",
     "Histogram",
     "KernelObserver",
@@ -88,11 +83,8 @@ __all__ = [
     "MetricsRegistry",
     "MetricsSnapshot",
     "ObsPayload",
-    "PROFILE_ENV",
     "ProgressTracker",
     "RunReport",
-    "TELEMETRY_PORT_ENV",
-    "TRACE_ENV",
     "TelemetryServer",
     "TraceEvent",
     "Tracer",

@@ -25,10 +25,10 @@ allowlist -- passes ``ts`` in.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Union
 
+from repro.common import knobs
 from repro.common.atomicio import atomic_write_text
 from repro.common.errors import ConfigurationError
 from repro.obs.logging import get_logger
@@ -39,10 +39,6 @@ HISTORY_SCHEMA = "colt-history-v1"
 #: Schema tag of committed gate baselines.
 BASELINE_SCHEMA = "colt-history-baseline-v1"
 
-#: Environment knob: set to ``0``/``off``/``false`` to skip appending
-#: history records (e.g. scratch runs that should not pollute trends).
-HISTORY_ENV = "COLT_HISTORY"
-
 #: Statuses a record may carry (mirrors the CLI exit paths: 0 / 75 /
 #: other non-zero).
 STATUSES = ("ok", "interrupted", "failed")
@@ -50,13 +46,9 @@ STATUSES = ("ok", "interrupted", "failed")
 _LOG = get_logger(__name__)
 
 
-def history_enabled(
-    environ: Optional[Mapping[str, str]] = None,
-) -> bool:
-    raw = (environ if environ is not None else os.environ).get(
-        HISTORY_ENV, ""
-    ).strip().lower()
-    return raw not in ("0", "off", "false", "no")
+def history_enabled() -> bool:
+    """False when ``COLT_HISTORY`` holds an off-word (scratch runs)."""
+    return knobs.HISTORY.on()
 
 
 def history_path(cache_dir: Union[str, Path]) -> Path:

@@ -23,40 +23,25 @@ an unserved one -- CI asserts exactly that.
 from __future__ import annotations
 
 import json
-import os
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Mapping, Optional, Tuple
 
+from repro.common import knobs
 from repro.common.errors import ConfigurationError
 from repro.obs.live import ProgressTracker, get_progress
 from repro.obs.logging import get_logger
 from repro.obs.registry import MetricsRegistry, MetricsSnapshot, get_registry
 
-#: Environment knob: serve telemetry on this TCP port (0 = ephemeral).
-TELEMETRY_PORT_ENV = "COLT_TELEMETRY_PORT"
-
 _LOG = get_logger(__name__)
 
 
-def telemetry_port_from_env(
-    environ: Optional[Mapping[str, str]] = None,
-) -> Optional[int]:
+def telemetry_port_from_env() -> Optional[int]:
     """Parse ``COLT_TELEMETRY_PORT``; ``None`` when unset/empty."""
-    raw = (environ if environ is not None else os.environ).get(
-        TELEMETRY_PORT_ENV, ""
-    ).strip()
-    if not raw:
-        return None
-    try:
-        port = int(raw)
-    except ValueError:
+    port = knobs.TELEMETRY_PORT.integer()
+    if port is not None and not 0 <= port <= 65535:
         raise ConfigurationError(
-            f"{TELEMETRY_PORT_ENV} must be an integer port, got {raw!r}"
-        )
-    if not 0 <= port <= 65535:
-        raise ConfigurationError(
-            f"{TELEMETRY_PORT_ENV} must be in [0, 65535], got {port}"
+            f"{knobs.TELEMETRY_PORT.name} must be in [0, 65535], got {port}"
         )
     return port
 

@@ -21,12 +21,10 @@ Wall-clock reads live in this module only, on the determinism lint's
 allow-list: trace timestamps describe the run, they never feed
 simulation results.
 
-Environment knobs:
-
-* ``COLT_TRACE`` -- enable tracing (``1/true/yes/on``).
-* ``COLT_TRACE_BUFFER`` -- ring capacity in events (default 262144).
-* ``COLT_TRACE_SAMPLE`` -- keep every Nth per-access TLB event
-  (default 64; spans are never sampled).
+Knobs (defaults in :mod:`repro.common.knobs`): ``COLT_TRACE`` switches
+tracing on, ``COLT_TRACE_BUFFER`` sizes the ring in events, and
+``COLT_TRACE_SAMPLE`` keeps every Nth per-access TLB event (spans are
+never sampled).
 """
 
 from __future__ import annotations
@@ -38,52 +36,22 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
 
-#: Environment variable that switches the tracer on.
-TRACE_ENV = "COLT_TRACE"
-
-#: Environment variable sizing the event ring buffer.
-TRACE_BUFFER_ENV = "COLT_TRACE_BUFFER"
-
-#: Environment variable setting the per-access event sampling period.
-TRACE_SAMPLE_ENV = "COLT_TRACE_SAMPLE"
-
-#: Environment variable that enables metrics collection without tracing
-#: (the ``--profile`` / ``--report`` CLI flags set it).
-PROFILE_ENV = "COLT_PROFILE"
-
-_DEFAULT_BUFFER = 262_144
-_DEFAULT_SAMPLE = 64
-
-_FALSEY = frozenset(("", "0", "false", "no", "off"))
-
-
-def _env_truthy(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() not in _FALSEY
+from repro.common import knobs
 
 
 def tracing_requested() -> bool:
     """True when ``COLT_TRACE`` asks for traced execution."""
-    return _env_truthy(TRACE_ENV)
+    return knobs.TRACE.on()
 
 
 def profiling_requested() -> bool:
     """True when ``COLT_PROFILE`` asks for metrics collection."""
-    return _env_truthy(PROFILE_ENV)
+    return knobs.PROFILE.on()
 
 
 def obs_active() -> bool:
     """True when any observability sink (tracer or metrics) is live."""
     return current_tracer() is not None or profiling_requested()
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return default
 
 
 @dataclass
@@ -115,9 +83,9 @@ class Tracer:
         sample_every: Optional[int] = None,
     ) -> None:
         if capacity is None:
-            capacity = _env_int(TRACE_BUFFER_ENV, _DEFAULT_BUFFER)
+            capacity = knobs.TRACE_BUFFER.integer(minimum=1)
         if sample_every is None:
-            sample_every = _env_int(TRACE_SAMPLE_ENV, _DEFAULT_SAMPLE)
+            sample_every = knobs.TRACE_SAMPLE.integer(minimum=1)
         self.capacity = max(1, capacity)
         #: Per-access TLB events keep 1 in ``sample_every``.
         self.sample_every = max(1, sample_every)

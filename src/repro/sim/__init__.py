@@ -1,6 +1,6 @@
 """Full-system simulation: configs, capture/replay, runners, metrics."""
 
-from repro.sim.faults import FAULTS_ENV, FaultPlan, FaultSpec
+from repro.sim.faults import FaultPlan, FaultSpec
 from repro.sim.metrics import (
     EliminationRow,
     PerformanceRow,
@@ -28,7 +28,6 @@ __all__ = [
     "CapturedScenario",
     "EliminationRow",
     "ExperimentRunner",
-    "FAULTS_ENV",
     "FaultPlan",
     "FaultSpec",
     "PerformanceRow",

@@ -58,13 +58,11 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
+from repro.common import knobs
 from repro.common.errors import ConfigurationError, InjectedFaultError
 from repro.common.statistics import CounterSet
 from repro.obs.registry import get_registry
 from repro.obs.trace import obs_active
-
-#: Environment variable carrying the fault plan (workers inherit it).
-FAULTS_ENV = "COLT_FAULTS"
 
 #: Exit status of a ``crash``-faulted worker (shows up in pool logs).
 CRASH_EXIT_CODE = 86
@@ -210,7 +208,7 @@ class FaultPlan:
     @classmethod
     def from_env(cls) -> Optional["FaultPlan"]:
         """The plan named by ``COLT_FAULTS``, or None when unset/empty."""
-        text = os.environ.get(FAULTS_ENV, "").strip()
+        text = knobs.FAULTS.text()
         if not text:
             return None
         plan = cls.parse(text)

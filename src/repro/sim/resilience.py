@@ -70,6 +70,7 @@ from typing import (
     Tuple,
 )
 
+from repro.common import knobs
 from repro.common.errors import (
     ShutdownRequested,
     StallError,
@@ -135,11 +136,6 @@ RESILIENCE_COUNTERS = (
     "failures",
 )
 
-#: Environment knobs for the default policy.
-RETRIES_ENV = "COLT_RETRIES"
-TIMEOUT_ENV = "COLT_TASK_TIMEOUT"
-BACKOFF_ENV = "COLT_BACKOFF"
-
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -156,10 +152,10 @@ class RetryPolicy:
             task, so deadlines only apply when a pool is in play.
     """
 
-    max_retries: int = 2
-    backoff_s: float = 0.05
+    max_retries: int = knobs.RETRIES.default
+    backoff_s: float = knobs.BACKOFF.default
     backoff_factor: float = 2.0
-    timeout_s: Optional[float] = None
+    timeout_s: Optional[float] = knobs.TASK_TIMEOUT.default
 
     def backoff(self, attempt: int) -> float:
         """Sleep before retrying a task that failed ``attempt``."""
@@ -168,20 +164,12 @@ class RetryPolicy:
     @classmethod
     def from_env(cls) -> "RetryPolicy":
         """Policy from ``COLT_RETRIES``/``COLT_TASK_TIMEOUT``/``COLT_BACKOFF``."""
-        policy = cls()
-        retries = os.environ.get(RETRIES_ENV, "").strip()
-        if retries:
-            policy = replace(policy, max_retries=max(0, int(retries)))
-        timeout = os.environ.get(TIMEOUT_ENV, "").strip()
-        if timeout:
-            seconds = float(timeout)
-            policy = replace(
-                policy, timeout_s=seconds if seconds > 0 else None
-            )
-        backoff = os.environ.get(BACKOFF_ENV, "").strip()
-        if backoff:
-            policy = replace(policy, backoff_s=max(0.0, float(backoff)))
-        return policy
+        timeout = knobs.TASK_TIMEOUT.real()
+        return cls(
+            max_retries=knobs.RETRIES.integer(minimum=0),
+            backoff_s=knobs.BACKOFF.real(minimum=0.0),
+            timeout_s=timeout if timeout and timeout > 0 else None,
+        )
 
 
 @dataclass(frozen=True)

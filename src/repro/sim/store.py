@@ -54,7 +54,7 @@ import pickle
 from pathlib import Path
 from typing import Optional
 
-from repro.common import constants
+from repro.common import constants, knobs
 from repro.common.atomicio import atomic_write_bytes
 from repro.common.statistics import CounterSet
 from repro.obs.logging import get_logger
@@ -64,12 +64,6 @@ from repro.sim.faults import FaultPlan, corrupt_bytes
 from repro.sim.system import SimulationConfig, SimulationResult
 
 _LOG = get_logger(__name__)
-
-#: Environment variable naming the store directory.
-STORE_ENV = "COLT_RESULT_CACHE"
-
-#: Default store directory (relative to the working directory).
-DEFAULT_STORE_DIR = ".colt-cache"
 
 #: Subdirectory undecodable entries are moved into (never re-read).
 QUARANTINE_DIR = "quarantine"
@@ -230,24 +224,25 @@ class ResultStore:
         return self._disabled
 
     @classmethod
-    def from_env(cls, default: Optional[str] = DEFAULT_STORE_DIR
-                 ) -> Optional["ResultStore"]:
+    def from_env(
+        cls, default: Optional[str] = knobs.RESULT_CACHE.default
+    ) -> Optional["ResultStore"]:
         """Store at ``$COLT_RESULT_CACHE``, else ``default``.
 
-        ``COLT_RESULT_CACHE=`` (empty) or ``0`` disables the store, as
-        does ``default=None`` when the variable is unset. A store root
-        that cannot be created also yields ``None`` (store-less
-        operation) rather than failing the experiment run.
+        ``COLT_RESULT_CACHE=`` (empty) or an off-word (``0``, ``off``,
+        ...) disables the store, as does ``default=None`` when the
+        variable is unset. A store root that cannot be created also
+        yields ``None`` (store-less operation) rather than failing the
+        experiment run.
         """
-        location = os.environ.get(STORE_ENV)
-        if location is not None:
-            if location.strip() in ("", "0", "off", "none"):
-                return None
-            store = cls(location)
-        elif default is None:
+        location = knobs.RESULT_CACHE.raw()
+        if location is None:
+            location = default
+        elif location.lower() in knobs.OFF_WORDS:
+            location = None
+        if not location:
             return None
-        else:
-            store = cls(default)
+        store = cls(location)
         return None if store.disabled else store
 
     def _path(self, config: SimulationConfig) -> Path:

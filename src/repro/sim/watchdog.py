@@ -52,6 +52,7 @@ import time
 from pathlib import Path
 from typing import Callable, Optional
 
+from repro.common import knobs
 from repro.common.statistics import CounterSet
 from repro.obs.live import get_progress
 from repro.obs.logging import get_logger
@@ -59,14 +60,6 @@ from repro.obs.registry import bind_counterset, get_registry
 from repro.obs.trace import current_tracer, obs_active
 
 _LOG = get_logger(__name__)
-
-#: Environment knobs.
-STALL_TIMEOUT_ENV = "COLT_STALL_TIMEOUT"
-MEM_BUDGET_ENV = "COLT_MEM_BUDGET"
-DUMP_DIR_ENV = "COLT_DUMP_DIR"
-
-#: Default stack-dump directory (beside the result store).
-DEFAULT_DUMP_DIR = os.path.join(".colt-cache", "dumps")
 
 #: Degradation ladder rungs (compared with ``>=``).
 DEGRADE_NONE = 0
@@ -87,9 +80,7 @@ WATCHDOG_COUNTERS = (
 
 def resolve_dump_dir(override: Optional[str] = None) -> Path:
     """The stack-dump directory: override > ``COLT_DUMP_DIR`` > default."""
-    if override:
-        return Path(override)
-    return Path(os.environ.get(DUMP_DIR_ENV, "").strip() or DEFAULT_DUMP_DIR)
+    return Path(override or knobs.DUMP_DIR.text())
 
 
 def read_rss_bytes(pid: Optional[int] = None) -> Optional[int]:
@@ -219,13 +210,9 @@ class Watchdog:
         would only burn a thread, so ``None`` is returned instead.
         """
         if stall_timeout_s is None:
-            raw = os.environ.get(STALL_TIMEOUT_ENV, "").strip()
-            if raw:
-                stall_timeout_s = float(raw)
+            stall_timeout_s = knobs.STALL_TIMEOUT.real()
         if mem_budget_mib is None:
-            raw = os.environ.get(MEM_BUDGET_ENV, "").strip()
-            if raw:
-                mem_budget_mib = float(raw)
+            mem_budget_mib = knobs.MEM_BUDGET.real()
         if not stall_timeout_s and not mem_budget_mib:
             return None
         return cls(

@@ -7,7 +7,7 @@ real allocation, compaction, and TLB behaviour.
 
 import pytest
 
-from repro.analysis.sanitizers import SANITIZE_ENV
+from repro.common import knobs
 from repro.common.rng import SeedSequencer
 from repro.osmem.kernel import Kernel, KernelConfig
 
@@ -30,7 +30,7 @@ def _sanitize_structural_suites(request, monkeypatch):
     SanitizerError with the invariant spelled out.
     """
     if request.module.__name__ in _SANITIZED_MODULES:
-        monkeypatch.setenv(SANITIZE_ENV, "1")
+        monkeypatch.setenv(knobs.SANITIZE.name, "1")
 
 
 @pytest.fixture

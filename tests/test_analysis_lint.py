@@ -166,6 +166,53 @@ class TestNoPrint:
         assert rules_of("writer.print('x')\n", self.LIB) == []
 
 
+class TestRawEnvRead:
+    LIB = "src/repro/sim/module.py"
+
+    def test_environ_get_flagged(self):
+        source = "import os\nv = os.environ.get('COLT_X')\n"
+        assert rules_of(source, self.LIB) == ["raw-env-read"]
+
+    def test_environ_subscript_load_flagged(self):
+        source = "import os\nv = os.environ['COLT_X']\n"
+        assert rules_of(source, self.LIB) == ["raw-env-read"]
+
+    def test_getenv_flagged(self):
+        source = "import os\nv = os.getenv('COLT_X')\n"
+        assert rules_of(source, self.LIB) == ["raw-env-read"]
+
+    def test_aliased_imports_flagged(self):
+        source = (
+            "import os as o\n"
+            "from os import environ as env, getenv\n"
+            "a = o.environ.get('A')\n"
+            "b = env['B']\n"
+            "c = getenv('C')\n"
+        )
+        assert rules_of(source, self.LIB) == ["raw-env-read"] * 3
+
+    def test_writes_and_copies_allowed(self):
+        source = (
+            "import os\n"
+            "os.environ['COLT_X'] = '1'\n"
+            "del os.environ['COLT_X']\n"
+            "os.environ.pop('COLT_X', None)\n"
+            "env = dict(os.environ)\n"
+        )
+        assert rules_of(source, self.LIB) == []
+
+    def test_knobs_module_allowed(self):
+        source = "import os\nv = os.environ.get('COLT_X')\n"
+        assert rules_of(source, "src/repro/common/knobs.py") == []
+
+    def test_pragma_escapes(self):
+        source = (
+            "import os\n"
+            "v = os.environ.get('X')  # colt-lint: disable=raw-env-read\n"
+        )
+        assert rules_of(source, self.LIB) == []
+
+
 class TestCli:
     def test_exit_zero_on_clean_file(self, tmp_path, capsys):
         clean = tmp_path / "clean.py"
@@ -214,6 +261,7 @@ class TestRepoIsClean:
             "mutable-default",
             "float-eq",
             "no-print",
+            "raw-env-read",
         }
 
 
@@ -226,6 +274,7 @@ def test_each_rule_fires_somewhere(rule):
         "mutable-default": ("def f(x=[]):\n    return x\n", "sim/module.py"),
         "float-eq": ("ok = x == 0.5\n", "sim/module.py"),
         "no-print": ("print('x')\n", "src/repro/sim/module.py"),
+        "raw-env-read": ("import os\nos.getenv('X')\n", "sim/module.py"),
     }
     source, path = samples[rule]
     assert rules_of(source, path) == [rule]

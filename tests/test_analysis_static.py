@@ -2,9 +2,8 @@
 
 Covers the shared pragma implementation (edge cases the refactor must
 not regress), call-graph worker/thread/signal coloring on synthetic
-fixtures, the registry-coherence positive/negative matrices, SARIF/JSON
-round-trips, baseline add/expire semantics, and the repo-level
-guarantees: ``colt-analyze`` runs clean against the checked-in baseline
+fixtures, SARIF/JSON round-trips, baseline add/expire semantics, and
+the repo-level guarantees: ``colt-analyze`` runs clean against the checked-in baseline
 and the generated docs are fresh.
 """
 
@@ -13,10 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.static import registries
 from repro.analysis.static.baseline import Baseline, BaselineEntry
 from repro.analysis.static.cli import main
-from repro.analysis.static.coherence import RegistryCoherencePass
 from repro.analysis.static.concurrency import ConcurrencyPass
 from repro.analysis.static.docs import check_docs
 from repro.analysis.static.hygiene import ExceptionHygienePass
@@ -247,165 +244,6 @@ class TestWorkerReachability:
             [ConcurrencyPass()],
         )
         assert good == []
-
-
-# ---------------------------------------------------------------------------
-# Registry coherence: positive/negative matrices
-# ---------------------------------------------------------------------------
-
-def coherence_pass(knobs=(), metrics=(), spans=(), fault_sites=()):
-    return RegistryCoherencePass(
-        knobs=knobs, metrics=metrics, spans=spans, fault_sites=fault_sites
-    )
-
-
-class TestRegistryCoherence:
-    def test_undeclared_env_knob(self):
-        source = "import os\nV = os.environ.get('COLT_MYSTERY', '')\n"
-        findings = run_passes(
-            project_of(("src/repro/sim/knob.py", source)),
-            [coherence_pass()],
-        )
-        assert rules_of(findings) == ["undeclared-env-knob"]
-        assert "COLT_MYSTERY" in findings[0].message
-
-    def test_declared_env_knob_clean(self):
-        knob = registries.EnvKnob(
-            name="COLT_MYSTERY", default="0",
-            consumer="repro/sim/knob.py", cli_flag=None, description="d",
-        )
-        source = "import os\nV = os.environ.get('COLT_MYSTERY', '')\n"
-        findings = run_passes(
-            project_of(("src/repro/sim/knob.py", source)),
-            [coherence_pass(knobs=(knob,))],
-        )
-        assert findings == []
-
-    def test_dead_env_knob_requires_consumer_in_scan(self):
-        knob = registries.EnvKnob(
-            name="COLT_GONE", default="0",
-            consumer="repro/sim/knob.py", cli_flag=None, description="d",
-        )
-        # Consumer module present but never references the knob: dead.
-        findings = run_passes(
-            project_of(("src/repro/sim/knob.py", "X = 1\n")),
-            [coherence_pass(knobs=(knob,))],
-        )
-        assert rules_of(findings) == ["dead-env-knob"]
-        # Consumer module not part of the scan: no spurious noise.
-        findings = run_passes(
-            project_of(("src/repro/sim/other.py", "X = 1\n")),
-            [coherence_pass(knobs=(knob,))],
-        )
-        assert findings == []
-
-    def test_docstring_mention_is_not_a_use(self):
-        source = '"""Reads COLT_PHANTOM from the environment."""\nX = 1\n'
-        findings = run_passes(
-            project_of(("src/repro/sim/doc.py", source)),
-            [coherence_pass()],
-        )
-        assert findings == []
-
-    def test_undeclared_metric(self):
-        source = "def f(reg):\n    reg.counter('colt_surprise')\n"
-        findings = run_passes(
-            project_of(("src/repro/obs/m.py", source)),
-            [coherence_pass()],
-        )
-        assert rules_of(findings) == ["undeclared-metric"]
-
-    def test_unemitted_and_unreported_metric(self):
-        metric = registries.MetricDecl(
-            name="colt_thing", kind="counter",
-            module="repro/obs/m.py", reported=True, description="d",
-        )
-        # Declared but never emitted.
-        findings = run_passes(
-            project_of(("src/repro/obs/m.py", "X = 1\n")),
-            [coherence_pass(metrics=(metric,))],
-        )
-        assert rules_of(findings) == ["unemitted-metric"]
-        # Emitted but the report never reads it.
-        emit = "def f(reg):\n    reg.counter('colt_thing')\n"
-        findings = run_passes(
-            project_of(
-                ("src/repro/obs/m.py", emit),
-                ("src/repro/obs/report.py", "X = 1\n"),
-            ),
-            [coherence_pass(metrics=(metric,))],
-        )
-        assert rules_of(findings) == ["unreported-metric"]
-        # Emitted and read: clean.
-        findings = run_passes(
-            project_of(
-                ("src/repro/obs/m.py", emit),
-                ("src/repro/obs/report.py", "Y = m.get('colt_thing')\n"),
-            ),
-            [coherence_pass(metrics=(metric,))],
-        )
-        assert findings == []
-
-    def test_counterset_prefix_reported_via_fstring_head(self):
-        metric = registries.MetricDecl(
-            name="colt_pool", kind="counterset-prefix",
-            module="repro/obs/m.py", reported=True, description="d",
-        )
-        emit = (
-            "def f(reg, counters):\n"
-            "    bind_counterset(reg, 'colt_pool', counters)\n"
-        )
-        report = (
-            "def g(name, m):\n"
-            "    return m.get(f'colt_pool_{name}')\n"
-        )
-        findings = run_passes(
-            project_of(
-                ("src/repro/obs/m.py", emit),
-                ("src/repro/obs/report.py", report),
-            ),
-            [coherence_pass(metrics=(metric,))],
-        )
-        assert findings == []
-
-    def test_span_matrix(self):
-        span = registries.SpanDecl(
-            name="phase.run", kind="span",
-            module="repro/sim/s.py", description="d",
-        )
-        emit = "def f(tracer):\n    with tracer.span('phase.run'):\n        pass\n"
-        assert run_passes(
-            project_of(("src/repro/sim/s.py", emit)),
-            [coherence_pass(spans=(span,))],
-        ) == []
-        undeclared = run_passes(
-            project_of(("src/repro/sim/s.py", emit)), [coherence_pass()]
-        )
-        assert rules_of(undeclared) == ["undeclared-span"]
-        unemitted = run_passes(
-            project_of(("src/repro/sim/s.py", "X = 1\n")),
-            [coherence_pass(spans=(span,))],
-        )
-        assert rules_of(unemitted) == ["unemitted-span"]
-
-    def test_fault_site_matrix(self):
-        site = registries.FaultSiteDecl(
-            name="capture", module="repro/sim/r.py", description="d",
-        )
-        emit = "def f(faults, i):\n    faults.fire('capture', i)\n"
-        assert run_passes(
-            project_of(("src/repro/sim/r.py", emit)),
-            [coherence_pass(fault_sites=(site,))],
-        ) == []
-        undeclared = run_passes(
-            project_of(("src/repro/sim/r.py", emit)), [coherence_pass()]
-        )
-        assert rules_of(undeclared) == ["undeclared-fault-site"]
-        unemitted = run_passes(
-            project_of(("src/repro/sim/r.py", "X = 1\n")),
-            [coherence_pass(fault_sites=(site,))],
-        )
-        assert rules_of(unemitted) == ["unemitted-fault-site"]
 
 
 # ---------------------------------------------------------------------------

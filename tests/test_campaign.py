@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import pytest
 
+from repro.common import knobs
 from repro.common.atomicio import (
     atomic_write_bytes,
     atomic_write_json,
@@ -31,7 +32,7 @@ from repro.common.errors import (
     ShutdownRequested,
     StallError,
 )
-from repro.obs.trace import PROFILE_ENV, TRACE_ENV, reset_tracing
+from repro.obs.trace import reset_tracing
 from repro.obs.registry import set_registry
 from repro.sim.campaign import (
     CAMPAIGN_VERSION,
@@ -57,8 +58,8 @@ from repro.sim.watchdog import (
 
 @pytest.fixture
 def obs_off(monkeypatch):
-    monkeypatch.delenv(TRACE_ENV, raising=False)
-    monkeypatch.delenv(PROFILE_ENV, raising=False)
+    monkeypatch.delenv(knobs.TRACE.name, raising=False)
+    monkeypatch.delenv(knobs.PROFILE.name, raising=False)
     reset_tracing()
     set_registry(None)
     yield

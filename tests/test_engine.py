@@ -19,10 +19,11 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.sanitizers import TLBSanitizer
+from repro.common import knobs
 from repro.common.errors import ConfigurationError
 from repro.core.mmu import CoLTDesign, make_mmu_config
 from repro.obs.registry import MetricsRegistry, get_registry, set_registry
-from repro.obs.trace import PROFILE_ENV, reset_tracing
+from repro.obs.trace import reset_tracing
 from repro.osmem.kernel import KernelConfig
 from repro.osmem.memhog import SIMULATION_AGING
 from repro.sim.engine import replay_with_engine, resolve_engine
@@ -161,7 +162,7 @@ class TestBitIdentity:
         self, small_scenario, monkeypatch
     ):
         """The run-length histogram matches the reference, per design."""
-        monkeypatch.setenv(PROFILE_ENV, "1")
+        monkeypatch.setenv(knobs.PROFILE.name, "1")
         reset_tracing()
         try:
             for key, config in small_configs().items():
@@ -177,7 +178,7 @@ class TestBitIdentity:
                 assert series == REFERENCE[key]["histogram"], key
         finally:
             set_registry(None)
-            monkeypatch.delenv(PROFILE_ENV)
+            monkeypatch.delenv(knobs.PROFILE.name)
             reset_tracing()
 
 

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.analysis.determinism import result_digest
+from repro.common import knobs
 from repro.common.errors import ConfigurationError
 from repro.common.statistics import CounterSet
 from repro.obs.export import (
@@ -28,8 +29,6 @@ from repro.obs.registry import (
 )
 from repro.obs.report import RunReport
 from repro.obs.trace import (
-    PROFILE_ENV,
-    TRACE_ENV,
     Tracer,
     current_tracer,
     obs_active,
@@ -48,8 +47,8 @@ from repro.osmem.memhog import SIMULATION_AGING
 @pytest.fixture
 def obs_off(monkeypatch):
     """Guarantee observability is fully disabled and state reset."""
-    monkeypatch.delenv(TRACE_ENV, raising=False)
-    monkeypatch.delenv(PROFILE_ENV, raising=False)
+    monkeypatch.delenv(knobs.TRACE.name, raising=False)
+    monkeypatch.delenv(knobs.PROFILE.name, raising=False)
     reset_tracing()
     set_registry(None)
     yield
@@ -60,8 +59,8 @@ def obs_off(monkeypatch):
 @pytest.fixture
 def obs_on(monkeypatch):
     """Enable tracing + metrics for this process; reset state around it."""
-    monkeypatch.setenv(TRACE_ENV, "1")
-    monkeypatch.setenv(PROFILE_ENV, "1")
+    monkeypatch.setenv(knobs.TRACE.name, "1")
+    monkeypatch.setenv(knobs.PROFILE.name, "1")
     reset_tracing()
     set_registry(None)
     yield
@@ -328,8 +327,8 @@ class TestTracedDeterminism:
     def test_monolithic_results_identical_traced(self, obs_off, monkeypatch):
         config = _small_config()
         untraced = result_digest(simulate(config))
-        monkeypatch.setenv(TRACE_ENV, "1")
-        monkeypatch.setenv(PROFILE_ENV, "1")
+        monkeypatch.setenv(knobs.TRACE.name, "1")
+        monkeypatch.setenv(knobs.PROFILE.name, "1")
         reset_tracing()
         set_registry(None)
         traced = result_digest(simulate(config))
@@ -341,8 +340,8 @@ class TestTracedDeterminism:
         config = _small_config()
         scenario = capture_scenario(config)
         untraced = result_digest(replay_scenario(scenario, config))
-        monkeypatch.setenv(TRACE_ENV, "1")
-        monkeypatch.setenv(PROFILE_ENV, "1")
+        monkeypatch.setenv(knobs.TRACE.name, "1")
+        monkeypatch.setenv(knobs.PROFILE.name, "1")
         reset_tracing()
         set_registry(None)
         traced_scenario = capture_scenario(config)
@@ -438,6 +437,22 @@ class TestRunReport:
         assert report.instrument_count >= 15
         assert "phase wall-time" in rendered
         assert "coalescing run lengths" in rendered
+
+    def test_report_renders_store_resilience_campaign_watchdog(self):
+        registry = MetricsRegistry()
+        for name in (
+            "colt_store_hits", "colt_store_misses", "colt_store_saves",
+            "colt_resilience_retries", "colt_store_quarantines",
+            "colt_faults_injected", "colt_campaign_completed",
+            "colt_watchdog_stalls",
+        ):
+            registry.counter(name).inc(2)
+        rendered = RunReport.build([], registry.snapshot()).render()
+        assert "result store: 2 hits, 2 misses" in rendered
+        assert "resilience: 2 retries, 2 quarantines, " \
+            "2 faults_injected" in rendered
+        assert "campaign: 2 completed" in rendered
+        assert "watchdog: 2 stalls" in rendered
 
     def test_report_empty_inputs(self):
         report = RunReport.build([], None)

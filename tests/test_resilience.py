@@ -13,25 +13,23 @@ import time
 
 import pytest
 
+from repro.common import knobs
 from repro.common.errors import (
     ConfigurationError,
     InjectedFaultError,
     TaskExecutionError,
 )
-from repro.obs.trace import PROFILE_ENV, TRACE_ENV, reset_tracing
+from repro.obs.trace import reset_tracing
 from repro.obs.registry import set_registry
 from repro.osmem.kernel import KernelConfig
 from repro.osmem.memhog import SIMULATION_AGING
 from repro.sim.faults import (
     EXECUTION_KINDS,
-    FAULTS_ENV,
     STORE_KINDS,
     FaultPlan,
     corrupt_bytes,
 )
 from repro.sim.resilience import (
-    RETRIES_ENV,
-    TIMEOUT_ENV,
     ResilientExecutor,
     RetryPolicy,
     TaskSpec,
@@ -39,7 +37,6 @@ from repro.sim.resilience import (
 from repro.sim.runner import ExperimentRunner
 from repro.sim.store import (
     QUARANTINE_DIR,
-    STORE_ENV,
     STORE_MAGIC,
     ResultStore,
     frame_payload,
@@ -51,8 +48,8 @@ from repro.sim.system import SimulationConfig, simulate
 @pytest.fixture
 def obs_off(monkeypatch):
     """Guarantee observability is fully disabled and state reset."""
-    monkeypatch.delenv(TRACE_ENV, raising=False)
-    monkeypatch.delenv(PROFILE_ENV, raising=False)
+    monkeypatch.delenv(knobs.TRACE.name, raising=False)
+    monkeypatch.delenv(knobs.PROFILE.name, raising=False)
     reset_tracing()
     set_registry(None)
     yield
@@ -160,11 +157,11 @@ class TestFaultPlan:
         assert plan.corruption(0) == "torn"
 
     def test_from_env(self, monkeypatch):
-        monkeypatch.delenv(FAULTS_ENV, raising=False)
+        monkeypatch.delenv(knobs.FAULTS.name, raising=False)
         assert FaultPlan.from_env() is None
-        monkeypatch.setenv(FAULTS_ENV, "  ")
+        monkeypatch.setenv(knobs.FAULTS.name, "  ")
         assert FaultPlan.from_env() is None
-        monkeypatch.setenv(FAULTS_ENV, "raise@capture:0")
+        monkeypatch.setenv(knobs.FAULTS.name, "raise@capture:0")
         plan = FaultPlan.from_env()
         assert plan is not None and plan.render() == "raise@capture:0"
 
@@ -219,12 +216,12 @@ class TestRetryPolicy:
         assert policy.backoff(2) == pytest.approx(0.4)
 
     def test_from_env(self, monkeypatch):
-        monkeypatch.setenv(RETRIES_ENV, "5")
-        monkeypatch.setenv(TIMEOUT_ENV, "12.5")
+        monkeypatch.setenv(knobs.RETRIES.name, "5")
+        monkeypatch.setenv(knobs.TASK_TIMEOUT.name, "12.5")
         policy = RetryPolicy.from_env()
         assert policy.max_retries == 5
         assert policy.timeout_s == pytest.approx(12.5)
-        monkeypatch.setenv(TIMEOUT_ENV, "0")
+        monkeypatch.setenv(knobs.TASK_TIMEOUT.name, "0")
         assert RetryPolicy.from_env().timeout_s is None
 
 
@@ -317,7 +314,7 @@ class TestHardenedStore:
         assert store.load(config) is None
         assert len(store) == 0
         assert store.clear() == 0
-        monkeypatch.setenv(STORE_ENV, str(blocker / "cache"))
+        monkeypatch.setenv(knobs.RESULT_CACHE.name, str(blocker / "cache"))
         assert ResultStore.from_env() is None
 
     def test_write_faults_corrupt_scheduled_entries(self, tmp_path,

@@ -14,6 +14,7 @@ import urllib.request
 
 import pytest
 
+from repro.common import knobs
 from repro.common.errors import ConfigurationError
 from repro.experiments.registry import get_experiment
 from repro.experiments.scale import ExperimentScale
@@ -28,7 +29,7 @@ from repro.obs.serve import (
     prometheus_text,
     telemetry_port_from_env,
 )
-from repro.obs.trace import PROFILE_ENV, TRACE_ENV, reset_tracing
+from repro.obs.trace import reset_tracing
 from repro.sim.campaign import CampaignManifest, CampaignRunner
 from repro.sim.runner import ExperimentRunner
 
@@ -36,8 +37,8 @@ from repro.sim.runner import ExperimentRunner
 @pytest.fixture
 def obs_profile(monkeypatch):
     """Metrics-only observability, state reset around the test."""
-    monkeypatch.delenv(TRACE_ENV, raising=False)
-    monkeypatch.setenv(PROFILE_ENV, "1")
+    monkeypatch.delenv(knobs.TRACE.name, raising=False)
+    monkeypatch.setenv(knobs.PROFILE.name, "1")
     reset_tracing()
     set_registry(None)
     reset_progress()
