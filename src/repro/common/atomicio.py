@@ -1,8 +1,8 @@
 """Atomic artifact writes: temp file -> fsync -> ``os.replace``.
 
-Every JSON/CSV/text artifact the toolchain persists (campaign
-journals, trace exports, metrics snapshots, run reports, experiment
-result dumps, store entries) goes through these helpers so that a kill
+Every JSON/CSV/text artifact the toolchain persists (trace exports,
+metrics snapshots, run reports, run history, experiment table dumps,
+store entries) goes through these helpers so that a kill
 -- SIGKILL, OOM, power loss -- at any instant leaves either the
 complete old file or the complete new file, never a torn hybrid:
 

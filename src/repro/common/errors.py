@@ -76,11 +76,6 @@ class DeterminismError(ReproError):
     """Two same-seed simulations diverged (hidden nondeterminism)."""
 
 
-class CampaignError(ReproError):
-    """A campaign journal is unusable (wrong version, foreign
-    fingerprint, or unresumable state)."""
-
-
 class ShutdownRequested(ReproError):
     """The first SIGINT/SIGTERM asked for a graceful shutdown.
 

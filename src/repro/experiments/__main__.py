@@ -25,16 +25,16 @@ Resilience (``repro.sim.resilience``) is configurable per run:
 exceptions, delays and store corruption for chaos testing. When the
 resilience layer absorbed anything, a summary line reports it.
 
-Campaigns (``repro.sim.campaign``): ``--campaign`` runs the requested
-experiments under a crash-safe write-ahead journal
-(``<cache>/campaign/manifest.json``) with per-experiment table dumps;
-``--resume`` continues an interrupted campaign, skipping journaled
-``done`` experiments bit-identically. SIGINT/SIGTERM are handled
-two-stage in both modes: the first signal winds the run down gracefully
-(checkpoint, journal, flush obs artifacts) and exits with status 75;
-a second signal hard-aborts. ``--stall-timeout`` / ``--mem-budget`` /
-``--dump-dir`` arm the stall/memory watchdog
-(``repro.sim.watchdog``).
+The experiments run through one loop (``repro.sim.campaign``), which
+carries on past an experiment that failed permanently (the run then
+exits 1) and, with a result store, writes each finished table to
+``<cache>/campaign/tables/<id>.txt``. The store is the only resume
+state: rerunning the same command after an interruption gets every
+finished simulation back as a store hit. SIGINT/SIGTERM are handled
+two-stage: the first signal winds the run down gracefully (checkpoint,
+flush obs artifacts) and exits with status 75; a second signal
+hard-aborts. ``--stall-timeout`` / ``--mem-budget`` / ``--dump-dir``
+arm the stall/memory watchdog (``repro.sim.watchdog``).
 
 The elapsed-time stamps printed here are display-only terminal feedback
 (monotonic ``perf_counter``); they are never serialized into experiment
@@ -52,11 +52,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.common import knobs
-from repro.common.errors import (
-    CampaignError,
-    MemoryBudgetError,
-    ShutdownRequested,
-)
+from repro.common.errors import MemoryBudgetError
 from repro.obs.export import write_chrome_trace, write_metrics_json
 from repro.obs.history import (
     build_record,
@@ -72,7 +68,6 @@ from repro.obs.serve import TelemetryServer, telemetry_port_from_env
 from repro.obs.trace import reset_tracing
 from repro.sim.campaign import (
     SHUTDOWN_EXIT_CODE,
-    CampaignManifest,
     CampaignRunner,
     ShutdownCoordinator,
     campaign_fingerprint,
@@ -128,19 +123,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--task-timeout", type=float, default=None, metavar="SECONDS",
         help="per-task deadline for pooled execution; 0 disables "
              + _env_default(knobs.TASK_TIMEOUT),
-    )
-    parser.add_argument(
-        "--campaign", action="store_true",
-        help="run under the resumable campaign journal "
-             "(<cache>/campaign/manifest.json) with per-experiment "
-             "table dumps; a graceful interruption exits with status "
-             f"{SHUTDOWN_EXIT_CODE} and --resume continues it",
-    )
-    parser.add_argument(
-        "--resume", action="store_true",
-        help="resume an interrupted --campaign run from its journal, "
-             "skipping experiments already journaled as done "
-             "(implies --campaign)",
     )
     parser.add_argument(
         "--stall-timeout", type=float, default=None, metavar="SECONDS",
@@ -271,97 +253,39 @@ def _print_summaries(args, runner: ExperimentRunner) -> None:
         print("resilience: " + ", ".join(parts))
 
 
-def _run_plain(args, experiments, scale, runner: ExperimentRunner,
-               phase_wall=None) -> int:
-    for experiment in experiments:
-        started = time.perf_counter()
-        result = experiment.run(scale, runner)
-        elapsed = time.perf_counter() - started
-        if phase_wall is not None:
-            phase_wall[experiment.id] = elapsed
-        if not args.quiet:
-            print(f"\n=== {experiment.title} ({elapsed:.1f}s) ===")
-            print(result.format_table())
-    return 0
-
-
-def _run_campaign(
+def _run_loop(
     args, experiments, scale,
     runner: ExperimentRunner,
-    store: ResultStore,
     shutdown: ShutdownCoordinator,
     watchdog: Optional[Watchdog],
     faults: Optional[FaultPlan],
-    phase_wall=None,
+    phase_wall,
 ) -> int:
-    ids = [experiment.id for experiment in experiments]
-    fingerprint = campaign_fingerprint(scale, ids)
-    campaign_dir = Path(store.root) / "campaign"
-    manifest_path = campaign_dir / "manifest.json"
-    if args.resume:
-        manifest = CampaignManifest.load(manifest_path)
-        if manifest.fingerprint != fingerprint:
-            raise CampaignError(
-                f"journal {manifest_path} was written for a different "
-                "scale preset, experiment list, or constants build; "
-                "refusing to mix results -- delete it (or rerun the "
-                "original command) to proceed"
-            )
-        if not args.quiet:
-            counts = manifest.counts()
-            print(
-                f"resuming campaign: {counts['done']} done, "
-                f"{len(manifest.pending_ids())} to run "
-                f"(journal {manifest_path})"
-            )
-    else:
-        manifest = CampaignManifest.fresh(manifest_path, ids, fingerprint)
-        if not args.quiet:
-            print(
-                f"campaign of {len(ids)} experiment(s); journal "
-                f"{manifest_path}"
-            )
+    """Run the experiment loop, printing each table as it finishes."""
     marks = {"last": time.perf_counter()}
 
-    def _note_experiment(exp_id: str) -> None:
+    def _note_experiment(experiment, table: Optional[str]) -> None:
         now = time.perf_counter()
-        if phase_wall is not None:
-            phase_wall[exp_id] = now - marks["last"]
+        elapsed = now - marks["last"]
         marks["last"] = now
+        phase_wall[experiment.id] = elapsed
+        if table is not None and not args.quiet:
+            print(f"\n=== {experiment.title} ({elapsed:.1f}s) ===")
+            print(table)
 
-    campaign = CampaignRunner(
-        manifest,
+    status = CampaignRunner(
+        experiments,
         runner,
         scale,
-        tables_dir=campaign_dir / "tables",
         shutdown=shutdown,
         watchdog=watchdog,
         faults=faults,
         on_experiment=_note_experiment,
-    )
-    status = campaign.run()
-    if not args.quiet:
-        for experiment in experiments:
-            table = status.tables.get(experiment.id)
-            if table is None:
-                continue
-            skipped = " [journaled]" if experiment.id in status.skipped \
-                else ""
-            print(f"\n=== {experiment.title}{skipped} ===")
-            print(table, end="" if table.endswith("\n") else "\n")
-        counts = manifest.counts()
-        print(
-            f"\ncampaign: {len(status.completed)} run, "
-            f"{len(status.skipped)} skipped (journaled), "
-            f"{len(status.failed)} failed; journal now "
-            f"{counts['done']}/{len(ids)} done"
-        )
+    ).run()
     if status.interrupted is not None:
-        print(
-            f"interrupted by {status.interrupted}; journal is "
-            f"consistent -- resume with: python -m repro.experiments "
-            f"{' '.join(args.ids)} --campaign --resume"
-        )
+        hint = "; rerun the same command to resume" \
+            if runner.store is not None else ""
+        print(f"interrupted by {status.interrupted}{hint}")
         return SHUTDOWN_EXIT_CODE
     return 0 if not status.failed else 1
 
@@ -399,7 +323,6 @@ def _append_history(args, experiments, runner, store, scale, jobs,
         wall=wall,
         counters=counters,
         store=runner.store_summary(),
-        campaign=bool(args.campaign),
         telemetry=args.telemetry_port is not None,
         jobs=jobs,
     )
@@ -417,8 +340,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if not args.ids:
         _list_experiments()
         return 0
-    if args.resume:
-        args.campaign = True
     if args.telemetry_port is None:
         args.telemetry_port = telemetry_port_from_env()
 
@@ -436,9 +357,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             store = ResultStore(args.cache_dir)
         else:
             store = ResultStore.from_env()
-    if args.campaign and store is None:
-        print("--campaign needs the result store; drop --no-cache")
-        return 2
     if args.clear_cache and store is not None:
         removed = store.clear()
         print(f"cleared {removed} cached results from {store.root}")
@@ -471,7 +389,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ids=[experiment.id for experiment in experiments],
         scale=preset_name(scale),
         jobs=jobs,
-        campaign=bool(args.campaign),
     )
     telemetry = None
     if args.telemetry_port is not None:
@@ -489,27 +406,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     run_started = time.perf_counter()
     try:
         try:
-            if args.campaign:
-                code = _run_campaign(
-                    args, experiments, scale, runner, store,
-                    shutdown, watchdog, faults, phase_wall=phase_wall,
-                )
-            else:
-                code = _run_plain(
-                    args, experiments, scale, runner, phase_wall=phase_wall
-                )
-        except ShutdownRequested as exc:
-            # First signal outside the campaign loop: completed results
-            # are already checkpointed in the store; finish artifacts
-            # and exit with the resumable status.
-            print(
-                f"interrupted by {exc.signal_name}; completed results "
-                "are checkpointed in the store"
+            code = _run_loop(
+                args, experiments, scale, runner,
+                shutdown, watchdog, faults, phase_wall,
             )
-            code = SHUTDOWN_EXIT_CODE
-        except CampaignError as exc:
-            print(f"campaign error: {exc}")
-            code = 2
         except MemoryBudgetError as exc:
             print(f"memory budget exhausted: {exc}")
             code = 1

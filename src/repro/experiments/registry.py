@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.common.errors import ExperimentError
 from repro.obs.trace import span
@@ -159,16 +159,3 @@ def resolve_experiments(ids: Sequence[str]) -> Tuple[Experiment, ...]:
         return tuple(EXPERIMENTS.values())
     return tuple(get_experiment(experiment_id) for experiment_id in ids)
 
-
-def run_experiments(
-    ids: Sequence[str],
-    scale,
-    runner: Optional[ExperimentRunner] = None,
-) -> List[Tuple[Experiment, object]]:
-    """Run experiments in order, sharing one runner (and its caches)."""
-    experiments = resolve_experiments(ids)
-    runner = runner or ExperimentRunner()
-    return [
-        (experiment, experiment.run(scale, runner))
-        for experiment in experiments
-    ]

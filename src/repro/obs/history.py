@@ -1,6 +1,6 @@
 """Persistent run-history time-series (``colt-history-v1``).
 
-Every runner/campaign invocation appends one compact JSON record --
+Every experiments-CLI invocation appends one compact JSON record --
 constants fingerprint, scale, per-phase wall times, store hit ratio,
 all counter totals -- to
 ``<cache>/history/history.jsonl``. Appends go through
@@ -70,7 +70,6 @@ def build_record(
     wall: Mapping[str, float],
     counters: Mapping[str, float],
     store: Optional[Mapping[str, float]] = None,
-    campaign: bool = False,
     telemetry: bool = False,
     jobs: int = 1,
 ) -> dict:
@@ -93,7 +92,6 @@ def build_record(
         "figure": figure,
         "scale": scale,
         "fingerprint": fingerprint,
-        "campaign": bool(campaign),
         "telemetry": bool(telemetry),
         "jobs": int(jobs),
         "wall": {str(k): float(v) for k, v in sorted(wall.items())},

@@ -1,7 +1,7 @@
 """Live, process-local progress state for the telemetry plane.
 
 A :class:`ProgressTracker` is a tiny thread-safe blackboard: producers
-(the campaign loop, the experiment runner, the watchdog monitor
+(the experiment loop, the experiment runner, the watchdog monitor
 thread) publish small facts a few times per experiment -- never per
 simulated access -- and the telemetry server thread
 (:mod:`repro.obs.serve`) reads a consistent copy to answer
@@ -27,7 +27,7 @@ class ProgressTracker:
 
     Top-level fields describe the run (``phase``, ``figure``,
     ``engine``); named sections group related facts (``campaign`` for
-    manifest counts, ``watchdog`` for degradation/RSS). Readers get
+    the experiment loop's counts, ``watchdog`` for degradation/RSS). Readers get
     deep copies, so a snapshot can be serialised while producers keep
     writing.
     """

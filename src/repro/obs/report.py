@@ -201,12 +201,9 @@ class RunReport:
     def _aggregate_campaign(self, snapshot: MetricsSnapshot) -> None:
         totals = {
             name: snapshot.counter_total(f"colt_campaign_{name}")
-            for name in (
-                "experiments", "completed", "skipped", "failed",
-                "interrupted", "resumed", "journal_writes",
-            )
+            for name in ("experiments", "completed", "failed", "interrupted")
         }
-        # Only campaign-mode invocations carry these counters.
+        # Only experiment-loop invocations carry these counters.
         if any(totals.values()):
             self.campaign = totals
 

@@ -7,8 +7,8 @@ on a daemon thread serves
 * ``/metrics`` -- the process-local :class:`~repro.obs.registry.MetricsRegistry`
   rendered in Prometheus text exposition format (counters, gauges and
   cumulative histogram buckets);
-* ``/progress`` -- campaign manifest counts, current experiment ids and
-  watchdog state as JSON, read from the
+* ``/progress`` -- the experiment loop's done/failed/pending counts,
+  current experiment ids and watchdog state as JSON, read from the
   :class:`~repro.obs.live.ProgressTracker`;
 * ``/healthz`` -- liveness.
 

@@ -74,11 +74,11 @@ EXECUTION_KINDS = ("crash", "raise", "delay")
 STORE_KINDS = ("torn", "corrupt")
 
 #: Sites execution faults may target. ``campaign`` fires in the parent
-#: at the top of a campaign experiment (indexed by its position in the
-#: manifest order), so chaos tests can kill a campaign mid-flight and
-#: assert the journal stayed consistent; ``crash`` there demotes to
-#: :class:`~repro.common.errors.InjectedFaultError` like any other
-#: parent-process fire.
+#: before an experiment starts (indexed by its position in the run's
+#: experiment list), so chaos tests can hold or kill a run between
+#: experiments and assert which table dumps landed; ``crash`` there
+#: demotes to :class:`~repro.common.errors.InjectedFaultError` like any
+#: other parent-process fire.
 TASK_SITES = ("capture", "replay", "campaign")
 
 #: The store-write site.

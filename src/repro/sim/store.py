@@ -162,15 +162,15 @@ def _constants_fingerprint() -> dict:
 
 
 def constants_fingerprint() -> dict:
-    """Public view of the constants fingerprint (campaign journals
-    embed it so a resumed campaign refuses to mix results computed
-    under different architectural constants)."""
+    """Public view of the constants fingerprint (the campaign
+    fingerprint in each history record embeds it, so records computed
+    under different architectural constants never look alike)."""
     return _constants_fingerprint()
 
 
 def canonical_encode(value):
-    """Public view of the canonical config encoding (campaign
-    fingerprints reuse it for the scale preset)."""
+    """Public view of the canonical config encoding (the campaign
+    fingerprint reuses it for the scale preset)."""
     return _encode(value)
 
 

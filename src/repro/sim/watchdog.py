@@ -27,8 +27,8 @@ beat per completed task) and brackets its batches with
    count), then *disable prefetch* (the runner replays scenario groups
    one at a time and drops captured logs between them), and only after
    both rungs failed does it arm :meth:`should_abort`, turning an
-   opaque OOM kill into a clean :class:`MemoryBudgetError` with the
-   journal intact.
+   opaque OOM kill into a clean :class:`MemoryBudgetError` with every
+   finished simulation checkpointed in the store.
 
 All wall-clock reads live here and only pace *monitoring*; nothing in
 this module feeds a ``SimulationResult`` (the file is on the lint's

@@ -1,25 +1,34 @@
-"""Campaigns: atomic writes, the WAL journal, shutdown, watchdogs.
+"""Campaigns: atomic writes, the experiment loop, shutdown, watchdogs.
 
 The invariants pinned here are the robustness contract of
 ``repro.sim.campaign`` / ``repro.sim.watchdog`` /
 ``repro.common.atomicio``:
 
 * an artifact write killed at any point leaves the old file intact;
-* the journal is consistent at every kill point (write-ahead: mark
-  -running precedes work, mark-done follows it);
-* an interrupted campaign resumed from its journal completes
-  bit-identically to an uninterrupted one;
+* the experiment loop dumps each finished table (only when a result
+  store is attached), carries on past an experiment that failed
+  permanently, and stops between experiments on a signal or an
+  injected fault; rerunning the same experiments then completes;
+* the first signal asks for a graceful stop, the second hard-aborts;
 * a stall fires a stack dump and requeues through the ordinary retry
-  machinery; memory pressure climbs the degradation ladder.
+  machinery; memory pressure climbs the degradation ladder;
+* rerunning a finished CLI run recomputes nothing: every simulation
+  comes back from the store and the table dump is unchanged.
 """
 
+import logging
 import os
+import re
 import signal
+import subprocess
+import sys
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.common import knobs
 from repro.common.atomicio import (
     atomic_write_bytes,
@@ -27,26 +36,24 @@ from repro.common.atomicio import (
     atomic_write_text,
 )
 from repro.common.errors import (
-    CampaignError,
     InjectedFaultError,
     ShutdownRequested,
-    StallError,
+    TaskExecutionError,
 )
+from repro.experiments.__main__ import main as experiments_main
+from repro.obs.logging import ROOT_LOGGER
 from repro.obs.trace import reset_tracing
 from repro.obs.registry import set_registry
 from repro.sim.campaign import (
-    CAMPAIGN_VERSION,
     SHUTDOWN_EXIT_CODE,
-    STATUS_DONE,
-    STATUS_PENDING,
-    STATUS_RUNNING,
-    CampaignManifest,
     CampaignRunner,
     ShutdownCoordinator,
     campaign_fingerprint,
 )
 from repro.sim.faults import FaultPlan
 from repro.sim.resilience import ResilientExecutor, RetryPolicy, TaskSpec
+from repro.sim.runner import ExperimentRunner
+from repro.sim.store import ResultStore
 from repro.sim.watchdog import (
     DEGRADE_ABORT,
     DEGRADE_NO_PREFETCH,
@@ -116,77 +123,11 @@ class TestAtomicIO:
 
 
 # ---------------------------------------------------------------------------
-# The write-ahead journal.
+# The campaign fingerprint.
 # ---------------------------------------------------------------------------
 
 
-class TestCampaignManifest:
-    def test_fresh_writes_all_pending(self, tmp_path):
-        path = tmp_path / "campaign" / "manifest.json"
-        manifest = CampaignManifest.fresh(path, ["a", "b"], "f" * 64)
-        assert path.exists()
-        assert manifest.pending_ids() == ["a", "b"]
-        assert not manifest.is_complete()
-        loaded = CampaignManifest.load(path)
-        assert loaded.experiment_ids == ("a", "b")
-        assert loaded.fingerprint == "f" * 64
-
-    def test_transitions_journal_before_and_after(self, tmp_path):
-        path = tmp_path / "manifest.json"
-        manifest = CampaignManifest.fresh(path, ["a", "b"], "fp")
-        manifest.mark_running("a")
-        # Kill point: reloading now must show 'a' in flight.
-        assert CampaignManifest.load(path).status("a") == STATUS_RUNNING
-        manifest.mark_done("a")
-        manifest.mark_failed("b", "stack overflow of ambition")
-        reloaded = CampaignManifest.load(path)
-        assert reloaded.status("a") == STATUS_DONE
-        assert reloaded.entries["b"]["error"].startswith("stack overflow")
-        # failed entries are retried on resume; done ones are not.
-        assert reloaded.pending_ids() == ["b"]
-        assert reloaded.entries["a"]["attempts"] == 1
-
-    def test_demote_running_requeues_in_flight_work(self, tmp_path):
-        manifest = CampaignManifest.fresh(
-            tmp_path / "m.json", ["a", "b", "c"], "fp"
-        )
-        manifest.mark_running("a")
-        manifest.mark_done("a")
-        manifest.mark_running("b")
-        # The process dies here; resume repairs the journal.
-        resumed = CampaignManifest.load(tmp_path / "m.json")
-        assert resumed.demote_running() == ["b"]
-        assert resumed.status("b") == STATUS_PENDING
-        assert resumed.status("a") == STATUS_DONE
-        assert resumed.demote_running() == []
-
-    def test_load_rejects_missing_and_garbage(self, tmp_path):
-        with pytest.raises(CampaignError, match="no campaign journal"):
-            CampaignManifest.load(tmp_path / "absent.json")
-        bad = tmp_path / "bad.json"
-        bad.write_text("not json {")
-        with pytest.raises(CampaignError, match="unreadable"):
-            CampaignManifest.load(bad)
-
-    def test_load_rejects_version_skew(self, tmp_path):
-        path = tmp_path / "m.json"
-        CampaignManifest.fresh(path, ["a"], "fp")
-        text = path.read_text().replace(
-            f'"version": {CAMPAIGN_VERSION}', '"version": 999'
-        )
-        path.write_text(text)
-        with pytest.raises(CampaignError, match="version"):
-            CampaignManifest.load(path)
-
-    def test_load_rejects_unknown_status(self, tmp_path):
-        path = tmp_path / "m.json"
-        CampaignManifest.fresh(path, ["a"], "fp")
-        path.write_text(
-            path.read_text().replace('"pending"', '"exploded"')
-        )
-        with pytest.raises(CampaignError, match="unknown status"):
-            CampaignManifest.load(path)
-
+class TestCampaignFingerprint:
     def test_fingerprint_covers_scale_ids_and_constants(self):
         @dataclass(frozen=True)
         class FakeScale:
@@ -201,6 +142,26 @@ class TestCampaignManifest:
 # ---------------------------------------------------------------------------
 # Shutdown coordinator.
 # ---------------------------------------------------------------------------
+
+
+#: The ``src`` directory, for child interpreters.
+_SRC = str(Path(repro.__file__).resolve().parents[1])
+
+#: Child for the hard-abort test: installs the coordinator, reports the
+#: first signal, then waits (bounded) for the second one to kill it.
+_HARD_ABORT_CHILD = """
+import time
+from repro.sim.campaign import ShutdownCoordinator
+shutdown = ShutdownCoordinator().install()
+print("ready", flush=True)
+deadline = time.monotonic() + 30.0
+while not shutdown.requested and time.monotonic() < deadline:
+    time.sleep(0.01)
+print("graceful", shutdown.signal_name, flush=True)
+while time.monotonic() < deadline:
+    time.sleep(0.01)
+raise SystemExit(3)
+"""
 
 
 class TestShutdownCoordinator:
@@ -230,6 +191,26 @@ class TestShutdownCoordinator:
         with pytest.raises(KeyboardInterrupt):
             os.kill(os.getpid(), signal.SIGINT)
             time.sleep(0.2)
+
+    def test_second_signal_hard_aborts(self):
+        """First SIGTERM only sets the flag; the second kills the child
+        with the default action, which a graceful path cannot block."""
+        child = subprocess.Popen(
+            [sys.executable, "-c", _HARD_ABORT_CHILD],
+            env={**os.environ, "PYTHONPATH": _SRC},
+            stdout=subprocess.PIPE, text=True,
+        )
+        try:
+            assert child.stdout.readline() == "ready\n"
+            child.send_signal(signal.SIGTERM)
+            assert child.stdout.readline() == "graceful SIGTERM\n"
+            child.send_signal(signal.SIGTERM)
+            assert child.wait(timeout=30) == -signal.SIGTERM
+        finally:
+            if child.poll() is None:
+                child.kill()
+                child.wait()
+            child.stdout.close()
 
     def test_exit_code_is_distinct(self):
         assert SHUTDOWN_EXIT_CODE == 75
@@ -364,7 +345,7 @@ class TestExecutorIntegration:
 
 
 # ---------------------------------------------------------------------------
-# CampaignRunner over a stub registry (fast, deterministic).
+# CampaignRunner over stub experiments (fast, deterministic).
 # ---------------------------------------------------------------------------
 
 
@@ -389,147 +370,150 @@ class _StubExperiment:
         return _StubResult(f"table of {self.id}")
 
 
-@pytest.fixture
-def stub_registry(monkeypatch):
-    experiments = {}
-
-    def get_experiment(exp_id):
-        return experiments[exp_id]
-
-    monkeypatch.setattr(
-        "repro.experiments.registry.get_experiment", get_experiment
-    )
-    return experiments
-
-
 class TestCampaignRunner:
-    def _campaign(self, tmp_path, ids, **kwargs):
-        manifest = CampaignManifest.fresh(
-            tmp_path / "manifest.json", ids, "fp"
-        )
-        return CampaignRunner(
-            manifest, runner=None, scale=None,
-            tables_dir=tmp_path / "tables", **kwargs
-        )
+    def _campaign(self, tmp_path, experiments, with_store=True, **kwargs):
+        store = ResultStore(tmp_path / "cache") if with_store else None
+        runner = ExperimentRunner(jobs=1, store=store)
+        return CampaignRunner(experiments, runner, scale=None, **kwargs)
 
-    def test_clean_run_journals_everything_done(self, tmp_path, obs_off,
-                                                stub_registry):
-        stub_registry["a"] = _StubExperiment("a")
-        stub_registry["b"] = _StubExperiment("b")
-        campaign = self._campaign(tmp_path, ["a", "b"])
-        status = campaign.run()
+    @staticmethod
+    def _dumps(tmp_path):
+        tables = tmp_path / "cache" / "campaign" / "tables"
+        return sorted(path.name for path in tables.glob("*.txt"))
+
+    def test_clean_run_journals_everything_done(self, tmp_path, obs_off):
+        experiments = [_StubExperiment("a"), _StubExperiment("b")]
+        status = self._campaign(tmp_path, experiments).run()
         assert status.ok
         assert status.completed == ["a", "b"]
-        assert campaign.manifest.is_complete()
-        assert (tmp_path / "tables" / "a.txt").read_text() == \
-            "table of a\n"
-
-    def test_resume_skips_done_and_reloads_tables(self, tmp_path, obs_off,
-                                                  stub_registry):
-        stub_registry["a"] = _StubExperiment("a")
-        stub_registry["b"] = _StubExperiment("b")
-        first = self._campaign(tmp_path, ["a", "b"])
-        first.run()
-        # Second run over the same journal: nothing recomputes.
-        resumed = CampaignManifest.load(tmp_path / "manifest.json")
-        campaign = CampaignRunner(
-            resumed, runner=None, scale=None,
-            tables_dir=tmp_path / "tables",
-        )
-        status = campaign.run()
-        assert status.skipped == ["a", "b"]
-        assert status.completed == []
-        assert stub_registry["a"].runs == 1
-        assert status.tables["a"] == "table of a\n"
-
-    def test_resume_reruns_done_entry_missing_its_table(self, tmp_path,
-                                                        obs_off,
-                                                        stub_registry):
-        stub_registry["a"] = _StubExperiment("a")
-        stub_registry["b"] = _StubExperiment("b")
-        self._campaign(tmp_path, ["a", "b"]).run()
-        table_a = tmp_path / "tables" / "a.txt"
-        table_a.unlink()
-        # Journaled done, but the dump is gone: a is not done.
-        resumed = CampaignManifest.load(tmp_path / "manifest.json")
-        campaign = CampaignRunner(
-            resumed, runner=None, scale=None,
-            tables_dir=tmp_path / "tables",
-        )
-        status = campaign.run()
-        assert status.ok
-        assert status.completed == ["a"]
-        assert status.skipped == ["b"]
-        assert stub_registry["a"].runs == 2
-        assert stub_registry["b"].runs == 1
         assert status.tables["a"] == "table of a"
-        assert table_a.read_text() == "table of a\n"
-        assert resumed.is_complete()
+        assert self._dumps(tmp_path) == ["a.txt", "b.txt"]
+        assert (tmp_path / "cache" / "campaign" / "tables" /
+                "a.txt").read_text() == "table of a\n"
+
+    def test_storeless_run_writes_no_dump(self, tmp_path, obs_off):
+        status = self._campaign(
+            tmp_path, [_StubExperiment("a")], with_store=False
+        ).run()
+        assert status.ok and status.tables == {"a": "table of a"}
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_experiment_does_not_stop_the_loop(self, tmp_path,
+                                                       obs_off):
+        def fail(exp):
+            raise TaskExecutionError("retries exhausted")
+
+        experiments = [
+            _StubExperiment("a"),
+            _StubExperiment("b", hook=fail),
+            _StubExperiment("c"),
+        ]
+        seen = []
+        status = self._campaign(
+            tmp_path, experiments,
+            on_experiment=lambda exp, table: seen.append((exp.id, table)),
+        ).run()
+        assert not status.ok
+        assert status.completed == ["a", "c"]
+        assert status.failed == ["b"]
+        assert seen == [("a", "table of a"), ("b", None),
+                        ("c", "table of c")]
+        assert self._dumps(tmp_path) == ["a.txt", "c.txt"]
 
     def test_shutdown_mid_campaign_requeues_in_flight(self, tmp_path,
-                                                      obs_off,
-                                                      stub_registry):
+                                                      obs_off):
         shutdown = ShutdownCoordinator()
 
         # The second experiment sees the signal while *running* (the
         # executor raises, exactly like a real mid-batch SIGINT): it
-        # must be journaled back to pending, not lost or marked done.
+        # leaves no dump, and the third never starts.
         def interrupt(exp):
             shutdown.request("SIGINT")
             shutdown.check()
 
-        stub_registry["a"] = _StubExperiment("a")
-        stub_registry["b"] = _StubExperiment("b", hook=interrupt)
-        stub_registry["c"] = _StubExperiment("c")
-        campaign = self._campaign(
-            tmp_path, ["a", "b", "c"], shutdown=shutdown
-        )
-        status = campaign.run()
+        experiments = [
+            _StubExperiment("a"),
+            _StubExperiment("b", hook=interrupt),
+            _StubExperiment("c"),
+        ]
+        status = self._campaign(
+            tmp_path, experiments, shutdown=shutdown
+        ).run()
         assert status.interrupted == "SIGINT"
         assert status.completed == ["a"]
-        journal = CampaignManifest.load(tmp_path / "manifest.json")
-        assert journal.status("a") == STATUS_DONE
-        assert journal.status("b") == STATUS_PENDING
-        assert journal.status("c") == STATUS_PENDING
-        assert stub_registry["c"].runs == 0
+        assert self._dumps(tmp_path) == ["a.txt"]
+        assert experiments[2].runs == 0
 
-        # Resume: only b and c run; the journal completes.
-        shutdown2 = ShutdownCoordinator()
-        stub_registry["b"]._hook = None
-        campaign2 = CampaignRunner(
-            journal, runner=None, scale=None,
-            tables_dir=tmp_path / "tables", shutdown=shutdown2,
-        )
-        status2 = campaign2.run()
+        # The rerun is the resume: the same experiments, a fresh
+        # coordinator, and every dump lands.
+        experiments[1]._hook = None
+        status2 = self._campaign(
+            tmp_path, experiments, shutdown=ShutdownCoordinator()
+        ).run()
         assert status2.ok
-        assert status2.completed == ["b", "c"]
-        assert status2.skipped == ["a"]
-        assert stub_registry["a"].runs == 1
-        assert CampaignManifest.load(
-            tmp_path / "manifest.json"
-        ).is_complete()
+        assert status2.completed == ["a", "b", "c"]
+        assert self._dumps(tmp_path) == ["a.txt", "b.txt", "c.txt"]
 
     def test_campaign_fault_leaves_running_entry_for_resume(
-        self, tmp_path, obs_off, stub_registry
+        self, tmp_path, obs_off
     ):
-        """``crash@campaign`` kills between mark-running and mark-done;
-        the journal must say 'running' (rerun me), never 'done'."""
-        stub_registry["a"] = _StubExperiment("a")
-        stub_registry["b"] = _StubExperiment("b")
+        """``crash@campaign:1`` kills the loop before experiment 1
+        starts: a's dump has landed, b's has not, and a rerun without
+        the fault completes."""
+        experiments = [_StubExperiment("a"), _StubExperiment("b")]
         plan = FaultPlan.parse("crash@campaign:1")
-        campaign = self._campaign(tmp_path, ["a", "b"], faults=plan)
         with pytest.raises(InjectedFaultError):
-            campaign.run()
-        journal = CampaignManifest.load(tmp_path / "manifest.json")
-        assert journal.status("a") == STATUS_DONE
-        assert journal.status("b") == STATUS_RUNNING
+            self._campaign(tmp_path, experiments, faults=plan).run()
+        assert self._dumps(tmp_path) == ["a.txt"]
+        assert experiments[1].runs == 0
 
-        # Resume demotes the orphaned entry and finishes the campaign.
-        assert journal.demote_running() == ["b"]
-        campaign2 = CampaignRunner(
-            journal, runner=None, scale=None,
-            tables_dir=tmp_path / "tables",
-        )
-        status = campaign2.run()
-        assert status.ok and status.completed == ["b"]
-        assert journal.is_complete()
+        status = self._campaign(tmp_path, experiments).run()
+        assert status.ok and status.completed == ["a", "b"]
+        assert self._dumps(tmp_path) == ["a.txt", "b.txt"]
+
+
+# ---------------------------------------------------------------------------
+# The CLI: a rerun resumes from the store.
+# ---------------------------------------------------------------------------
+
+
+#: A QUICK experiment among the cheapest to run cold: a baseline and
+#: two CoLT-FA variants per simulation-environment scenario.
+CLI_EXPERIMENT = "abl_fasize"
+
+#: The CLI's result-store summary line.
+_STORE_LINE = re.compile(r"^store: (\d+) hits, (\d+) misses", re.M)
+
+
+@pytest.fixture
+def restore_colt_logger():
+    """The CLI points the ``colt`` logger at the test's captured stderr;
+    restore it so later tests do not log into a closed stream."""
+    logger = logging.getLogger(ROOT_LOGGER)
+    handlers, level, propagate = logger.handlers[:], logger.level, \
+        logger.propagate
+    yield
+    logger.handlers[:] = handlers
+    logger.setLevel(level)
+    logger.propagate = propagate
+
+
+class TestExperimentsCli:
+    def test_rerun_is_all_store_hits(self, tmp_path, obs_off, monkeypatch,
+                                     capsys, restore_colt_logger):
+        monkeypatch.setenv(knobs.SCALE.name, "quick")
+        cache = tmp_path / "cache"
+        argv = [CLI_EXPERIMENT, "--jobs", "1", "--cache-dir", str(cache)]
+        dump = cache / "campaign" / "tables" / f"{CLI_EXPERIMENT}.txt"
+
+        assert experiments_main(argv) == 0
+        first = dump.read_bytes()
+        hits, misses = map(int, _STORE_LINE.search(
+            capsys.readouterr().out).groups())
+        assert misses > 0 and hits == 0
+
+        assert experiments_main(argv) == 0
+        assert dump.read_bytes() == first
+        hits, misses = map(int, _STORE_LINE.search(
+            capsys.readouterr().out).groups())
+        assert misses == 0 and hits > 0

@@ -38,7 +38,6 @@ def _record(**overrides):
         wall={"total": 12.5, "fig18": 11.0},
         counters={"colt_mmu_accesses": 600000.0, "colt_mmu_walks": 21919.0},
         store={"hits": 0.0, "misses": 20.0, "hit_ratio": 0.0},
-        campaign=True,
         telemetry=True,
         jobs=2,
     )
@@ -120,7 +119,7 @@ class TestDiff:
         assert flat["wall.total"] == 12.5
         assert flat["counters.colt_mmu_walks"] == 21919.0
         assert "ts" not in flat  # timestamps never count as drift
-        assert flat["campaign"] == 1.0
+        assert flat["telemetry"] == 1.0
 
     def test_diff_reports_only_changes(self):
         a = _record()

@@ -43,6 +43,7 @@ from repro.sim.store import (
     unframe_payload,
 )
 from repro.sim.system import SimulationConfig, simulate
+from repro.sim.watchdog import resolve_dump_dir
 
 
 @pytest.fixture
@@ -422,6 +423,19 @@ class TestResilientExecutor:
         counts = executor.counters.as_dict()
         assert counts["timeouts"] >= 1
         assert counts["retries"] >= 1
+        # The worker dumped its stacks at the deadline, naming where the
+        # blown attempt was stuck; the prompt retry left no dump.
+        dumps = list(resolve_dump_dir().glob("task-*.txt"))
+        assert len(dumps) == 1
+        assert "_slow_first" in dumps[0].read_text()
+
+    def test_pool_deadline_met_leaves_no_dump(self):
+        policy = RetryPolicy(max_retries=0, backoff_s=0.0, timeout_s=30.0)
+        tasks = [_task(_double, v, i) for i, v in enumerate((1, 2, 3))]
+        with ResilientExecutor(jobs=2, policy=policy) as executor:
+            results = sorted(r for _, r in executor.run(tasks))
+        assert results == [2, 4, 6]
+        assert not list(resolve_dump_dir().glob("task-*.txt"))
 
 
 # ---------------------------------------------------------------------------
@@ -496,19 +510,22 @@ class TestChaosMatrix:
         assert resume_store.counters.as_dict()["hits"] >= 1
 
     def test_campaign_crash_then_resume_matches_baseline(
-        self, tmp_path, obs_off, baseline, monkeypatch
+        self, tmp_path, obs_off, baseline
     ):
-        """``crash@campaign``: die after mark-running, resume from the
-        journal, and end bit-identical to the fault-free baseline."""
-        from repro.sim.campaign import CampaignManifest, CampaignRunner
+        """``crash@campaign:1``: die before the second experiment, rerun
+        the same experiments, and end bit-identical to the fault-free
+        baseline with the first experiment's simulations served from
+        the store."""
+        from repro.sim.campaign import CampaignRunner
 
         captured = {}
 
         class _ChaosExperiment:
-            id = "chaos"
+            def __init__(self, exp_id):
+                self.id = exp_id
 
             def run(self, scale, runner):
-                captured["results"] = runner.run_designs(CHAOS_CONFIG)
+                captured[self.id] = runner.run_designs(CHAOS_CONFIG)
 
                 class _Table:
                     @staticmethod
@@ -517,33 +534,30 @@ class TestChaosMatrix:
 
                 return _Table()
 
-        monkeypatch.setattr(
-            "repro.experiments.registry.get_experiment",
-            lambda exp_id: _ChaosExperiment(),
-        )
-        store = ResultStore(tmp_path / "cache")
-        manifest = CampaignManifest.fresh(tmp_path / "m.json", ["chaos"],
-                                          "fp")
+        experiments = [_ChaosExperiment("first"), _ChaosExperiment("second")]
+        tables = tmp_path / "cache" / "campaign" / "tables"
         campaign = CampaignRunner(
-            manifest, ExperimentRunner(jobs=2, store=store), scale=None,
-            tables_dir=tmp_path / "tables",
-            faults=FaultPlan.parse("crash@campaign:0"),
+            experiments,
+            ExperimentRunner(jobs=2, store=ResultStore(tmp_path / "cache")),
+            scale=None, faults=FaultPlan.parse("crash@campaign:1"),
         )
         with pytest.raises(InjectedFaultError):
             campaign.run()
-        # Killed between mark-running and mark-done: in flight.
-        journal = CampaignManifest.load(tmp_path / "m.json")
-        assert journal.status("chaos") == "running"
+        assert sorted(path.name for path in tables.iterdir()) == \
+            ["first.txt"]
 
-        resumed = CampaignRunner(
-            journal,
-            ExperimentRunner(jobs=2, store=ResultStore(tmp_path / "cache")),
-            scale=None, tables_dir=tmp_path / "tables",
-        )
-        status = resumed.run()
-        assert status.ok and status.completed == ["chaos"]
-        assert journal.is_complete()
-        assert captured["results"] == baseline
+        captured.clear()
+        rerun_store = ResultStore(tmp_path / "cache")
+        status = CampaignRunner(
+            experiments, ExperimentRunner(jobs=2, store=rerun_store),
+            scale=None,
+        ).run()
+        assert status.ok and status.completed == ["first", "second"]
+        assert sorted(path.name for path in tables.iterdir()) == \
+            ["first.txt", "second.txt"]
+        assert captured == {"first": baseline, "second": baseline}
+        counts = rerun_store.counters.as_dict()
+        assert counts["hits"] >= 1 and counts["misses"] == 0
 
     def test_serial_crash_demotes_to_recoverable_exception(self, obs_off,
                                                            baseline):

@@ -30,7 +30,7 @@ from repro.obs.serve import (
     telemetry_port_from_env,
 )
 from repro.obs.trace import reset_tracing
-from repro.sim.campaign import CampaignManifest, CampaignRunner
+from repro.sim.campaign import CampaignRunner
 from repro.sim.runner import ExperimentRunner
 
 
@@ -352,15 +352,10 @@ _TINY = ExperimentScale(
 )
 
 
-def _run_tiny_campaign(tmp_path, name, poll_port=None):
+def _run_tiny_campaign(poll_port=None):
     """One fig18 campaign at the tiny scale; returns its table text."""
-    manifest = CampaignManifest.fresh(
-        tmp_path / name / "manifest.json", ["fig18"], "test-fingerprint"
-    )
     runner = ExperimentRunner(jobs=1, store=None)
-    campaign = CampaignRunner(
-        manifest, runner, _TINY, tables_dir=tmp_path / name / "tables"
-    )
+    campaign = CampaignRunner([get_experiment("fig18")], runner, _TINY)
 
     polls = {"metrics": 0, "progress": 0}
     stop = threading.Event()
@@ -393,19 +388,16 @@ def _run_tiny_campaign(tmp_path, name, poll_port=None):
 
 
 class TestServedBitIdentity:
-    def test_metrics_polling_does_not_perturb_campaign(
-        self, obs_profile, tmp_path
-    ):
-        get_experiment("fig18")  # fail fast if the id ever changes
+    def test_metrics_polling_does_not_perturb_campaign(self, obs_profile):
         server = TelemetryServer(0)
         port = server.start()
         try:
-            served = _run_tiny_campaign(tmp_path, "served", poll_port=port)
+            served = _run_tiny_campaign(poll_port=port)
         finally:
             server.stop()
         # Fresh obs state for the unserved control run.
         reset_tracing()
         set_registry(None)
         reset_progress()
-        unserved = _run_tiny_campaign(tmp_path, "unserved")
+        unserved = _run_tiny_campaign()
         assert served == unserved

@@ -12,17 +12,18 @@ results. ``--list-modes`` enumerates them:
     must quarantine exactly the corrupt entries and recompute them).
 
 ``campaign`` (``--campaign``)
-    End-to-end campaign journal invariant via
-    ``python -m repro.experiments --campaign`` subprocesses: a clean
-    run, a SIGTERM kill mid-campaign (resumable exit status, consistent
-    write-ahead journal), a ``--resume`` to byte-identical tables, and
-    a stall-watchdog run that must dump stacks yet converge.
+    End-to-end resume-from-the-store invariant via
+    ``python -m repro.experiments`` subprocesses: a clean run, a
+    SIGTERM kill between experiments (exit 75, the first table dump
+    present and the second absent), a rerun of the same command to
+    byte-identical tables whose store hits equal the killed run's
+    saves, and a stall-watchdog run that must dump stacks yet converge.
 
 ``telemetry`` (``--telemetry``)
     The telemetry plane's crash discipline: live /healthz, /progress
-    and /metrics probes mid-campaign, clean server shutdown on SIGTERM
+    and /metrics probes mid-run, clean server shutdown on SIGTERM
     (exit 75, port released), and ``colt-history-v1`` records for both
-    the killed and the resumed run.
+    the killed run and its rerun.
 
 Exit status is non-zero on any divergence. Because injected faults only
 kill/delay/corrupt -- they never feed a number into a simulation -- any
@@ -70,15 +71,21 @@ CORRUPTED_WRITES = 2
 FIGURE = "fig18"
 
 #: Experiments for the campaign check. fig19 replays fig18's scenario
-#: groups, so the second campaign entry is cheap but still exercises a
-#: distinct journal transition.
+#: groups, so the second experiment is cheap but still runs configs
+#: fig18 never did (the rerun's store misses).
 CAMPAIGN_IDS = ("fig18", "fig19")
 
-#: Parent-process hold on campaign entry 1: a window in which the
-#: SIGTERM deterministically lands between the journal's
-#: ``mark_running`` and the experiment's first task, so the kill always
-#: interrupts a running campaign rather than racing its completion.
+#: Parent-process hold before experiment 1: a window in which the
+#: SIGTERM deterministically lands before fig19 starts, so the kill
+#: always interrupts a running campaign rather than racing its
+#: completion.
 HOLD_SECONDS = 10.0
+
+#: The CLI's result-store summary line.
+STORE_LINE = re.compile(
+    r"^store: (?P<hits>\d+) hits, \d+ misses, \d+ evictions, "
+    r"(?P<saves>\d+) saves", re.M,
+)
 
 #: Stall-watchdog phase: the first capture sleeps DELAY, the watchdog
 #: trips at STALL (well above a healthy QUICK capture's ~2s) and
@@ -145,18 +152,8 @@ def _campaign_env(faults: str = "") -> dict:
 def _campaign_cmd(cache_dir: str, jobs: int, ids=CAMPAIGN_IDS, extra=()):
     return [
         sys.executable, "-m", "repro.experiments", *ids,
-        "--campaign", "--jobs", str(jobs), "--cache-dir", cache_dir,
-        *extra,
+        "--jobs", str(jobs), "--cache-dir", cache_dir, *extra,
     ]
-
-
-def _statuses(cache_dir: str) -> dict:
-    manifest = Path(cache_dir) / "campaign" / "manifest.json"
-    data = json.loads(manifest.read_text(encoding="utf-8"))
-    return {
-        exp_id: entry["status"]
-        for exp_id, entry in data["entries"].items()
-    }
 
 
 def _tables(cache_dir: str) -> dict:
@@ -203,10 +200,10 @@ def _compare_tables(label: str, cache_dir: str, clean_tables: dict) -> int:
 
 def _kill_after_first_table(label: str, cache_dir: str, jobs: int,
                             faults: str):
-    """Start a campaign and SIGTERM it once entry 0's table lands.
+    """Start a campaign and SIGTERM it once experiment 0's table lands.
 
-    ``faults`` should hold entry 1 open (``delay@campaign:1/...``) so
-    the signal deterministically interrupts a *running* campaign.
+    ``faults`` should hold experiment 1 back (``delay@campaign:1/...``)
+    so the signal deterministically interrupts a *running* campaign.
     Returns ``(returncode, combined_output)``, or None (after a FAIL
     line) when the campaign ended before the window opened.
     """
@@ -231,32 +228,37 @@ def _kill_after_first_table(label: str, cache_dir: str, jobs: int,
 
 
 def _check_killed(label: str, rc: int, out: str, cache_dir: str) -> int:
-    """A killed campaign must exit resumable with a consistent journal."""
+    """A killed campaign exits 75 with only experiment 0's table dump."""
     failures = 0
     if rc != SHUTDOWN_EXIT_CODE:
         print(f"FAIL: {label} exited {rc}, expected "
               f"{SHUTDOWN_EXIT_CODE}\n{out}", file=sys.stderr)
         failures += 1
-    statuses = _statuses(cache_dir)
-    if statuses.get(CAMPAIGN_IDS[0]) != "done" or any(
-        status == "running" for status in statuses.values()
-    ):
-        print(f"FAIL: journal inconsistent after {label}: {statuses}",
-              file=sys.stderr)
+    dumps = sorted(_tables(cache_dir))
+    if dumps != [f"{CAMPAIGN_IDS[0]}.txt"]:
+        print(f"FAIL: {label} left table dumps {dumps}, expected only "
+              f"{CAMPAIGN_IDS[0]}.txt", file=sys.stderr)
         failures += 1
     if not failures:
-        print(f"  exit {SHUTDOWN_EXIT_CODE}, journal consistent: "
-              f"{statuses}")
+        print(f"  exit {SHUTDOWN_EXIT_CODE}, table dumps: {dumps}")
     return failures
 
 
-def _check_resumed(label: str, cache_dir: str) -> int:
-    """After --resume, every journal entry must be done."""
-    statuses = _statuses(cache_dir)
-    if any(status != "done" for status in statuses.values()):
-        print(f"FAIL: {label} left unfinished entries: {statuses}",
+def _check_store_reuse(killed_out: str, rerun_out: str) -> int:
+    """The rerun's store hits must equal the killed run's saves: every
+    simulation the killed run finished comes back from the store."""
+    killed = STORE_LINE.search(killed_out)
+    rerun = STORE_LINE.search(rerun_out)
+    if killed is None or rerun is None:
+        print("FAIL: killed run or rerun printed no store line",
               file=sys.stderr)
         return 1
+    saves, hits = int(killed["saves"]), int(rerun["hits"])
+    if hits != saves or not saves:
+        print(f"FAIL: rerun made {hits} store hits, killed run saved "
+              f"{saves}", file=sys.stderr)
+        return 1
+    print(f"  rerun reused the store: {hits} hits for {saves} saves")
     return 0
 
 
@@ -377,12 +379,12 @@ def _campaign_check(args) -> int:
             print(f"FAIL: clean campaign table dumps incomplete: "
                   f"{sorted(clean_tables)}", file=sys.stderr)
             return 1
-        print(f"  {len(clean_tables)} table dumps journaled done")
+        print(f"  {len(clean_tables)} table dumps written")
 
-        # Kill phase: a parent-side hold on entry 1 opens a window in
-        # which the campaign is journaled *running*; SIGTERM there must
+        # Kill phase: a parent-side hold before experiment 1 opens a
+        # window in which the campaign is running; SIGTERM there must
         # wind down gracefully with the resumable status.
-        print("killed campaign (SIGTERM while entry 1 is running)")
+        print("killed campaign (SIGTERM while experiment 1 is held)")
         killed = _kill_after_first_table(
             "killed campaign", kill_dir, args.jobs,
             f"delay@campaign:1/{HOLD_SECONDS:g}",
@@ -391,14 +393,13 @@ def _campaign_check(args) -> int:
             return 1
         failures += _check_killed("killed campaign", *killed, kill_dir)
 
-        print("resumed campaign (--resume over the killed journal)")
-        resumed = _checked_run(
-            "resume", kill_dir, args.jobs, extra=("--resume",)
-        )
-        if resumed is None:
+        print("rerun (the same command over the killed run's store)")
+        rerun = _checked_run("rerun", kill_dir, args.jobs)
+        if rerun is None:
             failures += 1
-        failures += _check_resumed("resume", kill_dir)
-        failures += _compare_tables("resume", kill_dir, clean_tables)
+        else:
+            failures += _check_store_reuse(killed[1], rerun.stdout)
+        failures += _compare_tables("rerun", kill_dir, clean_tables)
 
         print(f"stalled campaign (capture sleeps "
               f"{STALL_DELAY_SECONDS:g}s, watchdog at "
@@ -432,7 +433,7 @@ def _campaign_check(args) -> int:
         print(f"campaign check FAILED ({failures} divergence(s))",
               file=sys.stderr)
         return 1
-    print("campaign check passed: kill/resume/stall all converged "
+    print("campaign check passed: kill/rerun/stall all converged "
           "on the clean tables")
     return 0
 
@@ -467,7 +468,7 @@ def _telemetry_check(args) -> int:
     with tempfile.TemporaryDirectory(prefix="colt-telemetry-") as tmp:
         cache_dir = os.path.join(tmp, "cache")
 
-        # Kill phase: serve telemetry while entry 1 is held open, probe
+        # Kill phase: serve telemetry while experiment 1 is held, probe
         # all three endpoints live, then SIGTERM. The server must come
         # down with the process (exit 75, port released) and the killed
         # run must still leave a non-ok history record. (This phase
@@ -581,25 +582,23 @@ def _telemetry_check(args) -> int:
                 print(f"  exit {SHUTDOWN_EXIT_CODE}, port released, "
                       f"history recorded status={last['status']!r}")
 
-        print("resumed campaign (--resume, telemetry served again)")
-        resumed = _checked_run(
-            "resume", cache_dir, args.jobs,
-            extra=("--resume", "--telemetry-port", "0"),
+        print("rerun (the same command, telemetry served again)")
+        rerun = _checked_run(
+            "rerun", cache_dir, args.jobs, extra=("--telemetry-port", "0"),
         )
-        if resumed is None:
+        if rerun is None:
             failures += 1
-        failures += _check_resumed("resume", cache_dir)
         history = _history_records(cache_dir)
         if len(history) != len(records) + 1 or \
                 history[-1].get("status") != "ok":
-            print(f"FAIL: resume did not append an ok record "
+            print(f"FAIL: rerun did not append an ok record "
                   f"({len(records)} -> {len(history)} records, newest "
                   f"{history[-1].get('status')!r})"
-                  if history else "FAIL: resume left no history",
+                  if history else "FAIL: rerun left no history",
                   file=sys.stderr)
             failures += 1
         elif not failures:
-            print(f"  journal all done; history now {len(history)} "
+            print(f"  rerun complete; history now {len(history)} "
                   "record(s), newest status='ok'")
 
     if failures:
@@ -607,7 +606,7 @@ def _telemetry_check(args) -> int:
               file=sys.stderr)
         return 1
     print("telemetry check passed: clean SIGTERM shutdown, history "
-          "records for killed and resumed runs")
+          "records for the killed run and its rerun")
     return 0
 
 
@@ -620,7 +619,7 @@ MODES = {
     ),
     "campaign": (
         _campaign_check,
-        "campaign journal: clean, SIGTERM kill, --resume, "
+        "resume from the store: clean, SIGTERM kill, rerun, "
         "stall-watchdog dump",
     ),
     "telemetry": (
