@@ -19,9 +19,10 @@ Three rules, all driven by the project model's callback coloring:
     A class that owns a ``threading.Lock`` *and* starts a
     ``Thread(target=self...)`` writes an attribute from the thread side
     without holding the lock, while the attribute is read from the
-    non-thread side (or is part of the public surface). This is the
-    watchdog's exact failure shape: escalation rungs read by the
-    executor must be published under the lock.
+    non-thread side (or is part of the public surface): a flag or
+    counter a monitor thread publishes must be written under the lock
+    its readers take. No class in the repo starts such a thread today;
+    the rule stays so the next one starts out guarded.
 """
 
 from __future__ import annotations

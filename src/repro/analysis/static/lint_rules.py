@@ -25,9 +25,7 @@ RULES = (
 
 #: Files (matched by path suffix) where wall-clock reads are legal:
 #: CLI layers that print elapsed time but never serialize it, plus the
-#: tracer (its timestamps describe the run; they never feed results)
-#: and the watchdog (stall/memory monitoring is inherently about real
-#: time; nothing it measures reaches a SimulationResult).
+#: tracer (its timestamps describe the run; they never feed results).
 WALL_CLOCK_ALLOW = (
     "tools/lint.py",
     "tools/calibrate.py",
@@ -38,7 +36,6 @@ WALL_CLOCK_ALLOW = (
     "tools/chaos_check.py",
     "repro/experiments/__main__.py",
     "repro/obs/trace.py",
-    "repro/sim/watchdog.py",
 )
 
 #: Library files under ``repro/`` that are CLI front-ends in disguise

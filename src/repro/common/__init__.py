@@ -18,12 +18,10 @@ from repro.common.errors import (
     AllocationError,
     ConfigurationError,
     ExperimentError,
-    MemoryBudgetError,
     OutOfMemoryError,
     PageFaultError,
     ReproError,
     ShutdownRequested,
-    StallError,
     TranslationError,
     WorkloadError,
 )
@@ -64,7 +62,6 @@ __all__ = [
     "LookupResult",
     "MAX_ORDER",
     "MemoryAccess",
-    "MemoryBudgetError",
     "OutOfMemoryError",
     "PAGE_SHIFT",
     "PAGE_SIZE",
@@ -78,7 +75,6 @@ __all__ = [
     "SUPERPAGE_SIZE",
     "SeedSequencer",
     "ShutdownRequested",
-    "StallError",
     "Translation",
     "TranslationError",
     "WalkResult",

@@ -90,17 +90,3 @@ class ShutdownRequested(ReproError):
         super().__init__(f"graceful shutdown requested by {signal_name}")
         self.signal_name = signal_name
 
-
-class StallError(SimulationError):
-    """The stall watchdog saw no task complete within its timeout.
-
-    Treated by the executor exactly like a blown per-task deadline:
-    the stuck task is cancelled and requeued through the retry
-    machinery, after the watchdog dumped all-thread stacks for the
-    post-mortem.
-    """
-
-
-class MemoryBudgetError(ReproError):
-    """RSS exceeded ``COLT_MEM_BUDGET`` after every degradation rung
-    (pool shrink, prefetch disable) had already been applied."""

@@ -120,7 +120,9 @@ RETRIES = Knob(
 )
 TASK_TIMEOUT = Knob(
     "COLT_TASK_TIMEOUT", None,
-    "per-task deadline in seconds for pooled execution (0 disables)",
+    "pooled runs only: seconds the run waits for each task's result, "
+    "in submission order, before retrying it; the worker dumps its "
+    "stacks that long after the task starts (0 disables)",
     "--task-timeout",
 )
 BACKOFF = Knob(
@@ -128,21 +130,9 @@ BACKOFF = Knob(
     "base sleep in seconds before the first retry "
     "(deterministic exponential backoff)",
 )
-STALL_TIMEOUT = Knob(
-    "COLT_STALL_TIMEOUT", None,
-    "seconds without task completion before the stall watchdog dumps "
-    "stacks and requeues (0 disables)",
-    "--stall-timeout",
-)
-MEM_BUDGET = Knob(
-    "COLT_MEM_BUDGET", None,
-    "RSS budget in MiB; breaches climb the degradation ladder "
-    "(0 disables)",
-    "--mem-budget",
-)
 DUMP_DIR = Knob(
     "COLT_DUMP_DIR", f"{RESULT_CACHE.default}/dumps",
-    "directory for watchdog stall / task-deadline stack dumps",
+    "directory for the workers' task-deadline stack dumps",
     "--dump-dir",
 )
 TELEMETRY_PORT = Knob(
@@ -164,6 +154,6 @@ SCALE = Knob(
 #: Every knob; the docs table lists them sorted by name.
 ALL: Tuple[Knob, ...] = (
     SANITIZE, SANITIZE_EVERY, TRACE, TRACE_BUFFER, TRACE_SAMPLE, PROFILE,
-    RESULT_CACHE, FAULTS, RETRIES, TASK_TIMEOUT, BACKOFF, STALL_TIMEOUT,
-    MEM_BUDGET, DUMP_DIR, TELEMETRY_PORT, HISTORY, SCALE,
+    RESULT_CACHE, FAULTS, RETRIES, TASK_TIMEOUT, BACKOFF, DUMP_DIR,
+    TELEMETRY_PORT, HISTORY, SCALE,
 )

@@ -20,10 +20,12 @@ Observability (``repro.obs``) is wired here:
 
 Resilience (``repro.sim.resilience``) is configurable per run:
 ``--retries`` / ``--task-timeout`` override the ``COLT_RETRIES`` /
-``COLT_TASK_TIMEOUT`` environment defaults, and a ``COLT_FAULTS`` plan
-(see ``repro.sim.faults``) injects deterministic worker crashes, task
-exceptions, delays and store corruption for chaos testing. When the
-resilience layer absorbed anything, a summary line reports it.
+``COLT_TASK_TIMEOUT`` environment defaults (the task deadline is the
+run's stall detector; ``--dump-dir`` says where a stuck worker's stack
+dump lands), and a ``COLT_FAULTS`` plan (see ``repro.sim.faults``)
+injects deterministic worker crashes, task exceptions, delays and
+store corruption for chaos testing. When the resilience layer
+absorbed anything, a summary line reports it.
 
 The experiments run through one loop (``repro.sim.campaign``), which
 carries on past an experiment that failed permanently (the run then
@@ -33,8 +35,7 @@ state: rerunning the same command after an interruption gets every
 finished simulation back as a store hit. SIGINT/SIGTERM are handled
 two-stage: the first signal winds the run down gracefully (checkpoint,
 flush obs artifacts) and exits with status 75; a second signal
-hard-aborts. ``--stall-timeout`` / ``--mem-budget`` / ``--dump-dir``
-arm the stall/memory watchdog (``repro.sim.watchdog``).
+hard-aborts.
 
 The elapsed-time stamps printed here are display-only terminal feedback
 (monotonic ``perf_counter``); they are never serialized into experiment
@@ -52,7 +53,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.common import knobs
-from repro.common.errors import MemoryBudgetError
 from repro.obs.export import write_chrome_trace, write_metrics_json
 from repro.obs.history import (
     build_record,
@@ -76,7 +76,6 @@ from repro.sim.faults import FaultPlan
 from repro.sim.resilience import RetryPolicy
 from repro.sim.runner import ExperimentRunner
 from repro.sim.store import ResultStore
-from repro.sim.watchdog import Watchdog
 from repro.experiments.registry import EXPERIMENTS, resolve_experiments
 from repro.experiments.scale import preset_name, scale_from_env
 
@@ -121,25 +120,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--task-timeout", type=float, default=None, metavar="SECONDS",
-        help="per-task deadline for pooled execution; 0 disables "
-             + _env_default(knobs.TASK_TIMEOUT),
-    )
-    parser.add_argument(
-        "--stall-timeout", type=float, default=None, metavar="SECONDS",
-        help="watchdog: seconds without any task completion before "
-             "all-thread stacks are dumped and the stuck task is "
-             "requeued " + _env_default(knobs.STALL_TIMEOUT),
-    )
-    parser.add_argument(
-        "--mem-budget", type=float, default=None, metavar="MIB",
-        help="watchdog: RSS budget in MiB for this process tree; over "
-             "budget the runner degrades (shrink pool -> no prefetch "
-             "-> clean abort) " + _env_default(knobs.MEM_BUDGET),
+        help="pooled runs only: retry a task whose result has not "
+             "arrived SECONDS after the run started waiting on it "
+             "(results are awaited in submission order); its worker "
+             "dumps its stacks SECONDS after the task starts; 0 "
+             "disables " + _env_default(knobs.TASK_TIMEOUT),
     )
     parser.add_argument(
         "--dump-dir", default=None, metavar="DIR",
-        help="stack-dump directory for the watchdog and per-task "
-             "deadline dumps " + _env_default(knobs.DUMP_DIR),
+        help="directory for the workers' task-deadline stack dumps "
+             + _env_default(knobs.DUMP_DIR),
     )
     parser.add_argument(
         "--telemetry-port", type=int, default=None, metavar="PORT",
@@ -257,7 +247,6 @@ def _run_loop(
     args, experiments, scale,
     runner: ExperimentRunner,
     shutdown: ShutdownCoordinator,
-    watchdog: Optional[Watchdog],
     faults: Optional[FaultPlan],
     phase_wall,
 ) -> int:
@@ -278,7 +267,6 @@ def _run_loop(
         runner,
         scale,
         shutdown=shutdown,
-        watchdog=watchdog,
         faults=faults,
         on_experiment=_note_experiment,
     ).run()
@@ -372,16 +360,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
     faults = FaultPlan.from_env()
     shutdown = ShutdownCoordinator().install()
-    watchdog = Watchdog.from_env(
-        stall_timeout_s=args.stall_timeout,
-        mem_budget_mib=args.mem_budget,
-        dump_dir=args.dump_dir,
-    )
-    if watchdog is not None:
-        watchdog.start()
     runner = ExperimentRunner(
         jobs=jobs, store=store, policy=policy, faults=faults,
-        shutdown=shutdown, watchdog=watchdog,
+        shutdown=shutdown,
     )
 
     get_progress().update(
@@ -408,14 +389,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         try:
             code = _run_loop(
                 args, experiments, scale, runner,
-                shutdown, watchdog, faults, phase_wall,
+                shutdown, faults, phase_wall,
             )
-        except MemoryBudgetError as exc:
-            print(f"memory budget exhausted: {exc}")
-            code = 1
         finally:
-            if watchdog is not None:
-                watchdog.stop()
             shutdown.restore()
 
         get_progress().update(phase="finished", exit_code=code)

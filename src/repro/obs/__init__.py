@@ -17,7 +17,7 @@ One subsystem, four pieces (see DESIGN.md section 6):
 The telemetry plane (DESIGN.md section 11) builds on those:
 
 * :mod:`repro.obs.live` -- thread-safe :class:`ProgressTracker`
-  blackboard the experiment loop/runner/watchdog publish into;
+  blackboard the experiment loop and runner publish into;
 * :mod:`repro.obs.serve` -- opt-in HTTP endpoint (``/metrics`` in
   Prometheus text format, ``/progress`` JSON, ``/healthz``);
 * :mod:`repro.obs.history` -- persistent ``colt-history-v1`` run

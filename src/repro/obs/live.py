@@ -1,13 +1,12 @@
 """Live, process-local progress state for the telemetry plane.
 
 A :class:`ProgressTracker` is a tiny thread-safe blackboard: producers
-(the experiment loop, the experiment runner, the watchdog monitor
-thread) publish small facts a few times per experiment -- never per
-simulated access -- and the telemetry server thread
-(:mod:`repro.obs.serve`) reads a consistent copy to answer
-``/progress``. Publishing is unconditional and costs one dict update
-under an uncontended lock, so the tracker is always on; the HTTP
-server is the opt-in part (``COLT_TELEMETRY_PORT`` /
+(the experiment loop, the experiment runner) publish small facts a
+few times per experiment -- never per simulated access -- and the
+telemetry server thread (:mod:`repro.obs.serve`) reads a consistent
+copy to answer ``/progress``. Publishing is unconditional and costs
+one dict update under an uncontended lock, so the tracker is always
+on; the HTTP server is the opt-in part (``COLT_TELEMETRY_PORT`` /
 ``--telemetry-port``).
 
 The tracker never feeds back into simulation: it is written by the
@@ -27,9 +26,9 @@ class ProgressTracker:
 
     Top-level fields describe the run (``phase``, ``figure``,
     ``engine``); named sections group related facts (``campaign`` for
-    the experiment loop's counts, ``watchdog`` for degradation/RSS). Readers get
-    deep copies, so a snapshot can be serialised while producers keep
-    writing.
+    the experiment loop's counts, ``runner`` for the batch stage).
+    Readers get deep copies, so a snapshot can be serialised while
+    producers keep writing.
     """
 
     def __init__(self) -> None:

@@ -238,9 +238,8 @@ class MetricsRegistry:
         # Serialises snapshot/merge against each other: the telemetry
         # server thread (repro.obs.serve) snapshots while the main
         # thread folds worker snapshots in. Instrument *updates* stay
-        # lock-free -- they mutate per-instrument dicts the snapshot
-        # reads via list() copies, and the one writer that runs off the
-        # main thread (the watchdog) only touches pre-created keys.
+        # lock-free -- every writer runs on the main thread and mutates
+        # per-instrument dicts the snapshot reads via list() copies.
         self._lock = threading.RLock()
 
     # -- instrument creation (get-or-create, kind-checked) -------------

@@ -72,7 +72,6 @@ class RunReport:
     store: Dict[str, float] = field(default_factory=dict)
     resilience: Dict[str, float] = field(default_factory=dict)
     campaign: Dict[str, float] = field(default_factory=dict)
-    watchdog: Dict[str, float] = field(default_factory=dict)
     coalescing: Dict[str, dict] = field(default_factory=dict)
     buddy_timeline: Dict[str, float] = field(default_factory=dict)
     instrument_count: int = 0
@@ -100,7 +99,6 @@ class RunReport:
             report._aggregate_store(snapshot)
             report._aggregate_resilience(snapshot)
             report._aggregate_campaign(snapshot)
-            report._aggregate_watchdog(snapshot)
             report._aggregate_coalescing(snapshot)
         return report
 
@@ -207,18 +205,6 @@ class RunReport:
         if any(totals.values()):
             self.campaign = totals
 
-    def _aggregate_watchdog(self, snapshot: MetricsSnapshot) -> None:
-        totals = {
-            name: snapshot.counter_total(f"colt_watchdog_{name}")
-            for name in (
-                "stalls", "stack_dumps", "mem_breaches", "pool_shrinks",
-                "prefetch_disables", "budget_aborts",
-            )
-        }
-        # A healthy run trips nothing; report only absorbed trouble.
-        if any(totals.values()):
-            self.watchdog = totals
-
     def _aggregate_coalescing(self, snapshot: MetricsSnapshot) -> None:
         entry = snapshot.get("colt_coalesce_run_length")
         if entry is None:
@@ -302,15 +288,6 @@ class RunReport:
             ]
             lines.append("")
             lines.append("campaign: " + ", ".join(parts))
-
-        if self.watchdog:
-            parts = [
-                f"{value:.0f} {name}"
-                for name, value in self.watchdog.items()
-                if value
-            ]
-            lines.append("")
-            lines.append("watchdog: " + ", ".join(parts))
 
         if self.coalescing:
             lines.append("")

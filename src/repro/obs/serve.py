@@ -8,7 +8,7 @@ on a daemon thread serves
   rendered in Prometheus text exposition format (counters, gauges and
   cumulative histogram buckets);
 * ``/progress`` -- the experiment loop's done/failed/pending counts,
-  current experiment ids and watchdog state as JSON, read from the
+  current experiment ids and runner stage as JSON, read from the
   :class:`~repro.obs.live.ProgressTracker`;
 * ``/healthz`` -- liveness.
 

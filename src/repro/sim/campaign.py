@@ -18,11 +18,11 @@ Two pieces:
 
 * :class:`CampaignRunner` -- drives
   :class:`~repro.sim.runner.ExperimentRunner` experiment by
-  experiment, honouring the shutdown coordinator and the watchdog
-  between batches, and carrying on past an experiment that failed
-  permanently. When the runner has a store, each finished table is
-  written atomically to ``<cache>/campaign/tables/<id>.txt``, an
-  output that nothing reads back.
+  experiment, honouring the shutdown coordinator between batches,
+  and carrying on past an experiment that failed permanently. When
+  the runner has a store, each finished table is written atomically
+  to ``<cache>/campaign/tables/<id>.txt``, an output that nothing
+  reads back.
 * :class:`ShutdownCoordinator` -- signal-safe graceful shutdown. The
   **first** SIGINT/SIGTERM only sets a flag: the executor cancels
   pending work, completed results checkpoint to the store, and the
@@ -48,11 +48,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from repro.common.atomicio import atomic_write_text
-from repro.common.errors import (
-    MemoryBudgetError,
-    ShutdownRequested,
-    TaskExecutionError,
-)
+from repro.common.errors import ShutdownRequested, TaskExecutionError
 from repro.common.statistics import CounterSet
 from repro.obs.live import get_progress
 from repro.obs.logging import get_logger
@@ -60,7 +56,6 @@ from repro.obs.registry import bind_counterset, get_registry
 from repro.obs.trace import obs_active, span
 from repro.sim.runner import ExperimentRunner
 from repro.sim.store import canonical_encode, constants_fingerprint
-from repro.sim.watchdog import Watchdog
 
 _LOG = get_logger(__name__)
 
@@ -186,13 +181,10 @@ class CampaignRunner:
         scale: the :class:`~repro.experiments.scale.ExperimentScale`
             every experiment runs at.
         shutdown: optional coordinator polled between experiments.
-        watchdog: optional watchdog; its abort flag is honoured
-            between experiments (the runner itself honours the
-            degradation ladder inside batches).
         faults: optional fault plan; ``<kind>@campaign:<index>`` specs
             fire before experiment ``index`` starts, ahead of the
-            shutdown and watchdog checks, so a signal that lands during
-            an injected delay stops the loop before that experiment.
+            shutdown check, so a signal that lands during an injected
+            delay stops the loop before that experiment.
         on_experiment: optional ``callback(experiment, table)`` called
             as each experiment ends, with its table text, or ``None``
             when it failed permanently.
@@ -204,7 +196,6 @@ class CampaignRunner:
         runner: ExperimentRunner,
         scale,
         shutdown: Optional[ShutdownCoordinator] = None,
-        watchdog: Optional[Watchdog] = None,
         faults=None,
         on_experiment=None,
     ) -> None:
@@ -215,7 +206,6 @@ class CampaignRunner:
         if runner.store is not None:
             self.tables_dir = Path(runner.store.root) / "campaign" / "tables"
         self.shutdown = shutdown
-        self.watchdog = watchdog
         self._faults = faults
         self._on_experiment = on_experiment
         self.counters = CounterSet(CAMPAIGN_COUNTERS)
@@ -236,8 +226,7 @@ class CampaignRunner:
         """Run every experiment; continue past permanent failures.
 
         Returns instead of raising on graceful shutdown (the status
-        carries the signal name); propagates hard failures
-        (:class:`MemoryBudgetError`, injected campaign faults).
+        carries the signal name); propagates injected campaign faults.
         """
         status = CampaignStatus()
         get_progress().update(phase="campaign")
@@ -245,12 +234,6 @@ class CampaignRunner:
         for index, experiment in enumerate(self.experiments):
             if self._faults is not None:
                 self._faults.fire("campaign", index)
-            if self.watchdog is not None and self.watchdog.should_abort():
-                raise MemoryBudgetError(
-                    "memory watchdog exhausted its degradation ladder; "
-                    "finished simulations are in the result store -- "
-                    "rerun with a larger budget or fewer jobs"
-                )
             if self.shutdown is not None and self.shutdown.requested:
                 status.interrupted = self.shutdown.signal_name
                 break

@@ -13,22 +13,20 @@ with per-task submission under an explicit :class:`RetryPolicy`:
   ``max_retries`` times with deterministic exponential backoff
   (``backoff_s * backoff_factor ** attempt``; no jitter -- reruns must
   schedule identically).
-* **Per-task deadlines** -- ``timeout_s`` bounds each
-  ``future.result`` wait; a timed-out task is retried and the stale
-  future ignored (both attempts compute identical results, so the
-  duplicate is harmless). Pooled tasks additionally arm a
-  worker-side :mod:`faulthandler` dump at the same deadline, so a
-  blown ``COLT_TASK_TIMEOUT`` leaves ``task-<pid>.txt`` under the
-  dump dir showing *where* the worker was stuck, not just that it
-  was.
-* **Shutdown and stall hooks** -- an installed
+* **Per-task deadlines** -- the run's one stall detector. The parent
+  waits on pooled futures in submission order, and ``timeout_s``
+  bounds each wait: a task whose result has not arrived ``timeout_s``
+  seconds after the parent started waiting on it is retried, and the
+  stale future ignored (both attempts compute identical results, so
+  the duplicate is harmless). Each pooled task also arms a worker-side
+  :mod:`faulthandler` dump that fires ``timeout_s`` seconds after the
+  task *starts*, so a stuck worker leaves ``task-<pid>.txt`` under the
+  dump dir showing *where* it was stuck, not just that it was.
+* **Shutdown hook** -- an installed
   :class:`~repro.sim.campaign.ShutdownCoordinator` turns the first
   SIGINT/SIGTERM into a :class:`~repro.common.errors.ShutdownRequested`
   raised at the next safe point (pending futures cancelled, completed
-  results already yielded -- and therefore checkpointed); a
-  :class:`~repro.sim.watchdog.Watchdog` heartbeat is sent per
-  completed task, and a fired stall cancels and requeues the stuck
-  task through the same retry machinery a timeout uses.
+  results already yielded -- and therefore checkpointed).
 * **Pool recovery** -- a ``BrokenProcessPool`` (worker killed by the
   OS, the oom-killer, or a ``crash`` fault) rebuilds the pool once;
   a second break degrades gracefully to serial in-process execution
@@ -71,31 +69,31 @@ from typing import (
 )
 
 from repro.common import knobs
-from repro.common.errors import (
-    ShutdownRequested,
-    StallError,
-    TaskExecutionError,
-)
+from repro.common.errors import ShutdownRequested, TaskExecutionError
 from repro.common.statistics import CounterSet
 from repro.obs.logging import get_logger
 from repro.obs.trace import span
-from repro.sim.watchdog import Watchdog, resolve_dump_dir
 
 _LOG = get_logger(__name__)
 
-#: Wait-slice for shutdown/stall polling while blocked on a future.
+#: Wait-slice for shutdown polling while blocked on a future.
 _POLL_SLICE_S = 0.1
+
+
+def resolve_dump_dir(override: Optional[str] = None) -> Path:
+    """The stack-dump directory: override > ``COLT_DUMP_DIR`` > default."""
+    return Path(override or knobs.DUMP_DIR.text())
 
 
 def _run_armed(fn, args, attempt, timeout_s, dump_dir):
     """Worker-side task wrapper: faulthandler dump at the deadline.
 
-    Arms ``faulthandler.dump_traceback_later`` for the parent's
-    per-task deadline, so when the parent gives up on this task the
-    worker has already written its all-thread stacks to
-    ``<dump_dir>/task-<pid>.txt`` -- the post-mortem says *where* the
-    worker was stuck. Disarmed on completion; a task that finishes in
-    time leaves no dump.
+    Arms ``faulthandler.dump_traceback_later`` for ``timeout_s``
+    seconds after the task starts, so a worker stuck long enough for
+    the parent to give up has already written its all-thread stacks
+    to ``<dump_dir>/task-<pid>.txt`` -- the post-mortem says *where*
+    the worker was stuck. Disarmed on completion; a task that runs
+    shorter than ``timeout_s`` leaves no dump.
     """
     try:
         path = Path(dump_dir) / f"task-{os.getpid()}.txt"
@@ -117,8 +115,10 @@ def _run_armed(fn, args, attempt, timeout_s, dump_dir):
         faulthandler.cancel_dump_traceback_later()
         handle.close()
         try:
-            # A task that met its deadline dumped nothing: do not
-            # litter the dump dir with empty files.
+            # A task that ran shorter than timeout_s dumped nothing:
+            # do not litter the dump dir with empty files. (One that
+            # ran longer dumped even if the parent, whose clock starts
+            # when it reaches this task, still took its result.)
             if path.stat().st_size == 0:
                 path.unlink()
         except OSError:
@@ -148,8 +148,14 @@ class RetryPolicy:
         backoff_factor: multiplier per subsequent retry (deterministic
             exponential backoff, no jitter).
         timeout_s: per-task deadline for pooled execution; ``None``
-            waits forever. Serial execution cannot preempt a running
-            task, so deadlines only apply when a pool is in play.
+            waits forever. The parent waits on results in submission
+            order and retries a task whose result has not arrived
+            ``timeout_s`` seconds after it started waiting on it, so a
+            task queued behind slower ones may run longer than
+            ``timeout_s`` without timing out. The worker's stack dump,
+            by contrast, fires ``timeout_s`` seconds after the task
+            starts. Serial execution cannot preempt a running task, so
+            deadlines only apply when a pool is in play.
     """
 
     max_retries: int = knobs.RETRIES.default
@@ -210,7 +216,6 @@ class ResilientExecutor:
         counters: Optional[CounterSet] = None,
         initializer: Optional[Callable] = None,
         shutdown=None,
-        watchdog: Optional[Watchdog] = None,
         dump_dir=None,
     ) -> None:
         self._jobs = max(1, int(jobs))
@@ -220,7 +225,6 @@ class ResilientExecutor:
         )
         self._initializer = initializer
         self._shutdown = shutdown
-        self._watchdog = watchdog
         self._dump_dir = str(resolve_dump_dir(dump_dir))
         self._pool: Optional[ProcessPoolExecutor] = None
         self._rebuilt = False
@@ -323,27 +327,16 @@ class ResilientExecutor:
                 getattr(self._shutdown, "signal_name", None) or "signal"
             )
 
-    def _heartbeat(self) -> None:
-        if self._watchdog is not None:
-            self._watchdog.heartbeat()
-
     def _await(self, future):
-        """``future.result`` bounded by the deadline, sliced so the
-        wait stays responsive to shutdown signals and stall firings."""
+        """``future.result`` bounded by the deadline, waited in slices
+        so a shutdown request is seen within ``_POLL_SLICE_S``."""
         timeout = self._policy.timeout_s
-        if self._shutdown is None and self._watchdog is None:
-            return future.result(timeout=timeout)
         waited = 0.0
         while True:
             self._check_shutdown()
-            if self._watchdog is not None and self._watchdog.consume_stall():
-                raise StallError(
-                    "stall watchdog fired: cancelling and requeueing "
-                    f"(stack dump under {self._watchdog.dump_dir})"
-                )
             slice_s = _POLL_SLICE_S
             if timeout is not None:
-                slice_s = min(slice_s, max(0.0, timeout - waited))
+                slice_s = min(slice_s, timeout - waited)
             try:
                 return future.result(timeout=slice_s)
             except FutureTimeoutError:
@@ -359,7 +352,6 @@ class ResilientExecutor:
         for task, future in submitted[consumed:]:
             if future.done() and not future.cancelled() \
                     and future.exception() is None:
-                self._heartbeat()
                 yield task, future.result()
             else:
                 future.cancel()
@@ -379,67 +371,53 @@ class ResilientExecutor:
         """
         failures: List[TaskExecutionError] = []
         pending = list(tasks)
-        if pending and self._watchdog is not None:
-            self._watchdog.begin_work()
-        try:
-            while pending:
-                self._check_shutdown()
-                batch, pending = pending, []
-                if self._serial:
-                    for task in batch:
-                        self._check_shutdown()
-                        yield from self._run_serial(task, failures)
-                    continue
-                pool = self._ensure_pool()
-                submitted = []
+        while pending:
+            self._check_shutdown()
+            batch, pending = pending, []
+            if self._serial:
                 for task in batch:
-                    self.counters.increment("tasks")
-                    submitted.append((task, self._submit(pool, task)))
-                pool_broken = False
-                for position, (task, future) in enumerate(submitted):
-                    try:
-                        result = self._await(future)
-                    except ShutdownRequested:
-                        yield from self._drain_on_shutdown(
-                            submitted, position
-                        )
-                        raise
-                    except BrokenProcessPool:
-                        pool_broken = True
-                        retry = self._next_attempt(
-                            task, "worker process died", failures
-                        )
-                        if retry is not None:
-                            pending.append(retry)
-                    except FutureTimeoutError:
-                        self.counters.increment("timeouts")
-                        retry = self._next_attempt(
-                            task,
-                            f"deadline of {self._policy.timeout_s}s "
-                            f"exceeded (worker stacks, if it was stuck, "
-                            f"dumped under {self._dump_dir})",
-                            failures,
-                        )
-                        if retry is not None:
-                            pending.append(retry)
-                    except StallError as exc:
-                        future.cancel()
-                        retry = self._next_attempt(task, exc, failures)
-                        if retry is not None:
-                            pending.append(retry)
-                    except Exception as exc:
-                        self.counters.increment("task_errors")
-                        retry = self._next_attempt(task, exc, failures)
-                        if retry is not None:
-                            pending.append(retry)
-                    else:
-                        self._heartbeat()
-                        yield task, result
-                if pool_broken:
-                    self._recover_pool()
-        finally:
-            if tasks and self._watchdog is not None:
-                self._watchdog.end_work()
+                    self._check_shutdown()
+                    yield from self._run_serial(task, failures)
+                continue
+            pool = self._ensure_pool()
+            submitted = []
+            for task in batch:
+                self.counters.increment("tasks")
+                submitted.append((task, self._submit(pool, task)))
+            pool_broken = False
+            for position, (task, future) in enumerate(submitted):
+                try:
+                    result = self._await(future)
+                except ShutdownRequested:
+                    yield from self._drain_on_shutdown(submitted, position)
+                    raise
+                except BrokenProcessPool:
+                    pool_broken = True
+                    retry = self._next_attempt(
+                        task, "worker process died", failures
+                    )
+                    if retry is not None:
+                        pending.append(retry)
+                except FutureTimeoutError:
+                    self.counters.increment("timeouts")
+                    retry = self._next_attempt(
+                        task,
+                        f"deadline of {self._policy.timeout_s}s "
+                        f"exceeded (worker stacks, if it was stuck, "
+                        f"dumped under {self._dump_dir})",
+                        failures,
+                    )
+                    if retry is not None:
+                        pending.append(retry)
+                except Exception as exc:
+                    self.counters.increment("task_errors")
+                    retry = self._next_attempt(task, exc, failures)
+                    if retry is not None:
+                        pending.append(retry)
+                else:
+                    yield task, result
+            if pool_broken:
+                self._recover_pool()
         if failures:
             for extra in failures[1:]:
                 _LOG.error("additional permanent failure: %s", extra)
@@ -475,6 +453,5 @@ class ResilientExecutor:
                     return
                 current = retry
                 continue
-            self._heartbeat()
             yield current, result
             return

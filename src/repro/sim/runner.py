@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.common.errors import MemoryBudgetError, TaskExecutionError
+from repro.common.errors import TaskExecutionError
 from repro.common.statistics import CounterSet
 from repro.core.mmu import CoLTDesign, MMUConfig
 from repro.obs.hooks import (
@@ -63,11 +63,6 @@ from repro.sim.engine import replay_with_engine, resolve_engine
 from repro.sim.scenario import CapturedScenario, capture_scenario, scenario_config
 from repro.sim.store import ResultStore
 from repro.sim.system import SimulationConfig, SimulationResult
-from repro.sim.watchdog import (
-    DEGRADE_NO_PREFETCH,
-    DEGRADE_SHRINK_POOL,
-    Watchdog,
-)
 
 #: The design set of Figures 18 and 21.
 STANDARD_DESIGNS: Tuple[CoLTDesign, ...] = (
@@ -184,13 +179,6 @@ class ExperimentRunner:
             (see :mod:`repro.sim.engine`) replays call, looked up at
             call time. Both names run the same function, so the engine
             is excluded from result cache and store keys.
-        watchdog: optional :class:`repro.sim.watchdog.Watchdog`. The
-            runner heartbeats it per completed task and honours its
-            memory degradation ladder: rung 1 halves the worker pool,
-            rung 2 additionally drops the cross-group prefetch (scenario
-            groups run one at a time, captured logs released between
-            them), rung 3 aborts with
-            :class:`~repro.common.errors.MemoryBudgetError`.
     """
 
     def __init__(
@@ -200,7 +188,6 @@ class ExperimentRunner:
         policy: Optional[RetryPolicy] = None,
         faults: Optional[FaultPlan] = None,
         shutdown=None,
-        watchdog: Optional[Watchdog] = None,
         engine: Optional[str] = None,
     ) -> None:
         self._jobs = max(1, int(jobs)) if jobs else 1
@@ -209,7 +196,6 @@ class ExperimentRunner:
         self._policy = policy if policy is not None else RetryPolicy.from_env()
         self._faults = faults if faults is not None else FaultPlan.from_env()
         self._shutdown = shutdown
-        self._watchdog = watchdog
         self._resilience = CounterSet(RESILIENCE_COUNTERS)
         if obs_active():
             bind_counterset(
@@ -326,7 +312,7 @@ class ExperimentRunner:
                 pending=len(pending),
                 jobs=self._jobs,
             ):
-                self._run_captured(pending)
+                self._run_groups(pending)
             get_progress().update_section("runner", stage="idle", pending=0)
         return {config: self._cache[config] for config in configs}
 
@@ -337,56 +323,15 @@ class ExperimentRunner:
         if self._store is not None:
             self._store.save(config, result)
 
-    def _run_captured(self, pending: Sequence[SimulationConfig]) -> None:
+    def _run_groups(self, pending: Sequence[SimulationConfig]) -> None:
         groups: Dict[SimulationConfig, List[SimulationConfig]] = {}
         for config in pending:
             groups.setdefault(scenario_config(config), []).append(config)
 
-        if self._watchdog is not None and self._watchdog.should_abort():
-            raise MemoryBudgetError(
-                "memory watchdog exhausted its degradation ladder; "
-                "refusing to start more simulation work"
-            )
-        rung = self._watchdog.degradation if self._watchdog else 0
-        if rung >= DEGRADE_NO_PREFETCH and len(groups) > 1:
-            # Rung 2: drop the cross-group prefetch. Scenario groups
-            # run one at a time and their captured logs (the dominant
-            # resident cost) are released before the next group starts.
-            failure: Optional[TaskExecutionError] = None
-            for key, group in groups.items():
-                if self._watchdog.should_abort():
-                    raise MemoryBudgetError(
-                        "memory watchdog exhausted its degradation "
-                        "ladder mid-batch; completed results are "
-                        "checkpointed in the store"
-                    )
-                try:
-                    self._run_groups({key: group})
-                except TaskExecutionError as exc:
-                    if failure is None:
-                        failure = exc
-                self._scenarios.clear()
-            if failure is not None:
-                raise failure
-        else:
-            self._run_groups(groups)
-
-    def _run_groups(
-        self,
-        groups: Dict[SimulationConfig, List[SimulationConfig]],
-    ) -> None:
-        jobs = self._jobs
-        if self._watchdog is not None:
-            rung = self._watchdog.degradation
-            if rung >= DEGRADE_SHRINK_POOL and jobs > 1:
-                # Rung 1: halve the worker pool -- each live worker is
-                # a full copy-on-write image of this process.
-                jobs = max(1, jobs // 2)
-
         to_capture = [key for key in groups if key not in self._scenarios]
         all_chunks: List[Tuple[SimulationConfig, List[SimulationConfig]]]
         all_chunks = []
-        per_group = max(1, jobs // max(1, len(groups)))
+        per_group = max(1, self._jobs // max(1, len(groups)))
         for key, group in groups.items():
             for chunk in _chunk(group, per_group):
                 all_chunks.append((key, chunk))
@@ -404,7 +349,7 @@ class ExperimentRunner:
         # Run inline when there is no parallelism to exploit -- matches
         # the pre-resilience behaviour of not paying for a pool.
         effective_jobs = (
-            jobs if len(capture_tasks) + len(all_chunks) > 1 else 1
+            self._jobs if len(capture_tasks) + len(all_chunks) > 1 else 1
         )
         # The initializer drops the tracer/registry state a forked
         # worker inherits from this process -- without it, the parent's
@@ -415,7 +360,6 @@ class ExperimentRunner:
             counters=self._resilience,
             initializer=reset_worker_obs,
             shutdown=self._shutdown,
-            watchdog=self._watchdog,
         ) as executor:
             failure: Optional[TaskExecutionError] = None
             get_progress().update_section(

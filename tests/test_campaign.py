@@ -1,8 +1,7 @@
-"""Campaigns: atomic writes, the experiment loop, shutdown, watchdogs.
+"""Campaigns: atomic writes, the experiment loop, shutdown.
 
 The invariants pinned here are the robustness contract of
-``repro.sim.campaign`` / ``repro.sim.watchdog`` /
-``repro.common.atomicio``:
+``repro.sim.campaign`` / ``repro.common.atomicio``:
 
 * an artifact write killed at any point leaves the old file intact;
 * the experiment loop dumps each finished table (only when a result
@@ -10,8 +9,7 @@ The invariants pinned here are the robustness contract of
   permanently, and stops between experiments on a signal or an
   injected fault; rerunning the same experiments then completes;
 * the first signal asks for a graceful stop, the second hard-aborts;
-* a stall fires a stack dump and requeues through the ordinary retry
-  machinery; memory pressure climbs the degradation ladder;
+  a pooled wave it interrupts still yields every finished task first;
 * rerunning a finished CLI run recomputes nothing: every simulation
   comes back from the store and the table dump is unchanged.
 """
@@ -22,6 +20,7 @@ import re
 import signal
 import subprocess
 import sys
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -51,16 +50,9 @@ from repro.sim.campaign import (
     campaign_fingerprint,
 )
 from repro.sim.faults import FaultPlan
-from repro.sim.resilience import ResilientExecutor, RetryPolicy, TaskSpec
+from repro.sim.resilience import ResilientExecutor, TaskSpec
 from repro.sim.runner import ExperimentRunner
 from repro.sim.store import ResultStore
-from repro.sim.watchdog import (
-    DEGRADE_ABORT,
-    DEGRADE_NO_PREFETCH,
-    DEGRADE_NONE,
-    DEGRADE_SHRINK_POOL,
-    Watchdog,
-)
 
 
 @pytest.fixture
@@ -220,117 +212,18 @@ class TestShutdownCoordinator:
 
 
 # ---------------------------------------------------------------------------
-# Watchdog: stalls, dumps, and the memory ladder.
+# The executor under a shutdown coordinator.
 # ---------------------------------------------------------------------------
 
 
-class TestWatchdog:
-    def test_from_env_none_when_unconfigured(self, monkeypatch):
-        monkeypatch.delenv("COLT_STALL_TIMEOUT", raising=False)
-        monkeypatch.delenv("COLT_MEM_BUDGET", raising=False)
-        assert Watchdog.from_env() is None
-        monkeypatch.setenv("COLT_STALL_TIMEOUT", "30")
-        dog = Watchdog.from_env()
-        assert dog is not None and dog.stall_timeout_s == 30.0
-        monkeypatch.setenv("COLT_STALL_TIMEOUT", "0")
-        assert Watchdog.from_env() is None
-
-    def test_stall_dumps_stacks_and_fires_once(self, tmp_path, obs_off):
-        dog = Watchdog(
-            stall_timeout_s=0.05, dump_dir=tmp_path, poll_interval_s=0.02
-        )
-        with dog:
-            dog.begin_work()
-            deadline = time.monotonic() + 5.0
-            while not dog.consume_stall():
-                assert time.monotonic() < deadline, "stall never fired"
-                time.sleep(0.01)
-            dog.end_work()
-        assert dog.counters.as_dict()["stalls"] >= 1
-        assert dog.last_dump_path is not None
-        dump = dog.last_dump_path.read_text()
-        assert "colt watchdog: stall" in dump
-        # faulthandler wrote actual stack frames, not just the header.
-        assert "File " in dump or "Thread " in dump
-
-    def test_no_stall_when_idle_or_heartbeating(self, tmp_path, obs_off):
-        dog = Watchdog(
-            stall_timeout_s=0.08, dump_dir=tmp_path, poll_interval_s=0.02
-        )
-        with dog:
-            time.sleep(0.2)          # idle: no work outstanding
-            assert not dog.consume_stall()
-            dog.begin_work()
-            for _ in range(10):      # busy but beating
-                dog.heartbeat()
-                time.sleep(0.02)
-            assert not dog.consume_stall()
-            dog.end_work()
-
-    def test_memory_ladder_climbs_to_abort(self, tmp_path, obs_off):
-        rss = {"value": 10 * 1024 * 1024}
-        dog = Watchdog(
-            mem_budget_bytes=5 * 1024 * 1024,
-            dump_dir=tmp_path,
-            poll_interval_s=0.02,
-            rss_fn=lambda: rss["value"],
-        )
-        assert dog.degradation == DEGRADE_NONE
-        with dog:
-            deadline = time.monotonic() + 5.0
-            while not dog.should_abort():
-                assert time.monotonic() < deadline, "ladder never topped"
-                time.sleep(0.01)
-        counts = dog.counters.as_dict()
-        assert counts["pool_shrinks"] == 1
-        assert counts["prefetch_disables"] == 1
-        assert counts["budget_aborts"] == 1
-        assert counts["mem_breaches"] >= 3
-        assert dog.degradation == DEGRADE_ABORT
-
-    def test_under_budget_stays_on_the_ground(self, tmp_path, obs_off):
-        dog = Watchdog(
-            mem_budget_bytes=100 * 1024 * 1024,
-            dump_dir=tmp_path,
-            poll_interval_s=0.02,
-            rss_fn=lambda: 1024,
-        )
-        with dog:
-            time.sleep(0.1)
-        assert dog.degradation == DEGRADE_NONE
-        assert not dog.should_abort()
-        assert DEGRADE_SHRINK_POOL < DEGRADE_NO_PREFETCH < DEGRADE_ABORT
-
-
 def _sleepy(seconds, attempt):
-    # Attempt 0 sleeps long enough to stall; the retry returns fast.
+    # Attempt 0 naps for ``seconds``; a retry returns at once.
     if attempt == 0:
         time.sleep(seconds)
     return attempt
 
 
 class TestExecutorIntegration:
-    def test_stall_requeues_through_retry_machinery(self, tmp_path,
-                                                    obs_off):
-        dog = Watchdog(
-            stall_timeout_s=0.15, dump_dir=tmp_path, poll_interval_s=0.03
-        )
-        policy = RetryPolicy(max_retries=2, backoff_s=0.0)
-        task = TaskSpec(
-            fn=_sleepy, args=(20.0,), site="capture", index=0,
-            context={"kind": "stall-victim"},
-        )
-        with dog, ResilientExecutor(
-            jobs=2, policy=policy, watchdog=dog
-        ) as executor:
-            results = [r for _, r in executor.run([task])]
-        # The stalled attempt 0 was abandoned; the retry (attempt 1)
-        # returned immediately.
-        assert results == [1]
-        assert executor.counters.as_dict()["retries"] >= 1
-        assert dog.counters.as_dict()["stalls"] >= 1
-        assert dog.last_dump_path is not None
-
     def test_shutdown_interrupts_wave_and_raises(self, obs_off):
         shutdown = ShutdownCoordinator()
         tasks = [
@@ -342,6 +235,27 @@ class TestExecutorIntegration:
         with ResilientExecutor(jobs=1, shutdown=shutdown) as executor:
             with pytest.raises(ShutdownRequested):
                 list(executor.run(tasks))
+
+    def test_pooled_shutdown_yields_finished_then_raises(self, obs_off):
+        shutdown = ShutdownCoordinator()
+        tasks = [
+            TaskSpec(fn=_sleepy, args=(nap,), site="capture", index=i,
+                     context={"i": i})
+            for i, nap in enumerate((0.0, 1.0, 0.0))
+        ]
+        timer = threading.Timer(0.3, shutdown.request, args=("TEST",))
+        yielded = []
+        with ResilientExecutor(jobs=2, shutdown=shutdown) as executor:
+            with pytest.raises(ShutdownRequested):
+                for task, _ in executor.run(tasks):
+                    yielded.append(task.index)
+                    if task.index == 0:
+                        timer.start()
+        timer.join()
+        # The signal landed while the parent waited on task 1, still
+        # napping and so never yielded; task 2 had already finished,
+        # so it still reached the caller before the shutdown raised.
+        assert yielded == [0, 2]
 
 
 # ---------------------------------------------------------------------------

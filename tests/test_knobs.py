@@ -18,9 +18,8 @@ from repro.obs.history import history_enabled
 from repro.obs.serve import telemetry_port_from_env
 from repro.obs.trace import Tracer, profiling_requested, tracing_requested
 from repro.sim.faults import FaultPlan
-from repro.sim.resilience import RetryPolicy
+from repro.sim.resilience import RetryPolicy, resolve_dump_dir
 from repro.sim.store import ResultStore
-from repro.sim.watchdog import Watchdog, resolve_dump_dir
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -46,9 +45,6 @@ CASES = [
     ("COLT_TASK_TIMEOUT", "abc", RetryPolicy.from_env, ConfigurationError),
     ("COLT_BACKOFF", "abc", RetryPolicy.from_env, ConfigurationError),
     ("COLT_BACKOFF", "-1", lambda: RetryPolicy.from_env().backoff_s, 0.0),
-    ("COLT_STALL_TIMEOUT", "abc", Watchdog.from_env, ConfigurationError),
-    ("COLT_STALL_TIMEOUT", " ", Watchdog.from_env, None),
-    ("COLT_MEM_BUDGET", "abc", Watchdog.from_env, ConfigurationError),
     ("COLT_DUMP_DIR", " ", resolve_dump_dir, Path(".colt-cache/dumps")),
     ("COLT_TELEMETRY_PORT", "abc", telemetry_port_from_env,
      ConfigurationError),

@@ -438,13 +438,12 @@ class TestRunReport:
         assert "phase wall-time" in rendered
         assert "coalescing run lengths" in rendered
 
-    def test_report_renders_store_resilience_campaign_watchdog(self):
+    def test_report_renders_store_resilience_campaign(self):
         registry = MetricsRegistry()
         for name in (
             "colt_store_hits", "colt_store_misses", "colt_store_saves",
             "colt_resilience_retries", "colt_store_quarantines",
             "colt_faults_injected", "colt_campaign_completed",
-            "colt_watchdog_stalls",
         ):
             registry.counter(name).inc(2)
         rendered = RunReport.build([], registry.snapshot()).render()
@@ -452,7 +451,6 @@ class TestRunReport:
         assert "resilience: 2 retries, 2 quarantines, " \
             "2 faults_injected" in rendered
         assert "campaign: 2 completed" in rendered
-        assert "watchdog: 2 stalls" in rendered
 
     def test_report_empty_inputs(self):
         report = RunReport.build([], None)

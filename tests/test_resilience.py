@@ -33,6 +33,7 @@ from repro.sim.resilience import (
     ResilientExecutor,
     RetryPolicy,
     TaskSpec,
+    resolve_dump_dir,
 )
 from repro.sim.runner import ExperimentRunner
 from repro.sim.store import (
@@ -43,7 +44,6 @@ from repro.sim.store import (
     unframe_payload,
 )
 from repro.sim.system import SimulationConfig, simulate
-from repro.sim.watchdog import resolve_dump_dir
 
 
 @pytest.fixture

@@ -261,10 +261,10 @@ class TestProgressTracker:
 
     def test_snapshot_is_a_deep_copy(self):
         tracker = ProgressTracker()
-        tracker.update_section("watchdog", degradation=0)
+        tracker.update_section("runner", pending=0)
         snap = tracker.snapshot()
-        snap["watchdog"]["degradation"] = 99
-        assert tracker.snapshot()["watchdog"]["degradation"] == 0
+        snap["runner"]["pending"] = 99
+        assert tracker.snapshot()["runner"]["pending"] == 0
 
     def test_default_tracker_singleton_resets(self):
         reset_progress()

@@ -17,7 +17,8 @@ results. ``--list-modes`` enumerates them:
     SIGTERM kill between experiments (exit 75, the first table dump
     present and the second absent), a rerun of the same command to
     byte-identical tables whose store hits equal the killed run's
-    saves, and a stall-watchdog run that must dump stacks yet converge.
+    saves, and a deadline run whose stuck capture worker must dump its
+    stacks, be retried, and still converge.
 
 ``telemetry`` (``--telemetry``)
     The telemetry plane's crash discipline: live /healthz, /progress
@@ -81,17 +82,21 @@ CAMPAIGN_IDS = ("fig18", "fig19")
 #: completion.
 HOLD_SECONDS = 10.0
 
+#: The timeout count on the CLI's resilience summary line.
+TIMEOUTS = re.compile(r"^resilience: .*\b\d+ timeouts\b", re.M)
+
 #: The CLI's result-store summary line.
 STORE_LINE = re.compile(
     r"^store: (?P<hits>\d+) hits, \d+ misses, \d+ evictions, "
     r"(?P<saves>\d+) saves", re.M,
 )
 
-#: Stall-watchdog phase: the first capture sleeps DELAY, the watchdog
-#: trips at STALL (well above a healthy QUICK capture's ~2s) and
-#: requeues it; the retried attempt escapes the x1 fault.
-STALL_DELAY_SECONDS = 12.0
-STALL_TIMEOUT_SECONDS = 4.0
+#: Deadline phase: the first capture sleeps DELAY, the task deadline
+#: (well above a healthy QUICK capture's ~2s) times it out and retries
+#: it, and the retried attempt escapes the x1 fault. The stuck worker
+#: dumps its stacks at the deadline, inside the fault's ``fire``.
+DEADLINE_DELAY_SECONDS = 12.0
+DEADLINE_TIMEOUT_SECONDS = 4.0
 
 
 def _run_pipeline(runner: ExperimentRunner) -> str:
@@ -141,9 +146,9 @@ def _campaign_env(faults: str = "") -> dict:
         env["COLT_FAULTS"] = faults
     else:
         env.pop("COLT_FAULTS", None)
-    # The phases below pass watchdog/telemetry knobs explicitly;
+    # The phases below pass deadline/telemetry knobs explicitly;
     # ambient settings must not leak in.
-    for var in ("COLT_STALL_TIMEOUT", "COLT_MEM_BUDGET", "COLT_DUMP_DIR",
+    for var in ("COLT_TASK_TIMEOUT", "COLT_DUMP_DIR",
                 "COLT_TELEMETRY_PORT", "COLT_HISTORY"):
         env.pop(var, None)
     return env
@@ -363,12 +368,28 @@ def _store_check(args) -> int:
     return 0
 
 
+def _check_deadline_dump(dump_dir: str) -> int:
+    """Exactly one worker dump, taken inside the stuck fault's fire()."""
+    dumps = sorted(Path(dump_dir).glob("task-*.txt"))
+    if len(dumps) != 1:
+        print(f"FAIL: expected one task-*.txt deadline dump under "
+              f"{dump_dir}, found {[path.name for path in dumps]}",
+              file=sys.stderr)
+        return 1
+    text = dumps[0].read_text(encoding="utf-8", errors="replace")
+    if not re.search(r'File ".*sim[/\\]faults\.py", line \d+ in fire', text):
+        print(f"FAIL: {dumps[0].name} does not show the worker in "
+              f"sim/faults.py fire():\n{text}", file=sys.stderr)
+        return 1
+    return 0
+
+
 def _campaign_check(args) -> int:
     failures = 0
     with tempfile.TemporaryDirectory(prefix="colt-campaign-") as tmp:
         clean_dir = os.path.join(tmp, "clean")
         kill_dir = os.path.join(tmp, "killed")
-        stall_dir = os.path.join(tmp, "stall")
+        deadline_dir = os.path.join(tmp, "deadline")
         dump_dir = os.path.join(tmp, "dumps")
 
         print(f"clean campaign {' '.join(CAMPAIGN_IDS)} (jobs={args.jobs})")
@@ -401,39 +422,40 @@ def _campaign_check(args) -> int:
             failures += _check_store_reuse(killed[1], rerun.stdout)
         failures += _compare_tables("rerun", kill_dir, clean_tables)
 
-        print(f"stalled campaign (capture sleeps "
-              f"{STALL_DELAY_SECONDS:g}s, watchdog at "
-              f"{STALL_TIMEOUT_SECONDS:g}s)")
-        stalled = _checked_run(
-            "stalled campaign", stall_dir, args.jobs,
-            faults=f"delay@capture:0/{STALL_DELAY_SECONDS:g}",
+        print(f"deadline campaign (capture sleeps "
+              f"{DEADLINE_DELAY_SECONDS:g}s, task deadline "
+              f"{DEADLINE_TIMEOUT_SECONDS:g}s)")
+        timed_out = _checked_run(
+            "deadline campaign", deadline_dir, args.jobs,
+            faults=f"delay@capture:0/{DEADLINE_DELAY_SECONDS:g}",
             ids=(CAMPAIGN_IDS[0],),
             extra=(
-                "--stall-timeout", f"{STALL_TIMEOUT_SECONDS:g}",
+                "--task-timeout", f"{DEADLINE_TIMEOUT_SECONDS:g}",
                 "--dump-dir", dump_dir,
             ),
         )
-        if stalled is None:
+        if timed_out is None:
             failures += 1
-        dumps = sorted(Path(dump_dir).glob("stall-*.txt"))
-        if not dumps:
-            print("FAIL: stall watchdog left no stack-dump artifact "
-                  f"under {dump_dir}", file=sys.stderr)
+        elif not TIMEOUTS.search(timed_out.stdout):
+            print("FAIL: deadline campaign reported no timeout:\n"
+                  f"{timed_out.stdout}", file=sys.stderr)
             failures += 1
-        stall_key = f"{CAMPAIGN_IDS[0]}.txt"
-        if _tables(stall_dir).get(stall_key) != clean_tables[stall_key]:
-            print("FAIL: stalled campaign table differs from clean run",
+        failures += _check_deadline_dump(dump_dir)
+        deadline_key = f"{CAMPAIGN_IDS[0]}.txt"
+        if _tables(deadline_dir).get(deadline_key) != \
+                clean_tables[deadline_key]:
+            print("FAIL: deadline campaign table differs from clean run",
                   file=sys.stderr)
             failures += 1
-        if dumps and not failures:
-            print(f"  recovered bit-identically; {len(dumps)} stall "
-                  f"dump(s), e.g. {dumps[0].name}")
+        elif not failures:
+            print("  recovered bit-identically; the worker's deadline "
+                  "dump shows it stuck in the fault's fire()")
 
     if failures:
         print(f"campaign check FAILED ({failures} divergence(s))",
               file=sys.stderr)
         return 1
-    print("campaign check passed: kill/rerun/stall all converged "
+    print("campaign check passed: kill/rerun/deadline all converged "
           "on the clean tables")
     return 0
 
@@ -620,7 +642,7 @@ MODES = {
     "campaign": (
         _campaign_check,
         "resume from the store: clean, SIGTERM kill, rerun, "
-        "stall-watchdog dump",
+        "task-deadline dump",
     ),
     "telemetry": (
         _telemetry_check,
