@@ -11,40 +11,36 @@ legal TLB entries:
   and the kernel through lightweight hook points. Enable them with
   ``COLT_SANITIZE=1`` (or ``SimulationConfig(sanitize=True)``); the
   default hot path stays unchanged.
-* **Repo lint** (:mod:`repro.analysis.lint`) -- AST rules that keep
-  randomness flowing through :class:`repro.common.rng.SeedSequencer`,
-  wall-clock reads out of simulation code, and other determinism
-  hazards out of ``src/repro``. CLI: ``colt-lint`` /
-  ``python tools/lint.py``.
+* **Static analysis** (:mod:`repro.analysis.static`) -- AST rules that
+  keep randomness flowing through
+  :class:`repro.common.rng.SeedSequencer`, wall-clock reads out of
+  simulation code, and other determinism hazards out of ``src/repro``,
+  plus cross-file concurrency and exception-hygiene checks. CLI:
+  ``colt-analyze`` / ``python tools/analyze.py``.
 * **Determinism harness** (:mod:`repro.analysis.determinism`) -- runs a
   configuration twice with the same seed and asserts the final counter
   / page-table / TLB state hashes are bit-identical, catching the
   nondeterminism the lint cannot prove away.
 
-``repro.analysis.determinism`` is deliberately not imported here: it
-depends on :mod:`repro.sim.system`, whose import chain leads back into
-this package (the structures import their sanitizers). Import it
-directly where needed.
+Only the sanitizers are imported here, because the simulator's
+structures import them. ``repro.analysis.static`` stays out of every
+simulator process, and ``repro.analysis.determinism`` depends on
+:mod:`repro.sim.system`, whose import chain leads back into this
+package. Import either directly where needed.
 """
 
-from repro.analysis.lint import Diagnostic, lint_paths, lint_source
 from repro.analysis.sanitizers import (
     BuddySanitizer,
     PageTableSanitizer,
     TLBSanitizer,
-    full_scan_interval,
     resolve_sanitize,
     sanitizers_enabled,
 )
 
 __all__ = [
-    "Diagnostic",
-    "lint_paths",
-    "lint_source",
     "BuddySanitizer",
     "PageTableSanitizer",
     "TLBSanitizer",
-    "full_scan_interval",
     "resolve_sanitize",
     "sanitizers_enabled",
 ]

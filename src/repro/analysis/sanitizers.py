@@ -14,7 +14,7 @@ path when disabled) and run two kinds of checks:
 * **incremental** -- O(1)-ish validations of the object just touched,
   on every fill / fault / allocator operation;
 * **full scans** -- complete structure walks every
-  :func:`full_scan_interval` events, plus on demand (the system
+  :data:`FULL_SCAN_EVERY` events, plus on demand (the system
   simulator runs one at the end of every sanitized run).
 
 Enable with ``COLT_SANITIZE=1`` (any value but an off-word), or pass
@@ -39,6 +39,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.osmem.buddy import BuddyAllocator
     from repro.osmem.kernel import Kernel
 
+#: Events between full-structure scans, unless a sanitizer's ``every``
+#: says otherwise.
+FULL_SCAN_EVERY = 4096
+
 
 def sanitizers_enabled() -> bool:
     """True when ``COLT_SANITIZE`` requests sanitized execution."""
@@ -52,18 +56,13 @@ def resolve_sanitize(explicit: Optional[bool]) -> bool:
     return bool(explicit)
 
 
-def full_scan_interval() -> int:
-    """Events between full-structure scans (``COLT_SANITIZE_EVERY``)."""
-    return knobs.SANITIZE_EVERY.integer(minimum=1)
-
-
 class Sanitizer:
     """Base class: violation reporting + periodic full scans."""
 
     name = "sanitizer"
 
     def __init__(self, every: Optional[int] = None) -> None:
-        self.every = every if every is not None else full_scan_interval()
+        self.every = every if every is not None else FULL_SCAN_EVERY
         self._events = 0
         self.counters = CounterSet(
             ["incremental_checks", "full_scans", "violations"]

@@ -1,7 +1,7 @@
 """Project-wide static analysis for the CoLT reproduction repo.
 
-``repro.analysis.lint`` is the ``colt-lint`` facade over the single-file
-rules; this package hosts them and adds the *cross-file* checks:
+One command, ``colt-analyze`` (``python tools/analyze.py <paths>``),
+runs the single-file lint rules and the *cross-file* checks:
 
 ``model``
     One shared :class:`~repro.analysis.static.model.ProjectModel` --
@@ -10,8 +10,9 @@ rules; this package hosts them and adds the *cross-file* checks:
     thread" coloring -- parsed once and handed to every pass.
 
 ``passes``
-    The pass framework (:class:`Finding`, pragma suppression,
-    fingerprints) the lint rules are refactored onto.
+    The pass framework (:class:`Finding`, the
+    ``# colt-lint: disable=<rule> -- <why>`` pragma that is the one way
+    to accept a finding, and :func:`run_passes`).
 
 ``lint_rules``
     The single-file rules, ``raw-env-read`` among them: every
@@ -23,9 +24,9 @@ rules; this package hosts them and adds the *cross-file* checks:
 
 ``docs`` / ``cli``
     The knob table rendered from :data:`repro.common.knobs.ALL`, and
-    the ``colt-analyze`` entry point: text/JSON/SARIF output, a
-    checked-in baseline so CI fails only on *new* findings, and
-    ``--check-docs`` to keep the generated table fresh.
+    the ``colt-analyze`` entry point: every pass over the given paths,
+    one line per finding, and ``--check-docs`` to keep the generated
+    table fresh.
 """
 
 from repro.analysis.static.model import ProjectModel, iter_python_files

@@ -7,7 +7,8 @@ Three rules, all driven by the project model's callback coloring:
     module-level name (``global X; X = ...``). Under the spawn start
     method that write never reaches the parent; under fork it silently
     diverges -- either way results stop being a function of config +
-    seed. Intentional worker-side singleton resets are baselined.
+    seed. Intentional worker-side singleton resets carry a pragma
+    saying why.
 
 ``signal-handler-work``
     A function installed via ``signal.signal`` does more than flag
@@ -58,7 +59,6 @@ def _assigned_names(fn_node: ast.AST) -> Dict[str, int]:
 
 
 class ConcurrencyPass(AnalysisPass):
-    name = "concurrency"
     rules = (
         "worker-global-mutation",
         "signal-handler-work",

@@ -1,12 +1,26 @@
 """The single-file lint rules, as a pass on the shared framework.
 
+The simulator's headline guarantee is that a configuration plus a seed
+fully determines every number in every figure. That guarantee is easy
+to lose to one careless line -- a ``random.shuffle`` here, a
+``time.time()`` mixed into a filename there -- and impossible to
+protect with generic linters. The rules:
+
+* ``rng-module-state`` -- randomness flows through
+  :class:`repro.common.rng.SeedSequencer`, never module-level RNG state;
+* ``wall-clock`` -- no clock reads outside the allow-listed CLI layers
+  and the tracer;
+* ``mutable-default`` / ``float-eq`` -- two classic silent-drift bugs;
+* ``no-print`` -- library code logs instead of printing;
+* ``raw-env-read`` -- every environment read goes through
+  :mod:`repro.common.knobs`, so each knob is named, defaulted and
+  documented in one place.
+
 The AST visitor emits :class:`~repro.analysis.static.passes.Finding`
 objects and is driven by :class:`LintPass` over a
-:class:`ProjectModel`, so the pragma and baseline machinery are shared
-with every other analyzer (see ``repro.analysis.lint`` for the why of
-each rule). ``raw-env-read`` keeps every environment read behind
-:mod:`repro.common.knobs`, so each knob is named, defaulted and
-documented in one place.
+:class:`ProjectModel`, so the pragma is shared with every other
+analyzer. Lint-only runs in code use
+``run_passes(project, [LintPass()])``.
 """
 
 from __future__ import annotations
@@ -27,10 +41,8 @@ RULES = (
 #: CLI layers that print elapsed time but never serialize it, plus the
 #: tracer (its timestamps describe the run; they never feed results).
 WALL_CLOCK_ALLOW = (
-    "tools/lint.py",
     "tools/calibrate.py",
     "tools/bench_runner.py",
-    "tools/obs_report.py",
     # Drives kill/resume subprocesses: polls for table files and
     # signal-delivery windows; nothing feeds into results.
     "tools/chaos_check.py",
@@ -41,7 +53,6 @@ WALL_CLOCK_ALLOW = (
 #: Library files under ``repro/`` that are CLI front-ends in disguise
 #: (runnable via ``python -m``/console scripts) and may print directly.
 PRINT_ALLOW = (
-    "repro/analysis/lint.py",
     "repro/analysis/determinism.py",
     # colt-analyze's output layer.
     "repro/analysis/static/cli.py",
@@ -361,7 +372,6 @@ class _Visitor(ast.NodeVisitor):
 class LintPass(AnalysisPass):
     """The single-file rules plus syntax-error reporting."""
 
-    name = "lint"
     rules = RULES + ("syntax-error",)
 
     def run(self, project: ProjectModel) -> List[Finding]:

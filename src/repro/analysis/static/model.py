@@ -43,7 +43,7 @@ def module_name_for(path: str) -> str:
     """Dotted module name for a file path (best effort).
 
     ``.../src/repro/sim/runner.py`` -> ``repro.sim.runner``;
-    ``tools/lint.py`` -> ``tools.lint``; anything unrecognizable keeps
+    ``tools/analyze.py`` -> ``tools.analyze``; anything unrecognizable keeps
     its stem. ``__init__.py`` maps to its package.
     """
     norm = normalize_path(path)

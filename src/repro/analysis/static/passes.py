@@ -1,28 +1,31 @@
-"""Pass framework: findings, pragmas, fingerprints, and the runner.
+"""Pass framework: findings, the pragma, and the runner.
 
-Every analyzer -- the refactored lint rules and the new cross-file
-passes -- produces :class:`Finding` objects and is driven through
-:func:`run_passes`, which applies the one shared pragma implementation
-(``# colt-lint: disable=<rule>[,<rule>...]`` / ``disable=all``) before
-anything reaches the user, a baseline file, or CI.
+Every analyzer -- the lint rules and the cross-file passes -- produces
+:class:`Finding` objects and is driven through :func:`run_passes`,
+which applies the one shared pragma before anything reaches the user
+or CI. The pragma is the only way to accept a finding: it sits on the
+flagged line and says why,
 
-Fingerprints identify a finding across unrelated edits: they hash the
-rule, the repo-relative path, the *text* of the flagged line, and an
-occurrence index -- not the line number -- so baselined findings do not
-resurface every time code above them moves.
+    except OSError:  # colt-lint: disable=silent-except -- best-effort fsync
+
+``disable=<rule>[,<rule>...]`` names the suppressed rules
+(``disable=all`` suppresses every rule on the line); anything after
+`` -- `` is the reason, which the repo's tests require.
 """
 
 from __future__ import annotations
 
-import hashlib
 import re
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import FrozenSet, List, Sequence, Tuple
 
 from repro.analysis.static.model import ModuleInfo, ProjectModel
 
-#: One pragma grammar for every pass (kept from the original lint).
-_PRAGMA = re.compile(r"#\s*colt-lint:\s*disable=([A-Za-z0-9_,\s-]+)")
+#: One pragma grammar for every pass: a comma-separated rule list, so a
+#: trailing `` -- <why>`` is never read as part of a rule name.
+_PRAGMA = re.compile(
+    r"#\s*colt-lint:\s*disable=([A-Za-z0-9_-]+(?:\s*,\s*[A-Za-z0-9_-]+)*)"
+)
 
 
 @dataclass(frozen=True)
@@ -38,22 +41,11 @@ class Finding:
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule}: {self.message}"
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "rule": self.rule,
-            "message": self.message,
-        }
-
 
 class AnalysisPass:
-    """Base class: a named pass producing findings over a project."""
+    """Base class: a pass producing findings over a project."""
 
-    #: Pass name, as selected by ``colt-analyze --passes``.
-    name: str = ""
-    #: Rule identifiers this pass may emit (for SARIF rule metadata).
+    #: Rule identifiers this pass may emit.
     rules: Tuple[str, ...] = ()
 
     def run(self, project: ProjectModel) -> List[Finding]:
@@ -69,9 +61,7 @@ def disabled_rules(source_line: str) -> FrozenSet[str]:
     match = _PRAGMA.search(source_line)
     if not match:
         return frozenset()
-    return frozenset(
-        part.strip() for part in match.group(1).split(",") if part.strip()
-    )
+    return frozenset(part.strip() for part in match.group(1).split(","))
 
 
 def is_suppressed(finding: Finding, module: ModuleInfo) -> bool:
@@ -98,34 +88,3 @@ def run_passes(
     kept.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return kept
 
-
-def fingerprint_findings(
-    project: ProjectModel, findings: Sequence[Finding]
-) -> List[Tuple[Finding, str]]:
-    """Pair each finding with its stable fingerprint.
-
-    The hash covers ``rule | repo-relative path | stripped line text |
-    occurrence index`` (the index disambiguates several identical lines
-    flagged by the same rule in one file).
-    """
-    occurrence: Dict[Tuple[str, str, str], int] = {}
-    result: List[Tuple[Finding, str]] = []
-    for finding in findings:
-        module = project.module_for_path(finding.path)
-        relpath = module.relpath if module is not None else finding.path
-        relpath = relpath.replace("\\", "/")
-        if (
-            module is not None
-            and 1 <= finding.line <= len(module.lines)
-        ):
-            text = module.lines[finding.line - 1].strip()
-        else:
-            text = ""
-        key = (finding.rule, relpath, text)
-        index = occurrence.get(key, 0)
-        occurrence[key] = index + 1
-        digest = hashlib.sha256(
-            f"{finding.rule}|{relpath}|{text}|{index}".encode("utf-8")
-        ).hexdigest()[:16]
-        result.append((finding, digest))
-    return result

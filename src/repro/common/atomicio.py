@@ -42,11 +42,11 @@ def _fsync_directory(path: Path) -> None:
     """Best-effort fsync of ``path``'s directory (rename durability)."""
     try:
         fd = os.open(path.parent, os.O_RDONLY)
-    except OSError:
+    except OSError:  # colt-lint: disable=silent-except -- a directory that cannot be opened skips its fsync; that costs durability, never integrity
         return
     try:
         os.fsync(fd)
-    except OSError:
+    except OSError:  # colt-lint: disable=silent-except -- filesystems that reject fsync (tmpfs, some network mounts) lose durability, never integrity
         pass
     finally:
         os.close(fd)

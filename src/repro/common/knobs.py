@@ -82,22 +82,10 @@ SANITIZE = Knob(
     "enable every runtime sanitizer (TLB/page-table/buddy cross-checks) "
     "during simulation",
 )
-SANITIZE_EVERY = Knob(
-    "COLT_SANITIZE_EVERY", 4096,
-    "events between full-structure sanitizer scans (at least 1)",
-)
 TRACE = Knob(
     "COLT_TRACE", False,
     "enable the in-process tracer (Chrome-trace event ring)",
     "--trace",
-)
-TRACE_BUFFER = Knob(
-    "COLT_TRACE_BUFFER", 262_144,
-    "trace ring-buffer capacity, in events (at least 1)",
-)
-TRACE_SAMPLE = Knob(
-    "COLT_TRACE_SAMPLE", 64,
-    "keep every Nth high-rate instant event (TLB instants; at least 1)",
 )
 PROFILE = Knob(
     "COLT_PROFILE", False,
@@ -125,11 +113,6 @@ TASK_TIMEOUT = Knob(
     "stacks that long after the task starts (0 disables)",
     "--task-timeout",
 )
-BACKOFF = Knob(
-    "COLT_BACKOFF", 0.05,
-    "base sleep in seconds before the first retry "
-    "(deterministic exponential backoff)",
-)
 DUMP_DIR = Knob(
     "COLT_DUMP_DIR", f"{RESULT_CACHE.default}/dumps",
     "directory for the workers' task-deadline stack dumps",
@@ -153,7 +136,6 @@ SCALE = Knob(
 
 #: Every knob; the docs table lists them sorted by name.
 ALL: Tuple[Knob, ...] = (
-    SANITIZE, SANITIZE_EVERY, TRACE, TRACE_BUFFER, TRACE_SAMPLE, PROFILE,
-    RESULT_CACHE, FAULTS, RETRIES, TASK_TIMEOUT, BACKOFF, DUMP_DIR,
-    TELEMETRY_PORT, HISTORY, SCALE,
+    SANITIZE, TRACE, PROFILE, RESULT_CACHE, FAULTS, RETRIES, TASK_TIMEOUT,
+    DUMP_DIR, TELEMETRY_PORT, HISTORY, SCALE,
 )

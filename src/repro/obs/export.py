@@ -1,6 +1,6 @@
 """Exporters: Chrome/Perfetto trace-event JSON and metrics snapshots.
 
-Three serialisations, all plain-stdlib:
+Two serialisations, both plain-stdlib:
 
 * **Chrome trace-event JSON** (:func:`chrome_trace_dict` /
   :func:`write_chrome_trace` / :func:`parse_chrome_trace`): the JSON
@@ -12,8 +12,6 @@ Three serialisations, all plain-stdlib:
 * **Metrics JSON** (:func:`write_metrics_json` /
   :func:`read_metrics_json`): a :class:`MetricsSnapshot` with a schema
   tag, for ``tools/obs_report.py`` and CI artifacts.
-* **Metrics CSV** (:func:`metrics_csv`): one row per series, for
-  spreadsheet triage.
 
 :func:`validate_chrome_trace` performs the structural checks the CI
 traced-run job relies on (every event carries the required keys with
@@ -23,7 +21,6 @@ raising, so the CLI can print them all at once.
 
 from __future__ import annotations
 
-import io
 import json
 from pathlib import Path
 from typing import Dict, List, Optional, Union
@@ -188,24 +185,3 @@ def read_metrics_json(path: Union[str, Path]) -> MetricsSnapshot:
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     return MetricsSnapshot.from_json_dict(data)
 
-
-def metrics_csv(snapshot: MetricsSnapshot) -> str:
-    """One CSV row per series: name,kind,unit,labels,value,count,sum."""
-    out = io.StringIO()
-    out.write("name,kind,unit,labels,value,count,sum\n")
-    for name in sorted(snapshot.instruments):
-        entry = snapshot.instruments[name]
-        for sample in entry["series"]:
-            labels = ";".join(
-                f"{k}={v}" for k, v in sorted(sample["labels"].items())
-            )
-            if "value" in sample:
-                value, count, total = sample["value"], "", ""
-            else:
-                value = ""
-                count, total = sample["count"], sample["sum"]
-            out.write(
-                f"{name},{entry['kind']},{entry.get('unit', '')},"
-                f"\"{labels}\",{value},{count},{total}\n"
-            )
-    return out.getvalue()

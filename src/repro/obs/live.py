@@ -48,10 +48,6 @@ class ProgressTracker:
             merged.update(fields)
             self._state[section] = merged
 
-    def clear_section(self, section: str) -> None:
-        with self._lock:
-            self._state.pop(section, None)
-
     def snapshot(self) -> Dict[str, object]:
         """A deep copy of the current state (safe to serialise)."""
         with self._lock:

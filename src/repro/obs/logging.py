@@ -1,7 +1,7 @@
 """Library logging for ``repro``: one namespaced logger, CLI-configured.
 
 Library code under ``src/repro/`` must not ``print()`` (enforced by the
-``no-print`` rule of ``repro.analysis.lint``); diagnostics flow through
+``no-print`` rule of ``colt-analyze``); diagnostics flow through
 loggers obtained here instead::
 
     from repro.obs.logging import get_logger

@@ -442,11 +442,11 @@ def get_registry() -> MetricsRegistry:
     """The process-local default registry (created on first use)."""
     global _REGISTRY
     if _REGISTRY is None:
-        _REGISTRY = MetricsRegistry()
+        _REGISTRY = MetricsRegistry()  # colt-lint: disable=worker-global-mutation -- lazy singleton; a worker writes its own post-fork copy
     return _REGISTRY
 
 
 def set_registry(registry: Optional[MetricsRegistry]) -> None:
     """Replace the default registry (tests, worker-process resets)."""
     global _REGISTRY
-    _REGISTRY = registry
+    _REGISTRY = registry  # colt-lint: disable=worker-global-mutation -- workers call it only from the pool initializer, to install their own registry

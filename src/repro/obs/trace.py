@@ -21,10 +21,10 @@ Wall-clock reads live in this module only, on the determinism lint's
 allow-list: trace timestamps describe the run, they never feed
 simulation results.
 
-Knobs (defaults in :mod:`repro.common.knobs`): ``COLT_TRACE`` switches
-tracing on, ``COLT_TRACE_BUFFER`` sizes the ring in events, and
-``COLT_TRACE_SAMPLE`` keeps every Nth per-access TLB event (spans are
-never sampled).
+``COLT_TRACE`` (see :mod:`repro.common.knobs`) switches tracing on.
+The ring holds :data:`TRACE_CAPACITY` events and keeps every
+:data:`TRACE_SAMPLE_EVERY`-th per-access TLB event (spans are never
+sampled); ``Tracer(capacity=, sample_every=)`` overrides either.
 """
 
 from __future__ import annotations
@@ -37,6 +37,11 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
 
 from repro.common import knobs
+
+#: Ring-buffer capacity, in events.
+TRACE_CAPACITY = 262_144
+#: Keep every Nth high-rate instant event (per-access TLB events).
+TRACE_SAMPLE_EVERY = 64
 
 
 def tracing_requested() -> bool:
@@ -79,13 +84,9 @@ class Tracer:
 
     def __init__(
         self,
-        capacity: Optional[int] = None,
-        sample_every: Optional[int] = None,
+        capacity: int = TRACE_CAPACITY,
+        sample_every: int = TRACE_SAMPLE_EVERY,
     ) -> None:
-        if capacity is None:
-            capacity = knobs.TRACE_BUFFER.integer(minimum=1)
-        if sample_every is None:
-            sample_every = knobs.TRACE_SAMPLE.integer(minimum=1)
         self.capacity = max(1, capacity)
         #: Per-access TLB events keep 1 in ``sample_every``.
         self.sample_every = max(1, sample_every)
@@ -187,14 +188,14 @@ def current_tracer() -> Optional[Tracer]:
     """
     global _TRACER, _RESOLVED
     if not _RESOLVED:
-        _RESOLVED = True
+        _RESOLVED = True  # colt-lint: disable=worker-global-mutation -- memoizes the tracer in each process's own module copy
         if tracing_requested():
-            _TRACER = Tracer()
+            _TRACER = Tracer()  # colt-lint: disable=worker-global-mutation -- the per-process tracer memo
     return _TRACER
 
 
 def enable_tracing(
-    capacity: Optional[int] = None, sample_every: Optional[int] = None
+    capacity: int = TRACE_CAPACITY, sample_every: int = TRACE_SAMPLE_EVERY
 ) -> Tracer:
     """Explicitly switch tracing on for this process."""
     global _TRACER, _RESOLVED
@@ -219,8 +220,8 @@ def reset_tracing() -> None:
     would otherwise be reported twice once the worker drains.
     """
     global _TRACER, _RESOLVED
-    _TRACER = None
-    _RESOLVED = False
+    _TRACER = None  # colt-lint: disable=worker-global-mutation -- the pool initializer drops the tracer (and buffer) inherited over fork
+    _RESOLVED = False  # colt-lint: disable=worker-global-mutation -- the pool initializer resets the worker's own memo flag
 
 
 def span(name: str, cat: str = "phase", **args):

@@ -167,7 +167,7 @@ class ExperimentRunner:
             updated after, every simulation.
         policy: retry/backoff/deadline policy for the resilient
             executor; defaults to :meth:`RetryPolicy.from_env`
-            (``COLT_RETRIES`` / ``COLT_TASK_TIMEOUT`` / ``COLT_BACKOFF``).
+            (``COLT_RETRIES`` / ``COLT_TASK_TIMEOUT``).
         faults: deterministic fault-injection plan; defaults to the
             plan named by ``COLT_FAULTS`` (``None`` when unset).
         shutdown: optional :class:`repro.sim.campaign.ShutdownCoordinator`

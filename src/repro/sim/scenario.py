@@ -201,7 +201,7 @@ class ScenarioEngine:
             daemon_vma = self.kernel.malloc(
                 daemon, pages, name="live_churn", populate=True
             )
-        except OutOfMemoryError:
+        except OutOfMemoryError:  # colt-lint: disable=silent-except -- a daemon allocation failing under OOM is the modeled behaviour; the kernel's OOM counters record it
             return
         live.append((daemon, daemon_vma))
         while len(live) > self.config.churn_live_limit:

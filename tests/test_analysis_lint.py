@@ -1,23 +1,37 @@
 """Tests for the determinism lint: every rule, the pragma, and the repo.
 
 Each rule gets fixtures proving it fires on a violation and stays quiet
-on the sanctioned alternative; the final test runs the real linter over
-``src`` and demands a clean bill -- the same check CI runs.
+on the sanctioned alternative; the repo tests run the lint pass over
+``src`` and ``tools`` and demand a clean bill, and every allow-list
+entry must still be needed.
 """
 
 from pathlib import Path
 
 import pytest
 
-from repro.analysis.lint import (
+from repro.analysis.static.cli import main
+from repro.analysis.static.lint_rules import (
+    PRINT_ALLOW,
+    RAW_ENV_ALLOW,
+    RNG_CONSTRUCTION_ALLOW,
     RULES,
-    iter_python_files,
-    lint_paths,
-    lint_source,
-    main,
+    WALL_CLOCK_ALLOW,
+    LintPass,
 )
+from repro.analysis.static.model import ProjectModel, iter_python_files
+from repro.analysis.static.passes import run_passes
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def lint_source(source, path):
+    """Lint one module's source text; pragma-suppressed findings drop."""
+    return run_passes(ProjectModel.from_sources([(path, source)]), [LintPass()])
+
+
+def lint_paths(paths):
+    return run_passes(ProjectModel.from_paths(paths), [LintPass()])
 
 
 def rules_of(source, path="sim/module.py"):
@@ -151,7 +165,7 @@ class TestNoPrint:
 
     def test_allow_listed_cli_tools_exempt(self):
         source = "print('diagnostic')\n"
-        assert rules_of(source, "src/repro/analysis/lint.py") == []
+        assert rules_of(source, "src/repro/analysis/static/cli.py") == []
         assert rules_of(source, "src/repro/analysis/determinism.py") == []
 
     def test_outside_repro_tree_exempt(self):
@@ -278,3 +292,33 @@ def test_each_rule_fires_somewhere(rule):
     }
     source, path = samples[rule]
     assert rules_of(source, path) == [rule]
+
+
+#: Every allow-list entry, with the rule its list exempts from.
+ALLOW_CASES = [
+    (entry, rule)
+    for entries, rule in (
+        (WALL_CLOCK_ALLOW, "wall-clock"),
+        (PRINT_ALLOW, "no-print"),
+        (RNG_CONSTRUCTION_ALLOW, "rng-module-state"),
+        (RAW_ENV_ALLOW, "raw-env-read"),
+    )
+    for entry in entries
+]
+
+
+@pytest.mark.parametrize(
+    "entry, rule", ALLOW_CASES,
+    ids=[f"{rule}:{entry}" for entry, rule in ALLOW_CASES],
+)
+def test_allow_list_entry_is_needed(entry, rule):
+    """An entry names one real file that would break its list's rule."""
+    matches = [
+        path for path in iter_python_files(
+            [REPO_ROOT / "src", REPO_ROOT / "tools"]
+        )
+        if path.as_posix().endswith(entry)
+    ]
+    assert len(matches) == 1, matches
+    source = matches[0].read_text(encoding="utf-8")
+    assert rule in rules_of(source, "src/repro/sim/module.py")

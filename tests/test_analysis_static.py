@@ -2,34 +2,26 @@
 
 Covers the shared pragma implementation (edge cases the refactor must
 not regress), call-graph worker/thread/signal coloring on synthetic
-fixtures, SARIF/JSON round-trips, baseline add/expire semantics, and
-the repo-level guarantees: ``colt-analyze`` runs clean against the checked-in baseline
-and the generated docs are fresh.
+fixtures, the ``colt-analyze`` exit codes, and the repo-level
+guarantees: ``colt-analyze`` runs clean, every pragma says why, the
+generated docs are fresh, and the simulator does not import the
+analyzer.
 """
 
-import json
+import io
+import os
+import subprocess
+import sys
+import tokenize
 from pathlib import Path
 
-import pytest
-
-from repro.analysis.static.baseline import Baseline, BaselineEntry
 from repro.analysis.static.cli import main
 from repro.analysis.static.concurrency import ConcurrencyPass
 from repro.analysis.static.docs import check_docs
 from repro.analysis.static.hygiene import ExceptionHygienePass
 from repro.analysis.static.lint_rules import LintPass
-from repro.analysis.static.model import ProjectModel
-from repro.analysis.static.passes import (
-    Finding,
-    fingerprint_findings,
-    run_passes,
-)
-from repro.analysis.static.sarif import (
-    from_json,
-    from_sarif,
-    to_json,
-    to_sarif,
-)
+from repro.analysis.static.model import ProjectModel, iter_python_files
+from repro.analysis.static.passes import run_passes
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -41,13 +33,6 @@ def project_of(*sources):
 
 def rules_of(findings):
     return [f.rule for f in findings]
-
-
-@pytest.fixture(scope="module")
-def repo_project():
-    return ProjectModel.from_paths(
-        [REPO_ROOT / "src", REPO_ROOT / "tools"]
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -70,6 +55,22 @@ class TestPragmas:
         source = (
             "import time\n"
             "ok = time.time() == 0.5  # colt-lint: disable=wall-clock\n"
+        )
+        assert rules_of(self.run_lint(source)) == ["float-eq"]
+
+    def test_reasoned_multi_rule_pragma_suppresses_both(self):
+        source = (
+            "import time\n"
+            "ok = time.time() == 0.5"
+            "  # colt-lint: disable=wall-clock,float-eq -- why\n"
+        )
+        assert self.run_lint(source) == []
+
+    def test_reason_is_not_read_as_a_rule(self):
+        source = (
+            "import time\n"
+            "ok = time.time() == 0.5"
+            "  # colt-lint: disable=wall-clock -- float-eq\n"
         )
         assert rules_of(self.run_lint(source)) == ["float-eq"]
 
@@ -298,113 +299,23 @@ class TestExceptionHygiene:
 
 
 # ---------------------------------------------------------------------------
-# SARIF / JSON round-trips
+# The colt-analyze command
 # ---------------------------------------------------------------------------
 
-FINDINGS = [
-    Finding("src/repro/a.py", 3, 4, "wall-clock", "reads time"),
-    Finding("src/repro/b.py", 10, 0, "silent-except", "swallows | pipes"),
-]
-
-
-class TestSerialization:
-    def test_sarif_round_trip(self):
-        pairs = [(f, f"fp{i}") for i, f in enumerate(FINDINGS)]
-        document = to_sarif(pairs, {"wall-clock": "time read"})
-        assert document["version"] == "2.1.0"
-        assert from_sarif(document) == FINDINGS
-
-    def test_sarif_fingerprints_and_rules(self):
-        document = to_sarif([(FINDINGS[0], "abcd")], {})
-        run = document["runs"][0]
-        assert run["results"][0]["partialFingerprints"] == {
-            "coltAnalyze/v1": "abcd"
-        }
-        assert [r["id"] for r in run["tool"]["driver"]["rules"]] == [
-            "wall-clock"
-        ]
-
-    def test_json_round_trip(self):
-        pairs = [(f, None) for f in FINDINGS]
-        assert from_json(to_json(pairs)) == FINDINGS
-
-    def test_sarif_survives_json_serialization(self):
-        pairs = [(f, "x") for f in FINDINGS]
-        text = json.dumps(to_sarif(pairs, {}))
-        assert from_sarif(json.loads(text)) == FINDINGS
-
-
-# ---------------------------------------------------------------------------
-# Fingerprints + baseline add/expire
-# ---------------------------------------------------------------------------
-
-class TestFingerprints:
-    def test_stable_under_line_shift(self):
-        bad_line = "import random\n"
-        before = project_of(("src/repro/x.py", bad_line))
-        after = project_of(("src/repro/x.py", "# a comment\n" + bad_line))
-        fp_before = fingerprint_findings(
-            before, run_passes(before, [LintPass()])
-        )
-        fp_after = fingerprint_findings(
-            after, run_passes(after, [LintPass()])
-        )
-        assert fp_before[0][1] == fp_after[0][1]
-        assert fp_before[0][0].line != fp_after[0][0].line
-
-    def test_identical_lines_get_distinct_fingerprints(self):
-        project = project_of(("src/repro/x.py", "import random\nimport random\n"))
-        pairs = fingerprint_findings(
-            project, run_passes(project, [LintPass()])
-        )
-        assert len(pairs) == 2
-        assert pairs[0][1] != pairs[1][1]
-
-
-class TestBaseline:
-    def test_match_partitions_new_suppressed_expired(self):
-        entry = BaselineEntry("fp0", "wall-clock", "a.py", 3, "why")
-        stale = BaselineEntry("gone", "float-eq", "b.py", 9, "old")
-        baseline = Baseline([entry, stale])
-        match = baseline.match([(FINDINGS[0], "fp0"), (FINDINGS[1], "fp9")])
-        assert [fp for _, fp in match.suppressed] == ["fp0"]
-        assert [fp for _, fp in match.new] == ["fp9"]
-        assert [e.fingerprint for e in match.expired] == ["gone"]
-
-    def test_updated_keeps_justifications_and_drops_expired(self):
-        baseline = Baseline([
-            BaselineEntry("fp0", "wall-clock", "a.py", 3, "real reason"),
-            BaselineEntry("gone", "float-eq", "b.py", 9, "old"),
-        ])
-        updated = baseline.updated(
-            [(FINDINGS[0], "fp0"), (FINDINGS[1], "fp9")]
-        )
-        by_fp = {e.fingerprint: e for e in updated.entries}
-        assert set(by_fp) == {"fp0", "fp9"}
-        assert by_fp["fp0"].justification == "real reason"
-        assert by_fp["fp9"].justification.startswith("TODO")
-
-    def test_cli_baseline_lifecycle(self, tmp_path, capsys):
-        target = tmp_path / "mod.py"
-        target.write_text("import random\n", encoding="utf-8")
-        bl = tmp_path / "baseline.json"
-        # New finding without a baseline: fail.
-        assert main([str(target), "--baseline", str(bl)]) == 1
-        # Admit it, then the same tree is clean.
-        assert main(
-            [str(target), "--baseline", str(bl), "--update-baseline"]
-        ) == 0
-        assert bl.exists()
-        assert main([str(target), "--baseline", str(bl)]) == 0
-        # Fix the finding: the entry expires (reported, but exit 0).
-        target.write_text("X = 1\n", encoding="utf-8")
-        capsys.readouterr()
-        assert main([str(target), "--baseline", str(bl)]) == 0
-        out = capsys.readouterr().out
-        assert "expired" in out
-
+class TestCli:
     def test_cli_exit_two_on_missing_path(self, tmp_path):
-        assert main([str(tmp_path / "nope.py"), "--no-baseline"]) == 2
+        assert main([str(tmp_path / "nope.py")]) == 2
+
+    def test_cli_reasoned_pragma_accepts_the_only_finding(
+        self, tmp_path, capsys
+    ):
+        target = tmp_path / "mod.py"
+        target.write_text(
+            "import random  # colt-lint: disable=rng-module-state -- why\n",
+            encoding="utf-8",
+        )
+        assert main([str(target)]) == 0
+        assert "0 finding(s)" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
@@ -412,19 +323,52 @@ class TestBaseline:
 # ---------------------------------------------------------------------------
 
 class TestRepoIsClean:
-    def test_colt_analyze_clean_with_baseline(self, capsys):
+    def test_colt_analyze_clean(self, capsys):
         code = main([str(REPO_ROOT / "src"), str(REPO_ROOT / "tools")])
         out = capsys.readouterr().out
         assert code == 0, out
-        # The baseline is load-bearing, not empty.
-        assert "baselined" in out
 
-    def test_baseline_entries_are_justified(self):
-        baseline = Baseline.load(REPO_ROOT / "tools" / "analysis_baseline.json")
-        assert baseline.entries, "expected a non-empty baseline"
-        for entry in baseline.entries:
-            assert entry.justification, entry.fingerprint
-            assert not entry.justification.startswith("TODO"), entry.path
+    def test_every_pragma_gives_a_reason(self):
+        pragmas = []
+        for path in iter_python_files(
+            [REPO_ROOT / "src", REPO_ROOT / "tools"]
+        ):
+            source = path.read_text(encoding="utf-8")
+            for token in tokenize.generate_tokens(io.StringIO(source).readline):
+                if (
+                    token.type == tokenize.COMMENT
+                    and "colt-lint: disable=" in token.string
+                ):
+                    pragmas.append((f"{path}:{token.start[0]}", token.string))
+        assert pragmas, "expected at least one pragma"
+        unreasoned = [
+            where for where, comment in pragmas
+            if not comment.partition(" -- ")[2].strip()
+        ]
+        assert unreasoned == []
 
-    def test_generated_docs_are_fresh(self, repo_project):
+    def test_generated_docs_are_fresh(self):
         assert check_docs(REPO_ROOT) == []
+
+
+def test_simulator_does_not_import_tooling():
+    """Simulator processes and pool workers load no analyzer or server."""
+    code = (
+        "import sys\n"
+        "import repro.sim.runner, repro.experiments.registry\n"
+        "print(*sys.modules)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], env=env, check=True,
+        capture_output=True, text=True,
+    ).stdout.split()
+    unwanted = [
+        name for name in loaded
+        if name.startswith("repro.analysis.static")
+        or name in ("repro.obs.serve", "http.server")
+    ]
+    assert unwanted == []

@@ -10,13 +10,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.sanitizers import full_scan_interval, sanitizers_enabled
+from repro.analysis.sanitizers import sanitizers_enabled
 from repro.common import knobs
 from repro.common.errors import ConfigurationError
 from repro.experiments.scale import scale_from_env
 from repro.obs.history import history_enabled
 from repro.obs.serve import telemetry_port_from_env
-from repro.obs.trace import Tracer, profiling_requested, tracing_requested
+from repro.obs.trace import profiling_requested, tracing_requested
 from repro.sim.faults import FaultPlan
 from repro.sim.resilience import RetryPolicy, resolve_dump_dir
 from repro.sim.store import ResultStore
@@ -27,15 +27,7 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 #: (knob name, value, reader, expected value or exception type).
 CASES = [
     ("COLT_SANITIZE", "none", sanitizers_enabled, False),
-    ("COLT_SANITIZE_EVERY", "abc", full_scan_interval, ConfigurationError),
-    ("COLT_SANITIZE_EVERY", "0", full_scan_interval, 1),
-    ("COLT_SANITIZE_EVERY", "", full_scan_interval, 4096),
     ("COLT_TRACE", "OFF", tracing_requested, False),
-    ("COLT_TRACE_BUFFER", "abc", lambda: Tracer().capacity,
-     ConfigurationError),
-    ("COLT_TRACE_BUFFER", "-5", lambda: Tracer().capacity, 1),
-    ("COLT_TRACE_SAMPLE", "abc", lambda: Tracer().sample_every,
-     ConfigurationError),
     ("COLT_PROFILE", "no", profiling_requested, False),
     ("COLT_RESULT_CACHE", "false", ResultStore.from_env, None),
     ("COLT_RESULT_CACHE", "", ResultStore.from_env, None),
@@ -43,8 +35,6 @@ CASES = [
     ("COLT_RETRIES", "abc", RetryPolicy.from_env, ConfigurationError),
     ("COLT_RETRIES", "-3", lambda: RetryPolicy.from_env().max_retries, 0),
     ("COLT_TASK_TIMEOUT", "abc", RetryPolicy.from_env, ConfigurationError),
-    ("COLT_BACKOFF", "abc", RetryPolicy.from_env, ConfigurationError),
-    ("COLT_BACKOFF", "-1", lambda: RetryPolicy.from_env().backoff_s, 0.0),
     ("COLT_DUMP_DIR", " ", resolve_dump_dir, Path(".colt-cache/dumps")),
     ("COLT_TELEMETRY_PORT", "abc", telemetry_port_from_env,
      ConfigurationError),

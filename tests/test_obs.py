@@ -11,7 +11,6 @@ from repro.common.errors import ConfigurationError
 from repro.common.statistics import CounterSet
 from repro.obs.export import (
     chrome_trace_dict,
-    metrics_csv,
     parse_chrome_trace,
     span_names,
     validate_chrome_trace,
@@ -285,9 +284,6 @@ class TestChromeExport:
         snapshot = registry.snapshot()
         path = write_metrics_json(tmp_path / "metrics.json", snapshot)
         assert read_metrics_json(path).instruments == snapshot.instruments
-        csv_text = metrics_csv(snapshot)
-        assert "colt_n,counter" in csv_text
-        assert "colt_h,histogram" in csv_text
 
 
 # ---------------------------------------------------------------------------

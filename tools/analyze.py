@@ -6,7 +6,6 @@ from a checkout with no install step:
 
     python tools/analyze.py src tools
     python tools/analyze.py --check-docs
-    python tools/analyze.py src tools --format sarif --output out.sarif
 
 See ``repro.analysis.static`` for the pass framework and analyzers.
 """
