@@ -3,8 +3,8 @@
 A :class:`Knob` carries its variable name, the default the code uses,
 a one-line doc and the CLI flag that overrides it. Its typed readers
 re-read ``os.environ`` on every call, so a value exported mid-process
-(``--trace`` sets ``COLT_TRACE`` before pool workers fork) is seen by
-the next reader:
+(``--dump-dir`` sets ``COLT_DUMP_DIR`` before pool workers fork) is
+seen by the next reader:
 
 * :meth:`Knob.on` -- any value outside :data:`OFF_WORDS` is on;
 * :meth:`Knob.integer` / :meth:`Knob.real` -- a value that does not
@@ -82,16 +82,6 @@ SANITIZE = Knob(
     "enable every runtime sanitizer (TLB/page-table/buddy cross-checks) "
     "during simulation",
 )
-TRACE = Knob(
-    "COLT_TRACE", False,
-    "enable the in-process tracer (Chrome-trace event ring)",
-    "--trace",
-)
-PROFILE = Knob(
-    "COLT_PROFILE", False,
-    "metrics registry + snapshots without full tracing",
-    "--profile",
-)
 RESULT_CACHE = Knob(
     "COLT_RESULT_CACHE", ".colt-cache",
     "result-store root; set but empty, or an off-word, disables the store",
@@ -136,6 +126,6 @@ SCALE = Knob(
 
 #: Every knob; the docs table lists them sorted by name.
 ALL: Tuple[Knob, ...] = (
-    SANITIZE, TRACE, PROFILE, RESULT_CACHE, FAULTS, RETRIES, TASK_TIMEOUT,
-    DUMP_DIR, TELEMETRY_PORT, HISTORY, SCALE,
+    SANITIZE, RESULT_CACHE, FAULTS, RETRIES, TASK_TIMEOUT, DUMP_DIR,
+    TELEMETRY_PORT, HISTORY, SCALE,
 )

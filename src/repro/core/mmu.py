@@ -25,8 +25,9 @@ TLB entries are interval tuples (``repro.tlb.entries``) and a walk's
 outcome is one :class:`repro.walker.page_walker.WalkRecord`, whether
 the walker read a live page table or a captured log, so this module is
 the one access-and-fill implementation every simulator runs. The event
-counters add up in plain ints and fold into :attr:`MMU.counters` at
-each shootdown and whenever the counters are read.
+counters, and the fills by run length, add up in plain ints and fold
+into :attr:`MMU.counters` and the ``colt_coalesce_run_length``
+histogram at each shootdown and whenever the counters are read.
 """
 
 from __future__ import annotations
@@ -40,11 +41,11 @@ from repro.common.constants import (
     COLT_FA_TLB_ENTRIES,
     DEFAULT_COLT_SA_SHIFT,
     DEFAULT_SUPERPAGE_TLB_ENTRIES,
+    PTES_PER_CACHE_LINE,
 )
 from repro.common.errors import ConfigurationError
 from repro.common.statistics import CounterSet
 from repro.common.types import LookupResult
-from repro.obs.hooks import MMUObserver
 from repro.obs.registry import bind_counterset, get_registry
 from repro.core.coalescing import clip_to_group, clip_to_window
 from repro.tlb.config import (
@@ -213,6 +214,13 @@ MMU_COUNTERS = (
     "invalidations",
 )
 
+#: Counters tallied per event in plain ints; the fill counters derive
+#: from the per-run-length tally instead.
+_TALLIED = tuple(
+    name for name in MMU_COUNTERS
+    if name not in ("coalesced_fills", "uncoalesced_fills")
+)
+
 #: Outcomes of :meth:`MMU.step`. After ``SA_HIT``, ``L2_HIT`` or
 #: ``WALK`` the VPN's unique L1 SA coverer is most recently used, and
 #: after ``FA_HIT`` its FA coverer is, so an immediate repeat of the VPN
@@ -240,26 +248,25 @@ class MMU:
         self._l1_group = config.l1.group_size
         self._l2_group = config.l2.group_size
         self._counters = CounterSet(list(MMU_COUNTERS))
-        for name in MMU_COUNTERS:
+        for name in _TALLIED:
             setattr(self, "_c_" + name, 0)
+        #: Fills by run length (index = translations per fill).
+        self._c_runs = [0] * (PTES_PER_CACHE_LINE + 1)
         #: Optional :class:`TLBSanitizer`; ``sanitize=None`` defers to
         #: the ``COLT_SANITIZE`` environment variable.
         self.sanitizer: Optional[TLBSanitizer] = None
         if resolve_sanitize(sanitize):
             self.sanitizer = TLBSanitizer(self)
             self.sanitizer.attach()
-        #: Optional :class:`repro.obs.hooks.MMUObserver`; ``None`` unless
-        #: observability is active (``COLT_TRACE`` / ``COLT_PROFILE``),
-        #: so the disabled-mode cost is one ``is not None`` per
-        #: miss/fill/shootdown -- the hit path never checks it.
-        self._obs: Optional[MMUObserver] = MMUObserver.create(
-            config.design.value
+        registry = get_registry()
+        bind_counterset(
+            registry, "colt_mmu", self._counters, design=config.design.value,
         )
-        if self._obs is not None:
-            bind_counterset(
-                get_registry(), "colt_mmu", self._counters,
-                design=config.design.value,
-            )
+        self._run_lengths = registry.histogram(
+            "colt_coalesce_run_length",
+            help="translations per TLB fill, by design (1 = uncoalesced)",
+            unit="translations",
+        )
 
     # ------------------------------------------------------------------
     # The per-access flow.
@@ -295,8 +302,6 @@ class MMU:
             self._c_l1_fa_hits += 1
             return FA_HIT
         self._c_l1_misses += 1
-        if self._obs is not None:
-            self._obs.on_l1_miss(vpn)
         hit = self.l2.probe(vpn)
         if hit is not None:
             self._c_l2_hits += 1
@@ -341,8 +346,6 @@ class MMU:
             self.superpage_tlb.insert(
                 (base, base + 512, record.pfn - offset, record.attr, True)
             )
-            if self._obs is not None:
-                self._obs.on_superpage_fill(vpn)
             return WALK_FA
         design = self.design
         if design is CoLTDesign.BASELINE:
@@ -363,7 +366,7 @@ class MMU:
         entry = (vpn, vpn, record.pfn, record.attr)
         self._insert_l2(entry)
         self.l1.insert(entry)
-        self._count_fill(1)
+        self._c_runs[1] += 1
         return WALK
 
     def _sa_entry(
@@ -390,7 +393,7 @@ class MMU:
         self.l1.insert(
             self._sa_entry(vpn, record, slot, lo, hi, self._l1_group)[0]
         )
-        self._count_fill(length)
+        self._c_runs[length] += 1
         return WALK
 
     def _insert_fa_run(
@@ -402,7 +405,7 @@ class MMU:
             record.line_pfn[lo], record.line_attr[lo], False,
         ))
         self._c_fa_routed_fills += 1
-        self._count_fill(hi - lo + 1)
+        self._c_runs[hi - lo + 1] += 1
 
     def _fill_colt_fa(
         self, vpn: int, record: "WalkRecord", slot: int, lo: int, hi: int
@@ -452,14 +455,6 @@ class MMU:
             if l2.entry_for(vpn) is None:
                 l1.invalidate(vpn)
 
-    def _count_fill(self, run_length: int) -> None:
-        if run_length >= 2:
-            self._c_coalesced_fills += 1
-        else:
-            self._c_uncoalesced_fills += 1
-        if self._obs is not None:
-            self._obs.on_fill(run_length)
-
     # ------------------------------------------------------------------
     # Shootdowns.
     # ------------------------------------------------------------------
@@ -473,8 +468,6 @@ class MMU:
         may have changed (e.g. a THP split replaces a PDE).
         """
         self._c_invalidations += 1
-        if self._obs is not None:
-            self._obs.on_shootdown(vpn)
         self.l1.invalidate(vpn)
         # Graceful splits of a full L2 set evict residents: keep the L2
         # inclusive of the L1 for those too.
@@ -501,14 +494,23 @@ class MMU:
     # ------------------------------------------------------------------
 
     def _fold_counters(self) -> None:
-        """Move the plain-int tallies into the counter set."""
+        """Move the plain-int tallies into the counter set and histogram."""
         increment = self._counters.increment
-        for name in MMU_COUNTERS:
+        for name in _TALLIED:
             attr = "_c_" + name
             delta = getattr(self, attr)
             if delta:
                 increment(name, delta)
                 setattr(self, attr, 0)
+        runs = self._c_runs
+        if any(runs):
+            increment("uncoalesced_fills", runs[1])
+            increment("coalesced_fills", sum(runs) - runs[1])
+            design = self.design.value
+            for length, count in enumerate(runs):
+                if count:
+                    self._run_lengths.observe(length, count, design=design)
+            self._c_runs = [0] * len(runs)
 
     @property
     def counters(self) -> CounterSet:

@@ -9,12 +9,13 @@ results persist in an on-disk store (``.colt-cache/`` or
 ``$COLT_RESULT_CACHE``; see ``repro.sim.store``) so repeated
 invocations only pay for configurations they have not seen.
 
-Observability (``repro.obs``) is wired here:
+Observability (``repro.obs``) is wired here. Every run records its
+spans (boot/capture/replay/store/compaction) and metrics, prints the
+store and resilience summary lines, and appends them to the history
+record; two flags only choose what else to write out:
 
-* ``--trace [FILE]`` records a Chrome/Perfetto trace of the run
-  (spans for boot/capture/replay/store, sampled TLB events) plus a
-  ``<FILE stem>.metrics.json`` snapshot;
-* ``--profile`` collects the metrics snapshot without event tracing;
+* ``--trace [FILE]`` writes the spans as a Chrome/Perfetto trace plus
+  a ``<FILE stem>.metrics.json`` snapshot;
 * ``--report [FILE]`` prints (or writes) the human run report;
 * ``-q`` / ``-v`` control the library log level.
 
@@ -25,7 +26,8 @@ run's stall detector; ``--dump-dir`` says where a stuck worker's stack
 dump lands), and a ``COLT_FAULTS`` plan (see ``repro.sim.faults``)
 injects deterministic worker crashes, task exceptions, delays and
 store corruption for chaos testing. When the resilience layer
-absorbed anything, a summary line reports it.
+absorbed anything, or a fault fired in the parent or a worker, a
+summary line reports it.
 
 The experiments run through one loop (``repro.sim.campaign``), which
 carries on past an experiment that failed permanently (the run then
@@ -62,7 +64,12 @@ from repro.obs.history import (
 )
 from repro.obs.live import get_progress
 from repro.obs.logging import configure_logging
-from repro.obs.registry import get_registry
+from repro.obs.registry import (
+    MetricsRegistry,
+    MetricsSnapshot,
+    get_registry,
+    set_registry,
+)
 from repro.obs.report import RunReport
 from repro.obs.serve import TelemetryServer, telemetry_port_from_env
 from repro.obs.trace import reset_tracing
@@ -135,23 +142,20 @@ def _build_parser() -> argparse.ArgumentParser:
         "--telemetry-port", type=int, default=None, metavar="PORT",
         help="serve live telemetry over HTTP on 127.0.0.1:PORT while "
              "the run is in flight (/metrics Prometheus text, "
-             "/progress JSON, /healthz); 0 picks an ephemeral port; "
-             "implies --profile " + _env_default(knobs.TELEMETRY_PORT),
+             "/progress JSON, /healthz); 0 picks an ephemeral port "
+             + _env_default(knobs.TELEMETRY_PORT),
     )
     parser.add_argument(
         "--trace", nargs="?", const="colt-trace.json", default=None,
         metavar="FILE",
-        help="record a Chrome/Perfetto trace to FILE (default "
-             "colt-trace.json) plus a FILE-stem .metrics.json snapshot",
-    )
-    parser.add_argument(
-        "--profile", action="store_true",
-        help="collect the metrics snapshot without event tracing",
+        help="write the run's spans as a Chrome/Perfetto trace to FILE "
+             "(default colt-trace.json) plus a FILE-stem .metrics.json "
+             "snapshot",
     )
     parser.add_argument(
         "--report", nargs="?", const="-", default=None, metavar="FILE",
         help="print the run report ('-' or no value: stdout; else "
-             "write to FILE); implies --profile",
+             "write to FILE)",
     )
     parser.add_argument(
         "-q", "--quiet", action="store_true",
@@ -172,33 +176,17 @@ def _list_experiments() -> None:
     print("\nScale: set REPRO_SCALE=quick|default|full")
 
 
-def _enable_obs(args) -> bool:
-    """Export the obs env vars (workers inherit them); True when active.
-
-    The variables must be set before the runner -- and therefore before
-    its store and any pool worker -- is created, because components
-    resolve the tracer once at construction.
-    """
-    active = False
-    if args.trace is not None:
-        os.environ[knobs.TRACE.name] = "1"
-        active = True
-    if args.profile or args.report is not None or \
-            args.telemetry_port is not None:
-        # Telemetry implies profiling: /metrics and the history record
-        # need populated counters, and profiling is the CI-proven
-        # bit-identity-safe mode.
-        os.environ[knobs.PROFILE.name] = "1"
-        active = True
-    if active:
-        reset_tracing()
-    return active
-
-
-def _emit_obs(args, runner: ExperimentRunner) -> None:
-    """Write/print the requested trace, metrics and report artifacts."""
+def _emit_obs(args, runner: ExperimentRunner,
+              snapshot: MetricsSnapshot) -> None:
+    """Print the summary lines; write the requested trace and report."""
     events = runner.trace_events()
-    snapshot = get_registry().snapshot()
+    report = RunReport.build(
+        events, snapshot, dropped_events=runner.dropped_events()
+    )
+    summary = report.summary_lines()
+    if summary and not args.quiet:
+        print()
+        print("\n".join(summary))
     if args.trace is not None:
         trace_path = Path(args.trace)
         write_chrome_trace(
@@ -213,9 +201,6 @@ def _emit_obs(args, runner: ExperimentRunner) -> None:
                 f"(metrics: {metrics_path})"
             )
     if args.report is not None:
-        report = RunReport.build(
-            events, snapshot, dropped_events=runner.dropped_events()
-        )
         if args.report == "-":
             print()
             print(report.render(), end="")
@@ -223,24 +208,6 @@ def _emit_obs(args, runner: ExperimentRunner) -> None:
             Path(args.report).write_text(report.render(), encoding="utf-8")
             if not args.quiet:
                 print(f"report -> {args.report}")
-
-
-def _print_summaries(args, runner: ExperimentRunner) -> None:
-    summary = runner.store_summary()
-    if summary is not None and not args.quiet:
-        print(
-            f"\nstore: {summary['hits']:.0f} hits, "
-            f"{summary['misses']:.0f} misses, "
-            f"{summary['evictions']:.0f} evictions, "
-            f"{summary['saves']:.0f} saves "
-            f"({summary['hit_ratio']:.0%} hit ratio)"
-        )
-    resilience = runner.resilience_summary()
-    if resilience is not None and not args.quiet:
-        parts = [
-            f"{value} {name}" for name, value in resilience.items() if value
-        ]
-        print("resilience: " + ", ".join(parts))
 
 
 def _run_loop(
@@ -279,7 +246,7 @@ def _run_loop(
 
 
 def _append_history(args, experiments, runner, store, scale, jobs,
-                    code, phase_wall, total_wall) -> None:
+                    code, snapshot, phase_wall, total_wall) -> None:
     """Append the run's ``colt-history-v1`` record (best-effort).
 
     Every store-backed run leaves one record -- including interrupted
@@ -294,7 +261,6 @@ def _append_history(args, experiments, runner, store, scale, jobs,
         status = "interrupted"
     else:
         status = "failed"
-    snapshot = get_registry().snapshot()
     counters = {
         name: snapshot.counter_total(name)
         for name, entry in snapshot.instruments.items()
@@ -332,7 +298,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args.telemetry_port = telemetry_port_from_env()
 
     configure_logging(-1 if args.quiet else args.verbose)
-    obs_enabled = _enable_obs(args)
+    # A fresh tracer and registry before the store and runner bind
+    # theirs, so each run in a process reports only its own counts.
+    reset_tracing()
+    set_registry(MetricsRegistry())
     if args.dump_dir is not None:
         # Exported so pool workers (deadline dumps) agree on the dir.
         os.environ[knobs.DUMP_DIR.name] = args.dump_dir
@@ -395,12 +364,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             shutdown.restore()
 
         get_progress().update(phase="finished", exit_code=code)
-        _print_summaries(args, runner)
-        if obs_enabled:
-            _emit_obs(args, runner)
+        snapshot = get_registry().snapshot()
+        _emit_obs(args, runner, snapshot)
         _append_history(
             args, experiments, runner, store, scale, jobs, code,
-            phase_wall, time.perf_counter() - run_started,
+            snapshot, phase_wall, time.perf_counter() - run_started,
         )
     finally:
         if telemetry is not None:

@@ -1,19 +1,19 @@
 """repro.obs: unified telemetry across the OS/TLB/runner stack.
 
-One subsystem, four pieces (see DESIGN.md section 6):
+One subsystem, five pieces (see DESIGN.md section 6):
 
 * :mod:`repro.obs.registry` -- metrics registry (counters, gauges,
   histograms with labels); components bind their ``CounterSet``s via
-  zero-hot-path-cost collectors.
-* :mod:`repro.obs.trace` -- ring-buffered structured tracer (spans for
-  boot/capture/replay/store/compaction, sampled per-access TLB
-  events), gated by ``COLT_TRACE`` like the sanitizers' gate.
+  zero-hot-path-cost collectors when they are built.
+* :mod:`repro.obs.trace` -- bounded structured tracer (spans for
+  boot/capture/replay/store/compaction).
 * :mod:`repro.obs.export` -- Chrome/Perfetto trace-event JSON and
   metrics JSON.
 * :mod:`repro.obs.report` -- the human
-  :class:`~repro.obs.report.RunReport` (per-phase
-  wall-time, worker utilisation, store hit ratio, coalescing
-  histograms, buddy fragmentation timeline).
+  :class:`~repro.obs.report.RunReport` (per-phase self time, worker
+  utilisation, store hit ratio, resilience, coalescing histograms).
+* :mod:`repro.obs.hooks` -- the pool-worker hand-off of spans and
+  metrics.
 
 The telemetry plane (DESIGN.md section 11) builds on those:
 
@@ -25,7 +25,8 @@ The telemetry plane (DESIGN.md section 11) builds on those:
   records with trend/diff/regression-gate helpers
   (``tools/obs_history.py``).
 
-Observability never mutates simulator state: a traced run's
-``SimulationResult``s are bit-identical to an untraced run's, and with
-everything disabled the hooks cost one ``is None`` check each.
+Every run records its spans and metrics; there is no mode to switch.
+Observability never mutates simulator state: the pinned reference
+results (``tests/fixtures/replay_reference.json``) were computed with
+observability off and still match.
 """

@@ -5,10 +5,11 @@ Two serialisations, both plain-stdlib:
 * **Chrome trace-event JSON** (:func:`chrome_trace_dict` /
   :func:`write_chrome_trace` / :func:`parse_chrome_trace`): the JSON
   object format (``{"traceEvents": [...]}``) that both
-  ``chrome://tracing`` and Perfetto's trace processor ingest. Complete
-  spans are ``ph="X"``, instants ``ph="i"``, counter timelines
-  ``ph="C"``. The parser is the exporter's inverse -- the round trip is
-  asserted by ``tests/test_obs.py`` and the CI trace-validation step.
+  ``chrome://tracing`` and Perfetto's trace processor ingest. Spans
+  are complete events (``ph="X"``), and one metadata event
+  (``ph="M"``) names each process. The parser is the exporter's
+  inverse -- the round trip is asserted by ``tests/test_obs.py`` and
+  the CI trace-validation step.
 * **Metrics JSON** (:func:`write_metrics_json` /
   :func:`read_metrics_json`): a :class:`MetricsSnapshot` with a schema
   tag, for ``tools/obs_report.py`` and CI artifacts.
@@ -30,7 +31,7 @@ from repro.obs.registry import MetricsSnapshot
 from repro.obs.trace import TraceEvent
 
 #: ``ph`` values this exporter emits (and the validator accepts).
-_KNOWN_PHASES = frozenset(("X", "i", "C", "M"))
+_KNOWN_PHASES = frozenset(("X", "M"))
 
 
 def chrome_trace_dict(
@@ -40,20 +41,16 @@ def chrome_trace_dict(
     trace_events: List[dict] = []
     names: Dict[int, str] = {}
     for event in events:
-        record: Dict[str, object] = {
+        trace_events.append({
             "name": event.name,
             "cat": event.cat,
             "ph": event.ph,
             "ts": event.ts_us,
+            "dur": 0.0 if event.dur_us is None else event.dur_us,
             "pid": event.pid,
             "tid": event.tid,
             "args": dict(event.args),
-        }
-        if event.ph == "X":
-            record["dur"] = 0.0 if event.dur_us is None else event.dur_us
-        if event.ph == "i":
-            record["s"] = "t"  # thread-scoped instant
-        trace_events.append(record)
+        })
         names.setdefault(event.pid, "")
     # Name each process track so worker fan-out reads at a glance.
     for pid in sorted(names):

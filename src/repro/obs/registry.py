@@ -28,12 +28,8 @@ its ``ProcessPoolExecutor`` workers into the parent process's view:
 counters and histograms add, gauges keep the merged value.
 
 The process-local default registry (:func:`get_registry`) is what every
-simulator component binds into. Like the tracer, it is only *populated*
-when observability is active (``COLT_TRACE`` / ``COLT_PROFILE``, or
-the ``--trace`` / ``--profile`` / ``--report`` CLI flags); with
-observability off no component binds anything, so the registry costs
-one ``is None``-style check per component construction and nothing per
-simulated access.
+simulator component binds into, once, when it is built; nothing is
+called per simulated access.
 """
 
 from __future__ import annotations
@@ -128,16 +124,16 @@ class HistogramState:
         if not self.counts:
             self.counts = [0] * (len(self.buckets) + 1)
 
-    def observe(self, value: float) -> None:
-        """Record one observation of ``value``."""
+    def observe(self, value: float, count: int = 1) -> None:
+        """Record ``count`` observations of ``value``."""
         index = len(self.buckets)
         for i, bound in enumerate(self.buckets):
             if value <= bound:
                 index = i
                 break
-        self.counts[index] += 1
-        self.count += 1
-        self.sum += value
+        self.counts[index] += count
+        self.count += count
+        self.sum += value * count
 
     def merge(self, other: "HistogramState") -> None:
         if other.buckets != self.buckets:
@@ -167,13 +163,13 @@ class Histogram(Instrument):
         self.buckets = tuple(buckets) if buckets else DEFAULT_BUCKETS
         self._series: Dict[LabelKey, HistogramState] = {}
 
-    def observe(self, value: float, **labels) -> None:
-        """Record one observation of ``value`` for one label set."""
+    def observe(self, value: float, count: int = 1, **labels) -> None:
+        """Record ``count`` observations of ``value`` for one label set."""
         key = _label_key(labels)
         state = self._series.get(key)
         if state is None:
             state = self._series[key] = HistogramState(self.buckets)
-        state.observe(value)
+        state.observe(value, count)
 
     def state(self, **labels) -> Optional[HistogramState]:
         return self._series.get(_label_key(labels))

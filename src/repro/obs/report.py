@@ -1,13 +1,14 @@
-"""Human run reports: phases, workers, store, coalescing, fragmentation.
+"""Human run reports: phases, workers, store, resilience, coalescing.
 
 :class:`RunReport` condenses one invocation's trace events and metrics
 snapshot into the handful of numbers a perf PR needs before it starts:
-where the wall-clock went (per-phase span totals), whether the
-``ProcessPoolExecutor`` workers were actually busy (per-pid
-utilisation), whether the result store earned its keep (hit ratio),
-what the coalescing logic produced per design (run-length histograms),
-and how fragmented the buddy allocator ran (free-page timeline from the
-kernel-tick counter track).
+where the wall-clock went (per-phase self time: each span minus the
+spans nested directly in it), whether the ``ProcessPoolExecutor``
+workers were actually busy (per-pid utilisation), whether the result
+store earned its keep (hit ratio), what the resilience layer absorbed,
+and what the coalescing logic produced per design (run-length
+histograms). The CLI prints :meth:`RunReport.summary_lines` after
+every run.
 
 Build one from live objects (``RunReport.build(events, snapshot)``)
 after a ``--report`` run, or offline from artifacts with
@@ -39,6 +40,30 @@ def _merged_extent_ms(intervals: List[Tuple[float, float]]) -> float:
     return covered / 1000.0
 
 
+def _self_times_us(events: List[TraceEvent]) -> List[float]:
+    """Each event's duration minus its directly nested same-pid spans.
+
+    Spans of one process nest, so one stack sweep per pid in start
+    order finds every span's parent: the innermost span still open
+    when it starts.
+    """
+    durations = [event.dur_us or 0.0 for event in events]
+    self_us = list(durations)
+    order = sorted(
+        range(len(events)),
+        key=lambda i: (events[i].pid, events[i].ts_us, -durations[i]),
+    )
+    stack: List[Tuple[int, float, int]] = []  # open spans: (pid, end, index)
+    for index in order:
+        pid, start = events[index].pid, events[index].ts_us
+        while stack and (stack[-1][0] != pid or stack[-1][1] <= start):
+            stack.pop()
+        if stack:
+            self_us[stack[-1][2]] -= durations[index]
+        stack.append((pid, start + durations[index], index))
+    return [max(0.0, value) for value in self_us]
+
+
 @dataclass
 class PhaseLine:
     """Aggregate of every complete span sharing one name."""
@@ -46,6 +71,7 @@ class PhaseLine:
     name: str
     count: int
     total_ms: float
+    self_ms: float = 0.0
 
     @property
     def mean_ms(self) -> float:
@@ -73,7 +99,6 @@ class RunReport:
     resilience: Dict[str, float] = field(default_factory=dict)
     campaign: Dict[str, float] = field(default_factory=dict)
     coalescing: Dict[str, dict] = field(default_factory=dict)
-    buddy_timeline: Dict[str, float] = field(default_factory=dict)
     instrument_count: int = 0
     event_count: int = 0
     dropped_events: int = 0
@@ -93,7 +118,6 @@ class RunReport:
             event_count=len(events), dropped_events=dropped_events
         )
         report._aggregate_spans(events)
-        report._aggregate_buddy(events)
         if snapshot is not None:
             report.instrument_count = len(snapshot)
             report._aggregate_store(snapshot)
@@ -103,7 +127,7 @@ class RunReport:
         return report
 
     def _aggregate_spans(self, events: List[TraceEvent]) -> None:
-        phases: Dict[str, Tuple[int, float]] = {}
+        phases: Dict[str, PhaseLine] = {}
         # Work spans nest (experiment > run_batch > replay), so per-pid
         # busy time must merge intervals rather than sum durations --
         # summing would report several-hundred-percent utilisation for
@@ -112,29 +136,23 @@ class RunReport:
         span_counts: Dict[int, int] = {}
         start: Optional[float] = None
         end: Optional[float] = None
-        for event in events:
+        for event, self_us in zip(events, _self_times_us(events)):
             if start is None or event.ts_us < start:
                 start = event.ts_us
             finish = event.ts_us + (event.dur_us or 0.0)
             if end is None or finish > end:
                 end = finish
-            if event.ph != "X":
-                continue
-            dur_ms = (event.dur_us or 0.0) / 1000.0
-            count, total = phases.get(event.name, (0, 0.0))
-            phases[event.name] = (count + 1, total + dur_ms)
+            phase = phases.setdefault(event.name, PhaseLine(event.name, 0, 0.0))
+            phase.count += 1
+            phase.total_ms += (event.dur_us or 0.0) / 1000.0
+            phase.self_ms += self_us / 1000.0
             if event.cat in _WORK_CATEGORIES:
                 intervals.setdefault(event.pid, []).append(
                     (event.ts_us, finish)
                 )
                 span_counts[event.pid] = span_counts.get(event.pid, 0) + 1
         self.wall_ms = ((end - start) / 1000.0) if start is not None else 0.0
-        self.phases = [
-            PhaseLine(name, count, total)
-            for name, (count, total) in sorted(
-                phases.items(), key=lambda item: -item[1][1]
-            )
-        ]
+        self.phases = sorted(phases.values(), key=lambda p: -p.self_ms)
         self.workers = [
             WorkerLine(
                 pid=pid,
@@ -148,22 +166,6 @@ class RunReport:
             )
             for pid, pid_intervals in sorted(intervals.items())
         ]
-
-    def _aggregate_buddy(self, events: List[TraceEvent]) -> None:
-        samples = [
-            float(event.args["free_pages"])
-            for event in events
-            if event.ph == "C" and event.name == "buddy"
-            and "free_pages" in event.args
-        ]
-        if samples:
-            self.buddy_timeline = {
-                "samples": len(samples),
-                "first": samples[0],
-                "min": min(samples),
-                "max": max(samples),
-                "last": samples[-1],
-            }
 
     def _aggregate_store(self, snapshot: MetricsSnapshot) -> None:
         hits = snapshot.counter_total("colt_store_hits")
@@ -229,6 +231,26 @@ class RunReport:
     # Rendering.
     # ------------------------------------------------------------------
 
+    def summary_lines(self) -> List[str]:
+        """The store and resilience lines the CLI prints after a run."""
+        lines: List[str] = []
+        if self.store:
+            lines.append(
+                "store: "
+                f"{self.store['hits']:.0f} hits, "
+                f"{self.store['misses']:.0f} misses, "
+                f"{self.store['evictions']:.0f} evictions, "
+                f"{self.store['saves']:.0f} saves "
+                f"({self.store['hit_ratio']:.0%} hit ratio)"
+            )
+        if self.resilience:
+            lines.append("resilience: " + ", ".join(
+                f"{value:.0f} {name}"
+                for name, value in self.resilience.items()
+                if value
+            ))
+        return lines
+
     def render(self) -> str:
         lines: List[str] = ["=== CoLT run report ==="]
         lines.append(
@@ -241,11 +263,15 @@ class RunReport:
 
         if self.phases:
             lines.append("")
-            lines.append("phase wall-time (sum over spans):")
+            lines.append(
+                "phase wall-time (self: minus directly nested spans; "
+                "total: sum over spans):"
+            )
             width = max(len(p.name) for p in self.phases)
             for phase in self.phases:
                 lines.append(
-                    f"  {phase.name:<{width}}  {phase.total_ms:10.1f} ms"
+                    f"  {phase.name:<{width}}  {phase.self_ms:10.1f} ms self"
+                    f"  {phase.total_ms:10.1f} ms total"
                     f"  x{phase.count:<5d} (mean {phase.mean_ms:.2f} ms)"
                 )
 
@@ -260,25 +286,9 @@ class RunReport:
                     f"[{bar:<20}] {worker.utilisation:6.1%}"
                 )
 
-        if self.store:
+        for line in self.summary_lines():
             lines.append("")
-            lines.append(
-                "result store: "
-                f"{self.store['hits']:.0f} hits, "
-                f"{self.store['misses']:.0f} misses, "
-                f"{self.store['evictions']:.0f} evictions, "
-                f"{self.store['saves']:.0f} saves "
-                f"({self.store['hit_ratio']:.0%} hit ratio)"
-            )
-
-        if self.resilience:
-            parts = [
-                f"{value:.0f} {name}"
-                for name, value in self.resilience.items()
-                if value
-            ]
-            lines.append("")
-            lines.append("resilience: " + ", ".join(parts))
+            lines.append(line)
 
         if self.campaign:
             parts = [
@@ -305,15 +315,5 @@ class RunReport:
                     f"  {design:<10} {data['count']:8d} fills, "
                     f"mean run {mean:.2f}  [{' '.join(parts)}]"
                 )
-
-        if self.buddy_timeline:
-            t = self.buddy_timeline
-            lines.append("")
-            lines.append(
-                "buddy free pages over run: "
-                f"first {t['first']:.0f} -> last {t['last']:.0f} "
-                f"(min {t['min']:.0f}, max {t['max']:.0f}, "
-                f"{t['samples']:.0f} tick samples)"
-            )
 
         return "\n".join(lines) + "\n"

@@ -23,7 +23,6 @@ from repro.common.constants import MAX_ORDER
 from repro.common.errors import AllocationError, ConfigurationError, OutOfMemoryError
 from repro.common.statistics import CounterSet
 from repro.obs.registry import bind_counterset, get_registry
-from repro.obs.trace import obs_active
 
 
 def order_for_pages(pages: int) -> int:
@@ -73,8 +72,7 @@ class BuddyAllocator:
         self.counters = CounterSet(
             ["allocations", "splits", "merges", "frees", "failed_allocations"]
         )
-        if obs_active():
-            bind_counterset(get_registry(), "colt_buddy", self.counters)
+        bind_counterset(get_registry(), "colt_buddy", self.counters)
         self._seed_initial_blocks()
 
     def _seed_initial_blocks(self) -> None:

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 from repro.common.statistics import CounterSet
 from repro.obs.registry import bind_counterset, get_registry
-from repro.obs.trace import current_tracer, obs_active
+from repro.obs.trace import span
 from repro.osmem.buddy import BuddyAllocator
 from repro.osmem.physical import KERNEL_PID, PhysicalMemory
 
@@ -50,9 +50,7 @@ class CompactionDaemon:
         self.counters = CounterSet(
             ["runs", "pages_migrated", "pages_skipped", "aborted_runs"]
         )
-        self._tracer = current_tracer()
-        if obs_active():
-            bind_counterset(get_registry(), "colt_compaction", self.counters)
+        bind_counterset(get_registry(), "colt_compaction", self.counters)
         # Linux's compact_zone resumes scanning where the previous run
         # stopped; without the cursor, budgeted runs would re-migrate the
         # same low-memory pages forever.
@@ -75,9 +73,7 @@ class CompactionDaemon:
                 succeed, which is what keeps real compaction from ever
                 producing a perfectly-defragmented machine.
         """
-        if self._tracer is None:
-            return self._run(max_migrations, until_free_order)
-        with self._tracer.span(
+        with span(
             "compaction.run",
             cat="os",
             max_migrations=max_migrations,

@@ -19,11 +19,11 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.sanitizers import PageTableSanitizer, resolve_sanitize
-from repro.obs.hooks import KernelObserver
 from repro.common.errors import ConfigurationError, OutOfMemoryError, PageFaultError
 from repro.common.rng import SeedSequencer
 from repro.common.statistics import CounterSet
 from repro.common.types import PageAttributes, Translation
+from repro.obs.registry import bind_counterset, get_registry
 from repro.osmem.buddy import BuddyAllocator
 from repro.osmem.compaction import CompactionDaemon
 from repro.osmem.physical import KERNEL_PID, PhysicalMemory
@@ -152,7 +152,7 @@ class Kernel:
         self._table_pool: List[int] = []
         self._ticks = 0
         self._last_compaction_tick = -config.compaction_cooldown_ticks
-        self._obs: Optional[KernelObserver] = KernelObserver.create(self)
+        bind_counterset(get_registry(), "colt_kernel", self.counters)
         self._reserve_kernel_frames()
 
     # ------------------------------------------------------------------
@@ -563,8 +563,6 @@ class Kernel:
                 until_free_order=order,
             )
         self._maintain_watermark()
-        if self._obs is not None:
-            self._obs.on_tick()
 
     # ------------------------------------------------------------------
     # Frame plumbing.

@@ -53,7 +53,7 @@ from repro.common.statistics import CounterSet
 from repro.obs.live import get_progress
 from repro.obs.logging import get_logger
 from repro.obs.registry import bind_counterset, get_registry
-from repro.obs.trace import obs_active, span
+from repro.obs.trace import span
 from repro.sim.runner import ExperimentRunner
 from repro.sim.store import canonical_encode, constants_fingerprint
 
@@ -209,8 +209,7 @@ class CampaignRunner:
         self._faults = faults
         self._on_experiment = on_experiment
         self.counters = CounterSet(CAMPAIGN_COUNTERS)
-        if obs_active():
-            bind_counterset(get_registry(), "colt_campaign", self.counters)
+        bind_counterset(get_registry(), "colt_campaign", self.counters)
 
     def _publish_progress(self, status: CampaignStatus,
                           current: Optional[str] = None) -> None:
@@ -240,9 +239,7 @@ class CampaignRunner:
             self.counters.increment("experiments")
             self._publish_progress(status, current=experiment.id)
             try:
-                with span("campaign.experiment", cat="campaign",
-                          id=experiment.id):
-                    result = experiment.run(self.scale, self.runner)
+                result = experiment.run(self.scale, self.runner)
             except ShutdownRequested as exc:
                 status.interrupted = exc.signal_name
                 break

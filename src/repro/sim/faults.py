@@ -60,9 +60,7 @@ from typing import Optional, Sequence, Tuple
 
 from repro.common import knobs
 from repro.common.errors import ConfigurationError, InjectedFaultError
-from repro.common.statistics import CounterSet
 from repro.obs.registry import get_registry
-from repro.obs.trace import obs_active
 
 #: Exit status of a ``crash``-faulted worker (shows up in pool logs).
 CRASH_EXIT_CODE = 86
@@ -155,16 +153,15 @@ class FaultPlan:
     degrade to :class:`InjectedFaultError` in the parent, so serial and
     downgraded-to-serial execution stays recoverable.
 
-    ``counters`` tallies fired faults per kind in the firing process;
-    when observability is active each firing also increments the
+    Each firing increments the firing process's
     ``colt_faults_injected`` registry counter (labelled by kind and
-    site), which pool workers ship back through the standard obs
-    payload drain.
+    site). A pool worker's count reaches the parent with the next task
+    result that worker returns: the faulted task's own, unless the
+    fault raised or killed the worker.
     """
 
     def __init__(self, specs: Sequence[FaultSpec]) -> None:
         self.specs = tuple(specs)
-        self.counters = CounterSet(EXECUTION_KINDS + STORE_KINDS)
         self._parent_pid = os.getpid()
 
     def __bool__(self) -> bool:
@@ -219,12 +216,10 @@ class FaultPlan:
     # ------------------------------------------------------------------
 
     def _record(self, kind: str, site: str) -> None:
-        self.counters.increment(kind)
-        if obs_active():
-            get_registry().counter(
-                "colt_faults_injected",
-                help="faults fired by the COLT_FAULTS plan",
-            ).inc(kind=kind, site=site)
+        get_registry().counter(
+            "colt_faults_injected",
+            help="faults fired by the COLT_FAULTS plan",
+        ).inc(kind=kind, site=site)
 
     def fire(self, site: str, index: int, attempt: int = 0) -> None:
         """Execute any scheduled task fault for (site, index, attempt).

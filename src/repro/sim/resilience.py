@@ -125,7 +125,7 @@ def _run_armed(fn, args, attempt, timeout_s, dump_dir):
             pass
 
 #: Counter names the executor maintains (bound to the metrics registry
-#: as ``colt_resilience_*`` by the runner when observability is on).
+#: as ``colt_resilience_*`` by the runner).
 RESILIENCE_COUNTERS = (
     "tasks",
     "retries",

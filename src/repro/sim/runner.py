@@ -45,7 +45,7 @@ from repro.obs.hooks import (
 )
 from repro.obs.live import get_progress
 from repro.obs.registry import bind_counterset, get_registry
-from repro.obs.trace import TraceEvent, current_tracer, obs_active, span
+from repro.obs.trace import TraceEvent, current_tracer, span
 from repro.sim.faults import FaultPlan
 from repro.sim.resilience import (
     RESILIENCE_COUNTERS,
@@ -74,7 +74,7 @@ STANDARD_DESIGNS: Tuple[CoLTDesign, ...] = (
 
 
 def _drain_if_pooled() -> Optional[ObsPayload]:
-    """Drain obs state only in pool workers.
+    """Drain obs state in pool workers; ``None`` in the parent.
 
     Serial (and downgraded-to-serial) execution runs task bodies in the
     parent, whose tracer/registry must not be reset mid-run -- the
@@ -91,10 +91,10 @@ def _capture_task(
 ) -> Tuple[CapturedScenario, Optional[ObsPayload]]:
     """Worker entry point: one scenario capture (module-level, picklable).
 
-    The second element carries the worker's drained observability state
-    (``None`` in the common untraced case) back to the parent. Faults
-    fire before the capture, keyed on this task's deterministic
-    (site, index, attempt) triple.
+    The second element carries a pool worker's drained observability
+    state back to the parent (``None`` when the task ran in the
+    parent). Faults fire before the capture, keyed on this task's
+    deterministic (site, index, attempt) triple.
     """
     if faults is not None:
         faults.fire("capture", index, attempt)
@@ -197,10 +197,7 @@ class ExperimentRunner:
         self._faults = faults if faults is not None else FaultPlan.from_env()
         self._shutdown = shutdown
         self._resilience = CounterSet(RESILIENCE_COUNTERS)
-        if obs_active():
-            bind_counterset(
-                get_registry(), "colt_resilience", self._resilience
-            )
+        bind_counterset(get_registry(), "colt_resilience", self._resilience)
         self._cache: Dict[SimulationConfig, SimulationResult] = {}
         self._scenarios: Dict[SimulationConfig, CapturedScenario] = {}
         # Observability state shipped back from pool workers.
@@ -216,7 +213,7 @@ class ExperimentRunner:
         return self._store
 
     def store_summary(self) -> Optional[Dict[str, float]]:
-        """Result-store effectiveness for the CLI summary line."""
+        """This runner's result-store counters plus its hit ratio."""
         if self._store is None:
             return None
         counts = self._store.counters.as_dict()
@@ -229,33 +226,14 @@ class ExperimentRunner:
         """The retry/timeout/rebuild/downgrade tallies of this runner."""
         return self._resilience
 
-    def resilience_summary(self) -> Optional[Dict[str, int]]:
-        """Counter dict when the resilience layer absorbed anything."""
-        counts = self._resilience.as_dict()
-        interesting = (
-            "retries", "timeouts", "task_errors", "pool_rebuilds",
-            "serial_downgrades", "failures",
-        )
-        if not any(counts.get(name, 0) for name in interesting):
-            return None
-        if self._faults is not None:
-            counts["faults_injected"] = sum(
-                self._faults.counters.as_dict().values()
-            )
-        return counts
-
     def trace_events(self) -> List[TraceEvent]:
         """This process's buffered events plus those of its workers."""
-        tracer = current_tracer()
-        events = list(self._foreign_events)
-        if tracer is not None:
-            events.extend(tracer.events())
+        events = self._foreign_events + current_tracer().events()
         events.sort(key=lambda event: event.ts_us)
         return events
 
     def dropped_events(self) -> int:
-        tracer = current_tracer()
-        return self._foreign_dropped + (tracer.dropped if tracer else 0)
+        return self._foreign_dropped + current_tracer().dropped
 
     def _absorb(self, payload: Optional[ObsPayload]) -> None:
         """Fold one worker task's drained obs state into this process."""

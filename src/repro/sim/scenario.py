@@ -47,7 +47,7 @@ from repro.common.statistics import CounterSet, CounterSnapshot
 from repro.contiguity.scanner import ContiguityReport
 from repro.core.mmu import CoLTDesign
 from repro.obs.registry import bind_counterset, get_registry
-from repro.obs.trace import obs_active, span
+from repro.obs.trace import span
 from repro.osmem.kernel import Kernel
 from repro.osmem.memhog import Memhog, age_system
 from repro.osmem.process import Process
@@ -296,8 +296,7 @@ class _CaptureRecorder:
         #: after it tag i+1, matching where a replayed MMU sees them.
         self.position = 0
         self.counters = CounterSet(["accesses", "records_computed"])
-        if obs_active():
-            bind_counterset(get_registry(), "colt_capture", self.counters)
+        bind_counterset(get_registry(), "colt_capture", self.counters)
         engine.kernel.add_invalidation_listener(self._on_invalidation)
         self._page_table.add_write_listener(self._on_write)
 

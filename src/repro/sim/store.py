@@ -30,7 +30,7 @@ Entries that fail the frame check -- or whose unpickling raises any of
 the broad net of exceptions a corrupt pickle can produce -- are
 *quarantined* under ``.colt-cache/quarantine/`` (never silently
 unlinked) and recomputed; per-exception-class counters record what was
-seen. Pre-framing entries (raw pickle, no magic) still load.
+seen. A blob without the magic prefix fails the frame check too.
 
 A store whose directory cannot be created (read-only filesystem,
 path shadowed by a file) degrades to store-less operation with a
@@ -59,7 +59,7 @@ from repro.common.atomicio import atomic_write_bytes
 from repro.common.statistics import CounterSet
 from repro.obs.logging import get_logger
 from repro.obs.registry import bind_counterset, get_registry
-from repro.obs.trace import current_tracer, obs_active
+from repro.obs.trace import span
 from repro.sim.faults import FaultPlan, corrupt_bytes
 from repro.sim.system import SimulationConfig, SimulationResult
 
@@ -108,14 +108,9 @@ def frame_payload(payload: bytes) -> bytes:
 
 
 def unframe_payload(blob: bytes) -> bytes:
-    """Verify and strip the integrity frame; raises ``ValueError``.
-
-    Blobs without the magic prefix are returned unchanged (legacy
-    pre-framing entries -- their only guard is the unpickler's own
-    exception net).
-    """
+    """Verify and strip the integrity frame; raises ``ValueError``."""
     if not blob.startswith(STORE_MAGIC):
-        return blob
+        raise ValueError("not a store frame: magic prefix missing")
     if len(blob) < _HEADER_LEN:
         raise ValueError(
             f"torn store frame: {len(blob)} bytes, header needs "
@@ -214,9 +209,7 @@ class ResultStore:
                 "continuing without a cache",
                 self.root, exc,
             )
-        self._tracer = current_tracer()
-        if obs_active():
-            bind_counterset(get_registry(), "colt_store", self.counters)
+        bind_counterset(get_registry(), "colt_store", self.counters)
 
     @property
     def disabled(self) -> bool:
@@ -250,9 +243,7 @@ class ResultStore:
 
     def load(self, config: SimulationConfig) -> Optional[SimulationResult]:
         """Return the stored result for ``config``, or None."""
-        if self._tracer is None:
-            return self._load(config)
-        with self._tracer.span("store.get", cat="store") as span_args:
+        with span("store.get", cat="store") as span_args:
             result = self._load(config)
             span_args["hit"] = result is not None
             return result
@@ -312,10 +303,7 @@ class ResultStore:
 
     def save(self, config: SimulationConfig, result: SimulationResult) -> None:
         """Persist ``result`` atomically (safe under concurrent writers)."""
-        if self._tracer is None:
-            self._save(config, result)
-            return
-        with self._tracer.span("store.put", cat="store"):
+        with span("store.put", cat="store"):
             self._save(config, result)
 
     def _save(self, config: SimulationConfig, result: SimulationResult) -> None:

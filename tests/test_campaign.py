@@ -40,6 +40,7 @@ from repro.common.errors import (
     TaskExecutionError,
 )
 from repro.experiments.__main__ import main as experiments_main
+from repro.obs.history import history_path, load_history
 from repro.obs.logging import ROOT_LOGGER
 from repro.obs.trace import reset_tracing
 from repro.obs.registry import set_registry
@@ -56,9 +57,8 @@ from repro.sim.store import ResultStore
 
 
 @pytest.fixture
-def obs_off(monkeypatch):
-    monkeypatch.delenv(knobs.TRACE.name, raising=False)
-    monkeypatch.delenv(knobs.PROFILE.name, raising=False)
+def fresh_obs():
+    """Fresh obs state (tracer and registry) around the test."""
     reset_tracing()
     set_registry(None)
     yield
@@ -224,7 +224,7 @@ def _sleepy(seconds, attempt):
 
 
 class TestExecutorIntegration:
-    def test_shutdown_interrupts_wave_and_raises(self, obs_off):
+    def test_shutdown_interrupts_wave_and_raises(self, fresh_obs):
         shutdown = ShutdownCoordinator()
         tasks = [
             TaskSpec(fn=_sleepy, args=(0.0,), site="capture", index=i,
@@ -236,7 +236,7 @@ class TestExecutorIntegration:
             with pytest.raises(ShutdownRequested):
                 list(executor.run(tasks))
 
-    def test_pooled_shutdown_yields_finished_then_raises(self, obs_off):
+    def test_pooled_shutdown_yields_finished_then_raises(self, fresh_obs):
         shutdown = ShutdownCoordinator()
         tasks = [
             TaskSpec(fn=_sleepy, args=(nap,), site="capture", index=i,
@@ -295,7 +295,7 @@ class TestCampaignRunner:
         tables = tmp_path / "cache" / "campaign" / "tables"
         return sorted(path.name for path in tables.glob("*.txt"))
 
-    def test_clean_run_journals_everything_done(self, tmp_path, obs_off):
+    def test_clean_run_journals_everything_done(self, tmp_path, fresh_obs):
         experiments = [_StubExperiment("a"), _StubExperiment("b")]
         status = self._campaign(tmp_path, experiments).run()
         assert status.ok
@@ -305,7 +305,7 @@ class TestCampaignRunner:
         assert (tmp_path / "cache" / "campaign" / "tables" /
                 "a.txt").read_text() == "table of a\n"
 
-    def test_storeless_run_writes_no_dump(self, tmp_path, obs_off):
+    def test_storeless_run_writes_no_dump(self, tmp_path, fresh_obs):
         status = self._campaign(
             tmp_path, [_StubExperiment("a")], with_store=False
         ).run()
@@ -313,7 +313,7 @@ class TestCampaignRunner:
         assert list(tmp_path.iterdir()) == []
 
     def test_failed_experiment_does_not_stop_the_loop(self, tmp_path,
-                                                       obs_off):
+                                                       fresh_obs):
         def fail(exp):
             raise TaskExecutionError("retries exhausted")
 
@@ -335,7 +335,7 @@ class TestCampaignRunner:
         assert self._dumps(tmp_path) == ["a.txt", "c.txt"]
 
     def test_shutdown_mid_campaign_requeues_in_flight(self, tmp_path,
-                                                      obs_off):
+                                                      fresh_obs):
         shutdown = ShutdownCoordinator()
 
         # The second experiment sees the signal while *running* (the
@@ -369,7 +369,7 @@ class TestCampaignRunner:
         assert self._dumps(tmp_path) == ["a.txt", "b.txt", "c.txt"]
 
     def test_campaign_fault_leaves_running_entry_for_resume(
-        self, tmp_path, obs_off
+        self, tmp_path, fresh_obs
     ):
         """``crash@campaign:1`` kills the loop before experiment 1
         starts: a's dump has landed, b's has not, and a rerun without
@@ -413,9 +413,10 @@ def restore_colt_logger():
 
 
 class TestExperimentsCli:
-    def test_rerun_is_all_store_hits(self, tmp_path, obs_off, monkeypatch,
+    def test_rerun_is_all_store_hits(self, tmp_path, fresh_obs, monkeypatch,
                                      capsys, restore_colt_logger):
         monkeypatch.setenv(knobs.SCALE.name, "quick")
+        monkeypatch.delenv(knobs.HISTORY.name, raising=False)
         cache = tmp_path / "cache"
         argv = [CLI_EXPERIMENT, "--jobs", "1", "--cache-dir", str(cache)]
         dump = cache / "campaign" / "tables" / f"{CLI_EXPERIMENT}.txt"
@@ -431,3 +432,10 @@ class TestExperimentsCli:
         hits, misses = map(int, _STORE_LINE.search(
             capsys.readouterr().out).groups())
         assert misses == 0 and hits > 0
+
+        # A plain run's history record carries its own counters: the
+        # first run simulated, the rerun only hit the store.
+        computed, rerun = load_history(history_path(cache))
+        assert computed["counters"]["colt_mmu_accesses"] > 0
+        assert rerun["counters"]["colt_store_hits"] == hits
+        assert rerun["counters"].get("colt_mmu_accesses", 0) == 0

@@ -19,11 +19,9 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.sanitizers import TLBSanitizer
-from repro.common import knobs
 from repro.common.errors import ConfigurationError
 from repro.core.mmu import CoLTDesign, make_mmu_config
 from repro.obs.registry import MetricsRegistry, get_registry, set_registry
-from repro.obs.trace import reset_tracing
 from repro.osmem.kernel import KernelConfig
 from repro.osmem.memhog import SIMULATION_AGING
 from repro.sim.engine import replay_with_engine, resolve_engine
@@ -158,12 +156,8 @@ class TestBitIdentity:
                 small_scenario.inval_count.tolist()
             )
 
-    def test_coalescing_histograms_identical(
-        self, small_scenario, monkeypatch
-    ):
+    def test_coalescing_histograms_identical(self, small_scenario):
         """The run-length histogram matches the reference, per design."""
-        monkeypatch.setenv(knobs.PROFILE.name, "1")
-        reset_tracing()
         try:
             for key, config in small_configs().items():
                 set_registry(MetricsRegistry())
@@ -178,8 +172,6 @@ class TestBitIdentity:
                 assert series == REFERENCE[key]["histogram"], key
         finally:
             set_registry(None)
-            monkeypatch.delenv(knobs.PROFILE.name)
-            reset_tracing()
 
 
 class TestEngineSelection:

@@ -16,7 +16,6 @@ from repro.common.errors import ConfigurationError
 from repro.experiments.scale import scale_from_env
 from repro.obs.history import history_enabled
 from repro.obs.serve import telemetry_port_from_env
-from repro.obs.trace import profiling_requested, tracing_requested
 from repro.sim.faults import FaultPlan
 from repro.sim.resilience import RetryPolicy, resolve_dump_dir
 from repro.sim.store import ResultStore
@@ -27,8 +26,6 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 #: (knob name, value, reader, expected value or exception type).
 CASES = [
     ("COLT_SANITIZE", "none", sanitizers_enabled, False),
-    ("COLT_TRACE", "OFF", tracing_requested, False),
-    ("COLT_PROFILE", "no", profiling_requested, False),
     ("COLT_RESULT_CACHE", "false", ResultStore.from_env, None),
     ("COLT_RESULT_CACHE", "", ResultStore.from_env, None),
     ("COLT_FAULTS", "  ", FaultPlan.from_env, None),

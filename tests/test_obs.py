@@ -1,12 +1,10 @@
-"""Tests for repro.obs: registry, tracer, exporters, report, and the
-observe-only guarantee (traced runs bit-identical to untraced ones)."""
+"""Tests for repro.obs: registry, tracer, exporters, report, and what
+every run records."""
 
 import json
 
 import pytest
 
-from repro.analysis.determinism import result_digest
-from repro.common import knobs
 from repro.common.errors import ConfigurationError
 from repro.common.statistics import CounterSet
 from repro.obs.export import (
@@ -28,38 +26,22 @@ from repro.obs.registry import (
 )
 from repro.obs.report import RunReport
 from repro.obs.trace import (
+    TraceEvent,
     Tracer,
     current_tracer,
-    obs_active,
     reset_tracing,
 )
-from repro.sim.replay import replay_scenario
 from repro.sim.runner import ExperimentRunner
-from repro.sim.scenario import capture_scenario, scenario_config
 from repro.sim.store import ResultStore
-from repro.sim.system import SimulationConfig, simulate
+from repro.sim.system import SimulationConfig
 from repro.core.mmu import CoLTDesign
 from repro.osmem.kernel import KernelConfig
 from repro.osmem.memhog import SIMULATION_AGING
 
 
 @pytest.fixture
-def obs_off(monkeypatch):
-    """Guarantee observability is fully disabled and state reset."""
-    monkeypatch.delenv(knobs.TRACE.name, raising=False)
-    monkeypatch.delenv(knobs.PROFILE.name, raising=False)
-    reset_tracing()
-    set_registry(None)
-    yield
-    reset_tracing()
-    set_registry(None)
-
-
-@pytest.fixture
-def obs_on(monkeypatch):
-    """Enable tracing + metrics for this process; reset state around it."""
-    monkeypatch.setenv(knobs.TRACE.name, "1")
-    monkeypatch.setenv(knobs.PROFILE.name, "1")
+def fresh_obs():
+    """An empty process tracer and registry around the test."""
     reset_tracing()
     set_registry(None)
     yield
@@ -220,31 +202,33 @@ class TestTracer:
     def test_ring_buffer_drops_oldest(self):
         tracer = Tracer(capacity=2)
         for index in range(5):
-            tracer.instant("e", index=index)
+            with tracer.span("e", index=index):
+                pass
         assert tracer.dropped == 3
         assert [e.args["index"] for e in tracer.events()] == [3, 4]
 
     def test_drain_clears(self):
         tracer = Tracer(capacity=8)
-        tracer.instant("e")
+        with tracer.span("e"):
+            pass
         assert len(tracer.drain()) == 1
         assert tracer.events() == []
 
-    def test_disabled_by_default(self, obs_off):
-        assert current_tracer() is None
-        assert not obs_active()
-
-    def test_env_enables(self, obs_on):
-        assert current_tracer() is not None
-        assert obs_active()
+    def test_reset_installs_an_empty_process_tracer(self, fresh_obs):
+        with current_tracer().span("e"):
+            pass
+        assert len(current_tracer()) == 1
+        tracer = reset_tracing()
+        assert current_tracer() is tracer
+        assert tracer.events() == []
 
 
 class TestChromeExport:
     def _sample_events(self):
         tracer = Tracer(capacity=64)
         with tracer.span("replay", cat="phase", design="colt_all"):
-            tracer.instant("tlb.fill", cat="tlb", run_length=4)
-        tracer.counter("buddy", cat="os", free_pages=100)
+            with tracer.span("store.put", cat="store"):
+                pass
         return tracer.events()
 
     def test_round_trip_identity(self):
@@ -275,7 +259,7 @@ class TestChromeExport:
 
     def test_span_names_counts_complete_spans(self):
         names = span_names(self._sample_events())
-        assert names == {"replay": 1}
+        assert names == {"replay": 1, "store.put": 1}
 
     def test_metrics_json_and_csv(self, tmp_path):
         registry = MetricsRegistry()
@@ -292,12 +276,9 @@ class TestChromeExport:
 
 
 class TestWorkerHandoff:
-    def test_drain_none_when_disabled(self, obs_off):
-        assert drain_worker_obs() is None
-
-    def test_drain_resets_both_sinks(self, obs_on):
-        tracer = current_tracer()
-        tracer.instant("e")
+    def test_drain_resets_both_sinks(self, fresh_obs):
+        with current_tracer().span("e"):
+            pass
         get_registry().counter("colt_n").inc(4)
         payload = drain_worker_obs()
         assert len(payload.events) == 1
@@ -306,8 +287,9 @@ class TestWorkerHandoff:
         assert second.events == []
         assert second.metrics.counter_total("colt_n") == 0
 
-    def test_reset_worker_obs_drops_inherited_state(self, obs_on):
-        current_tracer().instant("inherited")
+    def test_reset_worker_obs_drops_inherited_state(self, fresh_obs):
+        with current_tracer().span("inherited"):
+            pass
         get_registry().counter("colt_n").inc(1)
         reset_worker_obs()
         assert current_tracer().events() == []
@@ -315,42 +297,21 @@ class TestWorkerHandoff:
 
 
 # ---------------------------------------------------------------------------
-# Observe-only guarantee: traced results bit-identical to untraced.
+# What every run records. (That recording never changes results is
+# guarded by the pinned references of tests/test_engine.py.)
 # ---------------------------------------------------------------------------
 
 
 class TestTracedDeterminism:
-    def test_monolithic_results_identical_traced(self, obs_off, monkeypatch):
-        config = _small_config()
-        untraced = result_digest(simulate(config))
-        monkeypatch.setenv(knobs.TRACE.name, "1")
-        monkeypatch.setenv(knobs.PROFILE.name, "1")
-        reset_tracing()
-        set_registry(None)
-        traced = result_digest(simulate(config))
-        assert traced == untraced
-
-    def test_capture_replay_results_identical_traced(
-        self, obs_off, monkeypatch
-    ):
-        config = _small_config()
-        scenario = capture_scenario(config)
-        untraced = result_digest(replay_scenario(scenario, config))
-        monkeypatch.setenv(knobs.TRACE.name, "1")
-        monkeypatch.setenv(knobs.PROFILE.name, "1")
-        reset_tracing()
-        set_registry(None)
-        traced_scenario = capture_scenario(config)
-        traced = result_digest(replay_scenario(traced_scenario, config))
-        assert traced == untraced
-
-    def test_traced_run_emits_phase_spans_and_instruments(self, obs_on):
+    def test_traced_run_emits_phase_spans_and_instruments(self, fresh_obs):
         config = _small_config()
         runner = ExperimentRunner(jobs=1)
         runner.run_batch(
             [config, config.with_updates(design=CoLTDesign.BASELINE)]
         )
-        names = span_names(runner.trace_events())
+        events = runner.trace_events()
+        assert {event.ph for event in events} == {"X"}
+        names = span_names(events)
         for required in ("capture", "replay", "runner.run_batch",
                          "kernel.boot", "trace.generate"):
             assert names.get(required), f"missing span {required!r}"
@@ -370,7 +331,7 @@ class TestTracedDeterminism:
 
 
 class TestStoreObservability:
-    def test_cold_miss_then_warm_hit(self, tmp_path, obs_off):
+    def test_cold_miss_then_warm_hit(self, tmp_path, fresh_obs):
         config = _small_config()
         store = ResultStore(tmp_path / "cache")
         cold = ExperimentRunner(jobs=1, store=store)
@@ -388,7 +349,7 @@ class TestStoreObservability:
         summary = warm.store_summary()
         assert summary["hit_ratio"] == pytest.approx(0.5)
 
-    def test_torn_entry_is_quarantined(self, tmp_path, obs_off):
+    def test_torn_entry_is_quarantined(self, tmp_path, fresh_obs):
         config = _small_config()
         store = ResultStore(tmp_path / "cache")
         runner = ExperimentRunner(jobs=1, store=store)
@@ -401,10 +362,10 @@ class TestStoreObservability:
         assert not entry.exists()
         assert (store.root / "quarantine" / entry.name).exists()
 
-    def test_store_summary_none_without_store(self, obs_off):
+    def test_store_summary_none_without_store(self, fresh_obs):
         assert ExperimentRunner(jobs=1).store_summary() is None
 
-    def test_traced_store_spans(self, tmp_path, obs_on):
+    def test_traced_store_spans(self, tmp_path, fresh_obs):
         config = _small_config()
         store = ResultStore(tmp_path / "cache")
         runner = ExperimentRunner(jobs=1, store=store)
@@ -420,7 +381,7 @@ class TestStoreObservability:
 
 
 class TestRunReport:
-    def test_report_aggregates_run(self, obs_on):
+    def test_report_aggregates_run(self, fresh_obs):
         config = _small_config(accesses=3000)
         runner = ExperimentRunner(jobs=1)
         runner.run_batch([config])
@@ -443,10 +404,50 @@ class TestRunReport:
         ):
             registry.counter(name).inc(2)
         rendered = RunReport.build([], registry.snapshot()).render()
-        assert "result store: 2 hits, 2 misses" in rendered
+        assert "\nstore: 2 hits, 2 misses" in rendered
         assert "resilience: 2 retries, 2 quarantines, " \
             "2 faults_injected" in rendered
         assert "campaign: 2 completed" in rendered
+
+    def test_phases_ranked_by_self_time(self):
+        def event(name, pid, ts, dur):
+            return TraceEvent(name=name, cat="phase", ph="X", ts_us=ts,
+                              dur_us=dur, pid=pid, tid=0)
+
+        events = [
+            # pid 1: run [0, 1000) holds capture [100, 400), which holds
+            # boot [100, 150), and replay [500, 900).
+            event("run", 1, 0.0, 1000.0),
+            event("capture", 1, 100.0, 300.0),
+            event("boot", 1, 100.0, 50.0),
+            event("replay", 1, 500.0, 400.0),
+            # pid 2 overlaps pid 1 in time but nests only in itself.
+            event("capture", 2, 50.0, 600.0),
+            event("boot", 2, 60.0, 100.0),
+        ]
+        report = RunReport.build(events)
+        phases = {p.name: p for p in report.phases}
+        assert phases["run"].self_ms == pytest.approx(0.3)
+        assert phases["capture"].self_ms == pytest.approx(0.25 + 0.5)
+        assert phases["capture"].total_ms == pytest.approx(0.9)
+        assert phases["boot"].self_ms == pytest.approx(0.15)
+        assert phases["replay"].self_ms == pytest.approx(0.4)
+        assert [p.name for p in report.phases] == [
+            "capture", "replay", "run", "boot",
+        ]
+
+    def test_summary_lines_are_the_rendered_ones(self):
+        registry = MetricsRegistry()
+        registry.counter("colt_store_hits").inc(3)
+        registry.counter("colt_store_misses").inc(1)
+        registry.counter("colt_faults_injected").inc(2, kind="raise")
+        report = RunReport.build([], registry.snapshot())
+        assert report.summary_lines() == [
+            "store: 3 hits, 1 misses, 0 evictions, 0 saves (75% hit ratio)",
+            "resilience: 2 faults_injected",
+        ]
+        for line in report.summary_lines():
+            assert "\n" + line + "\n" in report.render()
 
     def test_report_empty_inputs(self):
         report = RunReport.build([], None)

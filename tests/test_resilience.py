@@ -19,8 +19,9 @@ from repro.common.errors import (
     InjectedFaultError,
     TaskExecutionError,
 )
+from repro.obs.report import RunReport
 from repro.obs.trace import reset_tracing
-from repro.obs.registry import set_registry
+from repro.obs.registry import get_registry, set_registry
 from repro.osmem.kernel import KernelConfig
 from repro.osmem.memhog import SIMULATION_AGING
 from repro.sim.faults import (
@@ -47,10 +48,8 @@ from repro.sim.system import SimulationConfig, simulate
 
 
 @pytest.fixture
-def obs_off(monkeypatch):
-    """Guarantee observability is fully disabled and state reset."""
-    monkeypatch.delenv(knobs.TRACE.name, raising=False)
-    monkeypatch.delenv(knobs.PROFILE.name, raising=False)
+def fresh_obs():
+    """Fresh obs state (tracer and registry) around the test."""
     reset_tracing()
     set_registry(None)
     yield
@@ -70,6 +69,15 @@ CHAOS_CONFIG = SimulationConfig(
     aging=SIMULATION_AGING,
     churn_every=48,
 )
+
+
+def _fired(kind):
+    """How many ``kind`` faults this process's registry has counted."""
+    entry = get_registry().snapshot().get("colt_faults_injected")
+    return sum(
+        sample["value"] for sample in (entry["series"] if entry else ())
+        if sample["labels"]["kind"] == kind
+    )
 
 
 @pytest.fixture(scope="module")
@@ -101,7 +109,7 @@ class TestFaultPlan:
         )
         assert FaultPlan.parse(text).render() == text
 
-    def test_campaign_site_parses_and_fires_in_parent(self):
+    def test_campaign_site_parses_and_fires_in_parent(self, fresh_obs):
         # ``campaign`` faults always fire in the coordinating process,
         # so even ``crash`` demotes to a catchable exception -- the
         # chaos test kills the campaign loop, not the test runner.
@@ -109,7 +117,7 @@ class TestFaultPlan:
         plan.fire("campaign", 0, 0)  # wrong index: no-op
         with pytest.raises(InjectedFaultError):
             plan.fire("campaign", 1, 0)
-        assert plan.counters.as_dict()["crash"] == 1
+        assert _fired("crash") == 1
 
     @pytest.mark.parametrize("bad, message", [
         pytest.param(bad, message, id=bad) for bad, message in [
@@ -140,7 +148,7 @@ class TestFaultPlan:
         for kind in EXECUTION_KINDS + STORE_KINDS:
             assert kind in str(excinfo.value)
 
-    def test_fault_times_exhaustion_at_same_site(self):
+    def test_fault_times_exhaustion_at_same_site(self, fresh_obs):
         plan = FaultPlan.parse("raise@capture:0x2")
         for attempt in (0, 1):
             with pytest.raises(InjectedFaultError):
@@ -148,7 +156,7 @@ class TestFaultPlan:
         # Attempt 2 exhausts x2: the site goes quiet, forever.
         plan.fire("capture", 0, 2)
         plan.fire("capture", 0, 3)
-        assert plan.counters.as_dict()["raise"] == 2
+        assert _fired("raise") == 2
 
     def test_overlapping_specs_first_wins(self):
         plan = FaultPlan.parse("torn@store.write:0;corrupt@store.write:0")
@@ -166,29 +174,29 @@ class TestFaultPlan:
         plan = FaultPlan.from_env()
         assert plan is not None and plan.render() == "raise@capture:0"
 
-    def test_fire_matches_site_index_attempt(self):
+    def test_fire_matches_site_index_attempt(self, fresh_obs):
         plan = FaultPlan.parse("raise@capture:0")
         plan.fire("capture", 1, 0)   # wrong index: no-op
         plan.fire("replay", 0, 0)    # wrong site: no-op
         plan.fire("capture", 0, 1)   # attempt past times: escaped
         with pytest.raises(InjectedFaultError):
             plan.fire("capture", 0, 0)
-        assert plan.counters.as_dict()["raise"] == 1
+        assert _fired("raise") == 1
 
-    def test_crash_in_parent_degrades_to_exception(self):
+    def test_crash_in_parent_degrades_to_exception(self, fresh_obs):
         # Fired from the pid that built the plan (serial execution):
         # a hard exit would kill the experiment, so it raises instead.
         plan = FaultPlan.parse("crash@capture:0")
         with pytest.raises(InjectedFaultError):
             plan.fire("capture", 0, 0)
-        assert plan.counters.as_dict()["crash"] == 1
+        assert _fired("crash") == 1
 
-    def test_delay_sleeps_then_continues(self):
+    def test_delay_sleeps_then_continues(self, fresh_obs):
         plan = FaultPlan.parse("delay@replay:0/0.01")
         started = time.monotonic()
         plan.fire("replay", 0, 0)
         assert time.monotonic() - started >= 0.01
-        assert plan.counters.as_dict()["delay"] == 1
+        assert _fired("delay") == 1
 
     def test_corruption_schedule(self):
         plan = FaultPlan.parse("torn@store.write:0;corrupt@store.write:2")
@@ -238,9 +246,9 @@ class TestFraming:
         assert frame.startswith(STORE_MAGIC)
         assert unframe_payload(frame) == payload
 
-    def test_legacy_unframed_passthrough(self):
-        raw = pickle.dumps({"legacy": True})
-        assert unframe_payload(raw) == raw
+    def test_rejects_unframed(self):
+        with pytest.raises(ValueError, match="magic"):
+            unframe_payload(pickle.dumps({"unframed": True}))
 
     def test_rejects_bit_flip(self):
         frame = frame_payload(b"payload bytes" * 100)
@@ -261,7 +269,7 @@ class TestFraming:
 
 
 class TestHardenedStore:
-    def test_save_load_round_trip_is_framed(self, tmp_path, obs_off,
+    def test_save_load_round_trip_is_framed(self, tmp_path, fresh_obs,
                                             sim_pair):
         config, result = sim_pair
         store = ResultStore(tmp_path / "cache")
@@ -270,24 +278,22 @@ class TestHardenedStore:
         assert entry.read_bytes().startswith(STORE_MAGIC)
         assert ResultStore(tmp_path / "cache").load(config) == result
 
-    def test_legacy_raw_pickle_still_loads(self, tmp_path, obs_off,
-                                           sim_pair):
-        config, result = sim_pair
-        store = ResultStore(tmp_path / "cache")
-        store._path(config).write_bytes(pickle.dumps(result))
-        assert store.load(config) == result
-        assert store.counters.as_dict()["hits"] == 1
-
     @pytest.mark.parametrize("mutate, exc_counter", [
-        (lambda blob: b"complete garbage", "corrupt_unpicklingerror"),
+        (
+            lambda blob: frame_payload(b"complete garbage"),
+            "corrupt_unpicklingerror",
+        ),
+        (lambda blob: b"complete garbage", "corrupt_valueerror"),
         (lambda blob: corrupt_bytes(blob, "corrupt"), "corrupt_valueerror"),
         (lambda blob: corrupt_bytes(blob, "torn"), "corrupt_valueerror"),
+        # A raw pickle of the right result: no frame, no load.
+        (lambda blob: blob[len(STORE_MAGIC) + 40:], "corrupt_valueerror"),
         (
             lambda blob: frame_payload(b"cmissing_mod\nMissingClass\n."),
             "corrupt_modulenotfounderror",
         ),
     ])
-    def test_undecodable_entry_is_quarantined(self, tmp_path, obs_off,
+    def test_undecodable_entry_is_quarantined(self, tmp_path, fresh_obs,
                                               sim_pair, mutate, exc_counter):
         config, result = sim_pair
         store = ResultStore(tmp_path / "cache")
@@ -304,7 +310,7 @@ class TestHardenedStore:
         assert len(store) == 0
 
     def test_unwritable_root_degrades_to_storeless(self, tmp_path,
-                                                   monkeypatch, obs_off,
+                                                   monkeypatch, fresh_obs,
                                                    sim_pair):
         config, result = sim_pair
         blocker = tmp_path / "blocker"
@@ -319,7 +325,7 @@ class TestHardenedStore:
         assert ResultStore.from_env() is None
 
     def test_write_faults_corrupt_scheduled_entries(self, tmp_path,
-                                                    obs_off, sim_pair):
+                                                    fresh_obs, sim_pair):
         config, result = sim_pair
         plan = FaultPlan.parse("torn@store.write:0;corrupt@store.write:1")
         store = ResultStore(tmp_path / "cache", faults=plan)
@@ -328,7 +334,7 @@ class TestHardenedStore:
         store.save(victim_a, result)     # write 0: torn
         store.save(victim_b, result)     # write 1: bit-flipped
         store.save(config, result)       # write 2: intact
-        assert plan.counters.as_dict() == {
+        assert {kind: _fired(kind) for kind in EXECUTION_KINDS + STORE_KINDS} == {
             "crash": 0, "raise": 0, "delay": 0, "torn": 1, "corrupt": 1,
         }
         fresh = ResultStore(tmp_path / "cache")
@@ -339,7 +345,7 @@ class TestHardenedStore:
         assert counts["quarantines"] == 2
         assert counts["hits"] == 1
 
-    def test_clear_purges_quarantine_too(self, tmp_path, obs_off, sim_pair):
+    def test_clear_purges_quarantine_too(self, tmp_path, fresh_obs, sim_pair):
         config, result = sim_pair
         store = ResultStore(tmp_path / "cache")
         store.save(config, result)
@@ -450,7 +456,7 @@ class TestChaosMatrix:
         pytest.param("raise@replay:0;raise@replay:1", id="replay-exceptions"),
         pytest.param("delay@replay:0/1.0", id="deadline-blown"),
     ])
-    def test_faulted_run_matches_baseline(self, obs_off, baseline,
+    def test_faulted_run_matches_baseline(self, fresh_obs, baseline,
                                           plan_text):
         policy = RetryPolicy(
             max_retries=3, backoff_s=0.01,
@@ -462,9 +468,22 @@ class TestChaosMatrix:
         assert results == baseline
         counts = runner.resilience_counters.as_dict()
         assert counts["retries"] >= 1
-        assert runner.resilience_summary() is not None
+        summary = RunReport.build([], get_registry().snapshot()).summary_lines()
+        assert any(line.startswith("resilience: ") for line in summary)
 
-    def test_double_crash_rebuilds_then_downgrades(self, obs_off, baseline):
+    def test_worker_side_faults_reach_the_summary(self, fresh_obs, baseline):
+        """Faults fired in pool workers are counted in the parent: each
+        worker's count rides back with its task result."""
+        plan = FaultPlan.parse("delay@capture:0/0.01;delay@replay:1/0.01")
+        runner = ExperimentRunner(
+            jobs=2, policy=RetryPolicy(max_retries=0), faults=plan,
+        )
+        assert runner.run_designs(CHAOS_CONFIG) == baseline
+        assert _fired("delay") == 2
+        summary = RunReport.build([], get_registry().snapshot()).summary_lines()
+        assert "resilience: 2 faults_injected" in summary
+
+    def test_double_crash_rebuilds_then_downgrades(self, fresh_obs, baseline):
         plan = FaultPlan.parse("crash@capture:0x2")
         runner = ExperimentRunner(
             jobs=2,
@@ -478,7 +497,7 @@ class TestChaosMatrix:
         assert counts["serial_downgrades"] == 1
         assert counts["retries"] == 2
 
-    def test_retry_exhaustion_names_the_config(self, obs_off):
+    def test_retry_exhaustion_names_the_config(self, fresh_obs):
         plan = FaultPlan.parse("raise@capture:0x99")
         runner = ExperimentRunner(
             jobs=1,
@@ -491,7 +510,7 @@ class TestChaosMatrix:
         assert exc_info.value.context["benchmark"] == "gobmk"
         assert exc_info.value.context["seed"] == 11
 
-    def test_partial_batch_checkpoints_then_resumes(self, tmp_path, obs_off,
+    def test_partial_batch_checkpoints_then_resumes(self, tmp_path, fresh_obs,
                                                     baseline):
         store = ResultStore(tmp_path / "cache")
         plan = FaultPlan.parse("raise@replay:1x99")
@@ -510,7 +529,7 @@ class TestChaosMatrix:
         assert resume_store.counters.as_dict()["hits"] >= 1
 
     def test_campaign_crash_then_resume_matches_baseline(
-        self, tmp_path, obs_off, baseline
+        self, tmp_path, fresh_obs, baseline
     ):
         """``crash@campaign:1``: die before the second experiment, rerun
         the same experiments, and end bit-identical to the fault-free
@@ -559,7 +578,7 @@ class TestChaosMatrix:
         counts = rerun_store.counters.as_dict()
         assert counts["hits"] >= 1 and counts["misses"] == 0
 
-    def test_serial_crash_demotes_to_recoverable_exception(self, obs_off,
+    def test_serial_crash_demotes_to_recoverable_exception(self, fresh_obs,
                                                            baseline):
         plan = FaultPlan.parse("crash@capture:0")
         runner = ExperimentRunner(
@@ -569,5 +588,5 @@ class TestChaosMatrix:
         )
         results = runner.run_designs(CHAOS_CONFIG)
         assert results == baseline
-        assert plan.counters.as_dict()["crash"] == 1
+        assert _fired("crash") == 1
         assert runner.resilience_counters.as_dict()["retries"] == 1

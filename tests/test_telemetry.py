@@ -14,7 +14,6 @@ import urllib.request
 
 import pytest
 
-from repro.common import knobs
 from repro.common.errors import ConfigurationError
 from repro.experiments.registry import get_experiment
 from repro.experiments.scale import ExperimentScale
@@ -35,10 +34,8 @@ from repro.sim.runner import ExperimentRunner
 
 
 @pytest.fixture
-def obs_profile(monkeypatch):
-    """Metrics-only observability, state reset around the test."""
-    monkeypatch.delenv(knobs.TRACE.name, raising=False)
-    monkeypatch.setenv(knobs.PROFILE.name, "1")
+def fresh_obs():
+    """Fresh obs state (tracer, registry, progress) around the test."""
     reset_tracing()
     set_registry(None)
     reset_progress()
@@ -287,7 +284,7 @@ def _get(port, path):
 
 
 class TestTelemetryServer:
-    def test_endpoints(self, obs_profile):
+    def test_endpoints(self, fresh_obs):
         registry = MetricsRegistry()
         registry.counter("colt_pings").inc(5)
         tracker = ProgressTracker()
@@ -316,7 +313,7 @@ class TestTelemetryServer:
         finally:
             server.stop()
 
-    def test_stop_is_idempotent_and_releases_port(self, obs_profile):
+    def test_stop_is_idempotent_and_releases_port(self, fresh_obs):
         server = TelemetryServer(0)
         port = server.start()
         assert server.running and server.port == port
@@ -388,7 +385,7 @@ def _run_tiny_campaign(poll_port=None):
 
 
 class TestServedBitIdentity:
-    def test_metrics_polling_does_not_perturb_campaign(self, obs_profile):
+    def test_metrics_polling_does_not_perturb_campaign(self, fresh_obs):
         server = TelemetryServer(0)
         port = server.start()
         try:

@@ -1,16 +1,12 @@
-"""Overhead gates for the parallel capture+replay pipeline.
+"""Resilience overhead gate for the parallel capture+replay pipeline.
 
 Times the fig18 + fig21 pipeline at QUICK scale under
 ``ExperimentRunner(jobs=N)`` -- one OS capture per benchmark, one TLB
 replay per design, fanned across a process pool -- then re-times it
-twice and fails when either run costs more than its bound times that
-plain parallel run:
-
-* ``--max-trace-overhead X`` (default 1.25): with ``COLT_TRACE``
-  exported, so every span and sampled TLB event is recorded;
-* ``--max-resilience-overhead X`` (default 1.3): with a retry policy,
-  a per-task deadline and a never-matching fault plan attached, i.e.
-  the happy-path cost of ``ResilientExecutor``.
+with a retry policy, a per-task deadline and a never-matching fault
+plan attached, i.e. the happy-path cost of ``ResilientExecutor``, and
+fails when that run costs more than ``--max-resilience-overhead X``
+(default 1.3) times the plain parallel run.
 
 Store, throughput and per-layer timings live in ``perfbench/``.
 Benchmarking needs ``time.perf_counter``, so this file sits on the
@@ -31,8 +27,6 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 )
 
-from repro.common import knobs  # noqa: E402
-from repro.obs.trace import reset_tracing  # noqa: E402
 from repro.sim.faults import FaultPlan  # noqa: E402
 from repro.sim.resilience import RetryPolicy  # noqa: E402
 from repro.sim.runner import ExperimentRunner  # noqa: E402
@@ -48,17 +42,6 @@ def _time_pipeline(runner: ExperimentRunner) -> float:
     for figure_id in FIGURES:
         get_experiment(figure_id).run(QUICK, runner)
     return time.perf_counter() - started
-
-
-def _traced_seconds(jobs: int) -> float:
-    """The parallel pipeline with ``COLT_TRACE=1`` exported."""
-    os.environ[knobs.TRACE.name] = "1"
-    reset_tracing()
-    try:
-        return _time_pipeline(ExperimentRunner(jobs=jobs))
-    finally:
-        os.environ.pop(knobs.TRACE.name, None)
-        reset_tracing()
 
 
 def _resilient_seconds(jobs: int) -> float:
@@ -78,19 +61,13 @@ def _resilient_seconds(jobs: int) -> float:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Gate the tracing and resilience overheads of the "
-                    "fig18+fig21 QUICK pipeline against its plain "
-                    "parallel run."
+        description="Gate the resilience overhead of the fig18+fig21 "
+                    "QUICK pipeline against its plain parallel run."
     )
     parser.add_argument(
         "--jobs", type=int, default=os.cpu_count() or 1, metavar="N",
         help="worker processes for the capture/replay pool "
              "(default: os.cpu_count())",
-    )
-    parser.add_argument(
-        "--max-trace-overhead", type=float, default=1.25, metavar="X",
-        help="fail if the traced run exceeds X times the plain run "
-             "(default: %(default)s)",
     )
     parser.add_argument(
         "--max-resilience-overhead", type=float, default=1.3, metavar="X",
@@ -103,18 +80,13 @@ def main(argv=None) -> int:
     print(f"fig18+fig21 at QUICK scale (jobs={args.jobs})")
     plain = _time_pipeline(ExperimentRunner(jobs=args.jobs))
     print(f"plain parallel run : {plain:8.2f}s")
-    failed = False
-    for name, seconds, bound in (
-        ("traced", _traced_seconds(args.jobs), args.max_trace_overhead),
-        ("resilience", _resilient_seconds(args.jobs),
-         args.max_resilience_overhead),
-    ):
-        ratio = seconds / plain
-        verdict = "ok" if ratio <= bound else "FAIL"
-        print(f"{name + ' run':<19}: {seconds:8.2f}s = {ratio:.2f}x "
-              f"(bound {bound}x) {verdict}")
-        failed = failed or ratio > bound
-    return 1 if failed else 0
+    seconds = _resilient_seconds(args.jobs)
+    bound = args.max_resilience_overhead
+    ratio = seconds / plain
+    verdict = "ok" if ratio <= bound else "FAIL"
+    print(f"resilience run     : {seconds:8.2f}s = {ratio:.2f}x "
+          f"(bound {bound}x) {verdict}")
+    return 1 if ratio > bound else 0
 
 
 if __name__ == "__main__":
