@@ -423,6 +423,13 @@ class BuddySanitizer(Sanitizer):
         """
         if self.physical is None:
             return
+        counted = self.physical.count_allocated()
+        if self.physical.allocated_frames != counted:
+            self.fail(
+                f"physical memory's allocated-frame count "
+                f"({self.physical.allocated_frames}) disagrees with its "
+                f"frame map ({counted} frames allocated)"
+            )
         if self.buddy.free_pages != self.physical.free_frames:
             self.fail(
                 f"buddy free pool ({self.buddy.free_pages} pages) "

@@ -45,7 +45,7 @@ class PageAttributes(enum.IntFlag):
     @classmethod
     def default_user(cls) -> "PageAttributes":
         """Attributes of a freshly-faulted anonymous user page."""
-        return cls.PRESENT | cls.WRITABLE | cls.USER | cls.NO_EXECUTE
+        return _DEFAULT_USER
 
     def coalescing_key(self) -> int:
         """Bits that must match for two translations to coalesce.
@@ -56,6 +56,16 @@ class PageAttributes(enum.IntFlag):
         """
         mask = ~(PageAttributes.ACCESSED | PageAttributes.DIRTY)
         return int(self) & int(mask)
+
+
+#: :meth:`PageAttributes.default_user`, built once: every faulted page
+#: carries it, and each ``Flag`` OR costs a Python-level call.
+_DEFAULT_USER = (
+    PageAttributes.PRESENT
+    | PageAttributes.WRITABLE
+    | PageAttributes.USER
+    | PageAttributes.NO_EXECUTE
+)
 
 
 @dataclass(frozen=True)

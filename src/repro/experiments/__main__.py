@@ -12,7 +12,8 @@ invocations only pay for configurations they have not seen.
 Observability (``repro.obs``) is wired here. Every run records its
 spans (boot/capture/replay/store/compaction) and metrics, prints the
 store and resilience summary lines, and appends them to the history
-record; two flags only choose what else to write out:
+record, with each phase's self time and span count; two flags only
+choose what else to write out:
 
 * ``--trace [FILE]`` writes the spans as a Chrome/Perfetto trace plus
   a ``<FILE stem>.metrics.json`` snapshot;
@@ -176,13 +177,9 @@ def _list_experiments() -> None:
     print("\nScale: set REPRO_SCALE=quick|default|full")
 
 
-def _emit_obs(args, runner: ExperimentRunner,
-              snapshot: MetricsSnapshot) -> None:
+def _emit_obs(args, events, snapshot: MetricsSnapshot,
+              report: RunReport) -> None:
     """Print the summary lines; write the requested trace and report."""
-    events = runner.trace_events()
-    report = RunReport.build(
-        events, snapshot, dropped_events=runner.dropped_events()
-    )
     summary = report.summary_lines()
     if summary and not args.quiet:
         print()
@@ -246,7 +243,7 @@ def _run_loop(
 
 
 def _append_history(args, experiments, runner, store, scale, jobs,
-                    code, snapshot, phase_wall, total_wall) -> None:
+                    code, snapshot, report, phase_wall, total_wall) -> None:
     """Append the run's ``colt-history-v1`` record (best-effort).
 
     Every store-backed run leaves one record -- including interrupted
@@ -279,6 +276,11 @@ def _append_history(args, experiments, runner, store, scale, jobs,
         store=runner.store_summary(),
         telemetry=args.telemetry_port is not None,
         jobs=jobs,
+        phases={
+            phase.name: {"self_s": phase.self_ms / 1000.0,
+                         "count": phase.count}
+            for phase in report.phases
+        },
     )
     try:
         path = append_record(history_path(store.root), record)
@@ -365,10 +367,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
         get_progress().update(phase="finished", exit_code=code)
         snapshot = get_registry().snapshot()
-        _emit_obs(args, runner, snapshot)
+        events = runner.trace_events()
+        report = RunReport.build(
+            events, snapshot, dropped_events=runner.dropped_events()
+        )
+        _emit_obs(args, events, snapshot, report)
         _append_history(
             args, experiments, runner, store, scale, jobs, code,
-            snapshot, phase_wall, time.perf_counter() - run_started,
+            snapshot, report, phase_wall,
+            time.perf_counter() - run_started,
         )
     finally:
         if telemetry is not None:

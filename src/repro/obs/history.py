@@ -72,14 +72,17 @@ def build_record(
     store: Optional[Mapping[str, float]] = None,
     telemetry: bool = False,
     jobs: int = 1,
+    phases: Optional[Mapping[str, Mapping[str, float]]] = None,
 ) -> dict:
     """Assemble one ``colt-history-v1`` record.
 
-    ``wall`` maps phase name to seconds (``total`` expected);
+    ``wall`` maps experiment id to seconds (``total`` expected);
     ``counters`` maps counter name to its label-summed total;
     ``store`` carries ``hits``/``misses``/``hit_ratio`` when a result
-    store was active. ``ts`` is supplied by the caller (this module
-    never reads the clock).
+    store was active; ``phases`` maps span name to its summed
+    ``self_s`` and span ``count`` over every process of the run. The
+    gate reads none of ``phases``. ``ts`` is supplied by the caller
+    (this module never reads the clock).
     """
     if status not in STATUSES:
         raise ConfigurationError(
@@ -101,6 +104,14 @@ def build_record(
     }
     if store is not None:
         record["store"] = {str(k): float(v) for k, v in sorted(store.items())}
+    if phases is not None:
+        record["phases"] = {
+            str(name): {
+                "self_s": float(phase["self_s"]),
+                "count": int(phase["count"]),
+            }
+            for name, phase in sorted(phases.items())
+        }
     return record
 
 

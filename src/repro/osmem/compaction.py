@@ -18,7 +18,10 @@ limit compaction on real systems.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Callable, Optional
+
+import numpy as np
 
 from repro.common.statistics import CounterSet
 from repro.obs.registry import bind_counterset, get_registry
@@ -88,21 +91,44 @@ class CompactionDaemon:
         max_migrations: Optional[int],
         until_free_order: Optional[int],
     ) -> int:
+        """Both scanners work on snapshots taken at the start of the run.
+
+        A frame this run frees (a migrated source) or fills (a target)
+        never enters either scan, so after the migrate scanner wraps it
+        cannot hand a page a frame freed earlier in the same run. Each
+        snapshot is one NumPy array and the loop turns an element into
+        an int only when it reaches it, so the Python work of a run is
+        the frames it visits, not the size of memory. A run the buddy
+        allocator already satisfies takes no snapshot at all.
+        """
         self.counters.increment("runs")
+        physical = self._physical
+        if (
+            until_free_order is not None
+            and (max_migrations is None or max_migrations > 0)
+            and self._buddy.can_allocate(until_free_order)
+        ):
+            # The loop would stop at its first source: step past it.
+            first = physical.first_movable_from(self._migrate_cursor)
+            if first is None:
+                first = physical.first_movable_from(0)
+            if first is not None:
+                self._migrate_cursor = first + 1
+            return 0
+        movable = physical.movable_frames_ascending()
+        if not movable.size:
+            return 0
+        # Resume at the cursor, wrapping once past the end.
+        split = int(np.searchsorted(movable, self._migrate_cursor))
+        free_candidates = physical.free_frames_descending()
+        free_count = free_candidates.size
+        allocated = physical.allocated_map
         migrated = 0
         check_interval = 32
-        movable = list(self._physical.movable_frames_ascending())
-        if not movable:
-            return 0
-        # Resume after the cursor, wrapping once past the end.
-        split = 0
-        while split < len(movable) and movable[split] < self._migrate_cursor:
-            split += 1
-        movable_iter = iter(movable[split:] + movable[:split])
-        free_candidates = list(self._physical.free_frames_descending())
         free_index = 0
 
-        for source in movable_iter:
+        for source in chain(movable[split:], movable[:split]):
+            source = int(source)
             self._migrate_cursor = source + 1
             if max_migrations is not None and migrated >= max_migrations:
                 self.counters.increment("aborted_runs")
@@ -113,16 +139,16 @@ class CompactionDaemon:
                 and self._buddy.can_allocate(until_free_order)
             ):
                 break
-            # Advance the free scanner past frames we already consumed or
-            # that fell below the migrate scanner.
+            # Advance the free scanner past frames we already consumed
+            # or that a page-table node took since the snapshot.
             while (
-                free_index < len(free_candidates)
-                and not self._physical.is_free(free_candidates[free_index])
+                free_index < free_count
+                and allocated[free_candidates[free_index]]
             ):
                 free_index += 1
-            if free_index >= len(free_candidates):
+            if free_index >= free_count:
                 break
-            target = free_candidates[free_index]
+            target = int(free_candidates[free_index])
             if target <= source:
                 # Scanners met: everything below is as compact as it gets.
                 break

@@ -155,6 +155,19 @@ class Kernel:
         bind_counterset(get_registry(), "colt_kernel", self.counters)
         self._reserve_kernel_frames()
 
+    def bind_counters(self) -> None:
+        """Report the kernel's counter sets through the process registry.
+
+        Each component binds its own set when it is constructed; a
+        kernel cloned by unpickling skips construction, so the clone
+        calls this to report its counts like a booted kernel.
+        """
+        registry = get_registry()
+        bind_counterset(registry, "colt_kernel", self.counters)
+        bind_counterset(registry, "colt_buddy", self.buddy.counters)
+        bind_counterset(registry, "colt_compaction", self.compaction.counters)
+        bind_counterset(registry, "colt_thp", self.thp.counters)
+
     # ------------------------------------------------------------------
     # Boot.
     # ------------------------------------------------------------------
@@ -331,16 +344,15 @@ class Kernel:
         for chunk in self.thp.active_for(process.pid):
             if chunk < end and chunk + 512 > start_vpn:
                 self._split_chunk(process, chunk)
-        run_start = None
+        unmap = process.page_table.unmap_page_if_mapped
         run_pfn = None
         run_len = 0
         for vpn in range(start_vpn, end):
-            translation = process.page_table.lookup(vpn)
+            translation = unmap(vpn)
             if translation is None:
                 self._flush_free_run(run_pfn, run_len)
                 run_pfn, run_len = None, 0
                 continue
-            process.page_table.unmap_page(vpn)
             process.note_unpopulated(vpn)
             self._notify_invalidation(process.pid, vpn, 1)
             if run_pfn is not None and translation.pfn == run_pfn + run_len:
@@ -420,6 +432,8 @@ class Kernel:
         batch = process.unpopulated_run_from(vpn, batch_limit)
         batch = max(1, batch)
         runs = self._alloc_with_recovery(batch)
+        map_page = process.page_table.map_page
+        attributes = PageAttributes.default_user()
         mapped = 0
         for start_pfn, length in runs:
             self.physical.mark_allocated(
@@ -429,12 +443,9 @@ class Kernel:
                 movable=True,
                 backing_vpn=vpn + mapped,
             )
+            first = vpn + mapped
             for offset in range(length):
-                process.page_table.map_page(
-                    vpn + mapped + offset,
-                    start_pfn + offset,
-                    PageAttributes.default_user(),
-                )
+                map_page(first + offset, start_pfn + offset, attributes)
             process.note_populated(vpn + mapped, length)
             mapped += length
         self.counters.increment("pages_faulted", mapped)

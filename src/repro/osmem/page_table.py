@@ -50,6 +50,15 @@ def level_index(vpn: int, level: int) -> int:
     return (vpn >> shift) & (PTES_PER_TABLE - 1)
 
 
+#: ``level_index`` spelled out for the hot paths (lookup, map, unmap,
+#: descent), which run it at every level of every walk:
+#: ``(vpn >> _SHIFTS[level]) & _INDEX_MASK``.
+_SHIFTS = tuple(
+    (LEAF_LEVEL - level) * BITS_PER_LEVEL for level in range(LEAF_LEVEL + 1)
+)
+_INDEX_MASK = PTES_PER_TABLE - 1
+
+
 @dataclass
 class _LeafEntry:
     """A present leaf translation (4KB PTE or 2MB PDE)."""
@@ -161,11 +170,11 @@ class PageTable:
     ) -> None:
         """Install a 4KB translation ``vpn -> pfn``."""
         self._check_vpn(vpn)
-        node = self._descend_to_pt(vpn, create=True)
-        index = level_index(vpn, LEAF_LEVEL)
-        if index in node.leaves:
+        leaves = self._descend(vpn, LEAF_LEVEL, create=True).leaves
+        index = vpn & _INDEX_MASK
+        if index in leaves:
             raise TranslationError(f"vpn {vpn} already mapped")
-        node.leaves[index] = _LeafEntry(pfn, attributes, is_superpage=False)
+        leaves[index] = _LeafEntry(pfn, attributes, False)
         self._mapped_pages += 1
         if self._write_listeners:
             self._notify_write(vpn, 1)
@@ -199,20 +208,32 @@ class PageTable:
 
     def unmap_page(self, vpn: int) -> Translation:
         """Remove a 4KB mapping; returns the removed translation."""
-        self._check_vpn(vpn)
-        path = self._path_nodes(vpn, LEAF_LEVEL)
-        node = path[-1]
-        if node is None:
-            raise TranslationError(f"vpn {vpn} not mapped")
-        index = level_index(vpn, LEAF_LEVEL)
-        leaf = node.leaves.pop(index, None)
-        if leaf is None or leaf.is_superpage:
+        translation = self.unmap_page_if_mapped(vpn)
+        if translation is None:
             raise TranslationError(f"vpn {vpn} has no 4KB mapping")
+        return translation
+
+    def unmap_page_if_mapped(self, vpn: int) -> Optional[Translation]:
+        """Remove ``vpn``'s 4KB mapping in one walk; None if it has none.
+
+        A ``vpn`` inside a superpage raises, as :meth:`unmap_page` does:
+        split the superpage first.
+        """
+        self._check_vpn(vpn)
+        node = self._descend(vpn, LEAF_LEVEL, create=False)
+        if node is None:
+            if self.superpage_base(vpn) is not None:
+                raise TranslationError(f"vpn {vpn} lies in a superpage")
+            return None
+        leaf = node.leaves.pop(vpn & _INDEX_MASK, None)
+        if leaf is None:
+            return None
         self._mapped_pages -= 1
-        self._prune(vpn, path)
+        if node.is_empty:
+            self._prune(vpn, self._path_nodes(vpn, LEAF_LEVEL))
         if self._write_listeners:
             self._notify_write(vpn, 1)
-        return Translation(vpn, leaf.pfn, leaf.attributes, is_superpage=False)
+        return Translation(vpn, leaf.pfn, leaf.attributes, False)
 
     def unmap_superpage(self, vpn: int) -> Translation:
         """Remove a 2MB mapping; returns its base translation."""
@@ -257,22 +278,21 @@ class PageTable:
         """
         self._check_vpn(vpn)
         node = self._root
-        for level in range(1, LEAF_LEVEL + 1):
-            index = level_index(vpn, level - 1)
+        for shift in _SHIFTS[:LEAF_LEVEL]:
+            index = (vpn >> shift) & _INDEX_MASK
             leaf = node.leaves.get(index)
             if leaf is not None and leaf.is_superpage:
                 offset = vpn % SUPERPAGE_PAGES
                 return Translation(
                     vpn, leaf.pfn + offset, leaf.attributes, is_superpage=True
                 )
-            child = node.children.get(index)
-            if child is None:
+            node = node.children.get(index)
+            if node is None:
                 return None
-            node = child
-        leaf = node.leaves.get(level_index(vpn, LEAF_LEVEL))
+        leaf = node.leaves.get(vpn & _INDEX_MASK)
         if leaf is None:
             return None
-        return Translation(vpn, leaf.pfn, leaf.attributes, is_superpage=False)
+        return Translation(vpn, leaf.pfn, leaf.attributes, False)
 
     def superpage_base(self, vpn: int) -> Optional[Translation]:
         """If ``vpn`` lies in a superpage, its base translation; else None."""
@@ -408,7 +428,7 @@ class PageTable:
         """Walk to the node at ``target_level`` along ``vpn``'s path."""
         node = self._root
         for level in range(target_level):
-            index = level_index(vpn, level)
+            index = (vpn >> _SHIFTS[level]) & _INDEX_MASK
             if index in node.leaves:
                 if not create:
                     # A superpage leaf blocks the path; there is no PT
@@ -433,11 +453,9 @@ class PageTable:
         """Nodes along the path root..target_level (None past a hole)."""
         nodes: List[Optional[_Node]] = [self._root]
         node: Optional[_Node] = self._root
-        for level in range(target_level):
-            if node is None:
-                nodes.append(None)
-                continue
-            node = node.children.get(level_index(vpn, level))
+        for shift in _SHIFTS[:target_level]:
+            if node is not None:
+                node = node.children.get((vpn >> shift) & _INDEX_MASK)
             nodes.append(node)
         return nodes
 

@@ -64,9 +64,13 @@ class PhysicalMemory:
             raise ConfigurationError(f"num_frames must be >= 1, got {num_frames}")
         self._num_frames = num_frames
         self._allocated = np.zeros(num_frames, dtype=bool)
+        #: Set only on allocated frames: ``mark_free`` clears it.
         self._movable = np.zeros(num_frames, dtype=bool)
         self._owner = np.full(num_frames, NO_OWNER, dtype=np.int64)
         self._backing_vpn = np.full(num_frames, NO_VPN, dtype=np.int64)
+        #: ``_allocated.sum()``, kept by the two state transitions: the
+        #: kernel reads free memory after every allocation.
+        self._allocated_count = 0
 
     # ------------------------------------------------------------------
     # Basic queries.
@@ -78,11 +82,24 @@ class PhysicalMemory:
 
     @property
     def allocated_frames(self) -> int:
-        return int(self._allocated.sum())
+        return self._allocated_count
 
     @property
     def free_frames(self) -> int:
-        return self._num_frames - self.allocated_frames
+        return self._num_frames - self._allocated_count
+
+    def count_allocated(self) -> int:
+        """Allocated frames counted from the frame map itself.
+
+        :attr:`allocated_frames` reads the maintained count; the buddy
+        sanitizer compares the two.
+        """
+        return int(self._allocated.sum())
+
+    @property
+    def allocated_map(self) -> np.ndarray:
+        """The live per-frame allocated flags. Read it, never write it."""
+        return self._allocated
 
     def is_allocated(self, pfn: int) -> bool:
         self._check_pfn(pfn)
@@ -138,6 +155,7 @@ class PhysicalMemory:
                 f"frames in [{start}, {start + length}) already allocated"
             )
         region[:] = True
+        self._allocated_count += length
         self._movable[start : start + length] = movable
         self._owner[start : start + length] = owner
         if backing_vpn is None:
@@ -156,6 +174,7 @@ class PhysicalMemory:
                 f"frames in [{start}, {start + length}) not all allocated"
             )
         region[:] = False
+        self._allocated_count -= length
         self._movable[start : start + length] = False
         self._owner[start : start + length] = NO_OWNER
         self._backing_vpn[start : start + length] = NO_VPN
@@ -172,19 +191,27 @@ class PhysicalMemory:
     # Scans used by the compaction daemon and fragmentation metrics.
     # ------------------------------------------------------------------
 
-    def movable_frames_ascending(self) -> Iterator[int]:
+    def movable_frames_ascending(self) -> np.ndarray:
         """Movable allocated frames from the bottom of memory upwards.
 
-        This is the compaction daemon's migrate scanner (Figure 3, left)."""
-        movable = np.flatnonzero(self._allocated & self._movable)
-        return iter(int(p) for p in movable)
+        This is the compaction daemon's migrate scanner (Figure 3, left),
+        as a snapshot array."""
+        return np.flatnonzero(self._movable)
 
-    def free_frames_descending(self) -> Iterator[int]:
+    def free_frames_descending(self) -> np.ndarray:
         """Free frames from the top of memory downwards.
 
-        This is the compaction daemon's free scanner (Figure 3, middle)."""
-        free = np.flatnonzero(~self._allocated)
-        return iter(int(p) for p in free[::-1])
+        This is the compaction daemon's free scanner (Figure 3, middle),
+        as a snapshot array."""
+        return np.flatnonzero(~self._allocated)[::-1]
+
+    def first_movable_from(self, pfn: int) -> Optional[int]:
+        """The lowest movable frame at or above ``pfn``, if any."""
+        tail = self._movable[pfn:]
+        if not tail.size:
+            return None
+        offset = int(tail.argmax())
+        return pfn + offset if tail[offset] else None
 
     def free_runs(self) -> List[FrameRange]:
         """Maximal runs of free frames, ascending by start."""

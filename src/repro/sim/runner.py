@@ -60,7 +60,13 @@ from repro.sim.metrics import (
     performance_row,
 )
 from repro.sim.engine import replay_with_engine, resolve_engine
-from repro.sim.scenario import CapturedScenario, capture_scenario, scenario_config
+from repro.sim.scenario import (
+    CapturedScenario,
+    capture_scenario,
+    close_prefix_cache,
+    open_prefix_cache,
+    scenario_config,
+)
 from repro.sim.store import ResultStore
 from repro.sim.system import SimulationConfig, SimulationResult
 
@@ -81,6 +87,17 @@ def _drain_if_pooled() -> Optional[ObsPayload]:
     parent reports its own state directly.
     """
     return drain_worker_obs() if in_pool_worker() else None
+
+
+def _init_worker() -> None:
+    """Pool initializer: drop inherited obs state, open a prefix cache.
+
+    Without the reset a forked worker would report the parent's
+    buffered events twice. A worker lives for one batch, so its prefix
+    cache does too, whatever the start method.
+    """
+    reset_worker_obs()
+    open_prefix_cache()
 
 
 def _capture_task(
@@ -258,7 +275,10 @@ class ExperimentRunner:
         This is the runner's prefetch surface: experiment harnesses
         assemble every config a figure needs and submit them in one
         call, so captures and replays from different benchmarks fan out
-        across the worker pool together.
+        across the worker pool together. For the length of the call,
+        each process builds each distinct boot+aging+memhog prefix once
+        and clones it for its other captures
+        (:func:`repro.sim.scenario.open_prefix_cache`).
         """
         pending: List[SimulationConfig] = []
         seen = set()
@@ -284,13 +304,17 @@ class ExperimentRunner:
                 pending=len(pending),
                 jobs=self._jobs,
             )
-            with span(
-                "runner.run_batch",
-                configs=len(configs),
-                pending=len(pending),
-                jobs=self._jobs,
-            ):
-                self._run_groups(pending)
+            open_prefix_cache()
+            try:
+                with span(
+                    "runner.run_batch",
+                    configs=len(configs),
+                    pending=len(pending),
+                    jobs=self._jobs,
+                ):
+                    self._run_groups(pending)
+            finally:
+                close_prefix_cache()
             get_progress().update_section("runner", stage="idle", pending=0)
         return {config: self._cache[config] for config in configs}
 
@@ -329,14 +353,11 @@ class ExperimentRunner:
         effective_jobs = (
             self._jobs if len(capture_tasks) + len(all_chunks) > 1 else 1
         )
-        # The initializer drops the tracer/registry state a forked
-        # worker inherits from this process -- without it, the parent's
-        # buffered events would be reported twice.
         with ResilientExecutor(
             jobs=effective_jobs,
             policy=self._policy,
             counters=self._resilience,
-            initializer=reset_worker_obs,
+            initializer=_init_worker,
             shutdown=self._shutdown,
         ) as executor:
             failure: Optional[TaskExecutionError] = None

@@ -35,11 +35,13 @@ enough to ship to ``ProcessPoolExecutor`` workers.
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.analysis.sanitizers import resolve_sanitize
 from repro.common.constants import PTES_PER_CACHE_LINE
 from repro.common.errors import OutOfMemoryError, TranslationError
 from repro.common.rng import SeedSequencer
@@ -73,6 +75,35 @@ _LINE_PFN_BASE = 9
 _LINE_ATTR_BASE = 17
 
 
+#: Pickled ``(kernel, daemons)`` per boot+aging+memhog prefix, keyed by
+#: :func:`prefix_key`: open for one ``ExperimentRunner.run_batch`` (and
+#: in each of its pool workers), ``None`` everywhere else.
+_PREFIXES: Optional[Dict[tuple, bytes]] = None
+
+
+def open_prefix_cache() -> None:
+    """Share prefixes among this process's captures until closed."""
+    global _PREFIXES
+    _PREFIXES = {}  # colt-lint: disable=worker-global-mutation -- the pool initializer opens each worker's own cache, which lives as long as the worker: one batch
+
+
+def close_prefix_cache() -> None:
+    """Drop the prefix cache; later captures boot their own kernels."""
+    global _PREFIXES
+    _PREFIXES = None
+
+
+def prefix_key(config: "SimulationConfig") -> tuple:
+    """Everything kernel boot, aging and memhog read from a config."""
+    return (
+        config.kernel,
+        config.aging,
+        config.memhog_fraction,
+        config.seed,
+        resolve_sanitize(config.sanitize),
+    )
+
+
 def scenario_config(config: "SimulationConfig") -> "SimulationConfig":
     """Normalise a config to its TLB-design-independent scenario.
 
@@ -100,25 +131,25 @@ class ScenarioEngine:
     # ------------------------------------------------------------------
 
     def prepare(self) -> None:
-        """Boot the kernel, age it, start memhog, lay out the benchmark."""
+        """Boot the kernel, age it, start memhog, lay out the benchmark.
+
+        Inside a batch the boot+aging+memhog prefix comes from the
+        prefix cache: the first capture of a prefix builds it and
+        stores a pickle, later ones load a clone of that pickle.
+        """
         config = self.config
-        with span("kernel.boot", benchmark=config.benchmark):
-            self.kernel = Kernel(config.kernel, sanitize=config.sanitize)
-        with span("aging", aged=config.aging is not None):
-            if config.aging is not None:
-                self._daemons = age_system(
-                    self.kernel, self._seeds, config.aging
+        key = prefix_key(config)
+        cached = _PREFIXES.get(key) if _PREFIXES is not None else None
+        if cached is not None:
+            self.kernel, self._daemons = pickle.loads(cached)
+            self.kernel.bind_counters()
+        else:
+            self._build_prefix()
+            if _PREFIXES is not None:
+                _PREFIXES[key] = pickle.dumps(
+                    (self.kernel, self._daemons),
+                    protocol=pickle.HIGHEST_PROTOCOL,
                 )
-            else:
-                daemon = self.kernel.create_process(
-                    "background0", fault_batch=4
-                )
-                self.kernel.register_reclaim_victim(daemon)
-                self._daemons = [daemon]
-            if config.memhog_fraction > 0:
-                Memhog(
-                    self.kernel, config.memhog_fraction, self._seeds
-                ).start()
 
         with span("layout", benchmark=self.profile.name):
             self.process = self.kernel.create_process(self.profile.name)
@@ -147,6 +178,27 @@ class ScenarioEngine:
             (bases[r.name], bases[r.name] + pages[r.name], r.fault_batch)
             for r in self.profile.regions
         )
+
+    def _build_prefix(self) -> None:
+        """Boot the kernel, age it and start memhog."""
+        config = self.config
+        with span("kernel.boot", benchmark=config.benchmark):
+            self.kernel = Kernel(config.kernel, sanitize=config.sanitize)
+        with span("aging", aged=config.aging is not None):
+            if config.aging is not None:
+                self._daemons = age_system(
+                    self.kernel, self._seeds, config.aging
+                )
+            else:
+                daemon = self.kernel.create_process(
+                    "background0", fault_batch=4
+                )
+                self.kernel.register_reclaim_victim(daemon)
+                self._daemons = [daemon]
+            if config.memhog_fraction > 0:
+                Memhog(
+                    self.kernel, config.memhog_fraction, self._seeds
+                ).start()
 
     def _fault_batch_for(self, vpn: int) -> int:
         for start, end, batch in self._region_bounds:

@@ -223,6 +223,15 @@ class TestBuddySanitizer:
         with pytest.raises(SanitizerError, match="disagrees|allocated"):
             sanitizer.check_accounting()
 
+    def test_skewed_allocated_count_detected(self):
+        """The maintained count is checked against the frame map itself."""
+        kernel = Kernel(KernelConfig(num_frames=1024), sanitize=True)
+        sanitizer = kernel.buddy.sanitizer
+        sanitizer.check_accounting()
+        kernel.physical._allocated_count += 1
+        with pytest.raises(SanitizerError, match="allocated-frame count"):
+            sanitizer.check_accounting()
+
     def test_standalone_buddy_skips_accounting(self):
         buddy = BuddyAllocator(1024, sanitize=True)
         buddy.sanitizer.check_accounting()  # no physical linked: no-op

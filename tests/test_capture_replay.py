@@ -8,6 +8,8 @@ scenario, and the disk store must hand equal results to concurrent
 processes. These tests pin each of those properties.
 """
 
+import dataclasses
+import pickle
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -15,17 +17,22 @@ import pytest
 
 from repro.analysis.determinism import check_replay_equivalence
 from repro.cache.hierarchy import pollution_schedule
-from repro.common.errors import SimulationError
-from repro.core.mmu import CoLTDesign
+from repro.common.errors import SimulationError, TaskExecutionError
+from repro.core.mmu import CoLTDesign, make_mmu_config
+from repro.experiments.contiguity_figs import CDF_CONFIGS
+from repro.experiments.registry import get_experiment
 from repro.osmem.kernel import Kernel, KernelConfig
 from repro.osmem.memhog import SIMULATION_AGING
+from repro.sim import runner as runner_module
 from repro.sim import scenario as scenario_module
 from repro.sim.replay import replay_scenario
+from repro.sim.resilience import RetryPolicy
 from repro.sim.runner import ExperimentRunner
 from repro.sim.scenario import (
     RECORD_COLUMNS,
     ScenarioEngine,
     capture_scenario,
+    prefix_key,
     scenario_config,
 )
 from repro.sim.store import ResultStore, config_key
@@ -121,23 +128,51 @@ class TestReplayEquivalence:
         assert a.mmu is None
 
 
+def count_kernel_boots(monkeypatch):
+    """A list that gains one entry per ``Kernel.__init__`` call."""
+    constructions = []
+    original = Kernel.__init__
+
+    def counting_init(self, *args, **kwargs):
+        constructions.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Kernel, "__init__", counting_init)
+    return constructions
+
+
+#: QUICK's benchmarks on a quarter-size machine with a short trace:
+#: aging, memhog reclaim and pressure compaction all still run, at a
+#: fraction of QUICK's cost.
+SMALL_QUICK = QUICK.with_updates(
+    accesses=2_000, num_frames=1 << 13, footprint_scale=0.075
+)
+
+
 class TestCaptureOnce:
     def test_run_designs_boots_one_kernel(self, monkeypatch):
         """The whole point of the split: 5 designs, 1 OS capture."""
-        constructions = []
-        original = Kernel.__init__
-
-        def counting_init(self, *args, **kwargs):
-            constructions.append(1)
-            return original(self, *args, **kwargs)
-
-        monkeypatch.setattr(Kernel, "__init__", counting_init)
+        constructions = count_kernel_boots(monkeypatch)
         runner = ExperimentRunner(jobs=1)
         results = runner.run_designs(
             small_config(accesses=1500, scale=0.1), ALL_DESIGNS
         )
         assert len(results) == len(ALL_DESIGNS)
         assert len(constructions) == 1
+
+    def test_batch_boots_one_kernel_per_prefix(self, monkeypatch):
+        """Five benchmarks on one machine: one boot, four clones."""
+        constructions = count_kernel_boots(monkeypatch)
+        ExperimentRunner(jobs=1).run_batch([
+            simulation_config(benchmark, SMALL_QUICK)
+            for benchmark in SMALL_QUICK.benchmarks
+        ])
+        assert len(constructions) == 1
+
+    def test_fig16_boots_one_kernel_per_memhog_level(self, monkeypatch):
+        constructions = count_kernel_boots(monkeypatch)
+        get_experiment("fig16").run(SMALL_QUICK, ExperimentRunner(jobs=1))
+        assert len(constructions) == 3
 
     def test_runner_memoises_identical_configs(self):
         runner = ExperimentRunner()
@@ -148,6 +183,106 @@ class TestCaptureOnce:
         config = small_config(accesses=1500, scale=0.1)
         split = ExperimentRunner().run(config)
         assert _results_identical(split, simulate(config))
+
+
+#: One setting per kind of prefix the experiments build: the simulation
+#: environment, each CDF kernel setting, both memhog loads, sanitized.
+PREFIX_SETTINGS = {
+    "simulation": simulation_config,
+    **{
+        config_id: (
+            lambda benchmark, scale, ths=ths, defrag=defrag:
+            characterization_config(
+                benchmark, scale, ths_enabled=ths, defrag_enabled=defrag
+            )
+        )
+        for config_id, (ths, defrag) in CDF_CONFIGS.items()
+    },
+    "memhog25": lambda benchmark, scale: characterization_config(
+        benchmark, scale, memhog_fraction=0.25
+    ),
+    "memhog50": lambda benchmark, scale: characterization_config(
+        benchmark, scale, memhog_fraction=0.5
+    ),
+    "sanitized": lambda benchmark, scale: simulation_config(
+        benchmark, scale
+    ).with_updates(sanitize=True),
+}
+
+#: For every ``SimulationConfig`` field, a value unlike ``small_config``'s.
+FIELD_CHANGES = {
+    "benchmark": "sjeng",
+    "design": CoLTDesign.COLT_ALL,
+    "kernel": KernelConfig(num_frames=4096, seed=5),
+    "memhog_fraction": 0.25,
+    "accesses": 3000,
+    "scale": 0.5,
+    "seed": 12,
+    "mmu": make_mmu_config(CoLTDesign.COLT_SA, sa_shift=1),
+    "aging": None,
+    "tick_every": 500,
+    "churn_every": 0,
+    "churn_pages": 8,
+    "churn_live_limit": 4,
+    "llc_pollution_per_access": 0.5,
+    "sanitize": True,
+}
+
+#: The fields kernel boot, aging and memhog read.
+PREFIX_FIELDS = {"kernel", "aging", "memhog_fraction", "seed", "sanitize"}
+
+
+def prefix_bytes(config: SimulationConfig) -> bytes:
+    """The pickled boot+aging+memhog prefix ``config`` builds."""
+    engine = ScenarioEngine(config)
+    engine._build_prefix()
+    return pickle.dumps((engine.kernel, engine._daemons))
+
+
+class TestPrefixSharing:
+    """A batch builds each prefix once; its clones change nothing."""
+
+    @pytest.mark.parametrize("setting", sorted(PREFIX_SETTINGS))
+    def test_cloned_capture_equals_fresh_capture(self, monkeypatch, setting):
+        first, second = (
+            PREFIX_SETTINGS[setting](benchmark, SMALL_QUICK)
+            for benchmark in SMALL_QUICK.benchmarks[:2]
+        )
+        constructions = count_kernel_boots(monkeypatch)
+        runner = ExperimentRunner(jobs=1)
+        runner.run_batch([first, second])
+        assert len(constructions) == 1  # the second capture is a clone
+        cloned = runner._scenarios[scenario_config(second)]
+        assert pickle.dumps(cloned) == pickle.dumps(capture_scenario(second))
+
+    def test_key_is_exactly_what_the_prefix_reads(self):
+        base = small_config(sanitize=False)
+        fields = {field.name for field in dataclasses.fields(base)}
+        assert set(FIELD_CHANGES) == fields
+        built = prefix_bytes(base)
+        for name, value in FIELD_CHANGES.items():
+            changed = dataclasses.replace(base, **{name: value})
+            in_key = prefix_key(changed) != prefix_key(base)
+            assert in_key == (name in PREFIX_FIELDS), name
+            assert (prefix_bytes(changed) != built) == in_key, name
+
+    def test_no_cache_outlives_the_batch(self):
+        ExperimentRunner(jobs=1).run_batch([small_config(accesses=1500)])
+        assert scenario_module._PREFIXES is None
+
+    def test_no_cache_outlives_a_failing_batch(self, monkeypatch):
+        seen = []
+
+        def failing_capture(config):
+            seen.append(scenario_module._PREFIXES is not None)
+            raise SimulationError("capture failed")
+
+        monkeypatch.setattr(runner_module, "capture_scenario", failing_capture)
+        runner = ExperimentRunner(jobs=1, policy=RetryPolicy(max_retries=0))
+        with pytest.raises(TaskExecutionError):
+            runner.run_batch([small_config(accesses=1500)])
+        assert seen == [True]
+        assert scenario_module._PREFIXES is None
 
 
 #: Two demand-faulted regions. The random phase over 4-page fault

@@ -1,8 +1,15 @@
 """Tests for the memory-compaction daemon (Figure 3)."""
 
-import pytest
+from types import SimpleNamespace
 
+import hypothesis.strategies as st
+from hypothesis import given, settings
+
+from repro.osmem.buddy import BuddyAllocator
+from repro.osmem.compaction import CompactionDaemon
 from repro.osmem.kernel import Kernel, KernelConfig
+from repro.osmem.page_table import PageTable
+from repro.osmem.physical import KERNEL_PID, PhysicalMemory
 
 
 def make_fragmented_kernel(ths=False):
@@ -126,3 +133,190 @@ class TestPinsAndSuperpages:
         after = process.page_table.superpage_base(base.vpn)
         assert after is not None
         assert after.pfn == base.pfn
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the run against a reference with list snapshots.
+# ---------------------------------------------------------------------------
+
+#: Owner of the oracle machine's movable pages, and a pid that owns
+#: movable frames but has no process, so ``_migrate`` skips them.
+OWNER_PID = 7
+GONE_PID = 8
+VPN_BASE = 1 << 20
+
+
+def reference_run(daemon, max_migrations, until_free_order):
+    """A compaction run with list snapshots and a linear cursor search.
+
+    The scans are rebuilt frame by frame from ``is_movable`` and
+    ``is_free``, so the reference shares no scan code with the daemon.
+    """
+    physical = daemon._physical
+    daemon.counters.increment("runs")
+    migrated = 0
+    check_interval = 32
+    frames = range(physical.num_frames)
+    movable = [pfn for pfn in frames if physical.is_movable(pfn)]
+    if not movable:
+        return 0
+    split = 0
+    while split < len(movable) and movable[split] < daemon._migrate_cursor:
+        split += 1
+    free_candidates = [pfn for pfn in reversed(frames) if physical.is_free(pfn)]
+    free_index = 0
+    for source in movable[split:] + movable[:split]:
+        daemon._migrate_cursor = source + 1
+        if max_migrations is not None and migrated >= max_migrations:
+            daemon.counters.increment("aborted_runs")
+            break
+        if (
+            until_free_order is not None
+            and migrated % check_interval == 0
+            and daemon._buddy.can_allocate(until_free_order)
+        ):
+            break
+        while (
+            free_index < len(free_candidates)
+            and not physical.is_free(free_candidates[free_index])
+        ):
+            free_index += 1
+        if free_index >= len(free_candidates):
+            break
+        target = free_candidates[free_index]
+        if target <= source:
+            break
+        if daemon._migrate(source, target):
+            migrated += 1
+            free_index += 1
+        else:
+            daemon.counters.increment("pages_skipped")
+    daemon.counters.increment("pages_migrated", migrated)
+    return migrated
+
+
+def oracle_machine(states, cursor):
+    """A daemon over a frame map: F free, M movable, P pinned, S skipped.
+
+    Page-table nodes come from a private frame source, so only
+    migrations change the frame map. Returns the daemon and the list
+    its ``_migrate`` calls are recorded into as (source, target, moved).
+    """
+    physical = PhysicalMemory(len(states))
+    buddy = BuddyAllocator(len(states))
+    table = PageTable()
+    processes = {OWNER_PID: SimpleNamespace(page_table=table)}
+    for pfn, state in enumerate(states):
+        if state == "F":
+            continue
+        buddy.reserve_range(pfn, 1)
+        if state == "M":
+            table.map_page(VPN_BASE + pfn, pfn)
+            physical.mark_allocated(
+                pfn, 1, owner=OWNER_PID, movable=True,
+                backing_vpn=VPN_BASE + pfn,
+            )
+        elif state == "S":
+            physical.mark_allocated(
+                pfn, 1, owner=GONE_PID, movable=True, backing_vpn=pfn
+            )
+        else:
+            physical.mark_allocated(pfn, 1, owner=KERNEL_PID, movable=False)
+    daemon = CompactionDaemon(physical, buddy, processes.get)
+    daemon._migrate_cursor = cursor
+    calls = []
+    migrate = daemon._migrate
+
+    def recording_migrate(source, target):
+        moved = migrate(source, target)
+        calls.append((source, target, moved))
+        return moved
+
+    daemon._migrate = recording_migrate
+    return daemon, calls
+
+
+def frame_map(daemon):
+    physical = daemon._physical
+    return [
+        (
+            physical.is_allocated(pfn),
+            physical.is_movable(pfn),
+            physical.owner_of(pfn),
+            physical.backing_vpn_of(pfn),
+        )
+        for pfn in range(physical.num_frames)
+    ]
+
+
+def assert_matches_reference(states, cursor, runs):
+    """Every run of ``runs`` agrees with the reference, run by run."""
+    daemon, calls = oracle_machine(states, cursor)
+    oracle, oracle_calls = oracle_machine(states, cursor)
+    for max_migrations, until_free_order in runs:
+        got = daemon.run(max_migrations, until_free_order)
+        want = reference_run(oracle, max_migrations, until_free_order)
+        assert got == want
+        assert calls == oracle_calls
+        assert daemon._migrate_cursor == oracle._migrate_cursor
+        assert daemon.counters.as_dict() == oracle.counters.as_dict()
+        assert frame_map(daemon) == frame_map(oracle)
+        assert (
+            daemon._buddy.free_list_snapshot()
+            == oracle._buddy.free_list_snapshot()
+        )
+    return calls
+
+
+@st.composite
+def compaction_cases(draw):
+    frames = draw(st.integers(16, 160))
+    states = draw(
+        st.lists(st.sampled_from("FMPS"), min_size=frames, max_size=frames)
+    )
+    cursor = draw(st.integers(0, frames))
+    runs = draw(
+        st.lists(
+            st.tuples(
+                st.none() | st.integers(0, frames),
+                st.none() | st.integers(0, 6),
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    return states, cursor, runs
+
+
+class TestAgainstReference:
+    @given(case=compaction_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_random_frame_maps(self, case):
+        assert_matches_reference(*case)
+
+    def test_wrapped_run_never_reuses_a_frame_it_freed(self):
+        """Free frames above the cursor run out before the wrap, so the
+        wrapped source finds no target: the frames the run freed at
+        16-19 are not candidates."""
+        states = "PP" + "M" * 4 + "P" * 10 + "M" * 4 + "F" * 4 + "P" * 8
+        calls = assert_matches_reference(states, 16, [(None, None)])
+        assert calls == [
+            (16, 23, True), (17, 22, True), (18, 21, True), (19, 20, True)
+        ]
+
+    def test_run_that_wraps_past_the_end(self):
+        states = "M" * 6 + "F" * 20 + "M" * 2 + "F" * 4
+        calls = assert_matches_reference(states, 27, [(None, None)])
+        sources = [source for source, _, _ in calls]
+        assert sources == [27, 0, 1, 2, 3, 4, 5]
+
+    def test_satisfied_run_migrates_nothing_but_steps_the_cursor(self):
+        states = "F" * 16 + "MPMM" * 4
+        daemon, calls = oracle_machine(states, 21)
+        assert daemon.run(until_free_order=3) == 0
+        assert calls == []
+        # The first movable frame at or after 21 is 22.
+        assert daemon._migrate_cursor == 23
+        assert_matches_reference(states, 21, [(None, 3), (None, 3)])
+        # Past the last movable frame the cursor wraps to the lowest.
+        assert_matches_reference(states, 40, [(None, 3)])

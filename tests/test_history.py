@@ -2,13 +2,16 @@
 and the ``tools/obs_history.py`` CLI (trend / diff / gate)."""
 
 import json
+import logging
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from repro.common import knobs
 from repro.common.errors import ConfigurationError
+from repro.experiments.__main__ import main as experiments_main
 from repro.obs.history import (
     BASELINE_SCHEMA,
     HISTORY_SCHEMA,
@@ -24,6 +27,9 @@ from repro.obs.history import (
     load_history,
     select_records,
 )
+from repro.obs.logging import ROOT_LOGGER
+from repro.obs.registry import set_registry
+from repro.obs.trace import reset_tracing
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -257,3 +263,41 @@ class TestCli:
     def test_cli_missing_history_exits_2(self, tmp_path):
         result = self._run(tmp_path, "--history", str(tmp_path / "no.jsonl"))
         assert result.returncode == 2
+
+
+
+@pytest.fixture
+def in_process_cli(monkeypatch):
+    """The experiments CLI, run in this process at QUICK scale.
+
+    The CLI installs its own tracer, registry and ``colt`` log handler;
+    all three are put back afterwards.
+    """
+    monkeypatch.setenv(knobs.SCALE.name, "quick")
+    monkeypatch.delenv(knobs.HISTORY.name, raising=False)
+    logger = logging.getLogger(ROOT_LOGGER)
+    handlers, level, propagate = (
+        logger.handlers[:], logger.level, logger.propagate
+    )
+    yield experiments_main
+    logger.handlers[:] = handlers
+    logger.setLevel(level)
+    logger.propagate = propagate
+    reset_tracing()
+    set_registry(None)
+
+
+class TestPlainRunRecord:
+    def test_record_says_where_the_time_went(self, tmp_path, in_process_cli):
+        """A plain QUICK fig18 run records per-phase self time."""
+        argv = ["fig18", "--jobs", "1", "--cache-dir", str(tmp_path)]
+        assert in_process_cli(argv) == 0
+        (record,) = load_history(history_path(tmp_path))
+        phases = record["phases"]
+        for name in ("aging", "capture", "compaction.run", "replay"):
+            assert phases[name]["self_s"] > 0, name
+            assert phases[name]["count"] >= 1, name
+        # The five benchmarks share one prefix: one boot, one aging.
+        assert phases["kernel.boot"]["count"] == 1
+        assert phases["aging"]["count"] == 1
+        assert phases["capture"]["count"] == 5
