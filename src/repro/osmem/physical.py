@@ -148,6 +148,21 @@ class PhysicalMemory:
                 matches how the fault path installs batched allocations.
                 Pass None for frames that back no virtual page.
         """
+        if length == 1:
+            # One frame (most migrations and reclaim): scalar writes.
+            self._check_pfn(start)
+            if self._allocated[start]:
+                raise AllocationError(
+                    f"frames in [{start}, {start + 1}) already allocated"
+                )
+            self._allocated[start] = True
+            self._allocated_count += 1
+            self._movable[start] = movable
+            self._owner[start] = owner
+            self._backing_vpn[start] = (
+                NO_VPN if backing_vpn is None else backing_vpn
+            )
+            return
         self._check_range(start, length)
         region = self._allocated[start : start + length]
         if region.any():
@@ -167,6 +182,18 @@ class PhysicalMemory:
 
     def mark_free(self, start: int, length: int) -> None:
         """Transition ``[start, start+length)`` from allocated to free."""
+        if length == 1:
+            self._check_pfn(start)
+            if not self._allocated[start]:
+                raise AllocationError(
+                    f"frames in [{start}, {start + 1}) not all allocated"
+                )
+            self._allocated[start] = False
+            self._allocated_count -= 1
+            self._movable[start] = False
+            self._owner[start] = NO_OWNER
+            self._backing_vpn[start] = NO_VPN
+            return
         self._check_range(start, length)
         region = self._allocated[start : start + length]
         if not region.all():

@@ -11,24 +11,30 @@ every input the MMU observes is reproduced exactly:
 
 * the walk outcome of each access (translation, walk-path addresses,
   8-PTE cache-line window) as the page table held it *at that access*,
-  decoded once per replay into the same :class:`WalkRecord` a live walk
-  builds;
+  decoded once per scenario into the same :class:`WalkRecord` a live
+  walk builds;
 * TLB shootdowns, applied before the access index they preceded in the
   capture (trailing events still land before the counter snapshot);
 * the LLC pollution schedule, which the monolithic path shares.
 
 :func:`replay_scenario` is the one replay loop every design, engine
-name and sanitizer setting runs. It is a plain per-access loop: on the
-QUICK design sweep a NumPy pre-scan of TLB hits bought nothing over it
-once the TLBs stored interval tuples. Its one shortcut is the repeat
-hit: an access to the VPN of the previous access, with no shootdown in
-between, after a step that left that VPN's coverer most recently used
-(see :data:`repro.core.mmu.SA_HIT`) is the same hit again and changes
-no state, so it is only counted.
+name and sanitizer setting runs. What does not depend on the design is
+a :class:`ReplayPlan`, built once per scenario and shared by every
+design replayed from it (a one-slot cache keeps the last scenario's):
+the access stream as runs of one VPN, cut at every shootdown; the
+decoded walk records; and the count of distinct lines. The loop steps
+a run's first access through :meth:`MMU.step`, steps the next ones
+while the outcome is ``WALK_FA``, and counts the rest of the run as
+repeat hits in one addition: after any other outcome the VPN's coverer
+is most recently used (see :data:`repro.core.mmu.SA_HIT`), so a repeat
+is the same hit again and changes no state.
 """
 
 from __future__ import annotations
 
+import weakref
+from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -99,50 +105,124 @@ def decode_records(records: np.ndarray, slots: np.ndarray) -> List[WalkRecord]:
     )))
 
 
+@dataclass(frozen=True, eq=False)
+class ReplayPlan:
+    """Everything a replay derives from its scenario alone.
+
+    Attributes:
+        run_start / run_vpn / run_length: the access stream as maximal
+            runs of one VPN, cut at every access a shootdown precedes,
+            so shootdowns land before a run's first access.
+        vpns: the captured VPN of every access (the walker's desync
+            check reads it).
+        distinct_lines: distinct 8-page lines the trace touches.
+        rows / row_index: the scenario's record table and per-access
+            row index, which :attr:`walk_records` decodes.
+    """
+
+    run_start: List[int]
+    run_vpn: List[int]
+    run_length: List[int]
+    vpns: np.ndarray
+    distinct_lines: int
+    rows: np.ndarray
+    row_index: np.ndarray
+
+    @cached_property
+    def walk_records(self) -> Tuple[List[WalkRecord], np.ndarray]:
+        """The decoded walk records and the per-access index into them.
+
+        One record per (row, demanded slot) pair the log uses. They are
+        decoded on the first walk, so replaying a scenario only under
+        designs that never walk (PERFECT) decodes nothing.
+        """
+        keys = self.row_index * 8 + (self.vpns & 7)
+        unique, inverse = np.unique(keys, return_inverse=True)
+        records = decode_records(self.rows[unique >> 3], unique & 7)
+        return records, inverse.ravel()
+
+
+def build_plan(scenario: CapturedScenario) -> ReplayPlan:
+    """Cut ``scenario``'s log into runs of one VPN."""
+    vpns = scenario.vpns
+    accesses = vpns.size
+    cuts = np.ones(accesses, dtype=bool)
+    np.not_equal(vpns[1:], vpns[:-1], out=cuts[1:])
+    before = scenario.inval_before
+    cuts[before[before < accesses]] = True
+    starts = np.flatnonzero(cuts)
+    return ReplayPlan(
+        run_start=starts.tolist(),
+        run_vpn=vpns[starts].tolist(),
+        run_length=np.diff(starts, append=accesses).tolist(),
+        vpns=vpns,
+        distinct_lines=int(np.unique(vpns >> 3).size),
+        rows=scenario.records,
+        row_index=scenario.record_index,
+    )
+
+
+class _LastPlan:
+    """The plan of the last scenario replayed in this process.
+
+    Every caller replays scenario by scenario (the runner's chunks, the
+    design sweep, ``determinism --replay``), so one slot shares each
+    plan among all of a scenario's designs. The slot holds its
+    scenario weakly and drops the plan when the scenario dies, so it
+    keeps no scenario alive and at most one plan in memory.
+    """
+
+    def __init__(self) -> None:
+        self.scenario: Optional[weakref.ref] = None
+        self.plan: Optional[ReplayPlan] = None
+
+    def get(self, scenario: CapturedScenario) -> ReplayPlan:
+        if self.scenario is None or self.scenario() is not scenario:
+            # Free the old plan before the new one is built.
+            self.scenario = self.plan = None
+            self.plan = build_plan(scenario)
+            self.scenario = weakref.ref(scenario, self._drop)
+        return self.plan
+
+    def _drop(self, ref: weakref.ref) -> None:
+        if self.scenario is ref:
+            self.scenario = self.plan = None
+
+
+_LAST_PLAN = _LastPlan()
+
+
 class ReplayWalker(PageWalker):
     """A :class:`PageWalker` whose page table is a captured log.
 
     The caller advances :attr:`cursor` to the access index being
-    replayed; a walk returns that access's decoded record. The latency
-    accounting runs against this replay's own cache hierarchy and MMU
-    cache, whose state evolves with this design's miss pattern, exactly
-    as in the monolithic run. Records are decoded on the first walk, so
-    a design that never walks (PERFECT) never decodes.
+    stepped; a walk returns that access's record from the scenario's
+    :class:`ReplayPlan`. The latency accounting runs against this
+    replay's own cache hierarchy and MMU cache, whose state evolves
+    with this design's miss pattern, exactly as in the monolithic run.
     """
 
     def __init__(
         self,
-        scenario: CapturedScenario,
+        plan: ReplayPlan,
         caches: CacheHierarchy,
         mmu_cache: Optional[MMUCache] = None,
         pollution: Sequence[Tuple[int, int]] = (),
     ) -> None:
         super().__init__(None, caches, mmu_cache, pollution)
-        self._scenario = scenario
-        self._records = None
-        self._record_of = None
-
-    def _decode(self) -> None:
-        scenario = self._scenario
-        # One record per (row, demanded slot) pair the log uses.
-        keys = scenario.record_index * 8 + (scenario.vpns & 7)
-        unique, inverse = np.unique(keys, return_inverse=True)
-        self._records = decode_records(
-            scenario.records[unique >> 3], unique & 7
-        )
-        self._record_of = inverse.ravel()
+        self._plan = plan
 
     def record(self, vpn: int) -> WalkRecord:
-        if self._records is None:
-            self._decode()
+        plan = self._plan
         index = self.cursor
-        expected = int(self._scenario.vpns[index])
+        expected = int(plan.vpns[index])
         if vpn != expected:
             raise SimulationError(
                 f"replay desync at access {index}: walk of vpn {vpn}, "
                 f"captured vpn {expected}"
             )
-        return self._records[self._record_of[index]]
+        records, record_of = plan.walk_records
+        return records[record_of[index]]
 
 
 def replay_scenario(
@@ -161,9 +241,10 @@ def replay_scenario(
         )
     mmu_config = config.mmu or make_mmu_config(config.design)
     accesses = scenario.accesses
+    plan = _LAST_PLAN.get(scenario)
     caches = CacheHierarchy(HierarchyConfig())
     walker = ReplayWalker(
-        scenario, caches, MMUCache(),
+        plan, caches, MMUCache(),
         pollution_schedule(
             accesses, config.llc_pollution_per_access, caches.llc.num_sets
         ),
@@ -189,29 +270,30 @@ def replay_scenario(
             step = mmu.step
             counted = 0
             sa_repeats = fa_repeats = 0
-            prev_vpn = -1
-            outcome = WALK_FA
             next_event = before[0] if events else accesses
-            for index, vpn in enumerate(scenario.vpns.tolist()):
-                if index == next_event:
-                    mmu.tally(index - counted, sa_repeats, fa_repeats)
-                    counted = index
+            for start, vpn, length in zip(
+                plan.run_start, plan.run_vpn, plan.run_length
+            ):
+                if start == next_event:
+                    mmu.tally(start - counted, sa_repeats, fa_repeats)
+                    counted = start
                     sa_repeats = fa_repeats = 0
-                    while pending < events and before[pending] <= index:
+                    while pending < events and before[pending] <= start:
                         invalidate_range(starts[pending], counts[pending])
                         pending += 1
                     next_event = before[pending] if pending < events else accesses
-                    prev_vpn = -1
-                if vpn == prev_vpn:
-                    if outcome == FA_HIT:
-                        fa_repeats += 1
-                        continue
-                    if outcome != WALK_FA:
-                        sa_repeats += 1
-                        continue
-                prev_vpn = vpn
-                walker.cursor = index
+                walker.cursor = start
                 outcome = step(vpn)
+                if length > 1:
+                    index, end = start + 1, start + length
+                    while outcome == WALK_FA and index < end:
+                        walker.cursor = index
+                        outcome = step(vpn)
+                        index += 1
+                    if outcome == FA_HIT:
+                        fa_repeats += end - index
+                    else:
+                        sa_repeats += end - index
             mmu.tally(accesses - counted, sa_repeats, fa_repeats)
         else:
             mmu.tally(accesses)
@@ -224,8 +306,7 @@ def replay_scenario(
         if mmu.sanitizer is not None:
             mmu.sanitizer.full_scan()
 
-    distinct_lines = int(np.unique(scenario.vpns >> 3).size)
-    discount = float(distinct_lines * caches.config.dram_latency)
+    discount = float(plan.distinct_lines * caches.config.dram_latency)
     performance = evaluate_performance(
         mmu,
         accesses,

@@ -17,9 +17,12 @@ select lookup supports. Entries of one set never overlap (same group:
 disjoint runs; different groups: disjoint VPN windows), so the first
 covering entry is the only one.
 
-Per set the TLB keeps an insertion-ordered id -> entry dict plus an LRU
-list of ids (index 0 least recently used). The same class implements
-the baseline TLB (``index_shift = 0``).
+Each set is one dict of resident entries in recency order (first key
+least recently used), keyed by the entry tuple itself, as
+:mod:`repro.cache.cache` keeps its lines. Because a set's entries never
+overlap, that order never decides which entry a probe finds; it only
+picks victims. The same class implements the baseline TLB
+(``index_shift = 0``).
 """
 
 from __future__ import annotations
@@ -42,11 +45,10 @@ class SetAssociativeTLB:
         self._shift = config.index_shift
         self._set_mask = config.num_sets - 1
         self._ways = config.ways
-        self._sets: List[Dict[int, tuple]] = [
+        #: Per set, its entries in recency order (first key LRU).
+        self._sets: List[Dict[tuple, None]] = [
             {} for _ in range(config.num_sets)
         ]
-        self._orders: List[List[int]] = [[] for _ in range(config.num_sets)]
-        self._next_id = 0
 
     # ------------------------------------------------------------------
     # Indexing.
@@ -65,19 +67,17 @@ class SetAssociativeTLB:
 
     def probe(self, vpn: int) -> Optional[tuple]:
         """The entry covering ``vpn`` (made most recently used), or None."""
-        index = (vpn >> self._shift) & self._set_mask
-        for entry_id, entry in self._sets[index].items():
+        bucket = self._sets[(vpn >> self._shift) & self._set_mask]
+        for entry in bucket:
             if entry[0] <= vpn <= entry[1]:
-                order = self._orders[index]
-                if order[-1] != entry_id:
-                    order.remove(entry_id)
-                    order.append(entry_id)
+                del bucket[entry]
+                bucket[entry] = None
                 return entry
         return None
 
     def entry_for(self, vpn: int) -> Optional[tuple]:
         """The entry covering ``vpn``, without touching recency."""
-        for entry in self._sets[(vpn >> self._shift) & self._set_mask].values():
+        for entry in self._sets[(vpn >> self._shift) & self._set_mask]:
             if entry[0] <= vpn <= entry[1]:
                 return entry
         return None
@@ -107,16 +107,14 @@ class SetAssociativeTLB:
                 f"entry [{start}, {end}] crosses an aligned group of "
                 f"{self.config.group_size} VPNs"
             )
-        index = (start >> self._shift) & self._set_mask
-        bucket = self._sets[index]
-        order = self._orders[index]
-        displaced: List[tuple] = []
-        for entry_id in list(bucket):
-            resident = bucket[entry_id]
-            if resident[1] >= start and resident[0] <= end:
-                displaced.append(bucket.pop(entry_id))
-                order.remove(entry_id)
-        displaced.extend(self._install(bucket, order, entry))
+        bucket = self._sets[(start >> self._shift) & self._set_mask]
+        displaced = [
+            resident for resident in bucket
+            if resident[1] >= start and resident[0] <= end
+        ]
+        for resident in displaced:
+            del bucket[resident]
+        displaced.extend(self._install(bucket, entry))
         if self.sanitizer is not None:
             self.sanitizer.after_insert(self, entry)
         return displaced
@@ -128,23 +126,18 @@ class SetAssociativeTLB:
             (vpn, vpn, translation.pfn, int(translation.attributes))
         )
 
-    def _install(
-        self, bucket: Dict[int, tuple], order: List[int], entry: tuple
-    ) -> List[tuple]:
+    def _install(self, bucket: Dict[tuple, None], entry: tuple) -> List[tuple]:
         """Add ``entry`` as MRU, evicting the victim of a full set."""
         evicted: List[tuple] = []
-        if len(order) >= self._ways:
-            victim = self._choose_victim(bucket, order)
-            order.remove(victim)
-            evicted.append(bucket.pop(victim))
-        entry_id = self._next_id
-        self._next_id = entry_id + 1
-        bucket[entry_id] = entry
-        order.append(entry_id)
+        if len(bucket) >= self._ways:
+            victim = self._choose_victim(bucket)
+            del bucket[victim]
+            evicted.append(victim)
+        bucket[entry] = None
         return evicted
 
-    def _choose_victim(self, bucket: Dict[int, tuple], order: List[int]) -> int:
-        """Pick the entry id to evict from a full set.
+    def _choose_victim(self, bucket: Dict[tuple, None]) -> tuple:
+        """Pick the entry to evict from a full set.
 
         Standard LRU by default. With coalescing-aware replacement
         (Section 4.1.5 future work) the victim is the least-recently-used
@@ -153,13 +146,11 @@ class SetAssociativeTLB:
         recency.
         """
         if not self.config.coalescing_aware_replacement:
-            return order[0]
-        fewest = min(entry[1] - entry[0] for entry in bucket.values())
-        for entry_id in order:  # LRU -> MRU
-            entry = bucket[entry_id]
-            if entry[1] - entry[0] == fewest:
-                return entry_id
-        return order[0]  # pragma: no cover - loop always returns
+            return next(iter(bucket))
+        fewest = min(entry[1] - entry[0] for entry in bucket)
+        return next(  # LRU -> MRU
+            entry for entry in bucket if entry[1] - entry[0] == fewest
+        )
 
     # ------------------------------------------------------------------
     # Invalidation.
@@ -176,34 +167,28 @@ class SetAssociativeTLB:
         the fill path's victim choice -- in a full set the second
         survivor evicts a resident, which is returned.
         """
-        index = (vpn >> self._shift) & self._set_mask
-        bucket = self._sets[index]
-        order = self._orders[index]
+        bucket = self._sets[(vpn >> self._shift) & self._set_mask]
         evicted: List[tuple] = []
-        for entry_id in list(bucket):
-            entry = bucket.get(entry_id)
-            if entry is None or not entry[0] <= vpn <= entry[1]:
-                continue
-            del bucket[entry_id]
-            order.remove(entry_id)
-            if self.config.graceful_invalidation:
-                start, end, ppn, attr = entry
-                if vpn > start:
-                    evicted += self._install(
-                        bucket, order, (start, vpn - 1, ppn, attr)
-                    )
-                if vpn < end:
-                    evicted += self._install(
-                        bucket, order,
-                        (vpn + 1, end, ppn + (vpn + 1 - start), attr),
-                    )
+        for entry in bucket:
+            if entry[0] <= vpn <= entry[1]:
+                break
+        else:
+            return evicted
+        # Entries of a set never overlap: this is the only coverer.
+        del bucket[entry]
+        if self.config.graceful_invalidation:
+            start, end, ppn, attr = entry
+            if vpn > start:
+                evicted += self._install(bucket, (start, vpn - 1, ppn, attr))
+            if vpn < end:
+                evicted += self._install(
+                    bucket, (vpn + 1, end, ppn + (vpn + 1 - start), attr)
+                )
         return evicted
 
     def flush(self) -> None:
         for bucket in self._sets:
             bucket.clear()
-        for order in self._orders:
-            order.clear()
 
     # ------------------------------------------------------------------
     # Introspection.
@@ -218,17 +203,17 @@ class SetAssociativeTLB:
         return sum(
             entry[1] - entry[0] + 1
             for bucket in self._sets
-            for entry in bucket.values()
+            for entry in bucket
         )
 
     def entries(self) -> List[tuple]:
-        return [entry for bucket in self._sets for entry in bucket.values()]
+        return [entry for bucket in self._sets for entry in bucket]
 
     def iter_sets(self) -> Iterator[Tuple[int, List[tuple]]]:
         """Yield ``(set_index, entries)`` pairs; sanitizer introspection."""
         for index, bucket in enumerate(self._sets):
-            yield index, list(bucket.values())
+            yield index, list(bucket)
 
     def set_entries(self, set_index: int) -> List[tuple]:
         """The entries resident in one set; sanitizer introspection."""
-        return list(self._sets[set_index].values())
+        return list(self._sets[set_index])

@@ -75,7 +75,7 @@ class TestTLBSanitizer:
         set_index = mmu.l1.set_index_for(start)
         # A second way covering the same VPN: illegal per Section 4.1.2
         # (tag match + valid-bit select would be ambiguous).
-        mmu.l1._sets[set_index][999999] = (start, end, ppn + 7, attr)
+        mmu.l1._sets[set_index][(start, end, ppn + 7, attr)] = None
         with pytest.raises(SanitizerError, match="covered by two entries"):
             mmu.sanitizer.full_scan()
 
@@ -85,8 +85,8 @@ class TestTLBSanitizer:
         entry = mmu.l1.entry_for(1024)
         home = mmu.l1.set_index_for(entry[0])
         wrong = (home + 1) % mmu.l1.config.num_sets
-        del mmu.l1._sets[home][next(iter(mmu.l1._sets[home]))]
-        mmu.l1._sets[wrong][999999] = entry
+        del mmu.l1._sets[home][entry]
+        mmu.l1._sets[wrong][entry] = None
         with pytest.raises(SanitizerError, match="shifted index says"):
             mmu.sanitizer.full_scan()
 
@@ -96,7 +96,8 @@ class TestTLBSanitizer:
         start, _end, ppn, attr = mmu.l1.entry_for(1024)
         set_index = mmu.l1.set_index_for(start)
         bucket = mmu.l1._sets[set_index]
-        bucket[next(iter(bucket))] = (start, start + 5, ppn, attr)
+        del bucket[next(iter(bucket))]
+        bucket[(start, start + 5, ppn, attr)] = None
         with pytest.raises(SanitizerError, match="aligned group"):
             mmu.sanitizer.full_scan()
 
@@ -115,15 +116,13 @@ class TestTLBSanitizer:
         set_index, bucket = next(
             (i, b) for i, b in enumerate(mmu.l1._sets) if b
         )
-        start, end, _ppn, attr = next(iter(bucket.values()))
+        start, end, _ppn, attr = next(iter(bucket))
         # Stuff more ways than the set has, with disjoint groups that
         # still home to this set (stride num_sets * group_size).
         stride = mmu.l1.config.num_sets * mmu.l1.config.group_size
         for extra in range(mmu.l1.config.ways + 1):
             offset = (extra + 1) * stride
-            bucket[1000000 + extra] = (
-                start + offset, end + offset, 9000 + extra, attr
-            )
+            bucket[(start + offset, end + offset, 9000 + extra, attr)] = None
         with pytest.raises(SanitizerError, match="ways"):
             mmu.sanitizer.full_scan()
 
@@ -159,7 +158,7 @@ class TestTLBSanitizer:
         set_index = mmu.l1.set_index_for(start)
         # Plant a conflicting way, then insert a disjoint-group entry to
         # trigger the per-insert set check.
-        mmu.l1._sets[set_index][999999] = (start, end, ppn + 3, attr)
+        mmu.l1._sets[set_index][(start, end, ppn + 3, attr)] = None
         stride = mmu.l1.config.num_sets * mmu.l1.config.group_size
         with pytest.raises(SanitizerError, match="covered by two entries"):
             mmu.l1.insert((start + stride, end + stride, 7000, attr))

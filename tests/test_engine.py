@@ -10,24 +10,43 @@ histogram of QUICK mcf under the five designs, and of a churn-heavy
 small scenario under the five designs and seven MMU-override knobs.
 The fixture was written by the object-model TLB simulator this loop
 replaced; a deliberate behaviour change must regenerate it and say so.
+
+The loop steps runs of one VPN; :func:`reference_replay` keeps the
+per-access loop it replaced as an oracle, and hypothesis-drawn edits of
+the small capture (repeated accesses, extra shootdowns) must replay
+identically through both. The last tests pin the lifetime of the
+per-scenario replay plan.
 """
 
 import dataclasses
+import gc
 import json
+import pickle
 from pathlib import Path
 
+import hypothesis.strategies as st
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.analysis.sanitizers import TLBSanitizer
+from repro.cache.hierarchy import (
+    CacheHierarchy,
+    HierarchyConfig,
+    pollution_schedule,
+)
+from repro.cache.mmu_cache import MMUCache
 from repro.common.errors import ConfigurationError
-from repro.core.mmu import CoLTDesign, make_mmu_config
+from repro.core.mmu import FA_HIT, MMU, WALK_FA, CoLTDesign, make_mmu_config
+from repro.core.performance import evaluate_performance
 from repro.obs.registry import MetricsRegistry, get_registry, set_registry
 from repro.osmem.kernel import KernelConfig
 from repro.osmem.memhog import SIMULATION_AGING
+from repro.sim import replay
 from repro.sim.engine import replay_with_engine, resolve_engine
 from repro.sim.engine.vector import vector_replay_scenario
 from repro.sim.faults import FaultPlan
-from repro.sim.replay import replay_scenario
+from repro.sim.replay import ReplayWalker, build_plan, replay_scenario
 from repro.sim.resilience import RetryPolicy
 from repro.sim.runner import ExperimentRunner
 from repro.sim.scenario import capture_scenario
@@ -227,3 +246,262 @@ class TestRunnerIntegration:
         )
         assert runner.run_designs(base) == scalar
         assert runner.resilience_counters.as_dict()["retries"] >= 1
+
+
+# ----------------------------------------------------------------------
+# The per-access loop as an oracle for the run-length loop.
+# ----------------------------------------------------------------------
+
+
+def reference_replay(scenario, config):
+    """Replay ``scenario`` one access at a time; the test-only oracle.
+
+    This is the loop :func:`replay_scenario` ran before it stepped runs:
+    an access is stepped unless it repeats the last stepped VPN with no
+    shootdown in between and the last outcome was not ``WALK_FA``; a
+    skipped access counts as an FA hit after ``FA_HIT`` and as an SA hit
+    otherwise. Returns the simulated outputs :func:`outputs` compares.
+    """
+    mmu_config = config.mmu or make_mmu_config(config.design)
+    accesses = scenario.accesses
+    caches = CacheHierarchy(HierarchyConfig())
+    walker = ReplayWalker(
+        build_plan(scenario), caches, MMUCache(),
+        pollution_schedule(
+            accesses, config.llc_pollution_per_access, caches.llc.num_sets
+        ),
+    )
+    mmu = MMU(mmu_config, walker, sanitize=config.sanitize)
+    before = scenario.inval_before.tolist()
+    starts = scenario.inval_start.tolist()
+    counts = scenario.inval_count.tolist()
+    events = len(before)
+    pending = 0
+    if mmu_config.design is not CoLTDesign.PERFECT:
+        counted = 0
+        sa_repeats = fa_repeats = 0
+        prev_vpn = -1
+        outcome = WALK_FA
+        next_event = before[0] if events else accesses
+        for index, vpn in enumerate(scenario.vpns.tolist()):
+            if index == next_event:
+                mmu.tally(index - counted, sa_repeats, fa_repeats)
+                counted = index
+                sa_repeats = fa_repeats = 0
+                while pending < events and before[pending] <= index:
+                    mmu.invalidate_range(starts[pending], counts[pending])
+                    pending += 1
+                next_event = before[pending] if pending < events else accesses
+                prev_vpn = -1
+            if vpn == prev_vpn:
+                if outcome == FA_HIT:
+                    fa_repeats += 1
+                    continue
+                if outcome != WALK_FA:
+                    sa_repeats += 1
+                    continue
+            prev_vpn = vpn
+            walker.cursor = index
+            outcome = mmu.step(vpn)
+        mmu.tally(accesses - counted, sa_repeats, fa_repeats)
+    else:
+        mmu.tally(accesses)
+    while pending < events:
+        mmu.invalidate_range(starts[pending], counts[pending])
+        pending += 1
+    lines = np.unique(scenario.vpns >> 3).size
+    performance = evaluate_performance(
+        mmu, accesses, scenario.profile.core,
+        compulsory_discount_cycles=float(lines * caches.config.dram_latency),
+    )
+    return mmu.l1_misses, mmu.l2_misses, mmu.counters.snapshot(), performance
+
+
+def outputs(result):
+    """The simulated outputs of a :class:`SimulationResult`."""
+    return (
+        result.l1_misses, result.l2_misses, result.mmu_counters,
+        result.performance,
+    )
+
+
+def with_histogram(replay_fn, scenario, config):
+    """``replay_fn``'s outputs plus the run-length histogram it observed."""
+    set_registry(MetricsRegistry())
+    try:
+        produced = replay_fn(scenario, config)
+        entry = get_registry().snapshot(reset=True).get(
+            "colt_coalesce_run_length"
+        )
+    finally:
+        set_registry(None)
+    return produced, entry["series"] if entry else []
+
+
+def repeat_accesses(scenario, repeats):
+    """``scenario`` with access ``i`` repeated ``repeats[i]`` more times.
+
+    The copies follow the original at once, in both ``vpns`` and
+    ``record_index``; shootdowns that preceded later accesses move with
+    them.
+    """
+    extra = np.zeros(scenario.accesses, dtype=np.int64)
+    for index, times in repeats.items():
+        extra[index] = times
+    shift = np.concatenate(([0], np.cumsum(extra)))
+    return dataclasses.replace(
+        scenario,
+        vpns=np.repeat(scenario.vpns, extra + 1),
+        record_index=np.repeat(scenario.record_index, extra + 1),
+        inval_before=scenario.inval_before + shift[scenario.inval_before],
+    )
+
+
+def add_shootdowns(scenario, shootdowns):
+    """``scenario`` with extra ``(before, start, count)`` shootdowns."""
+    added = np.asarray(shootdowns, dtype=np.int64).reshape(-1, 3)
+    before = np.concatenate((scenario.inval_before, added[:, 0]))
+    order = np.argsort(before, kind="stable")
+    return dataclasses.replace(
+        scenario,
+        inval_before=before[order],
+        inval_start=np.concatenate(
+            (scenario.inval_start, added[:, 1])
+        )[order],
+        inval_count=np.concatenate(
+            (scenario.inval_count, added[:, 2])
+        )[order],
+    )
+
+
+@st.composite
+def log_edits(draw, scenario):
+    """Repeated accesses and extra shootdowns for ``scenario``'s log."""
+    n = scenario.accesses
+    repeats = draw(st.dictionaries(
+        st.integers(0, n - 1), st.integers(1, 4), min_size=1, max_size=8,
+    ))
+    edited = repeat_accesses(scenario, repeats)
+    vpns = edited.vpns
+    n = edited.accesses
+    # Accesses that repeat their predecessor sit inside a run; the
+    # others start one.
+    inside = np.flatnonzero(vpns[1:] == vpns[:-1]) + 1
+    first = np.flatnonzero(vpns[1:] != vpns[:-1]) + 1
+    targets = (
+        [int(i) for i in draw(st.lists(
+            st.sampled_from(inside), min_size=1, max_size=3))]
+        + [int(i) for i in draw(st.lists(
+            st.sampled_from(first), max_size=2))]
+        + [n] * draw(st.integers(0, 1))
+    )
+    shootdowns = []
+    for target in targets:
+        vpn = int(vpns[min(target, n - 1)])
+        low = draw(st.integers(0, 1))
+        shootdowns.append((target, vpn - low, low + draw(st.integers(1, 2))))
+    return add_shootdowns(edited, shootdowns)
+
+
+def assert_replays_as_per_access(scenario):
+    """Every design and knob of the reference: the run-length loop and
+    the per-access loop agree, run-length histograms included."""
+    for key, config in small_configs().items():
+        got, got_histogram = with_histogram(replay_scenario, scenario, config)
+        want, want_histogram = with_histogram(
+            reference_replay, scenario, config
+        )
+        assert outputs(got) == want, key
+        assert got_histogram == want_histogram, key
+
+
+class TestRunLengthLoop:
+    def test_unedited_log_replays_as_per_access(self, small_scenario):
+        assert_replays_as_per_access(small_scenario)
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_edited_logs_replay_as_per_access(self, small_scenario, data):
+        """Repeated accesses, and shootdowns at a run's first access,
+        inside a run and after the last access."""
+        assert_replays_as_per_access(data.draw(log_edits(small_scenario)))
+
+
+# ----------------------------------------------------------------------
+# The per-scenario replay plan.
+# ----------------------------------------------------------------------
+
+
+def fresh_copy(scenario):
+    """An equal scenario under a new identity: it gets its own plan."""
+    return pickle.loads(pickle.dumps(scenario))
+
+
+class TestReplayPlan:
+    def test_interleaved_scenarios_replay_as_fresh(self, small_scenario):
+        """A, then B, then A again: each equals a replay of a copy that
+        never shared a plan."""
+        other = capture_scenario(small_config(seed=12, accesses=2000))
+        a_config = small_config(design=CoLTDesign.COLT_FA)
+        b_config = small_config(
+            seed=12, accesses=2000, design=CoLTDesign.COLT_FA
+        )
+        first = replay_scenario(small_scenario, a_config)
+        middle = replay_scenario(other, b_config)
+        again = replay_scenario(small_scenario, a_config)
+        assert outputs(first) == outputs(again)
+        assert outputs(first) == outputs(
+            replay_scenario(fresh_copy(small_scenario), a_config)
+        )
+        assert outputs(middle) == outputs(
+            replay_scenario(fresh_copy(other), b_config)
+        )
+
+    def test_records_are_decoded_on_the_first_walk(self, small_scenario):
+        scenario = fresh_copy(small_scenario)
+        replay_scenario(scenario, small_config(design=CoLTDesign.PERFECT))
+        plan = replay._LAST_PLAN.plan
+        assert "walk_records" not in vars(plan)
+        replay_scenario(scenario, small_config(design=CoLTDesign.BASELINE))
+        assert replay._LAST_PLAN.plan is plan
+        assert "walk_records" in vars(plan)
+
+    def test_replay_leaves_the_pickle_unchanged(self, small_scenario):
+        scenario = fresh_copy(small_scenario)
+        pickled = pickle.dumps(scenario)
+        replay_scenario(scenario, small_config())
+        assert pickle.dumps(scenario) == pickled
+
+    def test_plan_does_not_keep_its_scenario_alive(self, small_scenario):
+        scenario = fresh_copy(small_scenario)
+        replay_scenario(scenario, small_config())
+        ref = replay._LAST_PLAN.scenario
+        assert ref() is scenario
+        del scenario
+        gc.collect()
+        assert ref() is None
+        assert replay._LAST_PLAN.plan is None
+
+    def test_sanitized_replay_after_plain_one_scans(
+        self, small_scenario, monkeypatch
+    ):
+        """The shared plan carries no sanitizer state: a sanitized
+        replay after a plain one of the same scenario still runs its
+        full scan."""
+        scans = []
+        full_scan = TLBSanitizer.full_scan
+
+        def counting_scan(self):
+            scans.append(self)
+            full_scan(self)
+
+        monkeypatch.setattr(TLBSanitizer, "full_scan", counting_scan)
+        monkeypatch.setenv("COLT_SANITIZE", "0")
+        plain = replay_scenario(small_scenario, small_config())
+        plan = replay._LAST_PLAN.plan
+        assert not scans
+        monkeypatch.setenv("COLT_SANITIZE", "1")
+        sanitized = replay_scenario(small_scenario, small_config())
+        assert replay._LAST_PLAN.plan is plan
+        assert scans
+        assert outputs(sanitized) == outputs(plain)

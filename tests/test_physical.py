@@ -1,9 +1,16 @@
 """Tests for physical-frame bookkeeping."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.common.errors import AllocationError, ConfigurationError
-from repro.osmem.physical import KERNEL_PID, NO_OWNER, PhysicalMemory
+from repro.osmem.physical import (
+    KERNEL_PID,
+    NO_OWNER,
+    NO_VPN,
+    PhysicalMemory,
+)
 
 
 class TestConstruction:
@@ -132,3 +139,109 @@ class TestScans:
         mem.mark_allocated(4, 1, owner=1, movable=True)
         assert mem.range_is_free(0, 4)
         assert not mem.range_is_free(2, 4)
+
+
+class FrameModel:
+    """The frame map as plain Python lists: the oracle for the scalar
+    one-frame path and the sliced n-frame path alike."""
+
+    def __init__(self, num_frames):
+        self.num_frames = num_frames
+        self.allocated = [False] * num_frames
+        self.movable = [False] * num_frames
+        self.owner = [NO_OWNER] * num_frames
+        self.backing = [NO_VPN] * num_frames
+        self.count = 0
+
+    def _check(self, start, length):
+        if length < 1:
+            raise AllocationError(f"range length must be >= 1, got {length}")
+        if not 0 <= start < self.num_frames:
+            raise AllocationError(
+                f"pfn {start} out of range [0, {self.num_frames})"
+            )
+        if start + length > self.num_frames:
+            raise AllocationError(
+                f"range [{start}, {start + length}) exceeds memory of "
+                f"{self.num_frames} frames"
+            )
+
+    def mark_allocated(self, start, length, owner, movable, backing_vpn):
+        self._check(start, length)
+        frames = range(start, start + length)
+        if any(self.allocated[pfn] for pfn in frames):
+            raise AllocationError(
+                f"frames in [{start}, {start + length}) already allocated"
+            )
+        for offset, pfn in enumerate(frames):
+            self.allocated[pfn] = True
+            self.movable[pfn] = movable
+            self.owner[pfn] = owner
+            self.backing[pfn] = (
+                NO_VPN if backing_vpn is None else backing_vpn + offset
+            )
+        self.count += length
+
+    def mark_free(self, start, length):
+        self._check(start, length)
+        frames = range(start, start + length)
+        if not all(self.allocated[pfn] for pfn in frames):
+            raise AllocationError(
+                f"frames in [{start}, {start + length}) not all allocated"
+            )
+        for pfn in frames:
+            self.allocated[pfn] = False
+            self.movable[pfn] = False
+            self.owner[pfn] = NO_OWNER
+            self.backing[pfn] = NO_VPN
+        self.count -= length
+
+
+MODEL_FRAMES = 24
+
+frame_ops = st.lists(
+    st.tuples(
+        st.sampled_from(("alloc", "free")),
+        st.integers(-2, MODEL_FRAMES + 1),
+        # One frame half the time: the scalar path.
+        st.one_of(st.just(1), st.integers(0, 6)),
+        st.integers(0, 9),
+        st.booleans(),
+        st.one_of(st.none(), st.integers(0, 1000)),
+    ),
+    max_size=80,
+)
+
+
+@given(ops=frame_ops)
+@settings(max_examples=200, deadline=None)
+def test_frame_map_matches_list_model(ops):
+    """Random one-frame and n-frame marks and frees, checked against the
+    list model: the same errors, the four frame arrays and the count."""
+    mem = PhysicalMemory(MODEL_FRAMES)
+    model = FrameModel(MODEL_FRAMES)
+    for op, start, length, owner, movable, backing_vpn in ops:
+        if op == "alloc":
+            calls = [
+                (target.mark_allocated,
+                 (start, length, owner, movable, backing_vpn))
+                for target in (mem, model)
+            ]
+        else:
+            calls = [
+                (target.mark_free, (start, length))
+                for target in (mem, model)
+            ]
+        errors = []
+        for call, args in calls:
+            try:
+                call(*args)
+                errors.append(None)
+            except AllocationError as error:
+                errors.append(str(error))
+        assert errors[0] == errors[1]
+        assert mem.allocated_map.tolist() == model.allocated
+        assert mem._movable.tolist() == model.movable
+        assert mem._owner.tolist() == model.owner
+        assert mem._backing_vpn.tolist() == model.backing
+        assert mem.allocated_frames == model.count == mem.count_allocated()
