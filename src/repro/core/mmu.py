@@ -447,13 +447,25 @@ class MMU:
         unconditionally, sanitizers on or off.
         """
         for victim in self.l2.insert(entry):
-            self._back_invalidate(victim)
+            self._back_invalidate(victim, entry[0], entry[1])
 
-    def _back_invalidate(self, victim: tuple) -> None:
-        l2, l1 = self.l2, self.l1
-        for vpn in range(victim[0], victim[1] + 1):
-            if l2.entry_for(vpn) is None:
-                l1.invalidate(vpn)
+    def _back_invalidate(
+        self, victim: tuple, kept_start: int = 0, kept_end: int = -1
+    ) -> None:
+        """Drop the L1 copies of ``victim``'s VPNs that L2 no longer covers.
+
+        A displaced L2 resident lay in the set of the entry that
+        displaced it, and a set's entries never overlap, so the only
+        entry that can still cover one of its VPNs is that newcomer,
+        ``[kept_start, kept_end]`` (empty by default). The rest are
+        dropped in VPN order.
+        """
+        invalidate = self.l1.invalidate
+        start, end = victim[0], victim[1]
+        for vpn in range(start, min(end, kept_start - 1) + 1):
+            invalidate(vpn)
+        for vpn in range(max(start, kept_end + 1), end + 1):
+            invalidate(vpn)
 
     # ------------------------------------------------------------------
     # Shootdowns.
@@ -470,7 +482,8 @@ class MMU:
         self._c_invalidations += 1
         self.l1.invalidate(vpn)
         # Graceful splits of a full L2 set evict residents: keep the L2
-        # inclusive of the L1 for those too.
+        # inclusive of the L1 for those too. No L2 entry covers any of
+        # an evicted resident's VPNs.
         for victim in self.l2.invalidate(vpn):
             self._back_invalidate(victim)
         self.superpage_tlb.invalidate(vpn)

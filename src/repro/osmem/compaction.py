@@ -30,7 +30,7 @@ from repro.osmem.buddy import BuddyAllocator
 from repro.osmem.physical import KERNEL_PID, PhysicalMemory
 
 #: Callback resolving a pid to the object holding its page table. The
-#: object must expose ``page_table`` with map_page/unmap_page.
+#: object must expose ``page_table`` with lookup/unmap_run/map_page.
 ProcessResolver = Callable[[int], object]
 
 
@@ -188,7 +188,7 @@ class CompactionDaemon:
             target, 1, owner=pid, movable=True, backing_vpn=vpn
         )
         # Rewrite the PTE, preserving attribute bits, then release source.
-        page_table.unmap_page(vpn)
+        page_table.unmap_run(vpn, 1)
         page_table.map_page(vpn, target, translation.attributes)
         self._physical.mark_free(source, 1)
         self._buddy.free_run(source, 1)

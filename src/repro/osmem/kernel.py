@@ -344,27 +344,22 @@ class Kernel:
         for chunk in self.thp.active_for(process.pid):
             if chunk < end and chunk + 512 > start_vpn:
                 self._split_chunk(process, chunk)
-        unmap = process.page_table.unmap_page_if_mapped
-        run_pfn = None
-        run_len = 0
-        for vpn in range(start_vpn, end):
-            translation = unmap(vpn)
-            if translation is None:
-                self._flush_free_run(run_pfn, run_len)
-                run_pfn, run_len = None, 0
-                continue
-            process.note_unpopulated(vpn)
-            self._notify_invalidation(process.pid, vpn, 1)
-            if run_pfn is not None and translation.pfn == run_pfn + run_len:
+        removed = process.page_table.unmap_run(start_vpn, num_pages)
+        process.note_unpopulated(start_vpn, num_pages)
+        # Shoot down page by page; free each maximal run of pages that
+        # is contiguous in both VPN and PFN.
+        notify, pid = self._notify_invalidation, process.pid
+        run_vpn = run_pfn = run_len = 0
+        for vpn, pfn in removed:
+            notify(pid, vpn, 1)
+            if vpn == run_vpn + run_len and pfn == run_pfn + run_len:
                 run_len += 1
-            else:
-                self._flush_free_run(run_pfn, run_len)
-                run_pfn, run_len = translation.pfn, 1
-        self._flush_free_run(run_pfn, run_len)
-
-    def _flush_free_run(self, pfn: Optional[int], length: int) -> None:
-        if pfn is not None and length > 0:
-            self._free_frames(pfn, length)
+                continue
+            if run_len:
+                self._free_frames(run_pfn, run_len)
+            run_vpn, run_pfn, run_len = vpn, pfn, 1
+        if run_len:
+            self._free_frames(run_pfn, run_len)
 
     # ------------------------------------------------------------------
     # Demand faulting.
@@ -432,21 +427,20 @@ class Kernel:
         batch = process.unpopulated_run_from(vpn, batch_limit)
         batch = max(1, batch)
         runs = self._alloc_with_recovery(batch)
-        map_page = process.page_table.map_page
+        map_run = process.page_table.map_run
         attributes = PageAttributes.default_user()
         mapped = 0
         for start_pfn, length in runs:
+            first = vpn + mapped
             self.physical.mark_allocated(
                 start_pfn,
                 length,
                 owner=process.pid,
                 movable=True,
-                backing_vpn=vpn + mapped,
+                backing_vpn=first,
             )
-            first = vpn + mapped
-            for offset in range(length):
-                map_page(first + offset, start_pfn + offset, attributes)
-            process.note_populated(vpn + mapped, length)
+            map_run(first, start_pfn, length, attributes)
+            process.note_populated(first, length)
             mapped += length
         self.counters.increment("pages_faulted", mapped)
         self._after_allocation()
@@ -474,26 +468,28 @@ class Kernel:
             ) from exc
 
     def _reclaim(self, pages: int) -> int:
-        """Free up to ``pages`` frames from registered victim processes."""
+        """Free up to ``pages`` frames from registered victim processes.
+
+        Each victim gives up its lowest resident pages first, one page
+        and one frame at a time.
+        """
         freed = 0
         for pid in list(self._reclaim_victims):
             victim = self._processes.get(pid)
             if victim is None:
                 continue
-            for vpn in victim.populated_vpns():
-                if freed >= pages:
-                    break
-                translation = victim.page_table.lookup(vpn)
-                if translation is None:
-                    continue
-                if translation.is_superpage:
-                    self._split_chunk(victim, vpn - vpn % 512)
-                    translation = victim.page_table.lookup(vpn)
-                victim.page_table.unmap_page(vpn)
-                victim.note_unpopulated(vpn)
-                self._notify_invalidation(victim.pid, vpn, 1)
-                self._free_frames(translation.pfn, 1)
-                freed += 1
+            active = set(self.thp.active_for(pid))
+            unmap_run = victim.page_table.unmap_run
+            for vpn in victim.populated_vpns(pages - freed):
+                chunk = vpn - vpn % 512
+                if chunk in active:
+                    active.discard(chunk)
+                    self._split_chunk(victim, chunk)
+                for _, pfn in unmap_run(vpn, 1):
+                    victim.note_unpopulated(vpn)
+                    self._notify_invalidation(victim.pid, vpn, 1)
+                    self._free_frames(pfn, 1)
+                    freed += 1
             if freed >= pages:
                 break
         self.counters.increment("reclaimed_pages", freed)

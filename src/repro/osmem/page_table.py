@@ -12,14 +12,27 @@ sharing a line are the only translations CoLT may coalesce without extra
 memory references (paper Section 4.1.4), and which PTEs share a line is
 determined by their placement inside the table node.
 
+A leaf is a plain ``(pfn, attributes)`` tuple; the level of the node
+holding it says what it maps (a PD leaf is a 2MB PDE, a PT leaf a 4KB
+PTE). Mutators replace leaves, never edit them.
+
+The fault and munmap paths install and remove *runs* of pages, and 512
+consecutive VPNs share one PT node, so the 4KB mutators work per run:
+:meth:`PageTable.map_run` and :meth:`PageTable.unmap_run` descend once
+per PT node a run touches (and once more to create a missing one), and
+``map_page``/``unmap_page`` are their one-page case. Table nodes are
+created and pruned in the order the page-by-page loop would, so table
+frames leave and return to their source in the same sequence.
+
 Every leaf write goes through the mutators of :class:`PageTable`, which
-report it to write listeners (:meth:`PageTable.add_write_listener`). The
-capture recorder uses that to memoize walk outcomes per VPN.
+report it to write listeners (:meth:`PageTable.add_write_listener`): one
+``(start_vpn, count)`` call per written run per node. The capture
+recorder uses that to memoize walk outcomes per VPN.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.common.constants import (
@@ -57,15 +70,14 @@ _SHIFTS = tuple(
     (LEAF_LEVEL - level) * BITS_PER_LEVEL for level in range(LEAF_LEVEL + 1)
 )
 _INDEX_MASK = PTES_PER_TABLE - 1
+_VPN_LIMIT = 1 << VPN_BITS
 
 
-@dataclass
-class _LeafEntry:
-    """A present leaf translation (4KB PTE or 2MB PDE)."""
+#: A present leaf: ``(pfn, attributes)``. Its node's level says whether
+#: it is a 4KB PTE (PT) or a 2MB PDE (PD).
+Leaf = Tuple[int, PageAttributes]
 
-    pfn: int
-    attributes: PageAttributes
-    is_superpage: bool
+_DEFAULT_USER = PageAttributes.default_user()
 
 
 class _Node:
@@ -76,7 +88,7 @@ class _Node:
     def __init__(self, frame: int) -> None:
         self.frame = frame
         self.children: Dict[int, "_Node"] = {}
-        self.leaves: Dict[int, _LeafEntry] = {}
+        self.leaves: Dict[int, Leaf] = {}
 
     @property
     def is_empty(self) -> bool:
@@ -136,12 +148,13 @@ class PageTable:
         """Subscribe to leaf writes.
 
         ``listener(start_vpn, count)`` fires after every mutator that
-        writes a leaf: ``(vpn, 1)`` for a 4KB PTE, ``(base, 512)`` for a
-        2MB PDE. ``split_superpage`` fires through the unmap and maps it
-        is made of. Table nodes are only freed once empty, i.e. after an
-        unmap that already fired, so a listener sees every change to
-        what :meth:`lookup`, :meth:`walk_path_addresses` and
-        :meth:`pte_cache_line` return.
+        writes leaves, once per written run per node: ``(vpn, 1)`` for
+        one 4KB PTE, ``(start, n)`` for ``n`` consecutive PTEs of one PT
+        node, ``(base, 512)`` for a 2MB PDE. ``split_superpage`` fires
+        through the unmap and the map it is made of. Table nodes are
+        only freed once empty, i.e. after an unmap that already fired,
+        so a listener sees every change to what :meth:`lookup`,
+        :meth:`walk_path_addresses` and :meth:`pte_cache_line` return.
         """
         self._write_listeners.append(listener)
 
@@ -166,24 +179,47 @@ class PageTable:
         self,
         vpn: int,
         pfn: int,
-        attributes: PageAttributes = PageAttributes.default_user(),
+        attributes: PageAttributes = _DEFAULT_USER,
     ) -> None:
         """Install a 4KB translation ``vpn -> pfn``."""
-        self._check_vpn(vpn)
-        leaves = self._descend(vpn, LEAF_LEVEL, create=True).leaves
-        index = vpn & _INDEX_MASK
-        if index in leaves:
-            raise TranslationError(f"vpn {vpn} already mapped")
-        leaves[index] = _LeafEntry(pfn, attributes, False)
-        self._mapped_pages += 1
-        if self._write_listeners:
-            self._notify_write(vpn, 1)
+        self.map_run(vpn, pfn, 1, attributes)
+
+    def map_run(
+        self,
+        vpn: int,
+        pfn: int,
+        count: int,
+        attributes: PageAttributes = _DEFAULT_USER,
+    ) -> None:
+        """Install ``count`` 4KB translations ``vpn + i -> pfn + i``.
+
+        A run with any page already mapped (or inside a superpage) is
+        rejected before anything is written or reported.
+        """
+        spans = self._pt_spans(vpn, count)
+        for base, lo, hi, node in spans:
+            if node is not None and not node.leaves.keys().isdisjoint(
+                range(lo, hi)
+            ):
+                taken = min(i for i in range(lo, hi) if i in node.leaves)
+                raise TranslationError(f"vpn {base + taken} already mapped")
+        for base, lo, hi, node in spans:
+            if node is None:
+                node = self._descend(base, LEAF_LEVEL, create=True)
+            frame = pfn + base + lo - vpn
+            node.leaves.update(zip(
+                range(lo, hi),
+                zip(range(frame, frame + hi - lo), repeat(attributes)),
+            ))
+            self._mapped_pages += hi - lo
+            if self._write_listeners:
+                self._notify_write(base + lo, hi - lo)
 
     def map_superpage(
         self,
         vpn: int,
         pfn: int,
-        attributes: PageAttributes = PageAttributes.default_user(),
+        attributes: PageAttributes = _DEFAULT_USER,
     ) -> None:
         """Install a 2MB translation covering ``[vpn, vpn + 512)``.
 
@@ -201,39 +237,54 @@ class PageTable:
             raise TranslationError(
                 f"PD slot for vpn {vpn} already occupied"
             )
-        node.leaves[index] = _LeafEntry(pfn, attributes, is_superpage=True)
+        node.leaves[index] = (pfn, attributes)
         self._mapped_superpages += 1
         if self._write_listeners:
             self._notify_write(vpn, SUPERPAGE_PAGES)
 
     def unmap_page(self, vpn: int) -> Translation:
         """Remove a 4KB mapping; returns the removed translation."""
-        translation = self.unmap_page_if_mapped(vpn)
-        if translation is None:
+        translation = self.lookup(vpn)
+        if not self.unmap_run(vpn, 1):
             raise TranslationError(f"vpn {vpn} has no 4KB mapping")
         return translation
 
-    def unmap_page_if_mapped(self, vpn: int) -> Optional[Translation]:
-        """Remove ``vpn``'s 4KB mapping in one walk; None if it has none.
+    def unmap_run(self, vpn: int, count: int) -> List[Tuple[int, int]]:
+        """Remove the 4KB mappings in ``[vpn, vpn + count)``.
 
-        A ``vpn`` inside a superpage raises, as :meth:`unmap_page` does:
-        split the superpage first.
+        Unmapped pages are skipped. Returns the removed ``(vpn, pfn)``
+        pairs in VPN order. A run reaching into a superpage raises
+        before anything is removed: split the superpage first.
         """
-        self._check_vpn(vpn)
-        node = self._descend(vpn, LEAF_LEVEL, create=False)
-        if node is None:
-            if self.superpage_base(vpn) is not None:
-                raise TranslationError(f"vpn {vpn} lies in a superpage")
-            return None
-        leaf = node.leaves.pop(vpn & _INDEX_MASK, None)
-        if leaf is None:
-            return None
-        self._mapped_pages -= 1
-        if node.is_empty:
-            self._prune(vpn, self._path_nodes(vpn, LEAF_LEVEL))
-        if self._write_listeners:
-            self._notify_write(vpn, 1)
-        return Translation(vpn, leaf.pfn, leaf.attributes, False)
+        removed: List[Tuple[int, int]] = []
+        append = removed.append
+        for base, lo, hi, node in self._pt_spans(vpn, count):
+            if node is None:
+                continue
+            pop = node.leaves.pop
+            mark = len(removed)
+            for index in range(lo, hi):
+                leaf = pop(index, None)
+                if leaf is not None:
+                    append((base + index, leaf[0]))
+            if len(removed) == mark:
+                continue
+            self._mapped_pages -= len(removed) - mark
+            if self._write_listeners:
+                self._notify_runs(removed, mark)
+            if node.is_empty:
+                self._prune(base, self._path_nodes(base, LEAF_LEVEL))
+        return removed
+
+    def _notify_runs(self, removed: List[Tuple[int, int]], mark: int) -> None:
+        """Report ``removed[mark:]`` as maximal runs of consecutive VPNs."""
+        run_start = previous = removed[mark][0]
+        for vpn, _ in removed[mark + 1:]:
+            if vpn != previous + 1:
+                self._notify_write(run_start, previous + 1 - run_start)
+                run_start = vpn
+            previous = vpn
+        self._notify_write(run_start, previous + 1 - run_start)
 
     def unmap_superpage(self, vpn: int) -> Translation:
         """Remove a 2MB mapping; returns its base translation."""
@@ -244,13 +295,13 @@ class PageTable:
         node = path[-1]
         index = level_index(vpn, SUPERPAGE_LEVEL)
         leaf = node.leaves.pop(index, None) if node else None
-        if leaf is None or not leaf.is_superpage:
+        if leaf is None:
             raise TranslationError(f"vpn {vpn} has no superpage mapping")
         self._mapped_superpages -= 1
         self._prune(vpn, path)
         if self._write_listeners:
             self._notify_write(vpn, SUPERPAGE_PAGES)
-        return Translation(vpn, leaf.pfn, leaf.attributes, is_superpage=True)
+        return Translation(vpn, leaf[0], leaf[1], is_superpage=True)
 
     def split_superpage(self, vpn: int) -> None:
         """Break a 2MB mapping into 512 4KB PTEs with the same frames.
@@ -262,8 +313,7 @@ class PageTable:
         don't survive.
         """
         base = self.unmap_superpage(vpn)
-        for offset in range(SUPERPAGE_PAGES):
-            self.map_page(vpn + offset, base.pfn + offset, base.attributes)
+        self.map_run(vpn, base.pfn, SUPERPAGE_PAGES, base.attributes)
 
     # ------------------------------------------------------------------
     # Lookup.
@@ -281,10 +331,10 @@ class PageTable:
         for shift in _SHIFTS[:LEAF_LEVEL]:
             index = (vpn >> shift) & _INDEX_MASK
             leaf = node.leaves.get(index)
-            if leaf is not None and leaf.is_superpage:
+            if leaf is not None:  # above the PT, only a 2MB PDE
                 offset = vpn % SUPERPAGE_PAGES
                 return Translation(
-                    vpn, leaf.pfn + offset, leaf.attributes, is_superpage=True
+                    vpn, leaf[0] + offset, leaf[1], is_superpage=True
                 )
             node = node.children.get(index)
             if node is None:
@@ -292,50 +342,51 @@ class PageTable:
         leaf = node.leaves.get(vpn & _INDEX_MASK)
         if leaf is None:
             return None
-        return Translation(vpn, leaf.pfn, leaf.attributes, False)
+        return Translation(vpn, leaf[0], leaf[1], False)
 
     def superpage_base(self, vpn: int) -> Optional[Translation]:
         """If ``vpn`` lies in a superpage, its base translation; else None."""
         base_vpn = vpn - (vpn % SUPERPAGE_PAGES)
-        node = self._path_nodes(base_vpn, SUPERPAGE_LEVEL)[-1]
+        node = self._descend(base_vpn, SUPERPAGE_LEVEL, create=False)
         if node is None:
             return None
         leaf = node.leaves.get(level_index(base_vpn, SUPERPAGE_LEVEL))
-        if leaf is None or not leaf.is_superpage:
+        if leaf is None:
             return None
-        return Translation(base_vpn, leaf.pfn, leaf.attributes, is_superpage=True)
+        return Translation(base_vpn, leaf[0], leaf[1], is_superpage=True)
 
     def is_mapped(self, vpn: int) -> bool:
         return self.lookup(vpn) is not None
 
     def set_attributes(self, vpn: int, attributes: PageAttributes) -> None:
         """Replace the attribute bits of an existing 4KB mapping."""
-        node = self._descend_to_pt(vpn, create=False)
-        if node is None:
-            raise TranslationError(f"vpn {vpn} not mapped")
-        leaf = node.leaves.get(level_index(vpn, LEAF_LEVEL))
+        node = self._descend(vpn, LEAF_LEVEL, create=False)
+        index = vpn & _INDEX_MASK
+        leaf = node.leaves.get(index) if node is not None else None
         if leaf is None:
             raise TranslationError(f"vpn {vpn} not mapped")
-        leaf.attributes = attributes
+        node.leaves[index] = (leaf[0], attributes)
         if self._write_listeners:
             self._notify_write(vpn, 1)
 
     def mark_accessed(self, vpn: int, dirty: bool = False) -> None:
         """Set the ACCESSED (and optionally DIRTY) bit, as a walk would."""
-        node = self._descend_to_pt(vpn, create=False)
-        leaf = node.leaves.get(level_index(vpn, LEAF_LEVEL)) if node else None
+        node = self._descend(vpn, LEAF_LEVEL, create=False)
+        index = vpn & _INDEX_MASK
+        leaf = node.leaves.get(index) if node is not None else None
         start_vpn, count = vpn, 1
         if leaf is None:
-            base = self.superpage_base(vpn)
-            if base is None:
-                raise TranslationError(f"vpn {vpn} not mapped")
             # Superpages keep a single A/D pair on the PDE.
-            pd = self._path_nodes(base.vpn, SUPERPAGE_LEVEL)[-1]
-            leaf = pd.leaves[level_index(base.vpn, SUPERPAGE_LEVEL)]
-            start_vpn, count = base.vpn, SUPERPAGE_PAGES
-        leaf.attributes |= PageAttributes.ACCESSED
+            start_vpn, count = vpn - vpn % SUPERPAGE_PAGES, SUPERPAGE_PAGES
+            node = self._descend(start_vpn, SUPERPAGE_LEVEL, create=False)
+            index = level_index(start_vpn, SUPERPAGE_LEVEL)
+            leaf = node.leaves.get(index) if node is not None else None
+            if leaf is None:
+                raise TranslationError(f"vpn {vpn} not mapped")
+        attributes = leaf[1] | PageAttributes.ACCESSED
         if dirty:
-            leaf.attributes |= PageAttributes.DIRTY
+            attributes |= PageAttributes.DIRTY
+        node.leaves[index] = (leaf[0], attributes)
         if self._write_listeners:
             self._notify_write(start_vpn, count)
 
@@ -356,8 +407,7 @@ class PageTable:
         for level in range(LEAF_LEVEL + 1):
             index = level_index(vpn, level)
             addresses.append(node.entry_physical_address(index))
-            leaf = node.leaves.get(index)
-            if leaf is not None:
+            if index in node.leaves:
                 return addresses
             child = node.children.get(index)
             if child is None:
@@ -375,21 +425,18 @@ class PageTable:
         """
         self._check_vpn(vpn)
         line_base = vpn & ~(PTES_PER_CACHE_LINE - 1)
-        node = self._descend_to_pt(line_base, create=False)
+        node = self._descend(line_base, LEAF_LEVEL, create=False)
+        if node is None:
+            return (None,) * PTES_PER_CACHE_LINE
+        leaves = node.leaves
+        first = line_base & _INDEX_MASK
         result: List[Optional[Translation]] = []
         for offset in range(PTES_PER_CACHE_LINE):
-            page_vpn = line_base + offset
-            leaf = (
-                node.leaves.get(level_index(page_vpn, LEAF_LEVEL))
-                if node is not None
-                else None
+            leaf = leaves.get(first + offset)
+            result.append(
+                None if leaf is None
+                else Translation(line_base + offset, leaf[0], leaf[1], False)
             )
-            if leaf is None or leaf.is_superpage:
-                result.append(None)
-            else:
-                result.append(
-                    Translation(page_vpn, leaf.pfn, leaf.attributes, False)
-                )
         return tuple(result)
 
     # ------------------------------------------------------------------
@@ -408,13 +455,12 @@ class PageTable:
         self, node: _Node, level: int, vpn_prefix: int
     ) -> Iterator[Translation]:
         shift = (LEAF_LEVEL - level) * BITS_PER_LEVEL
+        is_superpage = level != LEAF_LEVEL
         for index in sorted(set(node.children) | set(node.leaves)):
             vpn_base = vpn_prefix | (index << shift)
             leaf = node.leaves.get(index)
             if leaf is not None:
-                yield Translation(
-                    vpn_base, leaf.pfn, leaf.attributes, leaf.is_superpage
-                )
+                yield Translation(vpn_base, leaf[0], leaf[1], is_superpage)
             else:
                 yield from self._iter_node(
                     node.children[index], level + 1, vpn_base
@@ -446,8 +492,35 @@ class PageTable:
             node = child
         return node
 
-    def _descend_to_pt(self, vpn: int, create: bool) -> Optional[_Node]:
-        return self._descend(vpn, LEAF_LEVEL, create)
+    def _pt_spans(
+        self, vpn: int, count: int
+    ) -> List[Tuple[int, int, int, Optional[_Node]]]:
+        """``[vpn, vpn + count)`` cut at PT-node boundaries.
+
+        One ``(base, lo, hi, node)`` per PT node the run touches: the
+        node covers VPNs ``base + [0, 512)``, the run its slots
+        ``[lo, hi)``, and ``node`` is None where it does not exist yet.
+        Each is found by one descent to its PD. Raises when any span
+        lies in a superpage.
+        """
+        end = vpn + count
+        if not 0 <= vpn <= end <= _VPN_LIMIT:
+            raise TranslationError(
+                f"run [{vpn}, {end}) outside canonical address space"
+            )
+        spans: List[Tuple[int, int, int, Optional[_Node]]] = []
+        while vpn < end:
+            base = vpn - (vpn & _INDEX_MASK)
+            pd = self._descend(vpn, SUPERPAGE_LEVEL, create=False)
+            node = None
+            if pd is not None:
+                slot = (vpn >> BITS_PER_LEVEL) & _INDEX_MASK
+                if slot in pd.leaves:
+                    raise TranslationError(f"vpn {vpn} lies in a superpage")
+                node = pd.children.get(slot)
+            spans.append((base, vpn - base, min(end - base, PTES_PER_TABLE), node))
+            vpn = base + PTES_PER_TABLE
+        return spans
 
     def _path_nodes(self, vpn: int, target_level: int) -> List[Optional[_Node]]:
         """Nodes along the path root..target_level (None past a hole)."""
@@ -472,5 +545,5 @@ class PageTable:
 
     @staticmethod
     def _check_vpn(vpn: int) -> None:
-        if not 0 <= vpn < (1 << VPN_BITS):
+        if not 0 <= vpn < _VPN_LIMIT:
             raise TranslationError(f"vpn {vpn} outside canonical address space")

@@ -10,6 +10,7 @@ same decisions Linux makes.
 
 from __future__ import annotations
 
+import heapq
 from typing import Callable, Iterator, List, Optional, Set
 
 from repro.common.constants import SUPERPAGE_PAGES
@@ -119,9 +120,9 @@ class Process:
     def iter_mappings(self) -> Iterator[Translation]:
         return self.page_table.iter_mappings()
 
-    def populated_vpns(self) -> List[int]:
-        """Sorted list of resident virtual pages (for reclaim victims)."""
-        return sorted(self._populated)
+    def populated_vpns(self, limit: int) -> List[int]:
+        """The ``limit`` lowest resident virtual pages, ascending (reclaim)."""
+        return heapq.nsmallest(limit, self._populated)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -201,3 +201,164 @@ class TestInvalidationListeners:
         assert len([e for e in events if e[0] == process.pid]) <= migrated + 1
         if migrated:
             assert events  # at least one shootdown fired
+
+
+def reference_unpopulate(kernel, process, start_vpn, num_pages):
+    """The page-by-page munmap: split overlapping superpages, then one
+    lookup and unmap per page, freeing each run of consecutive frames
+    when a hole or a frame discontinuity ends it."""
+    end = start_vpn + num_pages
+    for chunk in kernel.thp.active_for(process.pid):
+        if chunk < end and chunk + 512 > start_vpn:
+            kernel._split_chunk(process, chunk)
+    run_pfn, run_len = None, 0
+    for vpn in range(start_vpn, end):
+        translation = process.page_table.lookup(vpn)
+        if translation is not None:
+            process.page_table.unmap_page(vpn)
+            process.note_unpopulated(vpn)
+            kernel._notify_invalidation(process.pid, vpn, 1)
+            if run_len and translation.pfn == run_pfn + run_len:
+                run_len += 1
+                continue
+        if run_len:
+            kernel._free_frames(run_pfn, run_len)
+        run_pfn, run_len = (
+            (translation.pfn, 1) if translation is not None else (None, 0)
+        )
+    if run_len:
+        kernel._free_frames(run_pfn, run_len)
+
+
+def reference_reclaim(kernel, pages):
+    """Reclaim that sorts each victim's resident set and looks up, then
+    unmaps, each page."""
+    freed = 0
+    for pid in list(kernel._reclaim_victims):
+        victim = kernel._processes[pid]
+        for vpn in sorted(victim._populated):
+            if freed >= pages:
+                break
+            translation = victim.page_table.lookup(vpn)
+            if translation.is_superpage:
+                kernel._split_chunk(victim, vpn - vpn % 512)
+                translation = victim.page_table.lookup(vpn)
+            victim.page_table.unmap_page(vpn)
+            victim.note_unpopulated(vpn)
+            kernel._notify_invalidation(victim.pid, vpn, 1)
+            kernel._free_frames(translation.pfn, 1)
+            freed += 1
+        if freed >= pages:
+            break
+    kernel.counters.increment("reclaimed_pages", freed)
+    return freed
+
+
+def fragmented_process():
+    """A process with a superpage followed by two PT nodes of base pages.
+
+    The base pages arrive three at a time, interleaved with another
+    process's allocations, so runs of pages break into runs of frames;
+    two unmapped holes sit in the first base-page node.
+    """
+    kernel = Kernel(KernelConfig(num_frames=4096, ths_enabled=False, seed=99))
+    process = kernel.create_process("p")
+    other = kernel.create_process("other")
+    base = kernel.malloc(process, 3 * 512, populate=False, align_huge=True).start_vpn
+    end = base + 3 * 512
+    for vpn in range(base + 512, end, 3):
+        kernel.populate_range(process, vpn, min(3, end - vpn), batch=3)
+        kernel.malloc(other, 1)
+    assert kernel.thp.try_fault_huge(process, base)
+    kernel.unpopulate_range(process, base + 600, 40)
+    kernel.unpopulate_range(process, base + 700, 1)
+    return kernel, process, base
+
+
+def observed(operation):
+    """Run ``operation(kernel, process, base)`` on a fresh fragmented
+    process; return what it did and left behind."""
+    kernel, process, base = fragmented_process()
+    frees, events = [], []
+    free_frames = kernel._free_frames
+
+    def recording_free(pfn, length):
+        frees.append((pfn, length))
+        free_frames(pfn, length)
+
+    kernel._free_frames = recording_free
+    kernel.add_invalidation_listener(
+        lambda pid, vpn, count: events.append((pid, vpn, count))
+    )
+    returned = operation(kernel, process, base)
+    physical = kernel.physical
+    return {
+        "returned": returned,
+        "frees": frees,
+        "events": events,
+        "free_lists": [list(blocks) for blocks in kernel.buddy._free_lists],
+        "frame_map": [
+            (
+                physical.is_allocated(pfn), physical.is_movable(pfn),
+                physical.owner_of(pfn), physical.backing_vpn_of(pfn),
+            )
+            for pfn in range(physical.num_frames)
+        ],
+        "mappings": list(process.iter_mappings()),
+        "populated": sorted(process._populated),
+        "table_pool": list(kernel._table_pool),
+        "counters": kernel.counters.as_dict(),
+    }
+
+
+class TestUnpopulateMatchesPageByPage:
+    @pytest.mark.parametrize(
+        "offset, num_pages",
+        [
+            (0, 3 * 512),      # everything: split, holes, two PT nodes
+            (300, 400),        # split superpage into the first PT node
+            (590, 60),         # across the 40-page hole
+            (690, 400),        # the 1-page hole and a node boundary
+            (1000, 100),       # across the second node boundary
+            (1200, 600),       # runs past the end of the mappings
+            (610, 20),         # inside a hole: nothing to do
+        ],
+    )
+    def test_same_frees_shootdowns_and_frame_state(self, offset, num_pages):
+        batched = observed(
+            lambda kernel, process, base: kernel.unpopulate_range(
+                process, base + offset, num_pages
+            )
+        )
+        reference = observed(
+            lambda kernel, process, base: reference_unpopulate(
+                kernel, process, base + offset, num_pages
+            )
+        )
+        assert batched == reference
+
+    def test_frames_break_runs_of_pages(self):
+        """The fixture really frees runs shorter than the runs of pages."""
+        result = observed(
+            lambda kernel, process, base: kernel.unpopulate_range(
+                process, base + 690, 400
+            )
+        )
+        assert len(result["events"]) > 300
+        assert max(length for _, length in result["frees"]) <= 6
+
+
+class TestReclaimMatchesPageByPage:
+    @pytest.mark.parametrize("pages", [0, 10, 600, 5000])
+    def test_same_frees_shootdowns_and_frame_state(self, pages):
+        """The victim's lowest pages are a superpage, then base pages."""
+
+        def reclaiming(reclaim):
+            def operation(kernel, process, base):
+                kernel.register_reclaim_victim(process)
+                return reclaim(kernel, pages)
+            return operation
+
+        batched = observed(reclaiming(Kernel._reclaim))
+        assert batched == observed(reclaiming(reference_reclaim))
+        assert batched["returned"] == min(pages, 3 * 512 - 41)

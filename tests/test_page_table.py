@@ -1,6 +1,8 @@
 """Tests for the x86-64 four-level page table."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.common.constants import PTES_PER_CACHE_LINE, SUPERPAGE_PAGES
 from repro.common.errors import TranslationError
@@ -323,8 +325,9 @@ class TestWriteListener:
         first, second = _listen(table), _listen(table)
         _mutate(table)
         assert first == second
-        # Seven writes, the split's PDE plus its 512 PTEs, then two more.
-        assert len(first) == 7 + (1 + SUPERPAGE_PAGES) + 2
+        # Seven writes, the split's PDE plus its one 512-PTE run, then
+        # two more.
+        assert len(first) == 7 + 2 + 2
 
     def test_table_without_listener_behaves_as_before(self):
         plain, observed = PageTable(), PageTable()
@@ -339,3 +342,196 @@ class TestWriteListener:
                 observed.walk_path_addresses(vpn)
             )
             assert plain.pte_cache_line(vpn) == observed.pte_cache_line(vpn)
+
+
+# ---------------------------------------------------------------------------
+# Run mutators against a page-by-page reference.
+# ---------------------------------------------------------------------------
+
+#: Two PDs' worth of VPN space around a PD boundary: runs drawn here
+#: cross PT-node and PD boundaries.
+PD_PAGES = SUPERPAGE_PAGES * SUPERPAGE_PAGES
+WINDOW = range(PD_PAGES - 3 * SUPERPAGE_PAGES, PD_PAGES + 3 * SUPERPAGE_PAGES)
+
+
+class RecordingFrames:
+    """A frame source that reuses released frames (last in, first out,
+    like the kernel's table pool) and logs every allocate and release."""
+
+    def __init__(self):
+        self.log = []
+        self._pool = []
+        self._next = 1 << 20
+
+    def allocate(self):
+        if self._pool:
+            frame = self._pool.pop()
+        else:
+            frame, self._next = self._next, self._next + 1
+        self.log.append(("allocate", frame))
+        return frame
+
+    def release(self, frame):
+        self._pool.append(frame)
+        self.log.append(("release", frame))
+
+
+def recorded_table():
+    frames = RecordingFrames()
+    table = PageTable(frames.allocate, frames.release)
+    return table, frames, _listen(table)
+
+
+def reference_map_run(table, vpn, pfn, count, attributes):
+    """``map_run`` as one ``map_page`` per page, after checking them all."""
+    if any(table.lookup(page) is not None for page in range(vpn, vpn + count)):
+        raise TranslationError(f"run at {vpn} overlaps a mapping")
+    for offset in range(count):
+        table.map_page(vpn + offset, pfn + offset, attributes)
+
+
+def reference_unmap_run(table, vpn, count):
+    """``unmap_run`` as one ``lookup`` + ``unmap_page`` per mapped page."""
+    translations = [table.lookup(page) for page in range(vpn, vpn + count)]
+    if any(t is not None and t.is_superpage for t in translations):
+        raise TranslationError(f"run at {vpn} reaches into a superpage")
+    removed = []
+    for translation in translations:
+        if translation is not None:
+            table.unmap_page(translation.vpn)
+            removed.append((translation.vpn, translation.pfn))
+    return removed
+
+
+def written_lines(writes):
+    """The 8-PTE lines a listener's ``(start, count)`` calls cover."""
+    return {
+        vpn // PTES_PER_CACHE_LINE
+        for start, count in writes
+        for vpn in range(start, start + count)
+    }
+
+
+def table_state(table, frames, vpns):
+    return (
+        list(table.iter_mappings()),
+        table.mapped_pages,
+        [table.walk_path_addresses(vpn) for vpn in vpns],
+        list(frames.log),
+    )
+
+
+_RUNS = st.tuples(
+    st.sampled_from(["map", "unmap", "superpage", "split"]),
+    st.integers(WINDOW.start, WINDOW.stop - 1),
+    st.integers(1, 2 * SUPERPAGE_PAGES + 4),
+    st.integers(0, 1 << 16),
+)
+
+
+REJECTED = "rejected"
+
+
+def apply(table, operation, map_run, unmap_run):
+    """Apply one drawn operation; :data:`REJECTED` when the table raises."""
+    kind, vpn, count, pfn = operation
+    chunk = vpn - vpn % SUPERPAGE_PAGES
+    try:
+        if kind == "map":
+            return map_run(table, vpn, pfn, count, PageAttributes(pfn & 0x7F))
+        if kind == "unmap":
+            return unmap_run(table, vpn, count)
+        if kind == "superpage":
+            return table.map_superpage(chunk, pfn * SUPERPAGE_PAGES)
+        return table.split_superpage(chunk)
+    except TranslationError:
+        return REJECTED
+
+
+class TestRunsMatchPageByPage:
+    @given(operations=st.lists(_RUNS, min_size=1, max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_random_runs(self, operations):
+        subject, subject_frames, subject_writes = recorded_table()
+        reference, reference_frames, reference_writes = recorded_table()
+        for operation in operations:
+            del subject_writes[:], reference_writes[:]
+            before = table_state(subject, subject_frames, [])
+            result = apply(
+                subject, operation,
+                lambda t, *args: t.map_run(*args),
+                lambda t, *args: t.unmap_run(*args),
+            )
+            expected = apply(
+                reference, operation, reference_map_run, reference_unmap_run
+            )
+            assert result == expected
+            _, vpn, count, _ = operation
+            touched = range(vpn - 1, vpn + count + 1)
+            assert table_state(subject, subject_frames, touched) == (
+                table_state(reference, reference_frames, touched)
+            )
+            assert written_lines(subject_writes) == (
+                written_lines(reference_writes)
+            )
+            if expected == REJECTED:
+                # A rejected operation writes nothing and tells no
+                # listener.
+                assert subject_writes == []
+                assert table_state(subject, subject_frames, []) == before
+
+    def test_run_across_a_pd_boundary_descends_per_node(self):
+        table, frames, writes = recorded_table()
+        start = PD_PAGES - 700
+        table.map_run(start, 5000, 1400)
+        # One listener call per PT node the run touches.
+        assert writes == [
+            (start, 188), (PD_PAGES - 512, 512),
+            (PD_PAGES, 512), (PD_PAGES + 512, 188),
+        ]
+        assert [t.pfn - t.vpn for t in table.iter_mappings()] == (
+            [5000 - start] * 1400
+        )
+        del writes[:]
+        removed = table.unmap_run(start + 10, 1380)
+        assert removed == [
+            (vpn, vpn - start + 5000) for vpn in range(start + 10, start + 1390)
+        ]
+        assert table.mapped_pages == 20
+
+    def test_unmap_run_skips_holes_and_reports_written_runs(self):
+        table, _, writes = recorded_table()
+        table.map_run(100, 900, 4)
+        table.map_run(110, 950, 4)
+        del writes[:]
+        assert table.unmap_run(98, 20) == [
+            (100, 900), (101, 901), (102, 902), (103, 903),
+            (110, 950), (111, 951), (112, 952), (113, 953),
+        ]
+        assert writes == [(100, 4), (110, 4)]
+        assert table.unmap_run(98, 20) == []
+
+    def test_rejected_run_writes_and_allocates_nothing(self):
+        table, frames, writes = recorded_table()
+        # The conflict sits in the second PT node, past a missing one.
+        table.map_page(PD_PAGES + 3, 1)
+        del writes[:]
+        before = table_state(table, frames, [])
+        with pytest.raises(TranslationError, match=f"vpn {PD_PAGES + 3}"):
+            table.map_run(PD_PAGES - 600, 7, 700)
+        assert writes == []
+        assert table_state(table, frames, []) == before
+
+    def test_run_into_a_superpage_is_rejected_whole(self):
+        table, frames, writes = recorded_table()
+        table.map_superpage(PD_PAGES, 0)
+        before = table_state(table, frames, [])
+        del writes[:]
+        for operation in (
+            lambda: table.map_run(PD_PAGES - 4, 7, 8),
+            lambda: table.unmap_run(PD_PAGES - 4, 8),
+        ):
+            with pytest.raises(TranslationError, match="superpage"):
+                operation()
+        assert writes == []
+        assert table_state(table, frames, []) == before
