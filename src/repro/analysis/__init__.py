@@ -11,12 +11,11 @@ legal TLB entries:
   and the kernel through lightweight hook points. Enable them with
   ``COLT_SANITIZE=1`` (or ``SimulationConfig(sanitize=True)``); the
   default hot path stays unchanged.
-* **Static analysis** (:mod:`repro.analysis.static`) -- AST rules that
-  keep randomness flowing through
+* **Determinism lint** (:mod:`repro.analysis.static`) -- single-file
+  AST rules that keep randomness flowing through
   :class:`repro.common.rng.SeedSequencer`, wall-clock reads out of
-  simulation code, and other determinism hazards out of ``src/repro``,
-  plus cross-file concurrency and exception-hygiene checks. CLI:
-  ``colt-analyze`` / ``python tools/analyze.py``.
+  simulation code, and other determinism hazards out of ``src/repro``.
+  CLI: ``colt-analyze`` / ``python tools/analyze.py``.
 * **Determinism harness** (:mod:`repro.analysis.determinism`) -- runs a
   configuration twice with the same seed and asserts the final counter
   / page-table / TLB state hashes are bit-identical, catching the

@@ -1,9 +1,8 @@
-"""``colt-analyze``: the project-wide static analysis front end.
+"""``colt-analyze``: the determinism lint's command line.
 
-Runs the lint, concurrency, and exception-hygiene passes over a shared
-:class:`ProjectModel` and prints every finding no pragma accepts,
-plus a count. Doc freshness (``--check-docs`` / ``--write-docs``)
-rides on the same run.
+Lints every ``.py`` file under the given paths and prints each finding
+no pragma accepts, plus a count. Doc freshness (``--check-docs`` /
+``--write-docs``) rides on the same run.
 
 Exit codes: 0 clean, 1 findings (or stale docs), 2 usage errors.
 """
@@ -15,12 +14,8 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.analysis.static.concurrency import ConcurrencyPass
 from repro.analysis.static.docs import check_docs, write_docs
-from repro.analysis.static.hygiene import ExceptionHygienePass
-from repro.analysis.static.lint_rules import LintPass
-from repro.analysis.static.model import ProjectModel
-from repro.analysis.static.passes import run_passes
+from repro.analysis.static.lint_rules import lint_paths
 
 
 def find_repo_root(start: Path) -> Optional[Path]:
@@ -34,7 +29,7 @@ def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="colt-analyze",
         description=(
-            "Project-wide static analysis for the CoLT reproduction repo. "
+            "Determinism lint for the CoLT reproduction repo. "
             "Accept a finding with '# colt-lint: disable=<rule> -- <why>' "
             "on its line."
         ),
@@ -81,10 +76,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"colt-analyze: no such path: {path}", file=sys.stderr)
             return 2
 
-    project = ProjectModel.from_paths(paths)
-    findings = run_passes(
-        project, [LintPass(), ConcurrencyPass(), ExceptionHygienePass()]
-    )
+    findings = lint_paths(paths)
     for finding in findings:
         print(finding.render())
     print(f"colt-analyze: {len(findings)} finding(s)")

@@ -93,15 +93,10 @@ def check_docs(repo_root: Path) -> List[str]:
     except ValueError as exc:
         return [str(exc)]
     for path, content in expected.items():
-        rel = path.relative_to(repo_root)
-        if not path.exists():
+        if path.read_text(encoding="utf-8") != content:
             problems.append(
-                f"{rel}: missing; run colt-analyze --write-docs"
-            )
-        elif path.read_text(encoding="utf-8") != content:
-            problems.append(
-                f"{rel}: stale generated section; run colt-analyze "
-                f"--write-docs"
+                f"{path.relative_to(repo_root)}: stale generated section; "
+                f"run colt-analyze --write-docs"
             )
     return problems
 
@@ -110,8 +105,7 @@ def write_docs(repo_root: Path) -> List[str]:
     """Regenerate every generated doc in place; returns written paths."""
     written: List[str] = []
     for path, content in render_docs(repo_root).items():
-        path.parent.mkdir(parents=True, exist_ok=True)
-        if not path.exists() or path.read_text(encoding="utf-8") != content:
+        if path.read_text(encoding="utf-8") != content:
             path.write_text(content, encoding="utf-8")
             written.append(str(path.relative_to(repo_root)))
     return written

@@ -1,4 +1,4 @@
-"""The single-file lint rules, as a pass on the shared framework.
+"""The determinism lint: single-file AST rules, the pragma, the file walk.
 
 The simulator's headline guarantee is that a configuration plus a seed
 fully determines every number in every figure. That guarantee is easy
@@ -10,32 +10,63 @@ protect with generic linters. The rules:
   :class:`repro.common.rng.SeedSequencer`, never module-level RNG state;
 * ``wall-clock`` -- no clock reads outside the allow-listed CLI layers
   and the tracer;
-* ``mutable-default`` / ``float-eq`` -- two classic silent-drift bugs;
+* ``float-eq`` -- no ``==`` against a float constant, which depends on
+  rounding;
 * ``no-print`` -- library code logs instead of printing;
 * ``raw-env-read`` -- every environment read goes through
   :mod:`repro.common.knobs`, so each knob is named, defaulted and
   documented in one place.
 
-The AST visitor emits :class:`~repro.analysis.static.passes.Finding`
-objects and is driven by :class:`LintPass` over a
-:class:`ProjectModel`, so the pragma is shared with every other
-analyzer. Lint-only runs in code use
-``run_passes(project, [LintPass()])``.
+A file that does not parse is one ``syntax-error`` finding.
+
+The one way to accept a finding is a pragma on the flagged line that
+says why::
+
+    t = time.time()  # colt-lint: disable=wall-clock -- <why>
+
+``disable=<rule>[,<rule>...]`` names the suppressed rules
+(``disable=all`` suppresses every rule on the line); anything after
+`` -- `` is the reason, which the repo's tests require.
+
+:func:`lint_source` lints one module's text and :func:`lint_paths`
+every ``.py`` file under the given paths; both drop the findings a
+pragma accepts.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import List, Sequence
-
-from repro.analysis.static.model import ModuleInfo, ProjectModel
-from repro.analysis.static.passes import AnalysisPass, Finding
+import re
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 #: Rule identifiers, in reporting order.
 RULES = (
-    "rng-module-state", "wall-clock", "mutable-default", "float-eq",
-    "no-print", "raw-env-read",
+    "rng-module-state", "wall-clock", "float-eq", "no-print",
+    "raw-env-read",
 )
+
+#: A comma-separated rule list, so a trailing `` -- <why>`` is never
+#: read as part of a rule name.
+_PRAGMA = re.compile(
+    r"#\s*colt-lint:\s*disable=([A-Za-z0-9_-]+(?:\s*,\s*[A-Za-z0-9_-]+)*)"
+)
+
+
+@dataclass(frozen=True)
+class Finding:
+    """One lint finding, formatted ``path:line:col: rule: message``."""
+
+    path: str
+    line: int
+    col: int
+    rule: str
+    message: str
+
+    def render(self) -> str:
+        return f"{self.path}:{self.line}:{self.col}: {self.rule}: {self.message}"
+
 
 #: Files (matched by path suffix) where wall-clock reads are legal:
 #: CLI layers that print elapsed time but never serialize it, plus the
@@ -304,42 +335,6 @@ class _Visitor(ast.NodeVisitor):
             )
         self.generic_visit(node)
 
-    # -- mutable defaults ----------------------------------------------
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._check_defaults(node)
-        self.generic_visit(node)
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._check_defaults(node)
-        self.generic_visit(node)
-
-    def _check_defaults(self, node) -> None:
-        defaults = list(node.args.defaults) + [
-            d for d in node.args.kw_defaults if d is not None
-        ]
-        for default in defaults:
-            if self._is_mutable_literal(default):
-                self._report(
-                    default,
-                    "mutable-default",
-                    f"mutable default argument in '{node.name}()' is shared "
-                    f"across calls; default to None and build inside",
-                )
-
-    @staticmethod
-    def _is_mutable_literal(node: ast.AST) -> bool:
-        if isinstance(node, (ast.List, ast.Dict, ast.Set, ast.ListComp,
-                             ast.DictComp, ast.SetComp)):
-            return True
-        return (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id in ("list", "dict", "set", "bytearray")
-            and not node.args
-            and not node.keywords
-        )
-
     # -- float equality ------------------------------------------------
 
     def visit_Compare(self, node: ast.Compare) -> None:
@@ -369,22 +364,53 @@ class _Visitor(ast.NodeVisitor):
         )
 
 
-class LintPass(AnalysisPass):
-    """The single-file rules plus syntax-error reporting."""
+def _accepted(finding: Finding, lines: Sequence[str]) -> bool:
+    """True when a pragma on the finding's line disables its rule."""
+    if not 1 <= finding.line <= len(lines):
+        return False
+    match = _PRAGMA.search(lines[finding.line - 1])
+    if not match:
+        return False
+    names = {part.strip() for part in match.group(1).split(",")}
+    return finding.rule in names or "all" in names
 
-    rules = RULES + ("syntax-error",)
 
-    def run(self, project: ProjectModel) -> List[Finding]:
-        findings: List[Finding] = []
-        for module in project.modules:
-            findings.extend(self._run_module(module))
-        return findings
+def _place(finding: Finding) -> Tuple[str, int, int, str]:
+    return (finding.path, finding.line, finding.col, finding.rule)
 
-    @staticmethod
-    def _run_module(module: ModuleInfo) -> List[Finding]:
-        if module.tree is None:
-            line, col, message = module.syntax_error or (1, 0, "syntax error")
-            return [Finding(module.path, line, col, "syntax-error", message)]
-        visitor = _Visitor(module.path)
-        visitor.visit(module.tree)
-        return visitor.diagnostics
+
+def lint_source(path: str, source: str) -> List[Finding]:
+    """Findings for one module's ``source``; pragma-accepted ones drop."""
+    try:
+        tree = ast.parse(source, filename=path)
+    except SyntaxError as exc:
+        findings = [Finding(
+            path, exc.lineno or 1, exc.offset or 0, "syntax-error",
+            exc.msg or "syntax error",
+        )]
+    else:
+        visitor = _Visitor(path)
+        visitor.visit(tree)
+        findings = visitor.diagnostics
+    lines = source.splitlines()
+    return sorted(
+        (f for f in findings if not _accepted(f, lines)), key=_place
+    )
+
+
+def iter_python_files(paths: Iterable[Path]) -> Iterator[Path]:
+    """Yield ``.py`` files under ``paths`` (directories recurse, sorted)."""
+    for path in paths:
+        if path.is_dir():
+            yield from sorted(path.rglob("*.py"))
+        elif path.suffix == ".py":
+            yield path
+
+
+def lint_paths(paths: Iterable[Path]) -> List[Finding]:
+    """Findings for every ``.py`` file under ``paths``, sorted by place."""
+    findings: List[Finding] = []
+    for file_path in iter_python_files(paths):
+        source = file_path.read_text(encoding="utf-8")
+        findings.extend(lint_source(str(file_path), source))
+    return sorted(findings, key=_place)

@@ -42,11 +42,15 @@ def _fsync_directory(path: Path) -> None:
     """Best-effort fsync of ``path``'s directory (rename durability)."""
     try:
         fd = os.open(path.parent, os.O_RDONLY)
-    except OSError:  # colt-lint: disable=silent-except -- a directory that cannot be opened skips its fsync; that costs durability, never integrity
+    except OSError:
+        # A directory that cannot be opened skips its fsync; that
+        # costs durability, never integrity.
         return
     try:
         os.fsync(fd)
-    except OSError:  # colt-lint: disable=silent-except -- filesystems that reject fsync (tmpfs, some network mounts) lose durability, never integrity
+    except OSError:
+        # Filesystems that reject fsync (tmpfs, some network mounts)
+        # lose durability, never integrity.
         pass
     finally:
         os.close(fd)

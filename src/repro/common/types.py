@@ -198,7 +198,3 @@ class LookupResult:
     translation: Optional[Translation]
     hit_level: str  # "l1", "superpage", "l2", "walk"
     latency: int = 0
-
-    @property
-    def was_walk(self) -> bool:
-        return self.hit_level == "walk"

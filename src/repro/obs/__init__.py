@@ -2,7 +2,7 @@
 
 One subsystem, five pieces (see DESIGN.md section 6):
 
-* :mod:`repro.obs.registry` -- metrics registry (counters, gauges,
+* :mod:`repro.obs.registry` -- metrics registry (counters and
   histograms with labels); components bind their ``CounterSet``s via
   zero-hot-path-cost collectors when they are built.
 * :mod:`repro.obs.trace` -- bounded structured tracer (spans for

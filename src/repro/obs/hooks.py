@@ -67,6 +67,8 @@ def in_pool_worker() -> bool:
 def reset_worker_obs() -> None:
     """Pool-worker initializer: drop obs state inherited over ``fork``."""
     global _IN_POOL_WORKER
-    _IN_POOL_WORKER = True  # colt-lint: disable=worker-global-mutation -- this is the pool initializer; it writes the worker's own post-fork copy
+    # This is the pool initializer: it writes the worker's own
+    # post-fork copy.
+    _IN_POOL_WORKER = True
     reset_tracing()
     set_registry(MetricsRegistry())

@@ -1,4 +1,4 @@
-"""Metrics registry: named counters, gauges and histograms with labels.
+"""Metrics registry: named counters and histograms with labels.
 
 The registry is the numeric half of ``repro.obs`` (the structured
 tracer in ``repro.obs.trace`` is the temporal half). Components create
@@ -25,7 +25,7 @@ Two integration styles coexist:
 Snapshots merge (:meth:`MetricsRegistry.merge_snapshot`), which is how
 the :class:`repro.sim.runner.ExperimentRunner` folds the registries of
 its ``ProcessPoolExecutor`` workers into the parent process's view:
-counters and histograms add, gauges keep the merged value.
+counters and histograms add.
 
 The process-local default registry (:func:`get_registry`) is what every
 simulator component binds into, once, when it is built; nothing is
@@ -87,25 +87,6 @@ class Counter(Instrument):
 
     def value(self, **labels) -> float:
         return self._series.get(_label_key(labels), 0)
-
-    def series(self):
-        return self._series.items()
-
-
-class Gauge(Instrument):
-    """Last-written value (free pages, worker count, queue depth)."""
-
-    kind = "gauge"
-
-    def __init__(self, name: str, help: str = "", unit: str = "") -> None:
-        super().__init__(name, help, unit)
-        self._series: Dict[LabelKey, float] = {}
-
-    def set(self, value: float, **labels) -> None:
-        self._series[_label_key(labels)] = value
-
-    def value(self, **labels) -> Optional[float]:
-        return self._series.get(_label_key(labels))
 
     def series(self):
         return self._series.items()
@@ -184,8 +165,8 @@ class MetricsSnapshot:
 
     ``instruments`` maps instrument name to::
 
-        {"kind": "counter|gauge|histogram", "help": ..., "unit": ...,
-         "series": [{"labels": {...}, "value": v}                   # counter/gauge
+        {"kind": "counter|histogram", "help": ..., "unit": ...,
+         "series": [{"labels": {...}, "value": v}                   # counter
                     | {"labels": {...}, "count": n, "sum": s,
                        "buckets": [bound...], "counts": [c...]}]}   # histogram
     """
@@ -256,9 +237,6 @@ class MetricsRegistry:
 
     def counter(self, name: str, help: str = "", unit: str = "") -> Counter:
         return self._get_or_create(Counter, name, help=help, unit=unit)
-
-    def gauge(self, name: str, help: str = "", unit: str = "") -> Gauge:
-        return self._get_or_create(Gauge, name, help=help, unit=unit)
 
     def histogram(
         self,
@@ -346,8 +324,7 @@ class MetricsRegistry:
     def merge_snapshot(self, snapshot: MetricsSnapshot) -> None:
         """Fold a (worker) snapshot into this registry's instruments.
 
-        Counters and histograms add; gauges keep the incoming value
-        (the freshest observation wins). Histogram samples whose bucket
+        Counters and histograms add. Histogram samples whose bucket
         bounds differ from the registered instrument's are rejected
         with :class:`ConfigurationError` -- merging them would silently
         misalign per-bucket counts.
@@ -387,12 +364,6 @@ class MetricsRegistry:
                         hist._series[key] = state
                     else:
                         mine.merge(state)
-            elif kind == "gauge":
-                gauge = self.gauge(
-                    name, help=entry.get("help", ""), unit=entry.get("unit", "")
-                )
-                for sample in entry["series"]:
-                    gauge.set(sample["value"], **sample["labels"])
             else:
                 counter = self.counter(
                     name, help=entry.get("help", ""), unit=entry.get("unit", "")
@@ -438,11 +409,14 @@ def get_registry() -> MetricsRegistry:
     """The process-local default registry (created on first use)."""
     global _REGISTRY
     if _REGISTRY is None:
-        _REGISTRY = MetricsRegistry()  # colt-lint: disable=worker-global-mutation -- lazy singleton; a worker writes its own post-fork copy
+        # Lazy singleton; a pool worker writes its own post-fork copy.
+        _REGISTRY = MetricsRegistry()
     return _REGISTRY
 
 
 def set_registry(registry: Optional[MetricsRegistry]) -> None:
     """Replace the default registry (tests, worker-process resets)."""
     global _REGISTRY
-    _REGISTRY = registry  # colt-lint: disable=worker-global-mutation -- workers call it only from the pool initializer, to install their own registry
+    # Workers call this only from the pool initializer, to install
+    # their own registry.
+    _REGISTRY = registry

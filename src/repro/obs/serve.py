@@ -5,7 +5,7 @@ Opt-in live observability for long runs (``COLT_TELEMETRY_PORT`` or
 on a daemon thread serves
 
 * ``/metrics`` -- the process-local :class:`~repro.obs.registry.MetricsRegistry`
-  rendered in Prometheus text exposition format (counters, gauges and
+  rendered in Prometheus text exposition format (counters and
   cumulative histogram buckets);
 * ``/progress`` -- the experiment loop's done/failed/pending counts,
   current experiment ids and runner stage as JSON, read from the
@@ -92,7 +92,7 @@ def _labels_text(
 def prometheus_text(snapshot: MetricsSnapshot) -> str:
     """Render a metrics snapshot in Prometheus text exposition format.
 
-    Counters and gauges render one line per label set; histograms
+    Counters render one line per label set; histograms
     render cumulative ``_bucket{le=...}`` lines (with the implicit
     ``+Inf`` bucket) plus ``_sum`` and ``_count``, matching the
     Prometheus client-library convention.
@@ -101,7 +101,7 @@ def prometheus_text(snapshot: MetricsSnapshot) -> str:
     for name in sorted(snapshot.instruments):
         entry = snapshot.instruments[name]
         kind = entry.get("kind", "untyped")
-        if kind not in ("counter", "gauge", "histogram"):
+        if kind not in ("counter", "histogram"):
             kind = "untyped"
         help_text = entry.get("help") or ""
         if help_text:

@@ -115,7 +115,7 @@ def reset_tracing() -> Tracer:
     twice once the worker drains.
     """
     global _TRACER
-    _TRACER = Tracer()  # colt-lint: disable=worker-global-mutation -- the pool initializer replaces the tracer (and buffer) inherited over fork
+    _TRACER = Tracer()
     return _TRACER
 
 

@@ -171,10 +171,6 @@ class PageTable:
         """Number of 4KB leaf mappings (superpages count as 512)."""
         return self._mapped_pages + self._mapped_superpages * SUPERPAGE_PAGES
 
-    @property
-    def mapped_superpages(self) -> int:
-        return self._mapped_superpages
-
     def map_page(
         self,
         vpn: int,
@@ -354,9 +350,6 @@ class PageTable:
         if leaf is None:
             return None
         return Translation(base_vpn, leaf[0], leaf[1], is_superpage=True)
-
-    def is_mapped(self, vpn: int) -> bool:
-        return self.lookup(vpn) is not None
 
     def set_attributes(self, vpn: int, attributes: PageAttributes) -> None:
         """Replace the attribute bits of an existing 4KB mapping."""

@@ -122,16 +122,6 @@ class ThpManager:
             return True
         return False
 
-    def split_for_process(self, process: Process) -> int:
-        """Split every superpage of ``process`` (teardown, mprotect...)."""
-        count = 0
-        for key in [k for k in self._active if k[0] == process.pid]:
-            del self._active[key]
-            process.page_table.split_superpage(key[1])
-            self.counters.increment("splits")
-            count += 1
-        return count
-
     def forget_chunk(self, pid: int, chunk_base: int) -> None:
         """Drop one superpage from the active book (caller splits it)."""
         self._active.pop((pid, chunk_base), None)

@@ -120,18 +120,20 @@ class ShutdownCoordinator:
         self._event.set()
 
     def _handle(self, signum, frame) -> None:
+        # Logging here cannot self-deadlock: logging's lock is
+        # re-entrant and the handler runs on the main thread.
         name = signal.Signals(signum).name
         if self._event.is_set():
             # Second signal: get out of the way and take the default
             # (fatal) behaviour -- every store entry is written
             # atomically, so a hard abort loses nothing but politeness.
-            _LOG.warning("second %s: hard abort", name)  # colt-lint: disable=signal-handler-work -- logging's lock is re-entrant and the handler runs on the main thread, so it cannot self-deadlock
+            _LOG.warning("second %s: hard abort", name)
             signal.signal(signum, signal.SIG_DFL)
             os.kill(os.getpid(), signum)
             return
         self.signal_name = name
         self._event.set()
-        _LOG.warning(  # colt-lint: disable=signal-handler-work -- one log line on the re-entrant logging lock announcing graceful shutdown
+        _LOG.warning(
             "%s received: cancelling pending work, checkpointing "
             "completed results (signal again to hard-abort)", name,
         )

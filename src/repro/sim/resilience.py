@@ -121,7 +121,9 @@ def _run_armed(fn, args, attempt, timeout_s, dump_dir):
             # when it reaches this task, still took its result.)
             if path.stat().st_size == 0:
                 path.unlink()
-        except OSError:  # colt-lint: disable=silent-except -- removing an empty dump file is litter control; failing leaves the empty file, nothing else
+        except OSError:
+            # Litter control only: failing leaves the empty file,
+            # nothing else.
             pass
 
 #: Counter names the executor maintains (bound to the metrics registry

@@ -84,7 +84,9 @@ _PREFIXES: Optional[Dict[tuple, bytes]] = None
 def open_prefix_cache() -> None:
     """Share prefixes among this process's captures until closed."""
     global _PREFIXES
-    _PREFIXES = {}  # colt-lint: disable=worker-global-mutation -- the pool initializer opens each worker's own cache, which lives as long as the worker: one batch
+    # The pool initializer opens each worker's own cache, which lives
+    # as long as the worker: one batch.
+    _PREFIXES = {}
 
 
 def close_prefix_cache() -> None:
@@ -253,7 +255,9 @@ class ScenarioEngine:
             daemon_vma = self.kernel.malloc(
                 daemon, pages, name="live_churn", populate=True
             )
-        except OutOfMemoryError:  # colt-lint: disable=silent-except -- a daemon allocation failing under OOM is the modeled behaviour; the kernel's OOM counters record it
+        except OutOfMemoryError:
+            # A daemon allocation failing under OOM is the modeled
+            # behaviour; the kernel's OOM counters record it.
             return
         live.append((daemon, daemon_vma))
         while len(live) > self.config.churn_live_limit:

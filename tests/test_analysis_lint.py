@@ -1,41 +1,39 @@
-"""Tests for the determinism lint: every rule, the pragma, and the repo.
+"""Tests for the determinism lint: every rule, the pragma, the CLI, the repo.
 
 Each rule gets fixtures proving it fires on a violation and stays quiet
-on the sanctioned alternative; the repo tests run the lint pass over
-``src`` and ``tools`` and demand a clean bill, and every allow-list
-entry must still be needed.
+on the sanctioned alternative. The repo tests lint ``src`` and ``tools``
+and demand a clean bill; every allow-list entry must still be needed,
+every pragma must say why, the generated docs must be fresh, and the
+simulator must not import the lint.
 """
 
+import io
+import os
+import subprocess
+import sys
+import tokenize
 from pathlib import Path
 
 import pytest
 
 from repro.analysis.static.cli import main
+from repro.analysis.static.docs import check_docs
 from repro.analysis.static.lint_rules import (
     PRINT_ALLOW,
     RAW_ENV_ALLOW,
     RNG_CONSTRUCTION_ALLOW,
     RULES,
     WALL_CLOCK_ALLOW,
-    LintPass,
+    iter_python_files,
+    lint_paths,
+    lint_source,
 )
-from repro.analysis.static.model import ProjectModel, iter_python_files
-from repro.analysis.static.passes import run_passes
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def lint_source(source, path):
-    """Lint one module's source text; pragma-suppressed findings drop."""
-    return run_passes(ProjectModel.from_sources([(path, source)]), [LintPass()])
-
-
-def lint_paths(paths):
-    return run_passes(ProjectModel.from_paths(paths), [LintPass()])
-
-
 def rules_of(source, path="sim/module.py"):
-    return [d.rule for d in lint_source(source, path)]
+    return [d.rule for d in lint_source(path, source)]
 
 
 class TestRngModuleState:
@@ -101,27 +99,6 @@ class TestWallClock:
         assert rules_of("import time\ntime.sleep(1)\n") == []
 
 
-class TestMutableDefault:
-    def test_list_literal_flagged(self):
-        assert rules_of("def f(x=[]):\n    return x\n") == ["mutable-default"]
-
-    def test_dict_call_flagged(self):
-        assert rules_of("def f(x=dict()):\n    return x\n") == [
-            "mutable-default"
-        ]
-
-    def test_kwonly_default_flagged(self):
-        assert rules_of("def f(*, x={}):\n    return x\n") == [
-            "mutable-default"
-        ]
-
-    def test_none_default_allowed(self):
-        assert rules_of("def f(x=None):\n    return x\n") == []
-
-    def test_tuple_default_allowed(self):
-        assert rules_of("def f(x=(1, 2)):\n    return x\n") == []
-
-
 class TestFloatEq:
     def test_float_equality_flagged(self):
         assert rules_of("ok = rate == 0.5\n", "m.py") == ["float-eq"]
@@ -145,11 +122,45 @@ class TestPragma:
         assert rules_of(source) == []
 
     def test_disable_all(self):
-        source = "x = rate == 0.5  # colt-lint: disable=all\n"
+        source = (
+            "import time\n"
+            "ok = time.time() == 0.5  # colt-lint: disable=all\n"
+        )
         assert rules_of(source) == []
 
     def test_disable_wrong_rule_keeps_diagnostic(self):
         source = "x = rate == 0.5  # colt-lint: disable=wall-clock\n"
+        assert rules_of(source) == ["float-eq"]
+
+    def test_multi_rule_pragma_suppresses_both(self):
+        source = (
+            "import time\n"
+            "ok = time.time() == 0.5"
+            "  # colt-lint: disable=wall-clock,float-eq\n"
+        )
+        assert rules_of(source) == []
+
+    def test_multi_rule_pragma_is_not_a_wildcard(self):
+        source = (
+            "import time\n"
+            "ok = time.time() == 0.5  # colt-lint: disable=wall-clock\n"
+        )
+        assert rules_of(source) == ["float-eq"]
+
+    def test_reasoned_multi_rule_pragma_suppresses_both(self):
+        source = (
+            "import time\n"
+            "ok = time.time() == 0.5"
+            "  # colt-lint: disable=wall-clock,float-eq -- why\n"
+        )
+        assert rules_of(source) == []
+
+    def test_reason_is_not_read_as_a_rule(self):
+        source = (
+            "import time\n"
+            "ok = time.time() == 0.5"
+            "  # colt-lint: disable=wall-clock -- float-eq\n"
+        )
         assert rules_of(source) == ["float-eq"]
 
 
@@ -243,6 +254,15 @@ class TestCli:
     def test_exit_two_on_missing_path(self, tmp_path, capsys):
         assert main([str(tmp_path / "nope")]) == 2
 
+    def test_reasoned_pragma_accepts_the_only_finding(self, tmp_path, capsys):
+        target = tmp_path / "mod.py"
+        target.write_text(
+            "import random  # colt-lint: disable=rng-module-state -- why\n",
+            encoding="utf-8",
+        )
+        assert main([str(target)]) == 0
+        assert "0 finding(s)" in capsys.readouterr().out
+
     def test_directory_recursion(self, tmp_path):
         (tmp_path / "pkg").mkdir()
         (tmp_path / "pkg" / "mod.py").write_text("import random\n")
@@ -258,13 +278,30 @@ class TestCli:
 
 
 class TestRepoIsClean:
-    def test_src_lints_clean(self):
-        diagnostics = lint_paths([REPO_ROOT / "src"])
-        assert diagnostics == [], "\n".join(d.render() for d in diagnostics)
+    def test_src_and_tools_lint_clean(self):
+        findings = lint_paths([REPO_ROOT / "src", REPO_ROOT / "tools"])
+        assert findings == [], "\n".join(f.render() for f in findings)
 
-    def test_tools_lint_clean(self):
-        diagnostics = lint_paths([REPO_ROOT / "tools"])
-        assert diagnostics == [], "\n".join(d.render() for d in diagnostics)
+    def test_every_pragma_gives_a_reason(self):
+        pragmas = []
+        for path in iter_python_files(
+            [REPO_ROOT / "src", REPO_ROOT / "tools"]
+        ):
+            source = path.read_text(encoding="utf-8")
+            for token in tokenize.generate_tokens(io.StringIO(source).readline):
+                if (
+                    token.type == tokenize.COMMENT
+                    and "colt-lint: disable=" in token.string
+                ):
+                    pragmas.append((f"{path}:{token.start[0]}", token.string))
+        unreasoned = [
+            where for where, comment in pragmas
+            if not comment.partition(" -- ")[2].strip()
+        ]
+        assert unreasoned == []
+
+    def test_generated_docs_are_fresh(self):
+        assert check_docs(REPO_ROOT) == []
 
     def test_all_rules_have_fixture_coverage(self):
         # Guard against adding a rule without tests: the rule tuple is
@@ -272,7 +309,6 @@ class TestRepoIsClean:
         assert set(RULES) == {
             "rng-module-state",
             "wall-clock",
-            "mutable-default",
             "float-eq",
             "no-print",
             "raw-env-read",
@@ -285,7 +321,6 @@ def test_each_rule_fires_somewhere(rule):
     samples = {
         "rng-module-state": ("import random\n", "sim/module.py"),
         "wall-clock": ("import time\ntime.time()\n", "sim/module.py"),
-        "mutable-default": ("def f(x=[]):\n    return x\n", "sim/module.py"),
         "float-eq": ("ok = x == 0.5\n", "sim/module.py"),
         "no-print": ("print('x')\n", "src/repro/sim/module.py"),
         "raw-env-read": ("import os\nos.getenv('X')\n", "sim/module.py"),
@@ -322,3 +357,26 @@ def test_allow_list_entry_is_needed(entry, rule):
     assert len(matches) == 1, matches
     source = matches[0].read_text(encoding="utf-8")
     assert rule in rules_of(source, "src/repro/sim/module.py")
+
+
+def test_simulator_does_not_import_tooling():
+    """Simulator processes and pool workers load no analyzer or server."""
+    code = (
+        "import sys\n"
+        "import repro.sim.runner, repro.experiments.registry\n"
+        "print(*sys.modules)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], env=env, check=True,
+        capture_output=True, text=True,
+    ).stdout.split()
+    unwanted = [
+        name for name in loaded
+        if name.startswith("repro.analysis.static")
+        or name in ("repro.obs.serve", "http.server")
+    ]
+    assert unwanted == []

@@ -91,7 +91,7 @@ class TestRegistry:
         registry = MetricsRegistry()
         registry.counter("colt_test_metric")
         with pytest.raises(ConfigurationError):
-            registry.gauge("colt_test_metric")
+            registry.histogram("colt_test_metric")
 
     def test_get_or_create_returns_same_instrument(self):
         registry = MetricsRegistry()
@@ -128,14 +128,6 @@ class TestRegistry:
         series = merged.get("colt_h")["series"]
         assert series[0]["count"] == 2
         assert series[0]["sum"] == 4
-
-    def test_merge_snapshot_gauge_overwrites(self):
-        worker = MetricsRegistry()
-        worker.gauge("colt_free").set(10)
-        parent = MetricsRegistry()
-        parent.gauge("colt_free").set(99)
-        parent.merge_snapshot(worker.snapshot())
-        assert parent.gauge("colt_free").value() == 10
 
     def test_bound_counterset_sampled_lazily(self):
         registry = MetricsRegistry()

@@ -127,11 +127,10 @@ def parse_prometheus(text: str) -> dict:
 
 
 class TestPrometheusText:
-    def test_counter_gauge_round_trip(self):
+    def test_counter_round_trip(self):
         registry = MetricsRegistry()
         registry.counter("colt_hits", help="hits").inc(7, design="colt_sa")
         registry.counter("colt_hits").inc(3, design="colt_fa")
-        registry.gauge("colt_depth", help="queue depth").set(2.5)
         parsed = parse_prometheus(prometheus_text(registry.snapshot()))
 
         assert parsed["colt_hits"]["type"] == "counter"
@@ -140,8 +139,6 @@ class TestPrometheusText:
             for _, labels, value in parsed["colt_hits"]["samples"]
         }
         assert samples == {"colt_sa": 7.0, "colt_fa": 3.0}
-        assert parsed["colt_depth"]["type"] == "gauge"
-        assert parsed["colt_depth"]["samples"][0][2] == 2.5
 
     def test_histogram_renders_cumulative_buckets(self):
         registry = MetricsRegistry()

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Repo-root entry point for the project-wide static analysis.
+"""Repo-root entry point for the determinism lint.
 
 Equivalent to the ``colt-analyze`` console script, but runnable straight
 from a checkout with no install step:
@@ -7,7 +7,7 @@ from a checkout with no install step:
     python tools/analyze.py src tools
     python tools/analyze.py --check-docs
 
-See ``repro.analysis.static`` for the pass framework and analyzers.
+See ``repro.analysis.static`` for the rules and the pragma.
 """
 
 import sys
