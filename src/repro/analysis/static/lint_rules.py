@@ -72,10 +72,9 @@ class Finding:
 #: CLI layers that print elapsed time but never serialize it, plus the
 #: tracer (its timestamps describe the run; they never feed results).
 WALL_CLOCK_ALLOW = (
-    "tools/calibrate.py",
     "tools/bench_runner.py",
-    # Drives kill/resume subprocesses: polls for table files and
-    # signal-delivery windows; nothing feeds into results.
+    # Drives kill/resume subprocesses: deadlines on polling their
+    # output for printed tables; nothing feeds into results.
     "tools/chaos_check.py",
     "repro/experiments/__main__.py",
     "repro/obs/trace.py",

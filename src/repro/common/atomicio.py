@@ -1,10 +1,10 @@
 """Atomic artifact writes: temp file -> fsync -> ``os.replace``.
 
 Every JSON/CSV/text artifact the toolchain persists (trace exports,
-metrics snapshots, run reports, run history, experiment table dumps,
-store entries) goes through these helpers so that a kill
--- SIGKILL, OOM, power loss -- at any instant leaves either the
-complete old file or the complete new file, never a torn hybrid:
+metrics snapshots, run reports, run history, store entries) goes
+through these helpers so that a kill -- SIGKILL, OOM, power loss -- at
+any instant leaves either the complete old file or the complete new
+file, never a torn hybrid:
 
 1. the payload is written to a same-directory temp file
    (``.<name>.<pid>.tmp`` -- same filesystem, so the final rename

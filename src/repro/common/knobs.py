@@ -110,8 +110,8 @@ DUMP_DIR = Knob(
 )
 TELEMETRY_PORT = Knob(
     "COLT_TELEMETRY_PORT", None,
-    "serve /metrics, /progress and /healthz over HTTP on this 127.0.0.1 "
-    "port while a run is in flight (0 = ephemeral)",
+    "serve /metrics and /healthz over HTTP on this 127.0.0.1 port while "
+    "a run is in flight (0 = ephemeral)",
     "--telemetry-port",
 )
 HISTORY = Knob(

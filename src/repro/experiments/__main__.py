@@ -18,7 +18,8 @@ choose what else to write out:
 * ``--trace [FILE]`` writes the spans as a Chrome/Perfetto trace plus
   a ``<FILE stem>.metrics.json`` snapshot;
 * ``--report [FILE]`` prints (or writes) the human run report;
-* ``-q`` / ``-v`` control the library log level.
+* ``-q`` hides the summary lines; ``-q`` / ``-v`` set the library
+  log level.
 
 Resilience (``repro.sim.resilience``) is configurable per run:
 ``--retries`` / ``--task-timeout`` override the ``COLT_RETRIES`` /
@@ -30,15 +31,18 @@ store corruption for chaos testing. When the resilience layer
 absorbed anything, or a fault fired in the parent or a worker, a
 summary line reports it.
 
-The experiments run through one loop (``repro.sim.campaign``), which
+The experiments run through one loop (:func:`run_experiments`), which
+keeps each experiment's result object, prints its table as it
+finishes -- the printed tables are the run's table output -- and
 carries on past an experiment that failed permanently (the run then
-exits 1) and, with a result store, writes each finished table to
-``<cache>/campaign/tables/<id>.txt``. The store is the only resume
-state: rerunning the same command after an interruption gets every
-finished simulation back as a store hit. SIGINT/SIGTERM are handled
-two-stage: the first signal winds the run down gracefully (checkpoint,
-flush obs artifacts) and exits with status 75; a second signal
-hard-aborts.
+exits 1). The store is the only resume state: rerunning the same
+command after an interruption gets every finished simulation back as
+a store hit. SIGINT/SIGTERM are handled two-stage
+(``repro.sim.shutdown``): the first signal winds the run down
+gracefully (checkpoint, flush obs artifacts) and exits with status 75;
+a second signal hard-aborts. Every exit path, an exception included,
+writes the summary, the requested trace and report, and the history
+record.
 
 The elapsed-time stamps printed here are display-only terminal feedback
 (monotonic ``perf_counter``); they are never serialized into experiment
@@ -53,9 +57,11 @@ import os
 import time
 from dataclasses import replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.common import knobs
+from repro.common.errors import ShutdownRequested, TaskExecutionError
+from repro.common.statistics import CounterSet
 from repro.obs.export import write_chrome_trace, write_metrics_json
 from repro.obs.history import (
     build_record,
@@ -63,29 +69,31 @@ from repro.obs.history import (
     history_enabled,
     history_path,
 )
-from repro.obs.live import get_progress
-from repro.obs.logging import configure_logging
+from repro.obs.logging import configure_logging, get_logger
 from repro.obs.registry import (
     MetricsRegistry,
     MetricsSnapshot,
+    bind_counterset,
     get_registry,
     set_registry,
 )
 from repro.obs.report import RunReport
 from repro.obs.serve import TelemetryServer, telemetry_port_from_env
-from repro.obs.trace import reset_tracing
-from repro.sim.campaign import (
-    SHUTDOWN_EXIT_CODE,
-    CampaignRunner,
-    ShutdownCoordinator,
-    campaign_fingerprint,
-)
+from repro.obs.trace import reset_tracing, span
 from repro.sim.faults import FaultPlan
 from repro.sim.resilience import RetryPolicy
 from repro.sim.runner import ExperimentRunner
-from repro.sim.store import ResultStore
+from repro.sim.shutdown import SHUTDOWN_EXIT_CODE, ShutdownCoordinator
+from repro.sim.store import ResultStore, run_fingerprint
 from repro.experiments.registry import EXPERIMENTS, resolve_experiments
 from repro.experiments.scale import preset_name, scale_from_env
+
+_LOG = get_logger("repro.experiments")
+
+#: The experiment loop's counters, bound to the registry as
+#: ``colt_campaign_*`` (the report's campaign line and the history
+#: record read them under these names).
+CAMPAIGN_COUNTERS = ("experiments", "completed", "failed", "interrupted")
 
 
 def _env_default(knob: knobs.Knob) -> str:
@@ -142,8 +150,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--telemetry-port", type=int, default=None, metavar="PORT",
         help="serve live telemetry over HTTP on 127.0.0.1:PORT while "
-             "the run is in flight (/metrics Prometheus text, "
-             "/progress JSON, /healthz); 0 picks an ephemeral port "
+             "the run is in flight (/metrics Prometheus text, whose "
+             "colt_campaign_* counters are the run's progress, and "
+             "/healthz); 0 picks an ephemeral port "
              + _env_default(knobs.TELEMETRY_PORT),
     )
     parser.add_argument(
@@ -207,47 +216,79 @@ def _emit_obs(args, events, snapshot: MetricsSnapshot,
                 print(f"report -> {args.report}")
 
 
-def _run_loop(
-    args, experiments, scale,
+def run_experiments(
+    experiments: Sequence,
+    scale,
     runner: ExperimentRunner,
-    shutdown: ShutdownCoordinator,
-    faults: Optional[FaultPlan],
-    phase_wall,
+    results: Dict[str, object],
+    wall: Dict[str, float],
+    shutdown: Optional[ShutdownCoordinator] = None,
+    faults: Optional[FaultPlan] = None,
 ) -> int:
-    """Run the experiment loop, printing each table as it finishes."""
-    marks = {"last": time.perf_counter()}
+    """Run ``experiments`` in order, printing each table as it finishes.
 
-    def _note_experiment(experiment, table: Optional[str]) -> None:
-        now = time.perf_counter()
-        elapsed = now - marks["last"]
-        marks["last"] = now
-        phase_wall[experiment.id] = elapsed
-        if table is not None and not args.quiet:
-            print(f"\n=== {experiment.title} ({elapsed:.1f}s) ===")
-            print(table)
+    Each finished experiment's result object lands in ``results`` and
+    its elapsed seconds (a failed one's too) in ``wall``, both keyed by
+    experiment id. ``<kind>@campaign:<index>`` faults fire before
+    experiment ``index`` starts, ahead of the shutdown check, so a
+    signal that lands during an injected delay stops the loop before
+    that experiment. An experiment that fails permanently
+    (:class:`TaskExecutionError`) is logged and the loop goes on.
 
-    status = CampaignRunner(
-        experiments,
-        runner,
-        scale,
-        shutdown=shutdown,
-        faults=faults,
-        on_experiment=_note_experiment,
-    ).run()
-    if status.interrupted is not None:
-        hint = "; rerun the same command to resume" \
-            if runner.store is not None else ""
-        print(f"interrupted by {status.interrupted}{hint}")
-        return SHUTDOWN_EXIT_CODE
-    return 0 if not status.failed else 1
+    Returns 0; 1 when an experiment failed; :data:`SHUTDOWN_EXIT_CODE`
+    when a shutdown stopped the loop.
+    """
+    counters = CounterSet(CAMPAIGN_COUNTERS)
+    bind_counterset(get_registry(), "colt_campaign", counters)
+    interrupted = None
+    for index, experiment in enumerate(experiments):
+        if faults is not None:
+            faults.fire("campaign", index)
+        if shutdown is not None and shutdown.requested:
+            interrupted = shutdown.signal_name
+            break
+        counters.increment("experiments")
+        started = time.perf_counter()
+        try:
+            result = experiment.run(scale, runner)
+        except ShutdownRequested as exc:
+            interrupted = exc.signal_name
+            break
+        except TaskExecutionError as exc:
+            result = None
+            counters.increment("failed")
+            _LOG.error("experiment %s failed permanently: %s",
+                       experiment.id, exc)
+        wall[experiment.id] = elapsed = time.perf_counter() - started
+        if result is not None:
+            results[experiment.id] = result
+            counters.increment("completed")
+            # Flushed: a piped reader (tee, tools/chaos_check.py) takes
+            # a printed table as the experiment's completion signal.
+            print(f"\n=== {experiment.title} ({elapsed:.1f}s) ===\n"
+                  f"{result.format_table()}", flush=True)
+    if interrupted is None:
+        return 1 if counters["failed"] else 0
+    counters.increment("interrupted")
+    with span("campaign.shutdown", cat="campaign", signal=interrupted):
+        _LOG.warning(
+            "interrupted by %s after %d of %d experiment(s); rerun the "
+            "same command to resume",
+            interrupted, len(results), len(experiments),
+        )
+    hint = "; rerun the same command to resume" \
+        if runner.store is not None else ""
+    print(f"\ninterrupted by {interrupted}{hint}", flush=True)
+    return SHUTDOWN_EXIT_CODE
 
 
 def _append_history(args, experiments, runner, store, scale, jobs,
-                    code, snapshot, report, phase_wall, total_wall) -> None:
+                    code, snapshot, report, wall) -> None:
     """Append the run's ``colt-history-v1`` record (best-effort).
 
     Every store-backed run leaves one record -- including interrupted
-    (exit 75) and failed ones, so the trend tables show crashes too.
+    (exit 75) and failed ones, a run that raised included, so the
+    trend tables show crashes too.
     """
     if store is None or not history_enabled():
         return
@@ -263,14 +304,12 @@ def _append_history(args, experiments, runner, store, scale, jobs,
         for name, entry in snapshot.instruments.items()
         if entry["kind"] == "counter"
     }
-    wall = dict(phase_wall)
-    wall["total"] = total_wall
     record = build_record(
         ts=time.time(),
         status=status,
         figure="+".join(ids),
         scale=preset_name(scale),
-        fingerprint=campaign_fingerprint(scale, ids),
+        fingerprint=run_fingerprint(scale, ids),
         wall=wall,
         counters=counters,
         store=runner.store_summary(),
@@ -330,42 +369,39 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             timeout_s=args.task_timeout if args.task_timeout > 0 else None,
         )
     faults = FaultPlan.from_env()
-    shutdown = ShutdownCoordinator().install()
+    shutdown = ShutdownCoordinator()
     runner = ExperimentRunner(
         jobs=jobs, store=store, policy=policy, faults=faults,
         shutdown=shutdown,
     )
 
-    get_progress().update(
-        phase="starting",
-        ids=[experiment.id for experiment in experiments],
-        scale=preset_name(scale),
-        jobs=jobs,
-    )
-    telemetry = None
-    if args.telemetry_port is not None:
-        telemetry = TelemetryServer(args.telemetry_port)
-        bound_port = telemetry.start()
-        # Always printed (not gated on --quiet): with port 0 this line
-        # is the only way callers learn the ephemeral port.
-        print(
-            f"telemetry: http://127.0.0.1:{bound_port}/ "
-            "(/metrics /progress /healthz)"
-        )
-
     code = 1
-    phase_wall = {}
+    telemetry = None
+    results: Dict[str, object] = {}
+    wall: Dict[str, float] = {}
     run_started = time.perf_counter()
+    shutdown.install()
     try:
-        try:
-            code = _run_loop(
-                args, experiments, scale, runner,
-                shutdown, faults, phase_wall,
+        if args.telemetry_port is not None:
+            telemetry = TelemetryServer(args.telemetry_port)
+            # Always printed (not gated on --quiet): with port 0 this
+            # line is the only way callers learn the ephemeral port.
+            print(
+                f"telemetry: http://127.0.0.1:{telemetry.start()}/ "
+                "(/metrics /healthz)", flush=True,
             )
-        finally:
-            shutdown.restore()
-
-        get_progress().update(phase="finished", exit_code=code)
+        code = run_experiments(
+            experiments, scale, runner, results, wall,
+            shutdown=shutdown, faults=faults,
+        )
+    finally:
+        # Every exit path, a raising one included (as a ``failed``
+        # record, before the exception propagates), leaves the process
+        # as it found it and writes the run's obs output.
+        shutdown.restore()
+        if telemetry is not None:
+            telemetry.stop()
+        wall["total"] = time.perf_counter() - run_started
         snapshot = get_registry().snapshot()
         events = runner.trace_events()
         report = RunReport.build(
@@ -374,12 +410,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _emit_obs(args, events, snapshot, report)
         _append_history(
             args, experiments, runner, store, scale, jobs, code,
-            snapshot, report, phase_wall,
-            time.perf_counter() - run_started,
+            snapshot, report, wall,
         )
-    finally:
-        if telemetry is not None:
-            telemetry.stop()
     return code
 
 

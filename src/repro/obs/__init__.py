@@ -17,10 +17,9 @@ One subsystem, five pieces (see DESIGN.md section 6):
 
 The telemetry plane (DESIGN.md section 11) builds on those:
 
-* :mod:`repro.obs.live` -- thread-safe
-  :class:`~repro.obs.live.ProgressTracker` blackboard the experiment loop and runner publish into;
 * :mod:`repro.obs.serve` -- opt-in HTTP endpoint (``/metrics`` in
-  Prometheus text format, ``/progress`` JSON, ``/healthz``);
+  Prometheus text format, ``/healthz``); the experiment loop's
+  ``colt_campaign_*`` counters there are a run's live progress;
 * :mod:`repro.obs.history` -- persistent ``colt-history-v1`` run
   records with trend/diff/regression-gate helpers
   (``tools/obs_history.py``).

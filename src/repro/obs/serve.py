@@ -1,35 +1,30 @@
-"""HTTP telemetry endpoint: ``/metrics``, ``/progress``, ``/healthz``.
+"""HTTP telemetry endpoint: ``/metrics`` and ``/healthz``.
 
 Opt-in live observability for long runs (``COLT_TELEMETRY_PORT`` or
 ``--telemetry-port``): a stdlib :class:`http.server.ThreadingHTTPServer`
-on a daemon thread serves
+on a daemon thread, bound to ``127.0.0.1``, serves
 
 * ``/metrics`` -- the process-local :class:`~repro.obs.registry.MetricsRegistry`
   rendered in Prometheus text exposition format (counters and
-  cumulative histogram buckets);
-* ``/progress`` -- the experiment loop's done/failed/pending counts,
-  current experiment ids and runner stage as JSON, read from the
-  :class:`~repro.obs.live.ProgressTracker`;
+  cumulative histogram buckets). The ``colt_campaign_*`` counters are
+  the experiment loop's progress;
 * ``/healthz`` -- liveness.
 
 The server is strictly read-only: ``/metrics`` takes a non-resetting
 registry snapshot under the registry's internal lock (the same
 serialisation ``merge_snapshot`` uses when the runner folds worker
-results in), and ``/progress`` deep-copies the tracker. Nothing here
-can perturb simulation state, so a served run stays bit-identical to
-an unserved one -- CI asserts exactly that.
+results in). Nothing here can perturb simulation state, so a served
+run stays bit-identical to an unserved one -- CI asserts exactly that.
 """
 
 from __future__ import annotations
 
-import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Mapping, Optional, Tuple
 
 from repro.common import knobs
 from repro.common.errors import ConfigurationError
-from repro.obs.live import ProgressTracker, get_progress
 from repro.obs.logging import get_logger
 from repro.obs.registry import MetricsRegistry, MetricsSnapshot, get_registry
 
@@ -145,20 +140,13 @@ class TelemetryServer:
     """
 
     def __init__(
-        self,
-        port: int,
-        host: str = "127.0.0.1",
-        registry: Optional[MetricsRegistry] = None,
-        progress: Optional[ProgressTracker] = None,
+        self, port: int, registry: Optional[MetricsRegistry] = None
     ) -> None:
         self._requested_port = port
-        self._host = host
         self._registry = registry
-        self._progress = progress
         self._lock = threading.Lock()
         self._server: Optional[ThreadingHTTPServer] = None
         self._thread: Optional[threading.Thread] = None
-        self._requests: Dict[str, int] = {}
 
     # -- lifecycle ------------------------------------------------------
 
@@ -176,7 +164,7 @@ class TelemetryServer:
     def start(self) -> int:
         handler = self._make_handler()
         server = ThreadingHTTPServer(
-            (self._host, self._requested_port), handler
+            ("127.0.0.1", self._requested_port), handler
         )
         server.daemon_threads = True
         thread = threading.Thread(
@@ -192,9 +180,7 @@ class TelemetryServer:
             self._thread = thread
         thread.start()
         port = server.server_address[1]
-        _LOG.info(
-            "telemetry endpoint listening on http://%s:%d", self._host, port
-        )
+        _LOG.info("telemetry endpoint listening on http://127.0.0.1:%d", port)
         return port
 
     def stop(self) -> None:
@@ -214,26 +200,9 @@ class TelemetryServer:
 
     # -- payloads -------------------------------------------------------
 
-    def _count_request(self, endpoint: str) -> None:
-        with self._lock:
-            self._requests[endpoint] = self._requests.get(endpoint, 0) + 1
-
-    def request_counts(self) -> Dict[str, int]:
-        with self._lock:
-            return dict(self._requests)
-
     def _metrics_payload(self) -> bytes:
         registry = self._registry if self._registry is not None else get_registry()
         return prometheus_text(registry.snapshot()).encode("utf-8")
-
-    def _progress_payload(self) -> bytes:
-        progress = self._progress if self._progress is not None else get_progress()
-        state = progress.snapshot()
-        state["telemetry"] = {
-            "port": self.port,
-            "requests": self.request_counts(),
-        }
-        return (json.dumps(state, sort_keys=True) + "\n").encode("utf-8")
 
     # -- request handling ----------------------------------------------
 
@@ -247,27 +216,17 @@ class TelemetryServer:
                 path = self.path.split("?", 1)[0].rstrip("/") or "/"
                 try:
                     if path == "/healthz":
-                        outer._count_request("healthz")
                         self._reply(200, b"ok\n", "text/plain; charset=utf-8")
                     elif path == "/metrics":
-                        outer._count_request("metrics")
                         self._reply(
                             200,
                             outer._metrics_payload(),
                             "text/plain; version=0.0.4; charset=utf-8",
                         )
-                    elif path == "/progress":
-                        outer._count_request("progress")
-                        self._reply(
-                            200,
-                            outer._progress_payload(),
-                            "application/json; charset=utf-8",
-                        )
                     else:
-                        outer._count_request("other")
                         self._reply(
                             404,
-                            b"not found: try /metrics /progress /healthz\n",
+                            b"not found: try /metrics /healthz\n",
                             "text/plain; charset=utf-8",
                         )
                 except BrokenPipeError:

@@ -74,7 +74,7 @@ STORE_KINDS = ("torn", "corrupt")
 #: Sites execution faults may target. ``campaign`` fires in the parent
 #: before an experiment starts (indexed by its position in the run's
 #: experiment list), so chaos tests can hold or kill a run between
-#: experiments and assert which table dumps landed; ``crash`` there
+#: experiments and assert which tables printed; ``crash`` there
 #: demotes to :class:`~repro.common.errors.InjectedFaultError` like any
 #: other parent-process fire.
 TASK_SITES = ("capture", "replay", "campaign")

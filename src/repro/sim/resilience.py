@@ -23,7 +23,7 @@ with per-task submission under an explicit :class:`RetryPolicy`:
   task *starts*, so a stuck worker leaves ``task-<pid>.txt`` under the
   dump dir showing *where* it was stuck, not just that it was.
 * **Shutdown hook** -- an installed
-  :class:`~repro.sim.campaign.ShutdownCoordinator` turns the first
+  :class:`~repro.sim.shutdown.ShutdownCoordinator` turns the first
   SIGINT/SIGTERM into a :class:`~repro.common.errors.ShutdownRequested`
   raised at the next safe point (pending futures cancelled, completed
   results already yielded -- and therefore checkpointed).

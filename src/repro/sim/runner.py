@@ -43,7 +43,6 @@ from repro.obs.hooks import (
     in_pool_worker,
     reset_worker_obs,
 )
-from repro.obs.live import get_progress
 from repro.obs.registry import bind_counterset, get_registry
 from repro.obs.trace import TraceEvent, current_tracer, span
 from repro.sim.faults import FaultPlan
@@ -187,7 +186,7 @@ class ExperimentRunner:
             (``COLT_RETRIES`` / ``COLT_TASK_TIMEOUT``).
         faults: deterministic fault-injection plan; defaults to the
             plan named by ``COLT_FAULTS`` (``None`` when unset).
-        shutdown: optional :class:`repro.sim.campaign.ShutdownCoordinator`
+        shutdown: optional :class:`repro.sim.shutdown.ShutdownCoordinator`
             polled between (and during) waves; a requested shutdown
             raises :class:`~repro.common.errors.ShutdownRequested` with
             every already-completed result checkpointed.
@@ -297,13 +296,6 @@ class ExperimentRunner:
             pending.append(config)
 
         if pending:
-            get_progress().update_section(
-                "runner",
-                stage="simulate",
-                configs=len(configs),
-                pending=len(pending),
-                jobs=self._jobs,
-            )
             open_prefix_cache()
             try:
                 with span(
@@ -315,7 +307,6 @@ class ExperimentRunner:
                     self._run_groups(pending)
             finally:
                 close_prefix_cache()
-            get_progress().update_section("runner", stage="idle", pending=0)
         return {config: self._cache[config] for config in configs}
 
     def _finish(
@@ -361,9 +352,6 @@ class ExperimentRunner:
             shutdown=self._shutdown,
         ) as executor:
             failure: Optional[TaskExecutionError] = None
-            get_progress().update_section(
-                "runner", stage="capture", captures=len(capture_tasks)
-            )
             try:
                 for task, (scenario, payload) in executor.run(capture_tasks):
                     self._scenarios[to_capture[task.index]] = scenario
@@ -390,9 +378,6 @@ class ExperimentRunner:
                 )
                 for index, (key, chunk) in enumerate(replay_chunks)
             ]
-            get_progress().update_section(
-                "runner", stage="replay", replays=len(replay_tasks)
-            )
             try:
                 for task, (results, payload) in executor.run(replay_tasks):
                     self._absorb(payload)

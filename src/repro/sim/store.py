@@ -52,7 +52,7 @@ import json
 import os
 import pickle
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.common import constants, knobs
 from repro.common.atomicio import atomic_write_bytes
@@ -156,28 +156,34 @@ def _constants_fingerprint() -> dict:
     }
 
 
-def constants_fingerprint() -> dict:
-    """Public view of the constants fingerprint (the campaign
-    fingerprint in each history record embeds it, so records computed
-    under different architectural constants never look alike)."""
-    return _constants_fingerprint()
-
-
-def canonical_encode(value):
-    """Public view of the canonical config encoding (the campaign
-    fingerprint reuses it for the scale preset)."""
-    return _encode(value)
+def _content_hash(payload: dict) -> str:
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def config_key(config: SimulationConfig) -> str:
     """Stable content hash of a config + code-relevant constants."""
-    payload = {
+    return _content_hash({
         "version": STORE_VERSION,
         "config": _encode(config),
         "constants": _constants_fingerprint(),
-    }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    })
+
+
+def run_fingerprint(scale, experiment_ids: Sequence[str]) -> str:
+    """Stable hash of everything a run's results depend on.
+
+    Covers the scale preset, the experiment list and the architectural
+    constants. Each history record carries it, so two records with the
+    same fingerprint computed the same numbers.
+    """
+    return _content_hash({
+        # Payload layout version; bump when the layout changes.
+        "version": 1,
+        "scale": _encode(scale),
+        "ids": list(experiment_ids),
+        "constants": _constants_fingerprint(),
+    })
 
 
 class ResultStore:

@@ -92,7 +92,7 @@ class TestWallClock:
     def test_allow_listed_files_pass(self):
         source = "import time\nt = time.perf_counter()\n"
         assert rules_of(source, "repro/experiments/__main__.py") == []
-        assert rules_of(source, "tools/calibrate.py") == []
+        assert rules_of(source, "tools/bench_runner.py") == []
 
     def test_time_sleep_not_flagged(self):
         # sleep blocks but does not read the clock into results.

@@ -1,23 +1,27 @@
 """Campaigns: atomic writes, the experiment loop, shutdown.
 
-The invariants pinned here are the robustness contract of
-``repro.sim.campaign`` / ``repro.common.atomicio``:
+The invariants pinned here are the robustness contract of the CLI's
+experiment loop (``repro.experiments.__main__.run_experiments``),
+``repro.sim.shutdown`` and ``repro.common.atomicio``:
 
 * an artifact write killed at any point leaves the old file intact;
-* the experiment loop dumps each finished table (only when a result
-  store is attached), carries on past an experiment that failed
-  permanently, and stops between experiments on a signal or an
-  injected fault; rerunning the same experiments then completes;
+* the experiment loop keeps each result object and prints its table,
+  carries on past an experiment that failed permanently, and stops
+  between experiments on a signal or an injected fault; rerunning the
+  same experiments then completes;
 * the first signal asks for a graceful stop, the second hard-aborts;
   a pooled wave it interrupts still yields every finished task first;
 * rerunning a finished CLI run recomputes nothing: every simulation
-  comes back from the store and the table dump is unchanged.
+  comes back from the store and the printed table is unchanged;
+* a CLI run that raises still restores the signal handlers and
+  appends a ``failed`` history record.
 """
 
 import logging
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -39,21 +43,22 @@ from repro.common.errors import (
     ShutdownRequested,
     TaskExecutionError,
 )
-from repro.experiments.__main__ import main as experiments_main
+from repro.experiments.__main__ import (
+    CAMPAIGN_COUNTERS,
+    main as experiments_main,
+    run_experiments,
+)
+from repro.experiments.registry import EXPERIMENTS
+from repro.experiments.scale import DEFAULT, QUICK
 from repro.obs.history import history_path, load_history
 from repro.obs.logging import ROOT_LOGGER
-from repro.obs.trace import reset_tracing
-from repro.obs.registry import set_registry
-from repro.sim.campaign import (
-    SHUTDOWN_EXIT_CODE,
-    CampaignRunner,
-    ShutdownCoordinator,
-    campaign_fingerprint,
-)
+from repro.obs.trace import current_tracer, reset_tracing
+from repro.obs.registry import MetricsRegistry, get_registry, set_registry
 from repro.sim.faults import FaultPlan
 from repro.sim.resilience import ResilientExecutor, TaskSpec
 from repro.sim.runner import ExperimentRunner
-from repro.sim.store import ResultStore
+from repro.sim.shutdown import SHUTDOWN_EXIT_CODE, ShutdownCoordinator
+from repro.sim.store import ResultStore, run_fingerprint
 
 
 @pytest.fixture
@@ -125,10 +130,20 @@ class TestCampaignFingerprint:
         class FakeScale:
             accesses: int = 1000
 
-        base = campaign_fingerprint(FakeScale(), ["a", "b"])
-        assert base == campaign_fingerprint(FakeScale(), ["a", "b"])
-        assert base != campaign_fingerprint(FakeScale(2000), ["a", "b"])
-        assert base != campaign_fingerprint(FakeScale(), ["a"])
+        base = run_fingerprint(FakeScale(), ["a", "b"])
+        assert base == run_fingerprint(FakeScale(), ["a", "b"])
+        assert base != run_fingerprint(FakeScale(2000), ["a", "b"])
+        assert base != run_fingerprint(FakeScale(), ["a"])
+
+    def test_fingerprint_payload_is_pinned(self):
+        """History records written before and after a refactor of the
+        fingerprint's home must stay comparable."""
+        assert run_fingerprint(QUICK, ["fig18"]) == (
+            "7f0d48fe4ae677f1fdc3ad6f8503955521d2b8435b82c98eb5bccd17f9641f15"
+        )
+        assert run_fingerprint(DEFAULT, list(EXPERIMENTS)) == (
+            "9d5df69925e5fb9dc436cb4c48dda49a3b8819115e6a380bd3878d28cee67151"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +158,7 @@ _SRC = str(Path(repro.__file__).resolve().parents[1])
 #: first signal, then waits (bounded) for the second one to kill it.
 _HARD_ABORT_CHILD = """
 import time
-from repro.sim.campaign import ShutdownCoordinator
+from repro.sim.shutdown import ShutdownCoordinator
 shutdown = ShutdownCoordinator().install()
 print("ready", flush=True)
 deadline = time.monotonic() + 30.0
@@ -259,8 +274,37 @@ class TestExecutorIntegration:
 
 
 # ---------------------------------------------------------------------------
-# CampaignRunner over stub experiments (fast, deterministic).
+# The experiment loop over stub experiments (fast, deterministic).
 # ---------------------------------------------------------------------------
+
+
+#: A printed table's header; its elapsed time differs run to run.
+_HEADER = re.compile(r"^=== (.*) \(\d+\.\ds\) ===$")
+
+
+def printed_tables(out):
+    """``{title: table}`` of the tables a run printed (a table runs
+    from its header to the next blank line)."""
+    tables, title = {}, None
+    for line in out.splitlines():
+        header = _HEADER.match(line)
+        if header:
+            title = header.group(1)
+            tables[title] = []
+        elif title is not None and line:
+            tables[title].append(line)
+        else:
+            title = None
+    return {title: "\n".join(lines) for title, lines in tables.items()}
+
+
+def campaign_counts():
+    """The loop's ``colt_campaign_*`` totals in the current registry."""
+    snapshot = get_registry().snapshot()
+    return {
+        name: snapshot.counter_total(f"colt_campaign_{name}")
+        for name in CAMPAIGN_COUNTERS
+    }
 
 
 class _StubResult:
@@ -274,46 +318,52 @@ class _StubResult:
 class _StubExperiment:
     def __init__(self, exp_id, hook=None):
         self.id = exp_id
+        self.title = f"Stub {exp_id}"
         self.runs = 0
+        self.result = None
         self._hook = hook
 
     def run(self, scale, runner):
         self.runs += 1
         if self._hook is not None:
             self._hook(self)
-        return _StubResult(f"table of {self.id}")
+        self.result = _StubResult(f"table of {self.id}")
+        return self.result
 
 
-class TestCampaignRunner:
-    def _campaign(self, tmp_path, experiments, with_store=True, **kwargs):
-        store = ResultStore(tmp_path / "cache") if with_store else None
-        runner = ExperimentRunner(jobs=1, store=store)
-        return CampaignRunner(experiments, runner, scale=None, **kwargs)
-
+class TestRunExperiments:
     @staticmethod
-    def _dumps(tmp_path):
-        tables = tmp_path / "cache" / "campaign" / "tables"
-        return sorted(path.name for path in tables.glob("*.txt"))
+    def _run(tmp_path, experiments, **kwargs):
+        """One loop over a fresh registry: ``(code, results, wall)``."""
+        set_registry(MetricsRegistry())
+        runner = ExperimentRunner(
+            jobs=1, store=ResultStore(tmp_path / "cache")
+        )
+        results, wall = {}, {}
+        code = run_experiments(
+            experiments, None, runner, results, wall, **kwargs
+        )
+        return code, results, wall
 
-    def test_clean_run_journals_everything_done(self, tmp_path, fresh_obs):
+    def test_clean_run_prints_every_table(self, tmp_path, fresh_obs,
+                                          capsys):
         experiments = [_StubExperiment("a"), _StubExperiment("b")]
-        status = self._campaign(tmp_path, experiments).run()
-        assert status.ok
-        assert status.completed == ["a", "b"]
-        assert status.tables["a"] == "table of a"
-        assert self._dumps(tmp_path) == ["a.txt", "b.txt"]
-        assert (tmp_path / "cache" / "campaign" / "tables" /
-                "a.txt").read_text() == "table of a\n"
-
-    def test_storeless_run_writes_no_dump(self, tmp_path, fresh_obs):
-        status = self._campaign(
-            tmp_path, [_StubExperiment("a")], with_store=False
-        ).run()
-        assert status.ok and status.tables == {"a": "table of a"}
-        assert list(tmp_path.iterdir()) == []
+        code, results, wall = self._run(tmp_path, experiments)
+        assert code == 0
+        # The loop runs each experiment once and keeps its very result
+        # object.
+        assert [exp.runs for exp in experiments] == [1, 1]
+        assert results == {exp.id: exp.result for exp in experiments}
+        assert sorted(wall) == ["a", "b"]
+        assert printed_tables(capsys.readouterr().out) == {
+            "Stub a": "table of a", "Stub b": "table of b",
+        }
+        assert campaign_counts() == {
+            "experiments": 2, "completed": 2, "failed": 0, "interrupted": 0,
+        }
 
     def test_failed_experiment_does_not_stop_the_loop(self, tmp_path,
-                                                       fresh_obs):
+                                                       fresh_obs, capsys):
         def fail(exp):
             raise TaskExecutionError("retries exhausted")
 
@@ -322,25 +372,25 @@ class TestCampaignRunner:
             _StubExperiment("b", hook=fail),
             _StubExperiment("c"),
         ]
-        seen = []
-        status = self._campaign(
-            tmp_path, experiments,
-            on_experiment=lambda exp, table: seen.append((exp.id, table)),
-        ).run()
-        assert not status.ok
-        assert status.completed == ["a", "c"]
-        assert status.failed == ["b"]
-        assert seen == [("a", "table of a"), ("b", None),
-                        ("c", "table of c")]
-        assert self._dumps(tmp_path) == ["a.txt", "c.txt"]
+        code, results, wall = self._run(tmp_path, experiments)
+        assert code == 1
+        assert sorted(results) == ["a", "c"]
+        assert sorted(wall) == ["a", "b", "c"]
+        assert printed_tables(capsys.readouterr().out) == {
+            "Stub a": "table of a", "Stub c": "table of c",
+        }
+        assert campaign_counts() == {
+            "experiments": 3, "completed": 2, "failed": 1, "interrupted": 0,
+        }
 
-    def test_shutdown_mid_campaign_requeues_in_flight(self, tmp_path,
-                                                      fresh_obs):
+    def test_shutdown_stops_the_loop_and_a_rerun_completes(
+        self, tmp_path, fresh_obs, capsys
+    ):
         shutdown = ShutdownCoordinator()
 
         # The second experiment sees the signal while *running* (the
         # executor raises, exactly like a real mid-batch SIGINT): it
-        # leaves no dump, and the third never starts.
+        # prints no table, and the third never starts.
         def interrupt(exp):
             shutdown.request("SIGINT")
             shutdown.check()
@@ -350,40 +400,56 @@ class TestCampaignRunner:
             _StubExperiment("b", hook=interrupt),
             _StubExperiment("c"),
         ]
-        status = self._campaign(
+        code, results, _ = self._run(
             tmp_path, experiments, shutdown=shutdown
-        ).run()
-        assert status.interrupted == "SIGINT"
-        assert status.completed == ["a"]
-        assert self._dumps(tmp_path) == ["a.txt"]
+        )
+        assert code == SHUTDOWN_EXIT_CODE
+        assert list(results) == ["a"]
+        out = capsys.readouterr().out
+        assert printed_tables(out) == {"Stub a": "table of a"}
+        assert "interrupted by SIGINT; rerun the same command to resume" \
+            in out
         assert experiments[2].runs == 0
+        assert campaign_counts() == {
+            "experiments": 2, "completed": 1, "failed": 0, "interrupted": 1,
+        }
+        assert "campaign.shutdown" in {
+            event.name for event in current_tracer().events()
+        }
 
         # The rerun is the resume: the same experiments, a fresh
-        # coordinator, and every dump lands.
+        # coordinator, and every table prints.
         experiments[1]._hook = None
-        status2 = self._campaign(
+        code, results, _ = self._run(
             tmp_path, experiments, shutdown=ShutdownCoordinator()
-        ).run()
-        assert status2.ok
-        assert status2.completed == ["a", "b", "c"]
-        assert self._dumps(tmp_path) == ["a.txt", "b.txt", "c.txt"]
+        )
+        assert code == 0
+        assert list(results) == ["a", "b", "c"]
+        assert sorted(printed_tables(capsys.readouterr().out)) == [
+            "Stub a", "Stub b", "Stub c",
+        ]
 
-    def test_campaign_fault_leaves_running_entry_for_resume(
-        self, tmp_path, fresh_obs
+    def test_campaign_fault_stops_before_its_experiment(
+        self, tmp_path, fresh_obs, capsys
     ):
         """``crash@campaign:1`` kills the loop before experiment 1
-        starts: a's dump has landed, b's has not, and a rerun without
+        starts: a's table has printed, b's has not, and a rerun without
         the fault completes."""
         experiments = [_StubExperiment("a"), _StubExperiment("b")]
         plan = FaultPlan.parse("crash@campaign:1")
         with pytest.raises(InjectedFaultError):
-            self._campaign(tmp_path, experiments, faults=plan).run()
-        assert self._dumps(tmp_path) == ["a.txt"]
+            self._run(tmp_path, experiments, faults=plan)
+        assert printed_tables(capsys.readouterr().out) == {
+            "Stub a": "table of a",
+        }
         assert experiments[1].runs == 0
+        assert campaign_counts()["completed"] == 1
 
-        status = self._campaign(tmp_path, experiments).run()
-        assert status.ok and status.completed == ["a", "b"]
-        assert self._dumps(tmp_path) == ["a.txt", "b.txt"]
+        code, results, _ = self._run(tmp_path, experiments)
+        assert code == 0 and list(results) == ["a", "b"]
+        assert sorted(printed_tables(capsys.readouterr().out)) == [
+            "Stub a", "Stub b",
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -418,24 +484,67 @@ class TestExperimentsCli:
         monkeypatch.setenv(knobs.SCALE.name, "quick")
         monkeypatch.delenv(knobs.HISTORY.name, raising=False)
         cache = tmp_path / "cache"
-        argv = [CLI_EXPERIMENT, "--jobs", "1", "--cache-dir", str(cache)]
-        dump = cache / "campaign" / "tables" / f"{CLI_EXPERIMENT}.txt"
+        argv = [CLI_EXPERIMENT, "--jobs", "1", "--cache-dir", str(cache),
+                "--quiet"]
 
+        # --quiet hides the summary lines, never the tables.
         assert experiments_main(argv) == 0
-        first = dump.read_bytes()
-        hits, misses = map(int, _STORE_LINE.search(
-            capsys.readouterr().out).groups())
-        assert misses > 0 and hits == 0
+        out = capsys.readouterr().out
+        first = printed_tables(out)
+        assert list(first) == [EXPERIMENTS[CLI_EXPERIMENT].title]
+        assert _STORE_LINE.search(out) is None
 
-        assert experiments_main(argv) == 0
-        assert dump.read_bytes() == first
-        hits, misses = map(int, _STORE_LINE.search(
-            capsys.readouterr().out).groups())
+        assert experiments_main(argv[:-1]) == 0
+        out = capsys.readouterr().out
+        assert printed_tables(out) == first
+        hits, misses = map(int, _STORE_LINE.search(out).groups())
         assert misses == 0 and hits > 0
 
         # A plain run's history record carries its own counters: the
         # first run simulated, the rerun only hit the store.
         computed, rerun = load_history(history_path(cache))
         assert computed["counters"]["colt_mmu_accesses"] > 0
+        assert computed["counters"]["colt_store_hits"] == 0
+        assert computed["counters"]["colt_store_misses"] > 0
         assert rerun["counters"]["colt_store_hits"] == hits
         assert rerun["counters"].get("colt_mmu_accesses", 0) == 0
+
+    def test_raising_run_appends_one_failed_record(
+        self, tmp_path, fresh_obs, monkeypatch, capsys, restore_colt_logger
+    ):
+        """A run that ends on an exception still leaves its record."""
+        monkeypatch.setenv(knobs.SCALE.name, "quick")
+        monkeypatch.setenv(knobs.FAULTS.name, "crash@campaign:1")
+        monkeypatch.delenv(knobs.HISTORY.name, raising=False)
+        cache = tmp_path / "cache"
+        with pytest.raises(InjectedFaultError):
+            experiments_main([CLI_EXPERIMENT, "fig18", "--jobs", "1",
+                              "--cache-dir", str(cache)])
+        records = load_history(history_path(cache))
+        assert [record["status"] for record in records] == ["failed"]
+        assert records[0]["figure"] == f"{CLI_EXPERIMENT}+fig18"
+        assert records[0]["counters"]["colt_campaign_completed"] == 1
+        assert list(printed_tables(capsys.readouterr().out)) == [
+            EXPERIMENTS[CLI_EXPERIMENT].title,
+        ]
+
+    def test_taken_port_restores_signal_handlers(
+        self, tmp_path, fresh_obs, monkeypatch, restore_colt_logger
+    ):
+        """The telemetry server failing to bind must not leave the run's
+        signal handlers installed."""
+        monkeypatch.delenv(knobs.HISTORY.name, raising=False)
+        before = signal.getsignal(signal.SIGINT), \
+            signal.getsignal(signal.SIGTERM)
+        cache = tmp_path / "cache"
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            port = taken.getsockname()[1]
+            with pytest.raises(OSError):
+                experiments_main([CLI_EXPERIMENT, "--cache-dir", str(cache),
+                                  "--telemetry-port", str(port)])
+        assert (signal.getsignal(signal.SIGINT),
+                signal.getsignal(signal.SIGTERM)) == before
+        records = load_history(history_path(cache))
+        assert [record["status"] for record in records] == ["failed"]

@@ -19,9 +19,10 @@ from repro.common.errors import (
     InjectedFaultError,
     TaskExecutionError,
 )
+from repro.experiments.__main__ import run_experiments
 from repro.obs.report import RunReport
 from repro.obs.trace import reset_tracing
-from repro.obs.registry import get_registry, set_registry
+from repro.obs.registry import MetricsRegistry, get_registry, set_registry
 from repro.osmem.kernel import KernelConfig
 from repro.osmem.memhog import SIMULATION_AGING
 from repro.sim.faults import (
@@ -529,19 +530,17 @@ class TestChaosMatrix:
         assert resume_store.counters.as_dict()["hits"] >= 1
 
     def test_campaign_crash_then_resume_matches_baseline(
-        self, tmp_path, fresh_obs, baseline
+        self, tmp_path, fresh_obs, baseline, capsys
     ):
         """``crash@campaign:1``: die before the second experiment, rerun
         the same experiments, and end bit-identical to the fault-free
         baseline with the first experiment's simulations served from
         the store."""
-        from repro.sim.campaign import CampaignRunner
-
         captured = {}
 
         class _ChaosExperiment:
             def __init__(self, exp_id):
-                self.id = exp_id
+                self.id = self.title = exp_id
 
             def run(self, scale, runner):
                 captured[self.id] = runner.run_designs(CHAOS_CONFIG)
@@ -549,34 +548,43 @@ class TestChaosMatrix:
                 class _Table:
                     @staticmethod
                     def format_table():
-                        return "chaos"
+                        return f"chaos {self.id}"
 
                 return _Table()
 
+        def printed():
+            """The titles of the printed tables, each with its table."""
+            return re.findall(r"^=== (\w+) \(\d+\.\ds\) ===\nchaos \1$",
+                              capsys.readouterr().out, re.M)
+
         experiments = [_ChaosExperiment("first"), _ChaosExperiment("second")]
-        tables = tmp_path / "cache" / "campaign" / "tables"
-        campaign = CampaignRunner(
-            experiments,
-            ExperimentRunner(jobs=2, store=ResultStore(tmp_path / "cache")),
-            scale=None, faults=FaultPlan.parse("crash@campaign:1"),
-        )
         with pytest.raises(InjectedFaultError):
-            campaign.run()
-        assert sorted(path.name for path in tables.iterdir()) == \
-            ["first.txt"]
+            run_experiments(
+                experiments, None,
+                ExperimentRunner(
+                    jobs=2, store=ResultStore(tmp_path / "cache")
+                ),
+                {}, {}, faults=FaultPlan.parse("crash@campaign:1"),
+            )
+        assert printed() == ["first"]
+        assert list(captured) == ["first"]
 
         captured.clear()
+        set_registry(MetricsRegistry())
         rerun_store = ResultStore(tmp_path / "cache")
-        status = CampaignRunner(
-            experiments, ExperimentRunner(jobs=2, store=rerun_store),
-            scale=None,
-        ).run()
-        assert status.ok and status.completed == ["first", "second"]
-        assert sorted(path.name for path in tables.iterdir()) == \
-            ["first.txt", "second.txt"]
+        results = {}
+        code = run_experiments(
+            experiments, None,
+            ExperimentRunner(jobs=2, store=rerun_store), results, {},
+        )
+        assert code == 0 and list(results) == ["first", "second"]
+        assert printed() == ["first", "second"]
         assert captured == {"first": baseline, "second": baseline}
         counts = rerun_store.counters.as_dict()
         assert counts["hits"] >= 1 and counts["misses"] == 0
+        snapshot = get_registry().snapshot()
+        assert snapshot.counter_total("colt_campaign_completed") == 2
+        assert snapshot.counter_total("colt_campaign_failed") == 0
 
     def test_serial_crash_demotes_to_recoverable_exception(self, fresh_obs,
                                                            baseline):

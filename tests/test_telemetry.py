@@ -1,13 +1,12 @@
-"""Tests for the live telemetry plane (repro.obs.serve / repro.obs.live).
+"""Tests for the live telemetry plane (repro.obs.serve).
 
 Covers the Prometheus text exposition (round-tripped through a tiny
 text-format parser written here), label-value escaping, the histogram
 bucket-mismatch merge rejection, the HTTP endpoints, and the headline
-guarantee: a campaign served concurrently by ``/metrics`` polling stays
-bit-identical to an unserved run.
+guarantee: an experiment served concurrently by ``/metrics`` polling
+stays bit-identical to an unserved run.
 """
 
-import json
 import threading
 import urllib.error
 import urllib.request
@@ -17,7 +16,6 @@ import pytest
 from repro.common.errors import ConfigurationError
 from repro.experiments.registry import get_experiment
 from repro.experiments.scale import ExperimentScale
-from repro.obs.live import ProgressTracker, get_progress, reset_progress
 from repro.obs.registry import (
     MetricsRegistry,
     MetricsSnapshot,
@@ -29,20 +27,17 @@ from repro.obs.serve import (
     telemetry_port_from_env,
 )
 from repro.obs.trace import reset_tracing
-from repro.sim.campaign import CampaignRunner
 from repro.sim.runner import ExperimentRunner
 
 
 @pytest.fixture
 def fresh_obs():
-    """Fresh obs state (tracer, registry, progress) around the test."""
+    """Fresh obs state (tracer and registry) around the test."""
     reset_tracing()
     set_registry(None)
-    reset_progress()
     yield
     reset_tracing()
     set_registry(None)
-    reset_progress()
 
 
 # ---------------------------------------------------------------------------
@@ -239,36 +234,6 @@ class TestHistogramMergeValidation:
 
 
 # ---------------------------------------------------------------------------
-# Progress tracker.
-# ---------------------------------------------------------------------------
-
-
-class TestProgressTracker:
-    def test_update_and_sections(self):
-        tracker = ProgressTracker()
-        tracker.update(phase="campaign", jobs=4)
-        tracker.update_section("campaign", done=1, total=3)
-        tracker.update_section("campaign", done=2)
-        snap = tracker.snapshot()
-        assert snap["phase"] == "campaign"
-        assert snap["campaign"] == {"done": 2, "total": 3}
-
-    def test_snapshot_is_a_deep_copy(self):
-        tracker = ProgressTracker()
-        tracker.update_section("runner", pending=0)
-        snap = tracker.snapshot()
-        snap["runner"]["pending"] = 99
-        assert tracker.snapshot()["runner"]["pending"] == 0
-
-    def test_default_tracker_singleton_resets(self):
-        reset_progress()
-        first = get_progress()
-        assert get_progress() is first
-        reset_progress()
-        assert get_progress() is not first
-
-
-# ---------------------------------------------------------------------------
 # HTTP endpoints.
 # ---------------------------------------------------------------------------
 
@@ -284,9 +249,7 @@ class TestTelemetryServer:
     def test_endpoints(self, fresh_obs):
         registry = MetricsRegistry()
         registry.counter("colt_pings").inc(5)
-        tracker = ProgressTracker()
-        tracker.update(phase="testing")
-        server = TelemetryServer(0, registry=registry, progress=tracker)
+        server = TelemetryServer(0, registry=registry)
         port = server.start()
         try:
             status, body = _get(port, "/healthz")
@@ -296,13 +259,6 @@ class TestTelemetryServer:
             assert status == 200
             parsed = parse_prometheus(body)
             assert parsed["colt_pings"]["samples"][0][2] == 5.0
-
-            status, body = _get(port, "/progress")
-            assert status == 200
-            progress = json.loads(body)
-            assert progress["phase"] == "testing"
-            assert progress["telemetry"]["port"] == port
-            assert progress["telemetry"]["requests"]["metrics"] == 1
 
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 _get(port, "/nope")
@@ -346,39 +302,34 @@ _TINY = ExperimentScale(
 )
 
 
-def _run_tiny_campaign(poll_port=None):
-    """One fig18 campaign at the tiny scale; returns its table text."""
+def _run_tiny_fig18(poll_port=None):
+    """fig18 at the tiny scale; returns its table text."""
     runner = ExperimentRunner(jobs=1, store=None)
-    campaign = CampaignRunner([get_experiment("fig18")], runner, _TINY)
 
-    polls = {"metrics": 0, "progress": 0}
+    polls = 0
     stop = threading.Event()
 
     def hammer():
+        nonlocal polls
         while not stop.is_set():
             status, body = _get(poll_port, "/metrics")
             assert status == 200
             parse_prometheus(body)  # must stay parseable mid-run
-            polls["metrics"] += 1
-            status, body = _get(poll_port, "/progress")
-            assert status == 200
-            json.loads(body)
-            polls["progress"] += 1
+            polls += 1
 
     poller = None
     if poll_port is not None:
         poller = threading.Thread(target=hammer, daemon=True)
         poller.start()
     try:
-        status = campaign.run()
+        table = get_experiment("fig18").run(_TINY, runner).format_table()
     finally:
         stop.set()
         if poller is not None:
             poller.join(timeout=10)
-    assert status.ok and status.completed == ["fig18"]
     if poll_port is not None:
-        assert polls["metrics"] > 0 and polls["progress"] > 0
-    return status.tables["fig18"]
+        assert polls > 0
+    return table
 
 
 class TestServedBitIdentity:
@@ -386,12 +337,11 @@ class TestServedBitIdentity:
         server = TelemetryServer(0)
         port = server.start()
         try:
-            served = _run_tiny_campaign(poll_port=port)
+            served = _run_tiny_fig18(poll_port=port)
         finally:
             server.stop()
         # Fresh obs state for the unserved control run.
         reset_tracing()
         set_registry(None)
-        reset_progress()
-        unserved = _run_tiny_campaign()
+        unserved = _run_tiny_fig18()
         assert served == unserved

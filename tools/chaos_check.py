@@ -14,17 +14,21 @@ results. ``--list-modes`` enumerates them:
 ``campaign`` (``--campaign``)
     End-to-end resume-from-the-store invariant via
     ``python -m repro.experiments`` subprocesses: a clean run, a
-    SIGTERM kill between experiments (exit 75, the first table dump
-    present and the second absent), a rerun of the same command to
-    byte-identical tables whose store hits equal the killed run's
-    saves, and a deadline run whose stuck capture worker must dump its
-    stacks, be retried, and still converge.
+    SIGTERM kill between experiments (exit 75, the first table printed
+    and the second not), a rerun of the same command to byte-identical
+    tables whose store hits equal the killed run's saves, and a
+    deadline run whose stuck capture worker must dump its stacks, be
+    retried, and still converge.
 
 ``telemetry`` (``--telemetry``)
-    The telemetry plane's crash discipline: live /healthz, /progress
-    and /metrics probes mid-run, clean server shutdown on SIGTERM
-    (exit 75, port released), and ``colt-history-v1`` records for both
-    the killed run and its rerun.
+    The telemetry plane's crash discipline: live /healthz and /metrics
+    probes mid-run, clean server shutdown on SIGTERM (exit 75, port
+    released), and ``colt-history-v1`` records for both the killed run
+    and its rerun.
+
+The subprocess modes read the tables each run prints: a table's
+header line carries the experiment's elapsed time, which is dropped
+before tables are compared.
 
 Exit status is non-zero on any divergence. Because injected faults only
 kill/delay/corrupt -- they never feed a number into a simulation -- any
@@ -51,10 +55,10 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 )
 
-from repro.sim.campaign import SHUTDOWN_EXIT_CODE  # noqa: E402
 from repro.sim.faults import FaultPlan  # noqa: E402
 from repro.sim.resilience import RetryPolicy  # noqa: E402
 from repro.sim.runner import ExperimentRunner  # noqa: E402
+from repro.sim.shutdown import SHUTDOWN_EXIT_CODE  # noqa: E402
 from repro.sim.store import QUARANTINE_DIR, ResultStore  # noqa: E402
 from repro.experiments.registry import get_experiment  # noqa: E402
 from repro.experiments.scale import QUICK  # noqa: E402
@@ -84,6 +88,13 @@ HOLD_SECONDS = 10.0
 
 #: The timeout count on the CLI's resilience summary line.
 TIMEOUTS = re.compile(r"^resilience: .*\b\d+ timeouts\b", re.M)
+
+#: A printed table's header line; the elapsed time differs run to run.
+TABLE_HEADER = re.compile(r"^=== (?P<title>.*) \(\d+\.\ds\) ===$")
+
+#: The always-printed line that announces the bound telemetry port
+#: (the only way to learn it when ``--telemetry-port 0`` is used).
+TELEMETRY_LINE = re.compile(r"telemetry: http://127\.0\.0\.1:(\d+)/")
 
 #: The CLI's result-store summary line.
 STORE_LINE = re.compile(
@@ -161,12 +172,27 @@ def _campaign_cmd(cache_dir: str, jobs: int, ids=CAMPAIGN_IDS, extra=()):
     ]
 
 
-def _tables(cache_dir: str) -> dict:
-    tables_dir = Path(cache_dir) / "campaign" / "tables"
-    return {
-        path.name: path.read_bytes()
-        for path in sorted(tables_dir.glob("*.txt"))
-    }
+def _title(exp_id: str) -> str:
+    return get_experiment(exp_id).title
+
+
+def _tables(output: str) -> dict:
+    """``{title: table}`` for every table a run printed.
+
+    A table runs from its header line to the next blank line; the
+    header's elapsed time is dropped.
+    """
+    tables, title = {}, None
+    for line in output.splitlines():
+        header = TABLE_HEADER.match(line)
+        if header:
+            title = header["title"]
+            tables[title] = []
+        elif title is not None and line:
+            tables[title].append(line)
+        else:
+            title = None
+    return {title: "\n".join(lines) for title, lines in tables.items()}
 
 
 def _checked_run(label: str, cache_dir: str, jobs: int, faults: str = "",
@@ -187,9 +213,9 @@ def _checked_run(label: str, cache_dir: str, jobs: int, faults: str = "",
     return result
 
 
-def _compare_tables(label: str, cache_dir: str, clean_tables: dict) -> int:
-    """The shared compare half: table dumps must be byte-identical."""
-    tables = _tables(cache_dir)
+def _compare_tables(label: str, output: str, clean_tables: dict) -> int:
+    """The shared compare half: printed tables must be byte-identical."""
+    tables = _tables(output)
     if tables != clean_tables:
         differing = sorted(
             set(tables) ^ set(clean_tables)
@@ -203,49 +229,108 @@ def _compare_tables(label: str, cache_dir: str, clean_tables: dict) -> int:
     return 0
 
 
+class _WatchedRun:
+    """A campaign subprocess whose merged output a thread collects."""
+
+    def __init__(self, cache_dir: str, jobs: int, faults: str, extra=()):
+        self.proc = subprocess.Popen(
+            _campaign_cmd(cache_dir, jobs, extra=extra),
+            env=_campaign_env(faults),
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        )
+        self.lines: list = []
+        self._reader = threading.Thread(target=self._read, daemon=True)
+        self._reader.start()
+
+    def _read(self) -> None:
+        for line in self.proc.stdout:
+            self.lines.append(line)
+
+    @property
+    def output(self) -> str:
+        return "".join(self.lines)
+
+    def wait_for(self, label: str, what: str, predicate, seconds: float):
+        """Poll the output until ``predicate(output)`` is truthy; return
+        that value, or None (after a FAIL line, with the run stopped)
+        when the run exits or ``seconds`` pass first."""
+        deadline = time.monotonic() + seconds
+        while True:
+            found = predicate(self.output)
+            if found:
+                return found
+            if self.proc.poll() is not None or time.monotonic() > deadline:
+                break
+            time.sleep(0.05)
+        self.stop()
+        print(f"FAIL: {label} ended (rc={self.proc.returncode}) before "
+              f"{what}\n{self.output}", file=sys.stderr)
+        return None
+
+    def terminate(self, label: str):
+        """SIGTERM the run; its exit status, or None (after a FAIL line)
+        when it outlived the 120 s grace period."""
+        self.proc.send_signal(signal.SIGTERM)
+        try:
+            self.proc.wait(timeout=120.0)
+        except subprocess.TimeoutExpired:
+            self.stop()
+            print(f"FAIL: {label} did not exit within 120s of SIGTERM",
+                  file=sys.stderr)
+            return None
+        self._reader.join(timeout=10.0)
+        return self.proc.returncode
+
+    def stop(self) -> None:
+        if self.proc.poll() is None:
+            self.proc.kill()
+        self.proc.wait()
+        self._reader.join(timeout=10.0)
+
+
 def _kill_after_first_table(label: str, cache_dir: str, jobs: int,
                             faults: str):
-    """Start a campaign and SIGTERM it once experiment 0's table lands.
+    """Start a campaign and SIGTERM it once experiment 0's table prints.
 
     ``faults`` should hold experiment 1 back (``delay@campaign:1/...``)
     so the signal deterministically interrupts a *running* campaign.
     Returns ``(returncode, combined_output)``, or None (after a FAIL
     line) when the campaign ended before the window opened.
     """
-    proc = subprocess.Popen(
-        _campaign_cmd(cache_dir, jobs),
-        env=_campaign_env(faults),
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-    )
-    first_table = Path(cache_dir) / "campaign" / "tables" / \
-        f"{CAMPAIGN_IDS[0]}.txt"
-    deadline = time.monotonic() + 300.0
-    while not first_table.exists():
-        if proc.poll() is not None or time.monotonic() > deadline:
-            out = proc.communicate()[0]
-            print(f"FAIL: {label} ended (rc={proc.returncode}) before "
-                  f"it could be killed\n{out}", file=sys.stderr)
-            return None
-        time.sleep(0.05)
-    proc.send_signal(signal.SIGTERM)
-    out = proc.communicate(timeout=120.0)[0]
-    return proc.returncode, out
+    run = _WatchedRun(cache_dir, jobs, faults)
+    # The CLI prints and flushes each header with its whole table.
+    if run.wait_for(label, "its first table", _tables, 300.0) is None:
+        return None
+    rc = run.terminate(label)
+    if rc is None:
+        return None
+    return rc, run.output
 
 
 def _check_killed(label: str, rc: int, out: str, cache_dir: str) -> int:
-    """A killed campaign exits 75 with only experiment 0's table dump."""
+    """A killed campaign exits 75 having printed only experiment 0's
+    table, and never started experiment 1: the table reached the pipe
+    before the hold, so the signal landed between experiments."""
     failures = 0
     if rc != SHUTDOWN_EXIT_CODE:
         print(f"FAIL: {label} exited {rc}, expected "
               f"{SHUTDOWN_EXIT_CODE}\n{out}", file=sys.stderr)
         failures += 1
-    dumps = sorted(_tables(cache_dir))
-    if dumps != [f"{CAMPAIGN_IDS[0]}.txt"]:
-        print(f"FAIL: {label} left table dumps {dumps}, expected only "
-              f"{CAMPAIGN_IDS[0]}.txt", file=sys.stderr)
+    printed = sorted(_tables(out))
+    if printed != [_title(CAMPAIGN_IDS[0])]:
+        print(f"FAIL: {label} printed tables {printed}, expected only "
+              f"{_title(CAMPAIGN_IDS[0])!r}", file=sys.stderr)
+        failures += 1
+    records = _history_records(cache_dir)
+    started = records[-1]["counters"].get("colt_campaign_experiments") \
+        if records else None
+    if started != 1:
+        print(f"FAIL: {label} started {started} experiment(s), expected "
+              "1: the SIGTERM did not land between experiments",
+              file=sys.stderr)
         failures += 1
     if not failures:
-        print(f"  exit {SHUTDOWN_EXIT_CODE}, table dumps: {dumps}")
+        print(f"  exit {SHUTDOWN_EXIT_CODE}, tables printed: {printed}")
     return failures
 
 
@@ -393,14 +478,15 @@ def _campaign_check(args) -> int:
         dump_dir = os.path.join(tmp, "dumps")
 
         print(f"clean campaign {' '.join(CAMPAIGN_IDS)} (jobs={args.jobs})")
-        if _checked_run("clean campaign", clean_dir, args.jobs) is None:
+        clean = _checked_run("clean campaign", clean_dir, args.jobs)
+        if clean is None:
             return 1
-        clean_tables = _tables(clean_dir)
-        if sorted(clean_tables) != [f"{i}.txt" for i in sorted(CAMPAIGN_IDS)]:
-            print(f"FAIL: clean campaign table dumps incomplete: "
+        clean_tables = _tables(clean.stdout)
+        if sorted(clean_tables) != sorted(map(_title, CAMPAIGN_IDS)):
+            print(f"FAIL: clean campaign printed tables "
                   f"{sorted(clean_tables)}", file=sys.stderr)
             return 1
-        print(f"  {len(clean_tables)} table dumps written")
+        print(f"  {len(clean_tables)} tables printed")
 
         # Kill phase: a parent-side hold before experiment 1 opens a
         # window in which the campaign is running; SIGTERM there must
@@ -420,7 +506,7 @@ def _campaign_check(args) -> int:
             failures += 1
         else:
             failures += _check_store_reuse(killed[1], rerun.stdout)
-        failures += _compare_tables("rerun", kill_dir, clean_tables)
+            failures += _compare_tables("rerun", rerun.stdout, clean_tables)
 
         print(f"deadline campaign (capture sleeps "
               f"{DEADLINE_DELAY_SECONDS:g}s, task deadline "
@@ -441,9 +527,9 @@ def _campaign_check(args) -> int:
                   f"{timed_out.stdout}", file=sys.stderr)
             failures += 1
         failures += _check_deadline_dump(dump_dir)
-        deadline_key = f"{CAMPAIGN_IDS[0]}.txt"
-        if _tables(deadline_dir).get(deadline_key) != \
-                clean_tables[deadline_key]:
+        deadline_title = _title(CAMPAIGN_IDS[0])
+        printed = _tables(timed_out.stdout) if timed_out else {}
+        if printed.get(deadline_title) != clean_tables[deadline_title]:
             print("FAIL: deadline campaign table differs from clean run",
                   file=sys.stderr)
             failures += 1
@@ -458,11 +544,6 @@ def _campaign_check(args) -> int:
     print("campaign check passed: kill/rerun/deadline all converged "
           "on the clean tables")
     return 0
-
-
-#: The always-printed line that announces the bound telemetry port
-#: (the only way to learn it when ``--telemetry-port 0`` is used).
-TELEMETRY_LINE = re.compile(r"telemetry: http://127\.0\.0\.1:(\d+)/")
 
 
 def _history_records(cache_dir: str) -> list:
@@ -491,93 +572,51 @@ def _telemetry_check(args) -> int:
         cache_dir = os.path.join(tmp, "cache")
 
         # Kill phase: serve telemetry while experiment 1 is held, probe
-        # all three endpoints live, then SIGTERM. The server must come
-        # down with the process (exit 75, port released) and the killed
-        # run must still leave a non-ok history record. (This phase
-        # sniffs the subprocess's stdout for the bound port, so it
-        # drives its own Popen instead of _kill_after_first_table.)
-        print("telemetry campaign (SIGTERM while serving --telemetry-port 0)")
-        proc = subprocess.Popen(
-            _campaign_cmd(
-                cache_dir, args.jobs, extra=("--telemetry-port", "0")
-            ),
-            env=_campaign_env(f"delay@campaign:1/{HOLD_SECONDS:g}"),
-            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        # the endpoints live, then SIGTERM. The server must come down
+        # with the process (exit 75, port released) and the killed run
+        # must still leave a non-ok history record.
+        label = "telemetry campaign"
+        print(f"{label} (SIGTERM while serving --telemetry-port 0)")
+        run = _WatchedRun(
+            cache_dir, args.jobs, f"delay@campaign:1/{HOLD_SECONDS:g}",
+            extra=("--telemetry-port", "0"),
         )
-        lines: list = []
-        port_found = threading.Event()
-        port_box: list = []
-
-        def _read_stdout() -> None:
-            for line in proc.stdout:
-                lines.append(line)
-                match = TELEMETRY_LINE.search(line)
-                if match and not port_box:
-                    port_box.append(int(match.group(1)))
-                    port_found.set()
-            port_found.set()  # EOF: stop waiters even without a match
-
-        reader = threading.Thread(target=_read_stdout, daemon=True)
-        reader.start()
-        port_found.wait(60.0)
-        if not port_box:
-            proc.terminate()
-            proc.wait(timeout=60.0)
-            reader.join(timeout=10.0)
-            print("FAIL: campaign never announced its telemetry port\n"
-                  + "".join(lines), file=sys.stderr)
+        announced = run.wait_for(
+            label, "it announced its port", TELEMETRY_LINE.search, 60.0
+        )
+        if announced is None or \
+                run.wait_for(label, "its first table", _tables, 300.0) is None:
             return 1
-        port = port_box[0]
-
-        first_table = Path(cache_dir) / "campaign" / "tables" / \
-            f"{CAMPAIGN_IDS[0]}.txt"
-        deadline = time.monotonic() + 300.0
-        while not first_table.exists():
-            if proc.poll() is not None or time.monotonic() > deadline:
-                reader.join(timeout=10.0)
-                print(f"FAIL: campaign ended (rc={proc.returncode}) "
-                      f"before it could be probed\n{''.join(lines)}",
-                      file=sys.stderr)
-                return 1
-            time.sleep(0.05)
+        port = int(announced.group(1))
 
         try:
             if _get(port, "/healthz").strip() != b"ok":
                 print("FAIL: /healthz did not answer ok", file=sys.stderr)
                 failures += 1
-            progress = json.loads(_get(port, "/progress"))
-            if "phase" not in progress or "campaign" not in progress:
-                print(f"FAIL: /progress incomplete while running: "
-                      f"{sorted(progress)}", file=sys.stderr)
-                failures += 1
+            # Experiment 0's table has printed and experiment 1 is
+            # held, so the loop has started and completed exactly one.
             metrics = _get(port, "/metrics").decode("utf-8")
-            if "colt_campaign_experiments" not in metrics:
-                print("FAIL: live /metrics lacks campaign counters",
-                      file=sys.stderr)
-                failures += 1
+            for name in ("experiments", "completed"):
+                if not re.search(rf"^colt_campaign_{name} 1$", metrics,
+                                 re.M):
+                    print(f"FAIL: live /metrics lacks "
+                          f"colt_campaign_{name} 1 while experiment 1 "
+                          "is held", file=sys.stderr)
+                    failures += 1
         except (urllib.error.URLError, OSError) as exc:
             print(f"FAIL: live telemetry probe failed: {exc}",
                   file=sys.stderr)
             failures += 1
         if not failures:
-            print(f"  live probes ok on port {port} "
-                  f"(phase={progress.get('phase')!r})")
+            print(f"  live probes ok on port {port} (one experiment "
+                  "started and completed)")
 
-        proc.send_signal(signal.SIGTERM)
-        try:
-            proc.wait(timeout=120.0)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            proc.wait()
-            print("FAIL: campaign did not exit within 120s of SIGTERM "
-                  "(telemetry thread wedged the shutdown?)",
-                  file=sys.stderr)
+        rc = run.terminate(label)
+        if rc is None:
             failures += 1
-        reader.join(timeout=10.0)
-        if proc.returncode != SHUTDOWN_EXIT_CODE:
-            print(f"FAIL: killed campaign exited {proc.returncode}, "
-                  f"expected {SHUTDOWN_EXIT_CODE}\n{''.join(lines)}",
-                  file=sys.stderr)
+        elif rc != SHUTDOWN_EXIT_CODE:
+            print(f"FAIL: killed campaign exited {rc}, expected "
+                  f"{SHUTDOWN_EXIT_CODE}\n{run.output}", file=sys.stderr)
             failures += 1
         try:
             _get(port, "/healthz", timeout=2.0)
