@@ -54,9 +54,13 @@ class PageAttributes(enum.IntFlag):
         hardware coalesces around the demand translation whose A/D bits
         the walk itself just set, so they are not a differentiator.
         """
-        mask = ~(PageAttributes.ACCESSED | PageAttributes.DIRTY)
-        return int(self) & int(mask)
+        return int(self) & COALESCING_KEY_MASK
 
+
+#: The mask of :meth:`PageAttributes.coalescing_key`, as an int (the
+#: IntFlag inversion is bounded to the defined flag universe, so this is
+#: *not* ``~24``).
+COALESCING_KEY_MASK = int(~(PageAttributes.ACCESSED | PageAttributes.DIRTY))
 
 #: :meth:`PageAttributes.default_user`, built once: every faulted page
 #: carries it, and each ``Flag`` OR costs a Python-level call.

@@ -17,60 +17,73 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List
 
+import numpy as np
+
 from repro.common.cdfs import WeightedCDF, average_contiguity, contiguity_cdf
-from repro.common.types import ContiguityRun, Translation
+from repro.common.constants import SUPERPAGE_PAGES
+from repro.common.types import COALESCING_KEY_MASK, ContiguityRun, Translation
 from repro.osmem.process import Process
 
 
-def scan_translations(translations: Iterable[Translation]) -> List[ContiguityRun]:
-    """Extract maximal contiguity runs from VPN-ordered translations.
+def scan_arrays(
+    vpn: np.ndarray, pfn: np.ndarray, attributes: np.ndarray,
+    is_superpage: np.ndarray,
+) -> List[ContiguityRun]:
+    """Extract maximal contiguity runs from VPN-ordered leaf arrays.
 
-    Superpage translations become single runs flagged ``from_superpage``
-    (length 512); they never merge with neighbouring base pages, matching
-    how the paper separates superpages from intermediate contiguity.
+    A page joins its predecessor's run when both are base pages, their
+    VPNs and PFNs each advance by one, and their attribute bits agree
+    outside ACCESSED/DIRTY (``Translation.is_contiguous_with``). Every
+    superpage is a run of its own flagged ``from_superpage`` (length
+    512); it never merges with neighbouring base pages, matching how the
+    paper separates superpages from intermediate contiguity.
     """
-    runs: List[ContiguityRun] = []
-    current_start: Translation = None
-    current_prev: Translation = None
-    current_len = 0
+    count = vpn.size
+    if not count:
+        return []
+    base = ~is_superpage
+    key = attributes & COALESCING_KEY_MASK
+    joins = np.zeros(count, dtype=bool)
+    joins[1:] = (
+        (vpn[1:] == vpn[:-1] + 1)
+        & (pfn[1:] == pfn[:-1] + 1)
+        & (key[1:] == key[:-1])
+        & base[1:]
+        & base[:-1]
+    )
+    starts = np.flatnonzero(~joins)
+    lengths = np.diff(starts, append=count)
+    superpage = is_superpage[starts]
+    lengths[superpage] = SUPERPAGE_PAGES
+    return list(map(
+        ContiguityRun,
+        vpn[starts].tolist(),
+        pfn[starts].tolist(),
+        lengths.tolist(),
+        superpage.tolist(),
+    ))
 
-    def flush() -> None:
-        nonlocal current_start, current_prev, current_len
-        if current_start is not None:
-            runs.append(
-                ContiguityRun(
-                    current_start.vpn,
-                    current_start.pfn,
-                    current_len,
-                    from_superpage=False,
-                )
-            )
-        current_start, current_prev, current_len = None, None, 0
 
-    for translation in translations:
-        if translation.is_superpage:
-            flush()
-            runs.append(
-                ContiguityRun(
-                    translation.vpn, translation.pfn, 512, from_superpage=True
-                )
-            )
-            continue
-        if current_prev is not None and current_prev.is_contiguous_with(translation):
-            current_prev = translation
-            current_len += 1
-        else:
-            flush()
-            current_start = translation
-            current_prev = translation
-            current_len = 1
-    flush()
-    return runs
+def scan_translations(translations: Iterable[Translation]) -> List[ContiguityRun]:
+    """Extract maximal contiguity runs from VPN-ordered translations."""
+    translations = list(translations)
+    count = len(translations)
+
+    def column(field: str) -> np.ndarray:
+        return np.fromiter(
+            (getattr(t, field) for t in translations), dtype=np.int64,
+            count=count,
+        )
+
+    return scan_arrays(
+        column("vpn"), column("pfn"), column("attributes"),
+        column("is_superpage").astype(bool),
+    )
 
 
 def scan_process(process: Process) -> List[ContiguityRun]:
     """Scan one process's page table for contiguity runs."""
-    return scan_translations(process.iter_mappings())
+    return scan_arrays(*process.page_table.leaf_arrays())
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from repro.osmem.buddy import BuddyAllocator
 from repro.osmem.physical import KERNEL_PID, PhysicalMemory
 
 #: Callback resolving a pid to the object holding its page table. The
-#: object must expose ``page_table`` with lookup/unmap_run/map_page.
+#: object must expose ``page_table`` with ``move_page``.
 ProcessResolver = Callable[[int], object]
 
 
@@ -166,6 +166,13 @@ class CompactionDaemon:
         Returns False when the page cannot be migrated (owner vanished or
         the mapping is part of a superpage, which Linux migrates as a unit
         and we conservatively skip).
+
+        The PTE is checked and rewritten by one descent
+        (:meth:`PageTable.move_page`) before the target is claimed. The
+        rewrite takes nothing from the buddy allocator or the frame map
+        (a PT node it re-creates takes back the table frame its prune
+        just returned to the kernel's pool), so claiming afterwards
+        leaves every structure as claiming first did.
         """
         pid = self._physical.owner_of(source)
         vpn = self._physical.backing_vpn_of(source)
@@ -174,22 +181,16 @@ class CompactionDaemon:
         process = self._resolve_process(pid)
         if process is None:
             return False
-        page_table = process.page_table
-        translation = page_table.lookup(vpn)
-        if translation is None or translation.pfn != source:
-            # Stale reverse map (should not happen; be safe).
+        # A stale reverse map (should not happen) or a superpage fails
+        # the move.
+        if not process.page_table.move_page(vpn, source, target):
             return False
-        if translation.is_superpage:
-            return False
-
-        # Claim the target frame out of the buddy free pool.
+        # Claim the target frame out of the buddy free pool, then
+        # release the source.
         self._buddy.reserve_range(target, 1)
         self._physical.mark_allocated(
             target, 1, owner=pid, movable=True, backing_vpn=vpn
         )
-        # Rewrite the PTE, preserving attribute bits, then release source.
-        page_table.unmap_run(vpn, 1)
-        page_table.map_page(vpn, target, translation.attributes)
         self._physical.mark_free(source, 1)
         self._buddy.free_run(source, 1)
         if self._notify_invalidation is not None:

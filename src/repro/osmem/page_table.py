@@ -33,7 +33,10 @@ recorder uses that to memoize walk outcomes per VPN.
 from __future__ import annotations
 
 from itertools import repeat
+from operator import itemgetter
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from repro.common.constants import (
     BITS_PER_LEVEL,
@@ -151,7 +154,8 @@ class PageTable:
         writes leaves, once per written run per node: ``(vpn, 1)`` for
         one 4KB PTE, ``(start, n)`` for ``n`` consecutive PTEs of one PT
         node, ``(base, 512)`` for a 2MB PDE. ``split_superpage`` fires
-        through the unmap and the map it is made of. Table nodes are
+        through the unmap and the map it is made of, and so does
+        ``move_page`` for a page alone in its PT node. Table nodes are
         only freed once empty, i.e. after an unmap that already fired,
         so a listener sees every change to what :meth:`lookup`,
         :meth:`walk_path_addresses` and :meth:`pte_cache_line` return.
@@ -311,6 +315,40 @@ class PageTable:
         base = self.unmap_superpage(vpn)
         self.map_run(vpn, base.pfn, SUPERPAGE_PAGES, base.attributes)
 
+    def move_page(self, vpn: int, source: int, target: int) -> bool:
+        """Point ``vpn``'s 4KB PTE from frame ``source`` to ``target``.
+
+        Compaction's PTE rewrite. Returns False, writing nothing, unless
+        ``vpn`` maps a 4KB page at ``source``. The PTE keeps its
+        attributes and is rewritten in place by the descent that found
+        it, reported as ``(vpn, 1)``. A PT node holding only this page
+        goes through ``unmap_run`` + ``map_page`` instead, which prune
+        the node and create it again: its table frame goes back to its
+        source and is taken again, as every migration used to do.
+        """
+        self._check_vpn(vpn)
+        node = self._root
+        for shift in _SHIFTS[:LEAF_LEVEL]:
+            index = (vpn >> shift) & _INDEX_MASK
+            if index in node.leaves:  # inside a 2MB PDE
+                return False
+            node = node.children.get(index)
+            if node is None:
+                return False
+        leaves = node.leaves
+        index = vpn & _INDEX_MASK
+        leaf = leaves.get(index)
+        if leaf is None or leaf[0] != source:
+            return False
+        if len(leaves) == 1:
+            self.unmap_run(vpn, 1)
+            self.map_page(vpn, target, leaf[1])
+            return True
+        leaves[index] = (target, leaf[1])
+        if self._write_listeners:
+            self._notify_write(vpn, 1)
+        return True
+
     # ------------------------------------------------------------------
     # Lookup.
     # ------------------------------------------------------------------
@@ -408,6 +446,41 @@ class PageTable:
             node = child
         return addresses
 
+    def walk_view(
+        self, vpn: int
+    ) -> Optional[Tuple[Leaf, List[int], Optional[List[Optional[Leaf]]]]]:
+        """What a walk of ``vpn`` reads, in one descent; None if unmapped.
+
+        Returns ``(leaf, path, line)``: ``vpn``'s own ``(pfn,
+        attributes)`` (the PFN offset into a superpage's frames), the
+        entry addresses of :meth:`walk_path_addresses`, and the eight
+        leaves of :meth:`pte_cache_line` (None for unmapped slots; the
+        whole line is None for a superpage). The capture recorder reads
+        walks through this; the live walker keeps the three separate
+        reads, so replay and live walk still come from two read paths.
+        """
+        self._check_vpn(vpn)
+        node = self._root
+        path: List[int] = []
+        for shift in _SHIFTS[:LEAF_LEVEL]:
+            index = (vpn >> shift) & _INDEX_MASK
+            path.append(node.frame * PAGE_SIZE + index * PTE_SIZE)
+            leaf = node.leaves.get(index)
+            if leaf is not None:  # above the PT, only a 2MB PDE
+                return (leaf[0] + vpn % SUPERPAGE_PAGES, leaf[1]), path, None
+            node = node.children.get(index)
+            if node is None:
+                return None
+        leaves = node.leaves
+        index = vpn & _INDEX_MASK
+        leaf = leaves.get(index)
+        if leaf is None:
+            return None
+        path.append(node.frame * PAGE_SIZE + index * PTE_SIZE)
+        first = index - index % PTES_PER_CACHE_LINE
+        line = [leaves.get(slot) for slot in range(first, first + PTES_PER_CACHE_LINE)]
+        return leaf, path, line
+
     def pte_cache_line(self, vpn: int) -> Tuple[Optional[Translation], ...]:
         """The eight translations sharing ``vpn``'s PTE cache line.
 
@@ -458,6 +531,44 @@ class PageTable:
                 yield from self._iter_node(
                     node.children[index], level + 1, vpn_base
                 )
+
+    def leaf_arrays(
+        self,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Every leaf as ``(vpn, pfn, attributes, is_superpage)`` arrays.
+
+        The rows are :meth:`iter_mappings`' translations in the same VPN
+        order (a 2MB PDE is one row, at its base VPN and PFN), built
+        without a :class:`Translation` per page.
+        """
+        vpns: List[int] = []
+        leaves: List[Leaf] = []
+        superpages: List[int] = []
+        stack = [(self._root, 0, 0)]
+        while stack:
+            node, level, prefix = stack.pop()
+            shift = _SHIFTS[level]
+            for index, child in node.children.items():
+                stack.append((child, level + 1, prefix | index << shift))
+            if not node.leaves:
+                continue
+            if level == LEAF_LEVEL:
+                vpns.extend(map(prefix.__or__, node.leaves))
+            else:
+                first = len(vpns)
+                vpns.extend(prefix | index << shift for index in node.leaves)
+                superpages.extend(range(first, len(vpns)))
+            leaves.extend(node.leaves.values())
+        count = len(vpns)
+        vpn = np.fromiter(vpns, dtype=np.int64, count=count)
+        pfn = np.fromiter(map(itemgetter(0), leaves), dtype=np.int64, count=count)
+        attributes = np.fromiter(
+            map(itemgetter(1), leaves), dtype=np.int64, count=count
+        )
+        is_superpage = np.zeros(count, dtype=bool)
+        is_superpage[superpages] = True
+        order = np.argsort(vpn)
+        return vpn[order], pfn[order], attributes[order], is_superpage[order]
 
     # ------------------------------------------------------------------
     # Internals.

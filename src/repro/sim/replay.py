@@ -40,6 +40,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.common.errors import SimulationError
+from repro.common.types import COALESCING_KEY_MASK
 from repro.cache.hierarchy import (
     CacheHierarchy,
     HierarchyConfig,
@@ -55,10 +56,10 @@ from repro.sim.scenario import (
     _MASK_COLUMN,
     _PATH_BASE,
     CapturedScenario,
+    run_starts,
     scenario_config,
 )
 from repro.sim.system import SimulationConfig, SimulationResult
-from repro.tlb.entries import COALESCING_KEY_MASK
 from repro.walker.page_walker import PageWalker, WalkRecord
 
 
@@ -146,11 +147,8 @@ def build_plan(scenario: CapturedScenario) -> ReplayPlan:
     """Cut ``scenario``'s log into runs of one VPN."""
     vpns = scenario.vpns
     accesses = vpns.size
-    cuts = np.ones(accesses, dtype=bool)
-    np.not_equal(vpns[1:], vpns[:-1], out=cuts[1:])
     before = scenario.inval_before
-    cuts[before[before < accesses]] = True
-    starts = np.flatnonzero(cuts)
+    starts = run_starts(vpns, [before[before < accesses]])
     return ReplayPlan(
         run_start=starts.tolist(),
         run_vpn=vpns[starts].tolist(),
@@ -239,6 +237,19 @@ def replay_scenario(
             f"config {config} does not match captured scenario "
             f"{scenario.config}"
         )
+    with span(
+        "replay",
+        design=config.design.value,
+        benchmark=config.benchmark,
+        accesses=scenario.accesses,
+    ):
+        return _replay(scenario, config)
+
+
+def _replay(
+    scenario: CapturedScenario, config: SimulationConfig
+) -> SimulationResult:
+    """:func:`replay_scenario`'s body, inside its ``replay`` span."""
     mmu_config = config.mmu or make_mmu_config(config.design)
     accesses = scenario.accesses
     plan = _LAST_PLAN.get(scenario)
@@ -257,54 +268,48 @@ def replay_scenario(
     events = len(before)
     invalidate_range = mmu.invalidate_range
 
-    with span(
-        "replay",
-        design=config.design.value,
-        benchmark=config.benchmark,
-        accesses=accesses,
-    ):
-        pending = 0
-        if mmu_config.design is not CoLTDesign.PERFECT:
-            # A perfect TLB never probes, walks or fills: only the
-            # access and shootdown counts below are live.
-            step = mmu.step
-            counted = 0
-            sa_repeats = fa_repeats = 0
-            next_event = before[0] if events else accesses
-            for start, vpn, length in zip(
-                plan.run_start, plan.run_vpn, plan.run_length
-            ):
-                if start == next_event:
-                    mmu.tally(start - counted, sa_repeats, fa_repeats)
-                    counted = start
-                    sa_repeats = fa_repeats = 0
-                    while pending < events and before[pending] <= start:
-                        invalidate_range(starts[pending], counts[pending])
-                        pending += 1
-                    next_event = before[pending] if pending < events else accesses
-                walker.cursor = start
-                outcome = step(vpn)
-                if length > 1:
-                    index, end = start + 1, start + length
-                    while outcome == WALK_FA and index < end:
-                        walker.cursor = index
-                        outcome = step(vpn)
-                        index += 1
-                    if outcome == FA_HIT:
-                        fa_repeats += end - index
-                    else:
-                        sa_repeats += end - index
-            mmu.tally(accesses - counted, sa_repeats, fa_repeats)
-        else:
-            mmu.tally(accesses)
-        # Shootdowns that trailed the final access still reach the MMU
-        # before its counters are snapshotted.
-        while pending < events:
-            invalidate_range(starts[pending], counts[pending])
-            pending += 1
+    pending = 0
+    if mmu_config.design is not CoLTDesign.PERFECT:
+        # A perfect TLB never probes, walks or fills: only the
+        # access and shootdown counts below are live.
+        step = mmu.step
+        counted = 0
+        sa_repeats = fa_repeats = 0
+        next_event = before[0] if events else accesses
+        for start, vpn, length in zip(
+            plan.run_start, plan.run_vpn, plan.run_length
+        ):
+            if start == next_event:
+                mmu.tally(start - counted, sa_repeats, fa_repeats)
+                counted = start
+                sa_repeats = fa_repeats = 0
+                while pending < events and before[pending] <= start:
+                    invalidate_range(starts[pending], counts[pending])
+                    pending += 1
+                next_event = before[pending] if pending < events else accesses
+            walker.cursor = start
+            outcome = step(vpn)
+            if length > 1:
+                index, end = start + 1, start + length
+                while outcome == WALK_FA and index < end:
+                    walker.cursor = index
+                    outcome = step(vpn)
+                    index += 1
+                if outcome == FA_HIT:
+                    fa_repeats += end - index
+                else:
+                    sa_repeats += end - index
+        mmu.tally(accesses - counted, sa_repeats, fa_repeats)
+    else:
+        mmu.tally(accesses)
+    # Shootdowns that trailed the final access still reach the MMU
+    # before its counters are snapshotted.
+    while pending < events:
+        invalidate_range(starts[pending], counts[pending])
+        pending += 1
 
-        if mmu.sanitizer is not None:
-            mmu.sanitizer.full_scan()
+    if mmu.sanitizer is not None:
+        mmu.sanitizer.full_scan()
 
     discount = float(plan.distinct_lines * caches.config.dram_latency)
     performance = evaluate_performance(

@@ -5,11 +5,15 @@ traces are collected once per system configuration and then replayed
 through the functional TLB simulator under every design. This module is
 the capture half. ``ScenarioEngine`` owns the OS+workload interleaving
 -- kernel boot, aging, memhog, demand faulting, background churn,
-compaction ticks -- and drives it access by access. It is shared by the
-monolithic :class:`repro.sim.system.SystemSimulator` (which
-attaches a live MMU) and by :func:`capture_scenario` (which attaches a
-recorder instead), so the OS evolution of both paths is identical *by
-construction*, not by convention.
+compaction ticks -- and drives it run by run: a run is a maximal
+stretch of consecutive accesses to one VPN, also cut at every churn and
+tick boundary, so nothing touches the OS inside a run. Its page is
+checked and demand-faulted once, before its first access. The engine
+is shared by the monolithic :class:`repro.sim.system.SystemSimulator`
+(which steps every access of a run through a live MMU) and by
+:func:`capture_scenario` (which records one walk outcome per run), so
+the OS evolution of both paths is identical *by construction*, not by
+convention.
 
 ``capture_scenario`` produces a :class:`CapturedScenario`: a compact
 numpy translation log with, per access, the VPN and its full walk
@@ -21,23 +25,27 @@ is in the log; nothing TLB-design-dependent is. Replaying it through
 ``repro.sim.replay`` is bit-identical to the monolithic run -- enforced
 by ``repro.analysis.determinism --replay`` and the tier-1 tests.
 
-Each unique walk outcome is computed once. A record reads only the
-VPN's own leaf, the eight leaves of its PTE cache line and the frames of
-the table nodes on its walk path, and every one of those changes goes
-through a page-table leaf write -- including a demand fault that maps a
-*neighbour*, which rewrites the line window without any shootdown. So
-the recorder memoizes each VPN's row and, through the benchmark page
+Each unique walk outcome is computed once, in one page-table descent
+(:meth:`PageTable.walk_view`: the leaf, the walk-path addresses and the
+eight leaves of the PTE line). A record reads only the VPN's own leaf,
+the eight leaves of its PTE cache line and the frames of the table
+nodes on its walk path, and every one of those changes goes through a
+page-table leaf write -- including a demand fault that maps a
+*neighbour*, which rewrites the line window without any shootdown, and
+a compaction migration, which rewrites one PTE in place. So the
+recorder memoizes each VPN's row and, through the benchmark page
 table's write listener, drops the memo of every VPN in a written 8-PTE
 line. Rows are keyed by content, so the unique-row table is built as
-the loop runs and a captured QUICK-scale scenario is a few MB, cheap
-enough to ship to ``ProcessPoolExecutor`` workers.
+the loop runs; the recorder keeps one row id per run and expands them
+per access at the end. A captured QUICK-scale scenario is a few MB,
+cheap enough to ship to ``ProcessPoolExecutor`` workers.
 """
 
 from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -116,6 +124,19 @@ def scenario_config(config: "SimulationConfig") -> "SimulationConfig":
     return config.with_updates(design=CoLTDesign.BASELINE, mmu=None)
 
 
+def run_starts(vpns: np.ndarray, cuts: Iterable[np.ndarray] = ()) -> np.ndarray:
+    """First access of each run of one VPN in the stream ``vpns``.
+
+    Runs are maximal stretches of consecutive accesses to one VPN, cut
+    additionally before every access index in each array of ``cuts``.
+    """
+    starts = np.ones(vpns.size, dtype=bool)
+    np.not_equal(vpns[1:], vpns[:-1], out=starts[1:])
+    for cut in cuts:
+        starts[cut] = True
+    return np.flatnonzero(starts)
+
+
 class ScenarioEngine:
     """Boots, loads and steps one scenario's OS+workload interleaving."""
 
@@ -143,15 +164,17 @@ class ScenarioEngine:
         key = prefix_key(config)
         cached = _PREFIXES.get(key) if _PREFIXES is not None else None
         if cached is not None:
-            self.kernel, self._daemons = pickle.loads(cached)
-            self.kernel.bind_counters()
+            with span("prefix.clone", bytes=len(cached)):
+                self.kernel, self._daemons = pickle.loads(cached)
+                self.kernel.bind_counters()
         else:
             self._build_prefix()
             if _PREFIXES is not None:
-                _PREFIXES[key] = pickle.dumps(
-                    (self.kernel, self._daemons),
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                )
+                with span("prefix.pickle"):
+                    _PREFIXES[key] = pickle.dumps(
+                        (self.kernel, self._daemons),
+                        protocol=pickle.HIGHEST_PROTOCOL,
+                    )
 
         with span("layout", benchmark=self.profile.name):
             self.process = self.kernel.create_process(self.profile.name)
@@ -212,16 +235,19 @@ class ScenarioEngine:
     # Phase 3: the interleaved run.
     # ------------------------------------------------------------------
 
-    def run_loop(self, on_access: Callable[[int, int], None]) -> None:
-        """Step the trace, interleaving OS activity around ``on_access``.
+    def run_loop(self, on_run: Callable[[int, int, int], None]) -> None:
+        """Step the trace run by run, interleaving OS activity.
 
-        ``on_access(index, vpn)`` is invoked once per trace entry after
-        the page is demand-faulted in; the caller decides what an
-        access *means* (live MMU probe, or capture record). Background
-        churn and compaction ticks fire after every ``churn_every`` /
-        ``tick_every`` accesses -- i.e. first at ``period - 1``, not at
-        access 0, which previously injected both before the benchmark's
-        first reference.
+        A run is a maximal stretch of consecutive accesses to one VPN,
+        also cut where background churn or a compaction tick falls:
+        after every ``churn_every`` / ``tick_every`` accesses -- i.e.
+        first after access ``period - 1``, not at access 0, which
+        previously injected both before the benchmark's first
+        reference. Nothing touches the OS between the accesses of a
+        run, so its page is demand-faulted in at most once, before the
+        run's first access; then ``on_run(start, vpn, length)`` gets
+        accesses ``[start, start + length)``, and the caller decides
+        what they *mean* (live MMU probes, or one capture record).
         """
         if self.kernel is None:
             self.prepare()
@@ -234,17 +260,27 @@ class ScenarioEngine:
         is_populated = process.is_populated
         churn_every = config.churn_every
         tick_every = config.tick_every
+        vpns = self.trace.vpns
+        accesses = vpns.size
+        starts = run_starts(vpns, [
+            np.arange(period, accesses, period)
+            for period in (churn_every, tick_every)
+            if period
+        ])
+        lengths = np.diff(starts, append=accesses)
 
-        for index, vpn in enumerate(self.trace.vpns):
-            vpn = int(vpn)
+        for start, vpn, length in zip(
+            starts.tolist(), vpns[starts].tolist(), lengths.tolist()
+        ):
             if not is_populated(vpn):
                 # Demand fault, at this region's allocator granularity.
                 process.fault_batch = self._fault_batch_for(vpn)
                 kernel.touch(process, vpn)
-            on_access(index, vpn)
-            if churn_every and (index + 1) % churn_every == 0:
+            on_run(start, vpn, length)
+            end = start + length
+            if churn_every and end % churn_every == 0:
                 self._background_churn(churn_rng, live_churn)
-            if tick_every and (index + 1) % tick_every == 0:
+            if tick_every and end % tick_every == 0:
                 kernel.tick()
 
     def _background_churn(self, rng: np.random.Generator, live: List) -> None:
@@ -329,27 +365,30 @@ class CapturedScenario:
 
 
 class _CaptureRecorder:
-    """Records per-access walk outcomes and shootdown events.
+    """Records one walk outcome per run and the shootdown events.
 
-    A VPN's row is computed on its first access and memoized until a
-    leaf write to the benchmark page table touches its 8-PTE line.
-    ``_rows`` maps each distinct row to its id in first-seen order, so
-    a row that recurs after an invalidation maps back to its old id.
+    A VPN's row is computed on the first access of a run whose VPN has
+    no memo, and memoized until a leaf write to the benchmark page
+    table touches its 8-PTE line. ``_rows`` maps each distinct row to
+    its id in first-seen order, so a row that recurs after an
+    invalidation maps back to its old id.
     """
 
-    def __init__(self, engine: ScenarioEngine, accesses: int) -> None:
+    def __init__(self, engine: ScenarioEngine) -> None:
         self._page_table = engine.process.page_table
         self._bench_pid = engine.process.pid
         self._rows: Dict[tuple, int] = {}
-        #: Per-access row id into ``_rows``.
-        self._ids: List[int] = [0] * accesses
+        #: Row id and length of each run, in trace order.
+        self._run_ids: List[int] = []
+        self._run_lengths: List[int] = []
         #: vpn -> row id; :meth:`_on_write` drops whole 8-PTE lines.
         self._memo: Dict[int, int] = {}
         self.events: List = []
         #: Number of accesses recorded so far == the index the next
-        #: shootdown precedes: events during access i's demand fault
-        #: arrive before ``on_access(i)`` and tag i; churn/tick events
-        #: after it tag i+1, matching where a replayed MMU sees them.
+        #: shootdown precedes: events during a run's demand fault
+        #: arrive before ``on_run`` and tag its first access;
+        #: churn/tick events after it tag the access after its last,
+        #: matching where a replayed MMU sees them.
         self.position = 0
         self.counters = CounterSet(["accesses", "records_computed"])
         bind_counterset(get_registry(), "colt_capture", self.counters)
@@ -370,53 +409,53 @@ class _CaptureRecorder:
             for vpn in range(first, end + (-end) % line):
                 memo.pop(vpn, None)
 
-    def on_access(self, index: int, vpn: int) -> None:
+    def on_run(self, start: int, vpn: int, length: int) -> None:
+        """Record accesses ``[start, start + length)``, all to ``vpn``."""
         row_id = self._memo.get(vpn)
         if row_id is None:
             row_id = self._memo[vpn] = self._row_id(vpn)
-        self._ids[index] = row_id
-        self.position = index + 1
+        self._run_ids.append(row_id)
+        self._run_lengths.append(length)
+        self.position = start + length
 
     def _row_id(self, vpn: int) -> int:
         """Compute ``vpn``'s record; return the id of its row."""
         self.counters.increment("records_computed")
-        page_table = self._page_table
-        translation = page_table.lookup(vpn)
-        if translation is None:  # pragma: no cover - faulted in by engine
+        view = self._page_table.walk_view(vpn)
+        if view is None:  # pragma: no cover - faulted in by engine
             raise TranslationError(f"capture of unmapped vpn {vpn}")
-        path = page_table.walk_path_addresses(vpn)
-        row = [
-            translation.pfn,
-            int(translation.attributes),
-            1 if translation.is_superpage else 0,
-            len(path),
-            *path,
-        ]
+        (pfn, attributes), path, line = view
+        row = [pfn, int(attributes), 1 if line is None else 0, len(path)]
+        row += path
         row += [-1] * (_MASK_COLUMN - len(row))
-        if translation.is_superpage:
+        if line is None:
             row += [0] * (RECORD_COLUMNS - _MASK_COLUMN)
         else:
             mask = 0
             pfns = [0] * PTES_PER_CACHE_LINE
-            attributes = [0] * PTES_PER_CACHE_LINE
-            for offset, neighbour in enumerate(page_table.pte_cache_line(vpn)):
-                if neighbour is not None:
-                    mask |= 1 << offset
-                    pfns[offset] = neighbour.pfn
-                    attributes[offset] = int(neighbour.attributes)
-            row += [mask, *pfns, *attributes]
+            attribute_bits = [0] * PTES_PER_CACHE_LINE
+            for slot, leaf in enumerate(line):
+                if leaf is not None:
+                    mask |= 1 << slot
+                    pfns[slot] = leaf[0]
+                    attribute_bits[slot] = int(leaf[1])
+            row.append(mask)
+            row += pfns
+            row += attribute_bits
         rows = self._rows
         return rows.setdefault(tuple(row), len(rows))
 
     def finish(self) -> Tuple[np.ndarray, np.ndarray]:
         """The sorted unique-row table and the per-access index into it."""
-        self.counters.increment("accesses", len(self._ids))
+        ids = np.repeat(
+            np.asarray(self._run_ids, dtype=np.int64), self._run_lengths
+        )
+        self.counters.increment("accesses", ids.size)
         records, inverse = np.unique(
             np.array(list(self._rows), dtype=np.int64),
             axis=0,
             return_inverse=True,
         )
-        ids = np.asarray(self._ids, dtype=np.int64)
         return records, np.asarray(inverse, dtype=np.int64).ravel()[ids]
 
 
@@ -429,21 +468,24 @@ def capture_scenario(config: "SimulationConfig") -> CapturedScenario:
     config = scenario_config(config)
     engine = ScenarioEngine(config)
     engine.prepare()
-    recorder = _CaptureRecorder(engine, len(engine.trace.vpns))
+    recorder = _CaptureRecorder(engine)
     with span(
         "capture",
         benchmark=config.benchmark,
         accesses=config.accesses,
         seed=config.seed,
     ):
-        engine.run_loop(recorder.on_access)
+        engine.run_loop(recorder.on_run)
         engine.sanity_check()
 
-    records, record_index = recorder.finish()
-    if recorder.events:
-        event_array = np.asarray(recorder.events, dtype=np.int64)
-    else:
-        event_array = np.zeros((0, 3), dtype=np.int64)
+        with span("capture.finish"):
+            records, record_index = recorder.finish()
+            if recorder.events:
+                event_array = np.asarray(recorder.events, dtype=np.int64)
+            else:
+                event_array = np.zeros((0, 3), dtype=np.int64)
+        with span("contiguity.scan"):
+            contiguity = ContiguityReport.from_process(engine.process)
     return CapturedScenario(
         config=config,
         profile=engine.profile,
@@ -454,6 +496,6 @@ def capture_scenario(config: "SimulationConfig") -> CapturedScenario:
         inval_start=event_array[:, 1].copy(),
         inval_count=event_array[:, 2].copy(),
         kernel_counters=engine.kernel.counters.snapshot(),
-        contiguity=ContiguityReport.from_process(engine.process),
+        contiguity=contiguity,
         trace_unique_pages=engine.trace.unique_pages,
     )

@@ -278,9 +278,10 @@ class SystemSimulator:
         access = mmu.access
         walker = mmu.walker
 
-        def on_access(index: int, vpn: int) -> None:
-            walker.cursor = index
-            access(vpn)
+        def on_run(start: int, vpn: int, length: int) -> None:
+            for index in range(start, start + length):
+                walker.cursor = index
+                access(vpn)
 
         with span(
             "simulate",
@@ -288,7 +289,7 @@ class SystemSimulator:
             benchmark=self.config.benchmark,
             accesses=self.config.accesses,
         ):
-            self._engine.run_loop(on_access)
+            self._engine.run_loop(on_run)
 
             # A parting full sweep: if anything drifted during the run,
             # fail here rather than hand back silently-corrupt statistics.

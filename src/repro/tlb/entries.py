@@ -27,13 +27,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from repro.common.constants import SUPERPAGE_PAGES
 from repro.common.errors import ConfigurationError
-from repro.common.types import PageAttributes, Translation
-
-#: Attribute bits that must match for two translations to coalesce --
-#: the integer form of ``PageAttributes.coalescing_key``'s mask (the
-#: IntFlag inversion is bounded to the defined flag universe, so this is
-#: *not* ``~24``).
-COALESCING_KEY_MASK = int(~(PageAttributes.ACCESSED | PageAttributes.DIRTY))
+from repro.common.types import COALESCING_KEY_MASK, Translation
 
 
 def _check_run(translations: Sequence[Translation]) -> Translation:

@@ -6,18 +6,25 @@ in the results: every design's replay must be bit-identical to the
 legacy monolithic run, the OS must be captured exactly once per
 scenario, and the disk store must hand equal results to concurrent
 processes. These tests pin each of those properties.
+
+The capture loop steps runs of one VPN; :func:`reference_capture` keeps
+the per-access loop it replaced as an oracle, and hypothesis-edited
+traces must capture identically through both.
 """
 
 import dataclasses
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.analysis.determinism import check_replay_equivalence
 from repro.cache.hierarchy import pollution_schedule
 from repro.common.errors import SimulationError, TaskExecutionError
+from repro.contiguity.scanner import ContiguityReport
 from repro.core.mmu import CoLTDesign, make_mmu_config
 from repro.experiments.contiguity_figs import CDF_CONFIGS
 from repro.experiments.registry import get_experiment
@@ -30,6 +37,7 @@ from repro.sim.resilience import RetryPolicy
 from repro.sim.runner import ExperimentRunner
 from repro.sim.scenario import (
     RECORD_COLUMNS,
+    CapturedScenario,
     ScenarioEngine,
     capture_scenario,
     prefix_key,
@@ -44,6 +52,8 @@ from repro.experiments.environments import (
 from repro.experiments.scale import QUICK
 from repro.workloads.benchmarks import BENCHMARKS, BenchmarkProfile, RegionSpec
 from repro.workloads.patterns import PhaseSpec
+
+from test_contiguity import reference_scan
 
 ALL_DESIGNS = (
     CoLTDesign.BASELINE,
@@ -345,19 +355,21 @@ def recorders(monkeypatch):
     """Capture recorders built during the test, each with an oracle.
 
     The oracle is stepped by the same ``run_loop`` call just before the
-    memoized recorder, so both read the same page-table state.
+    memoized recorder, once for every access of the run, so both read
+    the same page-table state.
     """
     built = []
 
     class WithOracle(scenario_module._CaptureRecorder):
-        def __init__(self, engine, accesses) -> None:
-            super().__init__(engine, accesses)
+        def __init__(self, engine) -> None:
+            super().__init__(engine)
             self.oracle = _RecomputingRecorder(engine)
             built.append(self)
 
-        def on_access(self, index: int, vpn: int) -> None:
-            self.oracle.on_access(index, vpn)
-            super().on_access(index, vpn)
+        def on_run(self, start: int, vpn: int, length: int) -> None:
+            for index in range(start, start + length):
+                self.oracle.on_access(index, vpn)
+            super().on_run(start, vpn, length)
 
     monkeypatch.setattr(scenario_module, "_CaptureRecorder", WithOracle)
     return built
@@ -402,6 +414,147 @@ class TestCaptureMemo:
         assert scenario.records.shape[0] <= computed
         # One row per distinct page: 3,643 of 30,000 accesses.
         assert computed < 0.15 * scenario.accesses
+
+
+def reference_capture(config: SimulationConfig) -> CapturedScenario:
+    """The per-access capture loop the run-length loop replaced (oracle).
+
+    Every access checks its page's population (faulting it in if
+    needed) and recomputes its record through ``lookup``,
+    ``walk_path_addresses`` and ``pte_cache_line``; churn and ticks fire
+    when ``(index + 1)`` reaches a multiple of their period; contiguity
+    comes from the per-translation scan.
+    """
+    config = scenario_config(config)
+    engine = ScenarioEngine(config)
+    engine.prepare()
+    kernel, process = engine.kernel, engine.process
+    oracle = _RecomputingRecorder(engine)
+    events = []
+    position = 0
+
+    def on_invalidation(pid: int, start_vpn: int, count: int) -> None:
+        if pid == process.pid:
+            events.append((position, start_vpn, count))
+
+    kernel.add_invalidation_listener(on_invalidation)
+    churn_rng = engine._seeds.rng("run.churn")
+    live_churn = []
+    for index, vpn in enumerate(engine.trace.vpns.tolist()):
+        if not process.is_populated(vpn):
+            process.fault_batch = engine._fault_batch_for(vpn)
+            kernel.touch(process, vpn)
+        oracle.on_access(index, vpn)
+        position = index + 1
+        if config.churn_every and position % config.churn_every == 0:
+            engine._background_churn(churn_rng, live_churn)
+        if config.tick_every and position % config.tick_every == 0:
+            kernel.tick()
+    engine.sanity_check()
+    records, record_index = np.unique(
+        oracle.records, axis=0, return_inverse=True
+    )
+    event_array = np.asarray(events, dtype=np.int64).reshape(-1, 3)
+    return CapturedScenario(
+        config=config,
+        profile=engine.profile,
+        vpns=np.asarray(engine.trace.vpns, dtype=np.int64).copy(),
+        records=records,
+        record_index=np.asarray(record_index, dtype=np.int64).ravel(),
+        inval_before=event_array[:, 0].copy(),
+        inval_start=event_array[:, 1].copy(),
+        inval_count=event_array[:, 2].copy(),
+        kernel_counters=kernel.counters.snapshot(),
+        contiguity=ContiguityReport.from_runs(
+            reference_scan(process.iter_mappings())
+        ),
+        trace_unique_pages=engine.trace.unique_pages,
+    )
+
+
+def assert_same_capture(got: CapturedScenario, want: CapturedScenario) -> None:
+    for field in dataclasses.fields(CapturedScenario):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(a, np.ndarray):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), field.name
+            assert a.tobytes() == b.tobytes(), field.name
+        else:
+            assert a == b, field.name
+
+
+@st.composite
+def trace_edits(draw, config):
+    """``(first, length)`` overwrites: accesses ``first + 1 ..
+    first + length`` repeat access ``first``'s VPN. One edit per period
+    starts just before a churn or tick boundary, so its run straddles
+    it."""
+    accesses = config.accesses
+    edits = draw(st.lists(
+        st.tuples(st.integers(0, accesses - 2), st.integers(1, 150)),
+        max_size=6,
+    ))
+    for period in (config.churn_every, config.tick_every):
+        boundary = period * draw(st.integers(1, (accesses - 1) // period))
+        edits.append(
+            (boundary - draw(st.integers(1, 3)),
+             draw(st.integers(2, 2 * period)))
+        )
+    return edits
+
+
+def edited_trace_generator(edits):
+    """``generate_trace`` with ``edits`` applied to the stream."""
+    generate = scenario_module.generate_trace
+
+    def generate_edited(*args, **kwargs):
+        trace = generate(*args, **kwargs)
+        vpns = trace.vpns.copy()
+        for first, length in edits:
+            vpns[first + 1:first + 1 + length] = vpns[first]
+        return dataclasses.replace(trace, vpns=vpns)
+
+    return generate_edited
+
+
+#: Churn and ticks every few dozen accesses, with shootdowns: the
+#: demand-faulting profile (compaction migrates its pages) and
+#: cactusADM on the simulation machine.
+RUN_LOOP_CONFIGS = {
+    "demand_faults": lambda: simulation_config(
+        "demand_fault", QUICK.with_updates(accesses=3000)
+    ).with_updates(churn_every=48, tick_every=100),
+    "cactusadm_shootdowns": lambda: simulation_config(
+        "cactusadm", QUICK.with_updates(accesses=3000)
+    ).with_updates(churn_every=40, tick_every=50),
+}
+
+
+class TestRunLengthCapture:
+    """The run-length capture loop equals the per-access one."""
+
+    @pytest.mark.parametrize("setting", sorted(RUN_LOOP_CONFIGS))
+    def test_unedited_trace(self, demand_profile, setting):
+        config = RUN_LOOP_CONFIGS[setting]()
+        captured = capture_scenario(config)
+        assert captured.inval_before.size > 0
+        assert_same_capture(captured, reference_capture(config))
+
+    @pytest.mark.parametrize("setting", sorted(RUN_LOOP_CONFIGS))
+    @given(data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_edited_traces(self, setting, data):
+        """Repeated VPNs, and runs that straddle churn and tick periods."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setitem(BENCHMARKS, DEMAND_PROFILE.name, DEMAND_PROFILE)
+            config = RUN_LOOP_CONFIGS[setting]()
+            edits = data.draw(trace_edits(config))
+            patch.setattr(
+                scenario_module, "generate_trace",
+                edited_trace_generator(edits),
+            )
+            assert_same_capture(
+                capture_scenario(config), reference_capture(config)
+            )
 
 
 def _store_worker(store_dir: str, config: SimulationConfig):
@@ -472,7 +625,7 @@ class TestSchedules:
             return original(self)
 
         monkeypatch.setattr(Kernel, "tick", counting_tick)
-        engine.run_loop(lambda index, vpn: None)
+        engine.run_loop(lambda start, vpn, length: None)
         # 1999 accesses at period 1000: one tick (after access 999).
         # The pre-fix schedule fired at access 0 and 1000 -- two ticks,
         # one of them before the benchmark's first reference.
@@ -488,7 +641,7 @@ class TestSchedules:
             "_background_churn",
             lambda self, rng, live: churns.append(1),
         )
-        engine.run_loop(lambda index, vpn: None)
+        engine.run_loop(lambda start, vpn, length: None)
         assert len(churns) == 100 // 48
 
     def test_pollution_cursor_initialised_in_init(self):

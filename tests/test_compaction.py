@@ -136,6 +136,133 @@ class TestPinsAndSuperpages:
 
 
 # ---------------------------------------------------------------------------
+# In-place PTE rewrite against the unmap + map pair it replaced.
+# ---------------------------------------------------------------------------
+
+
+def pair_migrate(daemon, source, target):
+    """``_migrate`` as it was: ``lookup``, claim the target, then
+    ``unmap_run`` + ``map_page`` (three descents; oracle)."""
+    physical = daemon._physical
+    pid = physical.owner_of(source)
+    vpn = physical.backing_vpn_of(source)
+    if pid in (KERNEL_PID, -1) or vpn < 0:
+        return False
+    process = daemon._resolve_process(pid)
+    if process is None:
+        return False
+    page_table = process.page_table
+    translation = page_table.lookup(vpn)
+    if (
+        translation is None
+        or translation.pfn != source
+        or translation.is_superpage
+    ):
+        return False
+    daemon._buddy.reserve_range(target, 1)
+    physical.mark_allocated(
+        target, 1, owner=pid, movable=True, backing_vpn=vpn
+    )
+    page_table.unmap_run(vpn, 1)
+    page_table.map_page(vpn, target, translation.attributes)
+    physical.mark_free(source, 1)
+    daemon._buddy.free_run(source, 1)
+    if daemon._notify_invalidation is not None:
+        daemon._notify_invalidation(pid, vpn, 1)
+    return True
+
+
+def observed_kernel():
+    """A fragmented kernel plus a process whose one page is alone in
+    its PT node (and in its whole page table), and the lists its page
+    -table writes and shootdowns are recorded into."""
+    kernel, process = make_fragmented_kernel()
+    for translation in list(process.iter_mappings())[::3]:
+        process.page_table.mark_accessed(translation.vpn, dirty=True)
+    lone = kernel.create_process("lone")
+    kernel.malloc(lone, 1, populate=True)
+    writes, shootdowns = [], []
+    for owner in (process, lone):
+        owner.page_table.add_write_listener(
+            lambda start, count, pid=owner.pid: writes.append(
+                (pid, start, count)
+            )
+        )
+    kernel.add_invalidation_listener(
+        lambda *event: shootdowns.append(event)
+    )
+    return kernel, lone, writes, shootdowns
+
+
+def collapsed(writes):
+    """``writes`` with each run of repeated calls reported once: the
+    pair reports a rewritten PTE twice (unmap, then map), the in-place
+    rewrite once (a lone page still goes through the pair)."""
+    return [w for i, w in enumerate(writes) if i == 0 or w != writes[i - 1]]
+
+
+def kernel_state(kernel):
+    physical = kernel.physical
+    return (
+        {
+            process.pid: [
+                (t.vpn, t.pfn, t.attributes, t.is_superpage,
+                 tuple(process.page_table.walk_path_addresses(t.vpn)))
+                for t in process.iter_mappings()
+            ]
+            for process in kernel.processes()
+        },
+        list(kernel._table_pool),
+        kernel.counters["table_frames"],
+        kernel.buddy.free_list_snapshot(),
+        [
+            (physical.is_allocated(pfn), physical.owner_of(pfn),
+             physical.backing_vpn_of(pfn))
+            for pfn in range(physical.num_frames)
+        ],
+        kernel.compaction.counters.as_dict(),
+    )
+
+
+class TestInPlaceMigration:
+    def test_equals_unmap_map_pair(self, monkeypatch):
+        """Leaves, walk paths, listener calls, table-frame pool order and
+        the table-frame count all match the pair, lone page included."""
+        kernel, lone, writes, shootdowns = observed_kernel()
+        (before,) = lone.iter_mappings()
+        frames_before = kernel.counters["table_frames"]
+        migrated = kernel.compaction.run()
+        (after,) = lone.iter_mappings()
+        assert after.pfn != before.pfn  # the lone page did move
+        # Its whole path was pruned and re-created: three table frames.
+        assert kernel.counters["table_frames"] == frames_before + 3
+
+        oracle, _, oracle_writes, oracle_shootdowns = observed_kernel()
+        daemon = oracle.compaction
+        monkeypatch.setattr(
+            daemon, "_migrate",
+            lambda source, target: pair_migrate(daemon, source, target),
+        )
+        assert daemon.run() == migrated
+        assert kernel_state(kernel) == kernel_state(oracle)
+        assert shootdowns == oracle_shootdowns
+        assert collapsed(writes) == collapsed(oracle_writes)
+        assert len(oracle_writes) > len(writes)
+
+    def test_stale_or_superpage_mapping_writes_nothing(self):
+        table = PageTable()
+        table.map_page(5, 50)
+        table.map_superpage(512, 1024)
+        writes = []
+        table.add_write_listener(lambda *call: writes.append(call))
+        assert not table.move_page(5, 51, 60)  # another frame
+        assert not table.move_page(6, 51, 60)  # unmapped
+        assert not table.move_page(512 + 3, 1027, 60)  # in a superpage
+        assert writes == []
+        assert table.lookup(5).pfn == 50
+
+
+# ---------------------------------------------------------------------------
 # Oracle: the run against a reference with list snapshots.
 # ---------------------------------------------------------------------------
 

@@ -305,7 +305,8 @@ class TestTracedDeterminism:
         assert {event.ph for event in events} == {"X"}
         names = span_names(events)
         for required in ("capture", "replay", "runner.run_batch",
-                         "kernel.boot", "trace.generate"):
+                         "kernel.boot", "trace.generate", "capture.finish",
+                         "contiguity.scan", "prefix.pickle"):
             assert names.get(required), f"missing span {required!r}"
         snapshot = get_registry().snapshot()
         assert len(snapshot) >= 15
