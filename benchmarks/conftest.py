@@ -1,7 +1,7 @@
 """Shared fixtures for the benchmark harness.
 
-Each ``benchmarks/test_*.py`` regenerates one of the paper's tables or
-figures and prints the same rows the paper reports. The scale comes from
+``test_figures.py`` regenerates each of the paper's tables and figures
+and prints the same rows the paper reports. The scale comes from
 ``REPRO_SCALE`` (quick by default here, so ``pytest benchmarks/
 --benchmark-only`` completes in minutes; set ``REPRO_SCALE=default`` or
 ``full`` to reproduce the committed EXPERIMENTS.md numbers).

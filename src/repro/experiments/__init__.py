@@ -1,4 +1,10 @@
-"""Experiment harnesses regenerating every table and figure of the paper."""
+"""Experiment harnesses regenerating every table and figure of the paper.
+
+Each registered experiment (``registry``) runs the configs of its table
+in one runner batch and returns a :class:`ResultTable` (``table``): the
+rows the paper plots, the columns it prints, and ``cell`` / ``average``
+to read any value by benchmark and column name.
+"""
 
 from repro.experiments.registry import EXPERIMENTS, Experiment, get_experiment
 from repro.experiments.scale import (

@@ -31,18 +31,22 @@ store corruption for chaos testing. When the resilience layer
 absorbed anything, or a fault fired in the parent or a worker, a
 summary line reports it.
 
+An unknown experiment id, or a knob (``REPRO_SCALE``, ``COLT_*``)
+whose value does not parse, is a usage error: the run exits 2 with one
+``error:`` line before anything runs.
+
 The experiments run through one loop (:func:`run_experiments`), which
-keeps each experiment's result object, prints its table as it
-finishes -- the printed tables are the run's table output -- and
-carries on past an experiment that failed permanently (the run then
-exits 1). The store is the only resume state: rerunning the same
-command after an interruption gets every finished simulation back as
-a store hit. SIGINT/SIGTERM are handled two-stage
-(``repro.sim.shutdown``): the first signal winds the run down
-gracefully (checkpoint, flush obs artifacts) and exits with status 75;
-a second signal hard-aborts. Every exit path, an exception included,
-writes the summary, the requested trace and report, and the history
-record.
+keeps each experiment's :class:`~repro.experiments.table.ResultTable`,
+prints its table as it finishes -- the printed tables are the run's
+table output -- and carries on past an experiment that failed
+permanently (the run then exits 1). The store is the only resume
+state: rerunning the same command after an interruption gets every
+finished simulation back as a store hit. SIGINT/SIGTERM are handled
+two-stage (``repro.sim.shutdown``): the first signal winds the run
+down gracefully (checkpoint, flush obs artifacts) and exits with
+status 75; a second signal hard-aborts. Every exit path, an exception
+included, writes the summary, the requested trace and report, and the
+history record.
 
 The elapsed-time stamps printed here are display-only terminal feedback
 (monotonic ``perf_counter``); they are never serialized into experiment
@@ -60,7 +64,12 @@ from pathlib import Path
 from typing import Dict, Optional, Sequence
 
 from repro.common import knobs
-from repro.common.errors import ShutdownRequested, TaskExecutionError
+from repro.common.errors import (
+    ConfigurationError,
+    ExperimentError,
+    ShutdownRequested,
+    TaskExecutionError,
+)
 from repro.common.statistics import CounterSet
 from repro.obs.export import write_chrome_trace, write_metrics_json
 from repro.obs.history import (
@@ -331,12 +340,22 @@ def _append_history(args, experiments, runner, store, scale, jobs,
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     if not args.ids:
         _list_experiments()
         return 0
-    if args.telemetry_port is None:
-        args.telemetry_port = telemetry_port_from_env()
+    try:
+        # An unknown id or a knob that does not parse ends the run here,
+        # before anything runs, as one usage error (exit 2).
+        experiments = resolve_experiments(args.ids)
+        scale = scale_from_env()
+        if args.telemetry_port is None:
+            args.telemetry_port = telemetry_port_from_env()
+        policy = RetryPolicy.from_env()
+        faults = FaultPlan.from_env()
+    except (ConfigurationError, ExperimentError) as exc:
+        parser.error(str(exc))
 
     configure_logging(-1 if args.quiet else args.verbose)
     # A fresh tracer and registry before the store and runner bind
@@ -347,8 +366,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # Exported so pool workers (deadline dumps) agree on the dir.
         os.environ[knobs.DUMP_DIR.name] = args.dump_dir
 
-    experiments = resolve_experiments(args.ids)
-    scale = scale_from_env()
     store = None
     if not args.no_cache:
         if args.cache_dir is not None:
@@ -360,7 +377,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"cleared {removed} cached results from {store.root}")
 
     jobs = args.jobs if args.jobs is not None else os.cpu_count() or 1
-    policy = RetryPolicy.from_env()
     if args.retries is not None:
         policy = replace(policy, max_retries=max(0, args.retries))
     if args.task_timeout is not None:
@@ -368,7 +384,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             policy,
             timeout_s=args.task_timeout if args.task_timeout > 0 else None,
         )
-    faults = FaultPlan.from_env()
     shutdown = ShutdownCoordinator()
     runner = ExperimentRunner(
         jobs=jobs, store=store, policy=policy, faults=faults,

@@ -4,7 +4,7 @@
   the L2 echo fill. The paper reports the echo is worth an extra 10-20%
   of miss eliminations.
 * ``abl_window`` -- Section 4.1.4: the coalescing window is bounded by
-  the 8-PTE cache line; we sweep hypothetical windows of 4, 8 and 16 to
+  the 8-PTE cache line; we sweep hypothetical windows of 2, 4 and 8 to
   show how much of CoLT's benefit the free cache-line fetch captures.
 * ``abl_fasize`` -- Section 4.2.4: the paper conservatively halves the
   fully-associative TLB for CoLT-FA; this ablation shows what a
@@ -19,13 +19,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Mapping, Tuple
 
-from repro.common.statistics import percent_eliminated
 from repro.core.mmu import CoLTDesign, make_mmu_config
 from repro.sim.runner import ExperimentRunner
-from repro.experiments.environments import simulation_config
 from repro.experiments.scale import ExperimentScale
+from repro.experiments.table import Column, ResultTable, item
+from repro.experiments.tlb_figs import Variant, run_variants
+
+_FA, _ALL = CoLTDesign.COLT_FA, CoLTDesign.COLT_ALL
 
 
 @dataclass(frozen=True)
@@ -35,150 +37,54 @@ class AblationRow:
                                 # eliminated
 
 
-@dataclass(frozen=True)
-class AblationResult:
-    name: str
-    variant_names: Tuple[str, ...]
-    rows: Tuple[AblationRow, ...]
-
-    def average(self, variant: str) -> float:
-        return sum(r.variants[variant] for r in self.rows) / len(self.rows)
-
-    def format_table(self) -> str:
-        header = f"{'Benchmark':11s} " + " ".join(
-            f"{v:>18s}" for v in self.variant_names
+#: Ablation id -> (name, variant name -> (design, MMU config)).
+ABLATIONS: Dict[str, Tuple[str, Mapping[str, Variant]]] = {
+    "abl_l2fill": ("L2 echo fill (Section 7.1.3)", {
+        "fa_with_l2fill": (_FA, make_mmu_config(_FA, fa_fill_l2=True)),
+        "fa_no_l2fill": (_FA, make_mmu_config(_FA, fa_fill_l2=False)),
+        "all_with_l2fill": (_ALL, make_mmu_config(_ALL, fa_fill_l2=True)),
+        "all_no_l2fill": (_ALL, make_mmu_config(_ALL, fa_fill_l2=False)),
+    }),
+    "abl_window": ("coalescing window (Section 4.1.4)", {
+        f"fa_window_{window}": (
+            _FA, make_mmu_config(_FA, coalescing_window=window)
         )
-        lines = [f"Ablation: {self.name} (L2 miss elimination %)",
-                 header, "-" * len(header)]
-        for row in self.rows:
-            vals = " ".join(
-                f"{row.variants[v]:18.1f}" for v in self.variant_names
-            )
-            lines.append(f"{row.benchmark:11s} {vals}")
-        avgs = " ".join(
-            f"{self.average(v):18.1f}" for v in self.variant_names
-        )
-        lines.append(f"{'Average':11s} {avgs}")
-        return "\n".join(lines)
-
-
-def _sweep(
-    name: str,
-    variants: Dict[str, tuple],
-    scale: ExperimentScale,
-    runner: Optional[ExperimentRunner],
-) -> AblationResult:
-    """Run (design, mmu-config) variants and report L2 eliminations."""
-    runner = runner or ExperimentRunner()
-    runner.run_batch([
-        cfg
-        for benchmark in scale.benchmarks
-        for base in (simulation_config(benchmark, scale),)
-        for cfg in (base,) + tuple(
-            base.with_updates(design=design, mmu=mmu)
-            for design, mmu in variants.values()
-        )
-    ])
-    rows: List[AblationRow] = []
-    for benchmark in scale.benchmarks:
-        base_cfg = simulation_config(benchmark, scale)
-        baseline = runner.run(base_cfg)
-        measured = {}
-        for variant, (design, mmu) in variants.items():
-            cfg = base_cfg.with_updates(design=design, mmu=mmu)
-            measured[variant] = percent_eliminated(
-                baseline.l2_misses, runner.run(cfg).l2_misses
-            )
-        rows.append(AblationRow(benchmark, measured))
-    return AblationResult(name, tuple(variants), tuple(rows))
-
-
-def run_l2fill_ablation(
-    scale: ExperimentScale, runner: Optional[ExperimentRunner] = None
-) -> AblationResult:
-    """Section 7.1.3: the L2 echo fill of CoLT-FA / CoLT-All."""
-    variants = {
-        "fa_with_l2fill": (
-            CoLTDesign.COLT_FA,
-            make_mmu_config(CoLTDesign.COLT_FA, fa_fill_l2=True),
-        ),
-        "fa_no_l2fill": (
-            CoLTDesign.COLT_FA,
-            make_mmu_config(CoLTDesign.COLT_FA, fa_fill_l2=False),
-        ),
-        "all_with_l2fill": (
-            CoLTDesign.COLT_ALL,
-            make_mmu_config(CoLTDesign.COLT_ALL, fa_fill_l2=True),
-        ),
-        "all_no_l2fill": (
-            CoLTDesign.COLT_ALL,
-            make_mmu_config(CoLTDesign.COLT_ALL, fa_fill_l2=False),
-        ),
-    }
-    return _sweep("L2 echo fill (Section 7.1.3)", variants, scale, runner)
-
-
-def run_window_ablation(
-    scale: ExperimentScale, runner: Optional[ExperimentRunner] = None
-) -> AblationResult:
-    """Section 4.1.4: the cache-line coalescing window bound."""
-    variants = {
-        f"fa_window_{w}": (
-            CoLTDesign.COLT_FA,
-            make_mmu_config(CoLTDesign.COLT_FA, coalescing_window=w),
-        )
-        for w in (2, 4, 8)
-    }
-    return _sweep(
-        "coalescing window (Section 4.1.4)", variants, scale, runner
-    )
-
-
-def run_futurework_ablation(
-    scale: ExperimentScale, runner: Optional[ExperimentRunner] = None
-) -> AblationResult:
-    """Section 4.1.5: the paper's deferred refinements, measured."""
-    variants = {
-        "all_paper": (
-            CoLTDesign.COLT_ALL,
-            make_mmu_config(CoLTDesign.COLT_ALL),
-        ),
+        for window in (2, 4, 8)
+    }),
+    "abl_futurework": ("future-work mechanisms (Section 4.1.5)", {
+        "all_paper": (_ALL, make_mmu_config(_ALL)),
         "all_graceful_inval": (
-            CoLTDesign.COLT_ALL,
-            make_mmu_config(CoLTDesign.COLT_ALL, graceful_invalidation=True),
+            _ALL, make_mmu_config(_ALL, graceful_invalidation=True)
         ),
         "all_aware_replace": (
-            CoLTDesign.COLT_ALL,
-            make_mmu_config(
-                CoLTDesign.COLT_ALL, coalescing_aware_replacement=True
-            ),
+            _ALL, make_mmu_config(_ALL, coalescing_aware_replacement=True)
         ),
-        "all_both": (
-            CoLTDesign.COLT_ALL,
-            make_mmu_config(
-                CoLTDesign.COLT_ALL,
-                graceful_invalidation=True,
-                coalescing_aware_replacement=True,
-            ),
-        ),
-    }
-    return _sweep(
-        "future-work mechanisms (Section 4.1.5)", variants, scale, runner
+        "all_both": (_ALL, make_mmu_config(
+            _ALL,
+            graceful_invalidation=True,
+            coalescing_aware_replacement=True,
+        )),
+    }),
+    "abl_fasize": ("FA TLB size (Section 4.2.4)", {
+        "fa_8_entries": (_FA, make_mmu_config(_FA, superpage_entries=8)),
+        "fa_16_entries": (_FA, make_mmu_config(_FA, superpage_entries=16)),
+    }),
+}
+
+
+def run_ablation(
+    ablation_id: str, scale: ExperimentScale, runner: ExperimentRunner
+) -> ResultTable:
+    """Run one ablation's variants and report their L2 eliminations."""
+    name, variants = ABLATIONS[ablation_id]
+    eliminated = run_variants(scale, runner, variants)
+    rows = tuple(
+        AblationRow(benchmark, eliminated[benchmark][1])
+        for benchmark in scale.benchmarks
     )
-
-
-def run_fasize_ablation(
-    scale: ExperimentScale, runner: Optional[ExperimentRunner] = None
-) -> AblationResult:
-    """Section 4.2.4: CoLT-FA's conservative 8-entry FA TLB vs 16."""
-    variants = {
-        "fa_8_entries": (
-            CoLTDesign.COLT_FA,
-            make_mmu_config(CoLTDesign.COLT_FA, superpage_entries=8),
-        ),
-        "fa_16_entries": (
-            CoLTDesign.COLT_FA,
-            make_mmu_config(CoLTDesign.COLT_FA, superpage_entries=16),
-        ),
-    }
-    return _sweep("FA TLB size (Section 4.2.4)", variants, scale, runner)
+    columns = tuple(
+        Column(variant, item("variants", variant), 18) for variant in variants
+    )
+    return ResultTable(
+        f"Ablation: {name} (L2 miss elimination %)", columns, rows
+    )

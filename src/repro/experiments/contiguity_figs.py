@@ -13,13 +13,15 @@ as the paper's scanner reports them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from operator import attrgetter
+from typing import Dict, Tuple
 
 from repro.common.cdfs import PAPER_CDF_POINTS
 from repro.sim.runner import ExperimentRunner
 from repro.workloads.benchmarks import CONTIGUITY_PAPER_AVG
 from repro.experiments.environments import characterization_config
 from repro.experiments.scale import ExperimentScale
+from repro.experiments.table import Column, ResultTable, item
 
 #: The three kernel settings of Figures 7-15, keyed by experiment id.
 CDF_CONFIGS: Dict[str, Tuple[bool, bool]] = {
@@ -31,6 +33,12 @@ CDF_CONFIGS: Dict[str, Tuple[bool, bool]] = {
 
 #: Index into CONTIGUITY_PAPER_AVG tuples for each configuration.
 _PAPER_INDEX = {"fig7_9": 0, "fig10_12": 1, "fig13_15": 2}
+
+#: The CDF points the tables print (rows carry all of PAPER_CDF_POINTS).
+_PRINTED_POINTS = (1, 4, 16, 64, 256, 1024)
+
+#: The memhog loads of Figures 16 and 17, as fractions of memory.
+_MEMHOG_LOADS = (0.0, 0.25, 0.50)
 
 
 @dataclass(frozen=True)
@@ -45,66 +53,35 @@ class ContiguityCDFRow:
     total_pages: int
 
 
-@dataclass(frozen=True)
-class ContiguityCDFResult:
-    config_id: str
-    ths_enabled: bool
-    defrag_enabled: bool
-    rows: Tuple[ContiguityCDFRow, ...]
-
-    @property
-    def average_of_averages(self) -> float:
-        """The figure legends' 'Average(...)' entry."""
-        return sum(r.average_contiguity for r in self.rows) / len(self.rows)
-
-    def format_table(self) -> str:
-        points = (1, 4, 16, 64, 256, 1024)
-        header = (
-            f"{'Benchmark':11s} {'avg':>8s} {'paper':>8s}  "
-            + " ".join(f"<={p:<5d}" for p in points)
-        )
-        lines = [
-            f"Contiguity CDFs [{self.config_id}]: THS "
-            f"{'on' if self.ths_enabled else 'off'}, "
-            f"{'normal' if self.defrag_enabled else 'low'} compaction",
-            header,
-            "-" * len(header),
-        ]
-        for row in self.rows:
-            cdf = " ".join(f"{row.cdf_points[p]:6.2f}" for p in points)
-            lines.append(
-                f"{row.benchmark:11s} {row.average_contiguity:8.1f} "
-                f"{row.paper_average:8.2f}  {cdf}"
-            )
-        lines.append(
-            f"{'Average':11s} {self.average_of_averages:8.1f}"
-        )
-        return "\n".join(lines)
+#: The Average line is the figure legends' 'Average(...)' entry. Each
+#: CDF header is a character wider than its values.
+_CDF_COLUMNS = (
+    Column("avg", attrgetter("average_contiguity"), 8),
+    Column("paper", attrgetter("paper_average"), 8, ".2f", averaged=False),
+) + tuple(
+    Column(f"<={point}", item("cdf_points", point), 6, ".2f",
+           header=f"<={point:<5d}",
+           sep="  " if point == _PRINTED_POINTS[0] else " ",
+           averaged=False)
+    for point in _PRINTED_POINTS
+)
 
 
 def run_contiguity_cdfs(
-    config_id: str,
-    scale: ExperimentScale,
-    runner: Optional[ExperimentRunner] = None,
-) -> ContiguityCDFResult:
+    config_id: str, scale: ExperimentScale, runner: ExperimentRunner
+) -> ResultTable:
     """Regenerate one of the three CDF figure groups."""
     ths, defrag = CDF_CONFIGS[config_id]
     paper_index = _PAPER_INDEX[config_id]
-    runner = runner or ExperimentRunner()
-    runner.run_batch([
-        characterization_config(
+    results = runner.run_grid({
+        benchmark: characterization_config(
             benchmark, scale, ths_enabled=ths, defrag_enabled=defrag
         )
         for benchmark in scale.benchmarks
-    ])
-    rows: List[ContiguityCDFRow] = []
+    })
+    rows = []
     for benchmark in scale.benchmarks:
-        result = runner.run(
-            characterization_config(
-                benchmark, scale, ths_enabled=ths, defrag_enabled=defrag
-            )
-        )
-        report = result.contiguity
+        report = results[benchmark].contiguity
         rows.append(
             ContiguityCDFRow(
                 benchmark=benchmark,
@@ -115,7 +92,11 @@ def run_contiguity_cdfs(
                 total_pages=report.total_pages,
             )
         )
-    return ContiguityCDFResult(config_id, ths, defrag, tuple(rows))
+    title = (
+        f"Contiguity CDFs [{config_id}]: THS {'on' if ths else 'off'}, "
+        f"{'normal' if defrag else 'low'} compaction"
+    )
+    return ResultTable(title, _CDF_COLUMNS, tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -128,70 +109,36 @@ class MemhogRow:
     memhog_50: float
 
 
-@dataclass(frozen=True)
-class MemhogResult:
-    figure: str  # "fig16" (THS on) or "fig17" (THS off)
-    ths_enabled: bool
-    rows: Tuple[MemhogRow, ...]
-
-    def averages(self) -> Tuple[float, float, float]:
-        n = len(self.rows)
-        return (
-            sum(r.no_memhog for r in self.rows) / n,
-            sum(r.memhog_25 for r in self.rows) / n,
-            sum(r.memhog_50 for r in self.rows) / n,
-        )
-
-    def format_table(self) -> str:
-        header = (
-            f"{'Benchmark':11s} {'no memhog':>10s} {'memhog 25%':>11s} "
-            f"{'memhog 50%':>11s}"
-        )
-        lines = [
-            f"Average contiguity vs load [{self.figure}]: THS "
-            f"{'on' if self.ths_enabled else 'off'}",
-            header,
-            "-" * len(header),
-        ]
-        for row in self.rows:
-            lines.append(
-                f"{row.benchmark:11s} {row.no_memhog:10.1f} "
-                f"{row.memhog_25:11.1f} {row.memhog_50:11.1f}"
-            )
-        avg = self.averages()
-        lines.append(
-            f"{'Average':11s} {avg[0]:10.1f} {avg[1]:11.1f} {avg[2]:11.1f}"
-        )
-        return "\n".join(lines)
+_MEMHOG_COLUMNS = (
+    Column("no memhog", attrgetter("no_memhog"), 10),
+    Column("memhog 25%", attrgetter("memhog_25"), 11),
+    Column("memhog 50%", attrgetter("memhog_50"), 11),
+)
 
 
 def run_memhog_figure(
-    figure: str,
-    scale: ExperimentScale,
-    runner: Optional[ExperimentRunner] = None,
-) -> MemhogResult:
+    figure: str, scale: ExperimentScale, runner: ExperimentRunner
+) -> ResultTable:
     """Regenerate Figure 16 (THS on) or Figure 17 (THS off)."""
     if figure not in ("fig16", "fig17"):
         raise ValueError(f"figure must be fig16 or fig17, got {figure!r}")
     ths = figure == "fig16"
-    runner = runner or ExperimentRunner()
-    runner.run_batch([
-        characterization_config(
+    results = runner.run_grid({
+        (benchmark, fraction): characterization_config(
             benchmark, scale, ths_enabled=ths, memhog_fraction=fraction
         )
         for benchmark in scale.benchmarks
-        for fraction in (0.0, 0.25, 0.50)
-    ])
-    rows: List[MemhogRow] = []
-    for benchmark in scale.benchmarks:
-        values = []
-        for fraction in (0.0, 0.25, 0.50):
-            result = runner.run(
-                characterization_config(
-                    benchmark, scale, ths_enabled=ths,
-                    memhog_fraction=fraction,
-                )
-            )
-            values.append(result.contiguity.average_contiguity)
-        rows.append(MemhogRow(benchmark, *values))
-    return MemhogResult(figure, ths, tuple(rows))
+        for fraction in _MEMHOG_LOADS
+    })
+    rows = tuple(
+        MemhogRow(benchmark, *(
+            results[benchmark, fraction].contiguity.average_contiguity
+            for fraction in _MEMHOG_LOADS
+        ))
+        for benchmark in scale.benchmarks
+    )
+    title = (
+        f"Average contiguity vs load [{figure}]: THS "
+        f"{'on' if ths else 'off'}"
+    )
+    return ResultTable(title, _MEMHOG_COLUMNS, rows)

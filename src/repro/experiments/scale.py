@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 from typing import Tuple
 
 from repro.common import knobs
+from repro.common.errors import ConfigurationError
 from repro.workloads.benchmarks import TABLE1_ORDER
 
 
@@ -58,15 +59,19 @@ _PRESETS = {"quick": QUICK, "default": DEFAULT, "full": FULL}
 
 
 def scale_from_env(default: ExperimentScale = DEFAULT) -> ExperimentScale:
-    """Resolve the preset named by ``REPRO_SCALE`` (default otherwise)."""
-    name = (knobs.SCALE.raw() or "").lower()
-    if not name:
+    """Resolve the preset named by ``REPRO_SCALE`` (default otherwise).
+
+    An unknown name raises :class:`ConfigurationError` naming the knob
+    and its value, as every other knob does.
+    """
+    raw = knobs.SCALE.raw()
+    if not raw:
         return default
-    if name not in _PRESETS:
-        raise ValueError(
-            f"{knobs.SCALE.name}={name!r}; expected one of {sorted(_PRESETS)}"
+    if raw.lower() not in _PRESETS:
+        raise ConfigurationError(
+            f"{knobs.SCALE.name}={raw!r} is not one of {sorted(_PRESETS)}"
         )
-    return _PRESETS[name]
+    return _PRESETS[raw.lower()]
 
 
 def preset_name(scale: ExperimentScale) -> str:

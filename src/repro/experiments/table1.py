@@ -9,12 +9,14 @@ report the baseline TLB hierarchy's misses per million instructions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from operator import attrgetter
+from typing import Tuple
 
 from repro.sim.runner import ExperimentRunner
 from repro.workloads.benchmarks import TABLE1_PAPER_MPMI, get_benchmark
 from repro.experiments.environments import characterization_config
 from repro.experiments.scale import ExperimentScale
+from repro.experiments.table import Column, ResultTable, item
 
 
 @dataclass(frozen=True)
@@ -30,52 +32,44 @@ class Table1Row:
     paper: Tuple[int, int, int, int]
 
 
-@dataclass(frozen=True)
-class Table1Result:
-    rows: Tuple[Table1Row, ...]
-
-    def format_table(self) -> str:
-        header = (
-            f"{'Benchmark':11s} {'Suite':8s} "
-            f"{'L1on':>8s} {'(paper)':>8s} {'L2on':>8s} {'(paper)':>8s} "
-            f"{'L1off':>8s} {'(paper)':>8s} {'L2off':>8s} {'(paper)':>8s}"
-        )
-        lines = [header, "-" * len(header)]
-        for row in self.rows:
-            p = row.paper
-            lines.append(
-                f"{row.benchmark:11s} {row.suite:8s} "
-                f"{row.l1_mpmi_ths_on:8.0f} {p[0]:8d} "
-                f"{row.l2_mpmi_ths_on:8.0f} {p[1]:8d} "
-                f"{row.l1_mpmi_ths_off:8.0f} {p[2]:8d} "
-                f"{row.l2_mpmi_ths_off:8.0f} {p[3]:8d}"
-            )
-        return "\n".join(lines)
+def _columns() -> Tuple[Column, ...]:
+    """Suite, then each measured MPMI beside its paper value."""
+    columns = [Column("Suite", attrgetter("suite"), 8, "s", averaged=False)]
+    for index, (name, field) in enumerate((
+        ("L1on", "l1_mpmi_ths_on"),
+        ("L2on", "l2_mpmi_ths_on"),
+        ("L1off", "l1_mpmi_ths_off"),
+        ("L2off", "l2_mpmi_ths_off"),
+    )):
+        columns += [
+            Column(name, attrgetter(field), 8, ".0f", averaged=False),
+            Column(f"{name} (paper)", item("paper", index), 8, "d",
+                   header="(paper)", averaged=False),
+        ]
+    return tuple(columns)
 
 
 def run_table1(
-    scale: ExperimentScale, runner: ExperimentRunner = None
-) -> Table1Result:
+    scale: ExperimentScale, runner: ExperimentRunner
+) -> ResultTable:
     """Regenerate Table 1 at the given scale."""
-    runner = runner or ExperimentRunner()
-    runner.run_batch([
-        characterization_config(benchmark, scale, ths_enabled=ths)
+    results = runner.run_grid({
+        (benchmark, ths): characterization_config(
+            benchmark, scale, ths_enabled=ths
+        )
         for benchmark in scale.benchmarks
         for ths in (True, False)
-    ])
-    rows: List[Table1Row] = []
-    for benchmark in scale.benchmarks:
-        on = runner.run(characterization_config(benchmark, scale, ths_enabled=True))
-        off = runner.run(characterization_config(benchmark, scale, ths_enabled=False))
-        rows.append(
-            Table1Row(
-                benchmark=benchmark,
-                suite=get_benchmark(benchmark).suite,
-                l1_mpmi_ths_on=on.l1_mpmi,
-                l2_mpmi_ths_on=on.l2_mpmi,
-                l1_mpmi_ths_off=off.l1_mpmi,
-                l2_mpmi_ths_off=off.l2_mpmi,
-                paper=TABLE1_PAPER_MPMI[benchmark],
-            )
+    })
+    rows = tuple(
+        Table1Row(
+            benchmark=benchmark,
+            suite=get_benchmark(benchmark).suite,
+            l1_mpmi_ths_on=results[benchmark, True].l1_mpmi,
+            l2_mpmi_ths_on=results[benchmark, True].l2_mpmi,
+            l1_mpmi_ths_off=results[benchmark, False].l1_mpmi,
+            l2_mpmi_ths_off=results[benchmark, False].l2_mpmi,
+            paper=TABLE1_PAPER_MPMI[benchmark],
         )
-    return Table1Result(tuple(rows))
+        for benchmark in scale.benchmarks
+    )
+    return ResultTable(None, _columns(), rows)

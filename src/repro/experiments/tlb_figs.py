@@ -16,16 +16,55 @@ benchmark, Section 5.2) with the paper's simulated hierarchy: 32/128
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from operator import attrgetter
+from typing import Dict, Hashable, Mapping, Optional, Tuple
 
 from repro.common.statistics import percent_eliminated
-from repro.core.mmu import CoLTDesign, make_mmu_config
+from repro.core.mmu import CoLTDesign, MMUConfig, make_mmu_config
 from repro.sim.runner import ExperimentRunner
 from repro.experiments.environments import simulation_config
 from repro.experiments.scale import ExperimentScale
+from repro.experiments.table import Column, ResultTable, item
 
 #: Figure 18 / 21 design order.
 COLT_DESIGNS = (CoLTDesign.COLT_SA, CoLTDesign.COLT_FA, CoLTDesign.COLT_ALL)
+
+#: A variant of a benchmark's simulation config: its (design, MMU config).
+Variant = Tuple[CoLTDesign, Optional[MMUConfig]]
+
+
+def run_variants(
+    scale: ExperimentScale,
+    runner: ExperimentRunner,
+    variants: Mapping[Hashable, Variant],
+) -> Dict[str, Tuple[Dict[Hashable, float], Dict[Hashable, float]]]:
+    """% of each benchmark's baseline L1 and L2 misses each variant
+    eliminates.
+
+    Every benchmark's baseline and its ``variants`` run in one batch.
+    Returns benchmark -> ({variant key: L1 %}, {variant key: L2 %}).
+    """
+    grid = {}
+    for benchmark in scale.benchmarks:
+        base = simulation_config(benchmark, scale)
+        grid[benchmark, None] = base
+        for key, (design, mmu) in variants.items():
+            grid[benchmark, key] = base.with_updates(design=design, mmu=mmu)
+    results = runner.run_grid(grid)
+    eliminated = {}
+    for benchmark in scale.benchmarks:
+        baseline = results[benchmark, None]
+        eliminated[benchmark] = tuple(
+            {
+                key: percent_eliminated(
+                    getattr(baseline, misses),
+                    getattr(results[benchmark, key], misses),
+                )
+                for key in variants
+            }
+            for misses in ("l1_misses", "l2_misses")
+        )
+    return eliminated
 
 
 @dataclass(frozen=True)
@@ -35,80 +74,29 @@ class Fig18Row:
     l2_eliminated: Dict[str, float]
 
 
-@dataclass(frozen=True)
-class Fig18Result:
-    rows: Tuple[Fig18Row, ...]
-
-    def average(self, level: str, design: CoLTDesign) -> float:
-        key = design.value
-        values = [
-            (row.l1_eliminated if level == "l1" else row.l2_eliminated)[key]
-            for row in self.rows
-        ]
-        return sum(values) / len(values)
-
-    def format_table(self) -> str:
-        header = (
-            f"{'Benchmark':11s} "
-            f"{'SA L1%':>7s} {'FA L1%':>7s} {'All L1%':>8s}   "
-            f"{'SA L2%':>7s} {'FA L2%':>7s} {'All L2%':>8s}"
-        )
-        lines = ["Fig 18: % baseline TLB misses eliminated", header,
-                 "-" * len(header)]
-        for row in self.rows:
-            lines.append(
-                f"{row.benchmark:11s} "
-                f"{row.l1_eliminated['colt_sa']:7.1f} "
-                f"{row.l1_eliminated['colt_fa']:7.1f} "
-                f"{row.l1_eliminated['colt_all']:8.1f}   "
-                f"{row.l2_eliminated['colt_sa']:7.1f} "
-                f"{row.l2_eliminated['colt_fa']:7.1f} "
-                f"{row.l2_eliminated['colt_all']:8.1f}"
-            )
-        lines.append(
-            f"{'Average':11s} "
-            f"{self.average('l1', CoLTDesign.COLT_SA):7.1f} "
-            f"{self.average('l1', CoLTDesign.COLT_FA):7.1f} "
-            f"{self.average('l1', CoLTDesign.COLT_ALL):8.1f}   "
-            f"{self.average('l2', CoLTDesign.COLT_SA):7.1f} "
-            f"{self.average('l2', CoLTDesign.COLT_FA):7.1f} "
-            f"{self.average('l2', CoLTDesign.COLT_ALL):8.1f}"
-        )
-        return "\n".join(lines)
+_FIG18_COLUMNS = (
+    Column("SA L1%", item("l1_eliminated", "colt_sa"), 7),
+    Column("FA L1%", item("l1_eliminated", "colt_fa"), 7),
+    Column("All L1%", item("l1_eliminated", "colt_all"), 8),
+    Column("SA L2%", item("l2_eliminated", "colt_sa"), 7, sep="   "),
+    Column("FA L2%", item("l2_eliminated", "colt_fa"), 7),
+    Column("All L2%", item("l2_eliminated", "colt_all"), 8),
+)
 
 
 def run_fig18(
-    scale: ExperimentScale, runner: Optional[ExperimentRunner] = None
-) -> Fig18Result:
-    runner = runner or ExperimentRunner()
-    # Prefetch the whole figure in one batch: one capture per benchmark,
-    # replays fanned across the runner's workers.
-    runner.run_batch([
-        simulation_config(benchmark, scale).with_updates(design=design)
+    scale: ExperimentScale, runner: ExperimentRunner
+) -> ResultTable:
+    eliminated = run_variants(scale, runner, {
+        design.value: (design, None) for design in COLT_DESIGNS
+    })
+    rows = tuple(
+        Fig18Row(benchmark, *eliminated[benchmark])
         for benchmark in scale.benchmarks
-        for design in (CoLTDesign.BASELINE,) + COLT_DESIGNS
-    ])
-    rows: List[Fig18Row] = []
-    for benchmark in scale.benchmarks:
-        base_cfg = simulation_config(benchmark, scale)
-        results = runner.run_designs(
-            base_cfg, (CoLTDesign.BASELINE,) + COLT_DESIGNS
-        )
-        baseline = results[CoLTDesign.BASELINE]
-        l1 = {
-            d.value: percent_eliminated(
-                baseline.l1_misses, results[d].l1_misses
-            )
-            for d in COLT_DESIGNS
-        }
-        l2 = {
-            d.value: percent_eliminated(
-                baseline.l2_misses, results[d].l2_misses
-            )
-            for d in COLT_DESIGNS
-        }
-        rows.append(Fig18Row(benchmark, l1, l2))
-    return Fig18Result(tuple(rows))
+    )
+    return ResultTable(
+        "Fig 18: % baseline TLB misses eliminated", _FIG18_COLUMNS, rows
+    )
 
 
 @dataclass(frozen=True)
@@ -118,65 +106,32 @@ class Fig19Row:
     l2_eliminated: Dict[int, float]
 
 
-@dataclass(frozen=True)
-class Fig19Result:
-    rows: Tuple[Fig19Row, ...]
-    shifts: Tuple[int, ...] = (1, 2, 3)
-
-    def format_table(self) -> str:
-        header = (
-            f"{'Benchmark':11s} "
-            + " ".join(f"L1 s={s:>1d}%".rjust(8) for s in self.shifts)
-            + "   "
-            + " ".join(f"L2 s={s:>1d}%".rjust(8) for s in self.shifts)
-        )
-        lines = ["Fig 19: CoLT-SA index left-shift sweep", header,
-                 "-" * len(header)]
-        for row in self.rows:
-            l1 = " ".join(f"{row.l1_eliminated[s]:8.1f}" for s in self.shifts)
-            l2 = " ".join(f"{row.l2_eliminated[s]:8.1f}" for s in self.shifts)
-            lines.append(f"{row.benchmark:11s} {l1}   {l2}")
-        return "\n".join(lines)
-
-
 def run_fig19(
     scale: ExperimentScale,
-    runner: Optional[ExperimentRunner] = None,
+    runner: ExperimentRunner,
     shifts: Tuple[int, ...] = (1, 2, 3),
-) -> Fig19Result:
-    runner = runner or ExperimentRunner()
-    runner.run_batch([
-        cfg
-        for benchmark in scale.benchmarks
-        for base in (simulation_config(benchmark, scale),)
-        for cfg in (base,) + tuple(
-            base.with_updates(
-                design=CoLTDesign.COLT_SA,
-                mmu=make_mmu_config(CoLTDesign.COLT_SA, sa_shift=shift),
-            )
-            for shift in shifts
+) -> ResultTable:
+    eliminated = run_variants(scale, runner, {
+        shift: (
+            CoLTDesign.COLT_SA,
+            make_mmu_config(CoLTDesign.COLT_SA, sa_shift=shift),
         )
-    ])
-    rows: List[Fig19Row] = []
-    for benchmark in scale.benchmarks:
-        base_cfg = simulation_config(benchmark, scale)
-        baseline = runner.run(base_cfg)
-        l1: Dict[int, float] = {}
-        l2: Dict[int, float] = {}
-        for shift in shifts:
-            cfg = base_cfg.with_updates(
-                design=CoLTDesign.COLT_SA,
-                mmu=make_mmu_config(CoLTDesign.COLT_SA, sa_shift=shift),
-            )
-            result = runner.run(cfg)
-            l1[shift] = percent_eliminated(
-                baseline.l1_misses, result.l1_misses
-            )
-            l2[shift] = percent_eliminated(
-                baseline.l2_misses, result.l2_misses
-            )
-        rows.append(Fig19Row(benchmark, l1, l2))
-    return Fig19Result(tuple(rows), shifts)
+        for shift in shifts
+    })
+    rows = tuple(
+        Fig19Row(benchmark, *eliminated[benchmark])
+        for benchmark in scale.benchmarks
+    )
+    # No Average line; the L2 group starts after a wider separator.
+    columns = tuple(
+        Column(f"{level.upper()} s={shift}%",
+               item(f"{level}_eliminated", shift), 8,
+               sep="   " if level == "l2" and shift == shifts[0] else " ",
+               averaged=False)
+        for level in ("l1", "l2")
+        for shift in shifts
+    )
+    return ResultTable("Fig 19: CoLT-SA index left-shift sweep", columns, rows)
 
 
 @dataclass(frozen=True)
@@ -189,77 +144,29 @@ class Fig20Row:
     colt_sa_8way: float
 
 
-@dataclass(frozen=True)
-class Fig20Result:
-    rows: Tuple[Fig20Row, ...]
-
-    def averages(self) -> Tuple[float, float, float]:
-        n = len(self.rows)
-        return (
-            sum(r.colt_sa_4way for r in self.rows) / n,
-            sum(r.no_colt_8way for r in self.rows) / n,
-            sum(r.colt_sa_8way for r in self.rows) / n,
-        )
-
-    def format_table(self) -> str:
-        header = (
-            f"{'Benchmark':11s} {'4way CoLT-SA%':>14s} "
-            f"{'8way no CoLT%':>14s} {'8way CoLT-SA%':>14s}"
-        )
-        lines = ["Fig 20: L2 misses eliminated vs 4-way baseline",
-                 header, "-" * len(header)]
-        for row in self.rows:
-            lines.append(
-                f"{row.benchmark:11s} {row.colt_sa_4way:14.1f} "
-                f"{row.no_colt_8way:14.1f} {row.colt_sa_8way:14.1f}"
-            )
-        avg = self.averages()
-        lines.append(
-            f"{'Average':11s} {avg[0]:14.1f} {avg[1]:14.1f} {avg[2]:14.1f}"
-        )
-        return "\n".join(lines)
+_FIG20_COLUMNS = (
+    Column("4way CoLT-SA%", attrgetter("colt_sa_4way"), 14),
+    Column("8way no CoLT%", attrgetter("no_colt_8way"), 14),
+    Column("8way CoLT-SA%", attrgetter("colt_sa_8way"), 14),
+)
 
 
 def run_fig20(
-    scale: ExperimentScale, runner: Optional[ExperimentRunner] = None
-) -> Fig20Result:
-    runner = runner or ExperimentRunner()
-
-    def fig20_variants(base_cfg):
-        return {
-            "colt_sa_4way": base_cfg.with_updates(
-                design=CoLTDesign.COLT_SA,
-                mmu=make_mmu_config(CoLTDesign.COLT_SA, l2_ways=4),
-            ),
-            "no_colt_8way": base_cfg.with_updates(
-                design=CoLTDesign.BASELINE,
-                mmu=make_mmu_config(CoLTDesign.BASELINE, l2_ways=8),
-            ),
-            "colt_sa_8way": base_cfg.with_updates(
-                design=CoLTDesign.COLT_SA,
-                mmu=make_mmu_config(CoLTDesign.COLT_SA, l2_ways=8),
-            ),
-        }
-
-    runner.run_batch([
-        cfg
+    scale: ExperimentScale, runner: ExperimentRunner
+) -> ResultTable:
+    sa, baseline = CoLTDesign.COLT_SA, CoLTDesign.BASELINE
+    eliminated = run_variants(scale, runner, {
+        "colt_sa_4way": (sa, make_mmu_config(sa, l2_ways=4)),
+        "no_colt_8way": (baseline, make_mmu_config(baseline, l2_ways=8)),
+        "colt_sa_8way": (sa, make_mmu_config(sa, l2_ways=8)),
+    })
+    rows = tuple(
+        Fig20Row(benchmark, **eliminated[benchmark][1])
         for benchmark in scale.benchmarks
-        for base in (simulation_config(benchmark, scale),)
-        for cfg in (base,) + tuple(fig20_variants(base).values())
-    ])
-    rows: List[Fig20Row] = []
-    for benchmark in scale.benchmarks:
-        base_cfg = simulation_config(benchmark, scale)
-        baseline = runner.run(base_cfg)  # 4-way, no CoLT
-        variants = fig20_variants(base_cfg)
-        eliminated = {
-            key: percent_eliminated(
-                baseline.l2_misses, runner.run(cfg).l2_misses
-            )
-            for key, cfg in variants.items()
-        }
-        rows.append(Fig20Row(benchmark, **eliminated))
-    return Fig20Result(tuple(rows))
+    )
+    return ResultTable(
+        "Fig 20: L2 misses eliminated vs 4-way baseline", _FIG20_COLUMNS, rows
+    )
 
 
 @dataclass(frozen=True)
@@ -268,49 +175,41 @@ class Fig21Row:
     improvements: Dict[str, float]  # design value (incl. "perfect") -> %
 
 
-@dataclass(frozen=True)
-class Fig21Result:
-    rows: Tuple[Fig21Row, ...]
+#: Figure 21's designs, each measured against the baseline.
+_FIG21_DESIGNS = (CoLTDesign.PERFECT,) + COLT_DESIGNS
 
-    def average(self, design: str) -> float:
-        return sum(r.improvements[design] for r in self.rows) / len(self.rows)
-
-    def format_table(self) -> str:
-        designs = ("perfect", "colt_sa", "colt_fa", "colt_all")
-        header = f"{'Benchmark':11s} " + " ".join(
-            f"{d:>9s}" for d in designs
-        )
-        lines = ["Fig 21: runtime improvement over baseline (%)",
-                 header, "-" * len(header)]
-        for row in self.rows:
-            vals = " ".join(f"{row.improvements[d]:9.1f}" for d in designs)
-            lines.append(f"{row.benchmark:11s} {vals}")
-        avgs = " ".join(f"{self.average(d):9.1f}" for d in designs)
-        lines.append(f"{'Average':11s} {avgs}")
-        return "\n".join(lines)
+_FIG21_COLUMNS = tuple(
+    Column(design.value, item("improvements", design.value), 9)
+    for design in _FIG21_DESIGNS
+)
 
 
 def run_fig21(
-    scale: ExperimentScale, runner: Optional[ExperimentRunner] = None
-) -> Fig21Result:
-    runner = runner or ExperimentRunner()
-    fig21_designs = (
-        CoLTDesign.BASELINE,
-        CoLTDesign.PERFECT,
-    ) + COLT_DESIGNS
-    runner.run_batch([
-        simulation_config(benchmark, scale).with_updates(design=design)
+    scale: ExperimentScale, runner: ExperimentRunner
+) -> ResultTable:
+    results = runner.run_grid({
+        (benchmark, design): simulation_config(benchmark, scale, design)
         for benchmark in scale.benchmarks
-        for design in fig21_designs
-    ])
-    rows: List[Fig21Row] = []
+        for design in (CoLTDesign.BASELINE,) + _FIG21_DESIGNS
+    })
+    rows = []
     for benchmark in scale.benchmarks:
-        base_cfg = simulation_config(benchmark, scale)
-        perf_rows = runner.performance_improvements(base_cfg)
-        rows.append(
-            Fig21Row(
-                benchmark,
-                {row.design: row.improvement_pct for row in perf_rows},
+        baseline = results[benchmark, CoLTDesign.BASELINE].performance
+        improvements = {}
+        for design in _FIG21_DESIGNS:
+            result = results[benchmark, design]
+            # PERFECT's runtime is the perfect-TLB bound of its run.
+            performance = (
+                result.perfect_performance
+                if design is CoLTDesign.PERFECT
+                else result.performance
             )
-        )
-    return Fig21Result(tuple(rows))
+            improvements[design.value] = performance.improvement_over(
+                baseline
+            )
+        rows.append(Fig21Row(benchmark, improvements))
+    return ResultTable(
+        "Fig 21: runtime improvement over baseline (%)",
+        _FIG21_COLUMNS,
+        tuple(rows),
+    )

@@ -1,12 +1,6 @@
-"""Full-system simulation: configs, capture/replay, runners, metrics."""
+"""Full-system simulation: configs, capture/replay, runner, store."""
 
 from repro.sim.faults import FaultPlan, FaultSpec
-from repro.sim.metrics import (
-    EliminationRow,
-    PerformanceRow,
-    elimination_row,
-    performance_row,
-)
 from repro.sim.replay import ReplayWalker, replay_scenario
 from repro.sim.resilience import ResilientExecutor, RetryPolicy, TaskSpec
 from repro.sim.runner import STANDARD_DESIGNS, ExperimentRunner
@@ -26,11 +20,9 @@ from repro.sim.system import (
 
 __all__ = [
     "CapturedScenario",
-    "EliminationRow",
     "ExperimentRunner",
     "FaultPlan",
     "FaultSpec",
-    "PerformanceRow",
     "ReplayWalker",
     "ResilientExecutor",
     "ResultStore",
@@ -43,8 +35,6 @@ __all__ = [
     "SystemSimulator",
     "capture_scenario",
     "config_key",
-    "elimination_row",
-    "performance_row",
     "replay_scenario",
     "scenario_config",
     "simulate",

@@ -1,8 +1,9 @@
 """Experiment runner: capture once per scenario, replay per design.
 
 The runner executes the same (seeded, therefore identical) OS-and-trace
-scenario under several TLB designs and assembles the comparison rows the
-paper's figures plot. It is a two-phase executor over the capture/replay
+scenario under several TLB designs and returns one result per config;
+the experiment layer (``repro.experiments``) turns those results into
+the paper's tables. It is a two-phase executor over the capture/replay
 split of ``repro.sim.scenario`` / ``repro.sim.replay``:
 
 1. **Capture** -- group the requested configs by their TLB-independent
@@ -32,11 +33,11 @@ invocations.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.common.errors import TaskExecutionError
 from repro.common.statistics import CounterSet
-from repro.core.mmu import CoLTDesign, MMUConfig
+from repro.core.mmu import CoLTDesign
 from repro.obs.hooks import (
     ObsPayload,
     drain_worker_obs,
@@ -51,12 +52,6 @@ from repro.sim.resilience import (
     ResilientExecutor,
     RetryPolicy,
     TaskSpec,
-)
-from repro.sim.metrics import (
-    EliminationRow,
-    PerformanceRow,
-    elimination_row,
-    performance_row,
 )
 from repro.sim.engine import replay_with_engine, resolve_engine
 from repro.sim.scenario import (
@@ -390,61 +385,28 @@ class ExperimentRunner:
             if failure is not None:
                 raise failure
 
-    # ------------------------------------------------------------------
-    # Figure-level helpers.
-    # ------------------------------------------------------------------
+    def run_grid(
+        self, grid: Mapping[Hashable, SimulationConfig]
+    ) -> Dict[Hashable, SimulationResult]:
+        """Run every config of ``grid`` in one batch; results by grid key.
+
+        One batch lets captures and replays from different benchmarks fan
+        out across the workers together.
+        """
+        results = self.run_batch(list(grid.values()))
+        return {key: results[config] for key, config in grid.items()}
 
     def run_designs(
         self,
         base: SimulationConfig,
         designs: Sequence[CoLTDesign] = STANDARD_DESIGNS,
-        mmu_overrides: Optional[Dict[CoLTDesign, MMUConfig]] = None,
     ) -> Dict[CoLTDesign, SimulationResult]:
-        """Run the same scenario under each design (one capture total)."""
-        configs = {
-            design: base.with_updates(
-                design=design,
-                mmu=(mmu_overrides or {}).get(design),
-            )
+        """Run the same scenario under each design's paper-standard MMU
+        (one capture total)."""
+        return self.run_grid({
+            design: base.with_updates(design=design, mmu=None)
             for design in designs
-        }
-        results = self.run_batch(list(configs.values()))
-        return {design: results[cfg] for design, cfg in configs.items()}
-
-    def eliminations(
-        self,
-        base: SimulationConfig,
-        designs: Sequence[CoLTDesign] = (
-            CoLTDesign.COLT_SA,
-            CoLTDesign.COLT_FA,
-            CoLTDesign.COLT_ALL,
-        ),
-    ) -> List[EliminationRow]:
-        """Figure 18-style rows: % of baseline misses eliminated."""
-        all_designs = (CoLTDesign.BASELINE,) + tuple(designs)
-        results = self.run_designs(base, all_designs)
-        baseline = results[CoLTDesign.BASELINE]
-        return [
-            elimination_row(baseline, results[design]) for design in designs
-        ]
-
-    def performance_improvements(
-        self,
-        base: SimulationConfig,
-        designs: Sequence[CoLTDesign] = (
-            CoLTDesign.PERFECT,
-            CoLTDesign.COLT_SA,
-            CoLTDesign.COLT_FA,
-            CoLTDesign.COLT_ALL,
-        ),
-    ) -> List[PerformanceRow]:
-        """Figure 21-style rows: runtime improvement over baseline."""
-        all_designs = (CoLTDesign.BASELINE,) + tuple(designs)
-        results = self.run_designs(base, all_designs)
-        baseline = results[CoLTDesign.BASELINE]
-        return [
-            performance_row(baseline, results[design]) for design in designs
-        ]
+        })
 
     def clear(self) -> None:
         """Drop the in-process memo and captured scenarios.

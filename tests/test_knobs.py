@@ -36,7 +36,7 @@ CASES = [
     ("COLT_TELEMETRY_PORT", "abc", telemetry_port_from_env,
      ConfigurationError),
     ("COLT_HISTORY", "", history_enabled, True),
-    ("REPRO_SCALE", "galactic", scale_from_env, ValueError),
+    ("REPRO_SCALE", "galactic", scale_from_env, ConfigurationError),
 ]
 
 

@@ -1,4 +1,5 @@
-"""Unit tests for comparison metrics and the exception hierarchy."""
+"""Unit tests for the comparison statistics, Figure 21's improvement sign
+and the exception hierarchy."""
 
 import pytest
 
@@ -54,7 +55,7 @@ class TestPercentEliminated:
         assert percent_eliminated(0, 7) == 0.0
 
 
-class TestPerformanceRowSemantics:
+class TestImprovementSemantics:
     def test_improvement_direction(self):
         """A design with fewer overhead cycles improves positively."""
         slow = PerformanceResult(1000, 1000, 100, 900)

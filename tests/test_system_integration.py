@@ -97,23 +97,6 @@ class TestRunner:
         second = runner.run(config)
         assert first is second
 
-    def test_eliminations_rows(self):
-        runner = ExperimentRunner()
-        rows = runner.eliminations(small_config())
-        assert [row.design for row in rows] == [
-            "colt_sa", "colt_fa", "colt_all",
-        ]
-        for row in rows:
-            assert row.benchmark == "gobmk"
-
-    def test_performance_rows_include_perfect(self):
-        runner = ExperimentRunner()
-        rows = runner.performance_improvements(small_config())
-        designs = {row.design for row in rows}
-        assert "perfect" in designs
-        perfect = next(r for r in rows if r.design == "perfect")
-        assert perfect.improvement_pct >= 0
-
 
 class TestShootdownPlumbing:
     def test_mmu_sees_kernel_invalidations(self):
