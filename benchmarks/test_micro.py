@@ -53,7 +53,7 @@ def test_page_walk_cost(benchmark):
 
     def walk_all():
         for vpn in vpns:
-            walker.walk(int(vpn))
+            walker.resolve(int(vpn))
 
     benchmark(walk_all)
 

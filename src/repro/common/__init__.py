@@ -41,7 +41,6 @@ from repro.common.types import (
     MemoryAccess,
     PageAttributes,
     Translation,
-    WalkResult,
 )
 from repro.common.cdfs import (
     PAPER_CDF_POINTS,
@@ -77,7 +76,6 @@ __all__ = [
     "ShutdownRequested",
     "Translation",
     "TranslationError",
-    "WalkResult",
     "WeightedCDF",
     "WorkloadError",
     "atomic_write_bytes",

@@ -173,28 +173,6 @@ class ContiguityRun:
         return self.start_vpn <= vpn < self.end_vpn
 
 
-@dataclass
-class WalkResult:
-    """Outcome of a page-table walk.
-
-    Carries the requested translation plus the other translations that
-    shared its PTE cache line -- the only candidates CoLT may coalesce
-    without extra memory references (Section 4.1.4).
-    """
-
-    translation: Translation
-    cache_line_translations: tuple = ()
-    latency: int = 0
-    memory_accesses: int = 0
-
-    def neighbours(self) -> tuple:
-        """Translations from the cache line other than the requested one."""
-        return tuple(
-            t for t in self.cache_line_translations
-            if t.vpn != self.translation.vpn
-        )
-
-
 @dataclass(frozen=True)
 class LookupResult:
     """Outcome of a TLB hierarchy lookup for a single access."""

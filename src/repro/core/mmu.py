@@ -258,14 +258,10 @@ class MMU:
         if resolve_sanitize(sanitize):
             self.sanitizer = TLBSanitizer(self)
             self.sanitizer.attach()
-        registry = get_registry()
+        self._registry = get_registry()
         bind_counterset(
-            registry, "colt_mmu", self._counters, design=config.design.value,
-        )
-        self._run_lengths = registry.histogram(
-            "colt_coalesce_run_length",
-            help="translations per TLB fill, by design (1 = uncoalesced)",
-            unit="translations",
+            self._registry, "colt_mmu", self._counters,
+            design=config.design.value,
         )
 
     # ------------------------------------------------------------------
@@ -522,7 +518,12 @@ class MMU:
             design = self.design.value
             for length, count in enumerate(runs):
                 if count:
-                    self._run_lengths.observe(length, count, design=design)
+                    self._registry.observe(
+                        "colt_coalesce_run_length", length, count,
+                        help="translations per TLB fill, by design "
+                        "(1 = uncoalesced)",
+                        unit="translations", design=design,
+                    )
             self._c_runs = [0] * len(runs)
 
     @property

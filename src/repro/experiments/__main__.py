@@ -88,7 +88,7 @@ from repro.obs.registry import (
 )
 from repro.obs.report import RunReport
 from repro.obs.serve import TelemetryServer, telemetry_port_from_env
-from repro.obs.trace import reset_tracing, span
+from repro.obs.trace import current_tracer, reset_tracing, span
 from repro.sim.faults import FaultPlan
 from repro.sim.resilience import RetryPolicy
 from repro.sim.runner import ExperimentRunner
@@ -418,9 +418,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             telemetry.stop()
         wall["total"] = time.perf_counter() - run_started
         snapshot = get_registry().snapshot()
-        events = runner.trace_events()
+        tracer = current_tracer()
+        events = sorted(tracer.events(), key=lambda event: event.ts_us)
         report = RunReport.build(
-            events, snapshot, dropped_events=runner.dropped_events()
+            events, snapshot, dropped_events=tracer.dropped
         )
         _emit_obs(args, events, snapshot, report)
         _append_history(

@@ -53,14 +53,12 @@ class ContiguityCDFRow:
     total_pages: int
 
 
-#: The Average line is the figure legends' 'Average(...)' entry. Each
-#: CDF header is a character wider than its values.
+#: The Average line is the figure legends' 'Average(...)' entry.
 _CDF_COLUMNS = (
     Column("avg", attrgetter("average_contiguity"), 8),
     Column("paper", attrgetter("paper_average"), 8, ".2f", averaged=False),
 ) + tuple(
     Column(f"<={point}", item("cdf_points", point), 6, ".2f",
-           header=f"<={point:<5d}",
            sep="  " if point == _PRINTED_POINTS[0] else " ",
            averaged=False)
     for point in _PRINTED_POINTS

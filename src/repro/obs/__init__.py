@@ -3,7 +3,8 @@
 One subsystem, five pieces (see DESIGN.md section 6):
 
 * :mod:`repro.obs.registry` -- metrics registry (counters and
-  histograms with labels); components bind their ``CounterSet``s via
+  histograms with labels), stored in the ``colt-metrics-v1`` snapshot
+  format it reports; components bind their ``CounterSet``s via
   zero-hot-path-cost collectors when they are built.
 * :mod:`repro.obs.trace` -- bounded structured tracer (spans for
   boot/capture/replay/store/compaction).
@@ -13,7 +14,8 @@ One subsystem, five pieces (see DESIGN.md section 6):
   :class:`~repro.obs.report.RunReport` (per-phase self time, worker
   utilisation, store hit ratio, resilience, coalescing histograms).
 * :mod:`repro.obs.hooks` -- the pool-worker hand-off of spans and
-  metrics.
+  metrics, which ``repro.sim.resilience``'s executor performs: a
+  worker's share lands in the parent's one tracer and registry.
 
 The telemetry plane (DESIGN.md section 11) builds on those:
 

@@ -171,7 +171,6 @@ def select_records(
     records: List[dict],
     figure: Optional[str] = None,
     scale: Optional[str] = None,
-    status: Optional[str] = None,
 ) -> List[dict]:
     """Filter records by run coordinates (``None`` matches anything)."""
     out = []
@@ -179,8 +178,6 @@ def select_records(
         if figure is not None and record.get("figure") != figure:
             continue
         if scale is not None and record.get("scale") != scale:
-            continue
-        if status is not None and record.get("status") != status:
             continue
         out.append(record)
     return out
@@ -265,9 +262,6 @@ def gate_record(record: Mapping, baseline: Mapping) -> List[str]:
       match the baseline value *exactly*;
     * ``ceilings`` -- dotted-path metrics (wall times, overhead ratios)
       must be ``<=`` the bound;
-    * ``floors`` -- dotted-path metrics must be ``>=`` the bound,
-      checked only when the record carries the path (a run without,
-      say, a result store simply has nothing to check);
     * ``require_status`` (default ``ok``) -- the record's status.
     """
     problems: List[str] = []
@@ -293,10 +287,6 @@ def gate_record(record: Mapping, baseline: Mapping) -> List[str]:
             problems.append(f"{path} missing (ceiling {bound})")
         elif float(actual) > float(bound):
             problems.append(f"{path} = {actual} exceeds ceiling {bound}")
-    for path, bound in sorted(baseline.get("floors", {}).items()):
-        actual = lookup_path(record, path)
-        if actual is not None and float(actual) < float(bound):
-            problems.append(f"{path} = {actual} below floor {bound}")
     return problems
 
 

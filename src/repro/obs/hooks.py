@@ -2,13 +2,15 @@
 
 Every process records spans on its tracer and metrics in its registry;
 a ``ProcessPoolExecutor`` worker's share reaches the parent with each
-task result. :func:`drain_worker_obs` snapshots-and-resets a worker's
-tracer and registry into a picklable :class:`ObsPayload`; the parent
-folds it in via
-:meth:`repro.obs.registry.MetricsRegistry.merge_snapshot`.
-:func:`reset_worker_obs` runs as the pool initializer so a forked
-worker drops the events and instruments it inherited from the parent
-(they would otherwise be double-reported).
+task result. The resilient executor (``repro.sim.resilience``) is the
+one place that crosses the boundary: its pool initializer calls
+:func:`reset_worker_obs`, so a forked worker drops the events and
+series it inherited from the parent (they would otherwise be
+double-reported); each pooled attempt returns
+:func:`drain_worker_obs`'s snapshot-and-reset of the worker's tracer
+and registry as a picklable :class:`ObsPayload`; and the parent folds
+each payload into its own tracer and registry with
+:func:`absorb_worker_obs`.
 """
 
 from __future__ import annotations
@@ -48,27 +50,13 @@ def drain_worker_obs() -> ObsPayload:
     return ObsPayload(events=events, metrics=metrics, dropped_events=dropped)
 
 
-#: True once this process has been initialised as a pool worker.
-_IN_POOL_WORKER = False
-
-
-def in_pool_worker() -> bool:
-    """True in a pool worker initialised by :func:`reset_worker_obs`.
-
-    Task bodies use this to decide whether to drain obs state into
-    their return payload: in a worker the drain is the only way events
-    reach the parent, but in the parent itself (serial execution, or a
-    runner that degraded to in-process mode) draining would reset the
-    very tracer/registry the run is still accumulating into.
-    """
-    return _IN_POOL_WORKER
+def absorb_worker_obs(payload: ObsPayload) -> None:
+    """Fold one worker payload into this process's tracer and registry."""
+    current_tracer().absorb(payload.events, payload.dropped_events)
+    get_registry().merge_snapshot(payload.metrics)
 
 
 def reset_worker_obs() -> None:
     """Pool-worker initializer: drop obs state inherited over ``fork``."""
-    global _IN_POOL_WORKER
-    # This is the pool initializer: it writes the worker's own
-    # post-fork copy.
-    _IN_POOL_WORKER = True
     reset_tracing()
     set_registry(MetricsRegistry())

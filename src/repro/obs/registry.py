@@ -1,31 +1,30 @@
 """Metrics registry: named counters and histograms with labels.
 
 The registry is the numeric half of ``repro.obs`` (the structured
-tracer in ``repro.obs.trace`` is the temporal half). Components create
-instruments once -- ``registry.counter("colt_store_hits")`` -- and
-update them through cheap handle methods; experiment harnesses call
-:meth:`MetricsRegistry.snapshot` to obtain an immutable, JSON-ready
-:class:`MetricsSnapshot` for export (``repro.obs.export``) or reporting
-(``repro.obs.report``).
+tracer in ``repro.obs.trace`` is the temporal half). It keeps every
+series in the ``colt-metrics-v1`` entry format that
+:meth:`MetricsRegistry.snapshot` returns (see :class:`MetricsSnapshot`),
+so updating a series, snapshotting it and merging a worker's snapshot
+into it are the same dictionary arithmetic:
 
-Two integration styles coexist:
-
-* **direct instruments** -- hot components that already pay for an
-  update (the result store, the runner) increment a :class:`Counter`
-  or observe into a :class:`Histogram` directly;
-* **collectors** -- components whose event counting already flows
-  through a :class:`repro.common.statistics.CounterSet` register a
-  *collector* via :func:`bind_counterset`: a zero-hot-path-cost bridge
-  that reads the counter set lazily at snapshot time, Prometheus
-  style. Collectors keep their counter sets alive until the next
+* :meth:`MetricsRegistry.add` adds to a counter series and
+  :meth:`MetricsRegistry.observe` to a histogram series, creating the
+  metric and the series at zero on first use. The fault plan's
+  ``colt_faults_injected`` and the MMU's run-length histogram
+  (``colt_coalesce_run_length``) update this way;
+* components whose event counting already flows through a
+  :class:`repro.common.statistics.CounterSet` register a *collector*
+  via :func:`bind_counterset`: a zero-hot-path-cost bridge that reads
+  the counter set lazily at snapshot time, Prometheus style.
+  Collectors keep their counter sets alive until the next
   ``snapshot(reset=True)`` drain, so short-lived components (one MMU
   per replay) still report; samples from multiple instances of the
   same component (several kernels, several MMUs) sum.
 
-Snapshots merge (:meth:`MetricsRegistry.merge_snapshot`), which is how
-the :class:`repro.sim.runner.ExperimentRunner` folds the registries of
-its ``ProcessPoolExecutor`` workers into the parent process's view:
-counters and histograms add.
+:meth:`MetricsRegistry.merge_snapshot` adds a snapshot's series onto
+this registry's, which is how the resilient executor folds each pool
+worker's drained registry into the parent process's view
+(:func:`repro.obs.hooks.absorb_worker_obs`).
 
 The process-local default registry (:func:`get_registry`) is what every
 simulator component binds into, once, when it is built; nothing is
@@ -35,7 +34,8 @@ called per simulated access.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.common.errors import ConfigurationError
@@ -54,116 +54,11 @@ def _label_key(labels: Mapping[str, object]) -> LabelKey:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
-class Instrument:
-    """Base class: one named metric with per-label-set series."""
-
-    kind = "instrument"
-
-    def __init__(self, name: str, help: str = "", unit: str = "") -> None:
-        self.name = name
-        self.help = help
-        self.unit = unit
-
-    def series(self) -> Iterable[Tuple[LabelKey, object]]:
-        raise NotImplementedError
-
-
-class Counter(Instrument):
-    """Monotonically-increasing event count."""
-
-    kind = "counter"
-
-    def __init__(self, name: str, help: str = "", unit: str = "") -> None:
-        super().__init__(name, help, unit)
-        self._series: Dict[LabelKey, float] = {}
-
-    def inc(self, amount: float = 1, **labels) -> None:
-        if amount < 0:
-            raise ConfigurationError(
-                f"counter {self.name} cannot decrease (inc by {amount})"
-            )
-        key = _label_key(labels)
-        self._series[key] = self._series.get(key, 0) + amount
-
-    def value(self, **labels) -> float:
-        return self._series.get(_label_key(labels), 0)
-
-    def series(self):
-        return self._series.items()
-
-
-@dataclass
-class HistogramState:
-    """Bucket counts (+inf implicit last), observation count and sum."""
-
-    buckets: Tuple[float, ...]
-    counts: List[int] = field(default_factory=list)
-    count: int = 0
-    sum: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not self.counts:
-            self.counts = [0] * (len(self.buckets) + 1)
-
-    def observe(self, value: float, count: int = 1) -> None:
-        """Record ``count`` observations of ``value``."""
-        index = len(self.buckets)
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                index = i
-                break
-        self.counts[index] += count
-        self.count += count
-        self.sum += value * count
-
-    def merge(self, other: "HistogramState") -> None:
-        if other.buckets != self.buckets:
-            raise ConfigurationError(
-                f"cannot merge histograms with buckets {other.buckets} "
-                f"into {self.buckets}"
-            )
-        for i, c in enumerate(other.counts):
-            self.counts[i] += c
-        self.count += other.count
-        self.sum += other.sum
-
-
-class Histogram(Instrument):
-    """Distribution of observations over fixed buckets."""
-
-    kind = "histogram"
-
-    def __init__(
-        self,
-        name: str,
-        help: str = "",
-        unit: str = "",
-        buckets: Optional[Tuple[float, ...]] = None,
-    ) -> None:
-        super().__init__(name, help, unit)
-        self.buckets = tuple(buckets) if buckets else DEFAULT_BUCKETS
-        self._series: Dict[LabelKey, HistogramState] = {}
-
-    def observe(self, value: float, count: int = 1, **labels) -> None:
-        """Record ``count`` observations of ``value`` for one label set."""
-        key = _label_key(labels)
-        state = self._series.get(key)
-        if state is None:
-            state = self._series[key] = HistogramState(self.buckets)
-        state.observe(value, count)
-
-    def state(self, **labels) -> Optional[HistogramState]:
-        return self._series.get(_label_key(labels))
-
-    def series(self):
-        return self._series.items()
-
-
 @dataclass(frozen=True)
 class MetricsSnapshot:
     """Immutable, JSON-ready view of a registry at one point in time.
 
-    ``instruments`` maps instrument name to::
+    ``instruments`` maps metric name to::
 
         {"kind": "counter|histogram", "help": ..., "unit": ...,
          "series": [{"labels": {...}, "value": v}                   # counter
@@ -205,171 +100,164 @@ class MetricsSnapshot:
 #: snapshot time; same-name/same-labels counter samples sum.
 Collector = Callable[[], Iterable[Tuple[str, str, Mapping[str, object], float]]]
 
+#: Metric name -> snapshot entry whose ``series`` is keyed by label set.
+_Metrics = Dict[str, dict]
+
+
+def _series(
+    metrics: _Metrics,
+    name: str,
+    kind: str,
+    labels: Mapping[str, object],
+    help: str = "",
+    unit: str = "",
+    buckets: Optional[Iterable[float]] = None,
+) -> dict:
+    """The snapshot-format series of ``name`` for ``labels``.
+
+    Creates the metric (with ``help`` and ``unit``) and the series at
+    zero on first use. Every series of a histogram shares its bounds:
+    ``buckets`` (default :data:`DEFAULT_BUCKETS` for a new histogram)
+    that differ from the registered ones raise
+    :class:`ConfigurationError`, because adding per-bucket counts over
+    other bounds would silently misalign them.
+    """
+    entry = metrics.get(name)
+    if entry is None:
+        entry = metrics[name] = {
+            "kind": kind, "help": help, "unit": unit, "series": {},
+        }
+    elif entry["kind"] != kind:
+        raise ConfigurationError(
+            f"metric {name!r} already registered as {entry['kind']}, "
+            f"requested {kind}"
+        )
+    series = entry["series"]
+    key = _label_key(labels)
+    sample = series.get(key)
+    if kind == "counter":
+        if sample is None:
+            sample = series[key] = {"labels": dict(key), "value": 0}
+        return sample
+    bounds = next(iter(series.values()))["buckets"] if series else None
+    wanted = list(buckets) if buckets is not None else None
+    if bounds is None:
+        bounds = wanted if wanted is not None else list(DEFAULT_BUCKETS)
+    elif wanted is not None and wanted != bounds:
+        raise ConfigurationError(
+            f"histogram {name!r}: bucket bounds {tuple(wanted)} differ "
+            f"from registered bounds {tuple(bounds)}"
+        )
+    if sample is None:
+        sample = series[key] = {
+            "labels": dict(key), "count": 0, "sum": 0.0,
+            "buckets": bounds, "counts": [0] * (len(bounds) + 1),
+        }
+    return sample
+
+
+def _add(metrics: _Metrics, name: str, entry: dict, sample: dict) -> None:
+    """Add one snapshot-format ``sample`` of ``entry`` onto ``metrics``."""
+    live = _series(
+        metrics, name, entry["kind"], sample["labels"],
+        entry.get("help", ""), entry.get("unit", ""), sample.get("buckets"),
+    )
+    if "value" in live:
+        live["value"] += sample["value"]
+        return
+    live["count"] += sample["count"]
+    live["sum"] += sample["sum"]
+    counts = live["counts"]
+    for index, count in enumerate(sample["counts"]):
+        counts[index] += count
+
 
 class MetricsRegistry:
-    """Process-local home of every instrument and collector."""
+    """Process-local home of every metric series and collector."""
 
     def __init__(self) -> None:
-        self._instruments: Dict[str, Instrument] = {}
+        self._metrics: _Metrics = {}
         self._collectors: List[Collector] = []
         # Serialises snapshot/merge against each other: the telemetry
         # server thread (repro.obs.serve) snapshots while the main
-        # thread folds worker snapshots in. Instrument *updates* stay
-        # lock-free -- every writer runs on the main thread and mutates
-        # per-instrument dicts the snapshot reads via list() copies.
+        # thread folds worker snapshots in. Updates stay lock-free --
+        # every writer runs on the main thread, and the snapshot reads
+        # each dict through a list() copy.
         self._lock = threading.RLock()
 
-    # -- instrument creation (get-or-create, kind-checked) -------------
+    # -- updates --------------------------------------------------------
 
-    def _get_or_create(self, cls, name: str, **kwargs) -> Instrument:
-        with self._lock:
-            existing = self._instruments.get(name)
-            if existing is not None:
-                if not isinstance(existing, cls):
-                    raise ConfigurationError(
-                        f"instrument {name!r} already registered as "
-                        f"{existing.kind}, requested {cls.kind}"
-                    )
-                return existing
-            instrument = cls(name, **kwargs)
-            self._instruments[name] = instrument
-            return instrument
+    def add(
+        self, name: str, amount: float = 1, help: str = "", unit: str = "",
+        **labels,
+    ) -> None:
+        """Add ``amount`` to counter ``name``'s series for ``labels``."""
+        if amount < 0:
+            raise ConfigurationError(
+                f"counter {name} cannot decrease (add {amount})"
+            )
+        _series(self._metrics, name, "counter", labels, help, unit)[
+            "value"
+        ] += amount
 
-    def counter(self, name: str, help: str = "", unit: str = "") -> Counter:
-        return self._get_or_create(Counter, name, help=help, unit=unit)
-
-    def histogram(
+    def observe(
         self,
         name: str,
+        value: float,
+        count: int = 1,
         help: str = "",
         unit: str = "",
-        buckets: Optional[Tuple[float, ...]] = None,
-    ) -> Histogram:
-        return self._get_or_create(
-            Histogram, name, help=help, unit=unit, buckets=buckets
-        )
+        **labels,
+    ) -> None:
+        """Record ``count`` observations of ``value`` in histogram ``name``
+        (over :data:`DEFAULT_BUCKETS`, or the bounds a merge registered)."""
+        sample = _series(self._metrics, name, "histogram", labels, help, unit)
+        sample["counts"][bisect_left(sample["buckets"], value)] += count
+        sample["count"] += count
+        sample["sum"] += value * count
 
     def register_collector(self, collector: Collector) -> None:
         with self._lock:
             self._collectors.append(collector)
 
-    def __len__(self) -> int:
-        return len(self._instruments)
-
     # -- snapshots ------------------------------------------------------
 
     def snapshot(self, reset: bool = False) -> MetricsSnapshot:
-        """Materialise every instrument and collector sample.
+        """Every series plus every collector sample, as a snapshot.
 
         ``reset=True`` is the worker-drain mode: after snapshotting, all
-        instrument series are cleared and collectors dropped, so a
-        pooled worker process that is reused for several tasks never
-        reports the same events twice.
+        series are cleared and collectors dropped, so a pooled worker
+        process that is reused for several tasks never reports the same
+        events twice.
         """
-        out: Dict[str, dict] = {}
+        out: _Metrics = {}
         with self._lock:
-            instruments = dict(self._instruments)
-            collectors = list(self._collectors)
+            for name, entry in list(self._metrics.items()):
+                for sample in list(entry["series"].values()):
+                    _add(out, name, entry, sample)
+            # Collector samples accumulate on top (summing duplicates).
+            for collector in list(self._collectors):
+                for name, kind, labels, value in collector():
+                    _add(out, name, {"kind": kind},
+                         {"labels": labels, "value": value})
             if reset:
-                self._instruments.clear()
-                self._collectors.clear()
-            return self._materialise(instruments, collectors, out)
-
-    def _materialise(
-        self,
-        instruments: Dict[str, Instrument],
-        collectors: List[Collector],
-        out: Dict[str, dict],
-    ) -> MetricsSnapshot:
-        for name, instrument in instruments.items():
-            series = []
-            for key, value in list(instrument.series()):
-                entry = {"labels": dict(key)}
-                if isinstance(value, HistogramState):
-                    entry.update(
-                        count=value.count,
-                        sum=value.sum,
-                        buckets=list(value.buckets),
-                        counts=list(value.counts),
-                    )
-                else:
-                    entry["value"] = value
-                series.append(entry)
-            if series:
-                out[name] = {
-                    "kind": instrument.kind,
-                    "help": instrument.help,
-                    "unit": instrument.unit,
-                    "series": series,
-                }
-
-        # Collector samples accumulate on top (summing duplicates).
-        for collector in collectors:
-            for name, kind, labels, value in collector():
-                entry = out.setdefault(
-                    name, {"kind": kind, "help": "", "unit": "", "series": []}
-                )
-                label_dict = {str(k): str(v) for k, v in labels.items()}
-                for sample in entry["series"]:
-                    if sample["labels"] == label_dict and "value" in sample:
-                        sample["value"] += value
-                        break
-                else:
-                    entry["series"].append(
-                        {"labels": label_dict, "value": value}
-                    )
-
+                self._metrics = {}
+                self._collectors = []
+        for entry in out.values():
+            entry["series"] = list(entry["series"].values())
         return MetricsSnapshot(instruments=out)
 
     def merge_snapshot(self, snapshot: MetricsSnapshot) -> None:
-        """Fold a (worker) snapshot into this registry's instruments.
+        """Add a (worker) snapshot's series onto this registry's.
 
-        Counters and histograms add. Histogram samples whose bucket
-        bounds differ from the registered instrument's are rejected
-        with :class:`ConfigurationError` -- merging them would silently
-        misalign per-bucket counts.
+        Counters and histograms add; a histogram whose bucket bounds
+        differ from the registered ones raises
+        :class:`ConfigurationError`.
         """
         with self._lock:
-            self._merge_snapshot_locked(snapshot)
-
-    def _merge_snapshot_locked(self, snapshot: MetricsSnapshot) -> None:
-        for name, entry in snapshot.instruments.items():
-            kind = entry["kind"]
-            if kind == "histogram":
-                buckets = None
+            for name, entry in snapshot.instruments.items():
                 for sample in entry["series"]:
-                    buckets = tuple(sample["buckets"])
-                    break
-                hist = self.histogram(
-                    name, help=entry.get("help", ""),
-                    unit=entry.get("unit", ""), buckets=buckets,
-                )
-                for sample in entry["series"]:
-                    sample_buckets = tuple(sample["buckets"])
-                    if sample_buckets != hist.buckets:
-                        raise ConfigurationError(
-                            f"cannot merge histogram '{name}': snapshot "
-                            f"bucket bounds {sample_buckets} differ from "
-                            f"registered bounds {hist.buckets}"
-                        )
-                    state = HistogramState(
-                        buckets=sample_buckets,
-                        counts=list(sample["counts"]),
-                        count=sample["count"],
-                        sum=sample["sum"],
-                    )
-                    key = _label_key(sample["labels"])
-                    mine = hist._series.get(key)
-                    if mine is None:
-                        hist._series[key] = state
-                    else:
-                        mine.merge(state)
-            else:
-                counter = self.counter(
-                    name, help=entry.get("help", ""), unit=entry.get("unit", "")
-                )
-                for sample in entry["series"]:
-                    counter.inc(sample["value"], **sample["labels"])
+                    _add(self._metrics, name, entry, sample)
 
 
 def bind_counterset(

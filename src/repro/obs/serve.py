@@ -12,7 +12,7 @@ on a daemon thread, bound to ``127.0.0.1``, serves
 
 The server is strictly read-only: ``/metrics`` takes a non-resetting
 registry snapshot under the registry's internal lock (the same
-serialisation ``merge_snapshot`` uses when the runner folds worker
+serialisation ``merge_snapshot`` uses when the executor folds worker
 results in). Nothing here can perturb simulation state, so a served
 run stays bit-identical to an unserved one -- CI asserts exactly that.
 """
@@ -26,7 +26,7 @@ from typing import Mapping, Optional, Tuple
 from repro.common import knobs
 from repro.common.errors import ConfigurationError
 from repro.obs.logging import get_logger
-from repro.obs.registry import MetricsRegistry, MetricsSnapshot, get_registry
+from repro.obs.registry import MetricsSnapshot, get_registry
 
 _LOG = get_logger(__name__)
 
@@ -139,11 +139,8 @@ class TelemetryServer:
     path) leaves no socket behind.
     """
 
-    def __init__(
-        self, port: int, registry: Optional[MetricsRegistry] = None
-    ) -> None:
+    def __init__(self, port: int) -> None:
         self._requested_port = port
-        self._registry = registry
         self._lock = threading.Lock()
         self._server: Optional[ThreadingHTTPServer] = None
         self._thread: Optional[threading.Thread] = None
@@ -201,8 +198,7 @@ class TelemetryServer:
     # -- payloads -------------------------------------------------------
 
     def _metrics_payload(self) -> bytes:
-        registry = self._registry if self._registry is not None else get_registry()
-        return prometheus_text(registry.snapshot()).encode("utf-8")
+        return prometheus_text(get_registry().snapshot()).encode("utf-8")
 
     # -- request handling ----------------------------------------------
 

@@ -94,6 +94,17 @@ class Tracer:
         self._events.clear()
         return events
 
+    def absorb(self, events: List[TraceEvent], dropped: int = 0) -> None:
+        """Buffer another process's events and count its drops.
+
+        Worker events share this process's bounded buffer: any that
+        push older events out count in :attr:`dropped`, as do the
+        ``dropped`` events the worker lost itself.
+        """
+        overflow = len(self._events) + len(events) - self.capacity
+        self.dropped += dropped + max(0, overflow)
+        self._events.extend(events)
+
     def __len__(self) -> int:
         return len(self._events)
 

@@ -216,17 +216,20 @@ class FaultPlan:
     # ------------------------------------------------------------------
 
     def _record(self, kind: str, site: str) -> None:
-        get_registry().counter(
+        get_registry().add(
             "colt_faults_injected",
             help="faults fired by the COLT_FAULTS plan",
-        ).inc(kind=kind, site=site)
+            kind=kind, site=site,
+        )
 
     def fire(self, site: str, index: int, attempt: int = 0) -> None:
         """Execute any scheduled task fault for (site, index, attempt).
 
-        Called at the top of a capture/replay task body. May sleep
-        (``delay``), raise (``raise``, or ``crash`` in the parent
-        process), or never return (``crash`` in a worker).
+        The resilient executor calls this before each attempt's task
+        body runs, in the pool worker or, serially, in the parent; the
+        experiment loop calls it before each experiment (``campaign``).
+        May sleep (``delay``), raise (``raise``, or ``crash`` in the
+        parent process), or never return (``crash`` in a worker).
         """
         for spec in self.specs:
             if spec.kind not in EXECUTION_KINDS:

@@ -11,8 +11,8 @@ with per-task submission under an explicit :class:`RetryPolicy`:
   the scenario, not just a pickled traceback.
 * **Bounded retries** -- failed tasks are resubmitted up to
   ``max_retries`` times with deterministic exponential backoff
-  (``backoff_s * backoff_factor ** attempt``; no jitter -- reruns must
-  schedule identically).
+  (``BACKOFF_S * 2 ** attempt``; no jitter -- reruns must schedule
+  identically).
 * **Per-task deadlines** -- the run's one stall detector. The parent
   waits on pooled futures in submission order, and ``timeout_s``
   bounds each wait: a task whose result has not arrived ``timeout_s``
@@ -39,10 +39,16 @@ with per-task submission under an explicit :class:`RetryPolicy`:
   :class:`~repro.common.errors.TaskExecutionError` only after every
   survivor has been yielded.
 
-The executor is deliberately ignorant of what tasks compute: fault
-injection lives in the task bodies (``repro.sim.runner``) and in the
-store, keyed by the deterministic (site, index, attempt) triple the
-executor maintains here.
+The executor is deliberately ignorant of what tasks compute: a task
+body is a plain call, ``fn(*args)``. Everything that crosses the
+pool-worker boundary crosses it here, in :func:`_run_attempt`, one
+wrapper per pooled attempt: it arms the deadline dump, fires the fault
+the :class:`~repro.sim.faults.FaultPlan` schedules for the attempt's
+deterministic (site, index, attempt) triple, runs the task, and returns
+its result with the worker's drained spans and metrics, which the
+parent folds into its own tracer and registry
+(:func:`repro.obs.hooks.absorb_worker_obs`). Serial execution fires the
+same fault in the parent, whose tracer and registry record directly.
 
 ``time.sleep`` (backoff) is the only wall-clock interaction; nothing
 here feeds a ``SimulationResult``.
@@ -71,6 +77,7 @@ from typing import (
 from repro.common import knobs
 from repro.common.errors import ShutdownRequested, TaskExecutionError
 from repro.common.statistics import CounterSet
+from repro.obs.hooks import absorb_worker_obs, drain_worker_obs, reset_worker_obs
 from repro.obs.logging import get_logger
 from repro.obs.trace import span
 
@@ -80,51 +87,72 @@ _LOG = get_logger(__name__)
 _POLL_SLICE_S = 0.1
 
 
-def resolve_dump_dir(override: Optional[str] = None) -> Path:
-    """The stack-dump directory: override > ``COLT_DUMP_DIR`` > default."""
-    return Path(override or knobs.DUMP_DIR.text())
+#: Sleep before the first retry; each later retry doubles it.
+BACKOFF_S = 0.05
 
 
-def _run_armed(fn, args, attempt, timeout_s, dump_dir):
-    """Worker-side task wrapper: faulthandler dump at the deadline.
+def _start_worker(initializer: Optional[Callable]) -> None:
+    """Pool initializer: drop obs state inherited over ``fork``, then
+    run the caller's ``initializer``."""
+    reset_worker_obs()
+    if initializer is not None:
+        initializer()
 
-    Arms ``faulthandler.dump_traceback_later`` for ``timeout_s``
-    seconds after the task starts, so a worker stuck long enough for
-    the parent to give up has already written its all-thread stacks
-    to ``<dump_dir>/task-<pid>.txt`` -- the post-mortem says *where*
-    the worker was stuck. Disarmed on completion; a task that runs
-    shorter than ``timeout_s`` leaves no dump.
+
+def _run_attempt(task, faults, timeout_s, dump_dir):
+    """Run one pooled attempt of ``task``; ``(result, ObsPayload)``.
+
+    1. Arm ``faulthandler.dump_traceback_later`` for ``timeout_s``
+       seconds (when a deadline is set), so a worker stuck long enough
+       for the parent to give up has already written its all-thread
+       stacks to ``<dump_dir>/task-<pid>.txt`` -- the post-mortem says
+       *where* the worker was stuck, an injected ``delay`` included.
+    2. Fire the fault ``faults`` schedules for the attempt's (site,
+       index, attempt).
+    3. Run ``task.fn(*task.args)``.
+    4. Disarm (a task that ran shorter than ``timeout_s`` leaves no
+       dump) and return the result with this worker's drained spans
+       and metrics. A failed attempt keeps its share in the worker,
+       which reports it with its next returned payload.
     """
-    try:
+    handle = None
+    if timeout_s is not None:
         path = Path(dump_dir) / f"task-{os.getpid()}.txt"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        handle = path.open("a", encoding="utf-8")
-    except OSError as exc:
-        # The task still runs; only the post-mortem dump is lost, and
-        # that degradation must be visible, not silent.
-        _LOG.warning(
-            "deadline stack dumps disabled for this task: %s", exc
-        )
-        return fn(*args, attempt)
-    try:
-        faulthandler.dump_traceback_later(
-            timeout_s, exit=False, file=handle
-        )
-        return fn(*args, attempt)
-    finally:
-        faulthandler.cancel_dump_traceback_later()
-        handle.close()
         try:
-            # A task that ran shorter than timeout_s dumped nothing:
-            # do not litter the dump dir with empty files. (One that
-            # ran longer dumped even if the parent, whose clock starts
-            # when it reaches this task, still took its result.)
-            if path.stat().st_size == 0:
-                path.unlink()
-        except OSError:
-            # Litter control only: failing leaves the empty file,
-            # nothing else.
-            pass
+            path.parent.mkdir(parents=True, exist_ok=True)
+            handle = path.open("a", encoding="utf-8")
+        except OSError as exc:
+            # The task still runs; only the post-mortem dump is lost,
+            # and that degradation must be visible, not silent.
+            _LOG.warning(
+                "deadline stack dumps disabled for this task: %s", exc
+            )
+        else:
+            faulthandler.dump_traceback_later(
+                timeout_s, exit=False, file=handle
+            )
+    try:
+        if faults is not None:
+            faults.fire(task.site, task.index, task.attempt)
+        result = task.fn(*task.args)
+    finally:
+        if handle is not None:
+            faulthandler.cancel_dump_traceback_later()
+            handle.close()
+            try:
+                # A task that ran shorter than timeout_s dumped
+                # nothing: do not litter the dump dir with empty
+                # files. (One that ran longer dumped even if the
+                # parent, whose clock starts when it reaches this
+                # task, still took its result.)
+                if path.stat().st_size == 0:
+                    path.unlink()
+            except OSError:
+                # Litter control only: failing leaves the empty file,
+                # nothing else.
+                pass
+    return result, drain_worker_obs()
+
 
 #: Counter names the executor maintains (bound to the metrics registry
 #: as ``colt_resilience_*`` by the runner).
@@ -141,14 +169,11 @@ RESILIENCE_COUNTERS = (
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Bounded-retry/backoff/deadline knobs for one runner.
+    """Bounded-retry/deadline knobs for one runner.
 
     Attributes:
         max_retries: resubmissions allowed per task (attempts are
             ``0..max_retries``; 0 disables retrying).
-        backoff_s: base sleep before the first retry.
-        backoff_factor: multiplier per subsequent retry (deterministic
-            exponential backoff, no jitter).
         timeout_s: per-task deadline for pooled execution; ``None``
             waits forever. The parent waits on results in submission
             order and retries a task whose result has not arrived
@@ -161,13 +186,13 @@ class RetryPolicy:
     """
 
     max_retries: int = knobs.RETRIES.default
-    backoff_s: float = 0.05
-    backoff_factor: float = 2.0
     timeout_s: Optional[float] = knobs.TASK_TIMEOUT.default
 
-    def backoff(self, attempt: int) -> float:
-        """Sleep before retrying a task that failed ``attempt``."""
-        return self.backoff_s * self.backoff_factor**attempt
+    @staticmethod
+    def backoff(attempt: int) -> float:
+        """Sleep before retrying a task that failed ``attempt``
+        (deterministic exponential backoff, no jitter)."""
+        return BACKOFF_S * 2**attempt
 
     @classmethod
     def from_env(cls) -> "RetryPolicy":
@@ -183,10 +208,10 @@ class RetryPolicy:
 class TaskSpec:
     """One unit of work: a picklable function plus attribution.
 
-    ``fn`` is called as ``fn(*args, attempt)`` -- the attempt number is
-    appended so task bodies can key fault injection on it. ``site`` and
-    ``index`` identify the task deterministically across reruns (and
-    across retries: the index never changes, only the attempt).
+    ``fn`` is called as ``fn(*args)``. ``site`` and ``index`` identify
+    the task deterministically across reruns (and across retries: the
+    index never changes, only the attempt), which is what the fault
+    plan keys on.
     """
 
     fn: Callable
@@ -208,6 +233,10 @@ class ResilientExecutor:
     replay wave share its (lazily created) process pool, mirroring the
     single pool the pre-resilience runner used. Use as a context
     manager so the pool is torn down even when a wave raises.
+
+    ``initializer`` runs once in each pool worker, after the worker's
+    inherited obs state is dropped; ``faults`` is the
+    :class:`~repro.sim.faults.FaultPlan` fired before every attempt.
     """
 
     def __init__(
@@ -217,7 +246,7 @@ class ResilientExecutor:
         counters: Optional[CounterSet] = None,
         initializer: Optional[Callable] = None,
         shutdown=None,
-        dump_dir=None,
+        faults=None,
     ) -> None:
         self._jobs = max(1, int(jobs))
         self._policy = policy if policy is not None else RetryPolicy()
@@ -226,7 +255,8 @@ class ResilientExecutor:
         )
         self._initializer = initializer
         self._shutdown = shutdown
-        self._dump_dir = str(resolve_dump_dir(dump_dir))
+        self._faults = faults
+        self._dump_dir = knobs.DUMP_DIR.text()
         self._pool: Optional[ProcessPoolExecutor] = None
         self._rebuilt = False
         self._serial = self._jobs <= 1
@@ -247,7 +277,9 @@ class ResilientExecutor:
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
             self._pool = ProcessPoolExecutor(
-                max_workers=self._jobs, initializer=self._initializer
+                max_workers=self._jobs,
+                initializer=_start_worker,
+                initargs=(self._initializer,),
             )
         return self._pool
 
@@ -353,7 +385,9 @@ class ResilientExecutor:
         for task, future in submitted[consumed:]:
             if future.done() and not future.cancelled() \
                     and future.exception() is None:
-                yield task, future.result()
+                result, payload = future.result()
+                absorb_worker_obs(payload)
+                yield task, result
             else:
                 future.cancel()
 
@@ -384,11 +418,14 @@ class ResilientExecutor:
             submitted = []
             for task in batch:
                 self.counters.increment("tasks")
-                submitted.append((task, self._submit(pool, task)))
+                submitted.append((task, pool.submit(
+                    _run_attempt, task, self._faults,
+                    self._policy.timeout_s, self._dump_dir,
+                )))
             pool_broken = False
             for position, (task, future) in enumerate(submitted):
                 try:
-                    result = self._await(future)
+                    result, payload = self._await(future)
                 except ShutdownRequested:
                     yield from self._drain_on_shutdown(submitted, position)
                     raise
@@ -416,6 +453,7 @@ class ResilientExecutor:
                     if retry is not None:
                         pending.append(retry)
                 else:
+                    absorb_worker_obs(payload)
                     yield task, result
             if pool_broken:
                 self._recover_pool()
@@ -423,20 +461,6 @@ class ResilientExecutor:
             for extra in failures[1:]:
                 _LOG.error("additional permanent failure: %s", extra)
             raise failures[0]
-
-    def _submit(self, pool: ProcessPoolExecutor, task: TaskSpec):
-        """Submit one attempt; deadline-bearing tasks get the
-        worker-side faulthandler arming wrapper."""
-        if self._policy.timeout_s is not None:
-            return pool.submit(
-                _run_armed,
-                task.fn,
-                task.args,
-                task.attempt,
-                self._policy.timeout_s,
-                self._dump_dir,
-            )
-        return pool.submit(task.fn, *task.args, task.attempt)
 
     def _run_serial(
         self, task: TaskSpec, failures: List[TaskExecutionError]
@@ -446,7 +470,11 @@ class ResilientExecutor:
         while True:
             self.counters.increment("tasks")
             try:
-                result = current.fn(*current.args, current.attempt)
+                if self._faults is not None:
+                    self._faults.fire(
+                        current.site, current.index, current.attempt
+                    )
+                result = current.fn(*current.args)
             except Exception as exc:
                 self.counters.increment("task_errors")
                 retry = self._next_attempt(current, exc, failures)

@@ -25,6 +25,13 @@ and store corruption to exercise exactly that machinery; any plan that
 does not exhaust the retry budget yields bit-identical results to a
 fault-free run.
 
+The task bodies, :func:`_capture_task` and :func:`_replay_task`, are
+plain simulation calls. The executor fires each attempt's fault and
+carries a pool worker's spans and metrics into this process's tracer
+and registry, so a run reads everything it recorded, its workers'
+share included, from :func:`repro.obs.trace.current_tracer` and
+:func:`repro.obs.registry.get_registry`.
+
 Results are memoised in-process per config (so e.g. Figure 21 reuses
 the runs Figure 18 already performed) and, when a
 :class:`repro.sim.store.ResultStore` is attached, on disk across
@@ -38,14 +45,8 @@ from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 from repro.common.errors import TaskExecutionError
 from repro.common.statistics import CounterSet
 from repro.core.mmu import CoLTDesign
-from repro.obs.hooks import (
-    ObsPayload,
-    drain_worker_obs,
-    in_pool_worker,
-    reset_worker_obs,
-)
 from repro.obs.registry import bind_counterset, get_registry
-from repro.obs.trace import TraceEvent, current_tracer, span
+from repro.obs.trace import span
 from repro.sim.faults import FaultPlan
 from repro.sim.resilience import (
     RESILIENCE_COUNTERS,
@@ -73,65 +74,29 @@ STANDARD_DESIGNS: Tuple[CoLTDesign, ...] = (
 )
 
 
-def _drain_if_pooled() -> Optional[ObsPayload]:
-    """Drain obs state in pool workers; ``None`` in the parent.
+def _capture_task(config: SimulationConfig) -> CapturedScenario:
+    """Task body: one scenario capture (module-level, picklable).
 
-    Serial (and downgraded-to-serial) execution runs task bodies in the
-    parent, whose tracer/registry must not be reset mid-run -- the
-    parent reports its own state directly.
+    ``capture_scenario`` is looked up at call time, so a harness that
+    wrapped it sees its own wrapper, here and in forked pool workers.
     """
-    return drain_worker_obs() if in_pool_worker() else None
-
-
-def _init_worker() -> None:
-    """Pool initializer: drop inherited obs state, open a prefix cache.
-
-    Without the reset a forked worker would report the parent's
-    buffered events twice. A worker lives for one batch, so its prefix
-    cache does too, whatever the start method.
-    """
-    reset_worker_obs()
-    open_prefix_cache()
-
-
-def _capture_task(
-    config: SimulationConfig,
-    faults: Optional[FaultPlan],
-    index: int,
-    attempt: int = 0,
-) -> Tuple[CapturedScenario, Optional[ObsPayload]]:
-    """Worker entry point: one scenario capture (module-level, picklable).
-
-    The second element carries a pool worker's drained observability
-    state back to the parent (``None`` when the task ran in the
-    parent). Faults fire before the capture, keyed on this task's
-    deterministic (site, index, attempt) triple.
-    """
-    if faults is not None:
-        faults.fire("capture", index, attempt)
-    return capture_scenario(config), _drain_if_pooled()
+    return capture_scenario(config)
 
 
 def _replay_task(
     scenario: CapturedScenario,
     configs: Sequence[SimulationConfig],
-    faults: Optional[FaultPlan],
-    index: int,
     engine: str,
-    attempt: int = 0,
-) -> Tuple[List[SimulationResult], Optional[ObsPayload]]:
-    """Worker entry point: replay one scenario under several configs.
+) -> List[SimulationResult]:
+    """Task body: replay one scenario under several configs.
 
     ``engine`` is threaded explicitly so pool workers call the replay
     name the parent was configured with.
     """
-    if faults is not None:
-        faults.fire("replay", index, attempt)
-    results = [
+    return [
         replay_with_engine(scenario, config, engine=engine)
         for config in configs
     ]
-    return results, _drain_if_pooled()
 
 
 def _capture_context(config: SimulationConfig) -> Dict[str, object]:
@@ -211,9 +176,6 @@ class ExperimentRunner:
         bind_counterset(get_registry(), "colt_resilience", self._resilience)
         self._cache: Dict[SimulationConfig, SimulationResult] = {}
         self._scenarios: Dict[SimulationConfig, CapturedScenario] = {}
-        # Observability state shipped back from pool workers.
-        self._foreign_events: List[TraceEvent] = []
-        self._foreign_dropped = 0
 
     # ------------------------------------------------------------------
     # Observability surface.
@@ -236,23 +198,6 @@ class ExperimentRunner:
     def resilience_counters(self) -> CounterSet:
         """The retry/timeout/rebuild/downgrade tallies of this runner."""
         return self._resilience
-
-    def trace_events(self) -> List[TraceEvent]:
-        """This process's buffered events plus those of its workers."""
-        events = self._foreign_events + current_tracer().events()
-        events.sort(key=lambda event: event.ts_us)
-        return events
-
-    def dropped_events(self) -> int:
-        return self._foreign_dropped + current_tracer().dropped
-
-    def _absorb(self, payload: Optional[ObsPayload]) -> None:
-        """Fold one worker task's drained obs state into this process."""
-        if payload is None:
-            return
-        self._foreign_events.extend(payload.events)
-        self._foreign_dropped += payload.dropped_events
-        get_registry().merge_snapshot(payload.metrics)
 
     # ------------------------------------------------------------------
     # Execution.
@@ -327,7 +272,7 @@ class ExperimentRunner:
         capture_tasks = [
             TaskSpec(
                 fn=_capture_task,
-                args=(key, self._faults, index),
+                args=(key,),
                 site="capture",
                 index=index,
                 context=_capture_context(key),
@@ -343,14 +288,15 @@ class ExperimentRunner:
             jobs=effective_jobs,
             policy=self._policy,
             counters=self._resilience,
-            initializer=_init_worker,
+            # A worker lives for one batch, so its prefix cache does too.
+            initializer=open_prefix_cache,
             shutdown=self._shutdown,
+            faults=self._faults,
         ) as executor:
             failure: Optional[TaskExecutionError] = None
             try:
-                for task, (scenario, payload) in executor.run(capture_tasks):
+                for task, scenario in executor.run(capture_tasks):
                     self._scenarios[to_capture[task.index]] = scenario
-                    self._absorb(payload)
             except TaskExecutionError as exc:
                 # Keep going: scenarios that did capture can still
                 # replay (and checkpoint) before the batch raises.
@@ -363,10 +309,7 @@ class ExperimentRunner:
             replay_tasks = [
                 TaskSpec(
                     fn=_replay_task,
-                    args=(
-                        self._scenarios[key], chunk, self._faults, index,
-                        self._engine,
-                    ),
+                    args=(self._scenarios[key], chunk, self._engine),
                     site="replay",
                     index=index,
                     context=_replay_context(chunk, self._engine),
@@ -374,8 +317,7 @@ class ExperimentRunner:
                 for index, (key, chunk) in enumerate(replay_chunks)
             ]
             try:
-                for task, (results, payload) in executor.run(replay_tasks):
-                    self._absorb(payload)
+                for task, results in executor.run(replay_tasks):
                     _, chunk = replay_chunks[task.index]
                     for config, result in zip(chunk, results):
                         self._finish(config, result)

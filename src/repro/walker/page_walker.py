@@ -21,7 +21,6 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 
 from repro.common.constants import PTES_PER_CACHE_LINE
 from repro.common.errors import TranslationError
-from repro.common.types import PageAttributes, Translation, WalkResult
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.mmu_cache import MMUCache
 from repro.core.coalescing import contiguous_run_around
@@ -88,12 +87,6 @@ class PageWalker:
     def mmu_cache(self) -> Optional[MMUCache]:
         return self._mmu_cache
 
-    def retarget(self, page_table: PageTable) -> None:
-        """Point the walker at a different process (context switch)."""
-        self._page_table = page_table
-        if self._mmu_cache is not None:
-            self._mmu_cache.invalidate_all()
-
     def record(self, vpn: int) -> WalkRecord:
         """The walk outcome of ``vpn`` in the live page table.
 
@@ -156,26 +149,3 @@ class PageWalker:
         if mmu_cache is not None:
             mmu_cache.fill_walk(vpn, levels)
         return record, latency, levels - start
-
-    def walk(self, vpn: int) -> WalkResult:
-        """Resolve ``vpn``; returns translation + cache-line neighbours."""
-        record, latency, fetched = self.resolve(vpn)
-        translation = Translation(
-            vpn, record.pfn, PageAttributes(record.attr), record.is_superpage
-        )
-        base = vpn - vpn % PTES_PER_CACHE_LINE
-        line = tuple(
-            Translation(
-                base + slot,
-                record.line_pfn[slot],
-                PageAttributes(record.line_attr[slot]),
-            )
-            for slot in range(PTES_PER_CACHE_LINE)
-            if record.mask >> slot & 1
-        )
-        return WalkResult(
-            translation=translation,
-            cache_line_translations=line,
-            latency=latency,
-            memory_accesses=fetched,
-        )

@@ -231,11 +231,9 @@ class TestShutdownCoordinator:
 # ---------------------------------------------------------------------------
 
 
-def _sleepy(seconds, attempt):
-    # Attempt 0 naps for ``seconds``; a retry returns at once.
-    if attempt == 0:
-        time.sleep(seconds)
-    return attempt
+def _sleepy(seconds):
+    time.sleep(seconds)
+    return seconds
 
 
 class TestExecutorIntegration:

@@ -241,7 +241,7 @@ class TestRunnerIntegration:
         runner = ExperimentRunner(
             jobs=2,
             engine="vector",
-            policy=RetryPolicy(max_retries=3, backoff_s=0.01),
+            policy=RetryPolicy(max_retries=3),
             faults=FaultPlan.parse("raise@replay:0"),
         )
         assert runner.run_designs(base) == scalar

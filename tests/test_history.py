@@ -57,7 +57,6 @@ def _baseline(**overrides):
         "match": {"figure": "fig18", "scale": "quick"},
         "exact_counters": {"colt_mmu_accesses": 600000.0},
         "ceilings": {"wall.total": 100.0},
-        "floors": {},
     }
     base.update(overrides)
     return base
@@ -166,14 +165,6 @@ class TestGate:
         record = _record(wall={"total": 101.0})
         problems = gate_record(record, _baseline())
         assert any("exceeds ceiling" in p for p in problems)
-
-    def test_gate_floor_checked_only_when_present(self):
-        baseline = _baseline(floors={"store.hit_ratio": 0.5})
-        assert gate_record(_record(store=None), baseline) == []  # no store
-        cold = _record(store={"hits": 0.0, "misses": 20.0, "hit_ratio": 0.0})
-        assert any(
-            "below floor" in p for p in gate_record(cold, baseline)
-        )
 
     def test_gate_requires_ok_status(self):
         problems = gate_record(_record(status="failed"), _baseline())

@@ -17,7 +17,7 @@ from repro.experiments.scale import scale_from_env
 from repro.obs.history import history_enabled
 from repro.obs.serve import telemetry_port_from_env
 from repro.sim.faults import FaultPlan
-from repro.sim.resilience import RetryPolicy, resolve_dump_dir
+from repro.sim.resilience import ResilientExecutor, RetryPolicy
 from repro.sim.store import ResultStore
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -32,7 +32,8 @@ CASES = [
     ("COLT_RETRIES", "abc", RetryPolicy.from_env, ConfigurationError),
     ("COLT_RETRIES", "-3", lambda: RetryPolicy.from_env().max_retries, 0),
     ("COLT_TASK_TIMEOUT", "abc", RetryPolicy.from_env, ConfigurationError),
-    ("COLT_DUMP_DIR", " ", resolve_dump_dir, Path(".colt-cache/dumps")),
+    ("COLT_DUMP_DIR", " ", lambda: ResilientExecutor(jobs=1)._dump_dir,
+     ".colt-cache/dumps"),
     ("COLT_TELEMETRY_PORT", "abc", telemetry_port_from_env,
      ConfigurationError),
     ("COLT_HISTORY", "", history_enabled, True),

@@ -2,6 +2,8 @@
 every run records."""
 
 import json
+import os
+import re
 
 import pytest
 
@@ -16,8 +18,14 @@ from repro.obs.export import (
     write_metrics_json,
     read_metrics_json,
 )
-from repro.obs.hooks import drain_worker_obs, reset_worker_obs
+from repro.obs.hooks import (
+    ObsPayload,
+    absorb_worker_obs,
+    drain_worker_obs,
+    reset_worker_obs,
+)
 from repro.obs.registry import (
+    DEFAULT_BUCKETS,
     MetricsRegistry,
     MetricsSnapshot,
     bind_counterset,
@@ -69,65 +77,78 @@ def _small_config(**overrides):
 # ---------------------------------------------------------------------------
 
 
+def _values(snapshot, name):
+    """A counter's value per label set (as a sorted item tuple)."""
+    return {
+        tuple(sorted(s["labels"].items())): s["value"]
+        for s in snapshot.get(name)["series"]
+    }
+
+
 class TestRegistry:
     def test_counter_labels_independent_series(self):
         registry = MetricsRegistry()
-        counter = registry.counter("colt_test_events")
-        counter.inc(design="colt_sa")
-        counter.inc(2, design="colt_fa")
-        counter.inc(design="colt_sa")
-        assert counter.value(design="colt_sa") == 2
-        assert counter.value(design="colt_fa") == 2
-        assert counter.value(design="unknown") == 0
+        registry.add("colt_test_events", design="colt_sa")
+        registry.add("colt_test_events", 2, design="colt_fa")
+        registry.add("colt_test_events", design="colt_sa")
         snapshot = registry.snapshot()
+        assert _values(snapshot, "colt_test_events") == {
+            (("design", "colt_sa"),): 2,
+            (("design", "colt_fa"),): 2,
+        }
         assert snapshot.counter_total("colt_test_events") == 4
 
     def test_counter_rejects_negative(self):
-        counter = MetricsRegistry().counter("colt_test_events")
         with pytest.raises(ConfigurationError):
-            counter.inc(-1)
+            MetricsRegistry().add("colt_test_events", -1)
 
     def test_kind_conflict_raises(self):
         registry = MetricsRegistry()
-        registry.counter("colt_test_metric")
+        registry.add("colt_test_metric")
         with pytest.raises(ConfigurationError):
-            registry.histogram("colt_test_metric")
-
-    def test_get_or_create_returns_same_instrument(self):
-        registry = MetricsRegistry()
-        assert registry.counter("colt_x") is registry.counter("colt_x")
+            registry.observe("colt_test_metric", 1)
 
     def test_histogram_buckets_and_sum(self):
         registry = MetricsRegistry()
-        hist = registry.histogram("colt_runs", buckets=(1, 4, 8))
         for value in (1, 2, 5, 8, 100):
-            hist.observe(value, design="colt_all")
-        state = hist.state(design="colt_all")
-        assert state.count == 5
-        assert state.sum == 116
-        # <=1, <=4, <=8, +inf
-        assert state.counts == [1, 1, 2, 1]
+            registry.observe("colt_runs", value, design="colt_all")
+        (state,) = registry.snapshot().get("colt_runs")["series"]
+        assert state["labels"] == {"design": "colt_all"}
+        assert state["count"] == 5
+        assert state["sum"] == 116
+        assert state["buckets"] == list(DEFAULT_BUCKETS)
+        # <=1, <=2, <=3, <=4, <=6, <=8, <=16, <=64, <=256, <=1024, +inf
+        assert state["counts"] == [1, 1, 0, 0, 1, 1, 0, 0, 1, 0, 0]
+
+    def test_snapshot_is_a_copy(self):
+        registry = MetricsRegistry()
+        registry.observe("colt_h", 3)
+        first = registry.snapshot()
+        registry.observe("colt_h", 3)
+        assert first.get("colt_h")["series"][0]["count"] == 1
+        assert registry.snapshot().get("colt_h")["series"][0]["count"] == 2
 
     def test_snapshot_reset_drains(self):
         registry = MetricsRegistry()
-        registry.counter("colt_n").inc(3)
+        registry.add("colt_n", 3)
         first = registry.snapshot(reset=True)
         assert first.counter_total("colt_n") == 3
         assert registry.snapshot().counter_total("colt_n") == 0
 
     def test_merge_snapshot_sums_counters_and_histograms(self):
         worker = MetricsRegistry()
-        worker.counter("colt_n").inc(2, design="a")
-        worker.histogram("colt_h", buckets=(2, 4)).observe(3)
+        worker.add("colt_n", 2, design="a")
+        worker.observe("colt_h", 3)
         parent = MetricsRegistry()
-        parent.counter("colt_n").inc(1, design="a")
-        parent.histogram("colt_h", buckets=(2, 4)).observe(1)
+        parent.add("colt_n", 1, design="a")
+        parent.observe("colt_h", 1)
         parent.merge_snapshot(worker.snapshot())
         merged = parent.snapshot()
         assert merged.counter_total("colt_n") == 3
         series = merged.get("colt_h")["series"]
         assert series[0]["count"] == 2
         assert series[0]["sum"] == 4
+        assert series[0]["counts"] == [1, 0, 1] + [0] * 8
 
     def test_bound_counterset_sampled_lazily(self):
         registry = MetricsRegistry()
@@ -162,8 +183,8 @@ class TestRegistry:
 
     def test_snapshot_json_round_trip(self):
         registry = MetricsRegistry()
-        registry.counter("colt_n", unit="events").inc(7, design="x")
-        registry.histogram("colt_h").observe(3)
+        registry.add("colt_n", 7, unit="events", design="x")
+        registry.observe("colt_h", 3)
         snapshot = registry.snapshot()
         recovered = MetricsSnapshot.from_json_dict(
             json.loads(json.dumps(snapshot.to_json_dict()))
@@ -205,6 +226,20 @@ class TestTracer:
             pass
         assert len(tracer.drain()) == 1
         assert tracer.events() == []
+
+    def test_absorbed_events_share_the_bounded_buffer(self):
+        worker = Tracer(capacity=8)
+        for index in range(3):
+            with worker.span("w", index=index):
+                pass
+        tracer = Tracer(capacity=4)
+        for index in range(2):
+            with tracer.span("p", index=index):
+                pass
+        tracer.absorb(worker.drain(), dropped=5)
+        # One parent event pushed out, plus the worker's own five.
+        assert tracer.dropped == 6
+        assert [e.name for e in tracer.events()] == ["p", "w", "w", "w"]
 
     def test_reset_installs_an_empty_process_tracer(self, fresh_obs):
         with current_tracer().span("e"):
@@ -255,8 +290,8 @@ class TestChromeExport:
 
     def test_metrics_json_and_csv(self, tmp_path):
         registry = MetricsRegistry()
-        registry.counter("colt_n").inc(2, design="a")
-        registry.histogram("colt_h").observe(3)
+        registry.add("colt_n", 2, design="a")
+        registry.observe("colt_h", 3)
         snapshot = registry.snapshot()
         path = write_metrics_json(tmp_path / "metrics.json", snapshot)
         assert read_metrics_json(path).instruments == snapshot.instruments
@@ -271,7 +306,7 @@ class TestWorkerHandoff:
     def test_drain_resets_both_sinks(self, fresh_obs):
         with current_tracer().span("e"):
             pass
-        get_registry().counter("colt_n").inc(4)
+        get_registry().add("colt_n", 4)
         payload = drain_worker_obs()
         assert len(payload.events) == 1
         assert payload.metrics.counter_total("colt_n") == 4
@@ -282,10 +317,25 @@ class TestWorkerHandoff:
     def test_reset_worker_obs_drops_inherited_state(self, fresh_obs):
         with current_tracer().span("inherited"):
             pass
-        get_registry().counter("colt_n").inc(1)
+        get_registry().add("colt_n", 1)
         reset_worker_obs()
         assert current_tracer().events() == []
         assert get_registry().snapshot().counter_total("colt_n") == 0
+
+    def test_absorb_folds_a_payload_into_this_process(self, fresh_obs):
+        worker = Tracer(capacity=8)
+        with worker.span("capture"):
+            pass
+        metrics = MetricsRegistry()
+        metrics.add("colt_n", 2)
+        get_registry().add("colt_n", 1)
+        absorb_worker_obs(ObsPayload(
+            events=worker.drain(), metrics=metrics.snapshot(),
+            dropped_events=3,
+        ))
+        assert span_names(current_tracer().events()) == {"capture": 1}
+        assert current_tracer().dropped == 3
+        assert get_registry().snapshot().counter_total("colt_n") == 3
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +351,7 @@ class TestTracedDeterminism:
         runner.run_batch(
             [config, config.with_updates(design=CoLTDesign.BASELINE)]
         )
-        events = runner.trace_events()
+        events = current_tracer().events()
         assert {event.ph for event in events} == {"X"}
         names = span_names(events)
         for required in ("capture", "replay", "runner.run_batch",
@@ -316,6 +366,51 @@ class TestTracedDeterminism:
         # Both configs share one capture of 2000 accesses.
         assert snapshot.counter_total("colt_capture_accesses") == 2000
         assert 0 < snapshot.counter_total("colt_capture_records_computed") < 2000
+
+
+class TestPooledObservability:
+    """A pooled batch reports what a serial one does: the executor folds
+    each worker's spans and metrics into this process's tracer and
+    registry."""
+
+    SIMULATED = re.compile(r"colt_(buddy|capture|compaction|kernel|mmu|thp)_")
+    SPANS = ("capture", "capture.finish", "contiguity.scan", "replay")
+
+    def _observe(self, jobs):
+        reset_tracing()
+        set_registry(None)
+        ExperimentRunner(jobs=jobs).run_batch([
+            _small_config(benchmark=benchmark, design=design)
+            for benchmark in ("gobmk", "povray")
+            for design in (CoLTDesign.BASELINE, CoLTDesign.COLT_ALL)
+        ])
+        snapshot = get_registry().snapshot()
+        counters = {
+            name: snapshot.counter_total(name)
+            for name in snapshot.instruments if self.SIMULATED.match(name)
+        }
+        run_lengths = sorted(
+            json.dumps(series, sort_keys=True)
+            for series in snapshot.get("colt_coalesce_run_length")["series"]
+        )
+        events = current_tracer().events()
+        names = span_names(events)
+        spans = {name: names.get(name, 0) for name in self.SPANS}
+        foreign = any(event.pid != os.getpid() for event in events)
+        return counters, run_lengths, spans, foreign
+
+    def test_pooled_batch_reports_what_a_serial_one_does(self, fresh_obs):
+        counters, run_lengths, spans, foreign = self._observe(jobs=1)
+        assert not foreign
+        assert spans == {"capture": 2, "capture.finish": 2,
+                         "contiguity.scan": 2, "replay": 4}
+        assert counters["colt_mmu_accesses"] == 4 * 2000
+        assert len(run_lengths) == 2  # one series per design
+        pooled = self._observe(jobs=2)
+        assert pooled[3], "no span came from a pool worker"
+        assert pooled[0] == counters
+        assert pooled[1] == run_lengths
+        assert pooled[2] == spans
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +458,7 @@ class TestStoreObservability:
         store = ResultStore(tmp_path / "cache")
         runner = ExperimentRunner(jobs=1, store=store)
         runner.run_batch([config])
-        names = span_names(runner.trace_events())
+        names = span_names(current_tracer().events())
         assert names.get("store.get") == 1
         assert names.get("store.put") == 1
 
@@ -379,7 +474,7 @@ class TestRunReport:
         runner = ExperimentRunner(jobs=1)
         runner.run_batch([config])
         snapshot = get_registry().snapshot()
-        report = RunReport.build(runner.trace_events(), snapshot)
+        report = RunReport.build(current_tracer().events(), snapshot)
         rendered = report.render()
         assert report.wall_ms > 0
         assert any(p.name == "capture" for p in report.phases)
@@ -395,7 +490,7 @@ class TestRunReport:
             "colt_resilience_retries", "colt_store_quarantines",
             "colt_faults_injected", "colt_campaign_completed",
         ):
-            registry.counter(name).inc(2)
+            registry.add(name, 2)
         rendered = RunReport.build([], registry.snapshot()).render()
         assert "\nstore: 2 hits, 2 misses" in rendered
         assert "resilience: 2 retries, 2 quarantines, " \
@@ -431,9 +526,9 @@ class TestRunReport:
 
     def test_summary_lines_are_the_rendered_ones(self):
         registry = MetricsRegistry()
-        registry.counter("colt_store_hits").inc(3)
-        registry.counter("colt_store_misses").inc(1)
-        registry.counter("colt_faults_injected").inc(2, kind="raise")
+        registry.add("colt_store_hits", 3)
+        registry.add("colt_store_misses", 1)
+        registry.add("colt_faults_injected", 2, kind="raise")
         report = RunReport.build([], registry.snapshot())
         assert report.summary_lines() == [
             "store: 3 hits, 1 misses, 0 evictions, 0 saves (75% hit ratio)",

@@ -10,6 +10,7 @@ they never feed a number into a simulation.
 import pickle
 import re
 import time
+from pathlib import Path
 
 import pytest
 
@@ -32,10 +33,10 @@ from repro.sim.faults import (
     corrupt_bytes,
 )
 from repro.sim.resilience import (
+    BACKOFF_S,
     ResilientExecutor,
     RetryPolicy,
     TaskSpec,
-    resolve_dump_dir,
 )
 from repro.sim.runner import ExperimentRunner
 from repro.sim.store import (
@@ -221,9 +222,10 @@ class TestFaultPlan:
 
 class TestRetryPolicy:
     def test_backoff_is_deterministic_exponential(self):
-        policy = RetryPolicy(backoff_s=0.1, backoff_factor=2.0)
-        assert policy.backoff(0) == pytest.approx(0.1)
-        assert policy.backoff(2) == pytest.approx(0.4)
+        policy = RetryPolicy()
+        assert BACKOFF_S == pytest.approx(0.05)
+        assert policy.backoff(0) == pytest.approx(0.05)
+        assert policy.backoff(2) == pytest.approx(0.2)
 
     def test_from_env(self, monkeypatch):
         monkeypatch.setenv(knobs.RETRIES.name, "5")
@@ -363,24 +365,12 @@ class TestHardenedStore:
 # ---------------------------------------------------------------------------
 
 
-def _double(value, attempt):
+def _double(value):
     return value * 2
 
 
-def _fail_first(value, attempt):
-    if attempt == 0:
-        raise ValueError("first attempt always fails")
-    return value
-
-
-def _always_fail(value, attempt):
+def _always_fail(value):
     raise ValueError("never works")
-
-
-def _slow_first(value, attempt):
-    if attempt == 0:
-        time.sleep(0.8)
-    return value
 
 
 def _task(fn, value, index, site="capture"):
@@ -390,7 +380,14 @@ def _task(fn, value, index, site="capture"):
     )
 
 
+def _dumps():
+    return list(Path(knobs.DUMP_DIR.text()).glob("task-*.txt"))
+
+
 class TestResilientExecutor:
+    """Attempt-dependent behaviour comes from a fault plan, which the
+    executor fires before each attempt, in the parent or the worker."""
+
     def test_serial_yields_in_order(self):
         with ResilientExecutor(jobs=1) as executor:
             results = [
@@ -401,17 +398,20 @@ class TestResilientExecutor:
             ]
         assert results == [2, 4, 6]
 
-    def test_serial_retry_recovers(self):
-        policy = RetryPolicy(max_retries=2, backoff_s=0.0)
-        with ResilientExecutor(jobs=1, policy=policy) as executor:
-            results = [r for _, r in executor.run([_task(_fail_first, 7, 0)])]
-        assert results == [7]
+    def test_serial_retry_recovers(self, fresh_obs):
+        policy = RetryPolicy(max_retries=2)
+        plan = FaultPlan.parse("raise@capture:0")
+        with ResilientExecutor(jobs=1, policy=policy,
+                               faults=plan) as executor:
+            results = [r for _, r in executor.run([_task(_double, 7, 0)])]
+        assert results == [14]
         counts = executor.counters.as_dict()
         assert counts["retries"] == 1
         assert counts["task_errors"] == 1
+        assert _fired("raise") == 1
 
     def test_exhaustion_yields_survivors_then_raises(self):
-        policy = RetryPolicy(max_retries=1, backoff_s=0.0)
+        policy = RetryPolicy(max_retries=1)
         tasks = [_task(_always_fail, 0, 0), _task(_double, 21, 1)]
         received = []
         with ResilientExecutor(jobs=1, policy=policy) as executor:
@@ -423,26 +423,30 @@ class TestResilientExecutor:
         assert "capture task 0" in str(exc_info.value)
 
     def test_pool_deadline_triggers_retry(self):
-        policy = RetryPolicy(max_retries=2, backoff_s=0.0, timeout_s=0.2)
-        with ResilientExecutor(jobs=2, policy=policy) as executor:
-            results = [r for _, r in executor.run([_task(_slow_first, 9, 0)])]
-        assert results == [9]
+        policy = RetryPolicy(max_retries=2, timeout_s=0.2)
+        plan = FaultPlan.parse("delay@capture:0/0.8")
+        with ResilientExecutor(jobs=2, policy=policy,
+                               faults=plan) as executor:
+            results = [r for _, r in executor.run([_task(_double, 9, 0)])]
+        assert results == [18]
         counts = executor.counters.as_dict()
         assert counts["timeouts"] >= 1
         assert counts["retries"] >= 1
-        # The worker dumped its stacks at the deadline, naming where the
-        # blown attempt was stuck; the prompt retry left no dump.
-        dumps = list(resolve_dump_dir().glob("task-*.txt"))
+        # The worker armed its dump before the fault fired, so the dump
+        # shows the blown attempt stuck in the delay; the prompt retry
+        # left no dump.
+        dumps = _dumps()
         assert len(dumps) == 1
-        assert "_slow_first" in dumps[0].read_text()
+        assert re.search(r'File ".*sim[/\\]faults\.py", line \d+ in fire',
+                         dumps[0].read_text())
 
     def test_pool_deadline_met_leaves_no_dump(self):
-        policy = RetryPolicy(max_retries=0, backoff_s=0.0, timeout_s=30.0)
+        policy = RetryPolicy(max_retries=0, timeout_s=30.0)
         tasks = [_task(_double, v, i) for i, v in enumerate((1, 2, 3))]
         with ResilientExecutor(jobs=2, policy=policy) as executor:
             results = sorted(r for _, r in executor.run(tasks))
         assert results == [2, 4, 6]
-        assert not list(resolve_dump_dir().glob("task-*.txt"))
+        assert not _dumps()
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +464,7 @@ class TestChaosMatrix:
     def test_faulted_run_matches_baseline(self, fresh_obs, baseline,
                                           plan_text):
         policy = RetryPolicy(
-            max_retries=3, backoff_s=0.01,
+            max_retries=3,
             timeout_s=0.25 if "delay" in plan_text else None,
         )
         plan = FaultPlan.parse(plan_text)
@@ -488,7 +492,7 @@ class TestChaosMatrix:
         plan = FaultPlan.parse("crash@capture:0x2")
         runner = ExperimentRunner(
             jobs=2,
-            policy=RetryPolicy(max_retries=3, backoff_s=0.01),
+            policy=RetryPolicy(max_retries=3),
             faults=plan,
         )
         results = runner.run_designs(CHAOS_CONFIG)
@@ -502,7 +506,7 @@ class TestChaosMatrix:
         plan = FaultPlan.parse("raise@capture:0x99")
         runner = ExperimentRunner(
             jobs=1,
-            policy=RetryPolicy(max_retries=1, backoff_s=0.0),
+            policy=RetryPolicy(max_retries=1),
             faults=plan,
         )
         with pytest.raises(TaskExecutionError) as exc_info:
@@ -517,7 +521,7 @@ class TestChaosMatrix:
         plan = FaultPlan.parse("raise@replay:1x99")
         runner = ExperimentRunner(
             jobs=2, store=store,
-            policy=RetryPolicy(max_retries=0, backoff_s=0.0),
+            policy=RetryPolicy(max_retries=0),
             faults=plan,
         )
         with pytest.raises(TaskExecutionError):
@@ -591,7 +595,7 @@ class TestChaosMatrix:
         plan = FaultPlan.parse("crash@capture:0")
         runner = ExperimentRunner(
             jobs=1,
-            policy=RetryPolicy(max_retries=2, backoff_s=0.0),
+            policy=RetryPolicy(max_retries=2),
             faults=plan,
         )
         results = runner.run_designs(CHAOS_CONFIG)

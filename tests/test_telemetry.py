@@ -17,6 +17,7 @@ from repro.common.errors import ConfigurationError
 from repro.experiments.registry import get_experiment
 from repro.experiments.scale import ExperimentScale
 from repro.obs.registry import (
+    DEFAULT_BUCKETS,
     MetricsRegistry,
     MetricsSnapshot,
     set_registry,
@@ -124,8 +125,8 @@ def parse_prometheus(text: str) -> dict:
 class TestPrometheusText:
     def test_counter_round_trip(self):
         registry = MetricsRegistry()
-        registry.counter("colt_hits", help="hits").inc(7, design="colt_sa")
-        registry.counter("colt_hits").inc(3, design="colt_fa")
+        registry.add("colt_hits", 7, help="hits", design="colt_sa")
+        registry.add("colt_hits", 3, design="colt_fa")
         parsed = parse_prometheus(prometheus_text(registry.snapshot()))
 
         assert parsed["colt_hits"]["type"] == "counter"
@@ -137,9 +138,8 @@ class TestPrometheusText:
 
     def test_histogram_renders_cumulative_buckets(self):
         registry = MetricsRegistry()
-        hist = registry.histogram("colt_runs", buckets=(1, 4))
         for value in (0.5, 2, 3, 100):
-            hist.observe(value)
+            registry.observe("colt_runs", value)
         parsed = parse_prometheus(prometheus_text(registry.snapshot()))
 
         assert parsed["colt_runs"]["type"] == "histogram"
@@ -149,15 +149,19 @@ class TestPrometheusText:
         buckets = {
             labels["le"]: value for labels, value in by_name["colt_runs_bucket"]
         }
-        # Cumulative: <=1 holds 1, <=4 holds 3, +Inf holds all 4.
-        assert buckets == {"1": 1.0, "4": 3.0, "+Inf": 4.0}
+        # Cumulative: <=1 holds 1, <=2 holds 2, <=3 to <=64 hold 3,
+        # <=256 and above hold all 4.
+        assert buckets == {
+            "1": 1.0, "2": 2.0, "3": 3.0, "4": 3.0, "6": 3.0, "8": 3.0,
+            "16": 3.0, "64": 3.0, "256": 4.0, "1024": 4.0, "+Inf": 4.0,
+        }
         assert by_name["colt_runs_count"][0][1] == 4.0
         assert by_name["colt_runs_sum"][0][1] == pytest.approx(105.5)
 
     def test_label_value_escaping_round_trips(self):
         registry = MetricsRegistry()
         nasty = 'a"b\\c\nd'
-        registry.counter("colt_esc").inc(1, path=nasty)
+        registry.add("colt_esc", 1, path=nasty)
         text = prometheus_text(registry.snapshot())
         assert "\n" in nasty  # the raw newline must not survive literally
         payload_lines = [
@@ -171,13 +175,13 @@ class TestPrometheusText:
 
     def test_help_line_escapes_newlines(self):
         registry = MetricsRegistry()
-        registry.counter("colt_h", help="line1\nline2").inc(1)
+        registry.add("colt_h", 1, help="line1\nline2")
         text = prometheus_text(registry.snapshot())
         assert "# HELP colt_h line1\\nline2" in text
 
     def test_integral_floats_render_without_decimal(self):
         registry = MetricsRegistry()
-        registry.counter("colt_n").inc(3)
+        registry.add("colt_n", 3)
         assert "colt_n 3\n" in prometheus_text(registry.snapshot())
 
 
@@ -200,17 +204,17 @@ class TestHistogramMergeValidation:
 
     def test_merge_rejects_differing_bucket_bounds(self):
         registry = MetricsRegistry()
-        registry.histogram("colt_lat", buckets=(1, 2)).observe(1)
+        registry.observe("colt_lat", 1)
         foreign = self._snapshot_with_buckets((5, 10), [1, 0, 0])
         with pytest.raises(ConfigurationError, match="bucket bounds"):
             registry.merge_snapshot(foreign)
 
     def test_merge_rejects_foreign_buckets_even_for_new_series(self):
-        # The silent-misalignment case the fix targets: the instrument
+        # The silent-misalignment case the fix targets: the histogram
         # exists with its own bounds, the incoming label set is new, and
-        # pre-fix the foreign HistogramState was inserted verbatim.
+        # pre-fix the foreign series was inserted verbatim.
         registry = MetricsRegistry()
-        registry.histogram("colt_lat", buckets=(1, 2)).observe(1, design="a")
+        registry.observe("colt_lat", 1, design="a")
         foreign = MetricsSnapshot(instruments={
             "colt_lat": {
                 "kind": "histogram", "help": "", "unit": "",
@@ -225,12 +229,14 @@ class TestHistogramMergeValidation:
 
     def test_merge_accepts_matching_buckets_and_sums(self):
         registry = MetricsRegistry()
-        registry.histogram("colt_lat", buckets=(1, 2)).observe(1)
-        incoming = self._snapshot_with_buckets((1, 2), [0, 1, 0])
+        registry.observe("colt_lat", 1)
+        incoming = self._snapshot_with_buckets(
+            DEFAULT_BUCKETS, [0, 1] + [0] * (len(DEFAULT_BUCKETS) - 1)
+        )
         registry.merge_snapshot(incoming)
-        state = registry.histogram("colt_lat", buckets=(1, 2)).state()
-        assert state.count == 2
-        assert state.counts == [1, 1, 0]
+        (state,) = registry.snapshot().get("colt_lat")["series"]
+        assert state["count"] == 2
+        assert state["counts"] == [1, 1] + [0] * (len(DEFAULT_BUCKETS) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +254,9 @@ def _get(port, path):
 class TestTelemetryServer:
     def test_endpoints(self, fresh_obs):
         registry = MetricsRegistry()
-        registry.counter("colt_pings").inc(5)
-        server = TelemetryServer(0, registry=registry)
+        registry.add("colt_pings", 5)
+        set_registry(registry)
+        server = TelemetryServer(0)
         port = server.start()
         try:
             status, body = _get(port, "/healthz")

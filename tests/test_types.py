@@ -8,7 +8,6 @@ from repro.common.types import (
     MemoryAccess,
     PageAttributes,
     Translation,
-    WalkResult,
 )
 
 
@@ -85,15 +84,3 @@ class TestMemoryAccess:
         access = MemoryAccess(vpn=2, offset=128)
         assert access.virtual_address == 2 * PAGE_SIZE + 128
 
-
-class TestWalkResult:
-    def test_neighbours_excludes_requested(self):
-        requested = Translation(8, 80)
-        line = (
-            Translation(8, 80),
-            Translation(9, 81),
-            Translation(10, 82),
-        )
-        walk = WalkResult(requested, line)
-        neighbour_vpns = {t.vpn for t in walk.neighbours()}
-        assert neighbour_vpns == {9, 10}

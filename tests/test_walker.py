@@ -25,25 +25,26 @@ def walker(table):
 
 class TestWalks:
     def test_walk_returns_translation(self, walker):
-        result = walker.walk(70)
-        assert result.translation.vpn == 70
-        assert result.translation.pfn == 5070
+        record, _, _ = walker.resolve(70)
+        assert record.pfn == 5070
+        assert not record.is_superpage
 
     def test_unmapped_walk_raises(self, walker):
         with pytest.raises(TranslationError):
-            walker.walk(9999)
+            walker.resolve(9999)
 
     def test_cache_line_carries_neighbours(self, walker):
-        result = walker.walk(70)
-        vpns = {t.vpn for t in result.cache_line_translations}
+        record = walker.record(70)
         # Line base = 70 & ~7 = 64: all eight PTEs are mapped.
-        assert vpns == set(range(64, 72))
+        assert record.mask == 0xFF
+        assert list(record.line_pfn) == list(range(5064, 5072))
 
     def test_superpage_walk_has_no_coalescing_window(self, walker):
-        result = walker.walk(1024 + 7)
-        assert result.translation.is_superpage
-        assert result.translation.pfn == 8192 + 7
-        assert result.cache_line_translations == ()
+        record = walker.record(1024 + 7)
+        assert record.is_superpage
+        assert record.pfn == 8192 + 7
+        assert record.levels == 3
+        assert (record.mask, tuple(record.line_pfn)) == (0, ())
 
     def test_record_carries_the_run_around_the_demand(self, table):
         # VPNs 64..71 map to 5064..5071: one run over the whole line.
@@ -61,43 +62,34 @@ class TestWalks:
         # The data stream evicts the leaf PTE's LLC set after access 0.
         walker = PageWalker(table, caches, pollution=[(0, sets[-1])])
         llc, dram = caches.config.llc.latency, caches.config.dram_latency
-        assert walker.walk(70).latency == len(path) * (llc + dram)
+        assert walker.resolve(70)[1] == len(path) * (llc + dram)
         walker.cursor = 1  # access 1 walks after the eviction landed
-        assert walker.walk(70).latency == len(path) * llc + dram
+        assert walker.resolve(70)[1] == len(path) * llc + dram
 
     def test_first_walk_fetches_all_levels(self, walker):
-        result = walker.walk(70)
-        assert result.memory_accesses == 4
+        record, _, fetched = walker.resolve(70)
+        assert fetched == record.levels == 4
 
     def test_mmu_cache_accelerates_second_walk(self, walker):
-        first = walker.walk(70)
-        second = walker.walk(71)
-        assert second.memory_accesses == 1  # PDE cached: PTE fetch only
-        assert second.latency < first.latency
+        _, first, _ = walker.resolve(70)
+        _, second, fetched = walker.resolve(71)
+        assert fetched == 1  # PDE cached: PTE fetch only
+        assert second < first
 
     def test_walk_without_mmu_cache(self, table):
         walker = PageWalker(table, CacheHierarchy(), mmu_cache=None)
-        assert walker.walk(70).memory_accesses == 4
-        assert walker.walk(71).memory_accesses == 4
+        assert walker.resolve(70)[2] == 4
+        assert walker.resolve(71)[2] == 4
 
     def test_llc_warms_across_walks(self, table):
         walker = PageWalker(table, CacheHierarchy(), mmu_cache=None)
-        cold = walker.walk(70).latency
-        warm = walker.walk(70).latency
+        _, cold, _ = walker.resolve(70)
+        _, warm, _ = walker.resolve(70)
         assert warm < cold
 
     def test_counters_accumulate(self, walker):
         # Levels fetched add up per walk: a cold walk reads all four,
         # a PDE-cached one just the PTE.
-        fetched = walker.walk(64).memory_accesses
-        fetched += walker.walk(65).memory_accesses
+        fetched = walker.resolve(64)[2]
+        fetched += walker.resolve(65)[2]
         assert fetched == 5
-
-    def test_retarget_flushes_mmu_cache(self, walker):
-        walker.walk(70)
-        other = PageTable()
-        other.map_page(70, 1)
-        walker.retarget(other)
-        result = walker.walk(70)
-        assert result.translation.pfn == 1
-        assert result.memory_accesses == 4  # cold MMU cache again

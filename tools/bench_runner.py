@@ -53,7 +53,7 @@ def _resilient_seconds(jobs: int) -> float:
     """
     runner = ExperimentRunner(
         jobs=jobs,
-        policy=RetryPolicy(max_retries=3, backoff_s=0.05, timeout_s=600.0),
+        policy=RetryPolicy(max_retries=3, timeout_s=600.0),
         faults=FaultPlan.parse("raise@replay:999983"),
     )
     return _time_pipeline(runner)

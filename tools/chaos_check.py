@@ -357,7 +357,7 @@ def _check_store_reuse(killed_out: str, rerun_out: str) -> int:
 # ----------------------------------------------------------------------
 
 def _store_check(args) -> int:
-    policy = RetryPolicy(max_retries=3, backoff_s=0.05, timeout_s=600.0)
+    policy = RetryPolicy(max_retries=3, timeout_s=600.0)
     failures = 0
 
     with tempfile.TemporaryDirectory(prefix="colt-chaos-") as tmp:

@@ -21,9 +21,8 @@ Regression gate -- what CI runs after the telemetry campaign::
 
 The gate takes the *newest* record matching the baseline's ``match``
 coordinates (figure/scale) and fails (exit 1) when any bit-identity
-counter in ``exact_counters`` drifts from the committed value, when a
-``ceilings`` metric (wall time) exceeds its bound, or when a ``floors``
-metric undercuts its bound.
+counter in ``exact_counters`` drifts from the committed value, or when
+a ``ceilings`` metric (wall time) exceeds its bound.
 """
 
 import argparse
@@ -149,7 +148,6 @@ def _gate(records, baseline_path: Path) -> int:
     checked = (
         len(baseline.get("exact_counters", {}))
         + len(baseline.get("ceilings", {}))
-        + len(baseline.get("floors", {}))
     )
     print(
         f"GATE OK {coords}: {checked} check(s) passed against record "
