@@ -1,15 +1,14 @@
-"""Three-level cache hierarchy sized like the paper's Intel Core i7.
+"""The memory hierarchy as page-table-entry fetches see it.
 
-The hierarchy serves two access streams:
-
-* page-table entries: per the paper (Section 4.1.1, following Barr et
-  al.), "the LLC is the highest cache level for page table entries" --
-  PTE fetches probe the LLC directly and fall through to DRAM;
-* ordinary data: probes L1 -> L2 -> LLC -> DRAM. The TLB study does not
-  need per-datum results, so the simulators model the data stream's
-  pressure on the LLC with :func:`pollution_schedule` instead: data
-  lines compete with PTE lines for LLC capacity, which keeps PTE-fetch
-  latency realistic.
+Per the paper (Section 4.1.1, following Barr et al.), "the LLC is the
+highest cache level for page table entries": a PTE fetch probes the LLC
+directly and falls through to DRAM. The TLB study does not need
+per-datum results, so the simulators model the data stream only as its
+pressure on the LLC, with :func:`pollution_schedule`: data lines
+compete with PTE lines for LLC capacity, which keeps PTE-fetch latency
+realistic. (The L1d/L2 geometry constants in
+``repro.common.constants`` describe the modelled i7; no data access is
+simulated through them.)
 """
 
 from __future__ import annotations
@@ -19,12 +18,6 @@ from typing import Dict, List, Tuple
 
 from repro.common.constants import (
     DEFAULT_DRAM_LATENCY,
-    DEFAULT_L1_CACHE_BYTES,
-    DEFAULT_L1_CACHE_WAYS,
-    DEFAULT_L1_LATENCY,
-    DEFAULT_L2_CACHE_BYTES,
-    DEFAULT_L2_CACHE_WAYS,
-    DEFAULT_L2_LATENCY,
     DEFAULT_LLC_BYTES,
     DEFAULT_LLC_LATENCY,
     DEFAULT_LLC_WAYS,
@@ -34,14 +27,8 @@ from repro.cache.cache import Cache, CacheConfig
 
 @dataclass(frozen=True)
 class HierarchyConfig:
-    """Sizes and latencies of the three levels plus DRAM."""
+    """The LLC's geometry and latency, and DRAM's latency."""
 
-    l1: CacheConfig = CacheConfig(
-        "l1d", DEFAULT_L1_CACHE_BYTES, DEFAULT_L1_CACHE_WAYS, DEFAULT_L1_LATENCY
-    )
-    l2: CacheConfig = CacheConfig(
-        "l2", DEFAULT_L2_CACHE_BYTES, DEFAULT_L2_CACHE_WAYS, DEFAULT_L2_LATENCY
-    )
     llc: CacheConfig = CacheConfig(
         "llc", DEFAULT_LLC_BYTES, DEFAULT_LLC_WAYS, DEFAULT_LLC_LATENCY
     )
@@ -49,52 +36,21 @@ class HierarchyConfig:
 
 
 class CacheHierarchy:
-    """L1/L2/LLC + DRAM with simple inclusive fills."""
+    """The LLC + DRAM that page walks fetch PTEs through."""
 
     def __init__(self, config: HierarchyConfig = HierarchyConfig()) -> None:
         self.config = config
-        self.l1 = Cache(config.l1)
-        self.l2 = Cache(config.l2)
         self.llc = Cache(config.llc)
-
-    # ------------------------------------------------------------------
-    # Page-table entry stream (LLC-only, per the paper).
-    # ------------------------------------------------------------------
+        self._hit_latency = config.llc.latency
+        self._miss_latency = config.llc.latency + config.dram_latency
 
     def access_pte(self, paddr: int) -> int:
         """Fetch a PTE line; returns the access latency in cycles."""
-        if self.llc.access(paddr):
-            return self.config.llc.latency
-        self.llc.fill(paddr)
-        return self.config.llc.latency + self.config.dram_latency
-
-    # ------------------------------------------------------------------
-    # Data stream.
-    # ------------------------------------------------------------------
-
-    def access_data(self, paddr: int) -> int:
-        """Load/store a data address; returns the access latency."""
-        latency = self.config.l1.latency
-        if self.l1.access(paddr):
-            return latency
-        latency += self.config.l2.latency
-        if self.l2.access(paddr):
-            self.l1.fill(paddr)
-            return latency
-        latency += self.config.llc.latency
-        if self.llc.access(paddr):
-            self.l2.fill(paddr)
-            self.l1.fill(paddr)
-            return latency
-        latency += self.config.dram_latency
-        self.llc.fill(paddr)
-        self.l2.fill(paddr)
-        self.l1.fill(paddr)
-        return latency
-
-    def flush(self) -> None:
-        """Reset to cold caches (used between experiment phases)."""
-        self.__init__(self.config)
+        llc = self.llc
+        if llc.access(paddr):
+            return self._hit_latency
+        llc.fill(paddr)
+        return self._miss_latency
 
 
 #: Memoised schedules, keyed by :func:`pollution_schedule`'s arguments.

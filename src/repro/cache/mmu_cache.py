@@ -9,13 +9,14 @@ kept in one dict in recency order (first key least recently used).
 
 On a walk, the deepest cached level wins: a PDE hit means only the final
 PTE fetch touches the memory hierarchy; a complete miss costs all four
-levels.
+levels. :meth:`MMUCache.walk` is the whole of a walk's business with
+the cache, its lookup and its fills, in one call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.common.constants import (
     BITS_PER_LEVEL,
@@ -33,8 +34,6 @@ CACHEABLE_LEVELS: Tuple[Tuple[int, int], ...] = (
     (2, 1 * BITS_PER_LEVEL),
 )
 
-_LEVEL_SHIFT = dict(CACHEABLE_LEVELS)
-
 
 @dataclass(frozen=True)
 class MMUCacheConfig:
@@ -47,58 +46,68 @@ class MMUCacheConfig:
 
 
 class MMUCache:
-    """Unified, fully-associative page-walk cache with LRU replacement."""
+    """Unified, fully-associative page-walk cache with LRU replacement.
+
+    Lines are keyed by one int per (level, VPN prefix),
+    ``prefix << 2 | level``, in recency order (first key least recently
+    used).
+    """
 
     def __init__(self, config: MMUCacheConfig = MMUCacheConfig()) -> None:
         self.config = config
-        self._lines: Dict[Tuple[int, int], None] = {}
+        self._lines: Dict[int, None] = {}
 
-    def deepest_cached_level(self, vpn: int) -> Optional[int]:
-        """Deepest upper level cached for ``vpn`` (2 is best), or None.
+    def walk(self, vpn: int, levels: int) -> int:
+        """What one walk of ``vpn`` does here; the first level it fetches.
 
-        Deeper hits skip more of the walk: a level-2 (PDE) hit leaves only
-        the PTE fetch; a level-0 (PML4E) hit leaves three fetches. The
-        hitting entry becomes most recently used.
+        The deepest cached upper level is looked up and becomes most
+        recently used (a level-N hit points at the level-N+1 node, so
+        the walk resumes there; a PDE hit leaves only the PTE fetch, a
+        complete miss all ``levels`` fetches). Then every non-leaf
+        entry the walk read -- ``levels - 1`` of them, shallowest
+        first -- is cached: a resident one becomes most recently used,
+        a new one evicts the least recently used line of a full cache.
+        The lookup's move comes first, so a fill that evicts picks the
+        same victim as a separate lookup and fill would.
         """
         lines = self._lines
-        best = None
-        for level, shift in CACHEABLE_LEVELS:
-            key = (level, vpn >> shift)
+        # CACHEABLE_LEVELS' shifts, as literals.
+        pml4e = vpn >> 27 << 2
+        pdpte = vpn >> 18 << 2 | 1
+        pde = vpn >> 9 << 2 | 2
+        if levels == 4 and pde in lines and pdpte in lines and pml4e in lines:
+            # The common walk: nothing to evict, so the fills only move
+            # the three entries to the most recent end, in this order,
+            # which also covers the lookup's move of the PDE.
+            del lines[pml4e]
+            lines[pml4e] = None
+            del lines[pdpte]
+            lines[pdpte] = None
+            del lines[pde]
+            lines[pde] = None
+            return 3
+        if not 2 <= levels <= 4:
+            # A 1 GB, 2 MB or 4 KB leaf.
+            raise ConfigurationError(
+                f"a walk visits 2 to 4 levels, not {levels}"
+            )
+        keys = (pml4e, pdpte, pde)
+        start = 0
+        for level in (2, 1, 0):
+            key = keys[level]
             if key in lines:
-                best = key
-        if best is None:
-            return None
-        del lines[best]
-        lines[best] = None
-        return best[0]
-
-    def fill(self, level: int, vpn: int) -> None:
-        """Cache the upper-level entry covering ``vpn`` at ``level``."""
-        shift = _LEVEL_SHIFT.get(level)
-        if shift is None:
-            raise ConfigurationError(f"level {level} is not MMU-cacheable")
-        self._install((level, vpn >> shift))
-
-    def _install(self, key: Tuple[int, int]) -> None:
-        lines = self._lines
-        if key in lines:
-            del lines[key]
-        elif len(lines) >= self.config.entries:
-            del lines[next(iter(lines))]
-        lines[key] = None
-
-    def fill_walk(self, vpn: int, levels_visited: int) -> None:
-        """Cache every upper-level entry a walk of ``vpn`` read.
-
-        Args:
-            levels_visited: how many table levels the walk touched (4 for
-                a full walk to a PTE, 3 for a walk ending at a 2MB PDE).
-                The leaf entry itself belongs in the TLBs, so only the
-                ``levels_visited - 1`` non-leaf entries are cached here.
-        """
-        for level, shift in CACHEABLE_LEVELS:
-            if level < levels_visited - 1:
-                self._install((level, vpn >> shift))
+                del lines[key]
+                lines[key] = None
+                start = level + 1
+                break
+        capacity = self.config.entries
+        for key in keys[:levels - 1]:
+            if key in lines:
+                del lines[key]
+            elif len(lines) >= capacity:
+                del lines[next(iter(lines))]
+            lines[key] = None
+        return min(start, levels - 1)
 
     def invalidate_vpn(self, vpn: int) -> None:
         """Drop the paging-structure entries covering one virtual page.
@@ -108,11 +117,15 @@ class MMUCache:
         """
         lines = self._lines
         for level, shift in CACHEABLE_LEVELS:
-            lines.pop((level, vpn >> shift), None)
+            lines.pop(vpn >> shift << 2 | level, None)
 
     def invalidate_all(self) -> None:
         """Full flush (context switch / CR3 write)."""
         self._lines.clear()
+
+    def entries(self) -> List[Tuple[int, int]]:
+        """The cached ``(level, VPN prefix)`` pairs, least recent first."""
+        return [(key & 3, key >> 2) for key in self._lines]
 
     def __len__(self) -> int:
         return len(self._lines)

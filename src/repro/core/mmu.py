@@ -27,7 +27,7 @@ the walker read a live page table or a captured log, so this module is
 the one access-and-fill implementation every simulator runs. The event
 counters, and the fills by run length, add up in plain ints and fold
 into :attr:`MMU.counters` and the ``colt_coalesce_run_length``
-histogram at each shootdown and whenever the counters are read.
+histogram whenever the counters are read.
 """
 
 from __future__ import annotations
@@ -247,6 +247,10 @@ class MMU:
         self.superpage_tlb = FullyAssociativeTLB(config.superpage)
         self._l1_group = config.l1.group_size
         self._l2_group = config.l2.group_size
+        #: The design's fill policy, a plain function: a bound method
+        #: kept here would make each MMU a reference cycle that holds
+        #: its TLBs and caches until the cyclic collector runs.
+        self._fill_policy = _FILL_POLICIES[config.design]
         self._counters = CounterSet(list(MMU_COUNTERS))
         for name in _TALLIED:
             setattr(self, "_c_" + name, 0)
@@ -343,22 +347,16 @@ class MMU:
                 (base, base + 512, record.pfn - offset, record.attr, True)
             )
             return WALK_FA
-        design = self.design
-        if design is CoLTDesign.BASELINE:
-            return self._fill_baseline(vpn, record)
         slot = vpn & 7
         lo, hi = record.run_lo, record.run_hi
-        if self.config.coalescing_window is not None:
-            lo, hi = clip_to_window(
-                lo, hi, slot, self.config.coalescing_window
-            )
-        if design is CoLTDesign.COLT_SA:
-            return self._fill_colt_sa(vpn, record, slot, lo, hi)
-        if design is CoLTDesign.COLT_FA:
-            return self._fill_colt_fa(vpn, record, slot, lo, hi)
-        return self._fill_colt_all(vpn, record, slot, lo, hi)
+        window = self.config.coalescing_window
+        if window is not None:
+            lo, hi = clip_to_window(lo, hi, slot, window)
+        return self._fill_policy(self, vpn, record, slot, lo, hi)
 
-    def _fill_baseline(self, vpn: int, record: "WalkRecord") -> int:
+    def _fill_baseline(
+        self, vpn: int, record: "WalkRecord", slot: int, lo: int, hi: int
+    ) -> int:
         entry = (vpn, vpn, record.pfn, record.attr)
         self._insert_l2(entry)
         self.l1.insert(entry)
@@ -386,9 +384,11 @@ class MMU:
             vpn, record, slot, lo, hi, self._l2_group
         )
         self._insert_l2(entry)
-        self.l1.insert(
-            self._sa_entry(vpn, record, slot, lo, hi, self._l1_group)[0]
-        )
+        if self._l1_group != self._l2_group:
+            entry = self._sa_entry(
+                vpn, record, slot, lo, hi, self._l1_group
+            )[0]
+        self.l1.insert(entry)
         self._c_runs[length] += 1
         return WALK
 
@@ -408,7 +408,7 @@ class MMU:
     ) -> int:
         """Unrestricted line coalescing into the FA TLB (Section 4.2.1)."""
         if hi == lo:
-            return self._fill_baseline(vpn, record)
+            return self._fill_baseline(vpn, record, slot, lo, hi)
         self._insert_fa_run(vpn, record, slot, lo, hi)
         if self.config.fa_fill_l2:
             # Echo only the demanded translation into L2; the L1 is
@@ -454,14 +454,24 @@ class MMU:
         displaced it, and a set's entries never overlap, so the only
         entry that can still cover one of its VPNs is that newcomer,
         ``[kept_start, kept_end]`` (empty by default). The rest are
-        dropped in VPN order.
+        dropped: without graceful invalidation an L1 drop never splits
+        or evicts, so one scan per L1 set does it; with graceful
+        invalidation each VPN is invalidated in VPN order, because the
+        splits re-enter through the L1's victim choice.
         """
-        invalidate = self.l1.invalidate
         start, end = victim[0], victim[1]
-        for vpn in range(start, min(end, kept_start - 1) + 1):
-            invalidate(vpn)
-        for vpn in range(max(start, kept_end + 1), end + 1):
-            invalidate(vpn)
+        l1 = self.l1
+        if l1.config.graceful_invalidation:
+            invalidate = l1.invalidate
+            for vpn in range(start, min(end, kept_start - 1) + 1):
+                invalidate(vpn)
+            for vpn in range(max(start, kept_end + 1), end + 1):
+                invalidate(vpn)
+            return
+        if start < kept_start:
+            l1.drop_range(start, min(end, kept_start - 1))
+        if end > kept_end:
+            l1.drop_range(max(start, kept_end + 1), end)
 
     # ------------------------------------------------------------------
     # Shootdowns.
@@ -489,7 +499,6 @@ class MMU:
             self.sanitizer.after_invalidate(vpn)
 
     def invalidate_range(self, start_vpn: int, count: int) -> None:
-        self._fold_counters()
         for vpn in range(start_vpn, start_vpn + count):
             self.invalidate(vpn)
 
@@ -548,3 +557,14 @@ class MMU:
     @property
     def total_l2_hit_cycles(self) -> int:
         return self.counters["l2_hits"] * self.config.l2_latency
+
+
+#: Each design's fill policy for a base-page walk's run. A perfect TLB
+#: never walks; stepped anyway, it fills as CoLT-All.
+_FILL_POLICIES = {
+    CoLTDesign.BASELINE: MMU._fill_baseline,
+    CoLTDesign.COLT_SA: MMU._fill_colt_sa,
+    CoLTDesign.COLT_FA: MMU._fill_colt_fa,
+    CoLTDesign.COLT_ALL: MMU._fill_colt_all,
+    CoLTDesign.PERFECT: MMU._fill_colt_all,
+}

@@ -21,18 +21,20 @@ every input the MMU observes is reproduced exactly:
 name and sanitizer setting runs. What does not depend on the design is
 a :class:`ReplayPlan`, built once per scenario and shared by every
 design replayed from it (a one-slot cache keeps the last scenario's):
-the access stream as runs of one VPN, cut at every shootdown; the
-decoded walk records; and the count of distinct lines. The loop steps
-a run's first access through :meth:`MMU.step`, steps the next ones
-while the outcome is ``WALK_FA``, and counts the rest of the run as
-repeat hits in one addition: after any other outcome the VPN's coverer
-is most recently used (see :data:`repro.core.mmu.SA_HIT`), so a repeat
-is the same hit again and changes no state.
+the access stream as runs of one VPN and one captured record row, cut
+at every shootdown; each run's decoded walk record; and the count of
+distinct lines. The loop steps a run's first access through
+:meth:`MMU.step`, steps the next ones while the outcome is
+``WALK_FA``, and counts the rest of the run as repeat hits in one
+addition: after any other outcome the VPN's coverer is most recently
+used (see :data:`repro.core.mmu.SA_HIT`), so a repeat is the same hit
+again and changes no state.
 """
 
 from __future__ import annotations
 
 import weakref
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
@@ -112,51 +114,52 @@ class ReplayPlan:
 
     Attributes:
         run_start / run_vpn / run_length: the access stream as maximal
-            runs of one VPN, cut at every access a shootdown precedes,
-            so shootdowns land before a run's first access.
-        vpns: the captured VPN of every access (the walker's desync
-            check reads it).
+            runs of one VPN and one captured record row, cut at every
+            access a shootdown precedes, so shootdowns land before a
+            run's first access.
         distinct_lines: distinct 8-page lines the trace touches.
-        rows / row_index: the scenario's record table and per-access
-            row index, which :attr:`walk_records` decodes.
+        rows / run_key: the scenario's record table and each run's
+            ``row * 8 + slot`` key into it, which :attr:`walk_records`
+            decodes.
     """
 
     run_start: List[int]
     run_vpn: List[int]
     run_length: List[int]
-    vpns: np.ndarray
     distinct_lines: int
     rows: np.ndarray
-    row_index: np.ndarray
+    run_key: np.ndarray
 
     @cached_property
-    def walk_records(self) -> Tuple[List[WalkRecord], np.ndarray]:
-        """The decoded walk records and the per-access index into them.
+    def walk_records(self) -> List[WalkRecord]:
+        """Each run's decoded walk record, the one of every access in it.
 
-        One record per (row, demanded slot) pair the log uses. They are
-        decoded on the first walk, so replaying a scenario only under
-        designs that never walk (PERFECT) decodes nothing.
+        One record per (row, demanded slot) pair the log uses, shared
+        by the runs that use it. They are decoded on the first walk, so
+        replaying a scenario only under designs that never walk
+        (PERFECT) decodes nothing.
         """
-        keys = self.row_index * 8 + (self.vpns & 7)
-        unique, inverse = np.unique(keys, return_inverse=True)
+        unique, inverse = np.unique(self.run_key, return_inverse=True)
         records = decode_records(self.rows[unique >> 3], unique & 7)
-        return records, inverse.ravel()
+        return list(map(records.__getitem__, inverse.ravel().tolist()))
 
 
 def build_plan(scenario: CapturedScenario) -> ReplayPlan:
-    """Cut ``scenario``'s log into runs of one VPN."""
+    """Cut ``scenario``'s log into runs of one VPN and one record row."""
     vpns = scenario.vpns
     accesses = vpns.size
     before = scenario.inval_before
-    starts = run_starts(vpns, [before[before < accesses]])
+    row_index = scenario.record_index
+    row_changes = np.flatnonzero(row_index[1:] != row_index[:-1]) + 1
+    starts = run_starts(vpns, [before[before < accesses], row_changes])
+    run_vpn = vpns[starts]
     return ReplayPlan(
         run_start=starts.tolist(),
-        run_vpn=vpns[starts].tolist(),
+        run_vpn=run_vpn.tolist(),
         run_length=np.diff(starts, append=accesses).tolist(),
-        vpns=vpns,
         distinct_lines=int(np.unique(vpns >> 3).size),
         rows=scenario.records,
-        row_index=scenario.record_index,
+        run_key=row_index[starts] * 8 + (run_vpn & 7),
     )
 
 
@@ -194,8 +197,9 @@ class ReplayWalker(PageWalker):
     """A :class:`PageWalker` whose page table is a captured log.
 
     The caller advances :attr:`cursor` to the access index being
-    stepped; a walk returns that access's record from the scenario's
-    :class:`ReplayPlan`. The latency accounting runs against this
+    stepped; a walk returns the record of the plan's run holding that
+    access, which every access of the run shares (runs are cut where
+    the captured row changes). The latency accounting runs against this
     replay's own cache hierarchy and MMU cache, whose state evolves
     with this design's miss pattern, exactly as in the monolithic run.
     """
@@ -213,14 +217,14 @@ class ReplayWalker(PageWalker):
     def record(self, vpn: int) -> WalkRecord:
         plan = self._plan
         index = self.cursor
-        expected = int(plan.vpns[index])
+        run = bisect_right(plan.run_start, index) - 1
+        expected = plan.run_vpn[run]
         if vpn != expected:
             raise SimulationError(
                 f"replay desync at access {index}: walk of vpn {vpn}, "
                 f"captured vpn {expected}"
             )
-        records, record_of = plan.walk_records
-        return records[record_of[index]]
+        return plan.walk_records[run]
 
 
 def replay_scenario(

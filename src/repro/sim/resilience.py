@@ -17,8 +17,10 @@ with per-task submission under an explicit :class:`RetryPolicy`:
   waits on pooled futures in submission order, and ``timeout_s``
   bounds each wait: a task whose result has not arrived ``timeout_s``
   seconds after the parent started waiting on it is retried, and the
-  stale future ignored (both attempts compute identical results, so
-  the duplicate is harmless). Each pooled task also arms a worker-side
+  stale future's result dropped (both attempts compute identical
+  results, so the duplicate is harmless); its spans and metrics are
+  still counted, once the pool has shut down and its worker has
+  returned them. Each pooled task also arms a worker-side
   :mod:`faulthandler` dump that fires ``timeout_s`` seconds after the
   task *starts*, so a stuck worker leaves ``task-<pid>.txt`` under the
   dump dir showing *where* it was stuck, not just that it was.
@@ -258,6 +260,9 @@ class ResilientExecutor:
         self._faults = faults
         self._dump_dir = knobs.DUMP_DIR.text()
         self._pool: Optional[ProcessPoolExecutor] = None
+        #: Futures of attempts that missed their deadline; their spans
+        #: and metrics are folded in once the pool has shut down.
+        self._abandoned: List = []
         self._rebuilt = False
         self._serial = self._jobs <= 1
 
@@ -284,9 +289,19 @@ class ResilientExecutor:
         return self._pool
 
     def _shutdown_pool(self) -> None:
+        """Shut the pool down, waiting for running attempts.
+
+        An attempt that missed its deadline still ran to its end, so
+        its share of spans and metrics (its fault included) is counted
+        now, and its result is dropped.
+        """
         if self._pool is not None:
             self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
+        for future in self._abandoned:
+            if not future.cancelled() and future.exception() is None:
+                absorb_worker_obs(future.result()[1])
+        self._abandoned = []
 
     def _recover_pool(self) -> None:
         """After a break: rebuild once, then downgrade to serial."""
@@ -437,6 +452,7 @@ class ResilientExecutor:
                     if retry is not None:
                         pending.append(retry)
                 except FutureTimeoutError:
+                    self._abandoned.append(future)
                     self.counters.increment("timeouts")
                     retry = self._next_attempt(
                         task,

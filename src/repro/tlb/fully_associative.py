@@ -97,17 +97,20 @@ class FullyAssociativeTLB:
                     raise ValueError("overlapping superpage entry")
         elif self.config.merge_on_insert:
             max_span = self.config.max_span
-            merged = True
-            while merged:
-                merged = False
-                for entry_id, resident in list(entries.items()):
-                    fused = merge_ranges(entry, resident, max_span)
-                    if fused is not None:
-                        entry = fused
-                        del entries[entry_id]
-                        self._order.remove(entry_id)
-                        merged = True
-                        break
+            while True:
+                # Only a resident ending where the entry begins, or
+                # beginning where it ends, can fuse with it.
+                base, end = entry[0], entry[1]
+                for entry_id, resident in entries.items():
+                    if resident[1] == base or resident[0] == end:
+                        fused = merge_ranges(entry, resident, max_span)
+                        if fused is not None:
+                            break
+                else:
+                    break
+                entry = fused
+                del entries[entry_id]
+                self._order.remove(entry_id)
         victim = self._install(entry)
         if self.sanitizer is not None:
             self.sanitizer.after_insert(self, entry)

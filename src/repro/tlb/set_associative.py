@@ -45,6 +45,7 @@ class SetAssociativeTLB:
         self._shift = config.index_shift
         self._set_mask = config.num_sets - 1
         self._ways = config.ways
+        self._aware = config.coalescing_aware_replacement
         #: Per set, its entries in recency order (first key LRU).
         self._sets: List[Dict[tuple, None]] = [
             {} for _ in range(config.num_sets)
@@ -99,22 +100,31 @@ class SetAssociativeTLB:
         Resident entries overlapping the incoming run are replaced (the
         walk's data is fresher and includes the demanded page); disjoint
         entries of the same group coexist in other ways. The victim
-        policy picks a way when the set is full.
+        policy picks a way when the set is full. The displaced entries
+        come in recency order, the capacity victim last.
         """
         start, end = entry[0], entry[1]
-        if start >> self._shift != end >> self._shift:
+        shift = self._shift
+        if start >> shift != end >> shift:
             raise ValueError(
                 f"entry [{start}, {end}] crosses an aligned group of "
                 f"{self.config.group_size} VPNs"
             )
-        bucket = self._sets[(start >> self._shift) & self._set_mask]
-        displaced = [
-            resident for resident in bucket
-            if resident[1] >= start and resident[0] <= end
-        ]
+        bucket = self._sets[(start >> shift) & self._set_mask]
+        displaced = []
+        for resident in bucket:
+            if resident[1] >= start and resident[0] <= end:
+                displaced.append(resident)
         for resident in displaced:
             del bucket[resident]
-        displaced.extend(self._install(bucket, entry))
+        if len(bucket) >= self._ways:
+            victim = (
+                self._fewest_victim(bucket) if self._aware
+                else next(iter(bucket))
+            )
+            del bucket[victim]
+            displaced.append(victim)
+        bucket[entry] = None
         if self.sanitizer is not None:
             self.sanitizer.after_insert(self, entry)
         return displaced
@@ -130,23 +140,25 @@ class SetAssociativeTLB:
         """Add ``entry`` as MRU, evicting the victim of a full set."""
         evicted: List[tuple] = []
         if len(bucket) >= self._ways:
-            victim = self._choose_victim(bucket)
+            victim = (
+                self._fewest_victim(bucket) if self._aware
+                else next(iter(bucket))
+            )
             del bucket[victim]
             evicted.append(victim)
         bucket[entry] = None
         return evicted
 
-    def _choose_victim(self, bucket: Dict[tuple, None]) -> tuple:
-        """Pick the entry to evict from a full set.
+    @staticmethod
+    def _fewest_victim(bucket: Dict[tuple, None]) -> tuple:
+        """The victim of a full set under coalescing-aware replacement.
 
-        Standard LRU by default. With coalescing-aware replacement
-        (Section 4.1.5 future work) the victim is the least-recently-used
-        entry among those covering the fewest translations: an entry
-        representing four pages is worth more than a singleton of equal
-        recency.
+        Standard LRU evicts the set's first entry. With
+        coalescing-aware replacement (Section 4.1.5 future work) the
+        victim is the least-recently-used entry among those covering
+        the fewest translations: an entry representing four pages is
+        worth more than a singleton of equal recency.
         """
-        if not self.config.coalescing_aware_replacement:
-            return next(iter(bucket))
         fewest = min(entry[1] - entry[0] for entry in bucket)
         return next(  # LRU -> MRU
             entry for entry in bucket if entry[1] - entry[0] == fewest
@@ -185,6 +197,26 @@ class SetAssociativeTLB:
                     bucket, (vpn + 1, end, ppn + (vpn + 1 - start), attr)
                 )
         return evicted
+
+    def drop_range(self, start: int, end: int) -> None:
+        """Drop, whole, every entry covering a VPN of ``start..end``.
+
+        The same as :meth:`invalidate` of each VPN of the range without
+        graceful invalidation: one scan per set the range indexes
+        (entries never leave their aligned group, so an entry covering
+        one of the range's VPNs sits in that VPN's set).
+        """
+        shift = self._shift
+        mask = self._set_mask
+        sets = self._sets
+        for group in range(start >> shift, (end >> shift) + 1):
+            bucket = sets[group & mask]
+            doomed = [
+                entry for entry in bucket
+                if entry[0] <= end and entry[1] >= start
+            ]
+            for entry in doomed:
+                del bucket[entry]
 
     def flush(self) -> None:
         for bucket in self._sets:

@@ -119,9 +119,9 @@ class PageWalker:
     def resolve(self, vpn: int) -> Tuple[WalkRecord, int, int]:
         """Walk ``vpn``: its record, the walk latency and the levels fetched.
 
-        Pending pollution evictions land first. A level-N hit in the MMU
-        cache points at the level-N+1 node, so the walk resumes at the
-        next fetch; every remaining level is one LLC access.
+        Pending pollution evictions land first. The MMU cache says
+        where the walk resumes (:meth:`MMUCache.walk`); every remaining
+        level is one LLC access.
         """
         pollution = self._pollution
         done = self._polluted
@@ -134,18 +134,14 @@ class PageWalker:
             self._polluted = done
         record = self.record(vpn)
         levels = record.levels
-        start = 0
-        latency = 0
         mmu_cache = self._mmu_cache
-        if mmu_cache is not None:
+        if mmu_cache is None:
+            start = latency = 0
+        else:
+            start = mmu_cache.walk(vpn, levels)
             latency = mmu_cache.config.latency
-            deepest = mmu_cache.deepest_cached_level(vpn)
-            if deepest is not None:
-                start = min(deepest + 1, levels - 1)
         access_pte = self._caches.access_pte
         path = record.path
         for level in range(start, levels):
             latency += access_pte(path[level])
-        if mmu_cache is not None:
-            mmu_cache.fill_walk(vpn, levels)
         return record, latency, levels - start

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cache.cache import Cache, CacheConfig
-from repro.cache.hierarchy import CacheHierarchy, HierarchyConfig
+from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.mmu_cache import MMUCache, MMUCacheConfig
 from repro.common.errors import ConfigurationError
 
@@ -93,8 +93,6 @@ class TestHierarchy:
         config = hierarchy.config
         assert latency == config.llc.latency + config.dram_latency
         assert hierarchy.llc.lookup(0x5000)
-        assert hierarchy.l1.occupancy() == 0
-        assert hierarchy.l2.occupancy() == 0
 
     def test_pte_refetch_hits_llc(self):
         hierarchy = CacheHierarchy()
@@ -102,82 +100,67 @@ class TestHierarchy:
         latency = hierarchy.access_pte(0x5000)
         assert latency == hierarchy.config.llc.latency
 
-    def test_data_access_fills_all_levels(self):
-        hierarchy = CacheHierarchy()
-        cold = hierarchy.access_data(0x9000)
-        warm = hierarchy.access_data(0x9000)
-        assert cold > warm
-        assert warm == hierarchy.config.l1.latency
-
-    def test_data_l2_hit_path(self):
-        hierarchy = CacheHierarchy()
-        hierarchy.access_data(0x9000)
-        # Evict from L1 only by filling its set; easier: invalidate L1.
-        hierarchy.l1.invalidate(0x9000)
-        latency = hierarchy.access_data(0x9000)
-        assert latency == (
-            hierarchy.config.l1.latency + hierarchy.config.l2.latency
-        )
-
     def test_dram_counter(self):
-        # Both streams pay DRAM on a cold miss, and only then.
+        # A PTE fetch pays DRAM on a cold miss, and only then.
         hierarchy = CacheHierarchy()
         config = hierarchy.config
         dram = config.dram_latency
         assert hierarchy.access_pte(0) == config.llc.latency + dram
-        assert hierarchy.access_data(1 << 20) >= dram
         assert hierarchy.access_pte(0) < dram
-        assert hierarchy.access_data(1 << 20) < dram
 
 
 class TestMMUCache:
     def test_miss_on_cold_lookup(self):
         cache = MMUCache()
-        assert cache.deepest_cached_level(12345) is None
+        # A cold walk resumes nowhere: it fetches every level.
+        assert cache.walk(12345, levels=4) == 0
 
     def test_fill_walk_then_pde_hit(self):
         cache = MMUCache()
         vpn = 5 << 9  # some vpn
-        cache.fill_walk(vpn, levels_visited=4)
-        assert cache.deepest_cached_level(vpn) == 2
+        cache.walk(vpn, levels=4)
+        # The PDE is cached: only the PTE (level 3) is fetched.
+        assert cache.walk(vpn, levels=4) == 3
 
     def test_superpage_walk_caches_upper_levels_only(self):
         cache = MMUCache()
         vpn = 512
-        cache.fill_walk(vpn, levels_visited=3)
+        cache.walk(vpn, levels=3)
         # PML4E and PDPTE cached, PDE not (it was the leaf).
-        assert cache.deepest_cached_level(vpn) == 1
+        assert cache.entries() == [(0, 0), (1, 0)]
+        assert cache.walk(vpn, levels=4) == 2
 
     def test_neighbouring_vpn_shares_pde_entry(self):
         cache = MMUCache()
-        cache.fill_walk(1000, levels_visited=4)
-        assert cache.deepest_cached_level(1001) == 2
+        cache.walk(1000, levels=4)
+        assert cache.walk(1001, levels=4) == 3
         # A vpn in a different 2MB region misses the PDE but hits PDPTE.
-        assert cache.deepest_cached_level(1000 + 512) == 1
+        assert cache.walk(1000 + 512, levels=4) == 2
 
     def test_lru_eviction_at_capacity(self):
-        cache = MMUCache(MMUCacheConfig(entries=2))
-        cache.fill(2, 0)
-        cache.fill(2, 512)
-        cache.fill(2, 1024)  # evicts the (2, 0) entry
-        assert cache.deepest_cached_level(0) is None
-        assert cache.deepest_cached_level(1024) == 2
+        cache = MMUCache(MMUCacheConfig(entries=3))
+        cache.walk(0, levels=4)
+        cache.walk(512, levels=4)  # its PDE evicts the (2, 0) entry
+        assert cache.entries() == [(0, 0), (1, 0), (2, 1)]
+        assert cache.walk(0, levels=4) == 2
 
     def test_invalidate_vpn_drops_covering_entries(self):
         cache = MMUCache()
-        cache.fill_walk(1000, levels_visited=4)
+        cache.walk(1000, levels=4)
         cache.invalidate_vpn(1000)
-        assert cache.deepest_cached_level(1000) is None
+        assert len(cache) == 0
+        assert cache.walk(1000, levels=4) == 0
 
     def test_invalidate_all(self):
         cache = MMUCache()
-        cache.fill_walk(1000, levels_visited=4)
+        cache.walk(1000, levels=4)
         cache.invalidate_all()
         assert len(cache) == 0
 
     def test_invalid_level_rejected(self):
+        # An x86-64 walk ends at a 1 GB, 2 MB or 4 KB leaf: 2-4 levels.
         with pytest.raises(ConfigurationError):
-            MMUCache().fill(3, 0)
+            MMUCache().walk(0, levels=5)
 
     def test_zero_entries_rejected(self):
         with pytest.raises(ConfigurationError):

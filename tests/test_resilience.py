@@ -440,6 +440,18 @@ class TestResilientExecutor:
         assert re.search(r'File ".*sim[/\\]faults\.py", line \d+ in fire',
                          dumps[0].read_text())
 
+    def test_timed_out_attempt_is_counted_once_it_returns(self, fresh_obs):
+        """The abandoned attempt's fault, spans and metrics reach this
+        process when the pool shuts down; its result is dropped."""
+        policy = RetryPolicy(max_retries=1, timeout_s=0.2)
+        plan = FaultPlan.parse("delay@capture:0/0.6")
+        with ResilientExecutor(jobs=2, policy=policy,
+                               faults=plan) as executor:
+            results = [r for _, r in executor.run([_task(_double, 9, 0)])]
+        assert results == [18]
+        assert executor.counters.as_dict()["timeouts"] == 1
+        assert _fired("delay") == 1
+
     def test_pool_deadline_met_leaves_no_dump(self):
         policy = RetryPolicy(max_retries=0, timeout_s=30.0)
         tasks = [_task(_double, v, i) for i, v in enumerate((1, 2, 3))]
