@@ -33,22 +33,19 @@ def _render_default(value: object) -> str:
 def knob_table() -> str:
     """Markdown table of every knob in ``knobs.ALL``, plus the off-words."""
     lines: List[str] = [
-        "| Knob | Default | CLI flag | Purpose |",
-        "| --- | --- | --- | --- |",
+        "| Knob | Default | Purpose |",
+        "| --- | --- | --- |",
     ]
     for knob in sorted(knobs.ALL, key=lambda k: k.name):
-        flag = f"`{knob.flag}`" if knob.flag else "--"
         lines.append(
             f"| `{knob.name}` | `{_render_default(knob.default)}` "
-            f"| {flag} | {knob.doc} |"
+            f"| {knob.doc} |"
         )
     off_words = ", ".join(f"`{word}`" for word in sorted(knobs.OFF_WORDS))
     lines += [
         "",
         f"Off-words (any case): {off_words}. An on/off knob is on for any "
-        "other value; unset or empty means the default. A number that "
-        "does not parse stops the run with a `ConfigurationError` naming "
-        "the knob and the value.",
+        "other value; unset or empty means the default.",
     ]
     return "\n".join(lines)
 

@@ -6,8 +6,8 @@ Runs one or more experiments (or ``all``) at the scale selected by
 Simulations fan out across ``--jobs`` worker processes (default: all
 CPUs) -- one OS capture per scenario, one TLB replay per design -- and
 results persist in an on-disk store (``.colt-cache/`` or
-``$COLT_RESULT_CACHE``; see ``repro.sim.store``) so repeated
-invocations only pay for configurations they have not seen.
+``--cache-dir``; see ``repro.sim.store``) so repeated invocations only
+pay for configurations they have not seen.
 
 Observability (``repro.obs``) is wired here. Every run records its
 spans (boot/capture/replay/store/compaction) and metrics, prints the
@@ -22,18 +22,21 @@ choose what else to write out:
   log level.
 
 Resilience (``repro.sim.resilience``) is configurable per run:
-``--retries`` / ``--task-timeout`` override the ``COLT_RETRIES`` /
-``COLT_TASK_TIMEOUT`` environment defaults (the task deadline is the
-run's stall detector; ``--dump-dir`` says where a stuck worker's stack
-dump lands), and a ``COLT_FAULTS`` plan (see ``repro.sim.faults``)
-injects deterministic worker crashes, task exceptions, delays and
-store corruption for chaos testing. When the resilience layer
-absorbed anything, or a fault fired in the parent or a worker, a
-summary line reports it.
+``--retries`` and ``--task-timeout`` set the retry policy (the task
+deadline is the run's stall detector; a stuck worker's stack dump
+lands under ``<store root>/dumps``), and a ``COLT_FAULTS`` plan (see
+``repro.sim.faults``), read once here and handed to both the runner
+and the store, injects deterministic worker crashes, task exceptions,
+delays and store corruption for chaos testing. When the resilience
+layer absorbed anything, or a fault fired in the parent or a worker, a
+summary line reports it. Each of these settings has one input, its
+flag or ``COLT_FAULTS``: the runner, the store and the executor read
+no environment.
 
-An unknown experiment id, or a knob (``REPRO_SCALE``, ``COLT_*``)
-whose value does not parse, is a usage error: the run exits 2 with one
-``error:`` line before anything runs.
+An unknown experiment id, a flag value out of range, or a knob
+(``REPRO_SCALE``, ``COLT_FAULTS``) whose value does not parse is a
+usage error: the run exits 2 with one ``error:`` line before anything
+runs.
 
 The experiments run through one loop (:func:`run_experiments`), which
 keeps each experiment's :class:`~repro.experiments.table.ResultTable`,
@@ -59,11 +62,9 @@ from __future__ import annotations
 import argparse
 import os
 import time
-from dataclasses import replace
 from pathlib import Path
 from typing import Dict, Optional, Sequence
 
-from repro.common import knobs
 from repro.common.errors import (
     ConfigurationError,
     ExperimentError,
@@ -87,13 +88,13 @@ from repro.obs.registry import (
     set_registry,
 )
 from repro.obs.report import RunReport
-from repro.obs.serve import TelemetryServer, telemetry_port_from_env
+from repro.obs.serve import TelemetryServer
 from repro.obs.trace import current_tracer, reset_tracing, span
 from repro.sim.faults import FaultPlan
 from repro.sim.resilience import RetryPolicy
 from repro.sim.runner import ExperimentRunner
 from repro.sim.shutdown import SHUTDOWN_EXIT_CODE, ShutdownCoordinator
-from repro.sim.store import ResultStore, run_fingerprint
+from repro.sim.store import DEFAULT_ROOT, ResultStore, run_fingerprint
 from repro.experiments.registry import EXPERIMENTS, resolve_experiments
 from repro.experiments.scale import preset_name, scale_from_env
 
@@ -103,12 +104,6 @@ _LOG = get_logger("repro.experiments")
 #: ``colt_campaign_*`` (the report's campaign line and the history
 #: record read them under these names).
 CAMPAIGN_COUNTERS = ("experiments", "completed", "failed", "interrupted")
-
-
-def _env_default(knob: knobs.Knob) -> str:
-    """``(default: $NAME or VALUE)`` for a flag that overrides ``knob``."""
-    value = "off" if knob.default is None else knob.default
-    return f"(default: ${knob.name} or {value})"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -131,38 +126,34 @@ def _build_parser() -> argparse.ArgumentParser:
         help="do not read or write the on-disk result store",
     )
     parser.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help=f"result-store directory {_env_default(knobs.RESULT_CACHE)}",
+        "--cache-dir", default=DEFAULT_ROOT, metavar="DIR",
+        help="result-store directory, which also holds the run "
+             "history and the deadline stack dumps (default: %(default)s)",
     )
     parser.add_argument(
         "--clear-cache", action="store_true",
         help="clear the result store before running",
     )
     parser.add_argument(
-        "--retries", type=int, default=None, metavar="N",
+        "--retries", type=int, default=RetryPolicy.max_retries,
+        metavar="N",
         help="max resubmissions per failed capture/replay task "
-             + _env_default(knobs.RETRIES),
+             "(default: %(default)s)",
     )
     parser.add_argument(
         "--task-timeout", type=float, default=None, metavar="SECONDS",
         help="pooled runs only: retry a task whose result has not "
              "arrived SECONDS after the run started waiting on it "
              "(results are awaited in submission order); its worker "
-             "dumps its stacks SECONDS after the task starts; 0 "
-             "disables " + _env_default(knobs.TASK_TIMEOUT),
-    )
-    parser.add_argument(
-        "--dump-dir", default=None, metavar="DIR",
-        help="directory for the workers' task-deadline stack dumps "
-             + _env_default(knobs.DUMP_DIR),
+             "dumps its stacks SECONDS after the task starts, into "
+             "CACHE-DIR/dumps; 0 disables (default: off)",
     )
     parser.add_argument(
         "--telemetry-port", type=int, default=None, metavar="PORT",
         help="serve live telemetry over HTTP on 127.0.0.1:PORT while "
              "the run is in flight (/metrics Prometheus text, whose "
              "colt_campaign_* counters are the run's progress, and "
-             "/healthz); 0 picks an ephemeral port "
-             + _env_default(knobs.TELEMETRY_PORT),
+             "/healthz); 0 picks an ephemeral port (default: off)",
     )
     parser.add_argument(
         "--trace", nargs="?", const="colt-trace.json", default=None,
@@ -345,14 +336,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if not args.ids:
         _list_experiments()
         return 0
+    port = args.telemetry_port
+    if port is not None and not 0 <= port <= 65535:
+        parser.error(f"--telemetry-port must be in [0, 65535], got {port}")
     try:
         # An unknown id or a knob that does not parse ends the run here,
         # before anything runs, as one usage error (exit 2).
         experiments = resolve_experiments(args.ids)
         scale = scale_from_env()
-        if args.telemetry_port is None:
-            args.telemetry_port = telemetry_port_from_env()
-        policy = RetryPolicy.from_env()
         faults = FaultPlan.from_env()
     except (ConfigurationError, ExperimentError) as exc:
         parser.error(str(exc))
@@ -362,28 +353,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # theirs, so each run in a process reports only its own counts.
     reset_tracing()
     set_registry(MetricsRegistry())
-    if args.dump_dir is not None:
-        # Exported so pool workers (deadline dumps) agree on the dir.
-        os.environ[knobs.DUMP_DIR.name] = args.dump_dir
 
     store = None
     if not args.no_cache:
-        if args.cache_dir is not None:
-            store = ResultStore(args.cache_dir)
-        else:
-            store = ResultStore.from_env()
+        store = ResultStore(args.cache_dir, faults=faults)
+        if store.disabled:
+            # Warned by the store; the run goes on store-less.
+            store = None
     if args.clear_cache and store is not None:
         removed = store.clear()
         print(f"cleared {removed} cached results from {store.root}")
 
     jobs = args.jobs if args.jobs is not None else os.cpu_count() or 1
-    if args.retries is not None:
-        policy = replace(policy, max_retries=max(0, args.retries))
-    if args.task_timeout is not None:
-        policy = replace(
-            policy,
-            timeout_s=args.task_timeout if args.task_timeout > 0 else None,
-        )
+    timeout = args.task_timeout
+    policy = RetryPolicy(
+        max_retries=max(0, args.retries),
+        timeout_s=timeout if timeout and timeout > 0 else None,
+    )
     shutdown = ShutdownCoordinator()
     runner = ExperimentRunner(
         jobs=jobs, store=store, policy=policy, faults=faults,

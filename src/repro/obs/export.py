@@ -88,20 +88,12 @@ def write_chrome_trace(
 def parse_chrome_trace(source: Union[str, Path, dict]) -> List[TraceEvent]:
     """Inverse of :func:`chrome_trace_dict` (metadata events skipped).
 
-    Accepts a path, a JSON string, or an already-parsed dict.
+    ``source`` is a trace file's path or its already-parsed dict.
     """
     if isinstance(source, dict):
         data = source
     else:
-        text: str
-        if isinstance(source, Path) or (
-            isinstance(source, str) and "\n" not in source
-            and source.strip().endswith(".json")
-        ):
-            text = Path(source).read_text(encoding="utf-8")
-        else:
-            text = str(source)
-        data = json.loads(text)
+        data = json.loads(Path(source).read_text(encoding="utf-8"))
     events: List[TraceEvent] = []
     for record in data.get("traceEvents", ()):
         if record.get("ph") == "M":

@@ -1,6 +1,6 @@
 """HTTP telemetry endpoint: ``/metrics`` and ``/healthz``.
 
-Opt-in live observability for long runs (``COLT_TELEMETRY_PORT`` or
+Opt-in live observability for long runs (the CLI's
 ``--telemetry-port``): a stdlib :class:`http.server.ThreadingHTTPServer`
 on a daemon thread, bound to ``127.0.0.1``, serves
 
@@ -23,22 +23,11 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Mapping, Optional, Tuple
 
-from repro.common import knobs
 from repro.common.errors import ConfigurationError
 from repro.obs.logging import get_logger
 from repro.obs.registry import MetricsSnapshot, get_registry
 
 _LOG = get_logger(__name__)
-
-
-def telemetry_port_from_env() -> Optional[int]:
-    """Parse ``COLT_TELEMETRY_PORT``; ``None`` when unset/empty."""
-    port = knobs.TELEMETRY_PORT.integer()
-    if port is not None and not 0 <= port <= 65535:
-        raise ConfigurationError(
-            f"{knobs.TELEMETRY_PORT.name} must be in [0, 65535], got {port}"
-        )
-    return port
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,8 @@ with per-task submission under an explicit :class:`RetryPolicy`:
   returned them. Each pooled task also arms a worker-side
   :mod:`faulthandler` dump that fires ``timeout_s`` seconds after the
   task *starts*, so a stuck worker leaves ``task-<pid>.txt`` under the
-  dump dir showing *where* it was stuck, not just that it was.
+  executor's ``dump_dir`` showing *where* it was stuck, not just that
+  it was.
 * **Shutdown hook** -- an installed
   :class:`~repro.sim.shutdown.ShutdownCoordinator` turns the first
   SIGINT/SIGTERM into a :class:`~repro.common.errors.ShutdownRequested`
@@ -76,7 +77,6 @@ from typing import (
     Tuple,
 )
 
-from repro.common import knobs
 from repro.common.errors import ShutdownRequested, TaskExecutionError
 from repro.common.statistics import CounterSet
 from repro.obs.hooks import absorb_worker_obs, drain_worker_obs, reset_worker_obs
@@ -105,10 +105,11 @@ def _run_attempt(task, faults, timeout_s, dump_dir):
     """Run one pooled attempt of ``task``; ``(result, ObsPayload)``.
 
     1. Arm ``faulthandler.dump_traceback_later`` for ``timeout_s``
-       seconds (when a deadline is set), so a worker stuck long enough
-       for the parent to give up has already written its all-thread
-       stacks to ``<dump_dir>/task-<pid>.txt`` -- the post-mortem says
-       *where* the worker was stuck, an injected ``delay`` included.
+       seconds (when a deadline and a dump dir are set), so a worker
+       stuck long enough for the parent to give up has already written
+       its all-thread stacks to ``<dump_dir>/task-<pid>.txt`` -- the
+       post-mortem says *where* the worker was stuck, an injected
+       ``delay`` included.
     2. Fire the fault ``faults`` schedules for the attempt's (site,
        index, attempt).
     3. Run ``task.fn(*task.args)``.
@@ -118,7 +119,7 @@ def _run_attempt(task, faults, timeout_s, dump_dir):
        which reports it with its next returned payload.
     """
     handle = None
-    if timeout_s is not None:
+    if timeout_s is not None and dump_dir is not None:
         path = Path(dump_dir) / f"task-{os.getpid()}.txt"
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -171,7 +172,7 @@ RESILIENCE_COUNTERS = (
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Bounded-retry/deadline knobs for one runner.
+    """Bounded-retry/deadline settings for one runner.
 
     Attributes:
         max_retries: resubmissions allowed per task (attempts are
@@ -187,23 +188,14 @@ class RetryPolicy:
             deadlines only apply when a pool is in play.
     """
 
-    max_retries: int = knobs.RETRIES.default
-    timeout_s: Optional[float] = knobs.TASK_TIMEOUT.default
+    max_retries: int = 2
+    timeout_s: Optional[float] = None
 
     @staticmethod
     def backoff(attempt: int) -> float:
         """Sleep before retrying a task that failed ``attempt``
         (deterministic exponential backoff, no jitter)."""
         return BACKOFF_S * 2**attempt
-
-    @classmethod
-    def from_env(cls) -> "RetryPolicy":
-        """Policy from ``COLT_RETRIES`` and ``COLT_TASK_TIMEOUT``."""
-        timeout = knobs.TASK_TIMEOUT.real()
-        return cls(
-            max_retries=knobs.RETRIES.integer(minimum=0),
-            timeout_s=timeout if timeout and timeout > 0 else None,
-        )
 
 
 @dataclass(frozen=True)
@@ -238,7 +230,9 @@ class ResilientExecutor:
 
     ``initializer`` runs once in each pool worker, after the worker's
     inherited obs state is dropped; ``faults`` is the
-    :class:`~repro.sim.faults.FaultPlan` fired before every attempt.
+    :class:`~repro.sim.faults.FaultPlan` fired before every attempt;
+    ``dump_dir`` is where a pooled attempt still running ``timeout_s``
+    after it started dumps its stacks (``None``: no dumps).
     """
 
     def __init__(
@@ -249,6 +243,7 @@ class ResilientExecutor:
         initializer: Optional[Callable] = None,
         shutdown=None,
         faults=None,
+        dump_dir: Optional[Path] = None,
     ) -> None:
         self._jobs = max(1, int(jobs))
         self._policy = policy if policy is not None else RetryPolicy()
@@ -258,7 +253,7 @@ class ResilientExecutor:
         self._initializer = initializer
         self._shutdown = shutdown
         self._faults = faults
-        self._dump_dir = knobs.DUMP_DIR.text()
+        self._dump_dir = dump_dir
         self._pool: Optional[ProcessPoolExecutor] = None
         #: Futures of attempts that missed their deadline; their spans
         #: and metrics are folded in once the pool has shut down.
@@ -454,13 +449,11 @@ class ResilientExecutor:
                 except FutureTimeoutError:
                     self._abandoned.append(future)
                     self.counters.increment("timeouts")
-                    retry = self._next_attempt(
-                        task,
-                        f"deadline of {self._policy.timeout_s}s "
-                        f"exceeded (worker stacks, if it was stuck, "
-                        f"dumped under {self._dump_dir})",
-                        failures,
-                    )
+                    reason = f"deadline of {self._policy.timeout_s}s exceeded"
+                    if self._dump_dir is not None:
+                        reason += (" (worker stacks, if it was stuck, "
+                                   f"dumped under {self._dump_dir})")
+                    retry = self._next_attempt(task, reason, failures)
                     if retry is not None:
                         pending.append(retry)
                 except Exception as exc:

@@ -19,11 +19,13 @@ with deterministic backoff, per-task deadlines, broken-pool recovery
 (rebuild once, then degrade to serial), and incremental checkpointing
 -- every completed result is ``_finish``-ed (and stored) before a later
 failure can abort the batch, so a rerun resumes from the store instead
-of restarting. A seeded :class:`repro.sim.faults.FaultPlan`
-(``COLT_FAULTS``) can inject worker crashes, task exceptions, delays
-and store corruption to exercise exactly that machinery; any plan that
-does not exhaust the retry budget yields bit-identical results to a
-fault-free run.
+of restarting. A seeded :class:`repro.sim.faults.FaultPlan` can
+inject worker crashes, task exceptions, delays and store corruption to
+exercise exactly that machinery; any plan that does not exhaust the
+retry budget yields bit-identical results to a fault-free run. The
+runner reads no environment: its policy, plan and store are its
+arguments, and a stuck worker's stack dump lands under
+``<store root>/dumps`` (``.colt-cache/dumps`` with no store).
 
 The task bodies, :func:`_capture_task` and :func:`_replay_task`, are
 plain simulation calls. The executor fires each attempt's fault and
@@ -40,6 +42,7 @@ invocations.
 
 from __future__ import annotations
 
+from pathlib import Path
 from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.common.errors import TaskExecutionError
@@ -62,7 +65,7 @@ from repro.sim.scenario import (
     open_prefix_cache,
     scenario_config,
 )
-from repro.sim.store import ResultStore
+from repro.sim.store import DEFAULT_ROOT, ResultStore
 from repro.sim.system import SimulationConfig, SimulationResult
 
 #: The design set of Figures 18 and 21.
@@ -140,12 +143,12 @@ class ExperimentRunner:
         jobs: worker processes for the capture and replay fan-out;
             ``None`` or 1 runs inline (no pool).
         store: optional on-disk result store consulted before, and
-            updated after, every simulation.
+            updated after, every simulation. Its root also holds the
+            workers' deadline stack dumps (``<root>/dumps``).
         policy: retry/backoff/deadline policy for the resilient
-            executor; defaults to :meth:`RetryPolicy.from_env`
-            (``COLT_RETRIES`` / ``COLT_TASK_TIMEOUT``).
-        faults: deterministic fault-injection plan; defaults to the
-            plan named by ``COLT_FAULTS`` (``None`` when unset).
+            executor; defaults to ``RetryPolicy()``.
+        faults: deterministic fault-injection plan; ``None`` (the
+            default) injects nothing.
         shutdown: optional :class:`repro.sim.shutdown.ShutdownCoordinator`
             polled between (and during) waves; a requested shutdown
             raises :class:`~repro.common.errors.ShutdownRequested` with
@@ -169,8 +172,10 @@ class ExperimentRunner:
         self._jobs = max(1, int(jobs)) if jobs else 1
         self._engine = resolve_engine(engine)
         self._store = store
-        self._policy = policy if policy is not None else RetryPolicy.from_env()
-        self._faults = faults if faults is not None else FaultPlan.from_env()
+        self._policy = policy if policy is not None else RetryPolicy()
+        self._faults = faults
+        root = store.root if store is not None else Path(DEFAULT_ROOT)
+        self._dump_dir = root / "dumps"
         self._shutdown = shutdown
         self._resilience = CounterSet(RESILIENCE_COUNTERS)
         bind_counterset(get_registry(), "colt_resilience", self._resilience)
@@ -292,6 +297,7 @@ class ExperimentRunner:
             initializer=open_prefix_cache,
             shutdown=self._shutdown,
             faults=self._faults,
+            dump_dir=self._dump_dir,
         ) as executor:
             failure: Optional[TaskExecutionError] = None
             try:

@@ -36,11 +36,10 @@ A store whose directory cannot be created (read-only filesystem,
 path shadowed by a file) degrades to store-less operation with a
 warning instead of failing the run: loads miss, saves are dropped.
 
-The store location defaults to ``.colt-cache/`` in the working
-directory; override with the ``COLT_RESULT_CACHE`` environment
-variable, disable with ``--no-cache`` (CLI) or ``store=None``
-(library). Clear it with :meth:`ResultStore.clear` or simply
-``rm -rf .colt-cache``.
+The CLI's store lives in :data:`DEFAULT_ROOT` (``.colt-cache/`` in the
+working directory) unless ``--cache-dir`` names another root; disable
+it with ``--no-cache`` (CLI) or ``store=None`` (library). Clear it
+with :meth:`ResultStore.clear` or simply ``rm -rf .colt-cache``.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ import pickle
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.common import constants, knobs
+from repro.common import constants
 from repro.common.atomicio import atomic_write_bytes
 from repro.common.statistics import CounterSet
 from repro.obs.logging import get_logger
@@ -64,6 +63,9 @@ from repro.sim.faults import FaultPlan, corrupt_bytes
 from repro.sim.system import SimulationConfig, SimulationResult
 
 _LOG = get_logger(__name__)
+
+#: Store root when the caller names none (the CLI's ``--cache-dir``).
+DEFAULT_ROOT = ".colt-cache"
 
 #: Subdirectory undecodable entries are moved into (never re-read).
 QUARANTINE_DIR = "quarantine"
@@ -193,8 +195,7 @@ class ResultStore:
         root: store directory (created on demand; an uncreatable root
             degrades the store to a warned no-op instead of raising).
         faults: optional :class:`FaultPlan` whose ``store.write`` specs
-            corrupt entries as they are written (chaos testing);
-            defaults to the plan named by ``COLT_FAULTS``.
+            corrupt entries as they are written (chaos testing).
     """
 
     def __init__(self, root, faults: Optional[FaultPlan] = None) -> None:
@@ -203,7 +204,7 @@ class ResultStore:
             ["hits", "misses", "evictions", "saves", "quarantines",
              "save_errors", "io_errors"]
         )
-        self._faults = faults if faults is not None else FaultPlan.from_env()
+        self._faults = faults
         self._write_index = 0
         self._disabled = False
         try:
@@ -221,28 +222,6 @@ class ResultStore:
     def disabled(self) -> bool:
         """True when the store degraded to store-less operation."""
         return self._disabled
-
-    @classmethod
-    def from_env(
-        cls, default: Optional[str] = knobs.RESULT_CACHE.default
-    ) -> Optional["ResultStore"]:
-        """Store at ``$COLT_RESULT_CACHE``, else ``default``.
-
-        ``COLT_RESULT_CACHE=`` (empty) or an off-word (``0``, ``off``,
-        ...) disables the store, as does ``default=None`` when the
-        variable is unset. A store root that cannot be created also
-        yields ``None`` (store-less operation) rather than failing the
-        experiment run.
-        """
-        location = knobs.RESULT_CACHE.raw()
-        if location is None:
-            location = default
-        elif location.lower() in knobs.OFF_WORDS:
-            location = None
-        if not location:
-            return None
-        store = cls(location)
-        return None if store.disabled else store
 
     def _path(self, config: SimulationConfig) -> Path:
         return self.root / f"{config_key(config)}.pkl"

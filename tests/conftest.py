@@ -33,16 +33,6 @@ def _sanitize_structural_suites(request, monkeypatch):
         monkeypatch.setenv(knobs.SANITIZE.name, "1")
 
 
-@pytest.fixture(autouse=True)
-def _dump_dir(tmp_path, monkeypatch):
-    """Point ``COLT_DUMP_DIR`` at a per-test directory.
-
-    Pooled tasks that blow their deadline dump their stacks there; the
-    default would litter the working tree's ``.colt-cache/dumps``.
-    """
-    monkeypatch.setenv(knobs.DUMP_DIR.name, str(tmp_path / "dumps"))
-
-
 @pytest.fixture
 def seeds():
     return SeedSequencer(1234)

@@ -546,3 +546,62 @@ class TestExperimentsCli:
                 signal.getsignal(signal.SIGTERM)) == before
         records = load_history(history_path(cache))
         assert [record["status"] for record in records] == ["failed"]
+
+    def test_deadline_dump_lands_under_the_cache_dir(
+        self, tmp_path, fresh_obs, monkeypatch, capsys, restore_colt_logger
+    ):
+        """A stuck worker dumps its stacks into ``<cache-dir>/dumps``,
+        and nothing lands in the working directory's ``.colt-cache``."""
+        # Every healthy task must finish well inside the deadline, so
+        # that only the delayed one dumps: a sanitized QUICK capture
+        # takes ~2 s, an unsanitized one ~0.1 s. Sanitizers only
+        # observe, and the dump's location does not depend on them.
+        monkeypatch.delenv(knobs.SANITIZE.name, raising=False)
+        monkeypatch.setenv(knobs.SCALE.name, "quick")
+        monkeypatch.setenv(knobs.FAULTS.name, "delay@capture:0/3")
+        monkeypatch.delenv(knobs.HISTORY.name, raising=False)
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        cache = tmp_path / "cache"
+        assert experiments_main([
+            "fig19", "--jobs", "2", "--cache-dir", str(cache),
+            "--task-timeout", "1.5",
+        ]) == 0
+        assert re.search(r"^resilience: .*\b1 timeouts\b",
+                         capsys.readouterr().out, re.M)
+        dumps = list((cache / "dumps").glob("task-*.txt"))
+        assert len(dumps) == 1
+        assert re.search(r'File ".*sim[/\\]faults\.py", line \d+ in fire',
+                         dumps[0].read_text())
+        assert list(cwd.iterdir()) == []
+
+    def test_uncreatable_cache_dir_runs_storeless(
+        self, tmp_path, fresh_obs, monkeypatch, capsys, restore_colt_logger
+    ):
+        """A file where the store directory should be: the run warns and
+        goes on without a store, so it appends no history record and an
+        interrupted run (exit 75) promises no resume from a store."""
+
+        class _Interrupted(ShutdownCoordinator):
+            """A coordinator whose first signal has already arrived."""
+
+            def __init__(self):
+                super().__init__()
+                self.request("SIGTERM")
+
+        monkeypatch.setattr(
+            "repro.experiments.__main__.ShutdownCoordinator", _Interrupted
+        )
+        monkeypatch.delenv(knobs.HISTORY.name, raising=False)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file where a directory should be")
+        code = experiments_main(
+            [CLI_EXPERIMENT, "--cache-dir", str(blocker / "cache")]
+        )
+        captured = capsys.readouterr()
+        assert code == SHUTDOWN_EXIT_CODE
+        assert "result store disabled" in captured.err
+        assert "interrupted by SIGTERM\n" in captured.out
+        assert "rerun the same command" not in captured.out
+        assert "history:" not in captured.out

@@ -2,9 +2,12 @@
 
 Every knob is exercised through the public function that consumes it,
 so a consumer that stops reading through its ``Knob`` (and regrows its
-own parsing) fails here, not in a long run.
+own parsing) fails here, not in a long run. The run-level knobs are
+read by the CLI alone, so no library constructor reads them behind its
+caller's back.
 """
 
+import ast
 import re
 from pathlib import Path
 
@@ -15,27 +18,16 @@ from repro.common import knobs
 from repro.common.errors import ConfigurationError
 from repro.experiments.scale import scale_from_env
 from repro.obs.history import history_enabled
-from repro.obs.serve import telemetry_port_from_env
 from repro.sim.faults import FaultPlan
-from repro.sim.resilience import ResilientExecutor, RetryPolicy
-from repro.sim.store import ResultStore
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = REPO_ROOT / "src" / "repro"
 
 
 #: (knob name, value, reader, expected value or exception type).
 CASES = [
     ("COLT_SANITIZE", "none", sanitizers_enabled, False),
-    ("COLT_RESULT_CACHE", "false", ResultStore.from_env, None),
-    ("COLT_RESULT_CACHE", "", ResultStore.from_env, None),
     ("COLT_FAULTS", "  ", FaultPlan.from_env, None),
-    ("COLT_RETRIES", "abc", RetryPolicy.from_env, ConfigurationError),
-    ("COLT_RETRIES", "-3", lambda: RetryPolicy.from_env().max_retries, 0),
-    ("COLT_TASK_TIMEOUT", "abc", RetryPolicy.from_env, ConfigurationError),
-    ("COLT_DUMP_DIR", " ", lambda: ResilientExecutor(jobs=1)._dump_dir,
-     ".colt-cache/dumps"),
-    ("COLT_TELEMETRY_PORT", "abc", telemetry_port_from_env,
-     ConfigurationError),
     ("COLT_HISTORY", "", history_enabled, True),
     ("REPRO_SCALE", "galactic", scale_from_env, ConfigurationError),
 ]
@@ -46,8 +38,7 @@ CASES = [
     CASES,
     ids=[f"{name}={value!r}" for name, value, _, _ in CASES],
 )
-def test_knob_value(monkeypatch, tmp_path, name, value, read, expected):
-    monkeypatch.chdir(tmp_path)  # a store/dump dir lands here, if any
+def test_knob_value(monkeypatch, name, value, read, expected):
     for knob in knobs.ALL:
         monkeypatch.delenv(knob.name, raising=False)
     monkeypatch.setenv(name, value)
@@ -71,14 +62,35 @@ def test_every_knob_is_read_outside_the_knobs_module():
         if isinstance(knob, knobs.Knob)
     }
     assert set(attrs) == set(knobs.ALL)
-    package = REPO_ROOT / "src" / "repro"
     text = "\n".join(
         path.read_text(encoding="utf-8")
-        for path in package.rglob("*.py")
-        if path != package / "common" / "knobs.py"
+        for path in PACKAGE.rglob("*.py")
+        if path != PACKAGE / "common" / "knobs.py"
     )
     unread = [
         knob.name for knob, attr in attrs.items()
         if not re.search(rf"\bknobs\.{attr}\b", text)
     ]
     assert unread == []
+
+
+def _callers(reader: str) -> set:
+    """Modules under ``src/repro`` that call ``reader``, however
+    qualified (``history_enabled()``, ``history.history_enabled()``)."""
+    callers = set()
+    for path in PACKAGE.rglob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                called = ast.unparse(node.func)
+                if called == reader or called.endswith("." + reader):
+                    callers.add(path.relative_to(PACKAGE).as_posix())
+    return callers
+
+
+@pytest.mark.parametrize("reader", ["FaultPlan.from_env", "history_enabled"])
+def test_run_knobs_are_read_by_the_cli_alone(reader):
+    """The CLI reads the fault plan and the history switch once and
+    hands them on; a library constructor that reads either behind its
+    caller's back fails here."""
+    assert _callers(reader) == {"experiments/__main__.py"}

@@ -268,6 +268,9 @@ class TestChromeExport:
         events = self._sample_events()
         path = write_chrome_trace(tmp_path / "trace.json", events)
         assert parse_chrome_trace(path) == events
+        # A str path, whatever its suffix, is a path, never JSON text.
+        other = write_chrome_trace(tmp_path / "run.trace", events)
+        assert parse_chrome_trace(str(other)) == events
 
     def test_validate_accepts_own_output(self):
         data = chrome_trace_dict(self._sample_events())

@@ -40,6 +40,7 @@ from repro.sim.resilience import (
 )
 from repro.sim.runner import ExperimentRunner
 from repro.sim.store import (
+    DEFAULT_ROOT,
     QUARANTINE_DIR,
     STORE_MAGIC,
     ResultStore,
@@ -227,15 +228,6 @@ class TestRetryPolicy:
         assert policy.backoff(0) == pytest.approx(0.05)
         assert policy.backoff(2) == pytest.approx(0.2)
 
-    def test_from_env(self, monkeypatch):
-        monkeypatch.setenv(knobs.RETRIES.name, "5")
-        monkeypatch.setenv(knobs.TASK_TIMEOUT.name, "12.5")
-        policy = RetryPolicy.from_env()
-        assert policy.max_retries == 5
-        assert policy.timeout_s == pytest.approx(12.5)
-        monkeypatch.setenv(knobs.TASK_TIMEOUT.name, "0")
-        assert RetryPolicy.from_env().timeout_s is None
-
 
 # ---------------------------------------------------------------------------
 # Store framing.
@@ -313,8 +305,7 @@ class TestHardenedStore:
         assert len(store) == 0
 
     def test_unwritable_root_degrades_to_storeless(self, tmp_path,
-                                                   monkeypatch, fresh_obs,
-                                                   sim_pair):
+                                                   fresh_obs, sim_pair):
         config, result = sim_pair
         blocker = tmp_path / "blocker"
         blocker.write_text("a file where a directory should be")
@@ -324,8 +315,6 @@ class TestHardenedStore:
         assert store.load(config) is None
         assert len(store) == 0
         assert store.clear() == 0
-        monkeypatch.setenv(knobs.RESULT_CACHE.name, str(blocker / "cache"))
-        assert ResultStore.from_env() is None
 
     def test_write_faults_corrupt_scheduled_entries(self, tmp_path,
                                                     fresh_obs, sim_pair):
@@ -380,8 +369,8 @@ def _task(fn, value, index, site="capture"):
     )
 
 
-def _dumps():
-    return list(Path(knobs.DUMP_DIR.text()).glob("task-*.txt"))
+def _dumps(dump_dir):
+    return list(Path(dump_dir).glob("task-*.txt"))
 
 
 class TestResilientExecutor:
@@ -422,11 +411,11 @@ class TestResilientExecutor:
         assert exc_info.value.context == {"value": 0}
         assert "capture task 0" in str(exc_info.value)
 
-    def test_pool_deadline_triggers_retry(self):
+    def test_pool_deadline_triggers_retry(self, tmp_path):
         policy = RetryPolicy(max_retries=2, timeout_s=0.2)
         plan = FaultPlan.parse("delay@capture:0/0.8")
-        with ResilientExecutor(jobs=2, policy=policy,
-                               faults=plan) as executor:
+        with ResilientExecutor(jobs=2, policy=policy, faults=plan,
+                               dump_dir=tmp_path) as executor:
             results = [r for _, r in executor.run([_task(_double, 9, 0)])]
         assert results == [18]
         counts = executor.counters.as_dict()
@@ -435,7 +424,7 @@ class TestResilientExecutor:
         # The worker armed its dump before the fault fired, so the dump
         # shows the blown attempt stuck in the delay; the prompt retry
         # left no dump.
-        dumps = _dumps()
+        dumps = _dumps(tmp_path)
         assert len(dumps) == 1
         assert re.search(r'File ".*sim[/\\]faults\.py", line \d+ in fire',
                          dumps[0].read_text())
@@ -452,13 +441,14 @@ class TestResilientExecutor:
         assert executor.counters.as_dict()["timeouts"] == 1
         assert _fired("delay") == 1
 
-    def test_pool_deadline_met_leaves_no_dump(self):
+    def test_pool_deadline_met_leaves_no_dump(self, tmp_path):
         policy = RetryPolicy(max_retries=0, timeout_s=30.0)
         tasks = [_task(_double, v, i) for i, v in enumerate((1, 2, 3))]
-        with ResilientExecutor(jobs=2, policy=policy) as executor:
+        with ResilientExecutor(jobs=2, policy=policy,
+                               dump_dir=tmp_path) as executor:
             results = sorted(r for _, r in executor.run(tasks))
         assert results == [2, 4, 6]
-        assert not _dumps()
+        assert not _dumps(tmp_path)
 
 
 # ---------------------------------------------------------------------------
@@ -473,20 +463,58 @@ class TestChaosMatrix:
         pytest.param("raise@replay:0;raise@replay:1", id="replay-exceptions"),
         pytest.param("delay@replay:0/1.0", id="deadline-blown"),
     ])
-    def test_faulted_run_matches_baseline(self, fresh_obs, baseline,
-                                          plan_text):
+    def test_faulted_run_matches_baseline(self, tmp_path, fresh_obs,
+                                          baseline, plan_text):
         policy = RetryPolicy(
             max_retries=3,
             timeout_s=0.25 if "delay" in plan_text else None,
         )
         plan = FaultPlan.parse(plan_text)
-        runner = ExperimentRunner(jobs=2, policy=policy, faults=plan)
+        # The store's root also takes the deadline dumps, which would
+        # otherwise land in the working tree's .colt-cache.
+        runner = ExperimentRunner(
+            jobs=2, store=ResultStore(tmp_path / "cache"), policy=policy,
+            faults=plan,
+        )
         results = runner.run_designs(CHAOS_CONFIG)
         assert results == baseline
         counts = runner.resilience_counters.as_dict()
         assert counts["retries"] >= 1
         summary = RunReport.build([], get_registry().snapshot()).summary_lines()
         assert any(line.startswith("resilience: ") for line in summary)
+
+    def test_library_objects_ignore_the_environment(
+        self, tmp_path, fresh_obs, baseline, monkeypatch
+    ):
+        """Only the CLI reads ``COLT_FAULTS``: a runner and a store
+        built without a plan inject nothing, whatever the shell says."""
+        monkeypatch.setenv(
+            knobs.FAULTS.name, "raise@capture:0x99;torn@store.write:0,1,2"
+        )
+        store = ResultStore(tmp_path / "s")
+        runner = ExperimentRunner(store=store)
+        assert runner.run_designs(CHAOS_CONFIG) == baseline
+        assert {kind: _fired(kind) for kind in EXECUTION_KINDS + STORE_KINDS} \
+            == dict.fromkeys(EXECUTION_KINDS + STORE_KINDS, 0)
+        # No write was torn: a warm rerun is all hits.
+        warm = ResultStore(tmp_path / "s")
+        assert ExperimentRunner(store=warm).run_designs(CHAOS_CONFIG) \
+            == baseline
+        assert warm.counters.as_dict()["hits"] == len(baseline)
+
+    def test_storeless_runner_dumps_under_the_default_root(
+        self, tmp_path, fresh_obs, baseline, monkeypatch
+    ):
+        """With no store to hold them, deadline dumps land in
+        ``.colt-cache/dumps`` under the working directory."""
+        monkeypatch.chdir(tmp_path)
+        runner = ExperimentRunner(
+            jobs=2, policy=RetryPolicy(max_retries=3, timeout_s=0.25),
+            faults=FaultPlan.parse("delay@capture:0/1.0"),
+        )
+        assert runner.run_designs(CHAOS_CONFIG) == baseline
+        assert _dumps(tmp_path / DEFAULT_ROOT / "dumps")
+        assert [path.name for path in tmp_path.iterdir()] == [DEFAULT_ROOT]
 
     def test_worker_side_faults_reach_the_summary(self, fresh_obs, baseline):
         """Faults fired in pool workers are counted in the parent: each

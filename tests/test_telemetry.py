@@ -14,6 +14,7 @@ import urllib.request
 import pytest
 
 from repro.common.errors import ConfigurationError
+from repro.experiments.__main__ import main as experiments_main
 from repro.experiments.registry import get_experiment
 from repro.experiments.scale import ExperimentScale
 from repro.obs.registry import (
@@ -22,11 +23,7 @@ from repro.obs.registry import (
     MetricsSnapshot,
     set_registry,
 )
-from repro.obs.serve import (
-    TelemetryServer,
-    prometheus_text,
-    telemetry_port_from_env,
-)
+from repro.obs.serve import TelemetryServer, prometheus_text
 from repro.obs.trace import reset_tracing
 from repro.sim.runner import ExperimentRunner
 
@@ -283,17 +280,16 @@ class TestTelemetryServer:
         with pytest.raises(urllib.error.URLError):
             _get(port, "/healthz")
 
-    def test_port_env_parsing(self, monkeypatch):
-        monkeypatch.delenv("COLT_TELEMETRY_PORT", raising=False)
-        assert telemetry_port_from_env() is None
-        monkeypatch.setenv("COLT_TELEMETRY_PORT", "9177")
-        assert telemetry_port_from_env() == 9177
-        monkeypatch.setenv("COLT_TELEMETRY_PORT", "nope")
-        with pytest.raises(ConfigurationError):
-            telemetry_port_from_env()
-        monkeypatch.setenv("COLT_TELEMETRY_PORT", "70000")
-        with pytest.raises(ConfigurationError):
-            telemetry_port_from_env()
+    @pytest.mark.parametrize("port", ["70000", "-1", "nope"])
+    def test_bad_port_flag_is_a_usage_error(self, port, capsys):
+        """Exit 2 with one ``error:`` line, before anything runs."""
+        with pytest.raises(SystemExit) as excinfo:
+            experiments_main(["fig19", "--telemetry-port", port])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines()
+                if "error:" in line] == [err.splitlines()[-1]]
+        assert "--telemetry-port" in err
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,9 @@ results. ``--list-modes`` enumerates them:
     SIGTERM kill between experiments (exit 75, the first table printed
     and the second not), a rerun of the same command to byte-identical
     tables whose store hits equal the killed run's saves, and a
-    deadline run whose stuck capture worker must dump its stacks, be
-    retried, and still converge.
+    deadline run whose stuck capture worker must dump its stacks under
+    the run's ``<cache-dir>/dumps`` (and nowhere under this tool's own
+    ``.colt-cache/dumps``), be retried, and still converge.
 
 ``telemetry`` (``--telemetry``)
     The telemetry plane's crash discipline: live /healthz and /metrics
@@ -38,7 +39,6 @@ mismatch here is a real determinism or recovery bug.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import signal
@@ -55,11 +55,16 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 )
 
+from repro.obs.history import history_path, load_history  # noqa: E402
 from repro.sim.faults import FaultPlan  # noqa: E402
 from repro.sim.resilience import RetryPolicy  # noqa: E402
 from repro.sim.runner import ExperimentRunner  # noqa: E402
 from repro.sim.shutdown import SHUTDOWN_EXIT_CODE  # noqa: E402
-from repro.sim.store import QUARANTINE_DIR, ResultStore  # noqa: E402
+from repro.sim.store import (  # noqa: E402
+    DEFAULT_ROOT,
+    QUARANTINE_DIR,
+    ResultStore,
+)
 from repro.experiments.registry import get_experiment  # noqa: E402
 from repro.experiments.scale import QUICK  # noqa: E402
 
@@ -157,11 +162,8 @@ def _campaign_env(faults: str = "") -> dict:
         env["COLT_FAULTS"] = faults
     else:
         env.pop("COLT_FAULTS", None)
-    # The phases below pass deadline/telemetry knobs explicitly;
-    # ambient settings must not leak in.
-    for var in ("COLT_TASK_TIMEOUT", "COLT_DUMP_DIR",
-                "COLT_TELEMETRY_PORT", "COLT_HISTORY"):
-        env.pop(var, None)
+    # An ambient off-word would suppress the history every phase reads.
+    env.pop("COLT_HISTORY", None)
     return env
 
 
@@ -321,7 +323,7 @@ def _check_killed(label: str, rc: int, out: str, cache_dir: str) -> int:
         print(f"FAIL: {label} printed tables {printed}, expected only "
               f"{_title(CAMPAIGN_IDS[0])!r}", file=sys.stderr)
         failures += 1
-    records = _history_records(cache_dir)
+    records = load_history(history_path(cache_dir))
     started = records[-1]["counters"].get("colt_campaign_experiments") \
         if records else None
     if started != 1:
@@ -453,9 +455,18 @@ def _store_check(args) -> int:
     return 0
 
 
-def _check_deadline_dump(dump_dir: str) -> int:
-    """Exactly one worker dump, taken inside the stuck fault's fire()."""
-    dumps = sorted(Path(dump_dir).glob("task-*.txt"))
+def _dump_files(dump_dir) -> set:
+    return set(Path(dump_dir).glob("task-*.txt"))
+
+
+def _check_deadline_dump(dump_dir, stray: set) -> int:
+    """Exactly one worker dump, taken inside the stuck fault's fire(),
+    and none among ``stray``: dumps the run added elsewhere."""
+    if stray:
+        print(f"FAIL: deadline campaign dumped outside its cache dir: "
+              f"{sorted(map(str, stray))}", file=sys.stderr)
+        return 1
+    dumps = sorted(_dump_files(dump_dir))
     if len(dumps) != 1:
         print(f"FAIL: expected one task-*.txt deadline dump under "
               f"{dump_dir}, found {[path.name for path in dumps]}",
@@ -475,7 +486,6 @@ def _campaign_check(args) -> int:
         clean_dir = os.path.join(tmp, "clean")
         kill_dir = os.path.join(tmp, "killed")
         deadline_dir = os.path.join(tmp, "deadline")
-        dump_dir = os.path.join(tmp, "dumps")
 
         print(f"clean campaign {' '.join(CAMPAIGN_IDS)} (jobs={args.jobs})")
         clean = _checked_run("clean campaign", clean_dir, args.jobs)
@@ -511,14 +521,15 @@ def _campaign_check(args) -> int:
         print(f"deadline campaign (capture sleeps "
               f"{DEADLINE_DELAY_SECONDS:g}s, task deadline "
               f"{DEADLINE_TIMEOUT_SECONDS:g}s)")
+        # The run's cwd is this process's: a dump it wrote to the
+        # default store root instead of its own lands here.
+        default_dumps = Path(DEFAULT_ROOT) / "dumps"
+        before = _dump_files(default_dumps)
         timed_out = _checked_run(
             "deadline campaign", deadline_dir, args.jobs,
             faults=f"delay@capture:0/{DEADLINE_DELAY_SECONDS:g}",
             ids=(CAMPAIGN_IDS[0],),
-            extra=(
-                "--task-timeout", f"{DEADLINE_TIMEOUT_SECONDS:g}",
-                "--dump-dir", dump_dir,
-            ),
+            extra=("--task-timeout", f"{DEADLINE_TIMEOUT_SECONDS:g}"),
         )
         if timed_out is None:
             failures += 1
@@ -526,7 +537,10 @@ def _campaign_check(args) -> int:
             print("FAIL: deadline campaign reported no timeout:\n"
                   f"{timed_out.stdout}", file=sys.stderr)
             failures += 1
-        failures += _check_deadline_dump(dump_dir)
+        failures += _check_deadline_dump(
+            Path(deadline_dir) / "dumps",
+            _dump_files(default_dumps) - before,
+        )
         deadline_title = _title(CAMPAIGN_IDS[0])
         printed = _tables(timed_out.stdout) if timed_out else {}
         if printed.get(deadline_title) != clean_tables[deadline_title]:
@@ -544,19 +558,6 @@ def _campaign_check(args) -> int:
     print("campaign check passed: kill/rerun/deadline all converged "
           "on the clean tables")
     return 0
-
-
-def _history_records(cache_dir: str) -> list:
-    path = Path(cache_dir) / "history" / "history.jsonl"
-    if not path.exists():
-        return []
-    records = []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError:
-            continue
-    return records
 
 
 def _get(port: int, route: str, timeout: float = 5.0) -> bytes:
@@ -626,7 +627,7 @@ def _telemetry_check(args) -> int:
         except (urllib.error.URLError, OSError):
             pass  # refused/reset: the server came down with the process
 
-        records = _history_records(cache_dir)
+        records = load_history(history_path(cache_dir))
         if not records:
             print("FAIL: killed run appended no history record",
                   file=sys.stderr)
@@ -649,7 +650,7 @@ def _telemetry_check(args) -> int:
         )
         if rerun is None:
             failures += 1
-        history = _history_records(cache_dir)
+        history = load_history(history_path(cache_dir))
         if len(history) != len(records) + 1 or \
                 history[-1].get("status") != "ok":
             print(f"FAIL: rerun did not append an ok record "
